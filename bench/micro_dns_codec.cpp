@@ -49,6 +49,16 @@ void BM_EncodeResponse(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeResponse)->Arg(1)->Arg(4)->Arg(16);
 
+// What the simulator pays to price a message: the encoder's size-only
+// pass over the same responses as BM_EncodeResponse.
+void BM_WireSize(benchmark::State& state) {
+  const auto msg = sample_response(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dns::wire_size(msg));
+  }
+}
+BENCHMARK(BM_WireSize)->Arg(1)->Arg(4)->Arg(16);
+
 void BM_DecodeResponse(benchmark::State& state) {
   const auto wire = dns::encode(sample_response(static_cast<int>(state.range(0))));
   for (auto _ : state) {

@@ -1,6 +1,10 @@
 // Micro-benchmarks: world construction and campaign throughput.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "anycast/catalog.h"
+#include "geo/coordinates.h"
 #include "measure/campaign.h"
 #include "measure/flows.h"
 #include "resolver/stub.h"
@@ -65,5 +69,44 @@ void BM_GroundTruthFlow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GroundTruthFlow);
+
+// Nearest-PoP selection over the four provider catalogs at seeded random
+// client positions: Arg(0) runs anycast::nearest_pops, Arg(1) the full
+// geo::distance_km scan it replaced. Both pick the same PoPs.
+void BM_NearestPop(benchmark::State& state) {
+  const bool reference_scan = state.range(0) == 1;
+  const std::vector<std::vector<anycast::Pop>> catalogs = {
+      anycast::cloudflare_pops(), anycast::google_pops(),
+      anycast::nextdns_pops(), anycast::quad9_pops()};
+  netsim::Rng rng(6);
+  std::vector<geo::LatLon> clients(256);
+  for (geo::LatLon& c : clients) {
+    c = {rng.uniform(-60.0, 70.0), rng.uniform(-180.0, 180.0)};
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const geo::LatLon& where = clients[next++ % clients.size()];
+    for (const auto& pops : catalogs) {
+      if (reference_scan) {
+        std::size_t best = 0;
+        double best_km = geo::distance_km(where, pops[0].position);
+        for (std::size_t i = 1; i < pops.size(); ++i) {
+          const double km = geo::distance_km(where, pops[i].position);
+          if (km < best_km) {
+            best_km = km;
+            best = i;
+          }
+        }
+        benchmark::DoNotOptimize(best);
+      } else {
+        benchmark::DoNotOptimize(anycast::nearest_pops(pops, where, 1));
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(catalogs.size()));
+  state.SetLabel(reference_scan ? "full distance_km scan" : "nearest_pops");
+}
+BENCHMARK(BM_NearestPop)->Arg(0)->Arg(1);
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "anycast/pop.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -18,35 +17,53 @@ Pop make_pop(const geo::City& city) {
   pop.city = std::string(city.name);
   pop.country_iso2 = std::string(city.country_iso2);
   pop.position = city.position;
+  pop.unit = geo::unit_vector(city.position);
   pop.region = country->region;
   return pop;
 }
 
-std::size_t nearest_pop_index(std::span<const Pop> pops,
-                              const geo::LatLon& p) {
-  std::size_t best = 0;
-  double best_km = std::numeric_limits<double>::infinity();
+std::vector<RankedPop> nearest_pops(std::span<const Pop> pops,
+                                    const geo::LatLon& p, std::size_t n) {
+  n = std::min(n, pops.size());
+  if (n == 0) return {};
+
+  // Chord² is monotone in true distance, but both it and distance_km
+  // carry rounding error (relative ~1e-15, absolute ~1e-16 in h-units,
+  // most of it from cos(lat) near the poles). Keeping every PoP within a
+  // relative 1e-9 plus absolute 1e-12 of the n-th best chord² is orders
+  // of magnitude wider than either error, so no PoP that distance_km
+  // ranks in the first n can be cut.
+  constexpr double kRelativeMargin = 1e-9;
+  constexpr double kAbsoluteMargin = 1e-12;
+
+  const geo::UnitVector u = geo::unit_vector(p);
+  // The n smallest chord² values, ascending (n is small on every hot
+  // caller, so insertion beats a full sort).
+  std::vector<double> best;
+  best.reserve(n);
+  for (const Pop& pop : pops) {
+    const double chord2 = geo::chord_squared(u, pop.unit);
+    if (best.size() == n) {
+      if (chord2 >= best.back()) continue;
+      best.pop_back();
+    }
+    best.insert(std::upper_bound(best.begin(), best.end(), chord2), chord2);
+  }
+  const double cutoff =
+      best.back() * (1.0 + kRelativeMargin) + kAbsoluteMargin;
+
+  std::vector<RankedPop> ranked;
   for (std::size_t i = 0; i < pops.size(); ++i) {
-    const double d = geo::distance_km(p, pops[i].position);
-    if (d < best_km) {
-      best_km = d;
-      best = i;
+    if (geo::chord_squared(u, pops[i].unit) <= cutoff) {
+      ranked.push_back({i, geo::distance_km(p, pops[i].position)});
     }
   }
-  return best;
-}
-
-std::vector<std::size_t> pops_by_distance(std::span<const Pop> pops,
-                                          const geo::LatLon& p) {
-  std::vector<std::size_t> order(pops.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::vector<double> dist(pops.size());
-  for (std::size_t i = 0; i < pops.size(); ++i) {
-    dist[i] = geo::distance_km(p, pops[i].position);
-  }
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return dist[a] < dist[b]; });
-  return order;
+  std::sort(ranked.begin(), ranked.end(),
+            [](const RankedPop& a, const RankedPop& b) {
+              return a.km != b.km ? a.km < b.km : a.index < b.index;
+            });
+  ranked.resize(n);
+  return ranked;
 }
 
 }  // namespace dohperf::anycast

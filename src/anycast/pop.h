@@ -17,6 +17,7 @@ struct Pop {
   std::string city;           ///< Metro name (from geo::city_table).
   std::string country_iso2;   ///< Host country.
   geo::LatLon position;
+  geo::UnitVector unit;  ///< geo::unit_vector(position), for nearest_pops.
   geo::Region region;
 
   friend bool operator==(const Pop&, const Pop&) = default;
@@ -26,12 +27,21 @@ struct Pop {
 /// the world table (checked; throws std::invalid_argument otherwise).
 [[nodiscard]] Pop make_pop(const geo::City& city);
 
-/// Index of the PoP nearest to `p`; requires a non-empty span.
-[[nodiscard]] std::size_t nearest_pop_index(std::span<const Pop> pops,
-                                            const geo::LatLon& p);
+/// A PoP ranked by its distance from a query point.
+struct RankedPop {
+  std::size_t index = 0;  ///< Position in the catalog span.
+  double km = 0.0;        ///< geo::distance_km(p, pop.position), exactly.
 
-/// Indices of all PoPs ordered by increasing distance from `p`.
-[[nodiscard]] std::vector<std::size_t> pops_by_distance(
-    std::span<const Pop> pops, const geo::LatLon& p);
+  friend bool operator==(const RankedPop&, const RankedPop&) = default;
+};
+
+/// The min(n, pops.size()) PoPs nearest to `p`, nearest first; equal
+/// distances rank the lower index first. The result is exactly the head
+/// of a full geo::distance_km sort of the catalog, but only PoPs whose
+/// chord length comes within a rounding margin of the n-th best are
+/// ranked by distance_km.
+[[nodiscard]] std::vector<RankedPop> nearest_pops(std::span<const Pop> pops,
+                                                  const geo::LatLon& p,
+                                                  std::size_t n);
 
 }  // namespace dohperf::anycast

@@ -44,7 +44,7 @@ AnycastRouter::AnycastRouter(std::span<const Pop> pops, RoutingParams params)
   hub_by_region_.resize(kRegionCount);
   for (std::size_t r = 0; r < kRegionCount; ++r) {
     const auto centroid = region_centroid(static_cast<geo::Region>(r));
-    hub_by_region_[r] = nearest_pop_index(pops_, centroid);
+    hub_by_region_[r] = nearest(centroid);
   }
 }
 
@@ -65,10 +65,10 @@ std::size_t AnycastRouter::select(const geo::LatLon& where,
     const std::size_t k =
         std::min(params_.neighborhood_k, pops_.size() - 1);
     if (k == 0) return nearest(where);
-    const auto order = pops_by_distance(pops_, where);
+    const auto order = nearest_pops(pops_, where, k + 1);
     const auto pick = 1 + static_cast<std::size_t>(rng.uniform_int(
                               0, static_cast<std::int64_t>(k) - 1));
-    return order[pick];
+    return order[pick].index;
   }
 
   if (u < params_.p_nearest + params_.p_neighborhood + params_.p_region_hub) {

@@ -1,8 +1,11 @@
 #include "dns/wire.h"
 
+#include <algorithm>
+#include <cctype>
 #include <cstddef>
-#include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "dns/errors.h"
 
@@ -11,64 +14,124 @@ namespace {
 
 // ---------------------------------------------------------------- writer
 
-class Writer {
+/// Writer output that stores the encoded octets.
+class ByteOut {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {
+  explicit ByteOut(std::vector<std::uint8_t>& out) : out_(out) {
     out_.clear();
   }
-
   void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-    out_.push_back(static_cast<std::uint8_t>(v));
-  }
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v >> 16));
-    u16(static_cast<std::uint16_t>(v));
-  }
   void bytes(std::span<const std::uint8_t> b) {
     out_.insert(out_.end(), b.begin(), b.end());
   }
-
+  void chars(std::string_view s) {
+    out_.insert(out_.end(), s.begin(), s.end());
+  }
   [[nodiscard]] std::size_t size() const { return out_.size(); }
-
-  /// Patches a previously-written big-endian u16 at `offset`.
   void patch_u16(std::size_t offset, std::uint16_t v) {
     out_[offset] = static_cast<std::uint8_t>(v >> 8);
     out_[offset + 1] = static_cast<std::uint8_t>(v);
   }
 
+ private:
+  std::vector<std::uint8_t>& out_;
+};
+
+/// Writer output that only counts octets: wire_size() runs the same
+/// writer, compression included, without storing anything.
+class CountOut {
+ public:
+  void u8(std::uint8_t) { ++size_; }
+  void bytes(std::span<const std::uint8_t> b) { size_ += b.size(); }
+  void chars(std::string_view s) { size_ += s.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  void patch_u16(std::size_t, std::uint16_t) {}
+
+ private:
+  std::size_t size_ = 0;
+};
+
+bool label_iequal(const std::string& a, const std::string& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](char x, char y) {
+           return x == y || std::tolower(static_cast<unsigned char>(x)) ==
+                                std::tolower(static_cast<unsigned char>(y));
+         });
+}
+
+/// A name suffix already written, and the offset a pointer to it uses.
+struct Suffix {
+  std::span<const std::string> labels;
+  std::size_t offset;
+};
+
+/// Message encoder over an output policy (ByteOut or CountOut).
+template <typename Out>
+class Writer {
+ public:
+  explicit Writer(Out out) : out_(std::move(out)) {
+    // One suffix table per thread, reused by every message so encoding
+    // and sizing allocate nothing in steady state. Writers never nest.
+    thread_local std::vector<Suffix> table;
+    table.clear();
+    suffixes_ = &table;
+  }
+
+  void u8(std::uint8_t v) { out_.u8(v); }
+  void u16(std::uint16_t v) {
+    out_.u8(static_cast<std::uint8_t>(v >> 8));
+    out_.u8(static_cast<std::uint8_t>(v));
+  }
+  void u32(std::uint32_t v) {
+    u16(static_cast<std::uint16_t>(v >> 16));
+    u16(static_cast<std::uint16_t>(v));
+  }
+  void bytes(std::span<const std::uint8_t> b) { out_.bytes(b); }
+
+  [[nodiscard]] std::size_t size() const { return out_.size(); }
+
+  /// Patches a previously-written big-endian u16 at `offset`.
+  void patch_u16(std::size_t offset, std::uint16_t v) {
+    out_.patch_u16(offset, v);
+  }
+
   /// Writes `name` using suffix compression against earlier occurrences.
+  /// Suffixes match case-insensitively, label by label; the table holds
+  /// spans into the message's own names, which outlive the writer.
   void name(const DomainName& n) {
-    const auto& labels = n.labels();
+    const std::span<const std::string> labels = n.labels();
     for (std::size_t i = 0; i < labels.size(); ++i) {
-      // Key on the lowercased presentation of the remaining suffix.
-      std::string suffix;
-      for (std::size_t j = i; j < labels.size(); ++j) {
-        for (char c : labels[j]) {
-          suffix.push_back(
-              static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-        }
-        suffix.push_back('.');
-      }
-      if (const auto it = offsets_.find(suffix); it != offsets_.end()) {
-        u16(static_cast<std::uint16_t>(0xC000 | it->second));
+      const auto rest = labels.subspan(i);
+      if (const Suffix* match = find(rest)) {
+        u16(static_cast<std::uint16_t>(0xC000 | match->offset));
         return;
       }
       // Pointers can only address the first 0x3FFF octets.
-      if (size() <= 0x3FFF) offsets_.emplace(std::move(suffix), size());
+      if (size() <= 0x3FFF) suffixes_->push_back({rest, size()});
       u8(static_cast<std::uint8_t>(labels[i].size()));
-      for (char c : labels[i]) out_.push_back(static_cast<std::uint8_t>(c));
+      out_.chars(labels[i]);
     }
     u8(0);  // root
   }
 
  private:
-  std::vector<std::uint8_t>& out_;
-  std::map<std::string, std::size_t> offsets_;
+  [[nodiscard]] const Suffix* find(std::span<const std::string> rest) const {
+    for (const Suffix& s : *suffixes_) {
+      if (s.labels.size() == rest.size() &&
+          std::equal(rest.begin(), rest.end(), s.labels.begin(),
+                     label_iequal)) {
+        return &s;
+      }
+    }
+    return nullptr;
+  }
+
+  Out out_;
+  std::vector<Suffix>* suffixes_;
 };
 
-void write_rdata(Writer& w, const RData& rdata) {
+template <typename Out>
+void write_rdata(Writer<Out>& w, const RData& rdata) {
   // RDLENGTH is patched after the fact because compression makes name
   // lengths position-dependent.
   const std::size_t len_at = w.size();
@@ -76,7 +139,7 @@ void write_rdata(Writer& w, const RData& rdata) {
   const std::size_t start = w.size();
 
   struct Visitor {
-    Writer& w;
+    Writer<Out>& w;
     void operator()(const ARecord& a) const { w.u32(a.address); }
     void operator()(const AaaaRecord& a) const { w.bytes(a.address); }
     void operator()(const NsRecord& ns) const { w.name(ns.nameserver); }
@@ -116,7 +179,8 @@ void write_rdata(Writer& w, const RData& rdata) {
   w.patch_u16(len_at, static_cast<std::uint16_t>(w.size() - start));
 }
 
-void write_record(Writer& w, const ResourceRecord& rr) {
+template <typename Out>
+void write_record(Writer<Out>& w, const ResourceRecord& rr) {
   if (rr.type() == RecordType::kOpt) {
     // RFC 6891: OPT lives at the root name; the class field carries the
     // UDP payload size, the TTL the extended flags.
@@ -145,6 +209,25 @@ std::uint16_t pack_flags(const Header& h) {
   if (h.ra) f |= 0x0080;
   f |= static_cast<std::uint16_t>(static_cast<unsigned>(h.rcode) & 0xF);
   return f;
+}
+
+template <typename Out>
+void write_message(Writer<Out>& w, const Message& msg) {
+  w.u16(msg.header.id);
+  w.u16(pack_flags(msg.header));
+  w.u16(static_cast<std::uint16_t>(msg.questions.size()));
+  w.u16(static_cast<std::uint16_t>(msg.answers.size()));
+  w.u16(static_cast<std::uint16_t>(msg.authorities.size()));
+  w.u16(static_cast<std::uint16_t>(msg.additionals.size()));
+
+  for (const Question& q : msg.questions) {
+    w.name(q.name);
+    w.u16(static_cast<std::uint16_t>(q.type));
+    w.u16(static_cast<std::uint16_t>(q.rclass));
+  }
+  for (const auto& rr : msg.answers) write_record(w, rr);
+  for (const auto& rr : msg.authorities) write_record(w, rr);
+  for (const auto& rr : msg.additionals) write_record(w, rr);
 }
 
 // ---------------------------------------------------------------- reader
@@ -342,22 +425,8 @@ std::vector<std::uint8_t> encode(const Message& msg) {
 }
 
 void encode_into(const Message& msg, std::vector<std::uint8_t>& out) {
-  Writer w(out);
-  w.u16(msg.header.id);
-  w.u16(pack_flags(msg.header));
-  w.u16(static_cast<std::uint16_t>(msg.questions.size()));
-  w.u16(static_cast<std::uint16_t>(msg.answers.size()));
-  w.u16(static_cast<std::uint16_t>(msg.authorities.size()));
-  w.u16(static_cast<std::uint16_t>(msg.additionals.size()));
-
-  for (const Question& q : msg.questions) {
-    w.name(q.name);
-    w.u16(static_cast<std::uint16_t>(q.type));
-    w.u16(static_cast<std::uint16_t>(q.rclass));
-  }
-  for (const auto& rr : msg.answers) write_record(w, rr);
-  for (const auto& rr : msg.authorities) write_record(w, rr);
-  for (const auto& rr : msg.additionals) write_record(w, rr);
+  Writer<ByteOut> w{ByteOut(out)};
+  write_message(w, msg);
 }
 
 Message decode(std::span<const std::uint8_t> wire) {
@@ -391,12 +460,9 @@ Message decode(std::span<const std::uint8_t> wire) {
 }
 
 std::size_t wire_size(const Message& msg) {
-  // Sizing is pure bookkeeping on the simulator hot path (every send and
-  // recv of every flow); reuse one scratch buffer per thread instead of
-  // allocating a wire image just to measure it.
-  thread_local std::vector<std::uint8_t> scratch;
-  encode_into(msg, scratch);
-  return scratch.size();
+  Writer<CountOut> w{CountOut()};
+  write_message(w, msg);
+  return w.size();
 }
 
 }  // namespace dohperf::dns

@@ -35,6 +35,13 @@ double distance_miles(const LatLon& a, const LatLon& b) {
   return km_to_miles(distance_km(a, b));
 }
 
+UnitVector unit_vector(const LatLon& p) {
+  const double lat = p.lat * kDegToRad;
+  const double lon = p.lon * kDegToRad;
+  const double cos_lat = std::cos(lat);
+  return {cos_lat * std::cos(lon), cos_lat * std::sin(lon), std::sin(lat)};
+}
+
 double initial_bearing_deg(const LatLon& a, const LatLon& b) {
   const double lat1 = a.lat * kDegToRad;
   const double lat2 = b.lat * kDegToRad;

@@ -40,6 +40,30 @@ std::ostream& operator<<(std::ostream& os, const LatLon& p);
 /// Great-circle distance in statute miles.
 [[nodiscard]] double distance_miles(const LatLon& a, const LatLon& b);
 
+/// A point as an Earth-centred unit vector (x towards 0°N 0°E, z towards
+/// the north pole).
+struct UnitVector {
+  double x = 0.0;
+  double y = 0.0;
+  double z = 0.0;
+
+  friend bool operator==(const UnitVector&, const UnitVector&) = default;
+};
+
+[[nodiscard]] UnitVector unit_vector(const LatLon& p);
+
+/// Squared chord length between two points on the unit sphere. In real
+/// arithmetic it equals 4·h, where h is the haversine term of
+/// distance_km, so it orders points by distance with three multiplies
+/// and no trigonometry (up to rounding; see anycast::nearest_pops).
+[[nodiscard]] inline double chord_squared(const UnitVector& a,
+                                          const UnitVector& b) {
+  const double dx = a.x - b.x;
+  const double dy = a.y - b.y;
+  const double dz = a.z - b.z;
+  return dx * dx + dy * dy + dz * dz;
+}
+
 [[nodiscard]] inline double km_to_miles(double km) { return km * kMilesPerKm; }
 [[nodiscard]] inline double miles_to_km(double mi) { return mi / kMilesPerKm; }
 

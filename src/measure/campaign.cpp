@@ -307,17 +307,13 @@ ExitState make_exit_state(ShardView& view, const ExitTask& task,
     st.provider_failed.push_back(
         failure_rng.bernoulli(provider_failure_rate));
 
-    // Hoisted per-(exit, provider) nearest-PoP scan: the distance to the
-    // closest PoP *as geolocation sees it* (Figure 6's baseline) only
+    // Hoisted per-(exit, provider) nearest-PoP distance: the distance to
+    // the closest PoP *as geolocation sees it* (Figure 6's baseline) only
     // depends on the client's located position, so compute it once per
-    // campaign instead of once per provider per run.
-    double nearest = geo::distance_miles(task.located,
-                                         provider.pops().front().position);
-    for (const anycast::Pop& pop : provider.pops()) {
-      nearest = std::min(nearest,
-                         geo::distance_miles(task.located, pop.position));
-    }
-    st.nearest_located_miles.push_back(nearest);
+    // campaign instead of once per provider per run. km_to_miles is
+    // monotone, so converting the nearest km equals the least mile count.
+    st.nearest_located_miles.push_back(geo::km_to_miles(
+        anycast::nearest_pops(provider.pops(), task.located, 1).front().km));
   }
   return st;
 }

@@ -1,11 +1,9 @@
 #include "netsim/event_queue.h"
 
-#include <utility>
-
 namespace dohperf::netsim {
 
-void EventQueue::push(SimTime at, Callback fn) {
-  Event event{at, next_seq_++, std::move(fn)};
+void EventQueue::push(SimTime at, std::coroutine_handle<> h) {
+  const Event event{at, next_seq_++, h};
   // Hole-based sift-up: shift parents down into the hole instead of
   // swapping, so each displaced event moves exactly once.
   std::size_t hole = heap_.size();
@@ -13,15 +11,15 @@ void EventQueue::push(SimTime at, Callback fn) {
   while (hole > 0) {
     const std::size_t parent = (hole - 1) / 2;
     if (!before(event, heap_[parent])) break;
-    heap_[hole] = std::move(heap_[parent]);
+    heap_[hole] = heap_[parent];
     hole = parent;
   }
-  heap_[hole] = std::move(event);
+  heap_[hole] = event;
 }
 
-EventQueue::Callback EventQueue::pop() {
-  Callback fn = std::move(heap_.front().fn);
-  Event tail = std::move(heap_.back());
+std::coroutine_handle<> EventQueue::pop() {
+  const std::coroutine_handle<> h = heap_.front().h;
+  const Event tail = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {
     // Hole-based sift-down of the detached tail element from the root.
@@ -32,12 +30,12 @@ EventQueue::Callback EventQueue::pop() {
       if (child >= n) break;
       if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
       if (!before(heap_[child], tail)) break;
-      heap_[hole] = std::move(heap_[child]);
+      heap_[hole] = heap_[child];
       hole = child;
     }
-    heap_[hole] = std::move(tail);
+    heap_[hole] = tail;
   }
-  return fn;
+  return h;
 }
 
 }  // namespace dohperf::netsim

@@ -1,31 +1,27 @@
 // Time-ordered event queue for the discrete-event simulator.
 //
-// Implemented as a flat binary min-heap over movable callback slots.
-// std::priority_queue only exposes const access to top(), which used to
-// force a std::shared_ptr<Callback> per event just to move the callback
-// out on pop. The flat heap owns its slots, so push() stores the callback
-// in place and pop() moves it straight out: no per-event heap allocation
-// beyond the callback itself — and the simulator's callbacks (coroutine
-// resumptions, a single handle) fit std::function's small-buffer storage,
-// so the steady-state hot loop allocates nothing at all.
+// Implemented as a flat binary min-heap of 24-byte events. Every event
+// the simulator schedules is the resumption of a suspended coroutine
+// (see Simulator::sleep), so an event stores just the coroutine handle:
+// push() and pop() move three words and never allocate once the slot
+// array has grown to the event population, and sifting runs no callback
+// machinery.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "netsim/time.h"
 
 namespace dohperf::netsim {
 
-/// A min-heap of (time, sequence, callback). Events at equal times fire in
-/// insertion order, making simulations fully deterministic.
+/// A min-heap of (time, sequence, coroutine). Events at equal times fire
+/// in insertion order, making simulations fully deterministic.
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
-
-  /// Enqueues `fn` to fire at absolute time `at`.
-  void push(SimTime at, Callback fn);
+  /// Enqueues `h` to be resumed at absolute time `at`.
+  void push(SimTime at, std::coroutine_handle<> h);
 
   /// True if no events remain.
   [[nodiscard]] bool empty() const { return heap_.empty(); }
@@ -35,8 +31,9 @@ class EventQueue {
   /// Time of the earliest pending event. Requires !empty().
   [[nodiscard]] SimTime next_time() const { return heap_.front().at; }
 
-  /// Removes and returns the earliest event's callback. Requires !empty().
-  [[nodiscard]] Callback pop();
+  /// Removes the earliest event and returns its coroutine, for the caller
+  /// to resume. Requires !empty().
+  [[nodiscard]] std::coroutine_handle<> pop();
 
   /// Pre-sizes the slot array for an expected event population.
   void reserve(std::size_t n) { heap_.reserve(n); }
@@ -45,8 +42,9 @@ class EventQueue {
   struct Event {
     SimTime at;
     std::uint64_t seq;
-    Callback fn;
+    std::coroutine_handle<> h;
   };
+  static_assert(sizeof(Event) == 24);
 
   /// True if `a` must fire strictly before `b`.
   static bool before(const Event& a, const Event& b) {

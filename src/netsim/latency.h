@@ -43,19 +43,32 @@ struct LatencyConfig {
   double min_one_way_ms = 0.15;
 };
 
+/// The size-independent part of one direction's delay: propagation plus
+/// both endpoints' last-mile delay, and the jitter sigma. A routed path
+/// computes it once per direction (see Path) instead of once per message.
+struct OneWayTerm {
+  double fixed_ms = 0.0;
+  double sigma = 0.0;
+};
+
 /// Computes one-way delays between sites.
 class LatencyModel {
  public:
   LatencyModel() = default;
   explicit LatencyModel(LatencyConfig cfg) : cfg_(cfg) {}
 
+  /// The a -> b term every delay below is computed from.
+  [[nodiscard]] OneWayTerm term(const Site& a, const Site& b) const;
+
   /// Deterministic (jitter-free) one-way delay in ms.
   [[nodiscard]] double expected_one_way_ms(const Site& a, const Site& b,
-                                           std::size_t bytes) const;
+                                           std::size_t bytes) const {
+    return expected_ms(term(a, b), bytes);
+  }
 
-  /// Samples a one-way delay with jitter.
-  [[nodiscard]] Duration one_way(const Site& a, const Site& b,
-                                 std::size_t bytes, Rng& rng) const;
+  /// Samples a one-way delay with jitter from the direction's term.
+  [[nodiscard]] Duration one_way(const OneWayTerm& t, std::size_t bytes,
+                                 Rng& rng) const;
 
   /// Deterministic round-trip estimate (2x expected one-way, same bytes
   /// each direction).
@@ -65,6 +78,9 @@ class LatencyModel {
   [[nodiscard]] const LatencyConfig& config() const { return cfg_; }
 
  private:
+  [[nodiscard]] double expected_ms(const OneWayTerm& t,
+                                   std::size_t bytes) const;
+
   LatencyConfig cfg_{};
 };
 

@@ -115,8 +115,15 @@ struct NetCtx {
 
   /// Simulates one message travelling a -> b; completes at arrival time.
   Task<void> hop(const Site& a, const Site& b, std::size_t bytes) {
+    return hop(a, b, latency.term(a, b), bytes);
+  }
+
+  /// hop() with the a -> b delay term already computed (Path keeps one
+  /// per direction).
+  Task<void> hop(const Site& a, const Site& b, OneWayTerm term,
+                 std::size_t bytes) {
     const SimTime sent = sim.now();
-    co_await sim.sleep(latency.one_way(a, b, bytes, rng));
+    co_await sim.sleep(latency.one_way(term, bytes, rng));
     if (metrics != nullptr) {
       ++metrics->counters.messages;
       metrics->counters.bytes_on_wire += bytes;

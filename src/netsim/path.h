@@ -1,10 +1,13 @@
 // A routed site pair: the layer-0 channel every connection rides on.
 //
 // Path owns the per-direction framing overhead (e.g. IP+UDP headers for
-// datagram exchanges) and delegates delivery, trace capture and the
-// loss/retry state machine to its NetCtx, so flow code never sums header
-// bytes or calls NetCtx::hop by hand.
+// datagram exchanges) and each direction's delay term, computed once at
+// construction rather than per message, and delegates delivery, trace
+// capture and the loss/retry state machine to its NetCtx, so flow code
+// never sums header bytes or calls NetCtx::hop by hand.
 #pragma once
+
+#include <cstdint>
 
 #include "netsim/netctx.h"
 
@@ -13,23 +16,27 @@ namespace dohperf::netsim {
 class Path {
  public:
   Path(NetCtx& net, Site a, Site b)
-      : net_(&net), a_(std::move(a)), b_(std::move(b)) {}
+      : net_(&net),
+        a_(std::move(a)),
+        b_(std::move(b)),
+        forward_(net.latency.term(a_, b_)),
+        backward_(net.latency.term(b_, a_)) {}
 
   /// Per-message framing bytes added in each direction (default none).
   void set_framing(std::size_t forward_bytes, std::size_t backward_bytes) {
-    forward_framing_ = forward_bytes;
-    backward_framing_ = backward_bytes;
+    forward_framing_ = static_cast<std::uint32_t>(forward_bytes);
+    backward_framing_ = static_cast<std::uint32_t>(backward_bytes);
   }
 
   /// One message a -> b; completes at arrival (captured by the NetCtx's
   /// trace sink, if any).
   Task<void> send(std::size_t payload_bytes) const {
-    return net_->hop(a_, b_, payload_bytes + forward_framing_);
+    return net_->hop(a_, b_, forward_, payload_bytes + forward_framing_);
   }
 
   /// One message b -> a.
   Task<void> recv(std::size_t payload_bytes) const {
-    return net_->hop(b_, a_, payload_bytes + backward_framing_);
+    return net_->hop(b_, a_, backward_, payload_bytes + backward_framing_);
   }
 
   /// Runs the datagram retry state machine for one exchange on this
@@ -54,8 +61,13 @@ class Path {
   NetCtx* net_;
   Site a_;
   Site b_;
-  std::size_t forward_framing_ = 0;
-  std::size_t backward_framing_ = 0;
+  OneWayTerm forward_;
+  OneWayTerm backward_;
+  // Header octet counts. At 32 bits the two delay terms grow a Path by
+  // 24 bytes, not 32, which keeps tcp_connect's frame (two Paths) in its
+  // arena size class.
+  std::uint32_t forward_framing_ = 0;
+  std::uint32_t backward_framing_ = 0;
 };
 
 }  // namespace dohperf::netsim

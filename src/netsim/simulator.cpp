@@ -1,26 +1,23 @@
 #include "netsim/simulator.h"
 
-#include <utility>
-
 namespace dohperf::netsim {
 
-void Simulator::schedule_at(SimTime at, EventQueue::Callback fn) {
+void Simulator::schedule_at(SimTime at, std::coroutine_handle<> h) {
   if (at < now_) at = now_;
-  queue_.push(at, std::move(fn));
+  queue_.push(at, h);
   if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
 }
 
-void Simulator::schedule_in(Duration delay, EventQueue::Callback fn) {
+void Simulator::schedule_in(Duration delay, std::coroutine_handle<> h) {
   if (delay < Duration::zero()) delay = Duration::zero();
-  queue_.push(now_ + delay, std::move(fn));
+  queue_.push(now_ + delay, h);
   if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
 }
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
   now_ = queue_.next_time();
-  auto fn = queue_.pop();
-  fn();
+  queue_.pop().resume();
   return true;
 }
 

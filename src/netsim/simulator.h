@@ -1,6 +1,7 @@
 // The discrete-event simulator driving all measurements.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 
 #include "netsim/event_queue.h"
@@ -22,11 +23,11 @@ class Simulator {
   /// Current simulated time.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedules `fn` at absolute time `at` (clamped to now for past times).
-  void schedule_at(SimTime at, EventQueue::Callback fn);
+  /// Resumes `h` at absolute time `at` (clamped to now for past times).
+  void schedule_at(SimTime at, std::coroutine_handle<> h);
 
-  /// Schedules `fn` after `delay` (negative delays fire immediately).
-  void schedule_in(Duration delay, EventQueue::Callback fn);
+  /// Resumes `h` after `delay` (negative delays fire immediately).
+  void schedule_in(Duration delay, std::coroutine_handle<> h);
 
   /// Runs a single event; returns false if the queue was empty.
   bool step();

@@ -190,7 +190,7 @@ struct Simulator::SleepAwaitable {
 
   bool await_ready() const noexcept { return delay <= Duration::zero(); }
   void await_suspend(std::coroutine_handle<> h) const {
-    sim.schedule_in(delay, [h] { h.resume(); });
+    sim.schedule_in(delay, h);
   }
   void await_resume() const noexcept {}
 };

@@ -1,7 +1,6 @@
 #include "proxy/brightdata.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "geo/cities.h"
@@ -34,6 +33,7 @@ bool resolves_dns_at_super_proxy(std::string_view iso2) {
 
 BrightDataNetwork::BrightDataNetwork() {
   locations_.reserve(kSuperProxyCities.size());
+  pops_.reserve(kSuperProxyCities.size());
   for (const auto& [iso2, city_name] : kSuperProxyCities) {
     const geo::City* city = geo::find_city(city_name);
     if (city == nullptr) {
@@ -47,6 +47,7 @@ BrightDataNetwork::BrightDataNetwork() {
     loc.site.route_inflation = 1.1;  // well-peered
     loc.site.jitter_sigma = 0.05;
     locations_.push_back(std::move(loc));
+    pops_.push_back(anycast::make_pop(*city));
   }
 }
 
@@ -80,16 +81,7 @@ std::span<const std::uint64_t> BrightDataNetwork::exits_in(
 
 const SuperProxyLocation& BrightDataNetwork::nearest_super_proxy(
     const geo::LatLon& p) const {
-  const SuperProxyLocation* best = nullptr;
-  double best_km = std::numeric_limits<double>::infinity();
-  for (const auto& loc : locations_) {
-    const double d = geo::distance_km(p, loc.site.position);
-    if (d < best_km) {
-      best_km = d;
-      best = &loc;
-    }
-  }
-  return *best;
+  return locations_[anycast::nearest_pops(pops_, p, 1).front().index];
 }
 
 BrightDataNetwork::OverheadSample BrightDataNetwork::sample_overheads(

@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "anycast/pop.h"
 #include "netsim/latency.h"
 #include "netsim/random.h"
 #include "proxy/exit_node.h"
@@ -58,6 +59,10 @@ class BrightDataNetwork {
   [[nodiscard]] std::span<const SuperProxyLocation> super_proxies() const {
     return locations_;
   }
+  /// The Super Proxy metros as a PoP catalog, parallel to super_proxies().
+  [[nodiscard]] std::span<const anycast::Pop> super_proxy_pops() const {
+    return pops_;
+  }
   [[nodiscard]] std::size_t exit_count() const { return exits_.size(); }
 
   /// Samples the per-session BrightData processing overheads the Super
@@ -75,6 +80,7 @@ class BrightDataNetwork {
 
  private:
   std::vector<SuperProxyLocation> locations_;
+  std::vector<anycast::Pop> pops_;
   std::vector<ExitNode> exits_;
   std::unordered_map<std::string, std::vector<std::uint64_t>> by_country_;
 };

@@ -50,6 +50,15 @@ void serialize_headers(const HeaderMap& headers, std::string& out) {
   out += "\r\n";
 }
 
+/// Octets serialize_headers() appends for `headers`.
+std::size_t headers_wire_size(const HeaderMap& headers) {
+  std::size_t n = 2;  // blank line
+  for (const auto& [name, value] : headers.fields()) {
+    n += name.size() + 2 + value.size() + 2;
+  }
+  return n;
+}
+
 }  // namespace
 
 void HeaderMap::add(std::string name, std::string value) {
@@ -82,6 +91,11 @@ std::string HttpRequest::serialize() const {
   return out;
 }
 
+std::size_t HttpRequest::wire_size() const {
+  return method.size() + 1 + target.size() + 1 + version.size() + 2 +
+         headers_wire_size(headers) + body.size();
+}
+
 std::string HttpResponse::serialize() const {
   std::string out;
   out.reserve(128 + body.size());
@@ -94,6 +108,15 @@ std::string HttpResponse::serialize() const {
   serialize_headers(headers, out);
   out += body;
   return out;
+}
+
+std::size_t HttpResponse::wire_size() const {
+  // Digits (and sign) of std::to_string(status), without the string.
+  char digits[16];
+  const char* status_end =
+      std::to_chars(digits, digits + sizeof(digits), status).ptr;
+  return version.size() + 1 + static_cast<std::size_t>(status_end - digits) +
+         1 + reason.size() + 2 + headers_wire_size(headers) + body.size();
 }
 
 std::optional<HttpRequest> parse_request(std::string_view text) {

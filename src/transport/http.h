@@ -48,7 +48,8 @@ struct HttpRequest {
   std::string body;
 
   [[nodiscard]] std::string serialize() const;
-  [[nodiscard]] std::size_t wire_size() const { return serialize().size(); }
+  /// serialize().size(), summed from the parts without serialising.
+  [[nodiscard]] std::size_t wire_size() const;
 };
 
 /// An HTTP response.
@@ -60,7 +61,8 @@ struct HttpResponse {
   std::string body;
 
   [[nodiscard]] std::string serialize() const;
-  [[nodiscard]] std::size_t wire_size() const { return serialize().size(); }
+  /// serialize().size(), summed from the parts without serialising.
+  [[nodiscard]] std::size_t wire_size() const;
 };
 
 /// Parse errors carry a human-readable reason.

@@ -4,10 +4,15 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "anycast/catalog.h"
 #include "anycast/provider.h"
 #include "anycast/routing.h"
+#include "geo/cities.h"
+#include "proxy/brightdata.h"
 
 namespace dohperf::anycast {
 namespace {
@@ -77,19 +82,103 @@ TEST(PopTest, MakePopValidatesCountry) {
 TEST(PopTest, NearestIndexFindsGeographicOptimum) {
   const auto pops = google_pops();
   // A client in Manhattan should map to the New York PoP.
-  const auto idx = nearest_pop_index(pops, {40.75, -73.99});
+  const auto idx = nearest_pops(pops, {40.75, -73.99}, 1).front().index;
   EXPECT_EQ(pops[idx].city, "New York");
 }
 
 TEST(PopTest, PopsByDistanceIsSorted) {
   const auto pops = cloudflare_pops();
   const geo::LatLon client{48.86, 2.35};
-  const auto order = pops_by_distance(pops, client);
+  std::vector<std::size_t> order;
+  for (const RankedPop& r : nearest_pops(pops, client, pops.size())) {
+    order.push_back(r.index);
+  }
   ASSERT_EQ(order.size(), pops.size());
   for (std::size_t i = 1; i < order.size(); ++i) {
     EXPECT_LE(geo::distance_km(client, pops[order[i - 1]].position),
               geo::distance_km(client, pops[order[i]].position));
   }
+}
+
+// The catalogs nearest_pops serves: the four providers and the Super
+// Proxy metros.
+std::vector<std::vector<Pop>> all_catalogs() {
+  const proxy::BrightDataNetwork brightdata;
+  const auto sp = brightdata.super_proxy_pops();
+  return {cloudflare_pops(), google_pops(), nextdns_pops(), quad9_pops(),
+          std::vector<Pop>(sp.begin(), sp.end())};
+}
+
+// nearest_pops' lower-index tie rule only reproduces a full distance
+// sort if no two PoPs of a catalog share a position.
+TEST(PopTest, CatalogPositionsAreDistinct) {
+  for (const auto& pops : all_catalogs()) {
+    std::set<std::pair<double, double>> seen;
+    for (const Pop& pop : pops) {
+      EXPECT_TRUE(seen.insert({pop.position.lat, pop.position.lon}).second)
+          << "shared position " << pop.city;
+    }
+  }
+}
+
+// Exactness of the chord-pruned selection: for every catalog and query
+// point, the result is bit-for-bit the head of a full distance_km sort
+// (nearest first, ties to the lower index).
+TEST(PopTest, NearestPopsMatchesFullDistanceSort) {
+  const auto catalogs = all_catalogs();
+
+  std::vector<geo::LatLon> points;
+  for (const geo::City& city : geo::city_table()) {
+    points.push_back(city.position);
+  }
+  netsim::Rng rng(4242);
+  for (int i = 0; i < 1000; ++i) {
+    points.push_back({rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)});
+  }
+  for (const double lon : {-180.0, -45.0, 0.0, 90.0, 180.0}) {
+    points.push_back({90.0, lon});
+    points.push_back({-90.0, lon});
+  }
+  for (const double lat : {-60.0, -1e-9, 0.0, 35.5, 89.999999}) {
+    for (const double lon : {-180.0, -179.999999, 179.999999, 180.0}) {
+      points.push_back({lat, lon});
+    }
+  }
+  for (const auto& pops : catalogs) {
+    for (const Pop& pop : pops) {
+      const geo::LatLon at = pop.position;
+      points.push_back(at);
+      points.push_back(
+          {-at.lat, at.lon > 0.0 ? at.lon - 180.0 : at.lon + 180.0});
+    }
+  }
+
+  for (const auto& pops : catalogs) {
+    for (const geo::LatLon& p : points) {
+      std::vector<RankedPop> full;
+      for (std::size_t i = 0; i < pops.size(); ++i) {
+        full.push_back({i, geo::distance_km(p, pops[i].position)});
+      }
+      std::stable_sort(full.begin(), full.end(),
+                       [](const RankedPop& a, const RankedPop& b) {
+                         return a.km < b.km;
+                       });
+      for (const std::size_t n : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{3}, std::size_t{5},
+                                  pops.size()}) {
+        const auto head = static_cast<std::ptrdiff_t>(std::min(n, full.size()));
+        const std::vector<RankedPop> want(full.begin(), full.begin() + head);
+        ASSERT_EQ(nearest_pops(pops, p, n), want)
+            << "catalog of " << pops.size() << " at " << p << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(PopTest, NearestPopsOfEmptyRequestIsEmpty) {
+  const auto pops = google_pops();
+  EXPECT_TRUE(nearest_pops(pops, {0.0, 0.0}, 0).empty());
+  EXPECT_TRUE(nearest_pops(std::span<const Pop>(), {0.0, 0.0}, 3).empty());
 }
 
 TEST(RouterTest, PureNearestPolicyIsOptimal) {

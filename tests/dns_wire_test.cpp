@@ -2,9 +2,12 @@
 // parsing of malformed input.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "dns/ecs.h"
 #include "dns/errors.h"
 #include "dns/message.h"
 #include "dns/wire.h"
@@ -218,9 +221,97 @@ TEST(WireTest, RejectsBadARdlength) {
   EXPECT_THROW((void)decode(wire), ParseError);
 }
 
+// A random name over a few shared suffixes, with random letter case, so
+// messages repeat suffixes that only match case-insensitively.
+DomainName random_mixed_case_name(netsim::Rng& rng) {
+  static const char* const kSuffixes[] = {"example.com", "a.com",
+                                          "ns.example.com", "org"};
+  std::string text;
+  const int prefix_labels = static_cast<int>(rng.uniform_int(0, 3));
+  for (int i = 0; i < prefix_labels; ++i) {
+    text += "l" + std::to_string(rng.uniform_int(0, 5)) + ".";
+  }
+  text += kSuffixes[rng.uniform_int(0, 3)];
+  for (char& c : text) {
+    if (rng.bernoulli(0.5)) {
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    }
+  }
+  return DomainName::parse(text);
+}
+
+ResourceRecord random_record(netsim::Rng& rng) {
+  ResourceRecord rr;
+  rr.name = random_mixed_case_name(rng);
+  rr.ttl = static_cast<std::uint32_t>(rng.uniform_int(0, 86400));
+  switch (rng.uniform_int(0, 4)) {
+    case 0:
+      rr.rdata = ARecord{static_cast<std::uint32_t>(rng.next())};
+      break;
+    case 1:
+      rr.rdata = NsRecord{random_mixed_case_name(rng)};
+      break;
+    case 2:
+      rr.rdata = CnameRecord{random_mixed_case_name(rng)};
+      break;
+    case 3: {
+      SoaRecord soa;
+      soa.mname = random_mixed_case_name(rng);
+      soa.rname = random_mixed_case_name(rng);
+      soa.serial = static_cast<std::uint32_t>(rng.next());
+      rr.rdata = soa;
+      break;
+    }
+    default: {
+      // 0 bytes, one character-string, or split past 255.
+      const std::size_t lengths[] = {0, 1, 255, 256, 600};
+      rr.rdata = TxtRecord{std::string(lengths[rng.uniform_int(0, 4)], 't')};
+      break;
+    }
+  }
+  return rr;
+}
+
 TEST(WireTest, WireSizeMatchesEncode) {
   const Message msg = sample_response();
   EXPECT_EQ(wire_size(msg), encode(msg).size());
+
+  netsim::Rng rng(20211);
+  for (int i = 0; i < 500; ++i) {
+    Message query = Message::make_query(
+        static_cast<std::uint16_t>(rng.next()), random_mixed_case_name(rng));
+    if (rng.bernoulli(0.5)) {
+      attach_ecs(query, make_ecs_option(
+                            static_cast<std::uint32_t>(rng.next()),
+                            static_cast<std::uint8_t>(rng.uniform_int(0, 32))));
+    }
+    EXPECT_EQ(wire_size(query), encode(query).size()) << "query " << i;
+
+    Message resp = Message::make_response(query);
+    for (auto* section :
+         {&resp.answers, &resp.authorities, &resp.additionals}) {
+      const int n = static_cast<int>(rng.uniform_int(0, 4));
+      for (int j = 0; j < n; ++j) section->push_back(random_record(rng));
+    }
+    const auto wire = encode(resp);
+    EXPECT_EQ(wire_size(resp), wire.size()) << "response " << i;
+    EXPECT_EQ(decode(wire), resp) << "response " << i;
+  }
+
+  // Past offset 0x3FFF new suffixes can no longer be pointer targets,
+  // but earlier ones still are; sizing must follow the same rule.
+  Message big = Message::make_response(
+      Message::make_query(9, DomainName::parse("Head.Example.com")));
+  for (int i = 0; i < 120; ++i) {
+    ResourceRecord rr = random_record(rng);
+    if (i % 3 == 0) rr.rdata = TxtRecord{std::string(300, 'p')};
+    big.answers.push_back(std::move(rr));
+  }
+  attach_ecs(big, make_ecs_option(0x0A000001));
+  const auto wire = encode(big);
+  ASSERT_GT(wire.size(), 0x3FFFu + 1000);
+  EXPECT_EQ(wire_size(big), wire.size());
+  EXPECT_EQ(decode(wire), big);
 }
 
 TEST(WireTest, EmptyMessageRoundTrip) {

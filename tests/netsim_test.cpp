@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <coroutine>
+#include <exception>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -141,29 +144,74 @@ TEST(RngTest, StringSplitStable) {
   EXPECT_NE(a2.next(), c.next());
 }
 
+// Every simulator event resumes a coroutine, so the queue and simulator
+// tests schedule tiny ones: each runs its body once when resumed. The
+// pool owns the frames and frees them whether or not they ever ran.
+class Callbacks {
+ public:
+  Callbacks() = default;
+  Callbacks(const Callbacks&) = delete;
+  Callbacks& operator=(const Callbacks&) = delete;
+  ~Callbacks() {
+    for (const std::coroutine_handle<> h : frames_) h.destroy();
+  }
+
+  /// A suspended coroutine that runs `fn` when resumed.
+  std::coroutine_handle<> operator()(std::function<void()> fn) {
+    frames_.push_back(run(std::move(fn)).handle);
+    return frames_.back();
+  }
+
+ private:
+  struct Frame {
+    struct promise_type {
+      Frame get_return_object() {
+        return {std::coroutine_handle<promise_type>::from_promise(*this)};
+      }
+      std::suspend_always initial_suspend() noexcept { return {}; }
+      std::suspend_always final_suspend() noexcept { return {}; }
+      void return_void() {}
+      void unhandled_exception() { std::terminate(); }
+    };
+    std::coroutine_handle<promise_type> handle;
+  };
+
+  static Frame run(std::function<void()> fn) {
+    fn();
+    co_return;
+  }
+
+  std::vector<std::coroutine_handle<>> frames_;
+};
+
 TEST(EventQueueTest, OrdersByTime) {
+  Callbacks cb;
   EventQueue q;
   std::vector<int> fired;
-  q.push(SimTime{Duration(300)}, [&] { fired.push_back(3); });
-  q.push(SimTime{Duration(100)}, [&] { fired.push_back(1); });
-  q.push(SimTime{Duration(200)}, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop()();
+  q.push(SimTime{Duration(300)}, cb([&] { fired.push_back(3); }));
+  q.push(SimTime{Duration(100)}, cb([&] { fired.push_back(1); }));
+  q.push(SimTime{Duration(200)}, cb([&] { fired.push_back(2); }));
+  while (!q.empty()) q.pop().resume();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueueTest, TiesFireInInsertionOrder) {
+  Callbacks cb;
   EventQueue q;
   std::vector<int> fired;
   const SimTime t{Duration(100)};
-  for (int i = 0; i < 10; ++i) q.push(t, [&fired, i] { fired.push_back(i); });
-  while (!q.empty()) q.pop()();
+  for (int i = 0; i < 10; ++i) {
+    q.push(t, cb([&fired, i] { fired.push_back(i); }));
+  }
+  while (!q.empty()) q.pop().resume();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[i], i);
 }
 
 TEST(EventQueueTest, NextTimeReflectsEarliest) {
+  Callbacks cb;
   EventQueue q;
-  q.push(SimTime{Duration(500)}, [] {});
-  q.push(SimTime{Duration(200)}, [] {});
+  q.push(SimTime{Duration(500)}, cb([] {}));
+  q.push(SimTime{Duration(200)}, cb([] {}));
   EXPECT_EQ(q.next_time(), SimTime{Duration(200)});
   EXPECT_EQ(q.size(), 2u);
 }
@@ -173,6 +221,7 @@ TEST(EventQueueTest, NextTimeReflectsEarliest) {
 // interleaving, not just build-then-drain.
 TEST(EventQueueTest, InterleavedStressMatchesStableSort) {
   Rng rng(2024);
+  Callbacks cb;
   EventQueue q;
   std::vector<std::pair<std::int64_t, int>> reference;  // (time, id)
   std::vector<int> popped;
@@ -181,13 +230,14 @@ TEST(EventQueueTest, InterleavedStressMatchesStableSort) {
     if (q.empty() || rng.uniform() < 0.6) {
       const auto t = rng.uniform_int(0, 50);
       const int id = next_id++;
-      q.push(SimTime{Duration(t)}, [&popped, id] { popped.push_back(id); });
+      q.push(SimTime{Duration(t)},
+             cb([&popped, id] { popped.push_back(id); }));
       reference.emplace_back(t, id);
     } else {
-      q.pop()();
+      q.pop().resume();
     }
   }
-  while (!q.empty()) q.pop()();
+  while (!q.empty()) q.pop().resume();
   // Stable sort by time preserves insertion order within a timestamp —
   // exactly the queue's tie-breaking contract.
   std::stable_sort(reference.begin(), reference.end(),
@@ -207,19 +257,21 @@ TEST(EventQueueTest, InterleavedStressMatchesStableSort) {
 // out exactly in stable-sorted order.
 TEST(EventQueueTest, BulkDrainIsStableSorted) {
   Rng rng(7);
+  Callbacks cb;
   EventQueue q;
   std::vector<std::pair<std::int64_t, int>> reference;
   std::vector<int> popped;
   for (int id = 0; id < 5000; ++id) {
     const auto t = rng.uniform_int(0, 100);
-    q.push(SimTime{Duration(t)}, [&popped, id] { popped.push_back(id); });
+    q.push(SimTime{Duration(t)},
+           cb([&popped, id] { popped.push_back(id); }));
     reference.emplace_back(t, id);
   }
   std::stable_sort(reference.begin(), reference.end(),
                    [](const auto& a, const auto& b) {
                      return a.first < b.first;
                    });
-  while (!q.empty()) q.pop()();
+  while (!q.empty()) q.pop().resume();
   ASSERT_EQ(popped.size(), reference.size());
   for (std::size_t i = 0; i < popped.size(); ++i) {
     EXPECT_EQ(popped[i], reference[i].second) << i;
@@ -227,35 +279,40 @@ TEST(EventQueueTest, BulkDrainIsStableSorted) {
 }
 
 TEST(SimulatorTest, AdvancesClockThroughEvents) {
+  Callbacks cb;
   Simulator sim;
   SimTime seen{};
-  sim.schedule_in(from_ms(5.0), [&] { seen = sim.now(); });
+  sim.schedule_in(from_ms(5.0), cb([&] { seen = sim.now(); }));
   sim.run();
   EXPECT_EQ(seen, SimTime{} + from_ms(5.0));
   EXPECT_EQ(sim.now(), SimTime{} + from_ms(5.0));
 }
 
 TEST(SimulatorTest, RunReturnsEventCount) {
+  Callbacks cb;
   Simulator sim;
-  for (int i = 0; i < 7; ++i) sim.schedule_in(from_ms(i), [] {});
+  for (int i = 0; i < 7; ++i) sim.schedule_in(from_ms(i), cb([] {}));
   EXPECT_EQ(sim.run(), 7u);
 }
 
 TEST(SimulatorTest, PastEventsClampToNow) {
+  Callbacks cb;
   Simulator sim;
-  sim.schedule_in(from_ms(10.0), [&] {
+  sim.schedule_in(from_ms(10.0), cb([&] {
     // Scheduling "in the past" fires immediately rather than rewinding.
-    sim.schedule_at(SimTime{}, [&] { EXPECT_GE(sim.now().time_since_epoch(),
-                                               from_ms(10.0)); });
-  });
+    sim.schedule_at(SimTime{}, cb([&] {
+                      EXPECT_GE(sim.now().time_since_epoch(), from_ms(10.0));
+                    }));
+  }));
   sim.run();
 }
 
 TEST(SimulatorTest, RunUntilStopsAtDeadline) {
+  Callbacks cb;
   Simulator sim;
   int fired = 0;
-  sim.schedule_in(from_ms(1.0), [&] { ++fired; });
-  sim.schedule_in(from_ms(100.0), [&] { ++fired; });
+  sim.schedule_in(from_ms(1.0), cb([&] { ++fired; }));
+  sim.schedule_in(from_ms(100.0), cb([&] { ++fired; }));
   sim.run_until(SimTime{} + from_ms(10.0));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.pending_events(), 1u);
@@ -264,14 +321,15 @@ TEST(SimulatorTest, RunUntilStopsAtDeadline) {
 }
 
 TEST(SimulatorTest, NestedScheduling) {
+  Callbacks cb;
   Simulator sim;
   std::vector<double> times;
-  sim.schedule_in(from_ms(1.0), [&] {
+  sim.schedule_in(from_ms(1.0), cb([&] {
     times.push_back(to_ms(sim.now().time_since_epoch()));
-    sim.schedule_in(from_ms(2.0), [&] {
+    sim.schedule_in(from_ms(2.0), cb([&] {
       times.push_back(to_ms(sim.now().time_since_epoch()));
-    });
-  });
+    }));
+  }));
   sim.run();
   ASSERT_EQ(times.size(), 2u);
   EXPECT_DOUBLE_EQ(times[0], 1.0);
@@ -400,7 +458,8 @@ TEST(LatencyTest, JitterMedianTracksExpectedValue) {
   const double base = model.expected_one_way_ms(a, b, 64);
   Rng rng(3);
   std::vector<double> samples(4001);
-  for (auto& s : samples) s = to_ms(model.one_way(a, b, 64, rng));
+  const OneWayTerm term = model.term(a, b);
+  for (auto& s : samples) s = to_ms(model.one_way(term, 64, rng));
   std::nth_element(samples.begin(), samples.begin() + 2000, samples.end());
   EXPECT_NEAR(samples[2000], base, base * 0.03);
 }

@@ -102,6 +102,34 @@ TEST(HttpTest, ResponseSerializeParseRoundTrip) {
   EXPECT_EQ(parsed->body.size(), 2u);
 }
 
+TEST(HttpTest, RequestWireSizeMatchesSerialize) {
+  HttpRequest bare;
+  EXPECT_EQ(bare.wire_size(), bare.serialize().size());
+
+  HttpRequest post;
+  post.method = "POST";
+  post.target = "/dns-query";
+  post.headers.add("Host", "doh.example");
+  post.headers.add("Content-Type", "application/dns-message");
+  post.headers.add("X-Empty", "");
+  post.body = std::string(517, '\x01');
+  EXPECT_EQ(post.wire_size(), post.serialize().size());
+}
+
+TEST(HttpTest, ResponseWireSizeMatchesSerialize) {
+  HttpResponse bare;
+  EXPECT_EQ(bare.wire_size(), bare.serialize().size());
+
+  for (const int status : {100, 200, 204, 301, 404, 502, 599, 7, 10000, -1}) {
+    HttpResponse resp;
+    resp.status = status;
+    resp.reason = status == 200 ? "OK" : "";
+    resp.headers.add("x-luminati-tun-timeline", "z:12,dns:30,connect:7");
+    resp.body = status == 204 ? "" : "body bytes";
+    EXPECT_EQ(resp.wire_size(), resp.serialize().size()) << status;
+  }
+}
+
 TEST(HttpTest, HeaderMapIsCaseInsensitive) {
   HeaderMap headers;
   headers.add("Content-Type", "text/plain");
