@@ -921,42 +921,49 @@ void replay_anomaly_spans(world::WorldModel& world,
   }
 }
 
+/// Sums `from` into `into`. Every cell is an integer sum and anomaly
+/// retention is keyed by canonical flow position, so merge order cannot
+/// change the result; finalize `into.anomalies` after the last merge.
+void merge_into(CampaignTelemetry& into, const CampaignTelemetry& from) {
+  into.metrics.merge(from.metrics);
+  into.series.merge(from.series);
+  into.anomalies.merge(from.anomalies);
+  into.slo.merge(from.slo);
+  into.attribution.merge(from.attribution);
+}
+
 /// Shared execution engine behind both sink modes: spins up the shard
 /// workers (or the serial reference path when `shards` == 0), routes
 /// each shard's rows into either the retained per-slot outputs or its
-/// private StreamSink, merges the observability state in canonical shard
-/// order, runs the anomaly replay pass, and returns the shard profiles.
+/// private StreamSink, merges the shards' telemetry into `telemetry` in
+/// canonical shard order, runs the anomaly replay pass, and returns the
+/// shard profiles.
 std::vector<ShardProfile> execute_campaign(
     world::WorldModel& world, const CampaignConfig& config,
     const netsim::Rng& root, const CampaignPlan& plan, int shards,
     std::vector<SessionOutput>* retained, std::vector<StreamSink>* sinks,
-    obs::Metrics& metrics, obs::MetricSeries& series,
-    obs::FlightRecorder& recorder, obs::SloTracker& slo,
-    obs::AttributionLedger& attribution) {
-  // One metrics registry, one sim-time series, and one flight recorder
-  // per shard; sessions record without contention and everything merges
-  // below in canonical shard order. Counter/bucket arithmetic is
-  // integer-only and anomaly retention is canonical-order, so the merged
-  // results are identical for every shard count.
+    CampaignTelemetry& telemetry) {
+  // One set of telemetry sinks per shard; sessions record without
+  // contention and everything merges below in canonical shard order.
   const std::size_t n_shards = static_cast<std::size_t>(std::max(shards, 1));
-  std::vector<obs::Metrics> shard_metrics(n_shards);
-  std::vector<obs::MetricSeries> shard_series(
-      n_shards, obs::MetricSeries(config.series_window));
-  std::vector<obs::FlightRecorder> shard_recorders(
-      n_shards, obs::FlightRecorder(config.anomalies));
-  std::vector<obs::SloTracker> shard_slo(n_shards,
-                                         obs::SloTracker(config.slo));
-  std::vector<obs::AttributionLedger> shard_attribution(n_shards);
+  std::vector<CampaignTelemetry> shard_telemetry(n_shards);
+  for (CampaignTelemetry& t : shard_telemetry) {
+    t.series = obs::MetricSeries(config.series_window);
+    t.anomalies = obs::FlightRecorder(config.anomalies);
+    t.slo = obs::SloTracker(config.slo);
+  }
+  const auto view = [&](netsim::Simulator& sim, world::SimContext* replica,
+                        CampaignTelemetry& t) {
+    return ShardView{world,     sim,          replica, &t.metrics,
+                     &t.series, &t.anomalies, &t.slo,  &t.attribution};
+  };
   std::vector<ShardProfile> profiles(n_shards);
 
   if (shards == 0) {
     // Serial reference path: the world's own simulator and servers.
-    profiles[0] = run_shard(
-        ShardView{world, world.sim(), nullptr, &shard_metrics[0],
-                  &shard_series[0], &shard_recorders[0], &shard_slo[0],
-                  &shard_attribution[0]},
-        0, 1, config, root, plan, retained,
-        sinks != nullptr ? &(*sinks)[0] : nullptr);
+    profiles[0] = run_shard(view(world.sim(), nullptr, shard_telemetry[0]),
+                            0, 1, config, root, plan, retained,
+                            sinks != nullptr ? &(*sinks)[0] : nullptr);
   } else {
     std::vector<std::thread> workers;
     std::vector<std::exception_ptr> errors(static_cast<std::size_t>(shards));
@@ -970,11 +977,8 @@ std::vector<ShardProfile> execute_campaign(
               world.make_replica();
           const auto si = static_cast<std::size_t>(s);
           profiles[si] = run_shard(
-              ShardView{world, replica->sim(), replica.get(),
-                        &shard_metrics[si], &shard_series[si],
-                        &shard_recorders[si], &shard_slo[si],
-                        &shard_attribution[si]},
-              s, shards, config, root, plan, retained,
+              view(replica->sim(), replica.get(), shard_telemetry[si]), s,
+              shards, config, root, plan, retained,
               sinks != nullptr ? &(*sinks)[si] : nullptr);
         } catch (...) {
           errors[static_cast<std::size_t>(s)] = std::current_exception();
@@ -987,23 +991,20 @@ std::vector<ShardProfile> execute_campaign(
     }
   }
 
-  metrics.clear();
-  for (const obs::Metrics& m : shard_metrics) metrics.merge(m);
-  series = obs::MetricSeries(config.series_window);
-  for (const obs::MetricSeries& s : shard_series) series.merge(s);
-  recorder = obs::FlightRecorder(config.anomalies);
-  for (const obs::FlightRecorder& r : shard_recorders) recorder.merge(r);
-  recorder.finalize();
-  slo = obs::SloTracker(config.slo);
-  for (const obs::SloTracker& t : shard_slo) slo.merge(t);
-  attribution.clear();
-  for (const obs::AttributionLedger& l : shard_attribution) {
-    attribution.merge(l);
+  // Shard 0's sinks become the merged sinks by move; every later shard is
+  // summed in and released at once. Merging is integer addition (and
+  // canonical-order anomaly retention), so this equals merging every
+  // shard into empty sinks, and one shard is never copied at all.
+  telemetry = std::move(shard_telemetry[0]);
+  for (std::size_t s = 1; s < n_shards; ++s) {
+    merge_into(telemetry, shard_telemetry[s]);
+    shard_telemetry[s] = CampaignTelemetry();
   }
+  telemetry.anomalies.finalize();
   // Fill in the retained anomalies' span trees by deterministically
   // re-running just those sessions (≤ ring_capacity of them) with span
   // recording on — the hot path above examined every flow span-free.
-  replay_anomaly_spans(world, config, root, plan, recorder);
+  replay_anomaly_spans(world, config, root, plan, telemetry.anomalies);
   return profiles;
 }
 
@@ -1011,6 +1012,10 @@ std::vector<ShardProfile> execute_campaign(
 
 Campaign::Campaign(world::WorldModel& world, CampaignConfig config)
     : world_(world), config_(config) {}
+
+CampaignTelemetry Campaign::take_telemetry() {
+  return std::exchange(telemetry_, CampaignTelemetry());
+}
 
 int Campaign::threads_from_env() {
   if (const char* value = std::getenv("DOHPERF_THREADS")) {
@@ -1054,8 +1059,7 @@ Dataset Campaign::run_impl(int shards) {
   std::vector<SessionOutput> outputs(plan.n_sessions);
   std::vector<ShardProfile> profiles =
       execute_campaign(world_, config_, root, plan, shards, &outputs,
-                       nullptr, metrics_, series_, recorder_, slo_,
-                       attribution_);
+                       nullptr, telemetry_);
 
   std::uint64_t events = 0;
   for (const ShardProfile& p : profiles) events += p.events;
@@ -1110,7 +1114,7 @@ StreamSink Campaign::run_streaming_impl(int shards) {
 
   std::vector<ShardProfile> profiles =
       execute_campaign(world_, config_, root, plan, shards, nullptr, &sinks,
-                       metrics_, series_, recorder_, slo_, attribution_);
+                       telemetry_);
 
   std::uint64_t events = 0;
   for (const ShardProfile& p : profiles) events += p.events;

@@ -129,6 +129,17 @@ struct CampaignStats {
   std::vector<ShardProfile> shard_profiles;
 };
 
+/// Everything the observability sinks record during one run. Each shard
+/// records into a private instance; after the join the campaign merges
+/// them in canonical shard order.
+struct CampaignTelemetry {
+  obs::Metrics metrics;
+  obs::MetricSeries series;
+  obs::FlightRecorder anomalies;
+  obs::SloTracker slo;
+  obs::AttributionLedger attribution;
+};
+
 /// Runs the campaign over an assembled world.
 class Campaign {
  public:
@@ -159,33 +170,41 @@ class Campaign {
   /// record into private registries that are merged in canonical shard
   /// order; integer-only arithmetic makes the result bit-identical for
   /// every thread count (see DESIGN.md "Observability").
-  [[nodiscard]] const obs::Metrics& metrics() const { return metrics_; }
+  [[nodiscard]] const obs::Metrics& metrics() const {
+    return telemetry_.metrics;
+  }
 
   /// Sim-time metric series of the most recent run: per-window counters
   /// and latency histograms under provider x country labels, recorded by
   /// each shard into a private series and merged in canonical shard
   /// order. Same bit-identity contract as metrics().
-  [[nodiscard]] const obs::MetricSeries& series() const { return series_; }
+  [[nodiscard]] const obs::MetricSeries& series() const {
+    return telemetry_.series;
+  }
 
   /// Anomaly flight recorder of the most recent run: merged, finalized,
   /// holding the canonical-latest retained anomalies and the examination
   /// counts. Same bit-identity contract as metrics().
   [[nodiscard]] const obs::FlightRecorder& anomalies() const {
-    return recorder_;
+    return telemetry_.anomalies;
   }
 
   /// SLO outcome tracker of the most recent run: per-(provider, country)
   /// outcome counts in campaign-time windows, classified once at each
   /// flow's exit path. Same bit-identity contract as metrics().
-  [[nodiscard]] const obs::SloTracker& slo() const { return slo_; }
+  [[nodiscard]] const obs::SloTracker& slo() const { return telemetry_.slo; }
 
   /// Phase-exact latency attribution ledger of the most recent run:
   /// per-(provider, country, transport) integer microsecond sums and
   /// sketches whose phases partition each flow's end-to-end latency
   /// exactly. Same bit-identity contract as metrics().
   [[nodiscard]] const obs::AttributionLedger& attribution() const {
-    return attribution_;
+    return telemetry_.attribution;
   }
+
+  /// Hands the most recent run's telemetry to the caller by move; the
+  /// accessors above read empty sinks until the next run.
+  [[nodiscard]] CampaignTelemetry take_telemetry();
 
   /// DOHPERF_THREADS from the environment, falling back to
   /// std::thread::hardware_concurrency() (minimum 1).
@@ -199,11 +218,7 @@ class Campaign {
   world::WorldModel& world_;
   CampaignConfig config_;
   CampaignStats stats_;
-  obs::Metrics metrics_;
-  obs::MetricSeries series_;
-  obs::FlightRecorder recorder_;
-  obs::SloTracker slo_;
-  obs::AttributionLedger attribution_;
+  CampaignTelemetry telemetry_;
 };
 
 }  // namespace dohperf::measure

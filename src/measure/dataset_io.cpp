@@ -65,6 +65,15 @@ std::ofstream open_out(const fs::path& path) {
   return out;
 }
 
+/// Closes `out`, then checks it: a failure in any write, the final
+/// flush included, throws.
+void close_out(std::ofstream& out, const fs::path& path) {
+  out.close();
+  if (!out) {
+    throw std::runtime_error("dataset_io: cannot write " + path.string());
+  }
+}
+
 std::ifstream open_in(const fs::path& path) {
   std::ifstream in(path);
   if (!in) {
@@ -89,16 +98,19 @@ void save_dataset(const Dataset& dataset, const std::string& directory) {
   const fs::path dir(directory);
 
   {
-    auto out = open_out(dir / "clients.csv");
+    const fs::path path = dir / "clients.csv";
+    auto out = open_out(path);
     out << "exit_id,iso2,lat,lon,ns_distance_miles\n";
     for (const auto& [id, info] : dataset.clients()) {
       out << id << ',' << info.iso2 << ',' << fmt_double(info.position.lat)
           << ',' << fmt_double(info.position.lon) << ','
           << fmt_double(info.nameserver_distance_miles) << '\n';
     }
+    close_out(out, path);
   }
   {
-    auto out = open_out(dir / "doh.csv");
+    const fs::path path = dir / "doh.csv";
+    auto out = open_out(path);
     out << "exit_id,iso2,provider,run,pop_index,pop_distance_miles,"
            "potential_improvement_miles,tdoh_ms,tdohr_ms\n";
     for (const auto& rec : dataset.doh()) {
@@ -110,9 +122,11 @@ void save_dataset(const Dataset& dataset, const std::string& directory) {
           << fmt_double(rec.tdoh_ms) << ',' << fmt_double(rec.tdohr_ms)
           << '\n';
     }
+    close_out(out, path);
   }
   {
-    auto out = open_out(dir / "do53.csv");
+    const fs::path path = dir / "do53.csv";
+    auto out = open_out(path);
     out << "exit_id,iso2,run,via_atlas,do53_ms\n";
     for (const auto& rec : dataset.do53()) {
       out << rec.exit_id << ',' << dataset.name(rec.iso2) << ','
@@ -120,12 +134,15 @@ void save_dataset(const Dataset& dataset, const std::string& directory) {
           << (rec.via_atlas ? 1 : 0) << ',' << fmt_double(rec.do53_ms)
           << '\n';
     }
+    close_out(out, path);
   }
   {
-    auto out = open_out(dir / "meta.csv");
+    const fs::path path = dir / "meta.csv";
+    auto out = open_out(path);
     out << "discarded_mismatch,failed_measurements\n";
     out << dataset.discarded_mismatch << ','
         << dataset.failed_measurements << '\n';
+    close_out(out, path);
   }
 }
 

@@ -88,7 +88,12 @@ std::string span_jsonl(const SpanContext& spans) {
   return span_jsonl(spans.spans());
 }
 
-void write_text_file(const std::string& path, const std::string& content) {
+void write_text_file(const std::string& path, std::string_view content) {
+  write_text_file(path, {content});
+}
+
+void write_text_file(const std::string& path,
+                     std::initializer_list<std::string_view> parts) {
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();
   if (!parent.empty()) {
@@ -97,7 +102,11 @@ void write_text_file(const std::string& path, const std::string& content) {
   }
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("cannot open " + path);
-  out << content;
+  for (const std::string_view part : parts) {
+    out.write(part.data(), static_cast<std::streamsize>(part.size()));
+  }
+  // close() flushes; checking before it would miss a failed final flush.
+  out.close();
   if (!out) throw std::runtime_error("write failed: " + path);
 }
 

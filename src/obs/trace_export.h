@@ -7,7 +7,9 @@
 // included) that tools/trace_inspect rebuilds the tree from.
 #pragma once
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/span.h"
@@ -24,9 +26,15 @@ namespace dohperf::obs {
 [[nodiscard]] std::string span_jsonl(const SpanContext& spans);
 
 /// Writes `content` to `path`, creating missing parent directories (so
-/// "out/trace.json" works on a fresh checkout); throws std::runtime_error
-/// on I/O failure.
-void write_text_file(const std::string& path, const std::string& content);
+/// "out/trace.json" works on a fresh checkout). The file is closed before
+/// the stream is checked, so a failure in the final flush (a full disk)
+/// throws std::runtime_error like any other I/O failure.
+void write_text_file(const std::string& path, std::string_view content);
+
+/// The same, for a document written as `parts` in order (a provenance
+/// stamp and a body, say) without concatenating them first.
+void write_text_file(const std::string& path,
+                     std::initializer_list<std::string_view> parts);
 
 /// perfetto_trace_json + write_text_file.
 void write_perfetto_trace(const SpanContext& spans, const std::string& path);

@@ -1,20 +1,11 @@
 #include "report/anomalies.h"
 
-#include <cstdio>
 #include <filesystem>
 
 #include "obs/trace_export.h"
+#include "report/format.h"
 
 namespace dohperf::report {
-namespace {
-
-std::string format_ms(double ms) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", ms);
-  return buf;
-}
-
-}  // namespace
 
 std::string anomaly_trace_filename(const obs::AnomalyRecord& rec) {
   return "anomaly-" + std::to_string(rec.slot) + "-" +
@@ -25,10 +16,9 @@ CsvWriter anomaly_index_csv(const obs::FlightRecorder& recorder) {
   CsvWriter csv({"slot", "flow_index", "session", "flow", "reasons",
                  "duration_ms", "spans", "trace_file"});
   for (const auto& [key, rec] : recorder.retained()) {
-    csv.add_row({std::to_string(rec.slot), std::to_string(rec.flow_index),
-                 rec.session, rec.flow, obs::anomaly_reasons(rec.reasons),
-                 format_ms(rec.duration_ms),
-                 std::to_string(rec.spans.size()),
+    csv.add_row({NumText(rec.slot), NumText(rec.flow_index), rec.session,
+                 rec.flow, obs::anomaly_reasons(rec.reasons),
+                 NumText::g6(rec.duration_ms), NumText(rec.spans.size()),
                  anomaly_trace_filename(rec)});
   }
   return csv;

@@ -8,28 +8,10 @@
 #include <utility>
 #include <vector>
 
+#include "report/format.h"
+
 namespace dohperf::report {
 namespace {
-
-std::string format_ms(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  return buf;
-}
-
-std::string escape_label(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
 
 bool parse_u64(const std::string& cell, std::uint64_t& out) {
   if (cell.empty()) return false;
@@ -75,21 +57,20 @@ CsvWriter attribution_csv(const obs::AttributionLedger& ledger) {
   CsvWriter csv({"provider", "country", "transport", "phase", "flows", "us",
                  "p50_ms", "p90_ms", "p99_ms"});
   for (const auto& [key, entry] : ledger.entries()) {
+    const NumText flows(entry.flows);
+    const auto add = [&](std::string_view phase, std::uint64_t us,
+                         const obs::LatencyHistogram& sketch) {
+      csv.add_row({key.provider, key.country, key.transport, phase, flows,
+                   NumText(us), NumText::g6(sketch.quantile_ms(0.5)),
+                   NumText::g6(sketch.quantile_ms(0.9)),
+                   NumText::g6(sketch.quantile_ms(0.99))});
+    };
     for (const obs::Phase phase : obs::kPhases) {
       const obs::PhaseAggregate& agg =
           entry.phases[static_cast<std::size_t>(phase)];
-      csv.add_row({key.provider, key.country, key.transport,
-                   std::string(obs::phase_name(phase)),
-                   std::to_string(entry.flows), std::to_string(agg.us),
-                   format_ms(agg.sketch.quantile_ms(0.5)),
-                   format_ms(agg.sketch.quantile_ms(0.9)),
-                   format_ms(agg.sketch.quantile_ms(0.99))});
+      add(obs::phase_name(phase), agg.us, agg.sketch);
     }
-    csv.add_row({key.provider, key.country, key.transport, "total",
-                 std::to_string(entry.flows), std::to_string(entry.total_us),
-                 format_ms(entry.total_sketch.quantile_ms(0.5)),
-                 format_ms(entry.total_sketch.quantile_ms(0.9)),
-                 format_ms(entry.total_sketch.quantile_ms(0.99))});
+    add("total", entry.total_us, entry.total_sketch);
   }
   return csv;
 }
@@ -282,28 +263,36 @@ std::string attribution_openmetrics_text(
     const obs::AttributionLedger& ledger) {
   std::string out;
   if (ledger.entries().empty()) return out;
+  // One pass renders both gauge blocks, so each cell's label set is built
+  // once; the second block is appended after the first.
+  std::string phases = "# TYPE dohperf_attribution_us_total gauge\n";
   out += "# TYPE dohperf_attribution_flows_total gauge\n";
   for (const auto& [key, entry] : ledger.entries()) {
-    out += "dohperf_attribution_flows_total{provider=\"" +
-           escape_label(key.provider) + "\",country=\"" +
-           escape_label(key.country) + "\",transport=\"" +
-           escape_label(key.transport) + "\"} " +
-           std::to_string(entry.flows) + "\n";
-  }
-  out += "# TYPE dohperf_attribution_us_total gauge\n";
-  for (const auto& [key, entry] : ledger.entries()) {
+    std::string labels = "{provider=\"";
+    append_label_value(labels, key.provider);
+    labels += "\",country=\"";
+    append_label_value(labels, key.country);
+    labels += "\",transport=\"";
+    append_label_value(labels, key.transport);
+    out += "dohperf_attribution_flows_total";
+    out += labels;
+    out += "\"} ";
+    out += NumText(entry.flows);
+    out += '\n';
     for (const obs::Phase phase : obs::kPhases) {
       const obs::PhaseAggregate& agg =
           entry.phases[static_cast<std::size_t>(phase)];
       if (agg.us == 0) continue;
-      out += "dohperf_attribution_us_total{provider=\"" +
-             escape_label(key.provider) + "\",country=\"" +
-             escape_label(key.country) + "\",transport=\"" +
-             escape_label(key.transport) + "\",phase=\"" +
-             std::string(obs::phase_name(phase)) + "\"} " +
-             std::to_string(agg.us) + "\n";
+      phases += "dohperf_attribution_us_total";
+      phases += labels;
+      phases += "\",phase=\"";
+      phases += obs::phase_name(phase);
+      phases += "\"} ";
+      phases += NumText(agg.us);
+      phases += '\n';
     }
   }
+  out += phases;
   return out;
 }
 

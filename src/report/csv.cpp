@@ -1,63 +1,57 @@
 #include "report/csv.h"
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
+#include "obs/trace_export.h"
 
 namespace dohperf::report {
 namespace {
 
-std::string escape(const std::string& cell) {
-  const bool needs_quoting =
-      cell.find_first_of(",\"\n\r") != std::string::npos;
-  if (!needs_quoting) return cell;
-  std::string out = "\"";
+/// Appends one cell, quoted only when it holds a comma, a quote, CR or
+/// LF. The four characters are tested in a single scan of the cell.
+void append_cell(std::string& out, std::string_view cell) {
+  bool needs_quoting = false;
   for (const char c : cell) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
+    if (c == ',' || c == '"' || c == '\n' || c == '\r') {
+      needs_quoting = true;
+      break;
+    }
+  }
+  if (!needs_quoting) {
+    out += cell;
+    return;
   }
   out.push_back('"');
-  return out;
+  for (const char c : cell) {
+    if (c == '"') out.push_back('"');
+    out.push_back(c);
+  }
+  out.push_back('"');
 }
 
-void write_line(std::ostream& os, const std::vector<std::string>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i != 0) os << ',';
-    os << escape(cells[i]);
+/// Appends one line: the cells, comma-separated, then LF.
+template <typename Cells>
+void append_line(std::string& out, const Cells& cells) {
+  bool first = true;
+  for (const std::string_view cell : cells) {
+    if (!first) out.push_back(',');
+    first = false;
+    append_cell(out, cell);
   }
-  os << '\n';
+  out.push_back('\n');
 }
 
 }  // namespace
 
-CsvWriter::CsvWriter(std::vector<std::string> columns)
-    : columns_(std::move(columns)) {}
-
-void CsvWriter::add_row(std::vector<std::string> cells) {
-  rows_.push_back(std::move(cells));
+CsvWriter::CsvWriter(std::vector<std::string> columns) {
+  append_line(text_, columns);
 }
 
-std::string CsvWriter::str() const {
-  std::ostringstream os;
-  write_line(os, columns_);
-  for (const auto& r : rows_) write_line(os, r);
-  return os.str();
+void CsvWriter::add_row(std::initializer_list<std::string_view> cells) {
+  append_line(text_, cells);
+  ++rows_;
 }
 
 void CsvWriter::write_file(const std::string& path) const {
-  // Create missing parent directories (e.g. out/) instead of failing:
-  // `ofstream` alone reports "cannot open" when the directory is absent.
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (!parent.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(parent, ec);  // best-effort
-  }
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  out << str();
-  if (!out) throw std::runtime_error("write failed: " + path);
+  obs::write_text_file(path, text_);
 }
 
 std::optional<std::vector<std::vector<std::string>>> parse_csv(

@@ -1,6 +1,7 @@
 // CSV output for figure data series.
 #pragma once
 
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -8,24 +9,31 @@
 
 namespace dohperf::report {
 
-/// Accumulates rows and writes RFC 4180-style CSV (quoting cells that
-/// contain commas, quotes, or newlines).
+/// Renders RFC 4180-style CSV as rows are added: each row is escaped
+/// (cells containing commas, quotes, CR or LF are quoted, with quotes
+/// doubled) and appended to one text buffer, so no row is staged.
 class CsvWriter {
  public:
   explicit CsvWriter(std::vector<std::string> columns);
 
-  void add_row(std::vector<std::string> cells);
+  /// Appends one row. Cells are copied into the buffer before this
+  /// returns, so they may view stack-formatted numbers (NumText) or
+  /// temporaries.
+  void add_row(std::initializer_list<std::string_view> cells);
 
-  [[nodiscard]] std::string str() const;
+  /// The document so far (header line included). Called on a temporary
+  /// writer, it hands the buffer over instead of copying it.
+  [[nodiscard]] std::string str() const& { return text_; }
+  [[nodiscard]] std::string str() && { return std::move(text_); }
 
   /// Writes to `path`; throws std::runtime_error on I/O failure.
   void write_file(const std::string& path) const;
 
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
+  [[nodiscard]] std::size_t row_count() const { return rows_; }
 
  private:
-  std::vector<std::string> columns_;
-  std::vector<std::vector<std::string>> rows_;
+  std::string text_;
+  std::size_t rows_ = 0;
 };
 
 /// Parses RFC 4180-style CSV (the dialect CsvWriter emits, including

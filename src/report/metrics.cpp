@@ -1,22 +1,10 @@
 #include "report/metrics.h"
 
-#include <cstdio>
 #include <string>
 
+#include "report/format.h"
+
 namespace dohperf::report {
-namespace {
-
-std::string format_ms(double ms) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", ms);
-  return buf;
-}
-
-std::string format_u64(std::uint64_t v) {
-  return std::to_string(v);
-}
-
-}  // namespace
 
 CsvWriter metrics_csv(const obs::Metrics& metrics) {
   CsvWriter csv({"section", "name", "value"});
@@ -49,22 +37,22 @@ CsvWriter metrics_csv(const obs::Metrics& metrics) {
       {"stub_cache_hits", c.stub_cache_hits},
   };
   for (const auto& [name, value] : counters) {
-    csv.add_row({"counter", name, format_u64(value)});
+    csv.add_row({"counter", name, NumText(value)});
   }
 
   for (const auto& [name, hist] : metrics.histograms()) {
-    csv.add_row({"histogram", name + ".count", format_u64(hist.count())});
-    csv.add_row(
-        {"histogram", name + ".p50_ms", format_ms(hist.quantile_ms(0.5))});
-    csv.add_row(
-        {"histogram", name + ".p90_ms", format_ms(hist.quantile_ms(0.9))});
-    csv.add_row(
-        {"histogram", name + ".p99_ms", format_ms(hist.quantile_ms(0.99))});
+    csv.add_row({"histogram", name + ".count", NumText(hist.count())});
+    csv.add_row({"histogram", name + ".p50_ms",
+                 NumText::g6(hist.quantile_ms(0.5))});
+    csv.add_row({"histogram", name + ".p90_ms",
+                 NumText::g6(hist.quantile_ms(0.9))});
+    csv.add_row({"histogram", name + ".p99_ms",
+                 NumText::g6(hist.quantile_ms(0.99))});
     for (int i = 0; i < obs::LatencyHistogram::kBucketCount; ++i) {
       const std::uint64_t n = hist.bucket_count(i);
       if (n == 0) continue;
       csv.add_row({"histogram", name + ".bucket" + std::to_string(i),
-                   format_u64(n)});
+                   NumText(n)});
     }
   }
   return csv;

@@ -1,52 +1,40 @@
 #include "report/slo.h"
 
-#include <cstdio>
+#include <cstdint>
+#include <string_view>
+#include <vector>
+
+#include "report/format.h"
 
 namespace dohperf::report {
 namespace {
 
-std::string format_ratio(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  return buf;
-}
-
-std::string escape_label(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out.push_back(c);
-    }
-  }
+/// `{provider="..",country=".."}` for one key.
+std::string key_labels(const obs::SloKey& key) {
+  std::string out = "{provider=\"";
+  append_label_value(out, key.provider);
+  out += "\",country=\"";
+  append_label_value(out, key.country);
+  out += "\"}";
   return out;
 }
 
-std::string key_labels(const obs::SloKey& key) {
-  return "{provider=\"" + escape_label(key.provider) + "\",country=\"" +
-         escape_label(key.country) + "\"}";
-}
-
-std::vector<std::string> cell_row(const obs::SloKey& key,
-                                  const std::string& window_cell,
-                                  double objective,
-                                  const obs::SloCell& cell) {
-  std::vector<std::string> row = {key.provider, key.country, window_cell,
-                                  format_ratio(objective),
-                                  std::to_string(cell.total())};
-  for (int i = 0; i < obs::kOutcomeCount; ++i) {
-    row.push_back(std::to_string(cell.outcomes[i]));
-  }
-  row.push_back(std::to_string(cell.slow));
+/// One availability row: the key, the window cell, the objective, the
+/// cell's outcome counts and its availability.
+void add_cell_row(CsvWriter& csv, const obs::SloKey& key,
+                  std::string_view window_cell, std::string_view objective,
+                  const obs::SloCell& cell) {
+  static_assert(obs::kOutcomeCount == 8, "one column per Outcome below");
   const std::uint64_t total = cell.total();
-  row.push_back(format_ratio(
-      total == 0 ? 1.0
-                 : static_cast<double>(cell.good()) /
-                       static_cast<double>(total)));
-  return row;
+  const auto& n = cell.outcomes;
+  csv.add_row({key.provider, key.country, window_cell, objective,
+               NumText(total), NumText(n[0]), NumText(n[1]), NumText(n[2]),
+               NumText(n[3]), NumText(n[4]), NumText(n[5]), NumText(n[6]),
+               NumText(n[7]), NumText(cell.slow),
+               NumText::g6(total == 0
+                               ? 1.0
+                               : static_cast<double>(cell.good()) /
+                                     static_cast<double>(total))});
 }
 
 }  // namespace
@@ -62,16 +50,17 @@ CsvWriter availability_csv(const obs::SloTracker& tracker) {
   columns.emplace_back("availability");
   CsvWriter csv(std::move(columns));
 
-  const double objective = tracker.config().availability_objective;
+  const NumText objective =
+      NumText::g6(tracker.config().availability_objective);
+  const std::int64_t window_ms = tracker.window_ms();
   for (const auto& [key, windows] : tracker.cells()) {
     obs::SloCell total;
     for (const auto& [window, cell] : windows) {
-      csv.add_row(cell_row(key, std::to_string(window * tracker.window_ms()),
-                           objective, cell));
+      add_cell_row(csv, key, NumText(window * window_ms), objective, cell);
       total.merge(cell);
     }
     // Whole-campaign roll-up: empty window cell.
-    csv.add_row(cell_row(key, std::string(), objective, total));
+    add_cell_row(csv, key, {}, objective, total);
   }
   return csv;
 }
@@ -81,9 +70,8 @@ CsvWriter slo_alerts_csv(std::span<const obs::SloAlert> alerts) {
                  "burn_long"});
   for (const obs::SloAlert& alert : alerts) {
     csv.add_row({alert.provider, alert.severity,
-                 std::to_string(alert.window_start_ms),
-                 format_ratio(alert.burn_short),
-                 format_ratio(alert.burn_long)});
+                 NumText(alert.window_start_ms),
+                 NumText::g6(alert.burn_short), NumText::g6(alert.burn_long)});
   }
   return csv;
 }
@@ -92,16 +80,24 @@ std::string slo_openmetrics_text(const obs::SloTracker& tracker) {
   std::string out;
   const auto budgets = tracker.budgets();
   if (budgets.empty()) return out;
+  // One pass renders both gauge blocks, so each key's label set is built
+  // once; the second block is appended after the first.
+  std::string consumed = "# TYPE dohperf_error_budget_consumed gauge\n";
   out += "# TYPE dohperf_availability gauge\n";
   for (const auto& [key, budget] : budgets) {
-    out += "dohperf_availability" + key_labels(key) + " " +
-           format_ratio(budget.availability) + "\n";
+    const std::string labels = key_labels(key);
+    out += "dohperf_availability";
+    out += labels;
+    out += ' ';
+    out += NumText::g6(budget.availability);
+    out += '\n';
+    consumed += "dohperf_error_budget_consumed";
+    consumed += labels;
+    consumed += ' ';
+    consumed += NumText::g6(budget.error_budget_consumed);
+    consumed += '\n';
   }
-  out += "# TYPE dohperf_error_budget_consumed gauge\n";
-  for (const auto& [key, budget] : budgets) {
-    out += "dohperf_error_budget_consumed" + key_labels(key) + " " +
-           format_ratio(budget.error_budget_consumed) + "\n";
-  }
+  out += consumed;
   return out;
 }
 

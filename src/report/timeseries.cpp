@@ -1,15 +1,9 @@
 #include "report/timeseries.h"
 
-#include <cstdio>
+#include "report/format.h"
 
 namespace dohperf::report {
 namespace {
-
-std::string format_ms(double ms) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", ms);
-  return buf;
-}
 
 /// OpenMetrics metric names: [a-zA-Z0-9_:], everything else folded to _.
 std::string sanitize_metric(const std::string& name) {
@@ -24,28 +18,15 @@ std::string sanitize_metric(const std::string& name) {
   return out;
 }
 
-/// OpenMetrics label values: escape backslash, double-quote, newline.
-std::string escape_label(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string labels(const obs::SeriesKey& key, std::int64_t window,
-                   const char* extra = nullptr) {
-  std::string out = "{provider=\"" + escape_label(key.provider) +
-                    "\",country=\"" + escape_label(key.country) +
-                    "\",window=\"" + std::to_string(window) + "\"";
-  if (extra != nullptr) out += extra;
-  out += "}";
+/// `{provider="..",country="..",window="`: the label text every sample of
+/// one track opens with, built once per track. Each sample appends its
+/// window and closes the set.
+std::string track_labels(const obs::SeriesKey& key) {
+  std::string out = "{provider=\"";
+  append_label_value(out, key.provider);
+  out += "\",country=\"";
+  append_label_value(out, key.country);
+  out += "\",window=\"";
   return out;
 }
 
@@ -54,41 +35,42 @@ std::string labels(const obs::SeriesKey& key, std::int64_t window,
 CsvWriter timeseries_csv(const obs::MetricSeries& series) {
   CsvWriter csv({"metric", "provider", "country", "window_start_ms",
                  "count", "p50_ms", "p90_ms", "p99_ms"});
+  const auto start = [&series](std::int64_t window) {
+    return NumText::g6(series.window_start_ms(window));
+  };
   // Tracks render densely from window 0 through their last live window:
   // a track whose first event lands in window k > 0 still emits k
   // explicit zero rows first, so downstream consumers can align tracks
-  // by row position without re-deriving the window grid.
+  // by row position without re-deriving the window grid. One iterator
+  // walks the sparse track alongside the dense window counter.
   for (const auto& [key, track] : series.counters()) {
     if (track.empty()) continue;
+    auto it = track.lower_bound(0);
     for (std::int64_t window = 0; window <= track.rbegin()->first;
          ++window) {
-      const auto it = track.find(window);
-      csv.add_row({key.metric, key.provider, key.country,
-                   format_ms(series.window_start_ms(window)),
-                   std::to_string(it != track.end() ? it->second : 0), "",
-                   "", ""});
+      std::uint64_t count = 0;
+      if (it->first == window) count = (it++)->second;
+      csv.add_row({key.metric, key.provider, key.country, start(window),
+                   NumText(count), "", "", ""});
     }
   }
   for (const auto& [key, track] : series.latencies()) {
     if (track.empty()) continue;
+    auto it = track.lower_bound(0);
     for (std::int64_t window = 0; window <= track.rbegin()->first;
          ++window) {
-      const auto it = track.find(window);
-      if (it == track.end()) {
+      if (it->first != window) {
         // Empty quantile cells mark a zero window, same shape as the
         // counter rows.
-        csv.add_row({key.metric, key.provider, key.country,
-                     format_ms(series.window_start_ms(window)), "0", "",
-                     "", ""});
+        csv.add_row({key.metric, key.provider, key.country, start(window),
+                     "0", "", "", ""});
         continue;
       }
-      const obs::LatencyHistogram& hist = it->second;
-      csv.add_row({key.metric, key.provider, key.country,
-                   format_ms(series.window_start_ms(window)),
-                   std::to_string(hist.count()),
-                   format_ms(hist.quantile_ms(0.5)),
-                   format_ms(hist.quantile_ms(0.9)),
-                   format_ms(hist.quantile_ms(0.99))});
+      const obs::LatencyHistogram& hist = (it++)->second;
+      csv.add_row({key.metric, key.provider, key.country, start(window),
+                   NumText(hist.count()), NumText::g6(hist.quantile_ms(0.5)),
+                   NumText::g6(hist.quantile_ms(0.9)),
+                   NumText::g6(hist.quantile_ms(0.99))});
     }
   }
   return csv;
@@ -104,27 +86,42 @@ std::string openmetrics_text(const obs::MetricSeries& series) {
   };
 
   for (const auto& [key, track] : series.counters()) {
-    const std::string name = "dohperf_" + sanitize_metric(key.metric);
-    header(name + "_total", "counter");
+    const std::string name =
+        "dohperf_" + sanitize_metric(key.metric) + "_total";
+    header(name, "counter");
+    const std::string prefix = name + track_labels(key);
     for (const auto& [window, count] : track) {
-      out += name + "_total" + labels(key, window) + " " +
-             std::to_string(count) + "\n";
+      out += prefix;
+      out += NumText(window);
+      out += "\"} ";
+      out += NumText(count);
+      out += '\n';
     }
   }
   for (const auto& [key, track] : series.latencies()) {
     const std::string name = "dohperf_" + sanitize_metric(key.metric);
     header(name, "summary");
+    const std::string labels = track_labels(key);
+    const std::string count_prefix = name + "_count" + labels;
+    const std::string quantile_prefix = name + labels;
     for (const auto& [window, hist] : track) {
-      out += name + "_count" + labels(key, window) + " " +
-             std::to_string(hist.count()) + "\n";
+      const NumText w(window);
+      out += count_prefix;
+      out += w;
+      out += "\"} ";
+      out += NumText(hist.count());
+      out += '\n';
       const std::pair<const char*, double> quantiles[] = {
-          {",quantile=\"0.5\"", 0.5},
-          {",quantile=\"0.9\"", 0.9},
-          {",quantile=\"0.99\"", 0.99},
+          {"\",quantile=\"0.5\"} ", 0.5},
+          {"\",quantile=\"0.9\"} ", 0.9},
+          {"\",quantile=\"0.99\"} ", 0.99},
       };
       for (const auto& [label, q] : quantiles) {
-        out += name + labels(key, window, label) + " " +
-               format_ms(hist.quantile_ms(q)) + "\n";
+        out += quantile_prefix;
+        out += w;
+        out += label;
+        out += NumText::g6(hist.quantile_ms(q));
+        out += '\n';
       }
     }
   }

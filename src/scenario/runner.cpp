@@ -2,12 +2,12 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "anycast/catalog.h"
 #include "obs/proc_stats.h"
+#include "obs/trace_export.h"
 #include "report/anomalies.h"
 #include "report/attribution.h"
 #include "report/metrics.h"
@@ -27,20 +27,6 @@ void append_json_string(std::string& out, std::string_view s) {
     out += c;
   }
   out += '"';
-}
-
-void write_text(const std::string& path, const std::string& content) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (!parent.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(parent, ec);  // best-effort
-  }
-  std::ofstream out(path, std::ios::binary);
-  out << content;
-  if (!out) {
-    throw std::runtime_error("scenario: cannot write " + path);
-  }
 }
 
 double median_of(std::vector<double> values) {
@@ -69,11 +55,12 @@ RunResult run(const CampaignSpec& spec, world::WorldModel& world) {
     result.do53_median_ms = result.sink.do53_sketch().quantile(0.5);
   }
   result.stats = campaign.stats();
-  result.metrics = campaign.metrics();
-  result.series = campaign.series();
-  result.anomalies = campaign.anomalies();
-  result.slo = campaign.slo();
-  result.attribution = campaign.attribution();
+  measure::CampaignTelemetry telemetry = campaign.take_telemetry();
+  result.metrics = std::move(telemetry.metrics);
+  result.series = std::move(telemetry.series);
+  result.anomalies = std::move(telemetry.anomalies);
+  result.slo = std::move(telemetry.slo);
+  result.attribution = std::move(telemetry.attribution);
   if (spec.campaign.slo.enabled) {
     result.slo_alerts = result.slo.evaluate();
   }
@@ -231,44 +218,51 @@ std::string provenance_line(const RunResult& result) {
 void write_outputs(RunResult& result) {
   const OutputsSpec& outputs = result.spec.outputs;
   const std::string stamp = provenance_line(result);
+  const bool retained = result.spec.sink == SinkMode::kRetained;
 
-  const auto emit_csv = [&](const std::string& path,
-                            const report::CsvWriter& csv) {
-    write_text(path, stamp + csv.str());
+  // Each text output is the stamp followed by one rendered body. The
+  // renderers hand their buffers over (CsvWriter::str() on a temporary),
+  // so no document is copied or concatenated on its way to disk.
+  const auto emit = [&](const std::string& path, std::string_view body) {
+    obs::write_text_file(path, {stamp, body});
     result.written.push_back(path);
   };
 
   if (!outputs.fig4_csv.empty()) {
-    emit_csv(outputs.fig4_csv, result.spec.sink == SinkMode::kRetained
-                                   ? fig4_csv(result.dataset)
-                                   : fig4_csv(result.sink));
+    emit(outputs.fig4_csv, (retained ? fig4_csv(result.dataset)
+                                     : fig4_csv(result.sink))
+                               .str());
   }
   if (!outputs.fig5_csv.empty()) {
-    emit_csv(outputs.fig5_csv, result.spec.sink == SinkMode::kRetained
-                                   ? fig5_csv(result.dataset)
-                                   : fig5_csv(result.sink));
+    emit(outputs.fig5_csv, (retained ? fig5_csv(result.dataset)
+                                     : fig5_csv(result.sink))
+                               .str());
   }
   if (!outputs.metrics_csv.empty()) {
-    emit_csv(outputs.metrics_csv, report::metrics_csv(result.metrics));
+    emit(outputs.metrics_csv, report::metrics_csv(result.metrics).str());
   }
   if (!outputs.series_csv.empty()) {
-    emit_csv(outputs.series_csv, report::timeseries_csv(result.series));
+    emit(outputs.series_csv, report::timeseries_csv(result.series).str());
   }
   if (!outputs.availability_csv.empty()) {
-    emit_csv(outputs.availability_csv, report::availability_csv(result.slo));
+    emit(outputs.availability_csv,
+         report::availability_csv(result.slo).str());
   }
   if (!outputs.slo_alerts_csv.empty()) {
-    emit_csv(outputs.slo_alerts_csv,
-             report::slo_alerts_csv(result.slo_alerts));
+    emit(outputs.slo_alerts_csv,
+         report::slo_alerts_csv(result.slo_alerts).str());
   }
   if (!outputs.attribution_csv.empty()) {
-    emit_csv(outputs.attribution_csv,
-             report::attribution_csv(result.attribution));
+    emit(outputs.attribution_csv,
+         report::attribution_csv(result.attribution).str());
   }
   if (!outputs.openmetrics.empty()) {
-    std::string om = report::openmetrics_text(result.series);
     // Extra gauge blocks join the series exposition inside the same
-    // document frame (before "# EOF").
+    // document frame, between its last sample and its "# EOF".
+    constexpr std::string_view kEof = "# EOF\n";
+    const std::string series = report::openmetrics_text(result.series);
+    std::string_view samples = series;
+    if (samples.ends_with(kEof)) samples.remove_suffix(kEof.size());
     std::string gauges;
     if (result.spec.campaign.slo.enabled) {
       gauges += report::slo_openmetrics_text(result.slo);
@@ -276,15 +270,8 @@ void write_outputs(RunResult& result) {
     if (!result.attribution.empty()) {
       gauges += report::attribution_openmetrics_text(result.attribution);
     }
-    if (!gauges.empty()) {
-      const std::size_t eof = om.rfind("# EOF\n");
-      if (eof != std::string::npos) {
-        om.insert(eof, gauges);
-      } else {
-        om += gauges;
-      }
-    }
-    write_text(outputs.openmetrics, stamp + om);
+    obs::write_text_file(outputs.openmetrics,
+                         {stamp, samples, gauges, kEof});
     result.written.push_back(outputs.openmetrics);
   }
   if (!outputs.anomalies_dir.empty()) {
@@ -292,9 +279,9 @@ void write_outputs(RunResult& result) {
     std::filesystem::create_directories(outputs.anomalies_dir, ec);
     const std::size_t dumps =
         report::write_anomaly_dumps(result.anomalies, outputs.anomalies_dir);
-    write_text((std::filesystem::path(outputs.anomalies_dir) / "spec.txt")
-                   .string(),
-               stamp + canonical_text(result.spec));
+    obs::write_text_file(
+        (std::filesystem::path(outputs.anomalies_dir) / "spec.txt").string(),
+        {stamp, canonical_text(result.spec)});
     std::fprintf(stderr, "anomalies: %zu flow dump(s) -> %s\n", dumps,
                  outputs.anomalies_dir.c_str());
     result.written.push_back(outputs.anomalies_dir);
@@ -302,7 +289,7 @@ void write_outputs(RunResult& result) {
   // The summary goes last so its "outputs" array lists everything else
   // this run produced.
   if (!outputs.summary_json.empty()) {
-    write_text(outputs.summary_json, summary_json(result));
+    obs::write_text_file(outputs.summary_json, summary_json(result));
     result.written.push_back(outputs.summary_json);
   }
 }

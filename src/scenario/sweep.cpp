@@ -25,6 +25,7 @@ std::string cell_stem(std::size_t index) {
 bool write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
   out << content;
+  out.close();  // flushes: a failed final write shows only after this
   return static_cast<bool>(out);
 }
 

@@ -2,9 +2,13 @@
 // anomaly exports).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "netsim/time.h"
 #include "obs/flight_recorder.h"
@@ -13,7 +17,9 @@
 #include "obs/slo.h"
 #include "obs/span.h"
 #include "report/anomalies.h"
+#include "obs/trace_export.h"
 #include "report/csv.h"
+#include "report/format.h"
 #include "report/metrics.h"
 #include "report/slo.h"
 #include "report/table.h"
@@ -352,6 +358,108 @@ TEST(CsvTest, WriteFileFailureThrows) {
   EXPECT_THROW(csv.write_file((blocker / "nested.csv").string()),
                std::runtime_error);
   std::filesystem::remove(blocker);
+}
+
+TEST(CsvTest, FailedFinalFlushThrows) {
+  // A short document sits in the stream buffer until the file is closed,
+  // so only the flush at close can hit the full device.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  CsvWriter csv({"x"});
+  csv.add_row({"1"});
+  EXPECT_THROW(csv.write_file("/dev/full"), std::runtime_error);
+  EXPECT_THROW(obs::write_text_file("/dev/full", "short\n"),
+               std::runtime_error);
+  EXPECT_THROW(obs::write_text_file("/dev/full", {"# stamp\n", "body\n"}),
+               std::runtime_error);
+}
+
+std::string printf_g6(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.6g", value);
+  return buf;
+}
+
+/// Counts the values whose NumText::g6 text differs from printf's and
+/// reports the first one.
+void expect_g6_matches_printf(const std::vector<double>& values,
+                              const char* what) {
+  std::size_t mismatches = 0;
+  std::string first;
+  for (const double v : values) {
+    const std::string want = printf_g6(v);
+    const NumText got = NumText::g6(v);
+    if (got.view() != want && mismatches++ == 0) {
+      first = want + " vs " + std::string(got.view());
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << what << ": first mismatch " << first;
+}
+
+TEST(FormatTest, G6MatchesPrintfOnHistogramEdges) {
+  std::vector<double> values;
+  for (int i = 0; i < obs::LatencyHistogram::kBucketCount; ++i) {
+    for (const double edge : {obs::LatencyHistogram::bucket_lower_ms(i),
+                              obs::LatencyHistogram::bucket_upper_ms(i)}) {
+      values.push_back(edge);
+      values.push_back(-edge);
+    }
+  }
+  expect_g6_matches_printf(values, "bucket edges");
+}
+
+TEST(FormatTest, G6MatchesPrintfOnWindowStarts) {
+  for (const double width_ms : {250.0, 300'000.0}) {
+    const obs::MetricSeries series(netsim::from_ms(width_ms));
+    std::vector<double> values;
+    for (std::int64_t k = 0; k <= 1'000'000; ++k) {
+      values.push_back(series.window_start_ms(k));
+    }
+    expect_g6_matches_printf(values, width_ms == 250.0 ? "k*250" : "k*3e5");
+  }
+}
+
+TEST(FormatTest, G6MatchesPrintfOnRandomDoubles) {
+  std::mt19937_64 rng(20211102);
+  std::uniform_real_distribution<double> exponent(-30.0, 30.0);
+  std::vector<double> values;
+  values.reserve(1'000'000);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double magnitude = std::pow(10.0, exponent(rng));
+    values.push_back((rng() & 1) != 0 ? -magnitude : magnitude);
+  }
+  expect_g6_matches_printf(values, "random doubles");
+}
+
+TEST(FormatTest, G6MatchesPrintfOnSpecialValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> values = {
+      0.0,  -0.0, std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(), inf, -inf, nan, -nan};
+  expect_g6_matches_printf(values, "special values");
+  EXPECT_EQ(NumText::g6(-0.0).view(), "-0");
+  EXPECT_EQ(NumText::g6(inf).view(), "inf");
+}
+
+TEST(FormatTest, IntegersMatchToString) {
+  for (const std::int64_t v :
+       {std::int64_t{0}, std::int64_t{-1}, std::int64_t{42},
+        std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max()}) {
+    EXPECT_EQ(NumText(v).view(), std::to_string(v));
+  }
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(NumText(max).view(), std::to_string(max));
+  EXPECT_EQ(NumText(std::uint32_t{7}).view(), "7");
+}
+
+TEST(FormatTest, LabelValuesEscapeBackslashQuoteAndNewline) {
+  std::string out = "x=";
+  append_label_value(out, "a\\b\"c\nd,e");
+  EXPECT_EQ(out, "x=a\\\\b\\\"c\\nd,e");
 }
 
 }  // namespace
