@@ -1,7 +1,8 @@
 // Figure 4 — Resolution-time CDFs per resolver: DoH1, DoHR, and Do53.
 //
 // Paper highlight: Cloudflare's DoHR curve closely tracks the Do53 curve.
-// Emits the CDF series as CSV next to the summary table.
+// Emits the CDF series as CSV (scenario::fig4_csv) next to the summary
+// table.
 #include <cstdio>
 
 #include "anycast/catalog.h"
@@ -29,23 +30,12 @@ int main() {
   };
   add_series("Do53 (default)", do53);
 
-  report::CsvWriter csv({"series", "ms", "cdf"});
-  const auto dump = [&csv](const std::string& name,
-                           const stats::EmpiricalCdf& cdf) {
-    for (const auto& [value, fraction] : cdf.curve(50)) {
-      csv.add_row({name, report::fmt(value, 1), report::fmt(fraction, 3)});
-    }
-  };
-  dump("Do53", do53);
-
   double cf_dohr_gap = 0.0;
   for (const char* provider : anycast::kProviderNames) {
     const stats::EmpiricalCdf doh1(data.tdoh_values(provider));
     const stats::EmpiricalCdf dohr(data.tdohr_values(provider));
     add_series(std::string(provider) + " DoH1", doh1);
     add_series(std::string(provider) + " DoHR", dohr);
-    dump(std::string(provider) + "-DoH1", doh1);
-    dump(std::string(provider) + "-DoHR", dohr);
     if (std::string(provider) == "Cloudflare") {
       cf_dohr_gap = dohr.value_at(0.5) - do53.value_at(0.5);
     }
@@ -56,6 +46,7 @@ int main() {
   std::fputs(table.render().c_str(), stdout);
 
   const std::string csv_path = benchsupport::out_path("fig4_cdfs.csv");
+  const report::CsvWriter csv = scenario::fig4_csv(data);
   csv.write_file(csv_path);
   std::printf("CDF series written to %s (%zu rows)\n", csv_path.c_str(),
               csv.row_count());

@@ -30,16 +30,7 @@ int main() {
   std::fputs(pops.render().c_str(), stdout);
 
   // Country medians -> CSV (the map's colour channel).
-  report::CsvWriter csv({"iso2", "provider", "median_doh1_ms"});
-  const auto analysis = data.analysis_countries(10);
-  for (const char* provider : anycast::kProviderNames) {
-    const auto medians = data.country_doh_medians(provider, 1);
-    for (const auto& iso2 : analysis) {
-      if (const auto it = medians.find(iso2); it != medians.end()) {
-        csv.add_row({iso2, provider, report::fmt(it->second, 1)});
-      }
-    }
-  }
+  const report::CsvWriter csv = scenario::fig5_csv(data);
   const std::string csv_path =
       benchsupport::out_path("fig5_country_medians.csv");
   csv.write_file(csv_path);
@@ -47,6 +38,7 @@ int main() {
               csv.row_count());
 
   // Named observations from the paper's Section 5.3.
+  const auto analysis = data.analysis_countries(10);
   const auto all_doh = data.country_doh_medians("", 1);
   const auto all_do53 = data.country_do53_medians();
   std::vector<double> doh_medians, do53_medians;

@@ -5,7 +5,10 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -69,30 +72,22 @@ struct CampaignPlan {
   std::unique_ptr<const resolver::SharedCacheModel> cache_model;
 };
 
-/// A shard's window onto the world: the shared immutable model plus the
-/// mutable server stack it must use — either a private replica or (serial
-/// reference path) the world's own servers.
+/// A shard's window onto the campaign: the immutable config, plan, world
+/// model and root RNG every shard shares, the mutable server stack it
+/// must use — either a private replica or (serial reference path) the
+/// world's own servers — and the telemetry its sessions record into.
 struct ShardView {
   world::WorldModel& world;
+  const CampaignConfig& config;
+  const CampaignPlan& plan;
+  const netsim::Rng& root;
   netsim::Simulator& sim;
   world::SimContext* replica = nullptr;  ///< nullptr = world's own stack.
-  /// Shard-private metrics registry; sessions record into it without
-  /// synchronisation and the campaign merges the registries in canonical
-  /// shard order after the join.
-  obs::Metrics* metrics = nullptr;
-  /// Shard-private sim-time series; same ownership and merge story.
-  obs::MetricSeries* series = nullptr;
-  /// Shard-private anomaly flight recorder; same ownership and merge
-  /// story (canonical-order retention makes the merge layout-proof).
-  obs::FlightRecorder* recorder = nullptr;
-  /// Shard-private SLO outcome tracker; same ownership and merge story
-  /// (integer counts keyed by (provider, country, window)). nullptr on
-  /// the anomaly replay pass so replays never double-record outcomes.
-  obs::SloTracker* slo = nullptr;
-  /// Shard-private attribution ledger; same ownership and merge story
-  /// (integer microsecond sums and log-bucket sketches keyed by
-  /// (provider, country, transport)). nullptr on the replay pass.
-  obs::AttributionLedger* attribution = nullptr;
+  /// Shard-private sinks; sessions record into them without
+  /// synchronisation and the campaign merges them in canonical shard
+  /// order after the join. The replay pass points this at scratch sinks
+  /// whose flight recorder captures spans.
+  CampaignTelemetry* telemetry = nullptr;
 
   resolver::DohServer& doh(std::size_t p, std::size_t i) {
     return replica ? replica->doh_server(p, i) : world.doh_server(p, i);
@@ -117,24 +112,6 @@ struct ExitState {
   std::vector<double> nearest_located_miles;
 };
 
-/// Merges a session's private metrics into the shard registry when the
-/// session's coroutine frame dies. Sessions keep flow-local counters so
-/// the flight recorder's before/after snapshots cannot see concurrent
-/// sessions' increments; integer merges are commutative, so the frame
-/// destruction order cannot change the shard totals.
-struct MergeMetricsOnExit {
-  obs::Metrics* target = nullptr;
-  const obs::Metrics* source = nullptr;
-
-  MergeMetricsOnExit(obs::Metrics* t, const obs::Metrics* s)
-      : target(t), source(s) {}
-  MergeMetricsOnExit(const MergeMetricsOnExit&) = delete;
-  MergeMetricsOnExit& operator=(const MergeMetricsOnExit&) = delete;
-  ~MergeMetricsOnExit() {
-    if (target != nullptr) target->merge(*source);
-  }
-};
-
 /// Records each realized fault episode's window as series occupancy
 /// counters ("how many sessions had a blackout open in this window") —
 /// the join key the health report overlays on the latency series.
@@ -147,26 +124,26 @@ struct MergeMetricsOnExit {
 /// bounded (120 windows at the default 250 ms width).
 constexpr netsim::Duration kFaultRecordHorizon = netsim::from_ms(30000.0);
 
-void record_fault_windows(obs::MetricSeries* series,
+void record_fault_windows(obs::MetricSeries& series,
                           const netsim::FaultPlan& plan) {
-  if (series == nullptr || plan.empty()) return;
+  if (plan.empty()) return;
   const auto clamp = [](netsim::Duration end) {
     return end < kFaultRecordHorizon ? end : kFaultRecordHorizon;
   };
   for (const netsim::LossSpikeEpisode& ep : plan.loss_spikes()) {
-    series->add_count_range({"fault_loss_spike", {}, {}}, ep.window.start,
+    series.add_count_range({"fault_loss_spike", {}, {}}, ep.window.start,
                             clamp(ep.window.end));
   }
   for (const netsim::BlackoutEpisode& ep : plan.blackouts()) {
-    series->add_count_range({"fault_blackout", {}, {}}, ep.window.start,
+    series.add_count_range({"fault_blackout", {}, {}}, ep.window.start,
                             clamp(ep.window.end));
   }
   for (const netsim::BrownoutEpisode& ep : plan.brownouts()) {
-    series->add_count_range({"fault_brownout", {}, {}}, ep.window.start,
+    series.add_count_range({"fault_brownout", {}, {}}, ep.window.start,
                             clamp(ep.window.end));
   }
   for (const netsim::ProviderOutageEpisode& ep : plan.provider_outages()) {
-    series->add_count_range({"fault_provider_outage", ep.provider, {}},
+    series.add_count_range({"fault_provider_outage", ep.provider, {}},
                             ep.window.start, clamp(ep.window.end));
   }
 }
@@ -207,19 +184,6 @@ obs::FlowSignals window_signals(const netsim::FaultPlan* plan,
     }
   }
   return signals;
-}
-
-/// Stable per-session RNG keys. Sessions are keyed by what they measure
-/// (exit id + run, or Atlas country + index) — never by shard index or
-/// scheduling order — which is what makes the dataset independent of the
-/// thread count.
-std::string exit_session_key(std::uint64_t exit_id, int run) {
-  return "shard-exit-" + std::to_string(exit_id) + "-run-" +
-         std::to_string(run);
-}
-
-std::string atlas_session_key(const std::string& iso2, int index) {
-  return "shard-atlas-" + iso2 + "-" + std::to_string(index);
 }
 
 /// Enumerates the retained clients (Maxmind cross-check first) and the
@@ -285,9 +249,7 @@ CampaignPlan build_plan(world::WorldModel& world,
   return plan;
 }
 
-ExitState make_exit_state(ShardView& view, const ExitTask& task,
-                          const netsim::Rng& root,
-                          double provider_failure_rate) {
+ExitState make_exit_state(ShardView& view, const ExitTask& task) {
   ExitState st;
   st.task = &task;
   st.local_exit = *task.exit;
@@ -302,10 +264,10 @@ ExitState make_exit_state(ShardView& view, const ExitTask& task,
     // which is what makes Table 3's per-provider client counts fall
     // short of the Do53 total.
     netsim::Rng failure_rng =
-        root.split("provider-fail-" + provider.name() + "-" +
-                   std::to_string(task.exit->id));
+        view.root.split("provider-fail-" + provider.name() + "-" +
+                        std::to_string(task.exit->id));
     st.provider_failed.push_back(
-        failure_rng.bernoulli(provider_failure_rate));
+        failure_rng.bernoulli(view.config.provider_failure_rate));
 
     // Hoisted per-(exit, provider) nearest-PoP distance: the distance to
     // the closest PoP *as geolocation sees it* (Figure 6's baseline) only
@@ -318,6 +280,165 @@ ExitState make_exit_state(ShardView& view, const ExitTask& task,
   return st;
 }
 
+/// A measured flow in flight, from Session::begin_flow to
+/// Session::end_flow.
+struct FlowStart {
+  std::uint32_t index = 0;  ///< Flow position in its session.
+  std::string label;        ///< e.g. "doh:Cloudflare", "do53".
+  netsim::SimTime at{};
+  obs::MetricCounters before;  ///< Session counters when the flow began.
+  bool capture = false;        ///< Replay pass: record this flow's spans.
+};
+
+/// What both session kinds set up before their first flow and consult at
+/// every flow's exit. It lives in the session's coroutine frame: sessions
+/// interleave on the shard simulator, so none of it can be shared. A
+/// session awaits its flows one at a time, so it holds the one flow in
+/// flight.
+struct Session {
+  /// `focal` centres the sampled fault episodes (its first site also
+  /// centres the recurring regional blackouts); `providers` are the
+  /// provider names outage episodes may target.
+  Session(ShardView& shard, std::uint64_t session_slot,
+          const std::string& session_key, netsim::Rng& rng,
+          std::string_view session_country,
+          std::span<const geo::LatLon> focal,
+          std::span<const std::string> providers, SessionOutput& rows)
+      : view(shard),
+        slot(session_slot),
+        key(session_key),
+        country(session_country),
+        out(rows),
+        net{shard.sim, shard.world.latency(), rng},
+        epoch(shard.sim.now()),
+        campaign_base(shard.config.session_spacing *
+                      static_cast<std::int64_t>(session_slot)),
+        examine(shard.telemetry->anomalies.enabled() &&
+                !shard.telemetry->anomalies.capturing()) {
+    net.metrics = &metrics;
+    net.series = {&view.telemetry->series, epoch, std::string(),
+                  std::string(country)};
+    // Attribution labels follow the series labels: country fixed for the
+    // session, provider re-pointed before each flow. Flows install their
+    // own FlowAttribution.
+    net.attribution.ledger = &view.telemetry->attribution;
+    net.attribution.country = country;
+
+    // Fault episodes are drawn from a private substream (split() is pure,
+    // so the session's main draw sequence is untouched) and anchored to
+    // the session's own start time: absolute sim time depends on how many
+    // sessions this shard ran before, but the epoch-relative clock does
+    // not, which keeps the dataset bit-identical across thread counts.
+    const netsim::FaultPlanConfig& faults = view.config.faults;
+    if (!faults.enabled()) return;
+    fault_plan = netsim::FaultPlan::sample(faults, focal, providers,
+                                           rng.split("fault-plan"));
+    if (faults.recurring_enabled()) {
+      // Campaign-time recurring schedules, translated into this session's
+      // epoch. No RNG: the realized windows are a pure function of
+      // (config, slot, country), so they merge bit-identically.
+      fault_plan.append_recurring_episodes(
+          faults, campaign_base, kFaultRecordHorizon, providers,
+          focal.front(),
+          netsim::Duration{static_cast<std::int64_t>(fnv1a64(country) >> 1)});
+    }
+    net.faults = &fault_plan;
+    net.fault_epoch = epoch;
+    record_fault_windows(view.telemetry->series, fault_plan);
+  }
+
+  /// Sums the session's metrics into the shard's when the session's
+  /// coroutine frame dies. Integer merges are commutative, so the frame
+  /// destruction order cannot change the shard totals.
+  ~Session() { view.telemetry->metrics.merge(metrics); }
+  Session(const Session&) = delete;
+
+  /// Labels the series and attribution records of the flows that follow.
+  void label(std::string_view provider) {
+    net.series.provider = provider;
+    net.attribution.provider = provider;
+  }
+
+  /// Opens flow `index`; call it just before the flow is awaited.
+  void begin_flow(std::uint32_t index, std::string label) {
+    flow = FlowStart{index, std::move(label), view.sim.now(),
+                     metrics.counters,
+                     view.telemetry->anomalies.wants_spans(slot, index)};
+    if (flow->capture) {
+      flow_spans.clear();
+      net.spans = &flow_spans;
+    }
+  }
+
+  /// The one flow exit, at the flow's completion instant: examines the
+  /// flow in flight (or captures its spans on the replay pass), accounts
+  /// a failure, classifies and records the outcome against `provider`,
+  /// and records a success's latency into the provider histogram and the
+  /// `latency_series` track (no sample when null). With no flow in
+  /// flight, the session skipped the flow for the reasons in `signals`.
+  void end_flow(std::string_view provider, obs::FlowSignals signals,
+                const char* latency_series = nullptr,
+                double latency_ms = 0.0) {
+    const netsim::SimTime now = view.sim.now();
+    if (flow) {
+      obs::FlightRecorder& recorder = view.telemetry->anomalies;
+      if (flow->capture) {
+        net.spans = nullptr;
+        recorder.capture_flow(slot, flow->index, flow_spans, epoch);
+      } else if (examine) {
+        recorder.examine_flow(slot, flow->index, key, flow->label,
+                              netsim::ms_between(flow->at, now),
+                              flow->before, metrics.counters);
+      }
+      if (signals.ok) {
+        signals.brownout_delays =
+            metrics.counters.brownout_delays - flow->before.brownout_delays;
+      } else {
+        signals = window_signals(net.faults, provider, flow->at - epoch,
+                                 now - epoch);
+      }
+      flow.reset();
+    }
+    if (!signals.ok) {
+      ++out.failed;
+      ++metrics.counters.failures;
+      net.series.count("failure", now);
+    }
+    const bool sampled = signals.ok && latency_series != nullptr;
+    view.telemetry->slo.record(provider, country,
+                               campaign_base + (now - epoch),
+                               obs::classify_flow_outcome(signals),
+                               sampled ? latency_ms : 0.0, sampled);
+    if (sampled) {
+      metrics.histogram(provider).record(latency_ms);
+      net.series.latency(latency_series, now, latency_ms);
+    }
+  }
+
+  ShardView& view;
+  const std::uint64_t slot;
+  const std::string& key;  ///< The coroutine's own copy.
+  const std::string_view country;
+  SessionOutput& out;
+  netsim::NetCtx net;
+  /// Session-private metrics: the flight recorder diffs counters across a
+  /// single flow, and concurrent sessions batched on this shard's
+  /// simulator must not bleed into the diff.
+  obs::Metrics metrics;
+  const netsim::SimTime epoch;
+  /// Virtual campaign time: this session's slot on the multi-day axis. A
+  /// pure function of the slot, so SLO windows and recurring fault
+  /// schedules are shard-invariant by construction.
+  const netsim::Duration campaign_base;
+  /// Examination is span-free (sim-time duration + counter deltas); spans
+  /// are only recorded during the replay pass, and only for the flows the
+  /// recorder asks for.
+  const bool examine;
+  obs::SpanContext flow_spans;
+  netsim::FaultPlan fault_plan;
+  std::optional<FlowStart> flow;
+};
+
 /// One client session: 4 DoH measurements + 1 Do53 measurement.
 // `session_key` is taken by value: the caller's string may die while
 // this coroutine is suspended in the batch queue.
@@ -325,97 +446,26 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
                                    int run, std::uint64_t slot,
                                    std::string session_key,
                                    netsim::Rng session_rng,
-                                   const CampaignConfig& config,
-                                   const CampaignPlan& plan,
                                    SessionOutput& out) {
-  netsim::NetCtx net{view.sim, view.world.latency(), session_rng};
+  const CampaignConfig& config = view.config;
   const ExitTask& task = *st.task;
   const proxy::ExitNode& exit = st.local_exit;
-
-  // Session-private metrics: the flight recorder diffs counters across a
-  // single flow, and concurrent sessions batched on this shard's
-  // simulator must not bleed into the diff.
-  obs::Metrics session_metrics;
-  const MergeMetricsOnExit merge_guard{view.metrics, &session_metrics};
-  net.metrics = &session_metrics;
-
-  const netsim::SimTime session_epoch = view.sim.now();
-  net.series = {view.series, session_epoch, std::string(),
-                exit.advertised_iso2};
-  // Attribution labels follow the series labels: country fixed for the
-  // session, provider re-pointed before each flow. Flows install their
-  // own FlowAttribution; with no ledger the recorder is inert.
-  net.attribution.ledger = view.attribution;
-  net.attribution.country = exit.advertised_iso2;
-
-  // Virtual campaign time: this session's slot on the multi-day axis.
-  // A pure function of the slot, so SLO windows and recurring fault
-  // schedules are shard-invariant by construction.
-  const netsim::Duration campaign_base =
-      config.session_spacing * static_cast<std::int64_t>(slot);
-  const auto record_outcome = [&](std::string_view provider,
-                                  obs::Outcome outcome, double latency_ms,
-                                  bool has_latency) {
-    if (view.slo == nullptr) return;
-    view.slo->record(provider, exit.advertised_iso2,
-                     campaign_base + (view.sim.now() - session_epoch),
-                     outcome, latency_ms, has_latency);
-  };
-
-  // Flight-recorder wiring. Examination is span-free (sim-time duration
-  // + counter deltas); spans are only recorded during the replay pass,
-  // and only for the flows the recorder asks for. The scratch tree must
-  // be session-owned: sessions interleave on the shard simulator.
-  obs::SpanContext flow_spans;
-  const bool examine = view.recorder != nullptr &&
-                       view.recorder->enabled() &&
-                       !view.recorder->capturing();
-  const bool capturing =
-      view.recorder != nullptr && view.recorder->capturing();
-
-  // Fault episodes are drawn from a private substream (split() is pure,
-  // so the session's main draw sequence is untouched) and anchored to
-  // the session's own start time: absolute sim time depends on how many
-  // sessions this shard ran before, but the epoch-relative clock does
-  // not, which keeps the dataset bit-identical across thread counts.
-  netsim::FaultPlan fault_plan;
-  if (config.faults.enabled()) {
-    const geo::LatLon focal[] = {exit.site.position, task.sp_site.position};
-    fault_plan = netsim::FaultPlan::sample(config.faults, focal,
-                                           plan.provider_names,
-                                           session_rng.split("fault-plan"));
-    if (config.faults.recurring_enabled()) {
-      // Campaign-time recurring schedules, translated into this session's
-      // epoch. No RNG: the realized windows are a pure function of
-      // (config, slot, country), so they merge bit-identically.
-      fault_plan.append_recurring_episodes(
-          config.faults, campaign_base, kFaultRecordHorizon,
-          plan.provider_names, exit.site.position,
-          netsim::Duration{static_cast<std::int64_t>(
-              fnv1a64(exit.advertised_iso2) >> 1)});
-    }
-    net.faults = &fault_plan;
-    net.fault_epoch = session_epoch;
-    record_fault_windows(view.series, fault_plan);
-  }
+  const geo::LatLon focal[] = {exit.site.position, task.sp_site.position};
+  Session s(view, slot, session_key, session_rng, exit.advertised_iso2,
+            focal, view.plan.provider_names, out);
+  netsim::NetCtx& net = s.net;
 
   // --- DoH: one measurement per studied provider ---------------------
   for (std::size_t p = 0; p < view.world.providers().size(); ++p) {
     anycast::Provider& provider = view.world.providers()[p];
-    net.series.provider = provider.name();
-    net.attribution.provider = provider.name();
+    s.label(provider.name());
     const bool provider_out =
         net.faults != nullptr &&
         net.faults->provider_down(provider.name(), net.fault_now());
     if (st.provider_failed[p] || provider_out) {
-      ++out.failed;
-      if (net.metrics != nullptr) ++net.metrics->counters.failures;
-      net.series.count("failure", view.sim.now());
-      record_outcome(provider.name(),
-                     obs::classify_flow_outcome(
-                         {.provider_unreachable = st.provider_failed[p],
-                          .provider_outage = provider_out}),
-                     0.0, false);
+      s.end_flow(provider.name(),
+                 {.provider_unreachable = st.provider_failed[p],
+                  .provider_outage = provider_out});
       continue;
     }
 
@@ -431,45 +481,17 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
     params.tls = view.world.config().tls_version;
     params.origin = view.world.origin();
 
-    const obs::MetricCounters before = session_metrics.counters;
-    const netsim::SimTime flow_start = view.sim.now();
-    const bool capture_this =
-        capturing &&
-        view.recorder->wants_spans(slot, static_cast<std::uint32_t>(p));
-    if (capture_this) {
-      flow_spans.clear();
-      net.spans = &flow_spans;
-    }
+    s.begin_flow(static_cast<std::uint32_t>(p), "doh:" + provider.name());
     const DohProxyObservation obs =
         co_await doh_via_proxy(net, std::move(params));
-    if (capture_this) {
-      net.spans = nullptr;
-      view.recorder->capture_flow(slot, static_cast<std::uint32_t>(p),
-                                  flow_spans, session_epoch);
-    } else if (examine) {
-      view.recorder->examine_flow(
-          slot, static_cast<std::uint32_t>(p), session_key,
-          "doh:" + provider.name(),
-          netsim::ms_between(flow_start, view.sim.now()), before,
-          session_metrics.counters);
-    }
-    if (!obs.ok) {
-      ++out.failed;
-      if (net.metrics != nullptr) ++net.metrics->counters.failures;
-      net.series.count("failure", view.sim.now());
-      record_outcome(provider.name(),
-                     obs::classify_flow_outcome(window_signals(
-                         net.faults, provider.name(),
-                         flow_start - session_epoch,
-                         view.sim.now() - session_epoch)),
-                     0.0, false);
-      continue;
-    }
+    const double tdoh_ms = obs.ok ? estimate_tdoh_ms(obs.inputs) : 0.0;
+    s.end_flow(provider.name(), {.ok = obs.ok}, "doh_ms", tdoh_ms);
+    if (!obs.ok) continue;
 
     DohRecord rec;
     rec.exit_id = exit.id;
     rec.iso2 = task.iso2_id;
-    rec.provider = plan.provider_ids[p];
+    rec.provider = view.plan.provider_ids[p];
     rec.run = run;
     rec.pop_index = static_cast<std::uint32_t>(pop_index);
     rec.pop_distance_miles = geo::distance_miles(
@@ -478,19 +500,8 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
     // distance to the closest PoP *as geolocation sees it* (Figure 6).
     rec.potential_improvement_miles =
         rec.pop_distance_miles - st.nearest_located_miles[p];
-    rec.tdoh_ms = estimate_tdoh_ms(obs.inputs);
+    rec.tdoh_ms = tdoh_ms;
     rec.tdohr_ms = estimate_tdohr_ms(obs.inputs);
-    if (net.metrics != nullptr) {
-      net.metrics->histogram(provider.name()).record(rec.tdoh_ms);
-    }
-    net.series.latency("doh_ms", view.sim.now(), rec.tdoh_ms);
-    record_outcome(
-        provider.name(),
-        obs::classify_flow_outcome(
-            {.ok = true,
-             .brownout_delays = session_metrics.counters.brownout_delays -
-                                before.brownout_delays}),
-        rec.tdoh_ms, true);
     out.doh.push_back(rec);
   }
 
@@ -499,7 +510,7 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
   // the cold measurements above and the Do53 flow below see exactly the
   // draw sequence they always did and datasets stay byte-identical.
   if (config.cache.enabled || config.reuse.enabled) {
-    const resolver::SharedCacheModel* model = plan.cache_model.get();
+    const resolver::SharedCacheModel* model = view.plan.cache_model.get();
     const auto record_warm = [&](const WarmPathObservation& wobs,
                                  const char* prefix) {
       for (const WarmQueryObservation& q : wobs.queries) {
@@ -507,29 +518,27 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
         // Per-query-index latency histograms; the tail shares one bucket
         // so the histogram count stays bounded for long sessions.
         const int index_bucket = std::min(q.query_index, 7);
-        if (net.metrics != nullptr) {
-          net.metrics->histogram(std::string(prefix) + "_warm_q" +
-                                 std::to_string(index_bucket))
-              .record(q.ms);
-        }
+        s.metrics
+            .histogram(std::string(prefix) + "_warm_q" +
+                       std::to_string(index_bucket))
+            .record(q.ms);
         net.series.latency(std::string(prefix) + "_warm_ms",
                            view.sim.now(), q.ms);
       }
-      if (net.metrics != nullptr) {
-        net.metrics->counters.pool_cold += wobs.pool.cold;
-        net.metrics->counters.pool_reuses += wobs.pool.reused;
-        net.metrics->counters.pool_resumptions += wobs.pool.resumed;
-        net.metrics->counters.pool_evictions += wobs.pool.evictions;
-        if (!wobs.ok) ++net.metrics->counters.failures;
+      s.metrics.counters.pool_cold += wobs.pool.cold;
+      s.metrics.counters.pool_reuses += wobs.pool.reused;
+      s.metrics.counters.pool_resumptions += wobs.pool.resumed;
+      s.metrics.counters.pool_evictions += wobs.pool.evictions;
+      if (!wobs.ok) {
+        ++s.metrics.counters.failures;
+        net.series.count("failure", view.sim.now());
       }
-      if (!wobs.ok) net.series.count("failure", view.sim.now());
     };
 
     for (std::size_t p = 0; p < view.world.providers().size(); ++p) {
       anycast::Provider& provider = view.world.providers()[p];
       if (st.provider_failed[p]) continue;
-      net.series.provider = provider.name();
-      net.attribution.provider = provider.name();
+      s.label(provider.name());
       const std::size_t pop_index = provider.route(
           exit.site.position, task.true_country->region, net.rng);
       WarmDohParams wp;
@@ -550,8 +559,7 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
     // Do53 counterpart: same think-time/query schedule, but UDP (no
     // pool) and a *distributed* cache — only this ISP's share of the
     // population warms the default resolver.
-    net.series.provider = "Do53";
-    net.attribution.provider = "Do53";
+    s.label("Do53");
     WarmDo53Params dp;
     dp.vantage = exit.site;
     dp.resolver = exit.default_resolver;
@@ -563,8 +571,7 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
   }
 
   // --- Do53 via the default resolver ----------------------------------
-  net.series.provider = "Do53";
-  net.attribution.provider = "Do53";
+  s.label("Do53");
   Do53ProxyParams params;
   params.client = view.world.measurement_client();
   params.super_proxy = task.sp_site;
@@ -575,167 +582,90 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
       proxy::resolves_dns_at_super_proxy(exit.advertised_iso2);
   params.authority = &view.authority();
 
-  const obs::MetricCounters before = session_metrics.counters;
-  const netsim::SimTime flow_start = view.sim.now();
-  const auto do53_index =
-      static_cast<std::uint32_t>(view.world.providers().size());
-  const bool capture_this =
-      capturing && view.recorder->wants_spans(slot, do53_index);
-  if (capture_this) {
-    flow_spans.clear();
-    net.spans = &flow_spans;
-  }
+  s.begin_flow(static_cast<std::uint32_t>(view.world.providers().size()),
+               "do53");
   const Do53ProxyObservation obs =
       co_await do53_via_proxy(net, std::move(params));
-  if (capture_this) {
-    net.spans = nullptr;
-    view.recorder->capture_flow(slot, do53_index, flow_spans,
-                                session_epoch);
-  } else if (examine) {
-    view.recorder->examine_flow(
-        slot, do53_index, session_key, "do53",
-        netsim::ms_between(flow_start, view.sim.now()), before,
-        session_metrics.counters);
-  }
-  if (!obs.ok) {
-    ++out.failed;
-    if (net.metrics != nullptr) ++net.metrics->counters.failures;
-    net.series.count("failure", view.sim.now());
-    record_outcome("Do53",
-                   obs::classify_flow_outcome(window_signals(
-                       net.faults, "Do53", flow_start - session_epoch,
-                       view.sim.now() - session_epoch)),
-                   0.0, false);
-    co_return;
-  }
-  record_outcome(
-      "Do53",
-      obs::classify_flow_outcome(
-          {.ok = true,
-           .brownout_delays = session_metrics.counters.brownout_delays -
-                              before.brownout_delays}),
-      obs.tun.dns_ms, !obs.resolved_at_super_proxy);
-  if (!obs.resolved_at_super_proxy) {
-    if (net.metrics != nullptr) {
-      net.metrics->histogram("Do53").record(obs.tun.dns_ms);
-    }
-    net.series.latency("do53_ms", view.sim.now(), obs.tun.dns_ms);
-    Do53Record rec;
-    rec.exit_id = exit.id;
-    rec.iso2 = task.iso2_id;
-    rec.run = run;
-    rec.via_atlas = false;
-    rec.do53_ms = obs.tun.dns_ms;
-    out.do53.push_back(rec);
-  }
   // In Super Proxy countries the header value reflects the Super Proxy's
-  // own resolution and is discarded; Atlas fills the gap below.
+  // own resolution and is discarded; Atlas fills the gap.
+  const bool measured = obs.ok && !obs.resolved_at_super_proxy;
+  s.end_flow("Do53", {.ok = obs.ok}, measured ? "do53_ms" : nullptr,
+             obs.tun.dns_ms);
+  if (!measured) co_return;
+  Do53Record rec;
+  rec.exit_id = exit.id;
+  rec.iso2 = task.iso2_id;
+  rec.run = run;
+  rec.via_atlas = false;
+  rec.do53_ms = obs.tun.dns_ms;
+  out.do53.push_back(rec);
 }
 
-/// One Atlas Do53 measurement in `iso2`.
-// `iso2` and `session_key` are taken by value: the caller's strings may
-// die while this coroutine is suspended in the batch queue.
-netsim::Task<void> atlas_session(ShardView& view, std::string iso2,
-                                 StrId iso2_id, std::uint64_t slot,
-                                 std::string session_key,
+/// One Atlas Do53 measurement in `task`'s country.
+// `session_key` is taken by value: the caller's string may die while
+// this coroutine is suspended in the batch queue. `task` lives in the
+// plan, which outlives every session.
+netsim::Task<void> atlas_session(ShardView& view, const AtlasTask& task,
+                                 std::uint64_t slot, std::string session_key,
                                  netsim::Rng session_rng,
-                                 const CampaignConfig& config,
                                  SessionOutput& out) {
-  netsim::NetCtx net{view.sim, view.world.latency(), session_rng};
-  obs::Metrics session_metrics;
-  const MergeMetricsOnExit merge_guard{view.metrics, &session_metrics};
-  net.metrics = &session_metrics;
-
-  const netsim::SimTime session_epoch = view.sim.now();
-  net.series = {view.series, session_epoch, "Do53", iso2};
-  net.attribution.ledger = view.attribution;
-  net.attribution.provider = "Do53";
-  net.attribution.country = iso2;
-
+  // The probe is the session's first draw; the fault plan centres on it.
   const proxy::AtlasProbe* probe =
-      view.world.atlas().pick_probe(iso2, net.rng);
+      view.world.atlas().pick_probe(task.iso2, session_rng);
   if (probe == nullptr) co_return;
   proxy::AtlasProbe local_probe = *probe;
   local_probe.default_resolver = view.local(probe->default_resolver);
 
-  const netsim::Duration campaign_base =
-      config.session_spacing * static_cast<std::int64_t>(slot);
-  const auto record_outcome = [&](obs::Outcome outcome, double latency_ms,
-                                  bool has_latency) {
-    if (view.slo == nullptr) return;
-    view.slo->record("Do53", iso2,
-                     campaign_base + (view.sim.now() - session_epoch),
-                     outcome, latency_ms, has_latency);
-  };
-
   // Atlas probes see the same weather as the proxy clients: episodes
   // centred near the probe itself (no Super Proxy leg, no DoH provider).
-  netsim::FaultPlan fault_plan;
-  if (config.faults.enabled()) {
-    const geo::LatLon focal[] = {local_probe.site.position};
-    fault_plan = netsim::FaultPlan::sample(config.faults, focal, {},
-                                           session_rng.split("fault-plan"));
-    if (config.faults.recurring_enabled()) {
-      fault_plan.append_recurring_episodes(
-          config.faults, campaign_base, kFaultRecordHorizon, {},
-          local_probe.site.position,
-          netsim::Duration{
-              static_cast<std::int64_t>(fnv1a64(iso2) >> 1)});
-    }
-    net.faults = &fault_plan;
-    net.fault_epoch = session_epoch;
-    record_fault_windows(view.series, fault_plan);
-  }
-
-  obs::SpanContext flow_spans;
-  const bool examine = view.recorder != nullptr &&
-                       view.recorder->enabled() &&
-                       !view.recorder->capturing();
-  const bool capture_this = view.recorder != nullptr &&
-                            view.recorder->capturing() &&
-                            view.recorder->wants_spans(slot, 0);
-  const obs::MetricCounters before = session_metrics.counters;
-  const netsim::SimTime flow_start = view.sim.now();
-  if (capture_this) net.spans = &flow_spans;
-
+  const geo::LatLon focal[] = {local_probe.site.position};
+  Session s(view, slot, session_key, session_rng, task.iso2, focal, {},
+            out);
+  s.label("Do53");
+  s.begin_flow(0, "atlas_do53");
   // Fresh UUID per measurement (cache-miss by construction).
   const double ms = co_await view.world.atlas().measure_do53(
-      net, local_probe,
-      view.world.origin().with_subdomain(resolver::uuid_label(net.rng)));
-  if (capture_this) {
-    net.spans = nullptr;
-    view.recorder->capture_flow(slot, 0, flow_spans, session_epoch);
-  } else if (examine) {
-    view.recorder->examine_flow(
-        slot, 0, session_key, "atlas_do53",
-        netsim::ms_between(flow_start, view.sim.now()), before,
-        session_metrics.counters);
-  }
-  if (ms < 0) {
-    ++out.failed;
-    if (net.metrics != nullptr) ++net.metrics->counters.failures;
-    net.series.count("failure", view.sim.now());
-    record_outcome(obs::classify_flow_outcome(window_signals(
-                       net.faults, "Do53", flow_start - session_epoch,
-                       view.sim.now() - session_epoch)),
-                   0.0, false);
-    co_return;
-  }
-  if (net.metrics != nullptr) net.metrics->histogram("Do53").record(ms);
-  net.series.latency("do53_ms", view.sim.now(), ms);
-  record_outcome(
-      obs::classify_flow_outcome(
-          {.ok = true,
-           .brownout_delays = session_metrics.counters.brownout_delays -
-                              before.brownout_delays}),
-      ms, true);
+      s.net, local_probe,
+      view.world.origin().with_subdomain(resolver::uuid_label(s.net.rng)));
+  s.end_flow("Do53", {.ok = ms >= 0}, "do53_ms", ms);
+  if (ms < 0) co_return;
   Do53Record rec;
   rec.exit_id = kAtlasExitId;
-  rec.iso2 = iso2_id;
+  rec.iso2 = task.iso2_id;
   rec.run = 0;
   rec.via_atlas = true;
   rec.do53_ms = ms;
   out.do53.push_back(rec);
+}
+
+/// The one slot -> session launcher, for the shard loop and the anomaly
+/// replay alike. Exit slots come first, run-major (slot = run * exits +
+/// exit index), and run on `exit`, that exit's shard state; Atlas slots
+/// (`exit` null) follow in Super Proxy country order. Each session draws
+/// from the root substream of a stable key naming what it measures (exit
+/// id + run, or Atlas country + index) — never the shard or the schedule
+/// — which is what makes the dataset independent of the thread count.
+netsim::Task<void> launch_session(ShardView& view, std::size_t slot,
+                                  const ExitState* exit,
+                                  SessionOutput& out) {
+  const CampaignPlan& plan = view.plan;
+  if (exit != nullptr) {
+    const int run = static_cast<int>(slot / plan.exits.size());
+    std::string key = "shard-exit-" + std::to_string(exit->task->exit->id) +
+                      "-run-" + std::to_string(run);
+    netsim::Rng rng = view.root.split(key);
+    return measure_session(view, *exit, run, slot, std::move(key),
+                           std::move(rng), out);
+  }
+  const AtlasTask& task = *std::find_if(
+      plan.atlas.begin(), plan.atlas.end(), [slot](const AtlasTask& t) {
+        return slot < t.slot_base + static_cast<std::size_t>(t.count);
+      });
+  std::string key = "shard-atlas-" + task.iso2 + "-" +
+                    std::to_string(slot - task.slot_base);
+  netsim::Rng rng = view.root.split(key);
+  return atlas_session(view, task, slot, std::move(key), std::move(rng),
+                       out);
 }
 
 /// Runs every session owned by one shard (exit index and Atlas-country
@@ -754,30 +684,28 @@ netsim::Task<void> atlas_session(ShardView& view, std::string iso2,
 /// final drain every frame has been recycled, and the arena's high-water
 /// mark is published in the profile.
 ShardProfile run_shard(ShardView view, int shard_index, int shard_count,
-                       const CampaignConfig& config,
-                       const netsim::Rng& root, const CampaignPlan& plan,
                        std::vector<SessionOutput>* retained,
                        StreamSink* stream) {
   const auto wall_start = std::chrono::steady_clock::now();
+  const CampaignPlan& plan = view.plan;
   ShardProfile profile;
   profile.shard = shard_index;
-  std::uint64_t events = 0;
+  // Exits and Atlas countries are dealt round-robin over the shards.
+  const auto owns = [&](std::size_t i) {
+    return static_cast<int>(i % static_cast<std::size_t>(shard_count)) ==
+           shard_index;
+  };
 
   netsim::Arena arena;
   {
     const netsim::ArenaScope arena_scope(arena);
-    const std::size_t batch_cap = std::max<std::size_t>(1, config.batch_size);
+    const std::size_t batch_cap =
+        std::max<std::size_t>(1, view.config.batch_size);
 
     // Per-exit state for this shard's slice, keyed by exit index.
     std::vector<std::pair<std::size_t, ExitState>> states;
     for (std::size_t e = 0; e < plan.exits.size(); ++e) {
-      if (static_cast<int>(e % static_cast<std::size_t>(shard_count)) !=
-          shard_index) {
-        continue;
-      }
-      states.emplace_back(
-          e, make_exit_state(view, plan.exits[e], root,
-                             config.provider_failure_rate));
+      if (owns(e)) states.emplace_back(e, make_exit_state(view, plan.exits[e]));
     }
 
     // Run sessions in batches so coroutine frames stay bounded. In
@@ -789,7 +717,7 @@ ShardProfile run_shard(ShardView view, int shard_index, int shard_count,
     std::vector<netsim::Task<void>> batch;
     batch.reserve(batch_cap);
     auto drain = [&] {
-      events += view.sim.run();
+      profile.events += view.sim.run();
       for (auto& task : batch) task.result();  // propagate exceptions
       if (stream != nullptr) {
         for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -802,50 +730,32 @@ ShardProfile run_shard(ShardView view, int shard_index, int shard_count,
       }
       batch.clear();
     };
-    auto slot_output = [&](std::size_t slot) -> SessionOutput& {
-      return retained != nullptr ? (*retained)[slot] : ring[batch.size()];
+    auto launch = [&](std::size_t slot, const ExitState* exit) {
+      SessionOutput& out =
+          retained != nullptr ? (*retained)[slot] : ring[batch.size()];
+      batch.push_back(launch_session(view, slot, exit, out));
+      ++profile.sessions;
+      if (batch.size() >= batch_cap) drain();
     };
 
-    for (int run = 0; run < config.runs_per_client; ++run) {
+    for (int run = 0; run < view.config.runs_per_client; ++run) {
       for (const auto& [e, st] : states) {
-        const std::size_t slot =
-            static_cast<std::size_t>(run) * plan.exits.size() + e;
-        std::string key = exit_session_key(st.task->exit->id, run);
-        netsim::Rng session_rng = root.split(key);
-        SessionOutput& out = slot_output(slot);
-        batch.push_back(measure_session(
-            view, st, run, static_cast<std::uint64_t>(slot), std::move(key),
-            std::move(session_rng), config, plan, out));
-        ++profile.sessions;
-        if (batch.size() >= batch_cap) drain();
+        launch(static_cast<std::size_t>(run) * plan.exits.size() + e, &st);
       }
     }
     drain();
 
     // The Atlas remedy for the 11 Super Proxy countries.
     for (std::size_t c = 0; c < plan.atlas.size(); ++c) {
-      if (static_cast<int>(c % static_cast<std::size_t>(shard_count)) !=
-          shard_index) {
-        continue;
-      }
+      if (!owns(c)) continue;
       const AtlasTask& t = plan.atlas[c];
       for (int i = 0; i < t.count; ++i) {
-        const std::size_t slot = t.slot_base + static_cast<std::size_t>(i);
-        std::string key = atlas_session_key(t.iso2, i);
-        netsim::Rng session_rng = root.split(key);
-        SessionOutput& out = slot_output(slot);
-        batch.push_back(atlas_session(
-            view, t.iso2, t.iso2_id, static_cast<std::uint64_t>(slot),
-            std::move(key), std::move(session_rng), config, out));
-        ++profile.sessions;
-        if (batch.size() >= batch_cap) drain();
+        launch(t.slot_base + static_cast<std::size_t>(i), nullptr);
       }
     }
     drain();
   }
   profile.arena = arena.stats();
-
-  profile.events = events;
   profile.queue_high_water = view.sim.queue_high_water();
   profile.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -854,13 +764,24 @@ ShardProfile run_shard(ShardView view, int shard_index, int shard_count,
   return profile;
 }
 
+/// Empty sinks configured for `config`: one set per shard, plus the
+/// replay pass's scratch set.
+CampaignTelemetry fresh_telemetry(const CampaignConfig& config) {
+  CampaignTelemetry t;
+  t.series = obs::MetricSeries(config.series_window);
+  t.anomalies = obs::FlightRecorder(config.anomalies);
+  t.slo = obs::SloTracker(config.slo);
+  return t;
+}
+
 /// Replay pass: re-derives the span trees of the retained anomalies by
-/// re-running exactly their sessions on a fresh replica with span
-/// recording on. Sessions are keyed by what they measure and behave
-/// epoch-relatively (the serial-vs-sharded bit-identity rests on the
-/// same property), so a replayed flow records the identical tree it
-/// would have recorded the first time — which is what lets the hot path
-/// examine millions of flows without materializing a single span.
+/// re-running exactly their sessions on a fresh replica, recording into
+/// scratch sinks whose flight recorder captures spans. Sessions are keyed
+/// by what they measure and behave epoch-relatively (the serial-vs-
+/// sharded bit-identity rests on the same property), so a replayed flow
+/// records the identical tree it would have recorded the first time —
+/// which is what lets the hot path examine millions of flows without
+/// materializing a single span. Nothing else the replay records is kept.
 void replay_anomaly_spans(world::WorldModel& world,
                           const CampaignConfig& config,
                           const netsim::Rng& root, const CampaignPlan& plan,
@@ -871,52 +792,30 @@ void replay_anomaly_spans(world::WorldModel& world,
   keys.reserve(recorder.retained().size());
   for (const auto& [key, rec] : recorder.retained()) keys.push_back(key);
 
-  obs::FlightRecorder capturer(recorder.policy());
-  capturer.capture_spans_for(keys);
+  CampaignTelemetry scratch = fresh_telemetry(config);
+  scratch.anomalies.capture_spans_for(keys);
 
   const std::unique_ptr<world::SimContext> replica = world.make_replica();
-  ShardView view{world, replica->sim(), replica.get(), nullptr, nullptr,
-                 &capturer};
+  ShardView view{world,          config,        plan, root,
+                 replica->sim(), replica.get(), &scratch};
 
   const std::size_t n_exit_sessions =
       static_cast<std::size_t>(config.runs_per_client) * plan.exits.size();
-  SessionOutput scratch;
   for (std::size_t k = 0; k < keys.size(); ++k) {
     const std::uint64_t slot = keys[k].first;
     if (k > 0 && keys[k - 1].first == slot) continue;  // session done
+    std::optional<ExitState> exit;
     if (slot < n_exit_sessions) {
-      const auto e = static_cast<std::size_t>(slot % plan.exits.size());
-      const int run = static_cast<int>(slot / plan.exits.size());
-      const ExitState st = make_exit_state(view, plan.exits[e], root,
-                                           config.provider_failure_rate);
-      std::string key = exit_session_key(st.task->exit->id, run);
-      netsim::Rng session_rng = root.split(key);
-      netsim::Task<void> task = measure_session(
-          view, st, run, slot, std::move(key), std::move(session_rng),
-          config, plan, scratch);
-      view.sim.run();
-      task.result();
-    } else {
-      for (const AtlasTask& t : plan.atlas) {
-        if (slot < t.slot_base ||
-            slot >= t.slot_base + static_cast<std::size_t>(t.count)) {
-          continue;
-        }
-        const int i = static_cast<int>(slot - t.slot_base);
-        std::string key = atlas_session_key(t.iso2, i);
-        netsim::Rng session_rng = root.split(key);
-        netsim::Task<void> task = atlas_session(
-            view, t.iso2, t.iso2_id, slot, std::move(key),
-            std::move(session_rng), config, scratch);
-        view.sim.run();
-        task.result();
-        break;
-      }
+      exit = make_exit_state(view, plan.exits[slot % plan.exits.size()]);
     }
-    scratch = SessionOutput{};  // replay output is never published
+    SessionOutput rows;  // replay output is never published
+    netsim::Task<void> task =
+        launch_session(view, slot, exit ? &*exit : nullptr, rows);
+    view.sim.run();
+    task.result();
   }
 
-  for (const auto& [key, spans] : capturer.captured()) {
+  for (const auto& [key, spans] : scratch.anomalies.captured()) {
     recorder.attach_spans(key, spans);
   }
 }
@@ -932,12 +831,11 @@ void merge_into(CampaignTelemetry& into, const CampaignTelemetry& from) {
   into.attribution.merge(from.attribution);
 }
 
-/// Shared execution engine behind both sink modes: spins up the shard
-/// workers (or the serial reference path when `shards` == 0), routes
-/// each shard's rows into either the retained per-slot outputs or its
-/// private StreamSink, merges the shards' telemetry into `telemetry` in
-/// canonical shard order, runs the anomaly replay pass, and returns the
-/// shard profiles.
+/// Spins up the shard workers (or the serial reference path when
+/// `shards` == 0), routes each shard's rows into either the retained
+/// per-slot outputs or its private StreamSink, merges the shards'
+/// telemetry into `telemetry` in canonical shard order, runs the anomaly
+/// replay pass, and returns the shard profiles.
 std::vector<ShardProfile> execute_campaign(
     world::WorldModel& world, const CampaignConfig& config,
     const netsim::Rng& root, const CampaignPlan& plan, int shards,
@@ -947,27 +845,25 @@ std::vector<ShardProfile> execute_campaign(
   // contention and everything merges below in canonical shard order.
   const std::size_t n_shards = static_cast<std::size_t>(std::max(shards, 1));
   std::vector<CampaignTelemetry> shard_telemetry(n_shards);
-  for (CampaignTelemetry& t : shard_telemetry) {
-    t.series = obs::MetricSeries(config.series_window);
-    t.anomalies = obs::FlightRecorder(config.anomalies);
-    t.slo = obs::SloTracker(config.slo);
-  }
-  const auto view = [&](netsim::Simulator& sim, world::SimContext* replica,
-                        CampaignTelemetry& t) {
-    return ShardView{world,     sim,          replica, &t.metrics,
-                     &t.series, &t.anomalies, &t.slo,  &t.attribution};
+  for (CampaignTelemetry& t : shard_telemetry) t = fresh_telemetry(config);
+  const auto shard = [&](int s, netsim::Simulator& sim,
+                         world::SimContext* replica) {
+    const auto si = static_cast<std::size_t>(s);
+    return run_shard(
+        ShardView{world, config, plan, root, sim, replica,
+                  &shard_telemetry[si]},
+        s, static_cast<int>(n_shards), retained,
+        sinks != nullptr ? &(*sinks)[si] : nullptr);
   };
   std::vector<ShardProfile> profiles(n_shards);
 
   if (shards == 0) {
     // Serial reference path: the world's own simulator and servers.
-    profiles[0] = run_shard(view(world.sim(), nullptr, shard_telemetry[0]),
-                            0, 1, config, root, plan, retained,
-                            sinks != nullptr ? &(*sinks)[0] : nullptr);
+    profiles[0] = shard(0, world.sim(), nullptr);
   } else {
     std::vector<std::thread> workers;
-    std::vector<std::exception_ptr> errors(static_cast<std::size_t>(shards));
-    workers.reserve(static_cast<std::size_t>(shards));
+    std::vector<std::exception_ptr> errors(n_shards);
+    workers.reserve(n_shards);
     for (int s = 0; s < shards; ++s) {
       workers.emplace_back([&, s] {
         try {
@@ -975,11 +871,8 @@ std::vector<ShardProfile> execute_campaign(
           // stack replication runs in parallel.
           const std::unique_ptr<world::SimContext> replica =
               world.make_replica();
-          const auto si = static_cast<std::size_t>(s);
-          profiles[si] = run_shard(
-              view(replica->sim(), replica.get(), shard_telemetry[si]), s,
-              shards, config, root, plan, retained,
-              sinks != nullptr ? &(*sinks)[si] : nullptr);
+          profiles[static_cast<std::size_t>(s)] =
+              shard(s, replica->sim(), replica.get());
         } catch (...) {
           errors[static_cast<std::size_t>(s)] = std::current_exception();
         }
@@ -1008,6 +901,17 @@ std::vector<ShardProfile> execute_campaign(
   return profiles;
 }
 
+/// DOHPERF_THREADS from the environment, falling back to
+/// std::thread::hardware_concurrency() (minimum 1).
+int threads_from_env() {
+  if (const char* value = std::getenv("DOHPERF_THREADS")) {
+    const int n = std::atoi(value);
+    if (n > 0) return n;
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
 }  // namespace
 
 Campaign::Campaign(world::WorldModel& world, CampaignConfig config)
@@ -1017,121 +921,88 @@ CampaignTelemetry Campaign::take_telemetry() {
   return std::exchange(telemetry_, CampaignTelemetry());
 }
 
-int Campaign::threads_from_env() {
-  if (const char* value = std::getenv("DOHPERF_THREADS")) {
-    const int n = std::atoi(value);
-    if (n > 0) return n;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+Dataset Campaign::run(int shards) {
+  Dataset data;
+  execute(shards, &data, nullptr);
+  return data;
 }
 
-Dataset Campaign::run() {
-  const int threads = config_.threads > 0 ? config_.threads
-                                          : threads_from_env();
-  return run_impl(std::max(1, threads));
+StreamSink Campaign::run_streaming(int shards) {
+  StreamSink sink;
+  execute(shards, nullptr, &sink);
+  return sink;
 }
 
-Dataset Campaign::run_serial() { return run_impl(0); }
-
-StreamSink Campaign::run_streaming() {
-  const int threads = config_.threads > 0 ? config_.threads
-                                          : threads_from_env();
-  return run_streaming_impl(std::max(1, threads));
-}
-
-StreamSink Campaign::run_streaming_serial() { return run_streaming_impl(0); }
-
-Dataset Campaign::run_impl(int shards) {
+void Campaign::execute(int shards, Dataset* dataset, StreamSink* stream) {
   const auto wall_start = std::chrono::steady_clock::now();
+  if (shards < 0) {
+    shards = config_.threads > 0 ? config_.threads : threads_from_env();
+  }
+  const std::size_t n_shards = static_cast<std::size_t>(std::max(shards, 1));
 
   CampaignPlan plan = build_plan(world_, config_);
-  Dataset out;
-  out.names() = plan.names;  // records carry ids from the plan's table
-  out.discarded_mismatch = plan.discarded_mismatch;
-  for (ClientInfo& info : plan.clients) out.add_client(std::move(info));
-
   // Session randomness descends from the world seed through stable keys
   // only; split() is a pure function of (seed, tag), so the root can be
   // derived regardless of how much the world RNG has already been used.
   const netsim::Rng root = world_.rng().split("campaign-sessions");
 
-  std::vector<SessionOutput> outputs(plan.n_sessions);
-  std::vector<ShardProfile> profiles =
-      execute_campaign(world_, config_, root, plan, shards, &outputs,
-                       nullptr, telemetry_);
-
-  std::uint64_t events = 0;
-  for (const ShardProfile& p : profiles) events += p.events;
-  stats_.shards = std::max(shards, 1);
-  stats_.shard_profiles = std::move(profiles);
-
-  // --- Merge in canonical slot order -----------------------------------
-  for (SessionOutput& slot : outputs) {
-    for (DohRecord& rec : slot.doh) out.add_doh(rec);
-    for (Do53Record& rec : slot.do53) out.add_do53(rec);
-    out.failed_measurements += slot.failed;
-  }
-
-  stats_.sessions = plan.n_sessions;
-  stats_.events_processed = events;
-  stats_.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  return out;
-}
-
-StreamSink Campaign::run_streaming_impl(int shards) {
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  const CampaignPlan plan = build_plan(world_, config_);
-
-  // Canonical exit enumeration handed to every shard sink so unique-
-  // client bitsets and client-stat arrays agree across shard counts.
-  std::vector<std::uint64_t> exit_ids;
-  std::vector<StrId> exit_iso2;
-  std::vector<double> exit_ns_distance;
-  exit_ids.reserve(plan.exits.size());
-  exit_iso2.reserve(plan.exits.size());
-  exit_ns_distance.reserve(plan.exits.size());
-  for (std::size_t e = 0; e < plan.exits.size(); ++e) {
-    exit_ids.push_back(plan.exits[e].exit->id);
-    exit_iso2.push_back(plan.exits[e].iso2_id);
-    exit_ns_distance.push_back(plan.clients[e].nameserver_distance_miles);
-  }
-
-  const std::size_t n_shards = static_cast<std::size_t>(std::max(shards, 1));
+  // Retained mode: one output per canonical session slot. Streaming mode:
+  // one sink per shard, each over the canonical exit enumeration, so
+  // unique-client bitsets and client-stat arrays agree across shard
+  // counts.
+  std::vector<SessionOutput> outputs;
   std::vector<StreamSink> sinks;
-  sinks.reserve(n_shards);
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    sinks.emplace_back(config_.stream, config_.runs_per_client, exit_ids,
-                       exit_iso2, exit_ns_distance, plan.provider_ids,
-                       plan.names);
+  if (dataset != nullptr) {
+    outputs.resize(plan.n_sessions);
+  } else {
+    std::vector<std::uint64_t> exit_ids;
+    std::vector<StrId> exit_iso2;
+    std::vector<double> exit_ns_distance;
+    for (std::size_t e = 0; e < plan.exits.size(); ++e) {
+      exit_ids.push_back(plan.exits[e].exit->id);
+      exit_iso2.push_back(plan.exits[e].iso2_id);
+      exit_ns_distance.push_back(plan.clients[e].nameserver_distance_miles);
+    }
+    sinks.reserve(n_shards);
+    for (std::size_t s = 0; s < n_shards; ++s) {
+      sinks.emplace_back(config_.stream, config_.runs_per_client, exit_ids,
+                         exit_iso2, exit_ns_distance, plan.provider_ids,
+                         plan.names);
+    }
   }
 
-  const netsim::Rng root = world_.rng().split("campaign-sessions");
+  stats_.shard_profiles = execute_campaign(
+      world_, config_, root, plan, shards,
+      dataset != nullptr ? &outputs : nullptr,
+      stream != nullptr ? &sinks : nullptr, telemetry_);
 
-  std::vector<ShardProfile> profiles =
-      execute_campaign(world_, config_, root, plan, shards, nullptr, &sinks,
-                       telemetry_);
+  if (dataset != nullptr) {
+    // Merge in canonical slot order; records carry ids from the plan's
+    // name table.
+    dataset->names() = plan.names;
+    dataset->discarded_mismatch = plan.discarded_mismatch;
+    for (ClientInfo& info : plan.clients) dataset->add_client(std::move(info));
+    for (SessionOutput& slot : outputs) {
+      for (DohRecord& rec : slot.doh) dataset->add_doh(rec);
+      for (Do53Record& rec : slot.do53) dataset->add_do53(rec);
+      dataset->failed_measurements += slot.failed;
+    }
+  } else {
+    *stream = std::move(sinks[0]);
+    for (std::size_t s = 1; s < n_shards; ++s) stream->merge(sinks[s]);
+    stream->discarded_mismatch = plan.discarded_mismatch;
+  }
 
-  std::uint64_t events = 0;
-  for (const ShardProfile& p : profiles) events += p.events;
-  stats_.shards = std::max(shards, 1);
-  stats_.shard_profiles = std::move(profiles);
-
-  StreamSink merged = std::move(sinks[0]);
-  for (std::size_t s = 1; s < sinks.size(); ++s) merged.merge(sinks[s]);
-  merged.discarded_mismatch = plan.discarded_mismatch;
-
+  stats_.shards = static_cast<int>(n_shards);
   stats_.sessions = plan.n_sessions;
-  stats_.events_processed = events;
+  stats_.events_processed = 0;
+  for (const ShardProfile& p : stats_.shard_profiles) {
+    stats_.events_processed += p.events;
+  }
   stats_.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  return merged;
 }
 
 }  // namespace dohperf::measure

@@ -17,12 +17,13 @@
 // canonical order — so the output is bit-identical for every thread
 // count, including the serial reference path.
 //
-// Two sink modes share the execution engine:
-//   * run() / run_serial()            -> retained-rows Dataset (paper-
-//     scale analyses; every record resident).
-//   * run_streaming() / *_serial()    -> StreamSink (million-session
-//     scale; rows folded into sketches/bitsets/counters as sessions
-//     complete, O(world) memory instead of O(sessions)).
+// One engine serves both sink modes, with one entry point per sink:
+//   * run()           -> retained-rows Dataset (paper-scale analyses;
+//     every record resident).
+//   * run_streaming() -> StreamSink (million-session scale; rows folded
+//     into sketches/bitsets/counters as sessions complete, O(world)
+//     memory instead of O(sessions)).
+// Both take a shard count; 0 selects the serial reference path.
 #pragma once
 
 #include <cstdint>
@@ -143,77 +144,44 @@ struct CampaignTelemetry {
 /// Runs the campaign over an assembled world.
 class Campaign {
  public:
+  /// Shard count that defers to CampaignConfig::threads, then
+  /// DOHPERF_THREADS, then the hardware concurrency.
+  static constexpr int kConfiguredShards = -1;
+
   explicit Campaign(world::WorldModel& world, CampaignConfig config = {});
 
-  /// Executes every session, sharded across worker threads (see
-  /// CampaignConfig::threads), and returns the merged dataset.
-  [[nodiscard]] Dataset run();
+  /// Executes every session across `shards` worker threads and returns
+  /// the merged dataset. 0 shards is the serial reference path: every
+  /// session on the world's own simulator and server stack, no replicas,
+  /// no threads. Every shard count is bit-identical to it.
+  [[nodiscard]] Dataset run(int shards = kConfiguredShards);
 
-  /// Reference path: every session on the world's own simulator and
-  /// server stack, no replicas, no threads. run() at any thread count is
-  /// bit-identical to this.
-  [[nodiscard]] Dataset run_serial();
-
-  /// Streaming-sink mode: rows are folded into the per-shard sinks as
-  /// sessions complete and never accumulate. Memory stays O(world);
-  /// aggregate results are bit-identical for every thread count.
-  [[nodiscard]] StreamSink run_streaming();
-
-  /// Serial reference path for the streaming sink.
-  [[nodiscard]] StreamSink run_streaming_serial();
+  /// Streaming-sink mode of run(): rows are folded into the per-shard
+  /// sinks as sessions complete and never accumulate. Memory stays
+  /// O(world); aggregate results are bit-identical for every shard count.
+  [[nodiscard]] StreamSink run_streaming(int shards = kConfiguredShards);
 
   /// Counters of the most recent run.
   [[nodiscard]] const CampaignStats& stats() const { return stats_; }
 
-  /// Observability metrics of the most recent run: wire/query/handshake
-  /// counters plus per-provider resolution-latency histograms. Shards
-  /// record into private registries that are merged in canonical shard
-  /// order; integer-only arithmetic makes the result bit-identical for
-  /// every thread count (see DESIGN.md "Observability").
-  [[nodiscard]] const obs::Metrics& metrics() const {
-    return telemetry_.metrics;
+  /// Observability sinks of the most recent run: metrics, sim-time
+  /// series, the finalized anomaly flight recorder, SLO outcomes and the
+  /// attribution ledger. Shards record into private sinks that are merged
+  /// in canonical shard order; integer-only arithmetic makes every sink
+  /// bit-identical for every shard count (see DESIGN.md "Observability").
+  [[nodiscard]] const CampaignTelemetry& telemetry() const {
+    return telemetry_;
   }
 
-  /// Sim-time metric series of the most recent run: per-window counters
-  /// and latency histograms under provider x country labels, recorded by
-  /// each shard into a private series and merged in canonical shard
-  /// order. Same bit-identity contract as metrics().
-  [[nodiscard]] const obs::MetricSeries& series() const {
-    return telemetry_.series;
-  }
-
-  /// Anomaly flight recorder of the most recent run: merged, finalized,
-  /// holding the canonical-latest retained anomalies and the examination
-  /// counts. Same bit-identity contract as metrics().
-  [[nodiscard]] const obs::FlightRecorder& anomalies() const {
-    return telemetry_.anomalies;
-  }
-
-  /// SLO outcome tracker of the most recent run: per-(provider, country)
-  /// outcome counts in campaign-time windows, classified once at each
-  /// flow's exit path. Same bit-identity contract as metrics().
-  [[nodiscard]] const obs::SloTracker& slo() const { return telemetry_.slo; }
-
-  /// Phase-exact latency attribution ledger of the most recent run:
-  /// per-(provider, country, transport) integer microsecond sums and
-  /// sketches whose phases partition each flow's end-to-end latency
-  /// exactly. Same bit-identity contract as metrics().
-  [[nodiscard]] const obs::AttributionLedger& attribution() const {
-    return telemetry_.attribution;
-  }
-
-  /// Hands the most recent run's telemetry to the caller by move; the
-  /// accessors above read empty sinks until the next run.
+  /// Hands the most recent run's telemetry to the caller by move;
+  /// telemetry() reads empty sinks until the next run.
   [[nodiscard]] CampaignTelemetry take_telemetry();
 
-  /// DOHPERF_THREADS from the environment, falling back to
-  /// std::thread::hardware_concurrency() (minimum 1).
-  [[nodiscard]] static int threads_from_env();
-
  private:
-  /// `shards` == 0 selects the serial reference path.
-  Dataset run_impl(int shards);
-  StreamSink run_streaming_impl(int shards);
+  /// The one engine behind both sinks: builds the plan and the root RNG,
+  /// executes every session into `dataset` (retained rows) or `stream`
+  /// (exactly one is non-null), and fills stats().
+  void execute(int shards, Dataset* dataset, StreamSink* stream);
 
   world::WorldModel& world_;
   CampaignConfig config_;

@@ -41,8 +41,8 @@ StreamSink::StreamSink(StreamSinkConfig cfg, int runs_per_client,
                        std::vector<StrId> provider_ids, StringTable names)
     : cfg_(cfg),
       runs_per_client_(runs_per_client),
-      run_cap_(std::max(1, std::min(cfg.run_capacity,
-                                    std::max(1, runs_per_client)))),
+      run_cap_(static_cast<std::uint32_t>(std::max(
+          1, std::min(cfg.run_capacity, std::max(1, runs_per_client))))),
       names_(std::move(names)),
       provider_ids_(std::move(provider_ids)),
       exit_ids_(std::move(exit_ids)),
@@ -101,7 +101,7 @@ void StreamSink::fold(std::span<const DohRecord> doh,
       const std::size_t slot = static_cast<std::size_t>(e) *
                                    provider_ids_.size() +
                                p;
-      std::uint8_t& count = cs_doh_count_[slot];
+      std::uint32_t& count = cs_doh_count_[slot];
       if (count < run_cap_) {
         const std::size_t at =
             slot * static_cast<std::size_t>(run_cap_) + count;
@@ -125,7 +125,7 @@ void StreamSink::fold(std::span<const DohRecord> doh,
     const std::uint32_t e = exit_index_.at(r.exit_id);
     set_bit(do53_client_bits_, e);
     if (cfg_.client_stats) {
-      std::uint8_t& count = cs_do53_count_[e];
+      std::uint32_t& count = cs_do53_count_[e];
       if (count < run_cap_) {
         cs_do53_[static_cast<std::size_t>(e) *
                      static_cast<std::size_t>(run_cap_) +
@@ -174,7 +174,7 @@ void StreamSink::merge(const StreamSink& other) {
     // Shards own disjoint exits, so per-(exit, provider) stores never
     // collide; append defensively anyway.
     for (std::size_t slot = 0; slot < cs_doh_count_.size(); ++slot) {
-      for (std::uint8_t k = 0; k < other.cs_doh_count_[slot]; ++k) {
+      for (std::uint32_t k = 0; k < other.cs_doh_count_[slot]; ++k) {
         if (cs_doh_count_[slot] >= run_cap_) break;
         const std::size_t to =
             slot * static_cast<std::size_t>(run_cap_) + cs_doh_count_[slot];
@@ -188,7 +188,7 @@ void StreamSink::merge(const StreamSink& other) {
       }
     }
     for (std::size_t e = 0; e < cs_do53_count_.size(); ++e) {
-      for (std::uint8_t k = 0; k < other.cs_do53_count_[e]; ++k) {
+      for (std::uint32_t k = 0; k < other.cs_do53_count_[e]; ++k) {
         if (cs_do53_count_[e] >= run_cap_) break;
         cs_do53_[e * static_cast<std::size_t>(run_cap_) +
                  cs_do53_count_[e]] =
@@ -334,7 +334,7 @@ std::vector<ClientProviderStat> StreamSink::client_provider_stats() const {
   const std::size_t n_providers = provider_ids_.size();
   std::vector<double> scratch;
   const auto median_of = [&](const std::vector<double>& store,
-                             std::size_t slot, std::uint8_t count) {
+                             std::size_t slot, std::uint32_t count) {
     scratch.assign(store.begin() + static_cast<std::ptrdiff_t>(
                                        slot * run_cap_),
                    store.begin() + static_cast<std::ptrdiff_t>(
@@ -345,7 +345,7 @@ std::vector<ClientProviderStat> StreamSink::client_provider_stats() const {
     for (std::uint32_t p = 0; p < n_providers; ++p) {
       const std::size_t slot =
           static_cast<std::size_t>(e) * n_providers + p;
-      const std::uint8_t count = cs_doh_count_[slot];
+      const std::uint32_t count = cs_doh_count_[slot];
       if (count == 0) continue;
       ClientProviderStat s;
       s.exit_id = exit_ids_[e];
@@ -356,7 +356,7 @@ std::vector<ClientProviderStat> StreamSink::client_provider_stats() const {
       s.tdohr_ms = median_of(cs_tdohr_, slot, count);
       s.pop_distance_miles = median_of(cs_pop_dist_, slot, count);
       s.potential_improvement_miles = median_of(cs_pot_imp_, slot, count);
-      const std::uint8_t d_count = cs_do53_count_[e];
+      const std::uint32_t d_count = cs_do53_count_[e];
       s.do53_ms = d_count == 0 ? kNaN
                                : median_of(cs_do53_, e, d_count);
       out.push_back(std::move(s));

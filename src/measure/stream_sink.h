@@ -125,7 +125,7 @@ class StreamSink {
 
   StreamSinkConfig cfg_;
   int runs_per_client_ = 0;
-  int run_cap_ = 0;
+  std::uint32_t run_cap_ = 0;
 
   StringTable names_;
   std::vector<StrId> provider_ids_;
@@ -154,9 +154,11 @@ class StreamSink {
   /// Dense client-stat stores (allocated only when cfg_.client_stats):
   /// value index = (exit * P + provider) * run_cap_ + k.
   std::vector<double> cs_tdoh_, cs_tdohr_, cs_pop_dist_, cs_pot_imp_;
-  std::vector<std::uint8_t> cs_doh_count_;  ///< per (exit, provider)
-  std::vector<double> cs_do53_;             ///< exit * run_cap_ + k
-  std::vector<std::uint8_t> cs_do53_count_;  ///< per exit
+  /// Values held per (exit, provider) and per exit; wide enough for any
+  /// run_cap_.
+  std::vector<std::uint32_t> cs_doh_count_;  ///< per (exit, provider)
+  std::vector<double> cs_do53_;              ///< exit * run_cap_ + k
+  std::vector<std::uint32_t> cs_do53_count_;  ///< per exit
 };
 
 }  // namespace dohperf::measure

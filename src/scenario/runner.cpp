@@ -33,6 +33,45 @@ double median_of(std::vector<double> values) {
   return values.empty() ? 0.0 : stats::median_inplace(values);
 }
 
+/// One figure 4 series: (ms, cumulative fraction) points.
+using Curve = std::vector<std::pair<double, double>>;
+
+/// The one figure 4 rendering body: the Do53 curve first, then each
+/// provider's DoH1 and DoHR curves (`doh(provider, reuse)`) in catalog
+/// order.
+template <class DohCurve>
+report::CsvWriter render_fig4(const Curve& do53, const DohCurve& doh) {
+  report::CsvWriter csv({"series", "ms", "cdf"});
+  const auto dump = [&csv](const std::string& name, const Curve& curve) {
+    for (const auto& [value, fraction] : curve) {
+      csv.add_row({name, report::fmt(value, 1), report::fmt(fraction, 3)});
+    }
+  };
+  dump("Do53", do53);
+  for (const char* provider : anycast::kProviderNames) {
+    dump(std::string(provider) + "-DoH1", doh(provider, false));
+    dump(std::string(provider) + "-DoHR", doh(provider, true));
+  }
+  return csv;
+}
+
+/// The one figure 5 rendering body: each provider's per-country DoH1
+/// medians (`medians_of(provider)`) over the analysis countries.
+template <class MediansOf>
+report::CsvWriter render_fig5(const std::vector<std::string>& analysis,
+                              const MediansOf& medians_of) {
+  report::CsvWriter csv({"iso2", "provider", "median_doh1_ms"});
+  for (const char* provider : anycast::kProviderNames) {
+    const auto medians = medians_of(provider);
+    for (const auto& iso2 : analysis) {
+      if (const auto it = medians.find(iso2); it != medians.end()) {
+        csv.add_row({iso2, provider, report::fmt(it->second, 1)});
+      }
+    }
+  }
+  return csv;
+}
+
 }  // namespace
 
 RunResult run(const CampaignSpec& spec, world::WorldModel& world) {
@@ -76,65 +115,37 @@ RunResult run(const CampaignSpec& spec) {
 }
 
 report::CsvWriter fig4_csv(const measure::Dataset& data) {
-  report::CsvWriter csv({"series", "ms", "cdf"});
-  const auto dump = [&csv](const std::string& name,
-                           const stats::EmpiricalCdf& cdf) {
-    for (const auto& [value, fraction] : cdf.curve(50)) {
-      csv.add_row({name, report::fmt(value, 1), report::fmt(fraction, 3)});
-    }
+  const auto curve = [](std::vector<double> values) {
+    return stats::EmpiricalCdf(std::move(values)).curve(50);
   };
-  dump("Do53", stats::EmpiricalCdf(data.do53_values()));
-  for (const char* provider : anycast::kProviderNames) {
-    dump(std::string(provider) + "-DoH1",
-         stats::EmpiricalCdf(data.tdoh_values(provider)));
-    dump(std::string(provider) + "-DoHR",
-         stats::EmpiricalCdf(data.tdohr_values(provider)));
-  }
-  return csv;
+  return render_fig4(curve(data.do53_values()),
+                     [&](const char* provider, bool reuse) {
+                       return curve(reuse ? data.tdohr_values(provider)
+                                          : data.tdoh_values(provider));
+                     });
 }
 
 report::CsvWriter fig4_csv(const measure::StreamSink& sink) {
-  report::CsvWriter csv({"series", "ms", "cdf"});
-  const auto dump = [&csv](const std::string& name,
-                           const stats::QuantileSketch& sketch) {
-    for (const auto& [value, fraction] : sketch.curve(50)) {
-      csv.add_row({name, report::fmt(value, 1), report::fmt(fraction, 3)});
-    }
-  };
-  dump("Do53", sink.do53_sketch());
-  for (const char* provider : anycast::kProviderNames) {
-    dump(std::string(provider) + "-DoH1", sink.tdoh_sketch(provider));
-    dump(std::string(provider) + "-DoHR", sink.tdohr_sketch(provider));
-  }
-  return csv;
+  return render_fig4(sink.do53_sketch().curve(50),
+                     [&sink](const char* provider, bool reuse) {
+                       return (reuse ? sink.tdohr_sketch(provider)
+                                     : sink.tdoh_sketch(provider))
+                           .curve(50);
+                     });
 }
 
 report::CsvWriter fig5_csv(const measure::Dataset& data) {
-  report::CsvWriter csv({"iso2", "provider", "median_doh1_ms"});
-  const auto analysis = data.analysis_countries(10);
-  for (const char* provider : anycast::kProviderNames) {
-    const auto medians = data.country_doh_medians(provider, 1);
-    for (const auto& iso2 : analysis) {
-      if (const auto it = medians.find(iso2); it != medians.end()) {
-        csv.add_row({iso2, provider, report::fmt(it->second, 1)});
-      }
-    }
-  }
-  return csv;
+  return render_fig5(data.analysis_countries(10),
+                     [&data](const char* provider) {
+                       return data.country_doh_medians(provider, 1);
+                     });
 }
 
 report::CsvWriter fig5_csv(const measure::StreamSink& sink) {
-  report::CsvWriter csv({"iso2", "provider", "median_doh1_ms"});
-  const auto analysis = sink.analysis_countries(10);
-  for (const char* provider : anycast::kProviderNames) {
-    const auto medians = sink.country_doh1_medians(provider);
-    for (const auto& iso2 : analysis) {
-      if (const auto it = medians.find(iso2); it != medians.end()) {
-        csv.add_row({iso2, provider, report::fmt(it->second, 1)});
-      }
-    }
-  }
-  return csv;
+  return render_fig5(sink.analysis_countries(10),
+                     [&sink](const char* provider) {
+                       return sink.country_doh1_medians(provider);
+                     });
 }
 
 std::string summary_json(const RunResult& result) {

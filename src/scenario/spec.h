@@ -140,7 +140,7 @@ bool set_key(CampaignSpec& spec, const std::string& dotted_key,
 ///   DOHPERF_SUMMARY      -> outputs.summary_json
 ///   DOHPERF_ATTRIBUTION  -> outputs.attribution_csv
 /// DOHPERF_THREADS needs no mapping: campaign.threads = 0 already means
-/// "take it from the environment" (Campaign::threads_from_env).
+/// "take it from the environment" (Campaign::run's default shard count).
 void apply_env_overrides(CampaignSpec& spec);
 
 }  // namespace dohperf::scenario

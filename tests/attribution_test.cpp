@@ -577,7 +577,7 @@ TEST_F(AttributionFlowFixture, CampaignLedgerClosesUnderFaults) {
   measure::Campaign campaign(world, config);
   (void)campaign.run();
 
-  const AttributionLedger& ledger = campaign.attribution();
+  const AttributionLedger& ledger = campaign.telemetry().attribution;
   ASSERT_FALSE(ledger.empty());
   std::uint64_t brownout_us = 0, retry_us = 0;
   for (const auto& [key, entry] : ledger.entries()) {

@@ -2,7 +2,7 @@
 //
 // The campaign's contract: the merged dataset is BIT-identical for every
 // shard count, and identical to the serial reference path
-// (Campaign::run_serial). Every field is compared exactly — doubles
+// (Campaign::run with 0 shards). Every field is compared exactly — doubles
 // included — because sharding must not perturb a single bit of output.
 // A small world (client_scale = 0.05) keeps each campaign around a
 // second; each run builds a fresh world from the same seed since a
@@ -20,13 +20,9 @@
 #include "obs/series.h"
 #include "obs/slo.h"
 #include "report/attribution.h"
-#include "report/csv.h"
 #include "report/slo.h"
-#include "report/table.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
-#include "stats/cdf.h"
-#include "stats/quantile_sketch.h"
 #include "stats/summary.h"
 #include "world/world_model.h"
 
@@ -111,7 +107,7 @@ const Dataset& golden_serial() {
   static const Dataset data = [] {
     auto world = fresh_world();
     Campaign campaign(*world, campaign_config(1));
-    return campaign.run_serial();
+    return campaign.run(0);
   }();
   return data;
 }
@@ -135,7 +131,7 @@ TEST(DeterminismTest, RepeatedShardedRunsAreIdentical) {
 TEST(DeterminismTest, SerialPathReportsOneShard) {
   auto world = fresh_world();
   Campaign campaign(*world, campaign_config(1));
-  const Dataset data = campaign.run_serial();
+  const Dataset data = campaign.run(0);
   EXPECT_FALSE(data.doh().empty());
   EXPECT_EQ(campaign.stats().shards, 1);
   EXPECT_GT(campaign.stats().sessions, 0u);
@@ -146,10 +142,9 @@ TEST(DeterminismTest, SerialPathReportsOneShard) {
 obs::Metrics metrics_with_shards(int threads) {
   auto world = fresh_world();
   Campaign campaign(*world, campaign_config(threads));
-  const Dataset data =
-      threads == 0 ? campaign.run_serial() : campaign.run();
+  const Dataset data = campaign.run(threads);
   EXPECT_FALSE(data.doh().empty());
-  return campaign.metrics();
+  return campaign.telemetry().metrics;
 }
 
 // The merged metrics registry carries the same contract as the dataset:
@@ -195,7 +190,7 @@ const Dataset& golden_fault_serial() {
   static const Dataset data = [] {
     auto world = fresh_world();
     Campaign campaign(*world, fault_config(1));
-    return campaign.run_serial();
+    return campaign.run(0);
   }();
   return data;
 }
@@ -211,7 +206,7 @@ TEST(DeterminismTest, FaultCampaignRecordsRetryActivity) {
   Campaign campaign(*world, fault_config(2));
   const Dataset data = campaign.run();
   EXPECT_FALSE(data.doh().empty());
-  const obs::Metrics& m = campaign.metrics();
+  const obs::Metrics& m = campaign.telemetry().metrics;
   // The canonical plan must actually exercise the retry machinery: data
   // and handshake retransmits, hard give-ups, and backoff samples.
   EXPECT_GT(m.counters.loss_retries, 0u);
@@ -225,10 +220,9 @@ TEST(DeterminismTest, FaultMetricsIdenticalAcrossShardCounts) {
   const auto fault_metrics = [](int threads) {
     auto world = fresh_world();
     Campaign campaign(*world, fault_config(threads));
-    const Dataset data =
-        threads == 0 ? campaign.run_serial() : campaign.run();
+    const Dataset data = campaign.run(threads);
     EXPECT_FALSE(data.doh().empty());
-    return campaign.metrics();
+    return campaign.telemetry().metrics;
   };
   const obs::Metrics serial = fault_metrics(0);
   EXPECT_TRUE(fault_metrics(1) == serial);
@@ -261,10 +255,11 @@ TEST(DeterminismTest, WarmCampaignBitIdenticalAcrossShardCounts) {
   const auto run = [](int threads) {
     auto world = fresh_world();
     Campaign campaign(*world, warm_config(threads));
-    Dataset data = threads == 0 ? campaign.run_serial() : campaign.run();
+    Dataset data = campaign.run(threads);
     EXPECT_FALSE(data.doh().empty());
-    return Outputs{std::move(data), campaign.metrics(), campaign.series(),
-                   report::attribution_csv(campaign.attribution()).str()};
+    const CampaignTelemetry& t = campaign.telemetry();
+    return Outputs{std::move(data), t.metrics, t.series,
+                   report::attribution_csv(t.attribution).str()};
   };
 
   const Outputs serial = run(0);
@@ -304,42 +299,8 @@ TEST(DeterminismTest, WarmCampaignBitIdenticalAcrossShardCounts) {
 // The sim-time metric series and the anomaly flight recorder carry the
 // same bit-identity contract as the dataset: epoch-relative windows,
 // integer-only cells, canonical-order merges. So do the figure CSVs
-// derived from the dataset — rebuilt here exactly as the fig4/fig5
-// benches build them and compared as strings.
-
-std::string fig4_csv(const Dataset& data) {
-  report::CsvWriter csv({"series", "ms", "cdf"});
-  const auto dump = [&csv](const std::string& name,
-                           const stats::EmpiricalCdf& cdf) {
-    for (const auto& [value, fraction] : cdf.curve(50)) {
-      csv.add_row({name, report::fmt(value, 1), report::fmt(fraction, 3)});
-    }
-  };
-  dump("Do53", stats::EmpiricalCdf(data.do53_values()));
-  for (const char* provider :
-       {"Cloudflare", "Google", "NextDNS", "Quad9"}) {
-    dump(std::string(provider) + "-DoH1",
-         stats::EmpiricalCdf(data.tdoh_values(provider)));
-    dump(std::string(provider) + "-DoHR",
-         stats::EmpiricalCdf(data.tdohr_values(provider)));
-  }
-  return csv.str();
-}
-
-std::string fig5_csv(const Dataset& data) {
-  report::CsvWriter csv({"iso2", "provider", "median_doh1_ms"});
-  const auto analysis = data.analysis_countries(10);
-  for (const char* provider :
-       {"Cloudflare", "Google", "NextDNS", "Quad9"}) {
-    const auto medians = data.country_doh_medians(provider, 1);
-    for (const auto& iso2 : analysis) {
-      if (const auto it = medians.find(iso2); it != medians.end()) {
-        csv.add_row({iso2, provider, report::fmt(it->second, 1)});
-      }
-    }
-  }
-  return csv.str();
-}
+// derived from the dataset — rendered by the same scenario renderers the
+// fig4/fig5 benches use and compared as strings.
 
 CampaignConfig obs_fault_config(int threads) {
   CampaignConfig config = fault_config(threads);
@@ -359,12 +320,12 @@ TEST(DeterminismTest, ObservabilityOutputsBitIdenticalAcrossShardCounts) {
   const auto run = [](int threads) {
     auto world = fresh_world();
     Campaign campaign(*world, obs_fault_config(threads));
-    const Dataset data =
-        threads == 0 ? campaign.run_serial() : campaign.run();
+    const Dataset data = campaign.run(threads);
     EXPECT_FALSE(data.doh().empty());
-    return Outputs{campaign.series(), campaign.anomalies(), fig4_csv(data),
-                   fig5_csv(data),
-                   report::attribution_csv(campaign.attribution()).str()};
+    const CampaignTelemetry& t = campaign.telemetry();
+    return Outputs{t.series, t.anomalies, scenario::fig4_csv(data).str(),
+                   scenario::fig5_csv(data).str(),
+                   report::attribution_csv(t.attribution).str()};
   };
 
   const Outputs serial = run(0);
@@ -431,11 +392,10 @@ TEST(DeterminismTest, SloOutputsBitIdenticalAcrossShardCounts) {
   const auto run = [](int threads) {
     auto world = fresh_world();
     Campaign campaign(*world, slo_fault_config(threads));
-    const Dataset data =
-        threads == 0 ? campaign.run_serial() : campaign.run();
+    const Dataset data = campaign.run(threads);
     EXPECT_FALSE(data.doh().empty());
-    return Outputs{campaign.slo(), campaign.slo().evaluate(),
-                   report::availability_csv(campaign.slo()).str()};
+    const obs::SloTracker& slo = campaign.telemetry().slo;
+    return Outputs{slo, slo.evaluate(), report::availability_csv(slo).str()};
   };
 
   const Outputs serial = run(0);
@@ -502,45 +462,12 @@ CampaignConfig stream_config(int threads) {
 StreamSink stream_with_shards(int threads) {
   auto world = fresh_world();
   Campaign campaign(*world, stream_config(threads));
-  return threads == 0 ? campaign.run_streaming_serial()
-                      : campaign.run_streaming();
+  return campaign.run_streaming(threads);
 }
 
 const StreamSink& golden_stream_serial() {
   static const StreamSink sink = stream_with_shards(0);
   return sink;
-}
-
-std::string stream_fig4_csv(const StreamSink& sink) {
-  report::CsvWriter csv({"series", "ms", "cdf"});
-  const auto dump = [&csv](const std::string& name,
-                           const stats::QuantileSketch& sketch) {
-    for (const auto& [value, fraction] : sketch.curve(50)) {
-      csv.add_row({name, report::fmt(value, 1), report::fmt(fraction, 3)});
-    }
-  };
-  dump("Do53", sink.do53_sketch());
-  for (const char* provider :
-       {"Cloudflare", "Google", "NextDNS", "Quad9"}) {
-    dump(std::string(provider) + "-DoH1", sink.tdoh_sketch(provider));
-    dump(std::string(provider) + "-DoHR", sink.tdohr_sketch(provider));
-  }
-  return csv.str();
-}
-
-std::string stream_fig5_csv(const StreamSink& sink) {
-  report::CsvWriter csv({"iso2", "provider", "median_doh1_ms"});
-  const auto analysis = sink.analysis_countries(10);
-  for (const char* provider :
-       {"Cloudflare", "Google", "NextDNS", "Quad9"}) {
-    const auto medians = sink.country_doh1_medians(provider);
-    for (const auto& iso2 : analysis) {
-      if (const auto it = medians.find(iso2); it != medians.end()) {
-        csv.add_row({iso2, provider, report::fmt(it->second, 1)});
-      }
-    }
-  }
-  return csv.str();
 }
 
 TEST(DeterminismTest, StreamingSinkBitIdenticalAcrossShardCounts) {
@@ -551,16 +478,18 @@ TEST(DeterminismTest, StreamingSinkBitIdenticalAcrossShardCounts) {
   EXPECT_GT(serial.atlas_rows(), 0u);
   EXPECT_GT(serial.discarded_mismatch, 0u);
 
-  const std::string fig4 = stream_fig4_csv(serial);
-  const std::string fig5 = stream_fig5_csv(serial);
+  const std::string fig4 = scenario::fig4_csv(serial).str();
+  const std::string fig5 = scenario::fig5_csv(serial).str();
   EXPECT_FALSE(fig4.empty());
   EXPECT_FALSE(fig5.empty());
 
   for (const int threads : {1, 2, 4}) {
     const StreamSink sharded = stream_with_shards(threads);
     EXPECT_TRUE(sharded == serial) << threads << " threads";
-    EXPECT_EQ(stream_fig4_csv(sharded), fig4) << threads << " threads";
-    EXPECT_EQ(stream_fig5_csv(sharded), fig5) << threads << " threads";
+    EXPECT_EQ(scenario::fig4_csv(sharded).str(), fig4)
+        << threads << " threads";
+    EXPECT_EQ(scenario::fig5_csv(sharded).str(), fig5)
+        << threads << " threads";
   }
 }
 
@@ -630,10 +559,11 @@ TEST(DeterminismTest, StreamingAgreesWithRetainedCampaign) {
               stats::median(all_doh), stats::median(all_doh) * 0.05);
 
   // The observability side is sink-independent entirely.
-  EXPECT_TRUE(stream_campaign.metrics() == retained_campaign.metrics());
-  EXPECT_TRUE(stream_campaign.series() == retained_campaign.series());
-  EXPECT_TRUE(stream_campaign.anomalies() ==
-              retained_campaign.anomalies());
+  const CampaignTelemetry& streamed = stream_campaign.telemetry();
+  const CampaignTelemetry& retained = retained_campaign.telemetry();
+  EXPECT_TRUE(streamed.metrics == retained.metrics);
+  EXPECT_TRUE(streamed.series == retained.series);
+  EXPECT_TRUE(streamed.anomalies == retained.anomalies);
 }
 
 TEST(DeterminismTest, ShardProfilesReportArenaActivity) {

@@ -205,9 +205,9 @@ TEST(FailureInjectionTest, CertainLossSpikeTerminatesWithFailures) {
   Campaign campaign(world, config);
   const Dataset data = campaign.run();
   EXPECT_GT(data.failed_measurements, 0u);
-  EXPECT_GT(campaign.metrics().counters.retry_timeouts, 0u);
-  EXPECT_GT(campaign.metrics().counters.loss_retries +
-                campaign.metrics().counters.handshake_retries,
+  EXPECT_GT(campaign.telemetry().metrics.counters.retry_timeouts, 0u);
+  EXPECT_GT(campaign.telemetry().metrics.counters.loss_retries +
+                campaign.telemetry().metrics.counters.handshake_retries,
             0u);
 }
 

@@ -1,0 +1,114 @@
+// Flow conservation: every measurement flow a campaign launches is counted
+// exactly once.
+//
+// Availability is measured from per-flow success and failure counts, so a
+// flow that a sink drops or counts twice moves every availability figure.
+// Each exit session runs one DoH flow per provider plus one Do53 flow, and
+// each Atlas session one Do53 flow. Every flow exits through one outcome
+// classification into the SLO tracker, which keeps a per-provider
+// aggregate beside the per-country keys. So, for every config, sink mode
+// and shard layout:
+//   * the aggregate keys' totals equal the per-country keys' totals;
+//   * both equal (providers + 1) x exit sessions + Atlas sessions;
+//   * the aggregate error count equals the campaign's failed measurements.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <tuple>
+
+#include "measure/campaign.h"
+#include "netsim/faultplan.h"
+#include "world/world_model.h"
+
+namespace dohperf::measure {
+namespace {
+
+enum class Config { kCold, kFaults, kWarm };
+enum class Sink { kRetained, kStreaming };
+
+CampaignConfig make_config(Config which) {
+  CampaignConfig config;
+  config.atlas_measurements_per_country = 20;
+  if (which == Config::kFaults) {
+    config.faults = netsim::FaultPlanConfig::canonical();
+  }
+  if (which == Config::kWarm) {
+    config.cache.enabled = true;
+    config.cache.population = 250000.0;
+    config.reuse.enabled = true;
+    config.reuse.queries_per_session = 4;
+  }
+  return config;
+}
+
+/// (config, sink mode, shards); 0 shards is the serial reference path.
+using Case = std::tuple<Config, Sink, int>;
+
+class FlowConservationTest : public ::testing::TestWithParam<Case> {};
+
+TEST_P(FlowConservationTest, EveryFlowIsCountedOnce) {
+  const auto [which, sink, shards] = GetParam();
+  world::WorldConfig world_config;
+  world_config.seed = 99;
+  world_config.client_scale = 0.05;
+  world::WorldModel world(world_config);
+  const CampaignConfig config = make_config(which);
+  Campaign campaign(world, config);
+
+  std::uint64_t clients = 0;
+  std::uint64_t failed = 0;
+  if (sink == Sink::kRetained) {
+    const Dataset data = campaign.run(shards);
+    clients = data.clients().size();
+    failed = data.failed_measurements;
+  } else {
+    const StreamSink stream = campaign.run_streaming(shards);
+    clients = stream.client_count();
+    failed = stream.failed_measurements();
+  }
+
+  const std::uint64_t exit_sessions =
+      clients * static_cast<std::uint64_t>(config.runs_per_client);
+  ASSERT_GT(campaign.stats().sessions, exit_sessions);
+  const std::uint64_t atlas_sessions =
+      campaign.stats().sessions - exit_sessions;
+  const std::uint64_t flows =
+      (world.providers().size() + 1) * exit_sessions + atlas_sessions;
+
+  std::uint64_t aggregate_total = 0;
+  std::uint64_t country_total = 0;
+  std::uint64_t aggregate_errors = 0;
+  for (const auto& [key, budget] : campaign.telemetry().slo.budgets()) {
+    if (key.country.empty()) {
+      aggregate_total += budget.total;
+      aggregate_errors += budget.errors;
+    } else {
+      country_total += budget.total;
+    }
+  }
+  EXPECT_EQ(aggregate_total, country_total);
+  EXPECT_EQ(aggregate_total, flows);
+  EXPECT_EQ(aggregate_errors, failed);
+}
+
+std::string case_name(const ::testing::TestParamInfo<Case>& info) {
+  const auto [which, sink, shards] = info.param;
+  const char* config = which == Config::kCold     ? "Cold"
+                       : which == Config::kFaults ? "Faults"
+                                                  : "Warm";
+  return std::string(config) +
+         (sink == Sink::kRetained ? "Retained" : "Streaming") +
+         (shards == 0 ? "Serial" : std::to_string(shards) + "Shards");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Campaigns, FlowConservationTest,
+    ::testing::Combine(::testing::Values(Config::kCold, Config::kFaults,
+                                         Config::kWarm),
+                       ::testing::Values(Sink::kRetained, Sink::kStreaming),
+                       ::testing::Values(0, 2)),
+    case_name);
+
+}  // namespace
+}  // namespace dohperf::measure

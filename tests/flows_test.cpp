@@ -11,26 +11,28 @@
 namespace dohperf::measure {
 namespace {
 
+// Every test gets a world of its own: flows advance the world's clock and
+// warm its resolvers, so a shared world would make each test's numbers
+// depend on which tests ran before it in the same process.
 struct FlowsFixture : ::testing::Test {
-  static world::WorldModel& world() {
-    static world::WorldModel instance = [] {
-      world::WorldConfig config;
-      config.seed = 21;
-      config.client_scale = 0.3;
-      config.only_countries = {"SE", "BR", "ZA", "US", "JP"};
-      return world::WorldModel(config);
-    }();
-    return instance;
+  static world::WorldConfig world_config() {
+    world::WorldConfig config;
+    config.seed = 21;
+    config.client_scale = 0.3;
+    config.only_countries = {"SE", "BR", "ZA", "US", "JP"};
+    return config;
   }
 
-  static const proxy::ExitNode* exit_in(const std::string& iso2) {
+  world::WorldModel& world() { return world_; }
+
+  const proxy::ExitNode* exit_in(const std::string& iso2) {
     netsim::Rng rng = world().rng().split("flows-test-" + iso2);
     return world().brightdata().pick_exit(iso2, rng);
   }
 
-  static DohProxyParams doh_params(const proxy::ExitNode* exit,
-                                   std::size_t provider_index,
-                                   std::size_t pop_index) {
+  DohProxyParams doh_params(const proxy::ExitNode* exit,
+                            std::size_t provider_index,
+                            std::size_t pop_index) {
     auto& provider = world().providers()[provider_index];
     DohProxyParams params;
     params.client = world().measurement_client();
@@ -43,6 +45,8 @@ struct FlowsFixture : ::testing::Test {
     params.origin = world().origin();
     return params;
   }
+
+  world::WorldModel world_{world_config()};
 };
 
 TEST_F(FlowsFixture, DohProxyFlowCompletes) {

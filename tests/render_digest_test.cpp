@@ -19,6 +19,8 @@
 #include <string>
 #include <string_view>
 
+#include "obs/trace_export.h"
+#include "report/anomalies.h"
 #include "report/attribution.h"
 #include "report/metrics.h"
 #include "report/slo.h"
@@ -70,14 +72,37 @@ std::string fnv1a_hex(std::string_view data) {
   return buf;
 }
 
+/// A streaming campaign over five countries whose fig5 CSV has rows
+/// (kSpec's analysis filter keeps no country at its scale).
+constexpr const char* kFig5Spec =
+    "name = \"render-digests-fig5\"\n"
+    "sink = \"streaming\"\n"
+    "[world]\n"
+    "seed = 7\n"
+    "client_scale = 0.3\n"
+    "only_countries = [\"US\", \"DE\", \"BR\", \"IN\", \"JP\"]\n"
+    "[campaign]\n"
+    "threads = 2\n";
+
+scenario::RunResult run_spec(const char* text) {
+  const scenario::SpecParseResult parsed =
+      scenario::parse_spec(text, "<render-digests>");
+  if (!parsed.ok()) throw std::runtime_error(parsed.error);
+  return scenario::run(parsed.doc.base);
+}
+
 const scenario::RunResult& result() {
-  static const scenario::RunResult r = [] {
-    const scenario::SpecParseResult parsed =
-        scenario::parse_spec(kSpec, "<render-digests>");
-    if (!parsed.ok()) throw std::runtime_error(parsed.error);
-    return scenario::run(parsed.doc.base);
-  }();
+  static const scenario::RunResult r = run_spec(kSpec);
   return r;
+}
+
+/// Every retained anomaly's Perfetto trace JSON, in retention order.
+std::string anomaly_traces(const obs::FlightRecorder& recorder) {
+  std::string traces;
+  for (const auto& [key, rec] : recorder.retained()) {
+    traces += obs::perfetto_trace_json(rec.spans);
+  }
+  return traces;
 }
 
 /// The OpenMetrics document write_outputs produces: the series
@@ -103,6 +128,7 @@ TEST(RenderDigestTest, CampaignExercisesEveryRenderer) {
   EXPECT_GT(r.metrics.counters.shared_cache_hits, 0u);
   EXPECT_GT(r.metrics.counters.pool_reuses, 0u);
   EXPECT_GT(r.metrics.counters.loss_retries, 0u);
+  EXPECT_EQ(r.anomalies.retained().size(), 64u);
 }
 
 TEST(RenderDigestTest, OutputsMatchPinnedDigests) {
@@ -125,11 +151,22 @@ TEST(RenderDigestTest, OutputsMatchPinnedDigests) {
       {"metrics_csv", report::metrics_csv(r.metrics).str(),
        "072d095cfdae5ded"},
       {"fig4_csv", scenario::fig4_csv(r.sink).str(), "6c11e9dde0fdaa68"},
+      {"anomaly_index_csv", report::anomaly_index_csv(r.anomalies).str(),
+       "c73944be4a189e4d"},
+      {"anomaly_traces", anomaly_traces(r.anomalies), "06e7139497249788"},
   };
   for (const Pin& pin : pins) {
     EXPECT_EQ(fnv1a_hex(pin.text), pin.digest)
         << pin.output << " moved (" << pin.text.size() << " bytes)";
   }
+}
+
+TEST(RenderDigestTest, StreamingFig5MatchesPinnedDigest) {
+  const scenario::RunResult r = run_spec(kFig5Spec);
+  const report::CsvWriter fig5 = scenario::fig5_csv(r.sink);
+  EXPECT_EQ(fig5.row_count(), 20u);
+  EXPECT_EQ(fnv1a_hex(fig5.str()), "5bc19d21293a27bc")
+      << "fig5_csv moved (" << fig5.str().size() << " bytes)";
 }
 
 std::string read_file(const std::filesystem::path& path) {

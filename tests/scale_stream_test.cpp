@@ -1,6 +1,7 @@
 // Unit tests for the million-session scaling pieces: the mergeable
 // quantile sketch, the deterministic string interner, the coroutine-frame
-// slab arena, and the nth_element quantile fast path.
+// slab arena, the nth_element quantile fast path, and the streaming
+// sink's exact per-client run stores.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "measure/stream_sink.h"
 #include "measure/string_table.h"
 #include "netsim/arena.h"
 #include "netsim/random.h"
@@ -273,6 +275,49 @@ TEST(QuantileFastPathTest, MatchesSortBasedQuantileBitForBit) {
   std::vector<double> scratch = values;
   EXPECT_EQ(stats::median_inplace(scratch),
             stats::quantile_sorted(sorted, 0.5));
+}
+
+// ------------------------------------------------- StreamSink run stores
+
+// Exact client medians keep every run up to run_capacity, however large:
+// 300 runs of one client, folded into one sink and split over two merged
+// sinks (as two shards would), must both yield the median of all 300.
+TEST(StreamSinkTest, ClientMediansKeepEveryRunPast255) {
+  constexpr int kRuns = 300;
+  measure::StringTable names;
+  const measure::StrId provider = names.intern("Cloudflare");
+  const measure::StrId iso2 = names.intern("US");
+  measure::StreamSinkConfig cfg;
+  cfg.client_stats = true;
+  cfg.run_capacity = kRuns;
+  const auto make_sink = [&] {
+    return measure::StreamSink(cfg, kRuns, {1}, {iso2}, {100.0}, {provider},
+                               names);
+  };
+  measure::StreamSink folded = make_sink();
+  measure::StreamSink even = make_sink();
+  measure::StreamSink odd = make_sink();
+  for (int run = 0; run < kRuns; ++run) {
+    // Run r measures DoH1 = DoHR = 100 + r ms and Do53 = 50 + r ms.
+    measure::DohRecord doh;
+    doh.exit_id = 1;
+    doh.iso2 = iso2;
+    doh.provider = provider;
+    doh.run = run;
+    doh.tdoh_ms = 100.0 + run;
+    doh.tdohr_ms = doh.tdoh_ms;
+    const measure::Do53Record do53{1, iso2, run, false, 50.0 + run};
+    folded.fold({&doh, 1}, {&do53, 1}, 0);
+    (run % 2 == 0 ? even : odd).fold({&doh, 1}, {&do53, 1}, 0);
+  }
+  even.merge(odd);
+  for (const measure::StreamSink* sink : {&folded, &even}) {
+    const auto stats = sink->client_provider_stats();
+    ASSERT_EQ(stats.size(), 1u);
+    EXPECT_EQ(stats[0].tdoh_ms, 249.5);
+    EXPECT_EQ(stats[0].tdohr_ms, 249.5);
+    EXPECT_EQ(stats[0].do53_ms, 199.5);
+  }
 }
 
 }  // namespace
