@@ -168,7 +168,7 @@ int main() {
   }
 
   // --- Attribution CSV artifacts (loader round-trip on the way). -------
-  const std::string& spec_hash = benchsupport::Env::instance().spec_hash();
+  const std::string& spec_hash = benchsupport::Env::instance().result().hash;
   const std::string stamp =
       "# dohperf-bench ext_attribution hash=" + spec_hash + "\n";
   const auto write_csv = [&](const std::string& name,

@@ -156,14 +156,8 @@ int main() {
       "blackouts\n(multi-day campaign axis; provider i dark every "
       "6h*(i+1), 12h blackout cycle)\n\n");
 
-  const scenario::SpecParseResult parsed =
-      scenario::parse_spec(kSpec, "ext_availability_slo");
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.error.c_str());
-    return 2;
-  }
-  scenario::CampaignSpec spec = parsed.doc.base;
-  scenario::apply_env_overrides(spec);
+  scenario::CampaignSpec spec =
+      benchsupport::inline_spec(kSpec, "ext_availability_slo").base;
   spec.outputs.availability_csv =
       benchsupport::out_path("ext_availability_slo.csv");
   spec.outputs.slo_alerts_csv =

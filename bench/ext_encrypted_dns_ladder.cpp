@@ -247,7 +247,7 @@ int main() {
 
   // ---- JSON summary (dohperf-warm-ladder-v1) ------------------------
   std::string json = "{\n  \"schema\": \"dohperf-warm-ladder-v1\",\n";
-  json += "  \"spec_hash\": \"" + benchsupport::Env::instance().spec_hash() +
+  json += "  \"spec_hash\": \"" + benchsupport::Env::instance().result().hash +
           "\",\n";
   json += "  \"cold\": {\n";
   json += "    \"doh_median_ms\": " + report::fmt(cold_doh, 3) + ",\n";

@@ -68,14 +68,8 @@ int main() {
               "(quarter-scale campaigns; spike severity fixed at 0.5 "
               "extra loss,\n windowed per session)\n\n");
 
-  const scenario::SpecParseResult parsed =
-      scenario::parse_spec(kSweepSpec, "ext_fault_injection");
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.error.c_str());
-    return 2;
-  }
-  scenario::SpecDocument doc = parsed.doc;
-  scenario::apply_env_overrides(doc.base);
+  const scenario::SpecDocument doc =
+      benchsupport::inline_spec(kSweepSpec, "ext_fault_injection");
   std::printf("sweep spec hash %s\n\n",
               scenario::document_hash(doc).c_str());
 

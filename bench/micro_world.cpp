@@ -5,9 +5,9 @@
 
 #include "anycast/catalog.h"
 #include "geo/coordinates.h"
-#include "measure/campaign.h"
 #include "measure/flows.h"
 #include "resolver/stub.h"
+#include "scenario/runner.h"
 #include "world/world_model.h"
 
 namespace {
@@ -27,20 +27,17 @@ void BM_WorldBuild(benchmark::State& state) {
 BENCHMARK(BM_WorldBuild)->Arg(5)->Arg(25)->Unit(benchmark::kMillisecond);
 
 void BM_MeasurementSessionThroughput(benchmark::State& state) {
-  world::WorldConfig config;
-  config.seed = 42;
-  config.client_scale = 0.1;
-  config.only_countries = {"SE", "BR", "ZA", "TH", "PL"};
-  world::WorldModel world(config);
+  scenario::CampaignSpec spec;
+  spec.world.client_scale = 0.1;
+  spec.world.only_countries = {"SE", "BR", "ZA", "TH", "PL"};
+  spec.campaign.atlas_measurements_per_country = 0;
+  world::WorldModel world(spec.world);
 
   std::size_t sessions = 0;
   for (auto _ : state) {
-    measure::CampaignConfig campaign_config;
-    campaign_config.atlas_measurements_per_country = 0;
-    measure::Campaign campaign(world, campaign_config);
-    const measure::Dataset data = campaign.run();
-    sessions += data.clients().size() * 2;  // two runs per client
-    benchmark::DoNotOptimize(data.doh().size());
+    const scenario::RunResult result = scenario::run(spec, world);
+    sessions += result.dataset.clients().size() * 2;  // two runs per client
+    benchmark::DoNotOptimize(result.dataset.doh().size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(sessions));
   state.SetLabel("sessions (5 flows each)");

@@ -131,7 +131,7 @@ int main() {
   scenario::CampaignSpec spec = scenario::paper_baseline_spec();
   spec.name = "scale-campaign";
   spec.sink = scenario::SinkMode::kStreaming;
-  scenario::apply_env_overrides(spec);
+  benchsupport::apply_env(spec);
   spec.outputs = scenario::OutputsSpec{};  // this bench shapes its own JSON
   const std::string base_hash = scenario::spec_hash(spec);
 

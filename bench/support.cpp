@@ -126,10 +126,23 @@ double scale_from_env() {
   return scale > 0.0 ? scale : 1.0;
 }
 
-std::uint64_t seed_from_env() {
-  const char* value = std::getenv("DOHPERF_SEED");
-  if (value == nullptr) return 42;
-  return static_cast<std::uint64_t>(std::atoll(value));
+void apply_env(scenario::CampaignSpec& spec) {
+  std::string error;
+  if (!scenario::apply_env_overrides(spec, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    std::exit(2);
+  }
+}
+
+scenario::SpecDocument inline_spec(std::string_view text,
+                                   const std::string& origin) {
+  scenario::SpecParseResult parsed = scenario::parse_spec(text, origin);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.error.c_str());
+    std::exit(2);
+  }
+  apply_env(parsed.doc.base);
+  return std::move(parsed.doc);
 }
 
 Env& Env::instance() {
@@ -138,8 +151,9 @@ Env& Env::instance() {
 }
 
 Env::Env() {
-  scenario::CampaignSpec spec;
-  if (const char* spec_path = std::getenv("DOHPERF_SPEC")) {
+  scenario::CampaignSpec spec = scenario::paper_baseline_spec();
+  const char* spec_path = std::getenv("DOHPERF_SPEC");
+  if (spec_path != nullptr) {
     const scenario::SpecParseResult parsed =
         scenario::load_spec_file(spec_path);
     if (!parsed.ok()) {
@@ -154,30 +168,15 @@ Env::Env() {
       std::exit(2);
     }
     spec = parsed.doc.base;
-    scenario::apply_env_overrides(spec);
-  } else {
-    spec = scenario::paper_baseline_spec();
-    scenario::apply_env_overrides(spec);
-    // The benches' historical Atlas scaling rule: the paper's >=250
-    // samples per country, shrunk with the world but never below 10.
-    // Applies to the baseline only — an explicit spec file says what it
-    // means.
-    spec.campaign.atlas_measurements_per_country =
-        std::max(10, static_cast<int>(250 * spec.world.client_scale));
   }
+  apply_env(spec);
+  // A spec file states its own Atlas count; the baseline scales it.
+  if (spec_path == nullptr) scenario::scale_atlas_to_world(spec);
   spec.sink = scenario::SinkMode::kRetained;  // benches query the rows
 
   world_ = std::make_unique<world::WorldModel>(spec.world);
-  scenario::RunResult result = scenario::run(spec, *world_);
-  scenario::write_outputs(result);
-
-  spec_ = std::move(result.spec);
-  hash_ = std::move(result.hash);
-  dataset_ = std::move(result.dataset);
-  stats_ = std::move(result.stats);
-  metrics_ = std::move(result.metrics);
-  series_ = std::move(result.series);
-  anomalies_ = std::move(result.anomalies);
+  result_ = scenario::run(spec, *world_);
+  scenario::write_outputs(result_);
 
   if (const char* trace_path = std::getenv("DOHPERF_TRACE")) {
     capture_trace(*world_, trace_path);
@@ -189,17 +188,19 @@ Env::Env() {
 
 void print_banner(const std::string& title) {
   Env& env = Env::instance();
+  const scenario::RunResult& run = env.result();
   std::printf("%s\n", title.c_str());
-  std::printf("scenario %s | hash %s | sink %s\n",
-              env.spec().name.c_str(), env.spec_hash().c_str(),
-              std::string(scenario::to_string(env.spec().sink)).c_str());
+  std::printf("scenario %s | hash %s | sink %s\n", run.spec.name.c_str(),
+              run.hash.c_str(),
+              std::string(scenario::to_string(run.spec.sink)).c_str());
   std::printf(
       "world scale %.2f | %zu exit nodes | %zu retained clients | "
       "%llu mismatch-discarded | %llu failed measurements\n",
-      env.scale(), env.world().exit_count(), env.dataset().clients().size(),
+      run.spec.world.client_scale, env.world().exit_count(),
+      env.dataset().clients().size(),
       static_cast<unsigned long long>(env.dataset().discarded_mismatch),
       static_cast<unsigned long long>(env.dataset().failed_measurements));
-  const measure::CampaignStats& stats = env.stats();
+  const measure::CampaignStats& stats = run.stats;
   std::printf(
       "campaign: %d shard%s | %llu sessions | %llu events in %.2f s "
       "(%.0f events/s)\n",
@@ -237,7 +238,7 @@ void print_banner(const std::string& title) {
       static_cast<unsigned long long>(arena.fallbacks),
       static_cast<double>(arena.slab_bytes) / (1024.0 * 1024.0),
       static_cast<double>(arena_high_water) / (1024.0 * 1024.0));
-  const obs::MetricCounters& c = env.metrics().counters;
+  const obs::MetricCounters& c = run.metrics.counters;
   std::printf(
       "metrics: %llu dns / %llu doh / %llu do53 queries | "
       "%llu tcp + %llu tls + %llu quic handshakes | %llu tunnels | "
@@ -256,12 +257,12 @@ void print_banner(const std::string& title) {
       static_cast<unsigned long long>(c.fallbacks),
       static_cast<unsigned long long>(c.brownout_delays),
       static_cast<unsigned long long>(c.failures));
-  for (const auto& [name, hist] : env.metrics().histograms()) {
+  for (const auto& [name, hist] : run.metrics.histograms()) {
     std::printf("  %-12s n=%-7llu p50=%.1f ms  p99=%.1f ms\n", name.c_str(),
                 static_cast<unsigned long long>(hist.count()),
                 hist.quantile_ms(0.5), hist.quantile_ms(0.99));
   }
-  const obs::AnomalyCounts& a = env.anomalies().counts();
+  const obs::AnomalyCounts& a = run.anomalies.counts();
   std::printf(
       "flight recorder: %llu flows examined | %llu anomalous "
       "(%llu slow, %llu give-up, %llu fallback, %llu brownout) | "
@@ -272,7 +273,7 @@ void print_banner(const std::string& title) {
       static_cast<unsigned long long>(a.give_up),
       static_cast<unsigned long long>(a.fallback),
       static_cast<unsigned long long>(a.brownout),
-      env.anomalies().retained().size(),
+      run.anomalies.retained().size(),
       static_cast<unsigned long long>(a.evicted));
   std::printf("\n");
 }

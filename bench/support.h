@@ -1,12 +1,15 @@
-// Shared environment for the reproduction benches: builds the world and
-// runs the campaign once per process, driven by a scenario spec.
+// Shared environment for the reproduction benches: every bench describes
+// its campaign as a scenario spec and runs it through scenario::run.
 //
-// The spec is scenario::paper_baseline_spec() unless DOHPERF_SPEC names
-// a spec file; either way the DOHPERF_* environment applies on top as
-// spec overrides (see scenario::apply_env_overrides):
+// Env (the figure and table benches) runs scenario::paper_baseline_spec()
+// once per process, unless DOHPERF_SPEC names a spec file; benches with
+// their own experiment (the ablations, the ext_* sweeps) parse an inline
+// spec with inline_spec(). Either way the DOHPERF_* environment applies
+// on top as spec overrides (see scenario::apply_env_overrides), and a
+// malformed value exits 2 with one diagnostic naming the variable:
 //
 // DOHPERF_SPEC    path to a scenario spec file replacing the paper
-//                 baseline (sweep specs are rejected — benches run one
+//                 baseline (sweep specs are rejected — Env runs one
 //                 campaign; use tools/campaign_run for sweeps).
 // DOHPERF_SCALE   multiplies the spec's client scale (default 1.0 =
 //                 paper scale, ~22k clients; use 0.1 for a quick look).
@@ -25,20 +28,17 @@
 //                 reuse/resumption phases.
 // DOHPERF_METRICS / DOHPERF_SERIES / DOHPERF_OPENMETRICS /
 // DOHPERF_ANOMALIES / DOHPERF_SUMMARY
-//                 become the spec's [outputs] entries; files are written
-//                 by scenario::write_outputs with the spec's content
-//                 hash stamped into every artifact.
+//                 become the spec's [outputs] entries; Env's files are
+//                 written by scenario::write_outputs with the spec's
+//                 content hash stamped into every artifact.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <string_view>
 
-#include "measure/campaign.h"
 #include "measure/dataset.h"
 #include "measure/regression.h"
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
-#include "obs/series.h"
 #include "report/table.h"
 #include "scenario/runner.h"
 #include "stats/summary.h"
@@ -46,50 +46,37 @@
 
 namespace dohperf::benchsupport {
 
-/// Scale / seed from the environment (for benches that build their own
-/// ablated worlds rather than riding the shared Env).
+/// DOHPERF_SCALE alone (ext_availability_slo sizes its strategy pass
+/// with it). Call after apply_env(), which rejects malformed values.
 [[nodiscard]] double scale_from_env();
-[[nodiscard]] std::uint64_t seed_from_env();
 
-/// Lazily-built world + campaign dataset (shared by all queries in one
+/// scenario::apply_env_overrides; a malformed DOHPERF_* value exits 2.
+void apply_env(scenario::CampaignSpec& spec);
+
+/// Parses an inline spec document and applies the environment to its
+/// base; a defect in either exits 2 with the one-line diagnostic.
+[[nodiscard]] scenario::SpecDocument inline_spec(std::string_view text,
+                                                 const std::string& origin);
+
+/// Lazily-built world + campaign run (shared by all queries in one
 /// bench process).
 class Env {
  public:
   static Env& instance();
 
   [[nodiscard]] world::WorldModel& world() { return *world_; }
-  [[nodiscard]] const measure::Dataset& dataset() const { return dataset_; }
-  [[nodiscard]] double scale() const { return spec_.world.client_scale; }
-  /// The scenario this process ran, and its content hash (stamped into
-  /// every artifact the run wrote).
-  [[nodiscard]] const scenario::CampaignSpec& spec() const { return spec_; }
-  [[nodiscard]] const std::string& spec_hash() const { return hash_; }
-  /// Execution counters of the campaign run (shards, events, wall time).
-  [[nodiscard]] const measure::CampaignStats& stats() const {
-    return stats_;
-  }
-  /// Merged observability metrics of the campaign run (bit-identical for
-  /// every DOHPERF_THREADS value).
-  [[nodiscard]] const obs::Metrics& metrics() const { return metrics_; }
-  /// Merged sim-time metric series (bit-identical for every
-  /// DOHPERF_THREADS value).
-  [[nodiscard]] const obs::MetricSeries& series() const { return series_; }
-  /// Anomaly flight recorder, finalized after the merge (bit-identical
-  /// for every DOHPERF_THREADS value).
-  [[nodiscard]] const obs::FlightRecorder& anomalies() const {
-    return anomalies_;
+  /// The run: the spec as executed, its content hash (stamped into every
+  /// artifact), execution stats and the merged sinks — bit-identical for
+  /// every DOHPERF_THREADS value.
+  [[nodiscard]] const scenario::RunResult& result() const { return result_; }
+  [[nodiscard]] const measure::Dataset& dataset() const {
+    return result_.dataset;
   }
 
  private:
   Env();
-  scenario::CampaignSpec spec_;
-  std::string hash_;
   std::unique_ptr<world::WorldModel> world_;
-  measure::Dataset dataset_;
-  measure::CampaignStats stats_;
-  obs::Metrics metrics_;
-  obs::MetricSeries series_;
-  obs::FlightRecorder anomalies_;
+  scenario::RunResult result_;
 };
 
 /// Prints the standard bench banner (scenario, scale, client counts,

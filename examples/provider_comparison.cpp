@@ -7,27 +7,29 @@
 #include <string>
 #include <vector>
 
-#include "measure/campaign.h"
 #include "report/table.h"
+#include "scenario/runner.h"
 #include "stats/summary.h"
-#include "world/world_model.h"
 
 using namespace dohperf;
 
 int main(int argc, char** argv) {
-  std::vector<std::string> countries;
-  for (int i = 1; i < argc; ++i) countries.emplace_back(argv[i]);
-  if (countries.empty()) countries = {"SE", "BR", "ZA", "TH"};
-
-  world::WorldConfig config;
-  config.seed = 2;
-  config.only_countries = countries;
-  world::WorldModel world(config);
-
-  measure::CampaignConfig campaign_config;
-  campaign_config.atlas_measurements_per_country = 30;
-  measure::Campaign campaign(world, campaign_config);
-  const measure::Dataset data = campaign.run();
+  std::string iso2_list;
+  for (int i = 1; i < argc; ++i) {
+    iso2_list += (i > 1 ? "," : "") + std::string(argv[i]);
+  }
+  scenario::CampaignSpec spec;
+  spec.world.seed = 2;
+  spec.campaign.atlas_measurements_per_country = 30;
+  std::string error;
+  if (!scenario::set_override(spec, "ISO2", "world.only_countries",
+                              argc > 1 ? iso2_list : "SE,BR,ZA,TH", &error)) {
+    std::fprintf(stderr, "provider_comparison: %s\n", error.c_str());
+    return 2;
+  }
+  const scenario::RunResult result = scenario::run(spec);
+  const measure::Dataset& data = result.dataset;
+  const std::vector<std::string>& countries = spec.world.only_countries;
 
   std::printf("measured %zu clients in %zu countries\n\n",
               data.clients().size(), countries.size());

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "netsim/faultplan.h"
 #include "netsim/latency.h"
@@ -34,35 +33,6 @@ struct RetryOutcome {
   Duration backoff{};
 };
 
-/// One captured message transmission (the simulator's "Wireshark"). The
-/// paper validated its assumptions by capturing exit-node traffic
-/// (Section 4.3); attaching a TraceSink to a NetCtx gives flows the same
-/// observability. `label` names the layer/phase that sent the message —
-/// the innermost span open when the hop was captured ("tls_handshake",
-/// "tunnel.send", ...), empty when no span context is attached.
-struct TraceEvent {
-  SimTime sent_at{};
-  SimTime delivered_at{};
-  geo::LatLon from;
-  geo::LatLon to;
-  std::size_t bytes = 0;
-  std::string label;
-};
-
-/// Collects TraceEvents from every hop routed through a NetCtx.
-class TraceSink {
- public:
-  void record(TraceEvent event) { events_.push_back(std::move(event)); }
-  [[nodiscard]] const std::vector<TraceEvent>& events() const {
-    return events_;
-  }
-  [[nodiscard]] std::size_t size() const { return events_.size(); }
-  void clear() { events_.clear(); }
-
- private:
-  std::vector<TraceEvent> events_;
-};
-
 /// Execution context threaded through every protocol coroutine.
 ///
 /// Non-owning; the owner (usually world::WorldModel) keeps the referenced
@@ -75,10 +45,11 @@ struct NetCtx {
   Simulator& sim;
   const LatencyModel& latency;
   Rng& rng;
-  /// Optional capture point; when set, every hop is recorded.
-  TraceSink* trace = nullptr;
   /// Optional span tree; when set, instrumented layers open nested spans
-  /// and every hop is recorded as a leaf under the innermost open span.
+  /// and every hop is recorded as a leaf under the innermost open span —
+  /// the simulator's "Wireshark" (the paper validated its assumptions by
+  /// capturing exit-node traffic, Section 4.3): hop_view() lists every
+  /// captured message in order.
   obs::SpanContext* spans = nullptr;
   /// Optional per-shard metrics registry (messages, bytes, handshakes,
   /// retries, ...). Owned by whoever runs the flows; single-writer.
@@ -130,12 +101,6 @@ struct NetCtx {
     }
     if (spans != nullptr) {
       spans->record_hop(sent, sim.now(), a.position, b.position, bytes);
-    }
-    if (trace != nullptr) {
-      trace->record(TraceEvent{sent, sim.now(), a.position, b.position,
-                               bytes,
-                               spans != nullptr ? spans->current_name()
-                                                : std::string()});
     }
   }
 

@@ -2,10 +2,6 @@
 
 namespace dohperf::obs {
 
-namespace {
-const std::string kEmptyName;
-}  // namespace
-
 SpanId SpanContext::open(std::string name, netsim::SimTime now) {
   const auto id = static_cast<SpanId>(spans_.size());
   Span span;
@@ -47,11 +43,6 @@ void SpanContext::record_hop(netsim::SimTime sent, netsim::SimTime delivered,
   span.from = from;
   span.to = to;
   spans_.push_back(std::move(span));
-}
-
-const std::string& SpanContext::current_name() const {
-  const SpanId id = current();
-  return id == kNoSpan ? kEmptyName : spans_[id].name;
 }
 
 std::vector<const Span*> SpanContext::hop_view() const {

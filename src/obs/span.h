@@ -8,7 +8,7 @@
 // time goes, not where host CPU went. Spans strictly nest: a span opened
 // while another is open becomes its child, and the innermost open span
 // labels every hop captured beneath it (the "which layer sent this?"
-// question the flat TraceEvent list could not answer).
+// question a flat packet capture cannot answer).
 //
 // Recording is pure observation: it never consumes RNG draws, schedules
 // events, or advances the clock, so enabling tracing cannot perturb a
@@ -33,8 +33,8 @@ using SpanId = std::uint32_t;
 inline constexpr SpanId kNoSpan = 0xFFFFFFFFu;
 
 /// One node of the span tree. Hop spans (`hop == true`) are leaves that
-/// carry the wire-level detail the old TraceEvent captured: byte count
-/// and the two site positions.
+/// carry one message's wire-level detail: byte count and the two site
+/// positions.
 struct Span {
   SpanId id = 0;
   SpanId parent = kNoSpan;
@@ -73,15 +73,14 @@ class SpanContext {
   [[nodiscard]] SpanId current() const {
     return stack_.empty() ? kNoSpan : stack_.back();
   }
-  /// Name of the innermost open span ("" when none) — hop labels.
-  [[nodiscard]] const std::string& current_name() const;
 
   [[nodiscard]] const std::vector<Span>& spans() const { return spans_; }
   /// Number of spans opened but not yet closed.
   [[nodiscard]] std::size_t open_count() const { return stack_.size(); }
   [[nodiscard]] bool empty() const { return spans_.empty(); }
 
-  /// The old flat hop view: every hop leaf, in capture order.
+  /// The flat packet capture: every hop leaf, in capture order (its
+  /// parent span names the layer that sent it).
   [[nodiscard]] std::vector<const Span*> hop_view() const;
 
   void clear();

@@ -1,5 +1,6 @@
 #include "scenario/spec.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -866,32 +867,61 @@ CampaignSpec paper_baseline_spec() {
   return spec;  // WorldConfig/CampaignConfig defaults ARE the paper run.
 }
 
-void apply_env_overrides(CampaignSpec& spec) {
-  if (const char* value = std::getenv("DOHPERF_SEED")) {
-    spec.world.seed = static_cast<std::uint64_t>(std::atoll(value));
+void scale_atlas_to_world(CampaignSpec& spec) {
+  spec.campaign.atlas_measurements_per_country =
+      std::max(10, static_cast<int>(250 * spec.world.client_scale));
+}
+
+bool set_override(CampaignSpec& spec, std::string_view source,
+                  const std::string& dotted_key, std::string_view value,
+                  std::string* error) {
+  // Re-spell the shell text as the spec token the parser expects.
+  std::string token(value);
+  const FieldDef* f = find_field(dotted_key);
+  if (f != nullptr && f->type == FieldType::kString) token = quote(value);
+  if (f != nullptr && f->type == FieldType::kStringList) {
+    token = "[";
+    for (std::size_t start = 0; start <= value.size();) {
+      const std::size_t comma = std::min(value.find(',', start), value.size());
+      const std::string_view item = value.substr(start, comma - start);
+      // An empty item stays empty, so the list parser rejects it.
+      if (start > 0) token += ", ";
+      if (!item.empty()) token += quote(item);
+      start = comma + 1;
+    }
+    token += "]";
+  }
+  std::string problem;
+  if (set_key(spec, dotted_key, token, nullptr, &problem)) return true;
+  *error = std::string(source) + ": " + problem;
+  return false;
+}
+
+bool apply_env_overrides(CampaignSpec& spec, std::string* error) {
+  static constexpr std::pair<const char*, const char*> kEnvKeys[] = {
+      {"DOHPERF_SEED", "world.seed"},
+      {"DOHPERF_METRICS", "outputs.metrics_csv"},
+      {"DOHPERF_SERIES", "outputs.series_csv"},
+      {"DOHPERF_OPENMETRICS", "outputs.openmetrics"},
+      {"DOHPERF_ANOMALIES", "outputs.anomalies_dir"},
+      {"DOHPERF_SUMMARY", "outputs.summary_json"},
+      {"DOHPERF_ATTRIBUTION", "outputs.attribution_csv"},
+  };
+  for (const auto& [variable, key] : kEnvKeys) {
+    const char* value = std::getenv(variable);
+    if (value != nullptr && !set_override(spec, variable, key, value, error)) {
+      return false;
+    }
   }
   if (const char* value = std::getenv("DOHPERF_SCALE")) {
-    const double scale = std::atof(value);
-    if (scale > 0.0) spec.world.client_scale *= scale;
+    CampaignSpec factor;
+    if (!set_override(factor, "DOHPERF_SCALE", "world.client_scale", value,
+                      error)) {
+      return false;
+    }
+    spec.world.client_scale *= factor.world.client_scale;
   }
-  if (const char* value = std::getenv("DOHPERF_METRICS")) {
-    spec.outputs.metrics_csv = value;
-  }
-  if (const char* value = std::getenv("DOHPERF_SERIES")) {
-    spec.outputs.series_csv = value;
-  }
-  if (const char* value = std::getenv("DOHPERF_OPENMETRICS")) {
-    spec.outputs.openmetrics = value;
-  }
-  if (const char* value = std::getenv("DOHPERF_ANOMALIES")) {
-    spec.outputs.anomalies_dir = value;
-  }
-  if (const char* value = std::getenv("DOHPERF_SUMMARY")) {
-    spec.outputs.summary_json = value;
-  }
-  if (const char* value = std::getenv("DOHPERF_ATTRIBUTION")) {
-    spec.outputs.attribution_csv = value;
-  }
+  return true;
 }
 
 }  // namespace dohperf::scenario

@@ -121,12 +121,26 @@ bool set_key(CampaignSpec& spec, const std::string& dotted_key,
              std::string_view value_text, std::string* canonical,
              std::string* error);
 
+/// Sets one key from a command-line flag or environment variable: the
+/// value is raw shell text (strings unquoted, string lists
+/// comma-separated, "SE,BR"), checked exactly as set_key() checks a spec
+/// file's value. On failure returns false and stores one diagnostic that
+/// names `source` (the flag or variable) in `*error`.
+bool set_override(CampaignSpec& spec, std::string_view source,
+                  const std::string& dotted_key, std::string_view value,
+                  std::string* error);
+
 /// Shortest decimal form of `v` that strtod parses back bit-identically.
 [[nodiscard]] std::string format_double(double v);
 
 /// The paper-scale baseline scenario (world + campaign defaults,
 /// retained sink, no outputs declared).
 [[nodiscard]] CampaignSpec paper_baseline_spec();
+
+/// Sets the paper's >= 250 RIPE Atlas samples per country, shrunk with
+/// the world's client scale but never below 10 — the rule runs built on
+/// the paper baseline use; a spec file states its own count.
+void scale_atlas_to_world(CampaignSpec& spec);
 
 /// Applies the DOHPERF_* environment to a spec, making env vars spec
 /// overrides rather than a parallel configuration channel:
@@ -139,8 +153,12 @@ bool set_key(CampaignSpec& spec, const std::string& dotted_key,
 ///   DOHPERF_ANOMALIES    -> outputs.anomalies_dir
 ///   DOHPERF_SUMMARY      -> outputs.summary_json
 ///   DOHPERF_ATTRIBUTION  -> outputs.attribution_csv
+/// Every value is checked by set_override() (the DOHPERF_SCALE
+/// multiplier as a client scale, so it must be > 0); on the first bad
+/// one returns false with its diagnostic in `*error`.
 /// DOHPERF_THREADS needs no mapping: campaign.threads = 0 already means
 /// "take it from the environment" (Campaign::run's default shard count).
-void apply_env_overrides(CampaignSpec& spec);
+[[nodiscard]] bool apply_env_overrides(CampaignSpec& spec,
+                                       std::string* error);
 
 }  // namespace dohperf::scenario

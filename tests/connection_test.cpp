@@ -3,9 +3,12 @@
 // golden regression pinning doh_via_proxy's step timestamps.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "measure/flows.h"
 #include "netsim/path.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 #include "proxy/tunnel.h"
 #include "transport/connection.h"
 #include "transport/quic.h"
@@ -19,14 +22,17 @@ namespace {
 using netsim::NetCtx;
 using netsim::Path;
 using netsim::Site;
-using netsim::TraceSink;
 
 struct StackFixture : ::testing::Test {
   netsim::Simulator sim;
   netsim::LatencyModel latency;
   netsim::Rng rng{7};
-  TraceSink trace;
+  obs::SpanContext trace;
   NetCtx net{sim, latency, rng, &trace};
+  /// The messages captured so far: the span tree's hop leaves.
+  [[nodiscard]] std::vector<const obs::Span*> hops() const {
+    return trace.hop_view();
+  }
   // Jitter-free sites for exact assertions.
   Site a{{0, 0}, 2.0, 1.0, 0.0};
   Site b{{0, 20}, 1.0, 1.0, 0.0};
@@ -39,8 +45,8 @@ TEST_F(StackFixture, PathDefaultsToNoFraming) {
   auto task = path.send(100);
   sim.run();
   ASSERT_TRUE(task.done());
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace.events()[0].bytes, 100u);
+  ASSERT_EQ(hops().size(), 1u);
+  EXPECT_EQ(hops()[0]->bytes, 100u);
 }
 
 TEST_F(StackFixture, PathFramingAppliesPerDirection) {
@@ -52,25 +58,24 @@ TEST_F(StackFixture, PathFramingAppliesPerDirection) {
   sim.run();
   ASSERT_TRUE(fwd.done());
   ASSERT_TRUE(back.done());
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.events()[0].bytes, 128u);
-  EXPECT_EQ(trace.events()[1].bytes, 60u);
+  ASSERT_EQ(hops().size(), 2u);
+  EXPECT_EQ(hops()[0]->bytes, 128u);
+  EXPECT_EQ(hops()[1]->bytes, 60u);
   // Direction: forward leaves a, backward leaves b.
-  EXPECT_EQ(trace.events()[0].from.lat, a.position.lat);
-  EXPECT_EQ(trace.events()[1].from.lat, b.position.lat);
+  EXPECT_EQ(hops()[0]->from.lat, a.position.lat);
+  EXPECT_EQ(hops()[1]->from.lat, b.position.lat);
 }
 
 TEST_F(StackFixture, PathTraceRecordsTiming) {
   Path path(net, a, b);
   auto task = path.send(64);
   sim.run();
-  ASSERT_EQ(trace.size(), 1u);
-  const auto& event = trace.events()[0];
+  ASSERT_EQ(hops().size(), 1u);
+  const obs::Span& event = *hops()[0];
   const double expected = latency.expected_one_way_ms(a, b, 64);
   // SimTime has microsecond ticks, so the delivered delay is the
   // expectation truncated to 1 us.
-  EXPECT_NEAR(netsim::ms_between(event.sent_at, event.delivered_at),
-              expected, 1e-3);
+  EXPECT_NEAR(netsim::ms_between(event.start, event.end), expected, 1e-3);
 }
 
 TEST_F(StackFixture, PathDeliveryRetries) {
@@ -121,19 +126,19 @@ TEST_F(StackFixture, TlsOverTcpOverheadAccounting) {
   trace.clear();
   auto task = tls.send(100);
   sim.run();
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace.events()[0].bytes,
+  ASSERT_EQ(hops().size(), 1u);
+  EXPECT_EQ(hops()[0]->bytes,
             100u + transport::kRecordOverheadBytes);
 
   trace.clear();
   auto dot_task = dot.recv(100);
   sim.run();
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace.events()[0].bytes,
+  ASSERT_EQ(hops().size(), 1u);
+  EXPECT_EQ(hops()[0]->bytes,
             100u + transport::kLengthPrefixBytes +
                 transport::kRecordOverheadBytes);
   // Stacked delivery leaves b (the server side of the underlying path).
-  EXPECT_EQ(trace.events()[0].from.lon, b.position.lon);
+  EXPECT_EQ(hops()[0]->from.lon, b.position.lon);
 }
 
 TEST_F(StackFixture, TlsHandshakeWireSizes) {
@@ -146,11 +151,11 @@ TEST_F(StackFixture, TlsHandshakeWireSizes) {
   ASSERT_TRUE(tls12.done());
   // ClientHello, ServerHello, then the 1.2 Finished exchange where only
   // the server's reply is record-layer framed.
-  ASSERT_EQ(trace.size(), 4u);
-  EXPECT_EQ(trace.events()[0].bytes, transport::kClientHelloBytes);
-  EXPECT_EQ(trace.events()[1].bytes, transport::kServerHelloBytes);
-  EXPECT_EQ(trace.events()[2].bytes, transport::kClientFinishedBytes);
-  EXPECT_EQ(trace.events()[3].bytes,
+  ASSERT_EQ(hops().size(), 4u);
+  EXPECT_EQ(hops()[0]->bytes, transport::kClientHelloBytes);
+  EXPECT_EQ(hops()[1]->bytes, transport::kServerHelloBytes);
+  EXPECT_EQ(hops()[2]->bytes, transport::kClientFinishedBytes);
+  EXPECT_EQ(hops()[3]->bytes,
             transport::kServerFinishedBytes +
                 transport::kRecordOverheadBytes);
 }
@@ -175,9 +180,9 @@ TEST_F(StackFixture, TlsSessionResumptionIsOneRoundTrip) {
 
   // Abbreviated exchange: ticket-bearing ClientHello out, combined
   // ServerHello..Finished back — no certificate, two small flights.
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.events()[0].bytes, transport::kResumeClientHelloBytes);
-  EXPECT_EQ(trace.events()[1].bytes, transport::kResumeServerHelloBytes);
+  ASSERT_EQ(hops().size(), 2u);
+  EXPECT_EQ(hops()[0]->bytes, transport::kResumeClientHelloBytes);
+  EXPECT_EQ(hops()[1]->bytes, transport::kResumeServerHelloBytes);
 
   // Golden timing: exactly one round trip of the two flights (each leg
   // truncated to the simulator's 1 us tick), with no fault episode the
@@ -205,13 +210,13 @@ TEST_F(StackFixture, QuicZeroRttResumption) {
   EXPECT_TRUE(conn.zero_rtt);
   EXPECT_EQ(conn.handshake_time, netsim::Duration::zero());
   // Resumption itself moves nothing.
-  EXPECT_EQ(trace.size(), 0u);
+  EXPECT_EQ(hops().size(), 0u);
 
   // ...but every record pays the short-header overhead.
   auto task = conn.send(120);
   sim.run();
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace.events()[0].bytes,
+  ASSERT_EQ(hops().size(), 1u);
+  EXPECT_EQ(hops()[0]->bytes,
             120u + transport::kQuicShortHeaderOverhead);
 }
 
@@ -229,11 +234,11 @@ TEST_F(TunnelFixture, EstablishedDeliveryCrossesBothLegs) {
   auto task = tunnel.send_framed(500);
   sim.run();
   ASSERT_TRUE(task.done());
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.events()[0].bytes, 500u);
-  EXPECT_EQ(trace.events()[1].bytes, 500u);
-  EXPECT_EQ(trace.events()[0].from.lat, a.position.lat);
-  EXPECT_EQ(trace.events()[1].to.lat, exit.position.lat);
+  ASSERT_EQ(hops().size(), 2u);
+  EXPECT_EQ(hops()[0]->bytes, 500u);
+  EXPECT_EQ(hops()[1]->bytes, 500u);
+  EXPECT_EQ(hops()[0]->from.lat, a.position.lat);
+  EXPECT_EQ(hops()[1]->to.lat, exit.position.lat);
 
   // Delivery pays both intermediaries' forwarding delays on top of the
   // two legs' propagation.
@@ -265,11 +270,11 @@ TEST_F(TunnelFixture, TimelineHeadersSurviveTheReply) {
   const std::string wire = reply.result();
 
   // One message, both legs, same size (the t7/t8 invariant).
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.events()[0].bytes, wire.size());
-  EXPECT_EQ(trace.events()[1].bytes, wire.size());
-  EXPECT_EQ(trace.events()[0].from.lat, exit.position.lat);
-  EXPECT_EQ(trace.events()[1].to.lat, a.position.lat);
+  ASSERT_EQ(hops().size(), 2u);
+  EXPECT_EQ(hops()[0]->bytes, wire.size());
+  EXPECT_EQ(hops()[1]->bytes, wire.size());
+  EXPECT_EQ(hops()[0]->from.lat, exit.position.lat);
+  EXPECT_EQ(hops()[1]->to.lat, a.position.lat);
 
   // The client can parse back exactly what the exit node stamped.
   const auto parsed = transport::parse_response(wire);
@@ -292,10 +297,10 @@ TEST_F(TunnelFixture, TlsSessionStacksOnTunnel) {
   const transport::TlsSession tls(tunnel);
   auto task = tls.send(200);
   sim.run();
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.events()[0].bytes,
+  ASSERT_EQ(hops().size(), 2u);
+  EXPECT_EQ(hops()[0]->bytes,
             200u + transport::kRecordOverheadBytes);
-  EXPECT_EQ(trace.events()[1].bytes,
+  EXPECT_EQ(hops()[1]->bytes,
             200u + transport::kRecordOverheadBytes);
 }
 
@@ -339,9 +344,9 @@ TEST_P(DohViaProxyGolden, StepTimestampsAreUnchanged) {
   params.tls = golden.tls;
   params.origin = world.origin();
 
-  TraceSink capture;
+  obs::SpanContext capture;
   NetCtx net = world.ctx();
-  net.trace = &capture;
+  net.spans = &capture;
   auto task = measure::doh_via_proxy(net, std::move(params));
   world.sim().run();
   ASSERT_TRUE(task.done());
@@ -360,8 +365,8 @@ TEST_P(DohViaProxyGolden, StepTimestampsAreUnchanged) {
   EXPECT_EQ(obs.inputs.brightdata_ms, golden.brightdata_ms);
 
   std::size_t total_bytes = 0;
-  for (const auto& event : capture.events()) total_bytes += event.bytes;
-  EXPECT_EQ(capture.size(), golden.hops);
+  for (const auto* hop : capture.hop_view()) total_bytes += hop->bytes;
+  EXPECT_EQ(capture.hop_view().size(), golden.hops);
   EXPECT_EQ(total_bytes, golden.wire_bytes);
 }
 

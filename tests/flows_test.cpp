@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "measure/estimator.h"
 #include "measure/flows.h"
@@ -257,29 +258,30 @@ TEST_F(FlowsFixture, TraceConfirmsDefaultResolverIsUsed) {
   // OS-configured default resolver.
   const auto* exit = exit_in("SE");
   ASSERT_NE(exit, nullptr);
-  netsim::TraceSink capture;
+  obs::SpanContext capture;
   auto net = world().ctx();
-  net.trace = &capture;
+  net.spans = &capture;
   auto task = do53_direct(
       net, exit->site, exit->default_resolver,
       world().origin().with_subdomain("wireshark-check"));
   world().sim().run();
   ASSERT_GE(task.result(), 0.0);
 
-  ASSERT_GE(capture.size(), 4u);  // stub->res, res->auth, auth->res, back
-  const auto& first = capture.events().front();
+  const std::vector<const obs::Span*> packets = capture.hop_view();
+  ASSERT_GE(packets.size(), 4u);  // stub->res, res->auth, auth->res, back
+  const obs::Span& first = *packets.front();
   EXPECT_EQ(first.from, exit->site.position);
   EXPECT_EQ(first.to, exit->default_resolver->site().position);
   // The recursion leg reaches the authoritative server in Ashburn.
   bool touched_authority = false;
-  for (const auto& event : capture.events()) {
+  for (const obs::Span* packet : packets) {
     touched_authority |=
-        event.to == world().authority().site().position;
+        packet->to == world().authority().site().position;
   }
   EXPECT_TRUE(touched_authority);
-  // Timestamps are causally ordered per event.
-  for (const auto& event : capture.events()) {
-    EXPECT_LE(event.sent_at, event.delivered_at);
+  // Timestamps are causally ordered per packet.
+  for (const obs::Span* packet : packets) {
+    EXPECT_LE(packet->start, packet->end);
   }
 }
 

@@ -1,8 +1,7 @@
 // Tests for the observability subsystem: span-tree nesting (including
 // across coroutine suspension points), histogram bucket arithmetic,
-// metrics merging, trace-export well-formedness (the Perfetto JSON is
-// parsed back with the bundled parser), and TraceSink backward
-// compatibility with the new label field.
+// metrics merging, and trace-export well-formedness (the Perfetto JSON
+// is parsed back with the bundled parser).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -45,10 +44,9 @@ struct ObsFixture : ::testing::Test {
   netsim::Simulator sim;
   netsim::LatencyModel latency;
   netsim::Rng rng{7};
-  netsim::TraceSink trace;
   SpanContext spans;
   obs::Metrics metrics;
-  NetCtx net{sim, latency, rng, &trace, &spans, &metrics};
+  NetCtx net{sim, latency, rng, &spans, &metrics};
   // Jitter-free sites for exact assertions.
   Site client{{0, 0}, 2.0, 1.0, 0.0};
   Site super_proxy{{0, 20}, 1.0, 1.0, 0.0};
@@ -81,7 +79,7 @@ TEST(SpanContextTest, OpenCloseBuildsParentChain) {
   const auto root = ctx.open("root", sim.now());
   const auto child = ctx.open("child", sim.now());
   EXPECT_EQ(ctx.current(), child);
-  EXPECT_EQ(ctx.current_name(), "child");
+  EXPECT_EQ(ctx.spans()[ctx.current()].name, "child");
   ctx.close(child, sim.now());
   EXPECT_EQ(ctx.current(), root);
   ctx.close(root, sim.now());
@@ -214,39 +212,14 @@ TEST_F(ObsFixture, InterleavedPathSendsUnderOneSpanStayLabeled) {
   flow.result();
 
   expect_well_nested(spans);
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.events()[0].label, "burst");
-  EXPECT_EQ(trace.events()[1].label, "burst");
+  const std::vector<const Span*> hops = spans.hop_view();
+  ASSERT_EQ(hops.size(), 2u);
+  for (const Span* hop : hops) {
+    ASSERT_NE(hop->parent, kNoSpan);
+    EXPECT_EQ(spans.spans()[hop->parent].name, "burst");
+  }
   EXPECT_EQ(metrics.counters.messages, 2u);
   EXPECT_EQ(metrics.counters.bytes_on_wire, 400u);
-}
-
-// --------------------------------------------------------- TraceSink compat
-
-TEST(TraceSinkCompatTest, AggregateInitWithoutLabelStillCompiles) {
-  netsim::TraceSink sink;
-  // The pre-span five-field initialization must keep working; label
-  // defaults to empty.
-  sink.record(netsim::TraceEvent{netsim::SimTime{}, netsim::SimTime{},
-                                 {1, 2}, {3, 4}, 99});
-  ASSERT_EQ(sink.size(), 1u);
-  EXPECT_EQ(sink.events()[0].bytes, 99u);
-  EXPECT_TRUE(sink.events()[0].label.empty());
-}
-
-TEST(TraceSinkCompatTest, HopWithoutSpanContextLeavesLabelEmpty) {
-  netsim::Simulator sim;
-  netsim::LatencyModel latency;
-  netsim::Rng rng{3};
-  netsim::TraceSink sink;
-  NetCtx net{sim, latency, rng, &sink};
-  Site a{{0, 0}, 2.0, 1.0, 0.0};
-  Site b{{0, 20}, 1.0, 1.0, 0.0};
-  auto task = net.hop(a, b, 64);
-  sim.run();
-  ASSERT_TRUE(task.done());
-  ASSERT_EQ(sink.size(), 1u);
-  EXPECT_TRUE(sink.events()[0].label.empty());
 }
 
 // ------------------------------------------------------------- histogram

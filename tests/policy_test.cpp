@@ -49,7 +49,7 @@ struct PolicyFixture : ::testing::Test {
                                         DohMode mode,
                                         obs::Metrics& metrics) {
     netsim::NetCtx net{world().sim(), world().latency(), world().rng(),
-                       nullptr,       nullptr,           &metrics};
+                       nullptr, &metrics};
     auto task = resolve_with_policy(net, ctx, mode);
     world().sim().run();
     return task.result();

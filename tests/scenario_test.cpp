@@ -2,6 +2,7 @@
 // env overrides, and sweep-grid expansion.
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -273,10 +274,57 @@ TEST(ScenarioSpecTest, EnvOverridesBecomeSpecFields) {
   ScopedEnv summary("DOHPERF_SUMMARY", "out/env-summary.json");
   scenario::CampaignSpec spec = scenario::paper_baseline_spec();
   spec.world.client_scale = 0.25;
-  scenario::apply_env_overrides(spec);
+  std::string error;
+  ASSERT_TRUE(scenario::apply_env_overrides(spec, &error)) << error;
   EXPECT_EQ(spec.world.seed, 1234u);
   EXPECT_EQ(spec.world.client_scale, 0.125);  // multiplier, not override
   EXPECT_EQ(spec.outputs.summary_json, "out/env-summary.json");
+}
+
+TEST(ScenarioSpecTest, MalformedEnvOverridesAreRejectedByName) {
+  // Each value a spec file would reject (and DOHPERF_SCALE, a multiplier
+  // of the client scale, must be > 0): one diagnostic naming the
+  // variable, and the bad value never reaches the spec.
+  const std::pair<const char*, const char*> bad[] = {
+      {"DOHPERF_SEED", "abc"},   {"DOHPERF_SEED", "-1"},
+      {"DOHPERF_SEED", "1e3x"},  {"DOHPERF_SCALE", "0.5x"},
+      {"DOHPERF_SCALE", "abc"},  {"DOHPERF_SCALE", "0"},
+      {"DOHPERF_SCALE", "-2"}};
+  for (const auto& [variable, value] : bad) {
+    ScopedEnv env(variable, value);
+    scenario::CampaignSpec spec = scenario::paper_baseline_spec();
+    std::string error;
+    EXPECT_FALSE(scenario::apply_env_overrides(spec, &error))
+        << variable << "=" << value;
+    EXPECT_EQ(error.rfind(std::string(variable) + ": ", 0), 0u) << error;
+    if (std::string(variable) == "DOHPERF_SEED") {
+      EXPECT_EQ(spec.world.seed, 42u);
+    }
+    EXPECT_EQ(spec.world.client_scale, 1.0);
+  }
+}
+
+TEST(ScenarioSpecTest, OverridesSpellValuesAsTheShellDoes) {
+  scenario::CampaignSpec spec;
+  std::string error;
+  ASSERT_TRUE(scenario::set_override(spec, "--countries",
+                                     "world.only_countries", "SE,BR", &error))
+      << error;
+  EXPECT_EQ(spec.world.only_countries,
+            (std::vector<std::string>{"SE", "BR"}));
+  ASSERT_TRUE(scenario::set_override(spec, "DOHPERF_SUMMARY",
+                                     "outputs.summary_json", "out/a \"b\".json",
+                                     &error))
+      << error;
+  EXPECT_EQ(spec.outputs.summary_json, "out/a \"b\".json");
+  for (const char* list : {"SE,", ",SE", "SE,,BR"}) {
+    EXPECT_FALSE(scenario::set_override(spec, "--countries",
+                                        "world.only_countries", list, &error))
+        << list;
+    EXPECT_EQ(error.rfind("--countries: ", 0), 0u) << error;
+  }
+  EXPECT_EQ(spec.world.only_countries,
+            (std::vector<std::string>{"SE", "BR"}));
 }
 
 TEST(ScenarioSweepTest, ExpansionIsRowMajorWithFirstAxisSlowest) {

@@ -292,8 +292,8 @@ TEST_F(FlowFixture, ResponseReserializationIsStableAcrossSendRecv) {
   resp.body = std::string("\xAB\xCD\x00\x42", 4);
   const std::string wire = resp.serialize();
 
-  netsim::TraceSink trace;
-  net.trace = &trace;
+  obs::SpanContext trace;
+  net.spans = &trace;
   auto conn_task = tcp_connect(net, client, server);
   sim.run();
   const TcpConnection tcp = conn_task.result();
@@ -304,9 +304,8 @@ TEST_F(FlowFixture, ResponseReserializationIsStableAcrossSendRecv) {
   trace.clear();
   auto send_task = tls.recv(resp);
   sim.run();
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace.events()[0].bytes,
-            wire.size() + kRecordOverheadBytes);
+  ASSERT_EQ(trace.hop_view().size(), 1u);
+  EXPECT_EQ(trace.hop_view()[0]->bytes, wire.size() + kRecordOverheadBytes);
 
   // A received-then-reserialized copy is byte-identical, so re-sending it
   // through the stack costs exactly the same wire bytes.
@@ -316,9 +315,8 @@ TEST_F(FlowFixture, ResponseReserializationIsStableAcrossSendRecv) {
   trace.clear();
   auto resend_task = tls.recv(*parsed);
   sim.run();
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace.events()[0].bytes,
-            wire.size() + kRecordOverheadBytes);
+  ASSERT_EQ(trace.hop_view().size(), 1u);
+  EXPECT_EQ(trace.hop_view()[0]->bytes, wire.size() + kRecordOverheadBytes);
 }
 
 }  // namespace

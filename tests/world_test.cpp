@@ -2,7 +2,10 @@
 // assembled ecosystem.
 #include <gtest/gtest.h>
 
-#include "world/scenarios.h"
+#include <string>
+#include <utility>
+
+#include "scenario/spec.h"
 #include "world/sites.h"
 #include "world/world_model.h"
 
@@ -221,25 +224,56 @@ TEST_F(WorldFixture, PopBackendInflationTracksHostCountry) {
   }
 }
 
+// The non-default values bench/ablations sweeps, set the way a spec's
+// [sweep] cell sets them. They replace the old named world presets.
+const std::pair<const char*, const char*> kAblationSettings[] = {
+    {"world.couple_infra", "false"},
+    {"world.perfect_anycast", "true"},
+    {"world.tls_version", "\"tls12\""},
+    {"world.authority_city", "\"Frankfurt\""},
+    {"world.authority_city", "\"Singapore\""}};
+
+scenario::CampaignSpec small_spec() {
+  scenario::CampaignSpec small;
+  small.world.client_scale = 0.02;
+  small.world.only_countries = {"SE"};
+  return small;
+}
+
+/// The config of a small world built with `key` set to `value`.
+WorldConfig built_with(const char* key, const char* value) {
+  scenario::CampaignSpec spec = small_spec();
+  std::string error;
+  EXPECT_TRUE(scenario::set_key(spec, key, value, nullptr, &error)) << error;
+  return WorldModel(spec.world).config();
+}
+
 TEST(ScenariosTest, AllPresetsResolveAndBuild) {
-  EXPECT_GE(scenarios().size(), 6u);
-  for (const Scenario& s : scenarios()) {
-    const auto config = scenario_config(s.name);
-    ASSERT_TRUE(config.has_value()) << s.name;
-    WorldConfig small = *config;
-    small.client_scale = 0.02;
-    small.only_countries = {"SE"};
-    EXPECT_NO_THROW(WorldModel world(small)) << s.name;
+  const scenario::CampaignSpec small = small_spec();
+  for (const auto& [key, value] : kAblationSettings) {
+    scenario::CampaignSpec spec = small;
+    std::string error;
+    ASSERT_TRUE(scenario::set_key(spec, key, value, nullptr, &error)) << error;
+    EXPECT_NE(scenario::spec_hash(spec), scenario::spec_hash(small)) << key;
+    const WorldModel world(spec.world);
+    EXPECT_GT(world.exit_count(), 0u) << key << " = " << value;
   }
-  EXPECT_EQ(scenario_config("no-such-scenario"), std::nullopt);
+  scenario::CampaignSpec spec = small;
+  std::string error;
+  EXPECT_FALSE(
+      scenario::set_key(spec, "world.no_such_switch", "true", nullptr, &error));
+  EXPECT_FALSE(error.empty());
 }
 
 TEST(ScenariosTest, PresetsCarryTheirSwitch) {
-  EXPECT_FALSE(scenario_config("uniform-world")->couple_infra);
-  EXPECT_TRUE(scenario_config("perfect-anycast")->perfect_anycast);
-  EXPECT_EQ(scenario_config("tls12")->tls_version,
+  EXPECT_FALSE(built_with("world.couple_infra", "false").couple_infra);
+  EXPECT_TRUE(built_with("world.perfect_anycast", "true").perfect_anycast);
+  EXPECT_EQ(built_with("world.tls_version", "\"tls12\"").tls_version,
             transport::TlsVersion::kTls12);
-  EXPECT_EQ(scenario_config("eu-authority")->authority_city, "Frankfurt");
+  EXPECT_EQ(built_with("world.authority_city", "\"Frankfurt\"").authority_city,
+            "Frankfurt");
+  EXPECT_EQ(built_with("world.authority_city", "\"Singapore\"").authority_city,
+            "Singapore");
 }
 
 }  // namespace

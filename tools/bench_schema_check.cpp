@@ -9,11 +9,21 @@
 //   dohperf-warm-ladder-v1        bench/ext_encrypted_dns_ladder warm runs
 //   dohperf-attribution-v1        bench/ext_attribution phase waterfalls
 //
+// Each schema is a table of rows (key, type, range, nested table), and
+// one validator walks every table. Rules that span fields are named
+// checks attached to the row whose value they inspect; a new artifact
+// is one more table.
+//
 //   bench_schema_check <path/to/artifact.json>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/json.h"
 
@@ -23,31 +33,90 @@ namespace {
 
 int g_errors = 0;
 
-void fail(const std::string& what) {
-  std::fprintf(stderr, "bench_schema_check: %s\n", what.c_str());
+void fail(const std::string& where, const std::string& what) {
+  std::fprintf(stderr, "bench_schema_check: %s: %s\n",
+               where.empty() ? "document" : where.c_str(), what.c_str());
   ++g_errors;
 }
 
-/// Requires `obj[key]` to be a number; with `nonneg`, >= 0 too.
-void require_number(const Value& obj, const std::string& key,
-                    const std::string& where, bool nonneg = true) {
-  const Value* v = obj.get(key);
-  if (v == nullptr || !v->is_number()) {
-    fail(where + ": missing or non-numeric \"" + key + "\"");
-    return;
-  }
-  if (nonneg && v->as_number() < 0.0) {
-    fail(where + ": \"" + key + "\" is negative");
-  }
+std::string num_text(double v) {
+  if (std::isinf(v)) return v < 0 ? "-inf" : "inf";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
 }
 
-/// Requires `obj[key]` to be a non-empty string.
-void require_string(const Value& obj, const std::string& key,
-                    const std::string& where) {
-  const Value* v = obj.get(key);
-  if (v == nullptr || !v->is_string() || v->as_string().empty()) {
-    fail(where + ": missing or empty \"" + key + "\"");
+/// The numbers a field admits: lo..hi, either end optionally open.
+struct Range {
+  double lo;
+  double hi;
+  bool lo_open;
+  bool hi_open;
+
+  [[nodiscard]] bool contains(double v) const {
+    return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
   }
+  [[nodiscard]] std::string text() const {
+    return (lo_open ? "(" : "[") + num_text(lo) + ", " + num_text(hi) +
+           (hi_open || std::isinf(hi) ? ")" : "]");
+  }
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr Range kAny{-kInf, kInf, false, false};
+constexpr Range kNonNeg{0, kInf, false, false};
+constexpr Range kPositive{0, kInf, true, false};
+constexpr Range kUnit{0, 1, false, false};
+constexpr Range kOpenUnit{0, 1, true, true};
+constexpr Range kPositiveUnit{0, 1, true, false};
+
+enum class Type {
+  kNumber,  ///< A number within the row's range.
+  kString,  ///< A non-empty string; with `one_of`, one of its |-words.
+  kHash,    ///< A 16-lowercase-hex-digit content hash.
+  kTrue,    ///< The literal true (exactness and contract flags).
+  kScalar,  ///< Any number, string or boolean.
+  kObject,  ///< An object; its keys follow `nested` (if any).
+  kArray,   ///< An array of `element`s (objects follow `nested`).
+};
+
+struct Row;
+using Table = std::vector<Row>;
+/// A named rule over a row's value (`root` is the whole document).
+using Check = void (*)(const Value& value, const Value& root,
+                       const std::string& where);
+
+struct Row {
+  const char* key;
+  Type type;
+  Range range = kNonNeg;
+  const Table* nested = nullptr;
+  Check check = nullptr;
+  Type element = Type::kObject;  ///< Arrays only.
+  bool nonempty = true;          ///< Arrays only.
+  const char* one_of = nullptr;  ///< Strings only.
+};
+
+Row num(const char* key, Range range = kNonNeg) {
+  return {key, Type::kNumber, range};
+}
+Row str(const char* key, const char* one_of = nullptr) {
+  Row row{key, Type::kString};
+  row.one_of = one_of;
+  return row;
+}
+Row hash(const char* key) { return {key, Type::kHash}; }
+Row is_true(const char* key) { return {key, Type::kTrue}; }
+Row object(const char* key, const Table* nested, Check check = nullptr) {
+  return {key, Type::kObject, kNonNeg, nested, check};
+}
+Row array(const char* key, const Table* nested, Check check = nullptr,
+          bool nonempty = true) {
+  return {key, Type::kArray, kNonNeg, nested, check, Type::kObject,
+          nonempty};
+}
+Row array_of(const char* key, Type element, bool nonempty) {
+  return {key, Type::kArray, kNonNeg, nullptr, nullptr, element, nonempty};
 }
 
 bool is_hex16(const std::string& s) {
@@ -58,412 +127,262 @@ bool is_hex16(const std::string& s) {
   return true;
 }
 
-/// Requires `obj[key]` to be a 16-lowercase-hex-digit content hash.
-void require_hash(const Value& obj, const std::string& key,
-                  const std::string& where) {
-  const Value* v = obj.get(key);
-  if (v == nullptr || !v->is_string() || !is_hex16(v->as_string())) {
-    fail(where + ": \"" + key + "\" is not a 16-hex-digit content hash");
+bool is_one_of(const char* words, const std::string& s) {
+  for (const char* w = words; *w != '\0';) {
+    const std::size_t n = std::strcspn(w, "|");
+    if (s.size() == n && s.compare(0, n, w, n) == 0) return true;
+    w += n + (w[n] == '|' ? 1 : 0);
   }
+  return false;
 }
 
-// ---- dohperf-bench-scale-v1 -------------------------------------------
+std::string index_of(const std::string& where, std::size_t i) {
+  return where + "[" + std::to_string(i) + "]";
+}
 
-void check_scale(const Value& doc) {
-  require_hash(doc, "spec_hash", "document");
+void check_table(const Value& obj, const Table& table, const Value& root,
+                 const std::string& where);
 
-  const Value* world = doc.get("world");
-  if (world == nullptr || !world->is_object()) {
-    fail("missing \"world\" object");
-  } else {
-    require_number(*world, "scale", "world");
-    require_number(*world, "seed", "world");
-    require_number(*world, "exits", "world");
-    if (world->number_or("exits", 0) <= 0) fail("world.exits must be > 0");
-  }
-
-  const Value* points = doc.get("points");
-  if (points == nullptr || !points->is_array() || points->as_array().empty()) {
-    fail("missing or empty \"points\" array");
-    return;
-  }
-
-  double prev_sessions = 0;
-  std::size_t index = 0;
-  for (const Value& point : points->as_array()) {
-    const std::string where = "points[" + std::to_string(index) + "]";
-    if (!point.is_object()) {
-      fail(where + ": not an object");
-      ++index;
-      continue;
-    }
-    for (const char* key :
-         {"requested_sessions", "runs_per_client", "sessions", "shards",
-          "events", "wall_seconds", "events_per_second", "doh_rows",
-          "do53_rows", "atlas_rows", "failed_measurements", "doh_median_ms",
-          "peak_rss_bytes", "current_rss_bytes"}) {
-      require_number(point, key, where);
-    }
-    require_hash(point, "spec_hash", where);
-    if (point.number_or("sessions", 0) <= 0) {
-      fail(where + ": sessions must be > 0");
-    }
-    if (point.number_or("sessions", 0) < prev_sessions) {
-      fail(where + ": sessions not ascending across the sweep");
-    }
-    prev_sessions = point.number_or("sessions", 0);
-
-    const Value* arena = point.get("arena");
-    if (arena == nullptr || !arena->is_object()) {
-      fail(where + ": missing \"arena\" object");
-    } else {
-      for (const char* key : {"allocations", "reused", "fallbacks",
-                              "slab_bytes", "high_water_bytes"}) {
-        require_number(*arena, key, where + ".arena");
+/// The one validator: `v` against `type` and the rest of `row`.
+void check_value(const Value& v, const Row& row, Type type, const Value& root,
+                 const std::string& where) {
+  switch (type) {
+    case Type::kNumber:
+      if (!v.is_number()) return fail(where, "missing or not a number");
+      if (!row.range.contains(v.as_number())) {
+        fail(where, num_text(v.as_number()) + " outside " + row.range.text());
       }
-      if (arena->number_or("reused", 0) > arena->number_or("allocations", 0)) {
-        fail(where + ".arena: reused exceeds allocations");
+      return;
+    case Type::kString:
+      if (!v.is_string() || v.as_string().empty()) {
+        return fail(where, "missing or not a non-empty string");
+      }
+      if (row.one_of != nullptr && !is_one_of(row.one_of, v.as_string())) {
+        fail(where, std::string("not one of ") + row.one_of);
+      }
+      return;
+    case Type::kHash:
+      if (!v.is_string() || !is_hex16(v.as_string())) {
+        fail(where, "missing or not a 16-hex-digit content hash");
+      }
+      return;
+    case Type::kTrue:
+      if (!v.is_bool() || !v.as_bool()) fail(where, "missing or not true");
+      return;
+    case Type::kScalar:
+      if (!v.is_number() && !v.is_string() && !v.is_bool()) {
+        fail(where, "not a number, string or boolean");
+      }
+      return;
+    case Type::kObject:
+      if (!v.is_object()) return fail(where, "missing or not an object");
+      if (row.nested != nullptr) check_table(v, *row.nested, root, where);
+      break;
+    case Type::kArray: {
+      if (!v.is_array()) return fail(where, "missing or not an array");
+      const auto& items = v.as_array();
+      if (row.nonempty && items.empty()) return fail(where, "empty array");
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        check_value(items[i], row, row.element, root, index_of(where, i));
+      }
+      break;
+    }
+  }
+  if (row.check != nullptr && type == row.type) row.check(v, root, where);
+}
+
+void check_table(const Value& obj, const Table& table, const Value& root,
+                 const std::string& where) {
+  static const Value kMissing;
+  for (const Row& row : table) {
+    const Value* v = obj.get(row.key);
+    const std::string at = where.empty() ? row.key : where + "." + row.key;
+    check_value(v != nullptr ? *v : kMissing, row, row.type, root, at);
+  }
+}
+
+// ---- cross-field rules ------------------------------------------------
+
+void ascending_sessions(const Value& points, const Value&,
+                        const std::string& where) {
+  double previous = 0.0;
+  for (std::size_t i = 0; i < points.as_array().size(); ++i) {
+    const double sessions = points.as_array()[i].number_or("sessions", 0.0);
+    if (sessions < previous) {
+      fail(index_of(where, i), "sessions not ascending across the sweep");
+    }
+    previous = sessions;
+  }
+}
+
+void reused_within_allocations(const Value& arena, const Value&,
+                               const std::string& where) {
+  if (arena.number_or("reused", 0) > arena.number_or("allocations", 0)) {
+    fail(where, "reused exceeds allocations");
+  }
+}
+
+void errors_within_total(const Value& entries, const Value&,
+                         const std::string& where) {
+  for (std::size_t i = 0; i < entries.as_array().size(); ++i) {
+    const Value& entry = entries.as_array()[i];
+    if (entry.number_or("errors", 0) > entry.number_or("total", 0)) {
+      fail(index_of(where, i), "errors exceeds total");
+    }
+  }
+}
+
+void monotone_hit_rate(const Value& curve, const Value&,
+                       const std::string& where) {
+  double population = 0.0;
+  double rate = 0.0;
+  for (std::size_t i = 0; i < curve.as_array().size(); ++i) {
+    const Value& point = curve.as_array()[i];
+    const double p = point.number_or("population", 0.0);
+    const double r = point.number_or("expected_hit_rate", 0.0);
+    if (p <= population) {
+      fail(index_of(where, i), "populations not strictly ascending");
+    }
+    if (r < rate) {
+      fail(index_of(where, i),
+           "hit rate not monotone nondecreasing in population");
+    }
+    population = p;
+    rate = r;
+  }
+}
+
+void cells_match_axes(const Value& cells, const Value& root,
+                      const std::string& where) {
+  const Value* axes = root.get("axes");
+  if (axes == nullptr || !axes->is_array()) return;
+  std::size_t expected = 1;
+  for (const Value& axis : axes->as_array()) {
+    const Value* values = axis.get("values");
+    expected *= values != nullptr && values->is_array()
+                    ? values->as_array().size()
+                    : 1;
+  }
+  if (cells.as_array().size() != expected) {
+    fail(where, std::to_string(cells.as_array().size()) +
+                    " cells but the axes expand to " +
+                    std::to_string(expected));
+  }
+}
+
+/// A cell's assignment gives every declared axis a value of that axis's
+/// type (the JSON type of one of its declared values), and names nothing
+/// else. Values are not matched: an axis value may be any scalar.
+void assigns_declared_axes(const Value& assignment, const Value& root,
+                           const std::string& where) {
+  const Value* axes = root.get("axes");
+  if (axes == nullptr || !axes->is_array()) return;
+  for (const Value& axis : axes->as_array()) {
+    const std::string key = axis.string_or("key", "");
+    const Value* chosen = assignment.get(key);
+    const Value* values = axis.get("values");
+    bool typed = false;
+    if (chosen != nullptr && values != nullptr && values->is_array()) {
+      for (const Value& value : values->as_array()) {
+        typed = typed || value.type() == chosen->type();
       }
     }
-    ++index;
+    if (!typed) {
+      fail(where, "axis \"" + key + "\" is not assigned a value of its type");
+    }
   }
-  if (g_errors == 0) {
-    std::printf("bench_schema_check: dohperf-bench-scale-v1 OK "
-                "(%zu sweep point(s))\n",
-                points->as_array().size());
+  if (assignment.as_object().size() != axes->as_array().size()) {
+    fail(where, "assigns " + std::to_string(assignment.as_object().size()) +
+                    " keys for " + std::to_string(axes->as_array().size()) +
+                    " declared axes");
   }
 }
 
-// ---- dohperf-scenario-summary-v1 --------------------------------------
+// ---- the schemas ------------------------------------------------------
 
-void check_summary(const Value& doc, const std::string& where) {
-  require_string(doc, "name", where);
-  require_hash(doc, "spec_hash", where);
-  const std::string sink = doc.string_or("sink", "");
-  if (sink != "retained" && sink != "streaming") {
-    fail(where + ": \"sink\" is neither \"retained\" nor \"streaming\"");
-  }
-  const Value* world = doc.get("world");
-  if (world == nullptr || !world->is_object()) {
-    fail(where + ": missing \"world\" object");
-  } else {
-    require_number(*world, "seed", where + ".world");
-    require_number(*world, "client_scale", where + ".world");
-  }
-  for (const char* key :
-       {"sessions", "shards", "events", "wall_seconds", "doh1_median_ms",
-        "do53_median_ms", "retries", "retry_timeouts",
-        "failed_measurements", "discarded_mismatch", "peak_rss_bytes"}) {
-    require_number(doc, key, where);
-  }
-  if (doc.number_or("sessions", 0) <= 0) {
-    fail(where + ": sessions must be > 0");
-  }
-  const Value* outputs = doc.get("outputs");
-  if (outputs == nullptr || !outputs->is_array()) {
-    fail(where + ": missing \"outputs\" array");
-  }
+const Table kArena = {num("allocations"), num("reused"), num("fallbacks"),
+                      num("slab_bytes"), num("high_water_bytes")};
+const Table kScalePoint = {
+    num("requested_sessions"), num("runs_per_client"),
+    num("sessions", kPositive), num("shards"), num("events"),
+    num("wall_seconds"), num("events_per_second"), num("doh_rows"),
+    num("do53_rows"), num("atlas_rows"), num("failed_measurements"),
+    num("doh_median_ms"), num("peak_rss_bytes"), num("current_rss_bytes"),
+    hash("spec_hash"), object("arena", &kArena, reused_within_allocations)};
+const Table kScaleWorld = {num("scale"), num("seed"), num("exits", kPositive)};
+const Table kScale = {hash("spec_hash"), object("world", &kScaleWorld),
+                      array("points", &kScalePoint, ascending_sessions)};
+
+const Table kSummaryWorld = {num("seed"), num("client_scale")};
+const Table kSummaryCampaign = {num("runs_per_client", kPositive),
+                                num("atlas_measurements_per_country")};
+const Table kSummary = {
+    str("schema", "dohperf-scenario-summary-v1"), str("name"),
+    hash("spec_hash"), str("sink", "retained|streaming"),
+    object("world", &kSummaryWorld), object("campaign", &kSummaryCampaign),
+    num("sessions", kPositive), num("shards"), num("events"),
+    num("wall_seconds"), num("doh1_median_ms"), num("do53_median_ms"),
+    num("retries"), num("retry_timeouts"), num("failed_measurements"),
+    num("discarded_mismatch"), num("peak_rss_bytes"),
+    array_of("outputs", Type::kString, false)};
+
+const Table kAxis = {str("key"), array_of("values", Type::kScalar, true)};
+const Table kCell = {num("cell"),
+                     object("axes", nullptr, assigns_declared_axes),
+                     object("summary", &kSummary)};
+const Table kSweep = {str("name"), hash("document_hash"),
+                      array("axes", &kAxis, nullptr, /*nonempty=*/false),
+                      array("cells", &kCell, cells_match_axes)};
+
+Table budget(const char* name_key) {
+  return {str(name_key), num("total", kPositive), num("errors"),
+          num("availability", kUnit), num("error_budget_consumed")};
 }
+const Table kProviderBudget = budget("provider");
+const Table kStrategyBudget = budget("strategy");
+const Table kAvailability = {
+    hash("spec_hash"), num("alerts"), num("windows"),
+    num("availability_objective", kOpenUnit),
+    array("providers", &kProviderBudget, errors_within_total),
+    array("strategies", &kStrategyBudget, errors_within_total)};
 
-// ---- dohperf-sweep-v1 -------------------------------------------------
+const Table kColdBlock = {num("doh_median_ms"), num("do53_median_ms"),
+                          num("delta_ms", kAny)};
+const Table kWarmBlock = {num("doh_median_ms"), num("do53_median_ms"),
+                          num("delta_ms", kAny), num("shrink", kAny)};
+const Table kCounters = {num("doh_queries", kPositive), num("do53_queries"),
+                         num("shared_cache_hits"), num("stub_cache_hits"),
+                         num("pool_cold"), num("pool_reuses"),
+                         num("pool_resumptions")};
+const Table kCurvePoint = {num("population"),
+                           num("expected_hit_rate", kUnit)};
+const Table kWarmLadder = {hash("spec_hash"), object("cold", &kColdBlock),
+                           object("warm", &kWarmBlock),
+                           object("counters", &kCounters),
+                           array("curve", &kCurvePoint, monotone_hit_rate)};
 
-void check_sweep(const Value& doc) {
-  require_string(doc, "name", "document");
-  require_hash(doc, "document_hash", "document");
-
-  std::size_t expected_cells = 1;
-  const Value* axes = doc.get("axes");
-  if (axes == nullptr || !axes->is_array()) {
-    fail("missing \"axes\" array");
-  } else {
-    std::size_t index = 0;
-    for (const Value& axis : axes->as_array()) {
-      const std::string where = "axes[" + std::to_string(index) + "]";
-      if (!axis.is_object()) {
-        fail(where + ": not an object");
-      } else {
-        require_string(axis, "key", where);
-        const Value* values = axis.get("values");
-        if (values == nullptr || !values->is_array() ||
-            values->as_array().empty()) {
-          fail(where + ": missing or empty \"values\" array");
-        } else {
-          expected_cells *= values->as_array().size();
-        }
-      }
-      ++index;
-    }
-  }
-
-  const Value* cells = doc.get("cells");
-  if (cells == nullptr || !cells->is_array() || cells->as_array().empty()) {
-    fail("missing or empty \"cells\" array");
-    return;
-  }
-  if (axes != nullptr && axes->is_array() &&
-      cells->as_array().size() != expected_cells) {
-    fail("cells array has " + std::to_string(cells->as_array().size()) +
-         " entries but the axes expand to " +
-         std::to_string(expected_cells));
-  }
-  std::size_t index = 0;
-  for (const Value& cell : cells->as_array()) {
-    const std::string where = "cells[" + std::to_string(index) + "]";
-    if (!cell.is_object()) {
-      fail(where + ": not an object");
-      ++index;
-      continue;
-    }
-    require_number(cell, "cell", where);
-    const Value* assignment = cell.get("axes");
-    if (assignment == nullptr || !assignment->is_object()) {
-      fail(where + ": missing \"axes\" object");
-    }
-    const Value* summary = cell.get("summary");
-    if (summary == nullptr || !summary->is_object()) {
-      fail(where + ": missing \"summary\" object");
-    } else {
-      if (summary->string_or("schema", "") != "dohperf-scenario-summary-v1") {
-        fail(where + ".summary: schema tag is not "
-                     "\"dohperf-scenario-summary-v1\"");
-      }
-      check_summary(*summary, where + ".summary");
-    }
-    ++index;
-  }
-  if (g_errors == 0) {
-    std::printf("bench_schema_check: dohperf-sweep-v1 OK (%zu cell(s))\n",
-                cells->as_array().size());
-  }
-}
-
-// ---- dohperf-availability-v1 ------------------------------------------
-
-/// One per-(provider | strategy) budget entry shared by both arrays of
-/// the availability summary.
-void check_budget_entry(const Value& entry, const std::string& where,
-                        const char* name_key) {
-  if (!entry.is_object()) {
-    fail(where + ": not an object");
-    return;
-  }
-  require_string(entry, name_key, where);
-  for (const char* key :
-       {"total", "errors", "availability", "error_budget_consumed"}) {
-    require_number(entry, key, where);
-  }
-  if (entry.number_or("total", 0) <= 0) {
-    fail(where + ": total must be > 0");
-  }
-  if (entry.number_or("errors", 0) > entry.number_or("total", 0)) {
-    fail(where + ": errors exceeds total");
-  }
-  const double availability = entry.number_or("availability", -1.0);
-  if (availability < 0.0 || availability > 1.0) {
-    fail(where + ": availability outside [0, 1]");
-  }
-}
-
-void check_availability(const Value& doc) {
-  require_hash(doc, "spec_hash", "document");
-  require_number(doc, "alerts", "document");
-  require_number(doc, "windows", "document");
-  const double objective = doc.number_or("availability_objective", -1.0);
-  if (objective <= 0.0 || objective >= 1.0) {
-    fail("\"availability_objective\" outside (0, 1)");
-  }
-
-  const Value* providers = doc.get("providers");
-  if (providers == nullptr || !providers->is_array() ||
-      providers->as_array().empty()) {
-    fail("missing or empty \"providers\" array");
-  } else {
-    std::size_t index = 0;
-    for (const Value& provider : providers->as_array()) {
-      check_budget_entry(provider,
-                         "providers[" + std::to_string(index) + "]",
-                         "provider");
-      ++index;
-    }
-  }
-
-  const Value* strategies = doc.get("strategies");
-  if (strategies == nullptr || !strategies->is_array() ||
-      strategies->as_array().empty()) {
-    fail("missing or empty \"strategies\" array");
-  } else {
-    std::size_t index = 0;
-    for (const Value& strategy : strategies->as_array()) {
-      check_budget_entry(strategy,
-                         "strategies[" + std::to_string(index) + "]",
-                         "strategy");
-      ++index;
-    }
-  }
-
-  if (g_errors == 0) {
-    std::printf("bench_schema_check: dohperf-availability-v1 OK "
-                "(%zu provider(s), %zu strateg(y/ies))\n",
-                providers->as_array().size(),
-                strategies->as_array().size());
-  }
-}
-
-// ---- dohperf-warm-ladder-v1 -------------------------------------------
-
-/// One side of a cold/warm median block.
-void check_ladder_block(const Value& doc, const char* name,
-                        bool want_shrink) {
-  const Value* block = doc.get(name);
-  const std::string where = name;
-  if (block == nullptr || !block->is_object()) {
-    fail("missing \"" + where + "\" object");
-    return;
-  }
-  require_number(*block, "doh_median_ms", where);
-  require_number(*block, "do53_median_ms", where);
-  require_number(*block, "delta_ms", where, /*nonneg=*/false);
-  if (want_shrink) {
-    require_number(*block, "shrink", where, /*nonneg=*/false);
-  }
-}
-
-void check_warm_ladder(const Value& doc) {
-  require_hash(doc, "spec_hash", "document");
-  check_ladder_block(doc, "cold", /*want_shrink=*/false);
-  check_ladder_block(doc, "warm", /*want_shrink=*/true);
-
-  const Value* counters = doc.get("counters");
-  if (counters == nullptr || !counters->is_object()) {
-    fail("missing \"counters\" object");
-  } else {
-    for (const char* key :
-         {"doh_queries", "do53_queries", "shared_cache_hits",
-          "stub_cache_hits", "pool_cold", "pool_reuses",
-          "pool_resumptions"}) {
-      require_number(*counters, key, "counters");
-    }
-    if (counters->number_or("doh_queries", 0) <= 0) {
-      fail("counters.doh_queries must be > 0");
-    }
-  }
-
-  const Value* curve = doc.get("curve");
-  if (curve == nullptr || !curve->is_array() || curve->as_array().empty()) {
-    fail("missing or empty \"curve\" array");
-    return;
-  }
-  double prev_population = 0.0;
-  double prev_rate = -1.0;
-  std::size_t index = 0;
-  for (const Value& point : curve->as_array()) {
-    const std::string where = "curve[" + std::to_string(index) + "]";
-    if (!point.is_object()) {
-      fail(where + ": not an object");
-      ++index;
-      continue;
-    }
-    require_number(point, "population", where);
-    require_number(point, "expected_hit_rate", where);
-    const double population = point.number_or("population", 0.0);
-    const double rate = point.number_or("expected_hit_rate", -1.0);
-    if (population <= prev_population) {
-      fail(where + ": populations not strictly ascending");
-    }
-    if (rate < 0.0 || rate > 1.0) {
-      fail(where + ": expected_hit_rate outside [0, 1]");
-    }
-    if (rate < prev_rate) {
-      fail(where + ": hit rate not monotone nondecreasing in population");
-    }
-    prev_population = population;
-    prev_rate = rate;
-    ++index;
-  }
-
-  if (g_errors == 0) {
-    std::printf("bench_schema_check: dohperf-warm-ladder-v1 OK "
-                "(%zu curve point(s))\n",
-                curve->as_array().size());
-  }
-}
-
-// ---- dohperf-attribution-v1 -------------------------------------------
-
-/// Requires `obj[key]` to be the boolean literal `true` — the exactness
-/// and contract flags are structural invariants, not free data.
-void require_true(const Value& obj, const std::string& key,
-                  const std::string& where) {
-  const Value* v = obj.get(key);
-  if (v == nullptr || !v->is_bool()) {
-    fail(where + ": missing or non-boolean \"" + key + "\"");
-    return;
-  }
-  if (!v->as_bool()) fail(where + ": \"" + key + "\" is false");
-}
-
-void check_attribution(const Value& doc) {
-  require_hash(doc, "spec_hash", "document");
-
-  const Value* comparisons = doc.get("comparisons");
-  if (comparisons == nullptr || !comparisons->is_array() ||
-      comparisons->as_array().empty()) {
-    fail("missing or empty \"comparisons\" array");
-    return;
-  }
-  std::size_t index = 0;
-  for (const Value& comparison : comparisons->as_array()) {
-    const std::string where = "comparisons[" + std::to_string(index) + "]";
-    ++index;
-    if (!comparison.is_object()) {
-      fail(where + ": not an object");
-      continue;
-    }
-    require_string(comparison, "name", where);
-    require_string(comparison, "transport_a", where);
-    require_string(comparison, "transport_b", where);
-    require_number(comparison, "flows_a", where);
-    require_number(comparison, "flows_b", where);
-    if (comparison.number_or("flows_a", 0) <= 0 ||
-        comparison.number_or("flows_b", 0) <= 0) {
-      fail(where + ": flows must be > 0 on both sides");
-    }
-    require_number(comparison, "a_total_ms", where);
-    require_number(comparison, "b_total_ms", where);
-    require_number(comparison, "delta_ms", where, /*nonneg=*/false);
-    require_number(comparison, "handshake_tunnel_delta_ms", where,
-                   /*nonneg=*/false);
+const Table kComparison = {
+    str("name"), str("transport_a"), str("transport_b"),
+    num("flows_a", kPositive), num("flows_b", kPositive),
+    num("a_total_ms"), num("b_total_ms"), num("delta_ms", kAny),
+    num("handshake_tunnel_delta_ms", kAny),
     // The per-phase waterfall deltas summed to the end-to-end delta in
     // 128-bit rational arithmetic; anything else is artifact corruption.
-    require_true(comparison, "exact", where);
-    const double share = comparison.number_or("handshake_tunnel_share", -1.0);
-    if (share < 0.0 || share > 1.0) {
-      fail(where + ": \"handshake_tunnel_share\" outside [0, 1]");
-    }
-  }
+    is_true("exact"), num("handshake_tunnel_share", kUnit)};
+const Table kContract = {str("comparison"), num("min_share", kPositiveUnit),
+                         num("share", kUnit), is_true("pass")};
+const Table kAttribution = {hash("spec_hash"),
+                            array("comparisons", &kComparison),
+                            object("contract", &kContract)};
 
-  const Value* contract = doc.get("contract");
-  if (contract == nullptr || !contract->is_object()) {
-    fail("missing \"contract\" object");
-  } else {
-    require_string(*contract, "comparison", "contract");
-    const double min_share = contract->number_or("min_share", -1.0);
-    if (min_share <= 0.0 || min_share > 1.0) {
-      fail("contract.min_share outside (0, 1]");
-    }
-    const double share = contract->number_or("share", -1.0);
-    if (share < 0.0 || share > 1.0) {
-      fail("contract.share outside [0, 1]");
-    }
-    require_true(*contract, "pass", "contract");
-  }
-
-  if (g_errors == 0) {
-    std::printf("bench_schema_check: dohperf-attribution-v1 OK "
-                "(%zu comparison(s))\n",
-                comparisons->as_array().size());
-  }
-}
+const std::pair<const char*, const Table*> kSchemas[] = {
+    {"dohperf-bench-scale-v1", &kScale},
+    {"dohperf-scenario-summary-v1", &kSummary},
+    {"dohperf-sweep-v1", &kSweep},
+    {"dohperf-availability-v1", &kAvailability},
+    {"dohperf-warm-ladder-v1", &kWarmLadder},
+    {"dohperf-attribution-v1", &kAttribution},
+};
 
 }  // namespace
 
@@ -472,45 +391,41 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: bench_schema_check <artifact.json>\n");
     return 2;
   }
-
   std::ifstream in(argv[1]);
   if (!in) {
-    fail(std::string("cannot open ") + argv[1]);
+    fail(argv[1], "cannot open");
     return 1;
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-
   const auto doc = dohperf::obs::json::parse(buffer.str());
   if (!doc.has_value() || !doc->is_object()) {
-    fail("not a JSON object");
+    fail(argv[1], "not a JSON object");
     return 1;
   }
 
   const std::string schema = doc->string_or("schema", "");
-  if (schema == "dohperf-bench-scale-v1") {
-    check_scale(*doc);
-  } else if (schema == "dohperf-scenario-summary-v1") {
-    check_summary(*doc, "document");
-    if (g_errors == 0) {
-      std::printf("bench_schema_check: dohperf-scenario-summary-v1 OK\n");
-    }
-  } else if (schema == "dohperf-sweep-v1") {
-    check_sweep(*doc);
-  } else if (schema == "dohperf-availability-v1") {
-    check_availability(*doc);
-  } else if (schema == "dohperf-warm-ladder-v1") {
-    check_warm_ladder(*doc);
-  } else if (schema == "dohperf-attribution-v1") {
-    check_attribution(*doc);
-  } else {
-    fail("unknown schema tag \"" + schema + "\"");
+  const Table* table = nullptr;
+  for (const auto& [tag, candidate] : kSchemas) {
+    if (schema == tag) table = candidate;
   }
-
+  if (table == nullptr) {
+    fail("schema", "unknown schema tag \"" + schema + "\"");
+  } else {
+    check_table(*doc, *table, *doc, "");
+  }
   if (g_errors != 0) {
     std::fprintf(stderr, "bench_schema_check: %d error(s) in %s\n", g_errors,
                  argv[1]);
     return 1;
   }
+  std::string sizes;
+  for (const Row& row : *table) {
+    if (row.type != Type::kArray) continue;
+    sizes += (sizes.empty() ? " (" : ", ") + std::string(row.key) + ": " +
+             std::to_string(doc->get(row.key)->as_array().size());
+  }
+  std::printf("bench_schema_check: %s OK%s\n", schema.c_str(),
+              sizes.empty() ? "" : (sizes + ")").c_str());
   return 0;
 }

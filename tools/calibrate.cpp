@@ -1,32 +1,36 @@
-// Calibration harness: runs a scaled-down campaign and prints every
-// headline number the paper reports, next to the paper's value, so the
-// world-model constants can be tuned. Not part of the benchmark suite.
+// Calibration harness: runs a scaled-down paper-baseline campaign and
+// prints every headline number the paper reports, next to the paper's
+// value, so the world-model constants can be tuned. Not part of the
+// benchmark suite.
+//
+//   calibrate [SCALE]   (world.client_scale; default 0.15)
 #include <cstdio>
-#include <cstdlib>
 
-#include "measure/campaign.h"
 #include "measure/flows.h"
 #include "measure/regression.h"
+#include "scenario/runner.h"
 #include "stats/summary.h"
 #include "world/world_model.h"
 
 using namespace dohperf;
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.15;
+  scenario::CampaignSpec spec = scenario::paper_baseline_spec();
+  spec.world.client_scale = 0.15;
+  std::string error = "usage: calibrate [SCALE]";
+  if (argc > 2 || (argc == 2 && !scenario::set_override(
+                                    spec, "SCALE", "world.client_scale",
+                                    argv[1], &error))) {
+    std::fprintf(stderr, "calibrate: %s\n", error.c_str());
+    return 2;
+  }
+  scenario::scale_atlas_to_world(spec);
 
-  world::WorldConfig wcfg;
-  wcfg.seed = 42;
-  wcfg.client_scale = scale;
-  world::WorldModel world(wcfg);
+  world::WorldModel world(spec.world);
   std::printf("world: %zu exit nodes, %zu countries\n", world.exit_count(),
               world.countries().size());
-
-  measure::CampaignConfig ccfg;
-  ccfg.atlas_measurements_per_country =
-      std::max(10, static_cast<int>(250 * scale));
-  measure::Campaign campaign(world, ccfg);
-  measure::Dataset data = campaign.run();
+  const scenario::RunResult run = scenario::run(spec, world);
+  const measure::Dataset& data = run.dataset;
 
   std::printf("clients retained: %zu  discarded: %llu  failed: %llu\n",
               data.clients().size(),

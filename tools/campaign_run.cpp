@@ -16,7 +16,7 @@
 //
 // Any spec defect (unknown key, type mismatch, malformed value) is one
 // line-numbered diagnostic on stderr and exit code 2 — never a silent
-// default.
+// default; so is a malformed DOHPERF_* override (named in the message).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -86,7 +86,11 @@ int main(int argc, char** argv) {
     std::printf("%s\n", scenario::document_hash(doc).c_str());
     return 0;
   }
-  if (!no_env) scenario::apply_env_overrides(doc.base);
+  std::string error;
+  if (!no_env && !scenario::apply_env_overrides(doc.base, &error)) {
+    std::fprintf(stderr, "campaign_run: %s\n", error.c_str());
+    return 2;
+  }
 
   if (doc.is_sweep()) {
     const std::string report_path =
@@ -94,7 +98,6 @@ int main(int argc, char** argv) {
     scenario::SweepOptions options;
     options.processes = procs;
     options.work_dir = report_path + ".cells";
-    std::string error;
     if (!scenario::run_sweep(doc, options, report_path, &error)) {
       std::fprintf(stderr, "campaign_run: %s\n", error.c_str());
       return 1;

@@ -12,6 +12,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "dns/wire.h"
 #include "measure/dot.h"
@@ -22,15 +23,17 @@ using namespace dohperf;
 
 namespace {
 
-void print_trace(const netsim::TraceSink& capture) {
-  std::printf("\n%zu messages captured:\n", capture.size());
-  for (const auto& event : capture.events()) {
+/// Every message the lookup sent: the hop leaves of its span tree.
+void print_trace(const obs::SpanContext& capture) {
+  const std::vector<const obs::Span*> hops = capture.hop_view();
+  std::printf("\n%zu messages captured:\n", hops.size());
+  for (const obs::Span* hop : hops) {
     std::printf(
         "  %9.3f ms  (%7.2f,%8.2f) -> (%7.2f,%8.2f)  %5zu bytes  "
         "(%.2f ms in flight)\n",
-        netsim::to_ms(event.sent_at.time_since_epoch()), event.from.lat,
-        event.from.lon, event.to.lat, event.to.lon, event.bytes,
-        netsim::ms_between(event.sent_at, event.delivered_at));
+        netsim::to_ms(hop->start.time_since_epoch()), hop->from.lat,
+        hop->from.lon, hop->to.lat, hop->to.lon, hop->bytes,
+        hop->duration_ms());
   }
 }
 
@@ -86,9 +89,9 @@ int main(int argc, char** argv) {
                  name.c_str(), world.origin().to_string().c_str());
   }
 
-  netsim::TraceSink capture;
+  obs::SpanContext capture;
   auto net = world.ctx();
-  if (want_trace) net.trace = &capture;
+  if (want_trace) net.spans = &capture;
 
   if (via == "do53") {
     auto task = measure::do53_direct(net, client->site,

@@ -1,9 +1,10 @@
 // dohperf_cli — command-line front door to the library.
 //
-//   dohperf_cli campaign  [--scale S] [--seed N] [--countries SE,BR,...]
-//                         [--out DIR]
-//       Build a world, run the measurement campaign, print the headline
-//       summary, and optionally save the dataset as CSV.
+//   dohperf_cli campaign  [--spec FILE] [--scale S] [--seed N]
+//                         [--countries SE,BR,...] [--out DIR]
+//       Run one campaign (the paper baseline at scale 0.2, or the spec
+//       FILE, with the flags applied on top), print the headline summary,
+//       and optionally save the dataset as CSV.
 //
 //   dohperf_cli summary   --in DIR
 //       Load a saved dataset and print the headline summary.
@@ -13,36 +14,44 @@
 //
 //   dohperf_cli validate  [--country ISO2] [--seed N]
 //       Ground-truth validation (paper Section 4) for one country.
+//
+// Flag values are checked with the spec parser's rules; a bad value or a
+// flag without one exits 2 with a diagnostic naming the flag.
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <optional>
-#include <sstream>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "measure/campaign.h"
 #include "measure/dataset_io.h"
 #include "measure/flows.h"
 #include "measure/groundtruth.h"
 #include "measure/regression.h"
 #include "report/table.h"
+#include "scenario/runner.h"
 #include "stats/summary.h"
-#include "world/scenarios.h"
 #include "world/world_model.h"
 
 using namespace dohperf;
 
 namespace {
 
+/// A malformed command line (exit status 2).
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 /// Minimal "--key value" argument parser.
 class Args {
  public:
   Args(int argc, char** argv) {
-    for (int i = 2; i + 1 < argc; i += 2) {
+    for (int i = 2; i < argc; i += 2) {
       if (std::strncmp(argv[i], "--", 2) != 0) {
-        throw std::invalid_argument(std::string("expected flag, got ") +
-                                    argv[i]);
+        throw UsageError(std::string("expected flag, got ") + argv[i]);
+      }
+      if (i + 1 == argc) {
+        throw UsageError(std::string(argv[i]) + ": missing value");
       }
       values_[argv[i] + 2] = argv[i + 1];
     }
@@ -53,29 +62,21 @@ class Args {
     if (it == values_.end()) return std::nullopt;
     return it->second;
   }
-  [[nodiscard]] double get_double(const std::string& k, double fallback) const {
-    const auto v = get(k);
-    return v ? std::atof(v->c_str()) : fallback;
-  }
-  [[nodiscard]] std::uint64_t get_u64(const std::string& k,
-                                      std::uint64_t fallback) const {
-    const auto v = get(k);
-    return v ? static_cast<std::uint64_t>(std::atoll(v->c_str())) : fallback;
+
+  /// Applies `--flag VALUE`, when given, to the spec key `key`.
+  void apply(scenario::CampaignSpec& spec, const std::string& flag,
+             const std::string& key) const {
+    std::string error;
+    if (const auto value = get(flag);
+        value && !scenario::set_override(spec, "--" + flag, key, *value,
+                                         &error)) {
+      throw UsageError(error);
+    }
   }
 
  private:
   std::map<std::string, std::string> values_;
 };
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
 
 void print_summary(const measure::Dataset& data) {
   report::Table table("Dataset summary");
@@ -109,41 +110,38 @@ void print_summary(const measure::Dataset& data) {
 }
 
 int cmd_campaign(const Args& args) {
-  world::WorldConfig config;
-  if (const auto scenario = args.get("scenario")) {
-    const auto preset = world::scenario_config(*scenario);
-    if (!preset) {
-      std::fprintf(stderr, "unknown scenario \"%s\"; available:\n",
-                   scenario->c_str());
-      for (const auto& s : world::scenarios()) {
-        std::fprintf(stderr, "  %-16s %s\n", std::string(s.name).c_str(),
-                     std::string(s.description).c_str());
-      }
-      return 2;
+  scenario::CampaignSpec spec = scenario::paper_baseline_spec();
+  spec.world.client_scale = 0.2;
+  const auto spec_path = args.get("spec");
+  if (spec_path) {
+    const scenario::SpecParseResult parsed =
+        scenario::load_spec_file(*spec_path);
+    if (!parsed.ok()) throw UsageError(parsed.error);
+    if (parsed.doc.is_sweep()) {
+      throw UsageError(*spec_path +
+                       " is a sweep spec; campaign runs one (use "
+                       "campaign_run for sweeps)");
     }
-    config = *preset;
+    spec = parsed.doc.base;
   }
-  config.seed = args.get_u64("seed", 42);
-  config.client_scale = args.get_double("scale", 0.2);
-  if (const auto countries = args.get("countries")) {
-    config.only_countries = split_csv(*countries);
-  }
-  world::WorldModel world(config);
+  args.apply(spec, "seed", "world.seed");
+  args.apply(spec, "scale", "world.client_scale");
+  args.apply(spec, "countries", "world.only_countries");
+  if (!spec_path) scenario::scale_atlas_to_world(spec);
+  spec.sink = scenario::SinkMode::kRetained;  // the summary reads the rows
+
+  world::WorldModel world(spec.world);
   std::printf("world: %zu exit nodes across %zu countries (seed %llu, "
               "scale %.2f)\n",
               world.exit_count(), world.countries().size(),
-              static_cast<unsigned long long>(config.seed),
-              config.client_scale);
-
-  measure::CampaignConfig campaign_config;
-  campaign_config.atlas_measurements_per_country =
-      std::max(10, static_cast<int>(250 * config.client_scale));
-  measure::Campaign campaign(world, campaign_config);
-  const measure::Dataset data = campaign.run();
-  print_summary(data);
+              static_cast<unsigned long long>(spec.world.seed),
+              spec.world.client_scale);
+  scenario::RunResult result = scenario::run(spec, world);
+  scenario::write_outputs(result);
+  print_summary(result.dataset);
 
   if (const auto out = args.get("out")) {
-    measure::save_dataset(data, *out);
+    measure::save_dataset(result.dataset, *out);
     std::printf("dataset saved to %s/{clients,doh,do53,meta}.csv\n",
                 out->c_str());
   }
@@ -165,10 +163,10 @@ int cmd_query(const Args& args) {
   const std::string provider_name =
       args.get("provider").value_or("Cloudflare");
 
-  world::WorldConfig config;
-  config.seed = args.get_u64("seed", 42);
-  config.only_countries = {iso2};
-  world::WorldModel world(config);
+  scenario::CampaignSpec spec;
+  args.apply(spec, "seed", "world.seed");
+  spec.world.only_countries = {iso2};
+  world::WorldModel world(spec.world);
 
   const proxy::ExitNode* client =
       world.brightdata().pick_exit(iso2, world.rng());
@@ -219,10 +217,10 @@ int cmd_query(const Args& args) {
 
 int cmd_validate(const Args& args) {
   const std::string iso2 = args.get("country").value_or("SE");
-  world::WorldConfig config;
-  config.seed = args.get_u64("seed", 42);
-  config.only_countries = {iso2};
-  world::WorldModel world(config);
+  scenario::CampaignSpec spec;
+  args.apply(spec, "seed", "world.seed");
+  spec.world.only_countries = {iso2};
+  world::WorldModel world(spec.world);
   measure::GroundTruthLab lab(world);
 
   const auto doh = lab.validate_doh(iso2, 0, 10);
@@ -246,7 +244,7 @@ int cmd_validate(const Args& args) {
 void usage() {
   std::fputs(
       "usage: dohperf_cli <campaign|summary|query|validate> [--flag value]...\n"
-      "  campaign  [--scenario NAME] [--scale S] [--seed N] [--countries A,B] [--out DIR]\n"
+      "  campaign  [--spec FILE] [--scale S] [--seed N] [--countries A,B] [--out DIR]\n"
       "  summary   --in DIR\n"
       "  query     [--country ISO2] [--provider NAME] [--seed N]\n"
       "  validate  [--country ISO2] [--seed N]\n",
@@ -268,6 +266,9 @@ int main(int argc, char** argv) {
     if (command == "query") return cmd_query(args);
     if (command == "validate") return cmd_validate(args);
     usage();
+    return 2;
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "dohperf_cli: %s\n", e.what());
     return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
