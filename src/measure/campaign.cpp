@@ -1,12 +1,14 @@
 #include "measure/campaign.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -410,7 +412,7 @@ struct Session {
                                obs::classify_flow_outcome(signals),
                                sampled ? latency_ms : 0.0, sampled);
     if (sampled) {
-      metrics.histogram(provider).record(latency_ms);
+      view.telemetry->metrics.histogram(provider).record(latency_ms);
       net.series.latency(latency_series, now, latency_ms);
     }
   }
@@ -423,7 +425,9 @@ struct Session {
   netsim::NetCtx net;
   /// Session-private metrics: the flight recorder diffs counters across a
   /// single flow, and concurrent sessions batched on this shard's
-  /// simulator must not bleed into the diff.
+  /// simulator must not bleed into the diff. The flow latency histograms
+  /// take no part in the diff, so end_flow and the warm path record them
+  /// straight into the shard registry (bucket adds commute).
   obs::Metrics metrics;
   const netsim::SimTime epoch;
   /// Virtual campaign time: this session's slot on the multi-day axis. A
@@ -518,7 +522,7 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
         // Per-query-index latency histograms; the tail shares one bucket
         // so the histogram count stays bounded for long sessions.
         const int index_bucket = std::min(q.query_index, 7);
-        s.metrics
+        view.telemetry->metrics
             .histogram(std::string(prefix) + "_warm_q" +
                        std::to_string(index_bucket))
             .record(q.ms);
@@ -904,15 +908,38 @@ std::vector<ShardProfile> execute_campaign(
 /// DOHPERF_THREADS from the environment, falling back to
 /// std::thread::hardware_concurrency() (minimum 1).
 int threads_from_env() {
-  if (const char* value = std::getenv("DOHPERF_THREADS")) {
-    const int n = std::atoi(value);
-    if (n > 0) return n;
+  int n = 0;
+  std::string error;
+  if (!count_from_env("DOHPERF_THREADS", &n, &error)) {
+    throw std::invalid_argument(error);
   }
+  if (n > 0) return n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
 }  // namespace
+
+bool count_from_env(const char* variable, int* count, std::string* error) {
+  *count = 0;
+  const char* value = std::getenv(variable);
+  if (value == nullptr) return true;
+  const std::string_view text(value);
+  int n = 0;
+  // from_chars takes no '+' but does take '-'; a leading digit rules out
+  // both signs, and the whole text must be consumed.
+  const auto [end, ec] = std::from_chars(text.data(),
+                                         text.data() + text.size(), n);
+  if (text.empty() || text.front() < '0' || text.front() > '9' ||
+      ec != std::errc() || end != text.data() + text.size() || n <= 0) {
+    *error = std::string(variable) +
+             ": expected a positive decimal integer, got \"" +
+             std::string(text) + "\"";
+    return false;
+  }
+  *count = n;
+  return true;
+}
 
 Campaign::Campaign(world::WorldModel& world, CampaignConfig config)
     : world_(world), config_(config) {}

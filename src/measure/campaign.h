@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "measure/dataset.h"
@@ -141,11 +142,20 @@ struct CampaignTelemetry {
   obs::AttributionLedger attribution;
 };
 
+/// Reads a count (DOHPERF_THREADS, DOHPERF_SWEEP_PROCS) from environment
+/// variable `variable` into `*count`: 0 when the variable is unset, else
+/// the whole value must be a positive decimal integer ("4", not "4x",
+/// "-1", "0", "+4" or ""). On a malformed value returns false and stores
+/// one diagnostic naming the variable in `*error`.
+[[nodiscard]] bool count_from_env(const char* variable, int* count,
+                                  std::string* error);
+
 /// Runs the campaign over an assembled world.
 class Campaign {
  public:
   /// Shard count that defers to CampaignConfig::threads, then
-  /// DOHPERF_THREADS, then the hardware concurrency.
+  /// DOHPERF_THREADS, then the hardware concurrency. A malformed
+  /// DOHPERF_THREADS makes the run throw std::invalid_argument.
   static constexpr int kConfiguredShards = -1;
 
   explicit Campaign(world::WorldModel& world, CampaignConfig config = {});

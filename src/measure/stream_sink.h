@@ -6,7 +6,8 @@
 // session's rows the moment its coroutine completes and keeps only:
 //
 //   * mergeable quantile sketches (global, per-provider, per-country —
-//     the fig4/fig5 CDF and median paths), ~6 KB each;
+//     the fig4/fig5 CDF and median paths), 48 bytes plus 16 per
+//     occupied bucket each (a per-country sketch holds tens of buckets);
 //   * per-provider client bitsets over the canonical exit enumeration
 //     (unique-client / unique-country / analysis-country queries);
 //   * counters (sessions, rows, failures);

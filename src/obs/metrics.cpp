@@ -7,8 +7,10 @@ namespace dohperf::obs {
 
 int LatencyHistogram::bucket_index(double ms) {
   if (!(ms >= 1.0)) return 0;  // underflow (and NaN) bucket
-  int i = 1 + static_cast<int>(4.0 * std::log2(ms));
-  if (i >= kBucketCount) return kBucketCount - 1;
+  // Compared before the int conversion, which +inf would overflow.
+  const double quarter_octaves = 4.0 * std::log2(ms);
+  if (!(quarter_octaves < kBucketCount - 1)) return kBucketCount - 1;
+  int i = 1 + static_cast<int>(quarter_octaves);
   // log2 rounding can land an exact edge value one bucket off; nudge so
   // the edges are exactly [lower, upper) as bucket_lower_ms advertises.
   if (ms >= bucket_upper_ms(i)) {
@@ -31,16 +33,6 @@ double LatencyHistogram::bucket_upper_ms(int i) {
   return std::exp2(static_cast<double>(i) / 4.0);
 }
 
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  for (int i = 0; i < kBucketCount; ++i) counts_[i] += other.counts_[i];
-}
-
-std::uint64_t LatencyHistogram::count() const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : counts_) total += c;
-  return total;
-}
-
 double LatencyHistogram::quantile_ms(double q) const {
   const std::uint64_t total = count();
   if (total == 0) return 0.0;
@@ -52,9 +44,10 @@ double LatencyHistogram::quantile_ms(double q) const {
       std::ceil(q * static_cast<double>(total)));
   const std::uint64_t target = rank == 0 ? 1 : rank;
   std::uint64_t cumulative = 0;
-  for (int i = 0; i < kBucketCount; ++i) {
-    cumulative += counts_[i];
+  for (const SparseBuckets::Cell& cell : buckets_.cells()) {
+    cumulative += cell.count;
     if (cumulative >= target) {
+      const int i = cell.bucket;
       // The last bucket's upper edge is infinite; report its lower edge.
       return i == kBucketCount - 1 ? bucket_lower_ms(i) : bucket_upper_ms(i);
     }

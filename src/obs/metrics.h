@@ -11,11 +11,13 @@
 // rounding difference would break the DOHPERF_THREADS=1/2/4 identity.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
+
+#include "obs/sparse_buckets.h"
 
 namespace dohperf::obs {
 
@@ -23,13 +25,16 @@ namespace dohperf::obs {
 /// are quarter-octave (x2^(1/4)) widths from 1 ms, and the last bucket
 /// absorbs everything past ~4 s. Fixed edges (no rebalancing) keep
 /// bucket assignment a pure function of the recorded value, so shard
-/// merges are order-independent.
+/// merges are order-independent. Only non-zero buckets are stored
+/// (obs::SparseBuckets): an empty histogram is 24 bytes and owns no heap,
+/// and each recorded bucket costs one 16-byte cell.
 class LatencyHistogram {
  public:
   /// Quarter-octave buckets spanning 1 ms .. 2^12 ms = 4096 ms.
   static constexpr int kLogBuckets = 48;
   /// +1 underflow bucket [0, 1 ms), +1 overflow bucket [4096 ms, inf).
   static constexpr int kBucketCount = kLogBuckets + 2;
+  static_assert(kBucketCount <= SparseBuckets::kMaxBuckets);
 
   /// Bucket index for a latency (negative values land in bucket 0).
   [[nodiscard]] static int bucket_index(double ms);
@@ -38,25 +43,29 @@ class LatencyHistogram {
   /// Exclusive upper edge of bucket `i` in ms (last bucket: +inf).
   [[nodiscard]] static double bucket_upper_ms(int i);
 
-  void record(double ms) { ++counts_[bucket_index(ms)]; }
-  void merge(const LatencyHistogram& other);
+  void record(double ms) {
+    buckets_.add(static_cast<std::size_t>(bucket_index(ms)));
+  }
+  void merge(const LatencyHistogram& other) { buckets_.merge(other.buckets_); }
 
-  [[nodiscard]] std::uint64_t count() const;
+  [[nodiscard]] std::uint64_t count() const { return buckets_.total(); }
   [[nodiscard]] std::uint64_t bucket_count(int i) const {
-    return counts_[i];
+    return i < 0 ? 0 : buckets_.count(static_cast<std::size_t>(i));
+  }
+  /// The non-zero buckets in ascending bucket order.
+  [[nodiscard]] std::span<const SparseBuckets::Cell> buckets() const {
+    return buckets_.cells();
   }
 
   /// Deterministic quantile estimate: the upper edge of the first bucket
   /// whose cumulative count reaches q * total (0 on an empty histogram).
   [[nodiscard]] double quantile_ms(double q) const;
 
-  friend bool operator==(const LatencyHistogram& a,
-                         const LatencyHistogram& b) {
-    return a.counts_ == b.counts_;
-  }
+  friend bool operator==(const LatencyHistogram&,
+                         const LatencyHistogram&) = default;
 
  private:
-  std::array<std::uint64_t, kBucketCount> counts_{};
+  SparseBuckets buckets_;
 };
 
 /// Plain event counters, incremented from the instrumented layers.

@@ -48,11 +48,9 @@ CsvWriter metrics_csv(const obs::Metrics& metrics) {
                  NumText::g6(hist.quantile_ms(0.9))});
     csv.add_row({"histogram", name + ".p99_ms",
                  NumText::g6(hist.quantile_ms(0.99))});
-    for (int i = 0; i < obs::LatencyHistogram::kBucketCount; ++i) {
-      const std::uint64_t n = hist.bucket_count(i);
-      if (n == 0) continue;
-      csv.add_row({"histogram", name + ".bucket" + std::to_string(i),
-                   NumText(n)});
+    for (const obs::SparseBuckets::Cell& cell : hist.buckets()) {
+      csv.add_row({"histogram", name + ".bucket" + std::to_string(cell.bucket),
+                   NumText(cell.count)});
     }
   }
   return csv;

@@ -921,6 +921,12 @@ bool apply_env_overrides(CampaignSpec& spec, std::string* error) {
     }
     spec.world.client_scale *= factor.world.client_scale;
   }
+  // Counts read where they are used (campaign shards, sweep workers),
+  // checked here so a malformed one stops the run before any work.
+  for (const char* variable : {"DOHPERF_THREADS", "DOHPERF_SWEEP_PROCS"}) {
+    int count = 0;
+    if (!measure::count_from_env(variable, &count, error)) return false;
+  }
   return true;
 }
 

@@ -156,8 +156,10 @@ void scale_atlas_to_world(CampaignSpec& spec);
 /// Every value is checked by set_override() (the DOHPERF_SCALE
 /// multiplier as a client scale, so it must be > 0); on the first bad
 /// one returns false with its diagnostic in `*error`.
-/// DOHPERF_THREADS needs no mapping: campaign.threads = 0 already means
-/// "take it from the environment" (Campaign::run's default shard count).
+/// DOHPERF_THREADS and DOHPERF_SWEEP_PROCS need no mapping (campaign
+/// .threads = 0 already means "take it from the environment", and the
+/// sweep driver reads its worker count itself), but a set one must be a
+/// positive decimal integer (measure::count_from_env), checked here too.
 [[nodiscard]] bool apply_env_overrides(CampaignSpec& spec,
                                        std::string* error);
 

@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include <map>
 #include <sstream>
 
+#include "measure/campaign.h"
 #include "obs/json.h"
 
 namespace dohperf::scenario {
@@ -91,18 +93,16 @@ std::vector<SweepCell> expand(const SpecDocument& doc) {
   return cells;
 }
 
-int processes_from_env() {
-  const char* value = std::getenv("DOHPERF_SWEEP_PROCS");
-  if (value == nullptr) return 1;
-  const int procs = std::atoi(value);
-  return procs > 0 ? procs : 1;
-}
-
 bool run_sweep(const SpecDocument& doc, const SweepOptions& options,
                const std::string& report_path, std::string* error) {
+  int procs = options.processes;
+  if (procs <= 0) {
+    if (!measure::count_from_env("DOHPERF_SWEEP_PROCS", &procs, error)) {
+      return false;
+    }
+    procs = std::max(procs, 1);
+  }
   const std::vector<SweepCell> cells = expand(doc);
-  const int procs = options.processes > 0 ? options.processes
-                                          : processes_from_env();
   const std::string runner =
       options.runner.empty() ? self_exe() : options.runner;
   if (runner.empty()) {

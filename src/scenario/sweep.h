@@ -37,10 +37,6 @@ struct SweepCell {
 /// cannot fail.
 [[nodiscard]] std::vector<SweepCell> expand(const SpecDocument& doc);
 
-/// DOHPERF_SWEEP_PROCS from the environment (minimum 1; default 1 —
-/// serial, respecting single-CPU containers).
-[[nodiscard]] int processes_from_env();
-
 struct SweepOptions {
   /// Worker binary fork/exec'd per cell (invoked as
   /// `<runner> --no-env <cell.spec>`). Empty = this executable
@@ -49,7 +45,9 @@ struct SweepOptions {
   /// Directory for per-cell spec files and summaries (created on
   /// demand).
   std::string work_dir = "out/sweep";
-  /// Concurrent worker processes; 0 = processes_from_env().
+  /// Concurrent worker processes; 0 = DOHPERF_SWEEP_PROCS from the
+  /// environment (a positive integer; default 1 — serial, respecting
+  /// single-CPU containers).
   int processes = 0;
 };
 

@@ -9,15 +9,30 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
+// The min and max of the recorded values, ignoring NaN (unless every
+// value is NaN) and ordering -0 below +0, so both are a function of the
+// recorded values alone, never of their record or merge order.
+double lesser(double a, double b) {
+  if (std::isnan(a)) return b;
+  if (std::isnan(b) || a < b) return a;
+  return a == b && std::signbit(a) ? a : b;
+}
+
+double greater(double a, double b) {
+  if (std::isnan(a)) return b;
+  if (std::isnan(b) || a > b) return a;
+  return a == b && !std::signbit(a) ? a : b;
+}
+
 }  // namespace
 
 std::size_t QuantileSketch::bucket_index(double value) {
   if (!(value >= kMinValue)) return 0;  // underflow (also NaN-safe)
   const double octaves = std::log2(value / kMinValue);
-  const auto idx = static_cast<long>(octaves *
-                                     static_cast<double>(kBucketsPerOctave));
-  if (idx >= kLogBuckets) return kBuckets - 1;  // overflow
-  return static_cast<std::size_t>(idx) + 1;
+  const double scaled = octaves * static_cast<double>(kBucketsPerOctave);
+  // Compared before the integer conversion, which +inf would overflow.
+  if (!(scaled < kLogBuckets)) return kBuckets - 1;  // overflow
+  return static_cast<std::size_t>(scaled) + 1;
 }
 
 double QuantileSketch::lower_edge(std::size_t bucket) {
@@ -34,10 +49,10 @@ void QuantileSketch::record(double value) {
     min_ = value;
     max_ = value;
   } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
+    min_ = lesser(min_, value);
+    max_ = greater(max_, value);
   }
-  ++counts_[bucket_index(value)];
+  buckets_.add(bucket_index(value));
   ++count_;
 }
 
@@ -47,10 +62,10 @@ void QuantileSketch::merge(const QuantileSketch& other) {
     min_ = other.min_;
     max_ = other.max_;
   } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
+    min_ = lesser(min_, other.min_);
+    max_ = greater(max_, other.max_);
   }
-  for (std::size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
+  buckets_.merge(other.buckets_);
   count_ += other.count_;
 }
 
@@ -64,9 +79,9 @@ double QuantileSketch::quantile(double q) const {
   // linearly between a bucket's clamped edges.
   const double rank = q * static_cast<double>(count_ - 1);
   std::uint64_t before = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    const std::uint64_t n = counts_[b];
-    if (n == 0) continue;
+  for (const obs::SparseBuckets::Cell& cell : buckets_.cells()) {
+    const std::size_t b = cell.bucket;
+    const std::uint64_t n = cell.count;
     if (rank < static_cast<double>(before + n)) {
       const double lo = std::max(lower_edge(b), min_);
       const double hi =

@@ -4,6 +4,9 @@
 // is parsed back with the bundled parser).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -13,6 +16,7 @@
 #include "measure/flows.h"
 #include "netsim/netctx.h"
 #include "netsim/path.h"
+#include "netsim/random.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -435,6 +439,113 @@ TEST(LatencyHistogramTest, QuantileBoundaries) {
   EXPECT_EQ(mixed.quantile_ms(1.0),
             LatencyHistogram::bucket_upper_ms(
                 LatencyHistogram::bucket_index(3000.0)));
+}
+
+/// The dense bucket array LatencyHistogram stored before its buckets
+/// went sparse, with the quantile rule written over the whole array.
+struct DenseLatencyReference {
+  std::array<std::uint64_t, LatencyHistogram::kBucketCount> counts{};
+
+  void record(double ms) {
+    ++counts[static_cast<std::size_t>(LatencyHistogram::bucket_index(ms))];
+  }
+  [[nodiscard]] std::uint64_t count() const {
+    std::uint64_t total = 0;
+    for (const std::uint64_t c : counts) total += c;
+    return total;
+  }
+  [[nodiscard]] double quantile_ms(double q) const {
+    const std::uint64_t total = count();
+    if (total == 0) return 0.0;
+    q = std::clamp(q, 0.0, 1.0);
+    const auto rank = static_cast<std::uint64_t>(
+        std::ceil(q * static_cast<double>(total)));
+    const std::uint64_t target = rank == 0 ? 1 : rank;
+    std::uint64_t cumulative = 0;
+    for (int i = 0; i < LatencyHistogram::kBucketCount; ++i) {
+      cumulative += counts[static_cast<std::size_t>(i)];
+      if (cumulative >= target) {
+        return i == LatencyHistogram::kBucketCount - 1
+                   ? LatencyHistogram::bucket_lower_ms(i)
+                   : LatencyHistogram::bucket_upper_ms(i);
+      }
+    }
+    return LatencyHistogram::bucket_lower_ms(LatencyHistogram::kBucketCount -
+                                             1);
+  }
+};
+
+TEST(LatencyHistogramTest, SparseStoreMatchesDenseReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // Every bucket edge and both its neighbours, then 0, negatives, NaN,
+  // +inf and values far past the top bucket, then a latency bulk to
+  // reach 10^5 values. The eight parts draw their bulk from shifted
+  // bands, so their bucket sets overlap only in part and merges insert
+  // new buckets before, between and after existing ones.
+  std::vector<double> special;
+  for (int i = 0; i < LatencyHistogram::kBucketCount; ++i) {
+    for (const double edge : {LatencyHistogram::bucket_lower_ms(i),
+                              LatencyHistogram::bucket_upper_ms(i)}) {
+      special.insert(special.end(), {edge, std::nextafter(edge, -kInf),
+                                     std::nextafter(edge, kInf)});
+    }
+  }
+  special.insert(special.end(),
+                 {0.0, -0.0, -1.0, -1e-300, -kInf, kNaN, kInf, 4096.0 * 3,
+                  1e9, 1e300, std::numeric_limits<double>::max()});
+  std::vector<std::vector<double>> parts(8);
+  for (std::size_t i = 0; i < special.size(); ++i) {
+    parts[i % parts.size()].push_back(special[i]);
+  }
+  netsim::Rng rng(4242);
+  for (std::size_t i = special.size(); i < 100000; ++i) {
+    const std::size_t p = i % parts.size();
+    const double band = static_cast<double>(p);
+    parts[p].push_back(std::exp2(rng.uniform(band - 2.0, band + 6.0)));
+  }
+
+  DenseLatencyReference reference;
+  LatencyHistogram serial;
+  std::vector<LatencyHistogram> part_hists(parts.size());
+  std::size_t recorded = 0;
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    for (const double v : parts[p]) {
+      reference.record(v);
+      serial.record(v);
+      part_hists[p].record(v);
+      ++recorded;
+    }
+  }
+  ASSERT_GE(recorded, 100000u);
+
+  const auto merged = [&](const std::vector<std::size_t>& order) {
+    LatencyHistogram out;
+    for (const std::size_t p : order) out.merge(part_hists[p]);
+    return out;
+  };
+  const std::vector<LatencyHistogram> results = {
+      serial, merged({0, 1, 2, 3, 4, 5, 6, 7}),
+      merged({7, 6, 5, 4, 3, 2, 1, 0}), merged({3, 0, 6, 1, 7, 2, 5, 4})};
+  for (const LatencyHistogram& hist : results) {
+    EXPECT_TRUE(hist == serial);
+    EXPECT_EQ(hist.count(), reference.count());
+    for (int i = -1; i <= LatencyHistogram::kBucketCount; ++i) {
+      const std::uint64_t expected =
+          i < 0 || i >= LatencyHistogram::kBucketCount
+              ? 0
+              : reference.counts[static_cast<std::size_t>(i)];
+      EXPECT_EQ(hist.bucket_count(i), expected) << "bucket " << i;
+    }
+    for (int k = 0; k <= 100; ++k) {
+      const double q = k / 100.0;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(hist.quantile_ms(q)),
+                std::bit_cast<std::uint64_t>(reference.quantile_ms(q)))
+          << "q=" << q;
+    }
+  }
+  EXPECT_EQ(serial.buckets().size(),
+            static_cast<std::size_t>(LatencyHistogram::kBucketCount));
 }
 
 // ----------------------------------------------------------- metric series

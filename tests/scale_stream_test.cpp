@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "measure/stream_sink.h"
@@ -120,6 +123,134 @@ TEST(QuantileSketchTest, CurveIsMonotoneAndBounded) {
   }
   EXPECT_GE(curve.front().first, sketch.min());
   EXPECT_LE(curve.back().first, sketch.max());
+}
+
+/// A QuantileSketch as it stood before its buckets went sparse: a dense
+/// count per bucket, the NaN-free min and max (-0 below +0), and the
+/// quantile rule written over the whole array.
+struct DenseSketchReference {
+  using Sketch = stats::QuantileSketch;
+  std::array<std::uint64_t, Sketch::kBuckets> counts{};
+  std::uint64_t count = 0;
+  double min = std::numeric_limits<double>::quiet_NaN();
+  double max = std::numeric_limits<double>::quiet_NaN();
+
+  void record(double v) {
+    ++counts[Sketch::bucket_index(v)];
+    if (count++ == 0 || std::isnan(min)) {
+      min = max = v;
+    } else if (!std::isnan(v)) {
+      if (v < min || (v == min && std::signbit(v))) min = v;
+      if (v > max || (v == max && !std::signbit(v))) max = v;
+    }
+  }
+
+  [[nodiscard]] double quantile(double q) const {
+    if (count == 0) return std::numeric_limits<double>::quiet_NaN();
+    q = std::clamp(q, 0.0, 1.0);
+    if (q <= 0.0) return min;
+    if (q >= 1.0) return max;
+    const double rank = q * static_cast<double>(count - 1);
+    std::uint64_t before = 0;
+    for (std::size_t b = 0; b < Sketch::kBuckets; ++b) {
+      const std::uint64_t n = counts[b];
+      if (n == 0) continue;
+      if (rank < static_cast<double>(before + n)) {
+        const double lo = std::max(Sketch::lower_edge(b), min);
+        const double hi = std::min(
+            b + 1 < Sketch::kBuckets ? Sketch::lower_edge(b + 1) : max, max);
+        const double f =
+            (rank - static_cast<double>(before)) / static_cast<double>(n);
+        return std::clamp(lo + f * (hi - lo), min, max);
+      }
+      before += n;
+    }
+    return max;
+  }
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(QuantileSketchTest, SparseStoreMatchesDenseReference) {
+  using Sketch = stats::QuantileSketch;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // Every bucket edge and both its neighbours, then 0, negatives, NaN,
+  // +inf and values far past the top bucket, then a latency bulk to
+  // reach 10^5 values. The eight parts draw their bulk from shifted
+  // bands, so their bucket sets overlap only in part and merges insert
+  // new buckets before, between and after existing ones.
+  std::vector<double> special;
+  for (std::size_t b = 0; b < Sketch::kBuckets; ++b) {
+    const double edge = Sketch::lower_edge(b);
+    special.insert(special.end(), {edge, std::nextafter(edge, -kInf),
+                                   std::nextafter(edge, kInf)});
+  }
+  special.insert(special.end(),
+                 {0.0, -0.0, -1.0, -1e-300, kNaN, kInf, 0.0625 * 0x1p24 * 3,
+                  5e8, 1e300, std::numeric_limits<double>::max()});
+  std::vector<std::vector<double>> parts(8);
+  // NaN opens one part, so that part's sketch starts from a NaN min/max.
+  parts[5].push_back(kNaN);
+  for (std::size_t i = 0; i < special.size(); ++i) {
+    parts[i % parts.size()].push_back(special[i]);
+  }
+  netsim::Rng rng(4242);
+  for (std::size_t i = special.size(); i < 100000; ++i) {
+    const std::size_t p = i % parts.size();
+    const double band = static_cast<double>(p);
+    parts[p].push_back(std::exp2(rng.uniform(band - 6.0, band + 14.0)));
+  }
+
+  DenseSketchReference reference;
+  Sketch serial;
+  std::vector<Sketch> part_sketches(parts.size());
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    for (const double v : parts[p]) {
+      reference.record(v);
+      serial.record(v);
+      part_sketches[p].record(v);
+    }
+  }
+  ASSERT_GE(reference.count, 100000u);
+
+  const auto merged = [&](const std::vector<std::size_t>& order) {
+    Sketch out;
+    for (const std::size_t p : order) out.merge(part_sketches[p]);
+    return out;
+  };
+  const std::vector<Sketch> results = {
+      serial, merged({0, 1, 2, 3, 4, 5, 6, 7}),
+      merged({7, 6, 5, 4, 3, 2, 1, 0}), merged({3, 0, 6, 1, 7, 2, 5, 4})};
+  for (const Sketch& sketch : results) {
+    EXPECT_TRUE(sketch == serial);
+    EXPECT_EQ(sketch.count(), reference.count);
+    EXPECT_EQ(bits(sketch.min()), bits(reference.min));
+    EXPECT_EQ(bits(sketch.max()), bits(reference.max));
+    for (std::size_t b = 0; b <= Sketch::kBuckets; ++b) {
+      EXPECT_EQ(sketch.bucket_count(b),
+                b < Sketch::kBuckets ? reference.counts[b] : 0u)
+          << "bucket " << b;
+    }
+    for (int k = 0; k <= 100; ++k) {
+      const double q = k / 100.0;
+      EXPECT_EQ(bits(sketch.quantile(q)), bits(reference.quantile(q)))
+          << "q=" << q;
+    }
+  }
+
+  // min/max ignore NaN and order -0 below +0 in every record order.
+  const double zeros[] = {kNaN, -0.0, 0.0};
+  std::vector<Sketch> orders;
+  for (const auto& order : {std::array{0, 1, 2}, std::array{1, 2, 0},
+                            std::array{2, 0, 1}, std::array{2, 1, 0}}) {
+    Sketch s;
+    for (const int i : order) s.record(zeros[i]);
+    EXPECT_EQ(bits(s.min()), bits(-0.0));
+    EXPECT_EQ(bits(s.max()), bits(0.0));
+    orders.push_back(s);
+  }
+  for (const Sketch& s : orders) EXPECT_TRUE(s == orders.front());
 }
 
 // ------------------------------------------------------------ StringTable

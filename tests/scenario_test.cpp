@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "measure/campaign.h"
 #include "netsim/time.h"
 #include "obs/slo.h"
 #include "scenario/spec.h"
@@ -302,6 +303,57 @@ TEST(ScenarioSpecTest, MalformedEnvOverridesAreRejectedByName) {
     }
     EXPECT_EQ(spec.world.client_scale, 1.0);
   }
+}
+
+TEST(ScenarioSpecTest, MalformedEnvCountsAreRejectedByName) {
+  // DOHPERF_THREADS and DOHPERF_SWEEP_PROCS are read where they are used
+  // (campaign shards, sweep workers); apply_env_overrides and run_sweep
+  // check them before any campaign starts. The whole value must be a
+  // positive decimal integer.
+  const std::pair<const char*, const char*> bad[] = {
+      {"DOHPERF_THREADS", "abc"},      {"DOHPERF_THREADS", "-1"},
+      {"DOHPERF_THREADS", "0"},        {"DOHPERF_THREADS", "2x"},
+      {"DOHPERF_THREADS", ""},         {"DOHPERF_THREADS", "+2"},
+      {"DOHPERF_THREADS", " 2"},       {"DOHPERF_THREADS", "99999999999"},
+      {"DOHPERF_SWEEP_PROCS", "abc"},  {"DOHPERF_SWEEP_PROCS", "-3"},
+      {"DOHPERF_SWEEP_PROCS", "2x"},   {"DOHPERF_SWEEP_PROCS", "0"}};
+  for (const auto& [variable, value] : bad) {
+    ScopedEnv env(variable, value);
+    const std::string prefix = std::string(variable) + ": ";
+    scenario::CampaignSpec spec = scenario::paper_baseline_spec();
+    std::string error;
+    EXPECT_FALSE(scenario::apply_env_overrides(spec, &error))
+        << variable << "=" << value;
+    EXPECT_EQ(error.rfind(prefix, 0), 0u) << error;
+    int count = -1;
+    error.clear();
+    EXPECT_FALSE(measure::count_from_env(variable, &count, &error));
+    EXPECT_EQ(error.rfind(prefix, 0), 0u) << error;
+  }
+  {
+    ScopedEnv procs("DOHPERF_SWEEP_PROCS", "2x");
+    std::string error;
+    EXPECT_FALSE(scenario::run_sweep(scenario::SpecDocument{}, {},
+                                     "out/never-written.json", &error));
+    EXPECT_EQ(error.rfind("DOHPERF_SWEEP_PROCS: ", 0), 0u) << error;
+  }
+
+  // Well-formed counts pass and leave the spec alone: campaign.threads
+  // still outranks DOHPERF_THREADS, which outranks the hardware.
+  ScopedEnv threads("DOHPERF_THREADS", "3");
+  ScopedEnv procs("DOHPERF_SWEEP_PROCS", "12");
+  scenario::CampaignSpec spec = scenario::paper_baseline_spec();
+  std::string error;
+  ASSERT_TRUE(scenario::apply_env_overrides(spec, &error)) << error;
+  EXPECT_EQ(spec.campaign.threads, 0);
+  int count = 0;
+  ASSERT_TRUE(measure::count_from_env("DOHPERF_THREADS", &count, &error));
+  EXPECT_EQ(count, 3);
+  ASSERT_TRUE(measure::count_from_env("DOHPERF_SWEEP_PROCS", &count, &error));
+  EXPECT_EQ(count, 12);
+  ASSERT_TRUE(measure::count_from_env("DOHPERF_UNSET_FOR_TEST", &count,
+                                      &error));
+  EXPECT_EQ(count, 0);
 }
 
 TEST(ScenarioSpecTest, OverridesSpellValuesAsTheShellDoes) {

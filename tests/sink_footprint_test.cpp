@@ -1,0 +1,212 @@
+// Footprint ratchet for the merged telemetry sinks of a finished run.
+//
+// This binary replaces the global operator new/delete and keeps a count
+// of the bytes its allocations requested and have not yet released. One
+// small two-shard streaming campaign with faults, SLOs, the shared cache
+// and connection reuse (render_digest_test's spec) runs once; then each
+// merged sink of the RunResult is freed in turn, and the bytes it
+// releases must stay at or below a ceiling about 1.25x the footprint
+// measured when histogram buckets went sparse (obs::SparseBuckets). A
+// change that makes the cells heavier again — a dense bucket array, one
+// more histogram per cell — fails here, naming the sink that grew.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <new>
+#include <stdexcept>
+#include <utility>
+
+#include "obs/metrics.h"
+#include "scenario/runner.h"
+#include "scenario/spec.h"
+#include "stats/quantile_sketch.h"
+
+namespace {
+
+std::atomic<std::int64_t> g_live_bytes{0};
+
+// Every block starts with a header that records the requested size, as
+// wide as the block's alignment so the caller's pointer stays aligned.
+std::size_t header_size(std::size_t align) {
+  return std::max<std::size_t>(__STDCPP_DEFAULT_NEW_ALIGNMENT__, align);
+}
+
+void* counted_alloc(std::size_t size, std::size_t align) noexcept {
+  const std::size_t header = header_size(align);
+  const std::size_t total = (header + size + header - 1) / header * header;
+  void* base = align > __STDCPP_DEFAULT_NEW_ALIGNMENT__
+                   ? std::aligned_alloc(align, total)
+                   : std::malloc(total);
+  if (base == nullptr) return nullptr;
+  unsigned char* block = static_cast<unsigned char*>(base) + header;
+  std::memcpy(block - sizeof size, &size, sizeof size);
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(size),
+                         std::memory_order_relaxed);
+  return block;
+}
+
+void counted_free(void* p, std::size_t align) noexcept {
+  if (p == nullptr) return;
+  unsigned char* block = static_cast<unsigned char*>(p);
+  std::size_t size = 0;
+  std::memcpy(&size, block - sizeof size, sizeof size);
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(size),
+                         std::memory_order_relaxed);
+  std::free(block - header_size(align));
+}
+
+void* counted_new(std::size_t size, std::size_t align) {
+  void* p = counted_alloc(size, align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+constexpr std::size_t kDefault = 0;
+
+}  // namespace
+
+// Every replaceable form, so no allocation or release bypasses the count
+// (a sanitizer runtime defines each of them too).
+void* operator new(std::size_t n) { return counted_new(n, kDefault); }
+void* operator new[](std::size_t n) { return counted_new(n, kDefault); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_new(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_new(n, static_cast<std::size_t>(a));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n, kDefault);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n, kDefault);
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { counted_free(p, kDefault); }
+void operator delete[](void* p) noexcept { counted_free(p, kDefault); }
+void operator delete(void* p, std::size_t) noexcept {
+  counted_free(p, kDefault);
+}
+void operator delete[](void* p, std::size_t) noexcept {
+  counted_free(p, kDefault);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p, kDefault);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p, kDefault);
+}
+void operator delete(void* p, std::align_val_t a) noexcept {
+  counted_free(p, static_cast<std::size_t>(a));
+}
+void operator delete[](void* p, std::align_val_t a) noexcept {
+  counted_free(p, static_cast<std::size_t>(a));
+}
+void operator delete(void* p, std::size_t, std::align_val_t a) noexcept {
+  counted_free(p, static_cast<std::size_t>(a));
+}
+void operator delete[](void* p, std::size_t, std::align_val_t a) noexcept {
+  counted_free(p, static_cast<std::size_t>(a));
+}
+void operator delete(void* p, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  counted_free(p, static_cast<std::size_t>(a));
+}
+void operator delete[](void* p, std::align_val_t a,
+                       const std::nothrow_t&) noexcept {
+  counted_free(p, static_cast<std::size_t>(a));
+}
+
+namespace dohperf {
+namespace {
+
+constexpr const char* kSpec =
+    "name = \"sink-footprint\"\n"
+    "sink = \"streaming\"\n"
+    "[world]\n"
+    "seed = 7\n"
+    "client_scale = 0.03\n"
+    "[campaign]\n"
+    "threads = 2\n"
+    "runs_per_client = 1\n"
+    "atlas_measurements_per_country = 10\n"
+    "session_spacing_ms = 60000\n"
+    "[faults]\n"
+    "loss_spike_probability = 0.25\n"
+    "brownout_probability = 0.25\n"
+    "provider_outage_period_ms = 3600000\n"
+    "provider_outage_duration_ms = 600000\n"
+    "provider_outage_stagger_ms = 900000\n"
+    "regional_blackout_period_ms = 7200000\n"
+    "regional_blackout_duration_ms = 300000\n"
+    "[slo]\n"
+    "enabled = true\n"
+    "window_ms = 300000\n"
+    "p99_objective_ms = 2000\n"
+    "[cache]\n"
+    "enabled = true\n"
+    "[reuse]\n"
+    "enabled = true\n"
+    "queries_per_session = 4\n";
+
+/// Heap bytes released by destroying `sink` (left moved-from, empty).
+template <typename Sink>
+std::int64_t bytes_freed(Sink& sink) {
+  const std::int64_t before = g_live_bytes.load();
+  { const Sink gone = std::move(sink); }
+  return before - g_live_bytes.load();
+}
+
+TEST(SinkFootprintTest, HistogramTypesStayCompact) {
+  EXPECT_LE(sizeof(obs::LatencyHistogram), 32u);
+  EXPECT_LE(sizeof(stats::QuantileSketch), 64u);
+}
+
+TEST(SinkFootprintTest, MergedSinksStayUnderTheirCeilings) {
+  const scenario::SpecParseResult parsed =
+      scenario::parse_spec(kSpec, "<sink-footprint>");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  scenario::RunResult r = scenario::run(parsed.doc.base);
+  ASSERT_EQ(r.stats.shards, 2);
+  ASSERT_FALSE(r.series.latencies().empty());
+  ASSERT_FALSE(r.attribution.empty());
+  ASSERT_FALSE(r.slo.empty());
+  ASSERT_GT(r.sink.sessions(), 0u);
+  ASSERT_FALSE(r.metrics.histograms().empty());
+
+  // Ceilings in bytes, about 1.25x the sparse-bucket footprint (series
+  // 2,119,096; attribution 2,111,728; SLO 372,048; stream sink 205,472;
+  // metrics 9,552 with GCC 12's libstdc++).
+  struct Freed {
+    const char* sink;
+    std::int64_t bytes;
+    std::int64_t ceiling;
+  };
+  const Freed freed[] = {
+      {"series", bytes_freed(r.series), 2'650'000},
+      {"attribution", bytes_freed(r.attribution), 2'640'000},
+      {"slo", bytes_freed(r.slo), 465'000},
+      {"stream sink", bytes_freed(r.sink), 257'000},
+      {"metrics", bytes_freed(r.metrics), 12'000},
+  };
+  for (const Freed& f : freed) {
+    EXPECT_GT(f.bytes, 0) << f.sink;
+    EXPECT_LE(f.bytes, f.ceiling) << f.sink << " released " << f.bytes
+                                  << " bytes";
+  }
+}
+
+}  // namespace
+}  // namespace dohperf
