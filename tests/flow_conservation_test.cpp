@@ -11,10 +11,17 @@
 //   * the aggregate keys' totals equal the per-country keys' totals;
 //   * both equal (providers + 1) x exit sessions + Atlas sessions;
 //   * the aggregate error count equals the campaign's failed measurements.
+// Flow roots are counted once in every vocabulary too:
+//   * the DoH and Do53 query counters equal the attribution ledger's flows
+//     under the cold and first-warm transports of each;
+//   * per DoH provider, the latency histogram, the all-countries `doh_ms`
+//     series track and the SLO tracker's successes count the same flows.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include "measure/campaign.h"
@@ -90,6 +97,46 @@ TEST_P(FlowConservationTest, EveryFlowIsCountedOnce) {
   EXPECT_EQ(aggregate_total, country_total);
   EXPECT_EQ(aggregate_total, flows);
   EXPECT_EQ(aggregate_errors, failed);
+
+  const CampaignTelemetry& telemetry = campaign.telemetry();
+  const auto ledger_flows =
+      [&](std::initializer_list<std::string_view> transports) {
+        std::uint64_t n = 0;
+        for (const auto& [key, entry] : telemetry.attribution.entries()) {
+          for (const std::string_view transport : transports) {
+            if (key.transport == transport) n += entry.flows;
+          }
+        }
+        return n;
+      };
+  EXPECT_EQ(telemetry.metrics.counters.doh_queries,
+            ledger_flows({"doh", "doh_warm_first"}));
+  EXPECT_EQ(telemetry.metrics.counters.do53_queries,
+            ledger_flows({"do53", "do53_warm_first"}));
+
+  for (const anycast::Provider& provider : world.providers()) {
+    const obs::LatencyHistogram* histogram =
+        telemetry.metrics.find_histogram(provider.name());
+    const std::uint64_t histogram_count =
+        histogram != nullptr ? histogram->count() : 0;
+    std::uint64_t series_count = 0;
+    const auto track =
+        telemetry.series.latencies().find({"doh_ms", provider.name(), ""});
+    if (track != telemetry.series.latencies().end()) {
+      for (const auto& [window, cell] : track->second) {
+        series_count += cell.count();
+      }
+    }
+    std::uint64_t successes = 0;
+    for (const auto& [key, budget] : telemetry.slo.budgets()) {
+      if (key.provider == provider.name() && key.country.empty()) {
+        successes += budget.total - budget.errors;
+      }
+    }
+    EXPECT_GT(histogram_count, 0u) << provider.name();
+    EXPECT_EQ(series_count, histogram_count) << provider.name();
+    EXPECT_EQ(successes, histogram_count) << provider.name();
+  }
 }
 
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
