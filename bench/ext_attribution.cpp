@@ -108,8 +108,7 @@ int main() {
     {
       auto net = world.ctx();
       net.attribution.ledger = &cold_ledger;
-      net.attribution.provider = provider.name();
-      net.attribution.country = iso2;
+      net.labels = {provider.name(), iso2};
       auto task = measure::doh_direct(
           net, exit->site, exit->default_resolver, server,
           provider.config().doh_hostname, transport::TlsVersion::kTls13,
@@ -120,8 +119,7 @@ int main() {
     {
       auto net = world.ctx();
       net.attribution.ledger = &cold_ledger;
-      net.attribution.provider = provider.name();
-      net.attribution.country = iso2;
+      net.labels = {provider.name(), iso2};
       auto task = measure::do53_direct(
           net, exit->site, exit->default_resolver,
           world.origin().with_subdomain(resolver::uuid_label(net.rng)));
@@ -133,8 +131,7 @@ int main() {
     {
       auto net = world.ctx();
       net.attribution.ledger = &warm_ledger;
-      net.attribution.provider = provider.name();
-      net.attribution.country = iso2;
+      net.labels = {provider.name(), iso2};
       measure::WarmDohParams params;
       params.vantage = exit->site;
       params.default_resolver = exit->default_resolver;
@@ -152,8 +149,7 @@ int main() {
     {
       auto net = world.ctx();
       net.attribution.ledger = &warm_ledger;
-      net.attribution.provider = provider.name();
-      net.attribution.country = iso2;
+      net.labels = {provider.name(), iso2};
       measure::WarmDo53Params params;
       params.vantage = exit->site;
       params.resolver = exit->default_resolver;

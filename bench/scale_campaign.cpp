@@ -9,7 +9,9 @@
 // across the sweep is attributable to the campaign — the streaming
 // sink's claim is that there is (almost) none.
 //
-//   DOHPERF_SCALE_POINTS  comma-separated session targets
+//   DOHPERF_SCALE_POINTS  comma-separated session targets, each a positive
+//                         decimal integer; anything else exits 2 before
+//                         the world is built
 //                         (default "10000,30000,100000,300000,1000000")
 //   DOHPERF_SCALE_OUT     output JSON path (default out/BENCH_scale.json)
 //   DOHPERF_SCALE / DOHPERF_SEED / DOHPERF_THREADS as everywhere else.
@@ -24,8 +26,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "measure/campaign.h"
 #include "obs/proc_stats.h"
 #include "proxy/brightdata.h"
 #include "scenario/runner.h"
@@ -39,11 +43,21 @@ namespace {
 std::vector<std::uint64_t> points_from_env() {
   std::vector<std::uint64_t> points;
   const char* env = std::getenv("DOHPERF_SCALE_POINTS");
-  std::string spec = env != nullptr ? env : "10000,30000,100000,300000,1000000";
-  for (std::size_t pos = 0; pos < spec.size();) {
+  const std::string spec =
+      env != nullptr ? env : "10000,30000,100000,300000,1000000";
+  // Every entry, empty ones included, follows the count rule.
+  for (std::size_t pos = 0; pos <= spec.size();) {
     const std::size_t comma = std::min(spec.find(',', pos), spec.size());
-    const long long v = std::atoll(spec.substr(pos, comma - pos).c_str());
-    if (v > 0) points.push_back(static_cast<std::uint64_t>(v));
+    int n = 0;
+    if (!measure::parse_count(
+            std::string_view(spec).substr(pos, comma - pos), &n)) {
+      std::fprintf(stderr,
+                   "scale_campaign: DOHPERF_SCALE_POINTS: expected "
+                   "comma-separated positive decimal integers, got \"%s\"\n",
+                   spec.c_str());
+      std::exit(2);
+    }
+    points.push_back(static_cast<std::uint64_t>(n));
     pos = comma + 1;
   }
   std::sort(points.begin(), points.end());
@@ -128,6 +142,7 @@ void write_json(const std::string& path, const scenario::CampaignSpec& spec,
 }  // namespace
 
 int main() {
+  const std::vector<std::uint64_t> targets = points_from_env();
   scenario::CampaignSpec spec = scenario::paper_baseline_spec();
   spec.name = "scale-campaign";
   spec.sink = scenario::SinkMode::kStreaming;
@@ -151,7 +166,7 @@ int main() {
       proxy::kSuperProxyCountries.size();
 
   std::vector<Point> results;
-  for (const std::uint64_t target : points_from_env()) {
+  for (const std::uint64_t target : targets) {
     Point p;
     p.requested = target;
     const double wanted =

@@ -56,6 +56,13 @@ Task<bool> resolve_doh(NetCtx& net, const PolicyContext& ctx) {
   co_return resp.status == 200;
 }
 
+/// Counts one DoH -> Do53 downgrade and how its Do53 leg ended.
+void note_fallback(NetCtx& net, bool resolved) {
+  net.note({&obs::MetricCounters::fallbacks});
+  net.note({resolved ? &obs::MetricCounters::fallback_ok
+                     : &obs::MetricCounters::fallback_failed});
+}
+
 }  // namespace
 
 std::string_view to_string(DohMode mode) {
@@ -110,11 +117,7 @@ netsim::Task<PolicyOutcome> resolve_with_policy(netsim::NetCtx& net,
     outcome.used_doh =
         doh_ms >= 0.0 && (do53_ms < 0.0 || doh_ms <= do53_ms);
     outcome.downgraded = outcome.resolved ? !outcome.used_doh : true;
-    if (outcome.downgraded && net.metrics != nullptr) {
-      ++net.metrics->counters.fallbacks;
-      ++(outcome.resolved ? net.metrics->counters.fallback_ok
-                          : net.metrics->counters.fallback_failed);
-    }
+    if (outcome.downgraded) note_fallback(net, outcome.resolved);
     outcome.elapsed_ms = outcome.used_doh ? doh_ms
                          : outcome.resolved
                              ? do53_ms
@@ -130,23 +133,21 @@ netsim::Task<PolicyOutcome> resolve_with_policy(netsim::NetCtx& net,
   // cannot distinguish a blackholed resolver from a slow one, so it runs
   // its SYN retransmit schedule — genuine timer expiries, not a
   // pre-charged penalty — until its own deadline cuts the attempt off.
+  // Each wait is the same retry step and event as NetCtx's machines.
   if (ctx.doh_unreachable) {
     netsim::Duration remaining = ctx.doh_timeout;
     netsim::Duration timer = transport::kSynRetryPolicy.initial_timeout;
     while (remaining > netsim::Duration::zero()) {
       const netsim::Duration wait = std::min(timer, remaining);
-      if (net.metrics != nullptr) {
-        ++net.metrics->counters.handshake_retries;
-        net.metrics->histogram("retry_backoff").record(netsim::to_ms(wait));
-      }
+      net.note_retry(obs::kHandshakeRetry, wait);
       {
-        const obs::ScopedSpan backoff_span = net.span("retry_backoff");
+        const auto backoff = net.step(obs::kRetryWait);
         co_await net.sim.sleep(wait);
       }
       remaining -= wait;
       timer *= 2;
     }
-    if (net.metrics != nullptr) ++net.metrics->counters.retry_timeouts;
+    net.note(obs::kRetryGiveUp);
     if (mode == DohMode::kStrict) {
       // Fail closed: no resolution, privacy preserved.
       outcome.elapsed_ms = netsim::ms_between(start, net.sim.now());
@@ -155,12 +156,8 @@ netsim::Task<PolicyOutcome> resolve_with_policy(netsim::NetCtx& net,
       co_return outcome;
     }
     outcome.downgraded = true;
-    if (net.metrics != nullptr) ++net.metrics->counters.fallbacks;
     outcome.resolved = co_await resolve_do53(net, ctx);
-    if (net.metrics != nullptr) {
-      ++(outcome.resolved ? net.metrics->counters.fallback_ok
-                          : net.metrics->counters.fallback_failed);
-    }
+    note_fallback(net, outcome.resolved);
     outcome.elapsed_ms = netsim::ms_between(start, net.sim.now());
     outcome.outcome =
         obs::classify_flow_outcome({.ok = outcome.resolved,
@@ -175,12 +172,8 @@ netsim::Task<PolicyOutcome> resolve_with_policy(netsim::NetCtx& net,
     outcome.used_doh = true;
   } else if (mode == DohMode::kOpportunistic) {
     outcome.downgraded = true;
-    if (net.metrics != nullptr) ++net.metrics->counters.fallbacks;
     outcome.resolved = co_await resolve_do53(net, ctx);
-    if (net.metrics != nullptr) {
-      ++(outcome.resolved ? net.metrics->counters.fallback_ok
-                          : net.metrics->counters.fallback_failed);
-    }
+    note_fallback(net, outcome.resolved);
   }
   outcome.elapsed_ms = netsim::ms_between(start, net.sim.now());
   outcome.outcome = obs::classify_flow_outcome(

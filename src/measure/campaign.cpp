@@ -126,6 +126,10 @@ struct ExitState {
 /// bounded (120 windows at the default 250 ms width).
 constexpr netsim::Duration kFaultRecordHorizon = netsim::from_ms(30000.0);
 
+/// A failed measurement (cold flow or warm session), counted in the
+/// registry and in the `failure` series track.
+constexpr obs::Event kFailure{&obs::MetricCounters::failures, "failure"};
+
 void record_fault_windows(obs::MetricSeries& series,
                           const netsim::FaultPlan& plan) {
   if (plan.empty()) return;
@@ -309,7 +313,6 @@ struct Session {
       : view(shard),
         slot(session_slot),
         key(session_key),
-        country(session_country),
         out(rows),
         net{shard.sim, shard.world.latency(), rng},
         epoch(shard.sim.now()),
@@ -318,13 +321,12 @@ struct Session {
         examine(shard.telemetry->anomalies.enabled() &&
                 !shard.telemetry->anomalies.capturing()) {
     net.metrics = &metrics;
-    net.series = {&view.telemetry->series, epoch, std::string(),
-                  std::string(country)};
-    // Attribution labels follow the series labels: country fixed for the
-    // session, provider re-pointed before each flow. Flows install their
-    // own FlowAttribution.
+    net.series = {&view.telemetry->series, epoch};
+    // Flow roots install their own FlowAttribution.
     net.attribution.ledger = &view.telemetry->attribution;
-    net.attribution.country = country;
+    // The country is fixed for the session; label() re-points the
+    // provider before each flow.
+    net.labels.country = session_country;
 
     // Fault episodes are drawn from a private substream (split() is pure,
     // so the session's main draw sequence is untouched) and anchored to
@@ -342,7 +344,8 @@ struct Session {
       fault_plan.append_recurring_episodes(
           faults, campaign_base, kFaultRecordHorizon, providers,
           focal.front(),
-          netsim::Duration{static_cast<std::int64_t>(fnv1a64(country) >> 1)});
+          netsim::Duration{
+              static_cast<std::int64_t>(fnv1a64(session_country) >> 1)});
     }
     net.faults = &fault_plan;
     net.fault_epoch = epoch;
@@ -356,10 +359,7 @@ struct Session {
   Session(const Session&) = delete;
 
   /// Labels the series and attribution records of the flows that follow.
-  void label(std::string_view provider) {
-    net.series.provider = provider;
-    net.attribution.provider = provider;
-  }
+  void label(std::string_view provider) { net.labels.provider = provider; }
 
   /// Opens flow `index`; call it just before the flow is awaited.
   void begin_flow(std::uint32_t index, std::string label) {
@@ -374,14 +374,16 @@ struct Session {
 
   /// The one flow exit, at the flow's completion instant: examines the
   /// flow in flight (or captures its spans on the replay pass), accounts
-  /// a failure, classifies and records the outcome against `provider`,
-  /// and records a success's latency into the provider histogram and the
-  /// `latency_series` track (no sample when null). With no flow in
-  /// flight, the session skipped the flow for the reasons in `signals`.
-  void end_flow(std::string_view provider, obs::FlowSignals signals,
+  /// a failure, classifies and records the outcome against the labelled
+  /// provider and country, and records a success's latency into the
+  /// provider histogram and the `latency_series` track (no sample when
+  /// null). With no flow in flight, the session skipped the flow for the
+  /// reasons in `signals`.
+  void end_flow(obs::FlowSignals signals,
                 const char* latency_series = nullptr,
                 double latency_ms = 0.0) {
     const netsim::SimTime now = view.sim.now();
+    const auto [provider, country] = net.labels;
     if (flow) {
       obs::FlightRecorder& recorder = view.telemetry->anomalies;
       if (flow->capture) {
@@ -403,8 +405,7 @@ struct Session {
     }
     if (!signals.ok) {
       ++out.failed;
-      ++metrics.counters.failures;
-      net.series.count("failure", now);
+      net.note(kFailure);
     }
     const bool sampled = signals.ok && latency_series != nullptr;
     view.telemetry->slo.record(provider, country,
@@ -413,14 +414,13 @@ struct Session {
                                sampled ? latency_ms : 0.0, sampled);
     if (sampled) {
       view.telemetry->metrics.histogram(provider).record(latency_ms);
-      net.series.latency(latency_series, now, latency_ms);
+      net.series.latency(latency_series, net.labels, now, latency_ms);
     }
   }
 
   ShardView& view;
   const std::uint64_t slot;
   const std::string& key;  ///< The coroutine's own copy.
-  const std::string_view country;
   SessionOutput& out;
   netsim::NetCtx net;
   /// Session-private metrics: the flight recorder diffs counters across a
@@ -467,8 +467,7 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
         net.faults != nullptr &&
         net.faults->provider_down(provider.name(), net.fault_now());
     if (st.provider_failed[p] || provider_out) {
-      s.end_flow(provider.name(),
-                 {.provider_unreachable = st.provider_failed[p],
+      s.end_flow({.provider_unreachable = st.provider_failed[p],
                   .provider_outage = provider_out});
       continue;
     }
@@ -489,7 +488,7 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
     const DohProxyObservation obs =
         co_await doh_via_proxy(net, std::move(params));
     const double tdoh_ms = obs.ok ? estimate_tdoh_ms(obs.inputs) : 0.0;
-    s.end_flow(provider.name(), {.ok = obs.ok}, "doh_ms", tdoh_ms);
+    s.end_flow({.ok = obs.ok}, "doh_ms", tdoh_ms);
     if (!obs.ok) continue;
 
     DohRecord rec;
@@ -526,17 +525,14 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
             .histogram(std::string(prefix) + "_warm_q" +
                        std::to_string(index_bucket))
             .record(q.ms);
-        net.series.latency(std::string(prefix) + "_warm_ms",
+        net.series.latency(std::string(prefix) + "_warm_ms", net.labels,
                            view.sim.now(), q.ms);
       }
       s.metrics.counters.pool_cold += wobs.pool.cold;
       s.metrics.counters.pool_reuses += wobs.pool.reused;
       s.metrics.counters.pool_resumptions += wobs.pool.resumed;
       s.metrics.counters.pool_evictions += wobs.pool.evictions;
-      if (!wobs.ok) {
-        ++s.metrics.counters.failures;
-        net.series.count("failure", view.sim.now());
-      }
+      if (!wobs.ok) net.note(kFailure);
     };
 
     for (std::size_t p = 0; p < view.world.providers().size(); ++p) {
@@ -593,8 +589,7 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
   // In Super Proxy countries the header value reflects the Super Proxy's
   // own resolution and is discarded; Atlas fills the gap.
   const bool measured = obs.ok && !obs.resolved_at_super_proxy;
-  s.end_flow("Do53", {.ok = obs.ok}, measured ? "do53_ms" : nullptr,
-             obs.tun.dns_ms);
+  s.end_flow({.ok = obs.ok}, measured ? "do53_ms" : nullptr, obs.tun.dns_ms);
   if (!measured) co_return;
   Do53Record rec;
   rec.exit_id = exit.id;
@@ -631,7 +626,7 @@ netsim::Task<void> atlas_session(ShardView& view, const AtlasTask& task,
   const double ms = co_await view.world.atlas().measure_do53(
       s.net, local_probe,
       view.world.origin().with_subdomain(resolver::uuid_label(s.net.rng)));
-  s.end_flow("Do53", {.ok = ms >= 0}, "do53_ms", ms);
+  s.end_flow({.ok = ms >= 0}, "do53_ms", ms);
   if (ms < 0) co_return;
   Do53Record rec;
   rec.exit_id = kAtlasExitId;
@@ -920,24 +915,29 @@ int threads_from_env() {
 
 }  // namespace
 
+bool parse_count(std::string_view text, int* count) {
+  int n = 0;
+  // from_chars takes no '+' but does take '-'; a leading digit rules out
+  // both signs, and the whole text must be consumed.
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), n);
+  if (text.empty() || text.front() < '0' || text.front() > '9' ||
+      ec != std::errc() || end != text.data() + text.size() || n <= 0) {
+    return false;
+  }
+  *count = n;
+  return true;
+}
+
 bool count_from_env(const char* variable, int* count, std::string* error) {
   *count = 0;
   const char* value = std::getenv(variable);
   if (value == nullptr) return true;
-  const std::string_view text(value);
-  int n = 0;
-  // from_chars takes no '+' but does take '-'; a leading digit rules out
-  // both signs, and the whole text must be consumed.
-  const auto [end, ec] = std::from_chars(text.data(),
-                                         text.data() + text.size(), n);
-  if (text.empty() || text.front() < '0' || text.front() > '9' ||
-      ec != std::errc() || end != text.data() + text.size() || n <= 0) {
+  if (!parse_count(std::string_view(value), count)) {
     *error = std::string(variable) +
-             ": expected a positive decimal integer, got \"" +
-             std::string(text) + "\"";
+             ": expected a positive decimal integer, got \"" + value + "\"";
     return false;
   }
-  *count = n;
   return true;
 }
 

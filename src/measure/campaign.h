@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "measure/dataset.h"
@@ -142,11 +143,16 @@ struct CampaignTelemetry {
   obs::AttributionLedger attribution;
 };
 
+/// The count rule, shared by every count read from text (environment
+/// variables, flags, list entries): true when the whole of `text` is a
+/// positive decimal integer that fits in an int ("4", not "4x", "-1", "0",
+/// "+4" or ""), which is then stored in `*count`.
+[[nodiscard]] bool parse_count(std::string_view text, int* count);
+
 /// Reads a count (DOHPERF_THREADS, DOHPERF_SWEEP_PROCS) from environment
 /// variable `variable` into `*count`: 0 when the variable is unset, else
-/// the whole value must be a positive decimal integer ("4", not "4x",
-/// "-1", "0", "+4" or ""). On a malformed value returns false and stores
-/// one diagnostic naming the variable in `*error`.
+/// the value must follow parse_count's rule. On a malformed value returns
+/// false and stores one diagnostic naming the variable in `*error`.
 [[nodiscard]] bool count_from_env(const char* variable, int* count,
                                   std::string* error);
 

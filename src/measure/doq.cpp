@@ -10,8 +10,7 @@ netsim::Task<DirectDoqObservation> doq_direct(
     resolver::RecursiveResolver* default_resolver,
     resolver::DohServer& doh, std::string hostname,
     dns::DomainName origin, bool resumed) {
-  const auto flow_span = net.span("doq_query");
-  obs::FlowAttributionScope attr_scope(net.attribution, net.sim, "doq");
+  const auto flow = net.flow({.span = "doq_query", .transport = "doq"});
   DirectDoqObservation obs;
   const netsim::Site pop = doh.site();
 

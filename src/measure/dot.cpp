@@ -11,8 +11,7 @@ netsim::Task<DirectDotObservation> dot_direct(
     resolver::RecursiveResolver* default_resolver,
     resolver::DohServer& doh, std::string hostname,
     transport::TlsVersion tls, dns::DomainName origin) {
-  const auto flow_span = net.span("dot_query");
-  obs::FlowAttributionScope attr_scope(net.attribution, net.sim, "dot");
+  const auto flow = net.flow({.span = "dot_query", .transport = "dot"});
   DirectDotObservation obs;
   const netsim::Site pop = doh.site();
 

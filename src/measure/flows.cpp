@@ -22,11 +22,9 @@ using netsim::Task;
 using netsim::from_ms;
 using netsim::ms_between;
 // The flows name their observation locals `obs`, which shadows the
-// dohperf::obs namespace inside function scope; alias the guard types here.
-using ScopedSpan = dohperf::obs::ScopedSpan;
-using ScopedPhase = dohperf::obs::ScopedPhase;
+// dohperf::obs namespace inside function scope; alias what they use here.
 using ScopedDnsRedirect = dohperf::obs::ScopedDnsRedirect;
-using FlowAttributionScope = dohperf::obs::FlowAttributionScope;
+using MetricCounters = dohperf::obs::MetricCounters;
 using Phase = dohperf::obs::Phase;
 
 /// Resolver-side key-schedule cost during the tunnelled TLS handshake.
@@ -70,8 +68,6 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
   const Site& exit = params.exit->site;
   const Site pop = params.doh->site();
 
-  if (net.metrics != nullptr) ++net.metrics->counters.doh_queries;
-
   // The client's timestamps are taken relative to the session's own
   // start rather than the simulation epoch: only the differences
   // T_B-T_A and T_D-T_C enter Equations 6-8, and session-relative
@@ -84,13 +80,13 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
   // (Tables 1-2): tunnel establishment, TLS handshake, resolution. The
   // phases are opened back-to-back, so their durations sum exactly to
   // the root's — what tools/trace_inspect verifies on a capture.
-  ScopedSpan flow_span = net.span("doh_query");
-  FlowAttributionScope attr_scope(net.attribution, net.sim, "doh");
+  const auto flow = net.flow({"doh_query", std::nullopt,
+                              &MetricCounters::doh_queries, "doh"});
 
   proxy::Tunnel tunnel(net, client, sp, exit);
 
   // ---- Steps 1-8: establish the TCP tunnel (phase "tunnel") ---------
-  ScopedSpan tunnel_phase = net.span("tunnel");
+  auto tunnel_phase = net.step({"tunnel"});
   const SimTime tunnel_start = net.sim.now();
   obs.inputs.stamps.t_a = ms_between(session_epoch, net.sim.now());
 
@@ -107,7 +103,7 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
       static_cast<std::uint16_t>(net.rng.next() & 0xFFFF);
   double dns_ms = 0.0;
   {
-    const ScopedSpan bootstrap_span = net.span("bootstrap_dns");
+    const auto bootstrap = net.step({"bootstrap_dns"});
     // t3+t4 are part of tunnel establishment: the lookup exists only to
     // learn where to CONNECT, so it counts as tunnel time.
     const ScopedDnsRedirect boot_attr(net.attribution,
@@ -136,21 +132,18 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
   tunnel_phase.finish();
   // Per-phase sim-time series (paper Tables 1-2 decomposition over the
   // session timeline); no-ops unless a series recorder is attached.
-  net.series.latency("phase_tunnel_ms", net.sim.now(),
+  net.series.latency("phase_tunnel_ms", net.labels, net.sim.now(),
                      ms_between(tunnel_start, net.sim.now()));
   const auto parsed = transport::parse_response(ok_wire);
   if (!parsed || !extract_inputs(*parsed, obs.inputs)) co_return obs;
 
   // ---- Steps 9-14: TLS handshake through the tunnel (phase
   // "handshake") -----------------------------------------------------
-  ScopedSpan handshake_phase = net.span("handshake");
-  // The tunnelled handshake is inline (no transport::tls_handshake call),
-  // so it opens its own attribution frame here.
-  ScopedPhase handshake_attr = net.phase(Phase::kTlsHandshake);
-  const SimTime handshake_start = net.sim.now();
   // The tunnelled handshake is modelled inline (no transport::
-  // tls_handshake call), so count it here.
-  if (net.metrics != nullptr) ++net.metrics->counters.tls_handshakes;
+  // tls_handshake call), so this step charges and counts it.
+  auto handshake_phase = net.step({"handshake", Phase::kTlsHandshake,
+                                   &MetricCounters::tls_handshakes});
+  const SimTime handshake_start = net.sim.now();
   obs.inputs.stamps.t_c = ms_between(session_epoch, net.sim.now());
 
   // The tunnelled ClientHello's loss recovery rides the exit<->PoP leg
@@ -181,13 +174,12 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
     co_await tls_leg.recv(transport::kServerFinishedBytes);
     co_await tls_tunnel.recv(transport::kServerFinishedBytes);
   }
-  handshake_attr.finish();
   handshake_phase.finish();
-  net.series.latency("phase_handshake_ms", net.sim.now(),
+  net.series.latency("phase_handshake_ms", net.labels, net.sim.now(),
                      ms_between(handshake_start, net.sim.now()));
 
   // ---- Steps 15-22: the DoH query (phase "resolution") --------------
-  ScopedSpan resolution_phase = net.span("resolution");
+  auto resolution_phase = net.step({"resolution"});
   const SimTime resolution_start = net.sim.now();
   const dns::Message query =
       resolver::make_probe_query(net.rng, params.origin);
@@ -211,9 +203,8 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
 
   obs.inputs.stamps.t_d = ms_between(session_epoch, net.sim.now());
   resolution_phase.finish();
-  net.series.latency("phase_resolution_ms", net.sim.now(),
+  net.series.latency("phase_resolution_ms", net.labels, net.sim.now(),
                      ms_between(resolution_start, net.sim.now()));
-  flow_span.finish();
   obs.http_status = doh_resp.status;
   obs.ok = doh_resp.status == 200;
   co_return obs;
@@ -229,15 +220,14 @@ Task<DirectDohObservation> doh_direct(NetCtx& net, Site vantage,
   DirectDohObservation obs;
   const Site pop = doh.site();
 
-  if (net.metrics != nullptr) ++net.metrics->counters.doh_queries;
-  ScopedSpan flow_span = net.span("doh_direct");
-  FlowAttributionScope attr_scope(net.attribution, net.sim, "doh_direct");
+  const auto flow = net.flow({"doh_direct", std::nullopt,
+                              &MetricCounters::doh_queries, "doh_direct"});
 
   // Bootstrap (t3+t4). Connection bootstrap, so the lookup's time lands
   // in the TCP handshake phase it gates.
   const auto id = static_cast<std::uint16_t>(net.rng.next() & 0xFFFF);
   {
-    const ScopedSpan bootstrap_span = net.span("bootstrap_dns");
+    const auto bootstrap = net.step({"bootstrap_dns"});
     const ScopedDnsRedirect boot_attr(net.attribution,
                                       Phase::kTcpHandshake);
     obs.dns_ms = co_await resolve_at(
@@ -258,7 +248,7 @@ Task<DirectDohObservation> doh_direct(NetCtx& net, Site vantage,
 
   // First query.
   auto one_query = [&](double& out_ms) -> Task<void> {
-    const ScopedSpan query_span = net.span("doh_exchange");
+    const auto exchange = net.step({"doh_exchange"});
     const dns::Message query = resolver::make_probe_query(net.rng, origin);
     transport::HttpRequest req;
     req.method = "GET";
@@ -292,9 +282,8 @@ Task<Do53ProxyObservation> do53_via_proxy(NetCtx& net,
       resolver::make_probe_query(net.rng, params.origin);
   const dns::DomainName target_name = query.questions.front().name;
 
-  if (net.metrics != nullptr) ++net.metrics->counters.do53_queries;
-  ScopedSpan flow_span = net.span("do53_query");
-  FlowAttributionScope attr_scope(net.attribution, net.sim, "do53");
+  const auto flow = net.flow({"do53_query", std::nullopt,
+                              &MetricCounters::do53_queries, "do53"});
 
   proxy::Tunnel tunnel(net, client, sp, exit);
 
@@ -311,17 +300,17 @@ Task<Do53ProxyObservation> do53_via_proxy(NetCtx& net,
     // authoritative server), so the header value does NOT reflect the
     // exit node (paper Section 3.5).
     obs.resolved_at_super_proxy = true;
-    const ScopedSpan sp_resolve_span = net.span("super_proxy_resolve");
     // The Super Proxy goes straight to the authoritative server for the
     // fresh probe name — a cache miss by construction.
-    const ScopedPhase resolve_attr = net.phase(Phase::kDnsCacheMiss);
+    const auto resolve =
+        net.step({"super_proxy_resolve", Phase::kDnsCacheMiss});
     netsim::Path authority_path(net, sp, params.authority->site());
     authority_path.set_framing(transport::kUdpOverheadBytes,
                                transport::kUdpOverheadBytes);
     const SimTime start = net.sim.now();
     co_await authority_path.send(dns::wire_size(query));
     {
-      const ScopedPhase proc_attr = net.phase(Phase::kServerProcessing);
+      const auto processing = net.step({.phase = Phase::kServerProcessing});
       co_await net.process(params.authority->processing_delay());
     }
     const dns::Message auth_resp = params.authority->handle(query, 0xFFFF);
@@ -361,7 +350,7 @@ Task<Do53ProxyObservation> do53_via_proxy(NetCtx& net,
   obs.brightdata_ms = bd_parsed->total_ms();
 
   // Complete the page fetch for realism (GET + 200), not timed.
-  const ScopedSpan fetch_span = net.span("page_fetch");
+  const auto fetch = net.step({"page_fetch"});
   transport::HttpRequest get_req;
   get_req.method = "GET";
   get_req.target = "/";
@@ -379,9 +368,8 @@ Task<Do53ProxyObservation> do53_via_proxy(NetCtx& net,
 Task<double> do53_direct(NetCtx& net, Site vantage,
                          resolver::RecursiveResolver* resolver,
                          dns::DomainName name) {
-  if (net.metrics != nullptr) ++net.metrics->counters.do53_queries;
-  const ScopedSpan flow_span = net.span("do53_direct");
-  FlowAttributionScope attr_scope(net.attribution, net.sim, "do53_direct");
+  const auto flow = net.flow({"do53_direct", std::nullopt,
+                              &MetricCounters::do53_queries, "do53_direct"});
   const auto id = static_cast<std::uint16_t>(net.rng.next() & 0xFFFF);
   co_return co_await resolve_at(net, vantage, resolver,
                                 dns::Message::make_query(id, std::move(name)));

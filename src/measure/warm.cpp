@@ -20,10 +20,8 @@ using netsim::SimTime;
 using netsim::Site;
 using netsim::Task;
 using netsim::ms_between;
-using ScopedSpan = dohperf::obs::ScopedSpan;
-using ScopedPhase = dohperf::obs::ScopedPhase;
 using ScopedDnsRedirect = dohperf::obs::ScopedDnsRedirect;
-using FlowAttributionScope = dohperf::obs::FlowAttributionScope;
+using MetricCounters = dohperf::obs::MetricCounters;
 using Phase = dohperf::obs::Phase;
 
 /// Client-local (OS/browser) stub cache capacity. Tiny on purpose: a
@@ -57,8 +55,10 @@ std::uint32_t remaining_ttl(double ttl_s, double age_s) {
 Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
   WarmPathObservation obs;
   const Site pop = params.doh->site();
-  if (net.metrics != nullptr) ++net.metrics->counters.doh_queries;
-  ScopedSpan flow_span = net.span("doh_warm_path");
+  // The root only spans and counts the session; each query below is its
+  // own attributed flow.
+  const auto root =
+      net.step({"doh_warm_path", std::nullopt, &MetricCounters::doh_queries});
 
   client::ConnectionPool pool(params.reuse.pool);
   dns::Cache stub_cache(kStubCacheEntries);
@@ -77,7 +77,7 @@ Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
     // included): consecutive spans abut, so the children tile the root
     // exactly and tools/trace_inspect's phase-sum check passes on
     // warm-path traces too.
-    const ScopedSpan warm_query_span = net.span("warm_query");
+    const auto warm_query = net.step({"warm_query"});
     if (i > 0 && think_ms > 0.0) {
       co_await net.process(netsim::from_ms(net.rng.exponential(think_ms)));
     }
@@ -98,7 +98,7 @@ Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
         stub_cache.lookup(net.sim.now(), name, dns::RecordType::kA)) {
       q.stub_hit = true;
       q.ms = 0.0;
-      if (net.metrics != nullptr) ++net.metrics->counters.stub_cache_hits;
+      net.note({&MetricCounters::stub_cache_hits});
       obs.queries.push_back(q);
       continue;
     }
@@ -110,8 +110,8 @@ Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
     // the setup lands in (cold: tcp+tls handshake, resume: tls_resume,
     // reuse: neither).
     const SimTime start = net.sim.now();
-    FlowAttributionScope attr_scope(net.attribution, net.sim,
-                                    i == 0 ? "doh_warm_first" : "doh_warm");
+    const auto flow =
+        net.flow({.transport = i == 0 ? "doh_warm_first" : "doh_warm"});
     const client::Acquire how =
         pool.acquire(params.doh_hostname, net.sim.now());
     if (how == client::Acquire::kReuse) {
@@ -157,11 +157,13 @@ Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
       pool.established(params.doh_hostname, net.sim.now());
     }
 
-    const ScopedSpan query_span = net.span("doh_warm_exchange");
-    if (params.cache != nullptr && look.hit) {
-      // The whole hit exchange counts as cache-hit resolution time (the
-      // frontend's compute carves itself out via process_at below).
-      const ScopedPhase hit_attr = net.phase(Phase::kDnsCacheHit);
+    const bool shared_hit = params.cache != nullptr && look.hit;
+    // A whole hit exchange counts as cache-hit resolution time (the
+    // frontend's compute carves itself out via process_at below).
+    const auto exchange = net.step(
+        {"doh_warm_exchange",
+         shared_hit ? std::optional(Phase::kDnsCacheHit) : std::nullopt});
+    if (shared_hit) {
       // Shared-cache hit: the frontend answers without recursing,
       // priced exactly like RecursiveResolver's real hit path. The
       // answer is synthesized (TTL decayed to the record's sampled age)
@@ -187,7 +189,7 @@ Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
       resp.headers.add("content-length", std::to_string(resp.body.size()));
       co_await tls->recv(resp);
       q.shared_hit = true;
-      if (net.metrics != nullptr) ++net.metrics->counters.shared_cache_hits;
+      net.note({&MetricCounters::shared_cache_hits});
       stub_cache.insert(net.sim.now(), name, dns::RecordType::kA,
                         answer.answers);
     } else {
@@ -210,9 +212,7 @@ Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
         co_return obs;
       }
       if (params.cache != nullptr) {
-        if (net.metrics != nullptr) {
-          ++net.metrics->counters.shared_cache_misses;
-        }
+        net.note({&MetricCounters::shared_cache_misses});
         const auto id = static_cast<std::uint16_t>(net.rng.next() & 0xFFFF);
         stub_cache.insert(
             net.sim.now(), name, dns::RecordType::kA,
@@ -234,8 +234,8 @@ Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
 Task<WarmPathObservation> do53_warm_path(NetCtx& net,
                                          WarmDo53Params params) {
   WarmPathObservation obs;
-  if (net.metrics != nullptr) ++net.metrics->counters.do53_queries;
-  ScopedSpan flow_span = net.span("do53_warm_path");
+  const auto root = net.step(
+      {"do53_warm_path", std::nullopt, &MetricCounters::do53_queries});
 
   dns::Cache stub_cache(kStubCacheEntries);
   const double think_ms = netsim::to_ms(params.reuse.think_time);
@@ -245,7 +245,7 @@ Task<WarmPathObservation> do53_warm_path(NetCtx& net,
   const int n = std::max(1, params.reuse.queries_per_session);
   for (int i = 0; i < n; ++i) {
     // Same per-iteration tiling as the DoH side (trace_inspect contract).
-    const ScopedSpan warm_query_span = net.span("warm_query");
+    const auto warm_query = net.step({"warm_query"});
     if (i > 0 && think_ms > 0.0) {
       co_await net.process(netsim::from_ms(net.rng.exponential(think_ms)));
     }
@@ -263,22 +263,21 @@ Task<WarmPathObservation> do53_warm_path(NetCtx& net,
         stub_cache.lookup(net.sim.now(), name, dns::RecordType::kA)) {
       q.stub_hit = true;
       q.ms = 0.0;
-      if (net.metrics != nullptr) ++net.metrics->counters.stub_cache_hits;
+      net.note({&MetricCounters::stub_cache_hits});
       obs.queries.push_back(q);
       continue;
     }
 
     const SimTime start = net.sim.now();
-    FlowAttributionScope attr_scope(
-        net.attribution, net.sim,
-        i == 0 ? "do53_warm_first" : "do53_warm");
+    const auto flow =
+        net.flow({.transport = i == 0 ? "do53_warm_first" : "do53_warm"});
     if (params.cache != nullptr && look.hit) {
-      // The hit round trip is cache-hit resolution time end to end.
-      const ScopedPhase hit_attr = net.phase(Phase::kDnsCacheHit);
       // ISP-cache hit: one UDP round trip plus the frontend hit cost —
       // same pricing as the resolver's real hit path, same synthesized
-      // (decayed) answer as the DoH side.
-      if (net.metrics != nullptr) ++net.metrics->counters.dns_queries;
+      // (decayed) answer as the DoH side. The round trip is cache-hit
+      // resolution time end to end.
+      const auto hit = net.step({.phase = Phase::kDnsCacheHit,
+                                 .counter = &MetricCounters::dns_queries});
       const auto id = static_cast<std::uint16_t>(net.rng.next() & 0xFFFF);
       const dns::Message query = dns::Message::make_query(id, name);
       const Site& site = params.resolver->site();
@@ -290,7 +289,7 @@ Task<WarmPathObservation> do53_warm_path(NetCtx& net,
       co_await net.hop(site, params.vantage,
                        dns::wire_size(answer) + transport::kUdpOverheadBytes);
       q.shared_hit = true;
-      if (net.metrics != nullptr) ++net.metrics->counters.shared_cache_hits;
+      net.note({&MetricCounters::shared_cache_hits});
       stub_cache.insert(net.sim.now(), name, dns::RecordType::kA,
                         answer.answers);
     } else {
@@ -302,9 +301,7 @@ Task<WarmPathObservation> do53_warm_path(NetCtx& net,
         co_return obs;
       }
       if (params.cache != nullptr) {
-        if (net.metrics != nullptr) {
-          ++net.metrics->counters.shared_cache_misses;
-        }
+        net.note({&MetricCounters::shared_cache_misses});
         const auto id = static_cast<std::uint16_t>(net.rng.next() & 0xFFFF);
         stub_cache.insert(
             net.sim.now(), name, dns::RecordType::kA,

@@ -33,7 +33,6 @@
 #include <string_view>
 #include <vector>
 
-#include "netsim/simulator.h"
 #include "netsim/time.h"
 #include "obs/metrics.h"
 
@@ -192,14 +191,12 @@ class AttributionLedger {
 };
 
 /// Value-type handle threaded through NetCtx (the SeriesRecorder
-/// pattern): the campaign points `ledger` at the shard's ledger and
-/// re-labels provider/country per measurement; flows install their
-/// FlowAttribution via `flow`. Every method is null-safe, so
-/// uninstrumented contexts cost one branch.
+/// pattern): the campaign points `ledger` at the shard's ledger, and a
+/// flow root (NetCtx::flow) installs its FlowAttribution as `flow` and
+/// files it under the context's labels when it ends. Every method is
+/// null-safe, so uninstrumented contexts cost one branch.
 struct AttributionRecorder {
   AttributionLedger* ledger = nullptr;
-  std::string provider;
-  std::string country;
   FlowAttribution* flow = nullptr;
   /// While active, DNS-phase frames record as `dns_redirect` instead and
   /// DNS relabels are suppressed (see ScopedDnsRedirect): bootstrap
@@ -230,51 +227,6 @@ struct AttributionRecorder {
              netsim::SimTime now) {
     if (flow != nullptr && token != 0) flow->shift(token, us, to, now);
   }
-};
-
-/// RAII phase frame: pushes on construction, pops (at the simulator's
-/// then-current time) on destruction. Mirrors ScopedSpan, including the
-/// no-op default state: `auto p = net.phase(obs::Phase::kTlsHandshake);`.
-class ScopedPhase {
- public:
-  ScopedPhase() = default;
-  ScopedPhase(AttributionRecorder& recorder, netsim::Simulator& sim,
-              Phase phase)
-      : recorder_(&recorder),
-        sim_(&sim),
-        token_(recorder.push(phase, sim.now())) {}
-  ScopedPhase(ScopedPhase&& other) noexcept
-      : recorder_(other.recorder_), sim_(other.sim_), token_(other.token_) {
-    other.recorder_ = nullptr;
-  }
-  ScopedPhase& operator=(ScopedPhase&& other) noexcept {
-    if (this != &other) {
-      finish();
-      recorder_ = other.recorder_;
-      sim_ = other.sim_;
-      token_ = other.token_;
-      other.recorder_ = nullptr;
-    }
-    return *this;
-  }
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-  ~ScopedPhase() { finish(); }
-
-  /// Pops the frame now instead of at scope exit.
-  void finish() {
-    if (recorder_ != nullptr) {
-      recorder_->pop(token_, sim_->now());
-      recorder_ = nullptr;
-    }
-  }
-
-  [[nodiscard]] std::uint64_t token() const { return token_; }
-
- private:
-  AttributionRecorder* recorder_ = nullptr;
-  netsim::Simulator* sim_ = nullptr;
-  std::uint64_t token_ = 0;
 };
 
 /// RAII: while alive, DNS-phase frames pushed through `recorder` record
@@ -309,49 +261,6 @@ class ScopedDnsRedirect {
   AttributionRecorder* recorder_ = nullptr;
   bool prev_active_ = false;
   Phase prev_ = Phase::kTcpHandshake;
-};
-
-/// RAII flow scope: owns the FlowAttribution for one measured flow,
-/// installs it on the recorder for the scope's lifetime, and on finish
-/// folds the result into the ledger under (provider, country, transport)
-/// — labels read at finish time from the recorder. Scopes nest: a warm
-/// session installs one per query index on top of whatever was current,
-/// and the previous flow (which stops accruing while shadowed) resumes
-/// when the inner scope finishes. No-op when no ledger is attached.
-class FlowAttributionScope {
- public:
-  FlowAttributionScope(AttributionRecorder& recorder, netsim::Simulator& sim,
-                       std::string transport)
-      : transport_(std::move(transport)) {
-    if (!recorder.attached()) return;
-    recorder_ = &recorder;
-    sim_ = &sim;
-    prev_ = recorder.flow;
-    flow_.begin(sim.now());
-    recorder.flow = &flow_;
-  }
-  FlowAttributionScope(const FlowAttributionScope&) = delete;
-  FlowAttributionScope& operator=(const FlowAttributionScope&) = delete;
-  ~FlowAttributionScope() { finish(); }
-
-  /// Ends the flow and records it now instead of at scope exit.
-  void finish() {
-    if (recorder_ == nullptr) return;
-    flow_.end(sim_->now());
-    recorder_->ledger->record(recorder_->provider, recorder_->country,
-                              transport_, flow_);
-    recorder_->flow = prev_;
-    recorder_ = nullptr;
-  }
-
-  [[nodiscard]] const FlowAttribution& flow() const { return flow_; }
-
- private:
-  AttributionRecorder* recorder_ = nullptr;
-  netsim::Simulator* sim_ = nullptr;
-  FlowAttribution flow_;
-  FlowAttribution* prev_ = nullptr;
-  std::string transport_;
 };
 
 }  // namespace dohperf::obs

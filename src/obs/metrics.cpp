@@ -65,31 +65,9 @@ const LatencyHistogram* Metrics::find_histogram(std::string_view name) const {
 }
 
 void Metrics::merge(const Metrics& other) {
-  counters.messages += other.counters.messages;
-  counters.bytes_on_wire += other.counters.bytes_on_wire;
-  counters.dns_queries += other.counters.dns_queries;
-  counters.doh_queries += other.counters.doh_queries;
-  counters.do53_queries += other.counters.do53_queries;
-  counters.tcp_handshakes += other.counters.tcp_handshakes;
-  counters.tls_handshakes += other.counters.tls_handshakes;
-  counters.quic_handshakes += other.counters.quic_handshakes;
-  counters.tunnels_established += other.counters.tunnels_established;
-  counters.loss_retries += other.counters.loss_retries;
-  counters.handshake_retries += other.counters.handshake_retries;
-  counters.retry_timeouts += other.counters.retry_timeouts;
-  counters.fallbacks += other.counters.fallbacks;
-  counters.fallback_ok += other.counters.fallback_ok;
-  counters.fallback_failed += other.counters.fallback_failed;
-  counters.brownout_delays += other.counters.brownout_delays;
-  counters.failures += other.counters.failures;
-  counters.tls_resumptions += other.counters.tls_resumptions;
-  counters.pool_cold += other.counters.pool_cold;
-  counters.pool_reuses += other.counters.pool_reuses;
-  counters.pool_resumptions += other.counters.pool_resumptions;
-  counters.pool_evictions += other.counters.pool_evictions;
-  counters.shared_cache_hits += other.counters.shared_cache_hits;
-  counters.shared_cache_misses += other.counters.shared_cache_misses;
-  counters.stub_cache_hits += other.counters.stub_cache_hits;
+  for (const auto& [name, member] : kCounterFields) {
+    counters.*member += other.counters.*member;
+  }
   for (const auto& [name, hist] : other.histograms_) {
     histograms_[name].merge(hist);
   }

@@ -11,11 +11,15 @@
 // rounding difference would break the DOHPERF_THREADS=1/2/4 identity.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "obs/sparse_buckets.h"
 
@@ -99,6 +103,55 @@ struct MetricCounters {
   friend bool operator==(const MetricCounters&,
                          const MetricCounters&) = default;
 };
+
+/// One MetricCounters field (or nullptr for none).
+using Counter = std::uint64_t MetricCounters::*;
+
+/// Every MetricCounters field as {export name, member}, in export order:
+/// the one list that Metrics::merge and report::metrics_csv both walk.
+inline constexpr std::pair<std::string_view, Counter> kCounterFields[] = {
+    {"messages", &MetricCounters::messages},
+    {"bytes_on_wire", &MetricCounters::bytes_on_wire},
+    {"dns_queries", &MetricCounters::dns_queries},
+    {"doh_queries", &MetricCounters::doh_queries},
+    {"do53_queries", &MetricCounters::do53_queries},
+    {"tcp_handshakes", &MetricCounters::tcp_handshakes},
+    {"tls_handshakes", &MetricCounters::tls_handshakes},
+    {"quic_handshakes", &MetricCounters::quic_handshakes},
+    {"tunnels_established", &MetricCounters::tunnels_established},
+    {"loss_retries", &MetricCounters::loss_retries},
+    {"handshake_retries", &MetricCounters::handshake_retries},
+    {"retry_timeouts", &MetricCounters::retry_timeouts},
+    {"fallbacks", &MetricCounters::fallbacks},
+    {"fallback_ok", &MetricCounters::fallback_ok},
+    {"fallback_failed", &MetricCounters::fallback_failed},
+    {"brownout_delays", &MetricCounters::brownout_delays},
+    {"failures", &MetricCounters::failures},
+    {"tls_resumptions", &MetricCounters::tls_resumptions},
+    {"pool_cold", &MetricCounters::pool_cold},
+    {"pool_reuses", &MetricCounters::pool_reuses},
+    {"pool_resumptions", &MetricCounters::pool_resumptions},
+    {"pool_evictions", &MetricCounters::pool_evictions},
+    {"shared_cache_hits", &MetricCounters::shared_cache_hits},
+    {"shared_cache_misses", &MetricCounters::shared_cache_misses},
+    {"stub_cache_hits", &MetricCounters::stub_cache_hits},
+};
+
+/// True when kCounterFields names every MetricCounters field exactly once
+/// (every field is a uint64_t, so the struct reads back as an array).
+consteval bool counter_fields_complete() {
+  MetricCounters hits;
+  for (const auto& [name, member] : kCounterFields) ++(hits.*member);
+  constexpr std::size_t kFields =
+      sizeof(MetricCounters) / sizeof(std::uint64_t);
+  for (const std::uint64_t n :
+       std::bit_cast<std::array<std::uint64_t, kFields>>(hits)) {
+    if (n != 1) return false;
+  }
+  return true;
+}
+static_assert(counter_fields_complete(),
+              "kCounterFields must list every MetricCounters field once");
 
 /// One shard's metrics registry: counters plus named latency histograms
 /// (per-provider resolution times). Single-owner by construction — the

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "geo/coordinates.h"
-#include "netsim/simulator.h"
 #include "netsim/time.h"
 
 namespace dohperf::obs {
@@ -88,51 +87,6 @@ class SpanContext {
  private:
   std::vector<Span> spans_;
   std::vector<SpanId> stack_;
-};
-
-/// RAII span handle: opens on construction, closes (at the simulator's
-/// then-current time) on destruction. Null-context guards are no-ops, so
-/// call sites stay branch-free: `auto s = net.span("tls_handshake");`.
-class ScopedSpan {
- public:
-  ScopedSpan() = default;
-  ScopedSpan(SpanContext* ctx, netsim::Simulator& sim, std::string name)
-      : ctx_(ctx), sim_(&sim) {
-    if (ctx_ != nullptr) id_ = ctx_->open(std::move(name), sim.now());
-  }
-  ScopedSpan(ScopedSpan&& other) noexcept
-      : ctx_(other.ctx_), sim_(other.sim_), id_(other.id_) {
-    other.ctx_ = nullptr;
-  }
-  ScopedSpan& operator=(ScopedSpan&& other) noexcept {
-    if (this != &other) {
-      finish();
-      ctx_ = other.ctx_;
-      sim_ = other.sim_;
-      id_ = other.id_;
-      other.ctx_ = nullptr;
-    }
-    return *this;
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ~ScopedSpan() { finish(); }
-
-  /// Closes the span now instead of at scope exit.
-  void finish() {
-    if (ctx_ != nullptr) {
-      ctx_->close(id_, sim_->now());
-      ctx_ = nullptr;
-    }
-  }
-
-  [[nodiscard]] SpanId id() const { return id_; }
-  [[nodiscard]] bool active() const { return ctx_ != nullptr; }
-
- private:
-  SpanContext* ctx_ = nullptr;
-  netsim::Simulator* sim_ = nullptr;
-  SpanId id_ = kNoSpan;
 };
 
 }  // namespace dohperf::obs

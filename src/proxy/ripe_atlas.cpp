@@ -29,9 +29,8 @@ const AtlasProbe* RipeAtlas::pick_probe(const std::string& iso2,
 netsim::Task<double> RipeAtlas::measure_do53(netsim::NetCtx& net,
                                              const AtlasProbe& probe,
                                              dns::DomainName name) const {
-  const auto span = net.span("atlas_do53");
-  obs::FlowAttributionScope attr_scope(net.attribution, net.sim,
-                                       "do53_atlas");
+  const auto flow =
+      net.flow({.span = "atlas_do53", .transport = "do53_atlas"});
   const auto id = static_cast<std::uint16_t>(net.rng.next() & 0xFFFF);
   const resolver::StubResult result = co_await resolver::stub_resolve(
       net, probe.site, *probe.default_resolver,

@@ -3,7 +3,7 @@
 namespace dohperf::proxy {
 
 netsim::Task<void> Tunnel::send_framed(std::size_t wire_bytes) const {
-  const obs::ScopedSpan span = net().span("tunnel.send");
+  const auto step = net().step({"tunnel.send"});
   co_await client_sp_.send(wire_bytes);
   co_await net().process(netsim::from_ms(kSuperProxyForwardMs));
   co_await sp_exit_.send(wire_bytes);
@@ -11,7 +11,7 @@ netsim::Task<void> Tunnel::send_framed(std::size_t wire_bytes) const {
 }
 
 netsim::Task<void> Tunnel::recv_framed(std::size_t wire_bytes) const {
-  const obs::ScopedSpan span = net().span("tunnel.recv");
+  const auto step = net().step({"tunnel.recv"});
   co_await net().process(netsim::from_ms(kExitForwardingMs));
   co_await sp_exit_.recv(wire_bytes);
   co_await net().process(netsim::from_ms(kSuperProxyForwardMs));
@@ -20,9 +20,8 @@ netsim::Task<void> Tunnel::recv_framed(std::size_t wire_bytes) const {
 
 netsim::Task<void> Tunnel::connect_to_super_proxy(
     const transport::HttpRequest& connect_req) {
-  const obs::ScopedSpan span = net().span("tunnel_connect");
-  const obs::ScopedPhase attr =
-      net().phase(obs::Phase::kTunnelConnect);
+  const auto step =
+      net().step({"tunnel_connect", obs::Phase::kTunnelConnect});
   co_await client_sp_.send(connect_req.wire_size());
   overheads_ = BrightDataNetwork::sample_overheads(net().rng);
   co_await net().process(netsim::from_ms(overheads_.total_ms()));
@@ -30,21 +29,17 @@ netsim::Task<void> Tunnel::connect_to_super_proxy(
 
 netsim::Task<void> Tunnel::forward_connect(
     const transport::HttpRequest& connect_req) const {
-  const obs::ScopedSpan span = net().span("tunnel_forward");
-  const obs::ScopedPhase attr =
-      net().phase(obs::Phase::kTunnelConnect);
+  const auto step =
+      net().step({"tunnel_forward", obs::Phase::kTunnelConnect});
   co_await sp_exit_.send(connect_req.wire_size());
   co_await net().process(netsim::from_ms(kExitForwardingMs));
 }
 
 netsim::Task<std::string> Tunnel::send_established_reply(
     const TunTimeline& tun) const {
-  const obs::ScopedSpan span = net().span("tunnel_established_reply");
-  const obs::ScopedPhase attr =
-      net().phase(obs::Phase::kTunnelConnect);
-  if (net().metrics != nullptr) {
-    ++net().metrics->counters.tunnels_established;
-  }
+  const auto step = net().step({"tunnel_established_reply",
+                                 obs::Phase::kTunnelConnect,
+                                 &obs::MetricCounters::tunnels_established});
   transport::HttpResponse resp;
   resp.status = 200;
   resp.reason = "OK";

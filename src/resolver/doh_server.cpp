@@ -32,7 +32,7 @@ netsim::Task<transport::HttpResponse> DohServer::handle(
     netsim::NetCtx& net, transport::HttpRequest request,
     std::uint32_t client_address) {
   ++served_;
-  const obs::ScopedSpan span = net.span("doh_server.handle");
+  const auto step = net.step({"doh_server.handle"});
 
   if (request.target.rfind("/dns-query", 0) != 0) {
     co_return bad_request("unknown path");

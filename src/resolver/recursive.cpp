@@ -23,11 +23,11 @@ RecursiveResolver::RecursiveResolver(std::string name, netsim::Site site,
 netsim::Task<dns::Message> RecursiveResolver::resolve(
     netsim::NetCtx& net, dns::Message query, std::uint32_t client_address) {
   ++stats_.queries;
-  const obs::ScopedSpan span = net.span("recursive_resolve");
   // Provisionally a miss (the common cache-buster case); every hit
   // branch relabels the live frames — this one and any stub_resolve
   // frame beneath — so the whole resolution path carries the outcome.
-  const obs::ScopedPhase attr = net.phase(obs::Phase::kDnsCacheMiss);
+  const auto step =
+      net.step({"recursive_resolve", obs::Phase::kDnsCacheMiss});
 
   if (query.questions.empty()) {
     ++stats_.failures;

@@ -17,11 +17,10 @@ netsim::Task<StubResult> stub_resolve(netsim::NetCtx& net,
                                       dns::Message query,
                                       std::uint32_t client_address) {
   StubResult result;
-  const obs::ScopedSpan span = net.span("stub_resolve");
   // Provisionally a miss; the recursive resolver relabels every live
   // dns_cache_miss frame to dns_cache_hit when its cache answers.
-  const obs::ScopedPhase attr = net.phase(obs::Phase::kDnsCacheMiss);
-  if (net.metrics != nullptr) ++net.metrics->counters.dns_queries;
+  const auto step = net.step({"stub_resolve", obs::Phase::kDnsCacheMiss,
+                              &obs::MetricCounters::dns_queries});
   const netsim::SimTime start = net.sim.now();
   netsim::Path path(net, vantage, resolver.site());
   path.set_framing(transport::kUdpOverheadBytes,

@@ -100,15 +100,14 @@ class Connection {
   }
 
  private:
-  // Traced variants: same awaits, wrapped in a named span.
+  // Traced variants: same awaits, inside a step named after the layer
+  // (step() copies the name when it opens the span).
   netsim::Task<void> send_spanned(std::size_t wire_bytes) const {
-    const obs::ScopedSpan span =
-        net().span(std::string(layer_name()) + ".send");
+    const auto step = net().step({std::string(layer_name()) + ".send"});
     co_await send_framed(wire_bytes);
   }
   netsim::Task<void> recv_spanned(std::size_t wire_bytes) const {
-    const obs::ScopedSpan span =
-        net().span(std::string(layer_name()) + ".recv");
+    const auto step = net().step({std::string(layer_name()) + ".recv"});
     co_await recv_framed(wire_bytes);
   }
 };

@@ -6,9 +6,8 @@ netsim::Task<QuicConnection> quic_connect(netsim::NetCtx& net,
                                           const netsim::Site& client,
                                           const netsim::Site& server) {
   QuicConnection conn{netsim::Path(net, client, server)};
-  const obs::ScopedSpan span = net.span("quic_handshake");
-  const obs::ScopedPhase attr = net.phase(obs::Phase::kQuicHandshake);
-  if (net.metrics != nullptr) ++net.metrics->counters.quic_handshakes;
+  const auto step = net.step({"quic_handshake", obs::Phase::kQuicHandshake,
+                              &obs::MetricCounters::quic_handshakes});
   const netsim::SimTime start = net.sim.now();
   const netsim::RetryOutcome initial =
       co_await net.handshake_gate(client, server, kInitialRetryPolicy);

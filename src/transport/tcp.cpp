@@ -6,9 +6,8 @@ netsim::Task<TcpConnection> tcp_connect(netsim::NetCtx& net,
                                         const netsim::Site& client,
                                         const netsim::Site& server) {
   TcpConnection conn{netsim::Path(net, client, server)};
-  const obs::ScopedSpan span = net.span("tcp_handshake");
-  const obs::ScopedPhase attr = net.phase(obs::Phase::kTcpHandshake);
-  if (net.metrics != nullptr) ++net.metrics->counters.tcp_handshakes;
+  const auto step = net.step({"tcp_handshake", obs::Phase::kTcpHandshake,
+                              &obs::MetricCounters::tcp_handshakes});
   const netsim::SimTime start = net.sim.now();
   const netsim::RetryOutcome syn =
       co_await net.handshake_gate(client, server, kSynRetryPolicy);

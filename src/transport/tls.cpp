@@ -16,9 +16,8 @@ netsim::Task<TlsSession> tls_handshake(const Connection& lower,
                                        TlsVersion version) {
   netsim::NetCtx& net = lower.net();
   TlsSession session(lower, version);
-  const obs::ScopedSpan span = net.span("tls_handshake");
-  const obs::ScopedPhase attr = net.phase(obs::Phase::kTlsHandshake);
-  if (net.metrics != nullptr) ++net.metrics->counters.tls_handshakes;
+  const auto step = net.step({"tls_handshake", obs::Phase::kTlsHandshake,
+                              &obs::MetricCounters::tls_handshakes});
   const netsim::SimTime start = net.sim.now();
 
   // Retransmit gate on the routed path beneath the stack (nullptr for
@@ -58,9 +57,8 @@ netsim::Task<TlsSession> tls_resume(const Connection& lower,
   netsim::NetCtx& net = lower.net();
   TlsSession session(lower, version);
   session.resumed = true;
-  const obs::ScopedSpan span = net.span("tls_resume");
-  const obs::ScopedPhase attr = net.phase(obs::Phase::kTlsResume);
-  if (net.metrics != nullptr) ++net.metrics->counters.tls_resumptions;
+  const auto step = net.step({"tls_resume", obs::Phase::kTlsResume,
+                              &obs::MetricCounters::tls_resumptions});
   const netsim::SimTime start = net.sim.now();
 
   if (const netsim::Path* path = lower.underlying_path()) {

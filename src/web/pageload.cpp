@@ -103,9 +103,7 @@ std::string_view to_string(DnsMode mode) {
 netsim::Task<PageLoadResult> load_page(netsim::NetCtx& net,
                                        const PageLoadContext& ctx,
                                        PageSpec spec, DnsMode mode) {
-  const auto flow_span = net.span("pageload");
-  obs::FlowAttributionScope attr_scope(net.attribution, net.sim,
-                                       "pageload");
+  const auto flow = net.flow({.span = "pageload", .transport = "pageload"});
   PageLoadResult result;
   const SimTime page_start = net.sim.now();
 

@@ -318,8 +318,7 @@ struct AttributionFlowFixture : ::testing::Test {
   netsim::NetCtx recording_ctx(AttributionLedger& ledger) {
     netsim::NetCtx net = world().ctx();
     net.attribution.ledger = &ledger;
-    net.attribution.provider = "Cloudflare";
-    net.attribution.country = "SE";
+    net.labels = {"Cloudflare", "SE"};
     return net;
   }
 

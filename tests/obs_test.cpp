@@ -123,8 +123,8 @@ TEST(SpanContextTest, HopsAreLeavesUnderTheInnermostSpan) {
 }
 
 TEST(ScopedSpanTest, DefaultConstructedIsNoop) {
-  obs::ScopedSpan guard;  // must not crash on destruction
-  EXPECT_FALSE(guard.active());
+  NetCtx::Scope guard;  // must not crash on destruction
+  EXPECT_EQ(guard.token(), 0u);
   guard.finish();
 }
 
@@ -132,9 +132,17 @@ TEST(ScopedSpanTest, NullContextNetCtxSpanIsNoop) {
   netsim::Simulator sim;
   netsim::LatencyModel latency;
   netsim::Rng rng{1};
+  obs::Metrics metrics;
   NetCtx net{sim, latency, rng};
-  const auto guard = net.span("anything");
-  EXPECT_FALSE(guard.active());
+  net.metrics = &metrics;
+  {
+    // No span context and no attribution flow: no span, no phase frame.
+    const auto guard = net.step({"anything", obs::Phase::kTlsHandshake,
+                                 &obs::MetricCounters::tls_handshakes});
+    EXPECT_EQ(guard.token(), 0u);
+  }
+  // The step still counts.
+  EXPECT_EQ(metrics.counters.tls_handshakes, 1u);
 }
 
 // ------------------------------------- nesting across coroutine suspension
@@ -144,7 +152,7 @@ TEST_F(ObsFixture, TunnelFlowYieldsNestedTreeAcrossSuspension) {
 
   // Named so the closure outlives the coroutine frame that captures it.
   auto flow_fn = [&]() -> netsim::Task<void> {
-    const auto root = net.span("flow");
+    const auto root = net.step({"flow"});
     transport::HttpRequest connect_req;
     connect_req.method = "CONNECT";
     connect_req.target = "resolver:443";
@@ -205,7 +213,7 @@ TEST_F(ObsFixture, InterleavedPathSendsUnderOneSpanStayLabeled) {
   netsim::Path path(net, client, exit);
   // Named so the closure outlives the coroutine frame that captures it.
   auto flow_fn = [&]() -> netsim::Task<void> {
-    const auto guard = net.span("burst");
+    const auto guard = net.step({"burst"});
     auto first = path.send(100);
     auto second = path.send(300);
     co_await first;
@@ -325,7 +333,7 @@ TEST_F(ObsFixture, PerfettoJsonParsesBackWithMatchingSpans) {
   proxy::Tunnel tunnel{net, client, super_proxy, exit};
   // Named so the closure outlives the coroutine frame that captures it.
   auto flow_fn = [&]() -> netsim::Task<void> {
-    const auto root = net.span("flow");
+    const auto root = net.step({"flow"});
     co_await tunnel.send(150);
     co_await tunnel.recv(300);
   };
@@ -376,7 +384,7 @@ TEST_F(ObsFixture, PerfettoJsonParsesBackWithMatchingSpans) {
 TEST_F(ObsFixture, SpanJsonlEmitsOneValidObjectPerSpan) {
   // Named so the closure outlives the coroutine frame that captures it.
   auto flow_fn = [&]() -> netsim::Task<void> {
-    const auto root = net.span("flow");
+    const auto root = net.step({"flow"});
     netsim::Path path(net, client, exit);
     co_await path.send(64);
   };
@@ -615,11 +623,12 @@ TEST(MetricSeriesTest, MergeIsOrderIndependent) {
 TEST(SeriesRecorderTest, DualRecordsAggregateAndIsNullSafe) {
   MetricSeries series;
   const netsim::SimTime epoch = netsim::SimTime{} + netsim::from_ms(500.0);
-  SeriesRecorder rec{&series, epoch, "Cloudflare", "DE"};
+  const SeriesRecorder rec{&series, epoch};
+  const obs::Labels labels{"Cloudflare", "DE"};
   EXPECT_TRUE(rec.attached());
   // Offsets are measured from the epoch, not the absolute clock.
-  rec.latency("doh_ms", epoch + netsim::from_ms(10.0), 42.0);
-  rec.count("loss_retry", epoch + netsim::from_ms(300.0));
+  rec.latency("doh_ms", labels, epoch + netsim::from_ms(10.0), 42.0);
+  rec.count("loss_retry", labels, epoch + netsim::from_ms(300.0));
   EXPECT_EQ(series.latencies()
                 .at({"doh_ms", "Cloudflare", "DE"})
                 .at(0)
@@ -634,15 +643,14 @@ TEST(SeriesRecorderTest, DualRecordsAggregateAndIsNullSafe) {
   EXPECT_EQ(series.counters().at({"loss_retry", "Cloudflare", "DE"}).at(1),
             1u);
 
-  // A country-less recorder must not double-record.
-  SeriesRecorder aggregate_only{&series, epoch, "Google", ""};
-  aggregate_only.latency("doh_ms", epoch, 10.0);
+  // A country-less record must not double-record.
+  rec.latency("doh_ms", {"Google", ""}, epoch, 10.0);
   EXPECT_EQ(series.latencies().count({"doh_ms", "Google", ""}), 1u);
 
   const SeriesRecorder detached;
   EXPECT_FALSE(detached.attached());
-  detached.count("x", netsim::SimTime{});
-  detached.latency("x", netsim::SimTime{}, 1.0);  // must not crash
+  detached.count("x", labels, netsim::SimTime{});
+  detached.latency("x", labels, netsim::SimTime{}, 1.0);  // must not crash
 }
 
 // --------------------------------------------------------- flight recorder

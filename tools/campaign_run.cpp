@@ -11,17 +11,19 @@
 //   --out PATH          single run: outputs.summary_json override;
 //                       sweep: merged report path
 //                       (default out/<name>-sweep.json)
-//   --procs N           sweep: concurrent worker processes
-//                       (default DOHPERF_SWEEP_PROCS, else 1)
+//   --procs N           sweep: concurrent worker processes, a positive
+//                       decimal integer (default DOHPERF_SWEEP_PROCS,
+//                       else 1)
 //
 // Any spec defect (unknown key, type mismatch, malformed value) is one
 // line-numbered diagnostic on stderr and exit code 2 — never a silent
-// default; so is a malformed DOHPERF_* override (named in the message).
+// default; so is a malformed DOHPERF_* override or --procs value (named
+// in the message).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "measure/campaign.h"
 #include "scenario/runner.h"
 #include "scenario/sweep.h"
 
@@ -59,7 +61,13 @@ int main(int argc, char** argv) {
       out = argv[i];
     } else if (arg == "--procs") {
       if (++i >= argc) return usage();
-      procs = std::atoi(argv[i]);
+      if (!measure::parse_count(argv[i], &procs)) {
+        std::fprintf(stderr,
+                     "campaign_run: --procs: expected a positive decimal "
+                     "integer, got \"%s\"\n",
+                     argv[i]);
+        return 2;
+      }
     } else if (!arg.empty() && arg.front() == '-') {
       std::fprintf(stderr, "campaign_run: unknown option %s\n", argv[i]);
       return usage();
