@@ -122,7 +122,7 @@ int main() {
       net.labels = {provider.name(), iso2};
       auto task = measure::do53_direct(
           net, exit->site, exit->default_resolver,
-          world.origin().with_subdomain(resolver::uuid_label(net.rng)));
+          resolver::probe_name(net.rng, world.origin()));
       world.sim().run();
       (void)task.result();
     }

@@ -81,7 +81,7 @@ int main() {
       auto net = world.ctx();
       auto task = measure::do53_direct(
           net, exit->site, exit->default_resolver,
-          world.origin().with_subdomain(resolver::uuid_label(net.rng)));
+          resolver::probe_name(net.rng, world.origin()));
       world.sim().run();
       if (task.result() >= 0) do53.push_back(task.result());
     }

@@ -7,10 +7,15 @@
 #include "netsim/random.h"
 #include "resolver/stub.h"
 #include "transport/base64.h"
+#include "transport/http.h"
 
 namespace {
 
 using namespace dohperf;
+
+// The campaign's typical name: a 36-character UUID label under the zone.
+constexpr const char* kProbeName =
+    "f47ac10b-58cc-4372-a567-0e02b2c3d479.a.com";
 
 dns::Message sample_response(int answers) {
   const auto origin = dns::DomainName::parse("a.com");
@@ -77,11 +82,33 @@ BENCHMARK(BM_RoundTrip);
 
 void BM_NameParse(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        dns::DomainName::parse("f47ac10b-58cc-4372-a567-0e02b2c3d479.a.com"));
+    benchmark::DoNotOptimize(dns::DomainName::parse(kProbeName));
   }
 }
 BENCHMARK(BM_NameParse);
+
+void BM_NameCopy(benchmark::State& state) {
+  const auto name = dns::DomainName::parse(kProbeName);
+  for (auto _ : state) {
+    dns::DomainName copy = name;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_NameCopy);
+
+// A cache probe: equality against the same name in another letter case,
+// plus the hash that picks the bucket.
+void BM_NameEqualHash(benchmark::State& state) {
+  const auto name = dns::DomainName::parse(kProbeName);
+  const auto upper =
+      dns::DomainName::parse("F47AC10B-58CC-4372-A567-0E02B2C3D479.A.COM");
+  const dns::DomainNameHash hash;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(name == upper);
+    benchmark::DoNotOptimize(hash(name));
+  }
+}
+BENCHMARK(BM_NameEqualHash);
 
 void BM_UuidLabel(benchmark::State& state) {
   netsim::Rng rng(1);
@@ -124,5 +151,23 @@ void BM_DohGetTarget(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DohGetTarget);
+
+// The client's per-DoH-query work in the proxied flow: a fresh probe
+// query, its GET request with the flow's headers, and the request's size.
+void BM_ProbeQuery(benchmark::State& state) {
+  netsim::Rng rng(2);
+  const auto origin = dns::DomainName::parse("a.com");
+  const std::string hostname = "cloudflare-dns.com";
+  for (auto _ : state) {
+    const auto query = resolver::make_probe_query(rng, origin);
+    transport::HttpRequest req;
+    req.method = "GET";
+    req.target = resolver::doh_get_target(query);
+    req.headers.add("host", hostname);
+    req.headers.add("accept", "application/dns-message");
+    benchmark::DoNotOptimize(req.wire_size());
+  }
+}
+BENCHMARK(BM_ProbeQuery);
 
 }  // namespace

@@ -59,7 +59,7 @@ void BM_GroundTruthFlow(benchmark::State& state) {
     auto net = world.ctx();
     auto task = measure::do53_direct(
         net, exit->site, exit->default_resolver,
-        world.origin().with_subdomain(resolver::uuid_label(net.rng)));
+        resolver::probe_name(net.rng, world.origin()));
     world.sim().run();
     benchmark::DoNotOptimize(task.result());
   }

@@ -51,7 +51,8 @@ Task<bool> resolve_doh(NetCtx& net, const PolicyContext& ctx) {
   req.target = resolver::doh_get_target(query);
   req.headers.add("host", ctx.doh_hostname);
   co_await tls.send(req);
-  const transport::HttpResponse resp = co_await ctx.doh->handle(net, req);
+  const transport::HttpResponse resp =
+      co_await ctx.doh->handle(net, std::move(req));
   co_await tls.recv(resp);
   co_return resp.status == 200;
 }
@@ -80,7 +81,7 @@ std::string_view to_string(DohMode mode) {
 }
 
 netsim::Task<PolicyOutcome> resolve_with_policy(netsim::NetCtx& net,
-                                                const PolicyContext& ctx,
+                                                PolicyContext ctx,
                                                 DohMode mode) {
   PolicyOutcome outcome;
   const SimTime start = net.sim.now();

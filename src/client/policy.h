@@ -63,8 +63,10 @@ struct PolicyOutcome {
 
 /// Resolves one fresh name under `mode`. The DoH path pays the full
 /// first-connection cost (bootstrap + TCP + TLS), as a browser does on
-/// its first resolution after startup.
+/// its first resolution after startup. `ctx` is taken by value: the
+/// coroutine reads it after suspending, when a caller's temporary would
+/// be gone.
 [[nodiscard]] netsim::Task<PolicyOutcome> resolve_with_policy(
-    netsim::NetCtx& net, const PolicyContext& ctx, DohMode mode);
+    netsim::NetCtx& net, PolicyContext ctx, DohMode mode);
 
 }  // namespace dohperf::client

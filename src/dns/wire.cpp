@@ -1,10 +1,8 @@
 #include "dns/wire.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstddef>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "dns/errors.h"
@@ -24,9 +22,6 @@ class ByteOut {
   void bytes(std::span<const std::uint8_t> b) {
     out_.insert(out_.end(), b.begin(), b.end());
   }
-  void chars(std::string_view s) {
-    out_.insert(out_.end(), s.begin(), s.end());
-  }
   [[nodiscard]] std::size_t size() const { return out_.size(); }
   void patch_u16(std::size_t offset, std::uint16_t v) {
     out_[offset] = static_cast<std::uint8_t>(v >> 8);
@@ -43,7 +38,6 @@ class CountOut {
  public:
   void u8(std::uint8_t) { ++size_; }
   void bytes(std::span<const std::uint8_t> b) { size_ += b.size(); }
-  void chars(std::string_view s) { size_ += s.size(); }
   [[nodiscard]] std::size_t size() const { return size_; }
   void patch_u16(std::size_t, std::uint16_t) {}
 
@@ -51,17 +45,10 @@ class CountOut {
   std::size_t size_ = 0;
 };
 
-bool label_iequal(const std::string& a, const std::string& b) {
-  return a.size() == b.size() &&
-         std::equal(a.begin(), a.end(), b.begin(), [](char x, char y) {
-           return x == y || std::tolower(static_cast<unsigned char>(x)) ==
-                                std::tolower(static_cast<unsigned char>(y));
-         });
-}
-
-/// A name suffix already written, and the offset a pointer to it uses.
+/// A name suffix already written (wire labels, root excluded), and the
+/// offset a pointer to it uses.
 struct Suffix {
-  std::span<const std::string> labels;
+  std::span<const std::uint8_t> wire;
   std::size_t offset;
 };
 
@@ -96,32 +83,29 @@ class Writer {
   }
 
   /// Writes `name` using suffix compression against earlier occurrences.
-  /// Suffixes match case-insensitively, label by label; the table holds
-  /// spans into the message's own names, which outlive the writer.
+  /// Suffixes match case-insensitively, label by label (wire_iequal); the
+  /// table holds spans into the message's own names, which outlive the
+  /// writer.
   void name(const DomainName& n) {
-    const std::span<const std::string> labels = n.labels();
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      const auto rest = labels.subspan(i);
+    const std::span<const std::uint8_t> wire = n.wire_labels();
+    for (std::size_t at = 0; at < wire.size(); at += 1u + wire[at]) {
+      const auto rest = wire.subspan(at);
       if (const Suffix* match = find(rest)) {
         u16(static_cast<std::uint16_t>(0xC000 | match->offset));
         return;
       }
       // Pointers can only address the first 0x3FFF octets.
       if (size() <= 0x3FFF) suffixes_->push_back({rest, size()});
-      u8(static_cast<std::uint8_t>(labels[i].size()));
-      out_.chars(labels[i]);
+      out_.bytes(rest.first(1u + wire[at]));  // length octet + label
     }
     u8(0);  // root
   }
 
  private:
-  [[nodiscard]] const Suffix* find(std::span<const std::string> rest) const {
+  [[nodiscard]] const Suffix* find(
+      std::span<const std::uint8_t> rest) const {
     for (const Suffix& s : *suffixes_) {
-      if (s.labels.size() == rest.size() &&
-          std::equal(rest.begin(), rest.end(), s.labels.begin(),
-                     label_iequal)) {
-        return &s;
-      }
+      if (wire_iequal(s.wire, rest)) return &s;
     }
     return nullptr;
   }
@@ -234,6 +218,8 @@ void write_message(Writer<Out>& w, const Message& msg) {
 
 class Reader {
  public:
+  static constexpr std::size_t kMaxLabels = 128;
+
   explicit Reader(std::span<const std::uint8_t> wire) : wire_(wire) {}
 
   std::uint8_t u8() {
@@ -266,7 +252,11 @@ class Reader {
 
   /// Reads a possibly-compressed name starting at the cursor.
   DomainName name() {
-    std::vector<std::string> labels;
+    // Room for every label the limit below admits; DomainName::from_wire
+    // then applies the name rules (label octets, 255-octet total).
+    std::uint8_t wire[kMaxLabels * 64];
+    std::size_t size = 0;
+    std::size_t labels = 0;
     std::size_t jumps = 0;
     std::size_t return_to = 0;
     bool jumped = false;
@@ -291,13 +281,14 @@ class Reader {
       }
       if ((len & 0xC0) != 0) throw ParseError("reserved label type");
       const auto raw = bytes(len);
-      labels.emplace_back(reinterpret_cast<const char*>(raw.data()),
-                          raw.size());
-      if (labels.size() > 128) throw ParseError("too many labels");
+      if (++labels > kMaxLabels) throw ParseError("too many labels");
+      wire[size] = len;
+      std::copy(raw.begin(), raw.end(), wire + size + 1);
+      size += 1u + len;
     }
     if (jumped) seek(return_to);
     try {
-      return DomainName::from_labels(std::move(labels));
+      return DomainName::from_wire({wire, size});
     } catch (const NameError& e) {
       throw ParseError(e.what());
     }

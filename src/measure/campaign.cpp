@@ -624,8 +624,8 @@ netsim::Task<void> atlas_session(ShardView& view, const AtlasTask& task,
   s.begin_flow(0, "atlas_do53");
   // Fresh UUID per measurement (cache-miss by construction).
   const double ms = co_await view.world.atlas().measure_do53(
-      s.net, local_probe,
-      view.world.origin().with_subdomain(resolver::uuid_label(s.net.rng)));
+      s.net, std::move(local_probe),
+      resolver::probe_name(s.net.rng, view.world.origin()));
   s.end_flow({.ok = ms >= 0}, "do53_ms", ms);
   if (ms < 0) co_return;
   Do53Record rec;

@@ -196,7 +196,7 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
   leg_start = net.sim.now();
   co_await tls_leg.send(get_payload);  // t17
   const transport::HttpResponse doh_resp = co_await params.doh->handle(
-      net, get_req, params.exit->prefix);  // t18, t19 inside
+      net, std::move(get_req), params.exit->prefix);  // t18, t19 inside
   co_await tls_leg.recv(doh_resp);  // t20
   obs.true_query_ms = ms_between(leg_start, net.sim.now());
   co_await tls_tunnel.recv(doh_resp);  // t21, t22
@@ -257,7 +257,8 @@ Task<DirectDohObservation> doh_direct(NetCtx& net, Site vantage,
 
     const SimTime start = net.sim.now();
     co_await session.send(req);
-    const transport::HttpResponse resp = co_await doh.handle(net, req);
+    const transport::HttpResponse resp =
+        co_await doh.handle(net, std::move(req));
     co_await session.recv(resp);
     out_ms = ms_between(start, net.sim.now());
     obs.http_status = resp.status;

@@ -134,7 +134,7 @@ Do53Validation GroundTruthLab::validate_do53(const std::string& iso2,
       // serve every repetition after the first.
       auto task = do53_direct(
           net, node.site, node.default_resolver,
-          world_.origin().with_subdomain(resolver::uuid_label(net.rng)));
+          resolver::probe_name(net.rng, world_.origin()));
       world_.sim().run();
       const double ms = task.result();
       if (ms >= 0) truth.push_back(ms);
@@ -179,7 +179,7 @@ NetworkComparison GroundTruthLab::compare_networks(const std::string& iso2,
       netsim::NetCtx net = world_.ctx();
       auto task = world_.atlas().measure_do53(
           net, *probe,
-          world_.origin().with_subdomain(resolver::uuid_label(rng)));
+          resolver::probe_name(rng, world_.origin()));
       world_.sim().run();
       const double ms = task.result();
       if (ms >= 0) atlas.push_back(ms);

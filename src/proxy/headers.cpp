@@ -1,93 +1,97 @@
 #include "proxy/headers.h"
 
 #include <charconv>
-#include <cstdio>
-#include <vector>
 
 namespace dohperf::proxy {
 namespace {
 
-std::string format_ms(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", v);
-  return buf;
+/// Appends "<key>=<v>" with three decimals.
+void append_ms(std::string& out, std::string_view key, double v) {
+  // Room for "%.3f" of any double: sign, 309 integer digits, point, 3.
+  char buf[320];
+  char* const end =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, 3)
+          .ptr;
+  out += key;
+  out += '=';
+  out.append(buf, end);
 }
 
-/// Parses "k1=v1 k2=v2 ..." into ordered (key, value) pairs; nullopt on
-/// malformed tokens.
-std::optional<std::vector<std::pair<std::string_view, double>>> parse_kv(
-    std::string_view text) {
-  std::vector<std::pair<std::string_view, double>> out;
-  while (!text.empty()) {
+/// Calls `take(key, value)` for each space-separated "key=value" token of
+/// `text` in order; false as soon as a token is malformed (missing '=',
+/// empty key, non-numeric value) or `take` rejects it.
+template <typename Take>
+bool for_each_field(std::string_view text, Take take) {
+  for (;;) {
     while (!text.empty() && text.front() == ' ') text.remove_prefix(1);
-    if (text.empty()) break;
+    if (text.empty()) return true;
     const std::size_t space = text.find(' ');
-    const std::string_view token =
-        space == std::string_view::npos ? text : text.substr(0, space);
+    const std::string_view token = text.substr(0, space);
+    text.remove_prefix(space == std::string_view::npos ? text.size()
+                                                       : space + 1);
     const std::size_t eq = token.find('=');
-    if (eq == std::string_view::npos || eq == 0) return std::nullopt;
+    if (eq == std::string_view::npos || eq == 0) return false;
     const std::string_view value_str = token.substr(eq + 1);
     double value = 0.0;
     const auto [ptr, ec] = std::from_chars(
         value_str.data(), value_str.data() + value_str.size(), value);
     if (ec != std::errc() || ptr != value_str.data() + value_str.size()) {
-      return std::nullopt;
+      return false;
     }
-    out.emplace_back(token.substr(0, eq), value);
-    if (space == std::string_view::npos) break;
-    text.remove_prefix(space + 1);
+    if (!take(token.substr(0, eq), value)) return false;
   }
-  return out;
 }
 
 }  // namespace
 
-std::string format_tun_timeline(const TunTimeline& t) {
-  return "dns=" + format_ms(t.dns_ms) + " connect=" + format_ms(t.connect_ms);
+void append_tun_timeline(std::string& out, const TunTimeline& t) {
+  append_ms(out, "dns", t.dns_ms);
+  append_ms(out, " connect", t.connect_ms);
 }
 
-std::string format_timeline(const BrightDataTimeline& t) {
-  return "auth=" + format_ms(t.auth_ms) + " init=" + format_ms(t.init_ms) +
-         " select=" + format_ms(t.select_ms) + " vld=" + format_ms(t.vld_ms);
+void append_timeline(std::string& out, const BrightDataTimeline& t) {
+  append_ms(out, "auth", t.auth_ms);
+  append_ms(out, " init", t.init_ms);
+  append_ms(out, " select", t.select_ms);
+  append_ms(out, " vld", t.vld_ms);
 }
 
 std::optional<TunTimeline> parse_tun_timeline(std::string_view text) {
-  const auto kv = parse_kv(text);
-  if (!kv) return std::nullopt;
   TunTimeline t;
   bool have_dns = false, have_connect = false;
-  for (const auto& [key, value] : *kv) {
+  const bool ok = for_each_field(text, [&](std::string_view key, double v) {
     if (key == "dns") {
-      t.dns_ms = value;
+      t.dns_ms = v;
       have_dns = true;
     } else if (key == "connect") {
-      t.connect_ms = value;
+      t.connect_ms = v;
       have_connect = true;
     } else {
-      return std::nullopt;
+      return false;
     }
-  }
-  if (!have_dns || !have_connect) return std::nullopt;
+    return true;
+  });
+  if (!ok || !have_dns || !have_connect) return std::nullopt;
   return t;
 }
 
 std::optional<BrightDataTimeline> parse_timeline(std::string_view text) {
-  const auto kv = parse_kv(text);
-  if (!kv) return std::nullopt;
   BrightDataTimeline t;
-  for (const auto& [key, value] : *kv) {
+  const bool ok = for_each_field(text, [&t](std::string_view key, double v) {
     if (key == "auth") {
-      t.auth_ms = value;
+      t.auth_ms = v;
     } else if (key == "init") {
-      t.init_ms = value;
+      t.init_ms = v;
     } else if (key == "select") {
-      t.select_ms = value;
+      t.select_ms = v;
     } else if (key == "vld") {
-      t.vld_ms = value;
+      t.vld_ms = v;
     } else {
-      return std::nullopt;
+      return false;
     }
-  }
+    return true;
+  });
+  if (!ok) return std::nullopt;
   return t;
 }
 

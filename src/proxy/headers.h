@@ -38,8 +38,10 @@ struct BrightDataTimeline {
   }
 };
 
-[[nodiscard]] std::string format_tun_timeline(const TunTimeline& t);
-[[nodiscard]] std::string format_timeline(const BrightDataTimeline& t);
+/// Append the header payloads to `out`. Values are written as printf's
+/// "%.3f" writes them in the "C" locale, whatever the locale.
+void append_tun_timeline(std::string& out, const TunTimeline& t);
+void append_timeline(std::string& out, const BrightDataTimeline& t);
 
 /// Parses header payloads; nullopt on malformed input (unknown key,
 /// missing '=', non-numeric value).

@@ -27,7 +27,7 @@ const AtlasProbe* RipeAtlas::pick_probe(const std::string& iso2,
 }
 
 netsim::Task<double> RipeAtlas::measure_do53(netsim::NetCtx& net,
-                                             const AtlasProbe& probe,
+                                             AtlasProbe probe,
                                              dns::DomainName name) const {
   const auto flow =
       net.flow({.span = "atlas_do53", .transport = "do53_atlas"});

@@ -34,10 +34,11 @@ class RipeAtlas {
                                              netsim::Rng& rng) const;
 
   /// Runs one Do53 resolution of `name` at `probe` (probe -> default
-  /// resolver -> authoritative) and returns the query time in ms.
+  /// resolver -> authoritative) and returns the query time in ms. `probe`
+  /// is taken by value: the coroutine reads it after suspending, when a
+  /// caller's temporary would be gone.
   [[nodiscard]] netsim::Task<double> measure_do53(
-      netsim::NetCtx& net, const AtlasProbe& probe,
-      dns::DomainName name) const;
+      netsim::NetCtx& net, AtlasProbe probe, dns::DomainName name) const;
 
  private:
   std::vector<AtlasProbe> probes_;

@@ -10,7 +10,7 @@ AuthoritativeServer::AuthoritativeServer(dns::Zone zone, netsim::Site site,
                                          netsim::Duration processing)
     : zone_(std::move(zone)), site_(site), processing_(processing) {}
 
-dns::Message AuthoritativeServer::handle(const dns::Message& query,
+dns::Message AuthoritativeServer::handle(dns::Message query,
                                          std::uint32_t from_resolver) {
   ++query_count_;
   seen_resolvers_.insert(from_resolver);
@@ -18,16 +18,18 @@ dns::Message AuthoritativeServer::handle(const dns::Message& query,
   if (dns::extract_ecs(query).has_value()) ++ecs_query_count_;
 
   if (query.questions.empty()) {
-    return dns::Message::make_response(query, dns::Rcode::kFormErr);
+    return dns::Message::make_response(std::move(query),
+                                       dns::Rcode::kFormErr);
   }
   const dns::Question& q = query.questions.front();
-  const dns::ZoneLookup result = zone_.lookup(q.name, q.type);
+  dns::ZoneLookup result = zone_.lookup(q.name, q.type);
 
-  dns::Message resp = dns::Message::make_response(query, result.rcode);
+  dns::Message resp =
+      dns::Message::make_response(std::move(query), result.rcode);
   resp.header.aa = true;
   resp.header.ra = false;  // authoritative servers do not recurse
-  resp.answers = result.answers;
-  resp.authorities = result.authorities;
+  resp.answers = std::move(result.answers);
+  resp.authorities = std::move(result.authorities);
   return resp;
 }
 

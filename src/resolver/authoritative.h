@@ -22,7 +22,7 @@ class AuthoritativeServer {
 
   /// Answers `query` from zone data. `from_resolver` is the querying
   /// resolver's address, recorded for the dataset statistics.
-  [[nodiscard]] dns::Message handle(const dns::Message& query,
+  [[nodiscard]] dns::Message handle(dns::Message query,
                                     std::uint32_t from_resolver);
 
   [[nodiscard]] const netsim::Site& site() const { return site_; }

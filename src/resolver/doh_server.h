@@ -48,4 +48,9 @@ class DohServer {
   std::uint64_t served_ = 0;
 };
 
+/// The 200 response carrying `answer` as an application/dns-message body,
+/// as a DoH front-end named `server` sends it.
+[[nodiscard]] transport::HttpResponse dns_message_response(
+    const dns::Message& answer, const std::string& server);
+
 }  // namespace dohperf::resolver

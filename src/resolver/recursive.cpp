@@ -31,9 +31,12 @@ netsim::Task<dns::Message> RecursiveResolver::resolve(
 
   if (query.questions.empty()) {
     ++stats_.failures;
-    co_return dns::Message::make_response(query, dns::Rcode::kFormErr);
+    co_return dns::Message::make_response(std::move(query),
+                                          dns::Rcode::kFormErr);
   }
-  const dns::Question q = query.questions.front();
+  // `query` lives in this frame, so the question is read in place; each
+  // exit path then moves the question section into its response.
+  const dns::Question& q = query.questions.front();
 
   if (auto cached = cache_.lookup(net.sim.now(), q.name, q.type)) {
     ++stats_.cache_hits;
@@ -42,7 +45,7 @@ netsim::Task<dns::Message> RecursiveResolver::resolve(
     // Hot-name hits are served from the frontend cache: cheap unless a
     // brownout episode has the whole frontend overloaded.
     co_await net.process_at(site_, cache_hit_cost());
-    dns::Message resp = dns::Message::make_response(query);
+    dns::Message resp = dns::Message::make_response(std::move(query));
     resp.answers = std::move(*cached);
     co_return resp;
   }
@@ -56,7 +59,7 @@ netsim::Task<dns::Message> RecursiveResolver::resolve(
                                  obs::Phase::kDnsCacheHit);
     co_await net.process_at(site_, cache_hit_cost());
     dns::Message resp =
-        dns::Message::make_response(query, dns::Rcode::kNxDomain);
+        dns::Message::make_response(std::move(query), dns::Rcode::kNxDomain);
     resp.authorities = std::move(*negative);
     co_return resp;
   }
@@ -65,7 +68,7 @@ netsim::Task<dns::Message> RecursiveResolver::resolve(
     net.attribution.relabel_open(obs::Phase::kDnsCacheMiss,
                                  obs::Phase::kDnsCacheHit);
     co_await net.process_at(site_, cache_hit_cost());
-    dns::Message resp = dns::Message::make_response(query);
+    dns::Message resp = dns::Message::make_response(std::move(query));
     resp.authorities = std::move(*nodata);
     co_return resp;
   }
@@ -88,13 +91,15 @@ netsim::Task<dns::Message> RecursiveResolver::resolve(
           {std::chrono::milliseconds(800), 4});
   if (!upstream_delivery.delivered) {
     ++stats_.failures;
-    co_return dns::Message::make_response(query, dns::Rcode::kServFail);
+    co_return dns::Message::make_response(std::move(query),
+                                          dns::Rcode::kServFail);
   }
   co_await authority_path.send(dns::wire_size(upstream));
 
   co_await net.process_at(authority_->site(),
                           authority_->processing_delay());
-  dns::Message auth_resp = authority_->handle(upstream, address_);
+  dns::Message auth_resp =
+      authority_->handle(std::move(upstream), address_);
 
   co_await authority_path.recv(dns::wire_size(auth_resp));
 
@@ -118,10 +123,10 @@ netsim::Task<dns::Message> RecursiveResolver::resolve(
     ++stats_.failures;
   }
 
-  dns::Message resp = dns::Message::make_response(query,
+  dns::Message resp = dns::Message::make_response(std::move(query),
                                                   auth_resp.header.rcode);
-  resp.answers = auth_resp.answers;
-  resp.authorities = auth_resp.authorities;
+  resp.answers = std::move(auth_resp.answers);
+  resp.authorities = std::move(auth_resp.authorities);
   co_return resp;
 }
 

@@ -1,8 +1,8 @@
 #include "resolver/stub.h"
 
-#include <cstdio>
-
 #include <chrono>
+#include <string_view>
+#include <vector>
 
 #include "dns/wire.h"
 #include "netsim/path.h"
@@ -46,31 +46,70 @@ netsim::Task<StubResult> stub_resolve(netsim::NetCtx& net,
   co_return result;
 }
 
-std::string uuid_label(netsim::Rng& rng) {
+namespace {
+
+constexpr std::size_t kUuidChars = 36;
+
+/// Writes `v`'s low `digits` hex digits, lowercase, zero-padded (printf's
+/// "%0<digits>x").
+char* put_hex(char* out, std::uint64_t v, int digits) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (int i = digits - 1; i >= 0; --i) {
+    out[i] = kHex[v & 0xF];
+    v >>= 4;
+  }
+  return out + digits;
+}
+
+/// The UUID label, formatted on the caller's stack.
+std::string_view format_uuid(netsim::Rng& rng, char (&buf)[kUuidChars]) {
   const std::uint64_t hi = rng.next();
   const std::uint64_t lo = rng.next();
-  char buf[40];
-  // Version/variant bits set per RFC 4122 for cosmetic fidelity.
-  std::snprintf(buf, sizeof buf,
-                "%08x-%04x-4%03x-%04x-%012llx",
-                static_cast<unsigned>(hi >> 32),
-                static_cast<unsigned>((hi >> 16) & 0xFFFF),
-                static_cast<unsigned>(hi & 0x0FFF),
-                static_cast<unsigned>(0x8000 | ((lo >> 48) & 0x3FFF)),
-                static_cast<unsigned long long>(lo & 0xFFFFFFFFFFFFULL));
-  return buf;
+  // Version/variant bits set per RFC 4122 for cosmetic fidelity:
+  // "%08x-%04x-4%03x-%04x-%012llx".
+  char* out = put_hex(buf, hi >> 32, 8);
+  *out++ = '-';
+  out = put_hex(out, (hi >> 16) & 0xFFFF, 4);
+  *out++ = '-';
+  *out++ = '4';
+  out = put_hex(out, hi & 0x0FFF, 3);
+  *out++ = '-';
+  out = put_hex(out, 0x8000 | ((lo >> 48) & 0x3FFF), 4);
+  *out++ = '-';
+  put_hex(out, lo & 0xFFFFFFFFFFFFULL, 12);
+  return {buf, kUuidChars};
+}
+
+}  // namespace
+
+std::string uuid_label(netsim::Rng& rng) {
+  char buf[kUuidChars];
+  return std::string(format_uuid(rng, buf));
+}
+
+dns::DomainName probe_name(netsim::Rng& rng,
+                           const dns::DomainName& origin) {
+  char buf[kUuidChars];
+  return origin.with_subdomain(format_uuid(rng, buf));
 }
 
 dns::Message make_probe_query(netsim::Rng& rng,
                               const dns::DomainName& origin) {
   const auto id = static_cast<std::uint16_t>(rng.next() & 0xFFFF);
-  return dns::Message::make_query(id, origin.with_subdomain(uuid_label(rng)),
+  return dns::Message::make_query(id, probe_name(rng, origin),
                                   dns::RecordType::kA);
 }
 
 std::string doh_get_target(const dns::Message& query) {
-  const auto wire = dns::encode(query);
-  return "/dns-query?dns=" + transport::base64url_encode(wire);
+  // Filled and read back before returning: never held across a co_await.
+  thread_local std::vector<std::uint8_t> wire;
+  dns::encode_into(query, wire);
+  constexpr std::string_view kPrefix = "/dns-query?dns=";
+  std::string target;
+  target.reserve(kPrefix.size() + (wire.size() + 2) / 3 * 4);
+  target += kPrefix;
+  transport::base64url_append(wire, target);
+  return target;
 }
 
 }  // namespace dohperf::resolver

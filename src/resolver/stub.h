@@ -46,6 +46,11 @@ inline constexpr netsim::RetryPolicy kStubRetryPolicy{
 /// used to defeat caching, as in the paper ("<UUID>.a.com").
 [[nodiscard]] std::string uuid_label(netsim::Rng& rng);
 
+/// The fresh probe name `<uuid>.<origin>`; the label is formatted on the
+/// stack.
+[[nodiscard]] dns::DomainName probe_name(netsim::Rng& rng,
+                                         const dns::DomainName& origin);
+
 /// Builds an A query for `<uuid>.<origin>` with a random message id.
 [[nodiscard]] dns::Message make_probe_query(netsim::Rng& rng,
                                             const dns::DomainName& origin);

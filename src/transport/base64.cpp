@@ -24,7 +24,12 @@ constexpr auto kReverse = make_reverse();
 
 std::string base64url_encode(std::span<const std::uint8_t> in) {
   std::string out;
-  out.reserve((in.size() + 2) / 3 * 4);
+  base64url_append(in, out);
+  return out;
+}
+
+void base64url_append(std::span<const std::uint8_t> in, std::string& out) {
+  out.reserve(out.size() + (in.size() + 2) / 3 * 4);
   std::size_t i = 0;
   for (; i + 3 <= in.size(); i += 3) {
     const std::uint32_t v = (static_cast<std::uint32_t>(in[i]) << 16) |
@@ -47,20 +52,26 @@ std::string base64url_encode(std::span<const std::uint8_t> in) {
     out.push_back(kAlphabet[(v >> 12) & 63]);
     out.push_back(kAlphabet[(v >> 6) & 63]);
   }
-  return out;
 }
 
 std::optional<std::vector<std::uint8_t>> base64url_decode(
     std::string_view in) {
-  if (in.size() % 4 == 1) return std::nullopt;  // impossible length
   std::vector<std::uint8_t> out;
+  if (!base64url_decode_into(in, out)) return std::nullopt;
+  return out;
+}
+
+bool base64url_decode_into(std::string_view in,
+                           std::vector<std::uint8_t>& out) {
+  out.clear();
+  if (in.size() % 4 == 1) return false;  // impossible length
   out.reserve(in.size() / 4 * 3 + 2);
 
   std::uint32_t acc = 0;
   int bits = 0;
   for (const char c : in) {
     const std::int8_t v = kReverse[static_cast<unsigned char>(c)];
-    if (v < 0) return std::nullopt;
+    if (v < 0) return false;
     acc = (acc << 6) | static_cast<std::uint32_t>(v);
     bits += 6;
     if (bits >= 8) {
@@ -69,8 +80,7 @@ std::optional<std::vector<std::uint8_t>> base64url_decode(
     }
   }
   // Leftover bits must be zero padding.
-  if (bits > 0 && (acc & ((1u << bits) - 1)) != 0) return std::nullopt;
-  return out;
+  return bits == 0 || (acc & ((1u << bits) - 1)) == 0;
 }
 
 }  // namespace dohperf::transport

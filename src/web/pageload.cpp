@@ -43,7 +43,8 @@ Task<double> resolve_name(NetCtx& net, const PageLoadContext& ctx,
       netsim::Path(net, ctx.client, ctx.doh->site())};
   const transport::TlsSession tls(doh_conn);
   co_await tls.send(req);
-  const transport::HttpResponse resp = co_await ctx.doh->handle(net, req);
+  const transport::HttpResponse resp =
+      co_await ctx.doh->handle(net, std::move(req));
   co_await tls.recv(resp);
   co_return resp.status == 200 ? ms_between(start, net.sim.now()) : -1.0;
 }
@@ -101,8 +102,8 @@ std::string_view to_string(DnsMode mode) {
 }
 
 netsim::Task<PageLoadResult> load_page(netsim::NetCtx& net,
-                                       const PageLoadContext& ctx,
-                                       PageSpec spec, DnsMode mode) {
+                                       PageLoadContext ctx, PageSpec spec,
+                                       DnsMode mode) {
   const auto flow = net.flow({.span = "pageload", .transport = "pageload"});
   PageLoadResult result;
   const SimTime page_start = net.sim.now();

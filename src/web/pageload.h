@@ -63,9 +63,10 @@ struct PageLoadContext {
 };
 
 /// Loads one synthetic page; every domain is a fresh (cache-missing)
-/// subdomain of `origin`, matching the study's worst-case framing.
+/// subdomain of `origin`, matching the study's worst-case framing. `ctx`
+/// is taken by value: the coroutine reads it after suspending, when a
+/// caller's temporary would be gone.
 [[nodiscard]] netsim::Task<PageLoadResult> load_page(
-    netsim::NetCtx& net, const PageLoadContext& ctx, PageSpec spec,
-    DnsMode mode);
+    netsim::NetCtx& net, PageLoadContext ctx, PageSpec spec, DnsMode mode);
 
 }  // namespace dohperf::web

@@ -2,6 +2,13 @@
 // registry, and the RIPE Atlas-like probe network.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "netsim/random.h"
 #include "proxy/brightdata.h"
 #include "proxy/headers.h"
 #include "proxy/ripe_atlas.h"
@@ -12,7 +19,10 @@ namespace {
 
 TEST(HeadersTest, TunTimelineRoundTrip) {
   TunTimeline t{12.5, 47.25};
-  const auto parsed = parse_tun_timeline(format_tun_timeline(t));
+  std::string text;
+  append_tun_timeline(text, t);
+  EXPECT_EQ(text, "dns=12.500 connect=47.250");
+  const auto parsed = parse_tun_timeline(text);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_NEAR(parsed->dns_ms, 12.5, 1e-3);
   EXPECT_NEAR(parsed->connect_ms, 47.25, 1e-3);
@@ -20,10 +30,38 @@ TEST(HeadersTest, TunTimelineRoundTrip) {
 
 TEST(HeadersTest, TimelineRoundTrip) {
   BrightDataTimeline t{3.1, 2.2, 6.4, 1.5};
-  const auto parsed = parse_timeline(format_timeline(t));
+  std::string text = "x-luminati-timeline: ";
+  append_timeline(text, t);
+  EXPECT_EQ(text,
+            "x-luminati-timeline: auth=3.100 init=2.200 select=6.400 "
+            "vld=1.500");
+  const auto parsed = parse_timeline(text.substr(kTimelineHeader.size() + 2));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_NEAR(parsed->total_ms(), t.total_ms(), 1e-3);
   EXPECT_NEAR(parsed->select_ms, 6.4, 1e-3);
+}
+
+TEST(HeadersTest, ValuesFormatAsPrintfDoes) {
+  // Three decimals, rounded as "%.3f" rounds, at every magnitude the
+  // headers can carry, halfway cases and the non-finite values included.
+  std::vector<double> values = {
+      0.0,    -0.0,   0.0005, 0.0015, 1.0005, 2.5e-4, 999.9995,
+      1e-9,   123456789.125,  1e300,  -47.25,
+      std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  netsim::Rng rng(3);
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(rng.uniform(0.0, 2000.0));
+    values.push_back(std::ldexp(rng.uniform(0.5, 1.0),
+                                static_cast<int>(rng.uniform_int(-30, 60))));
+  }
+  for (const double v : values) {
+    std::string got;
+    append_tun_timeline(got, {v, -v});
+    char want[800];
+    std::snprintf(want, sizeof want, "dns=%.3f connect=%.3f", v, -v);
+    EXPECT_EQ(got, want) << v;
+  }
 }
 
 TEST(HeadersTest, TunTimelineRejectsMalformed) {

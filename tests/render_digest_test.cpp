@@ -444,22 +444,20 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
        {"64229297fc7e0dca", "a962240347ea834f", "d5a2d9a23aa45427"}},
       {"load_page (cold DoH)", "SE",
        [](world::WorldModel& w, netsim::NetCtx& net) {
-         // load_page keeps a reference to its context.
-         const web::PageLoadContext ctx = page_context(w, exit_in(w, "SE"));
          web::PageSpec spec;
          spec.domains = 3;
-         auto task = web::load_page(net, ctx, spec, web::DnsMode::kDohCold);
+         auto task = web::load_page(net, page_context(w, exit_in(w, "SE")),
+                                    spec, web::DnsMode::kDohCold);
          w.sim().run();
          EXPECT_TRUE(task.result().ok);
        },
        {"fdd0659128b76682", "cf736ce7273e3d3c", "c4a8d93c5b43c6c0"}},
       {"load_page (warm DoH)", "SE",
        [](world::WorldModel& w, netsim::NetCtx& net) {
-         // load_page keeps a reference to its context.
-         const web::PageLoadContext ctx = page_context(w, exit_in(w, "SE"));
          web::PageSpec spec;
          spec.domains = 3;
-         auto task = web::load_page(net, ctx, spec, web::DnsMode::kDohWarm);
+         auto task = web::load_page(net, page_context(w, exit_in(w, "SE")),
+                                    spec, web::DnsMode::kDohWarm);
          w.sim().run();
          EXPECT_TRUE(task.result().ok);
        },
@@ -470,7 +468,8 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
          const proxy::AtlasProbe* probe = w.atlas().pick_probe("DE", rng);
          ASSERT_NE(probe, nullptr);
          auto task = w.atlas().measure_do53(
-             net, *probe, w.origin().with_subdomain("atlas-pin"));
+             net, proxy::AtlasProbe(*probe),
+             w.origin().with_subdomain("atlas-pin"));
          w.sim().run();
          EXPECT_GT(task.result(), 0.0);
        },

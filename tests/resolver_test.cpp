@@ -2,6 +2,7 @@
 // DoH front-end, and stub helpers.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 
 #include "dns/wire.h"
@@ -202,6 +203,30 @@ TEST(StubTest, UuidLabelsAreValidAndUnique) {
     // Must be usable as a DNS label.
     EXPECT_NO_THROW(
         (void)dns::DomainName::parse("a.com").with_subdomain(label));
+  }
+}
+
+TEST(StubTest, UuidLabelsMatchThePrintfFormat) {
+  // The label is formatted by hand on the stack; it must be the string
+  // "%08x-%04x-4%03x-%04x-%012llx" makes of the same two draws, and
+  // probe_name must put that label under the origin.
+  netsim::Rng rng(5);
+  netsim::Rng replay(5);
+  netsim::Rng names(5);
+  const auto origin = dns::DomainName::parse("a.com");
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t hi = replay.next();
+    const std::uint64_t lo = replay.next();
+    char want[40];
+    std::snprintf(want, sizeof want, "%08x-%04x-4%03x-%04x-%012llx",
+                  static_cast<unsigned>(hi >> 32),
+                  static_cast<unsigned>((hi >> 16) & 0xFFFF),
+                  static_cast<unsigned>(hi & 0x0FFF),
+                  static_cast<unsigned>(0x8000 | ((lo >> 48) & 0x3FFF)),
+                  static_cast<unsigned long long>(lo & 0xFFFFFFFFFFFFULL));
+    EXPECT_EQ(uuid_label(rng), want);
+    EXPECT_EQ(probe_name(names, origin).to_string(),
+              std::string(want) + ".a.com");
   }
 }
 
