@@ -42,10 +42,7 @@ bool parse_headers(std::string_view& text, HeaderMap& out) {
 
 void serialize_headers(const HeaderMap& headers, std::string& out) {
   for (const auto& [name, value] : headers.fields()) {
-    out += name;
-    out += ": ";
-    out += value;
-    out += "\r\n";
+    append_header(out, name, value);
   }
   out += "\r\n";
 }
@@ -60,6 +57,27 @@ std::size_t headers_wire_size(const HeaderMap& headers) {
 }
 
 }  // namespace
+
+void append_status_line(std::string& out, std::string_view version,
+                        int status, std::string_view reason) {
+  char digits[16];
+  char* const status_end =
+      std::to_chars(digits, digits + sizeof(digits), status).ptr;
+  out += version;
+  out += ' ';
+  out.append(digits, status_end);
+  out += ' ';
+  out += reason;
+  out += "\r\n";
+}
+
+void append_header(std::string& out, std::string_view name,
+                   std::string_view value) {
+  out += name;
+  out += ": ";
+  out += value;
+  out += "\r\n";
+}
 
 void HeaderMap::add(std::string name, std::string value) {
   fields_.emplace_back(std::move(name), std::move(value));
@@ -99,12 +117,7 @@ std::size_t HttpRequest::wire_size() const {
 std::string HttpResponse::serialize() const {
   std::string out;
   out.reserve(128 + body.size());
-  out += version;
-  out += ' ';
-  out += std::to_string(status);
-  out += ' ';
-  out += reason;
-  out += "\r\n";
+  append_status_line(out, version, status, reason);
   serialize_headers(headers, out);
   out += body;
   return out;

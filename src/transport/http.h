@@ -65,6 +65,17 @@ struct HttpResponse {
   [[nodiscard]] std::size_t wire_size() const;
 };
 
+/// Appends the status line "<version> <status> <reason>" and its CRLF to
+/// `out`, as HttpResponse::serialize() writes it.
+void append_status_line(std::string& out, std::string_view version,
+                        int status, std::string_view reason);
+
+/// Appends the header line "<name>: <value>" and its CRLF to `out`, as
+/// serialize() writes each header field. A blank line ("\r\n") ends the
+/// header section.
+void append_header(std::string& out, std::string_view name,
+                   std::string_view value);
+
 /// Parse errors carry a human-readable reason.
 struct HttpParseError {
   std::string reason;
