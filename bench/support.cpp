@@ -120,10 +120,13 @@ void capture_warm_trace(world::WorldModel& world, const std::string& path) {
 }  // namespace
 
 double scale_from_env() {
-  const char* value = std::getenv("DOHPERF_SCALE");
-  if (value == nullptr) return 1.0;
-  const double scale = std::atof(value);
-  return scale > 0.0 ? scale : 1.0;
+  // The environment multiplies a spec's client scale, reading
+  // DOHPERF_SCALE through the spec's number rule; on a unit scale the
+  // product is the factor itself.
+  scenario::CampaignSpec unit;
+  unit.world.client_scale = 1.0;
+  apply_env(unit);
+  return unit.world.client_scale;
 }
 
 void apply_env(scenario::CampaignSpec& spec) {

@@ -46,8 +46,9 @@
 
 namespace dohperf::benchsupport {
 
-/// DOHPERF_SCALE alone (ext_availability_slo sizes its strategy pass
-/// with it). Call after apply_env(), which rejects malformed values.
+/// DOHPERF_SCALE alone, 1.0 when unset (ext_availability_slo sizes its
+/// strategy pass with it). Read as apply_env() reads it: a malformed
+/// value exits 2.
 [[nodiscard]] double scale_from_env();
 
 /// scenario::apply_env_overrides; a malformed DOHPERF_* value exits 2.

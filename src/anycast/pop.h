@@ -17,7 +17,7 @@ struct Pop {
   std::string city;           ///< Metro name (from geo::city_table).
   std::string country_iso2;   ///< Host country.
   geo::LatLon position;
-  geo::UnitVector unit;  ///< geo::unit_vector(position), for nearest_pops.
+  geo::UnitVector unit;  ///< geo::unit_vector(position), for nearest_pop(s).
   geo::Region region;
 
   friend bool operator==(const Pop&, const Pop&) = default;
@@ -43,5 +43,11 @@ struct RankedPop {
 [[nodiscard]] std::vector<RankedPop> nearest_pops(std::span<const Pop> pops,
                                                   const geo::LatLon& p,
                                                   std::size_t n);
+
+/// nearest_pops(pops, p, 1).front() without allocating: the same chord²
+/// prefilter, distance_km ranking and lower-index tie rule, in two passes
+/// over the catalog. `pops` must not be empty.
+[[nodiscard]] RankedPop nearest_pop(std::span<const Pop> pops,
+                                    const geo::LatLon& p);
 
 }  // namespace dohperf::anycast

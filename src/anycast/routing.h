@@ -48,7 +48,7 @@ class AnycastRouter {
 
   /// Exact-nearest index (used for "potential improvement" analysis).
   [[nodiscard]] std::size_t nearest(const geo::LatLon& where) const {
-    return nearest_pops(pops_, where, 1).front().index;
+    return nearest_pop(pops_, where).index;
   }
 
   [[nodiscard]] const RoutingParams& params() const { return params_; }

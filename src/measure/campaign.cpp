@@ -1,7 +1,6 @@
 #include "measure/campaign.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
@@ -16,6 +15,7 @@
 #include <vector>
 
 #include "measure/flows.h"
+#include "report/format.h"
 #include "resolver/stub.h"
 
 namespace dohperf::measure {
@@ -281,7 +281,7 @@ ExitState make_exit_state(ShardView& view, const ExitTask& task) {
     // campaign instead of once per provider per run. km_to_miles is
     // monotone, so converting the nearest km equals the least mile count.
     st.nearest_located_miles.push_back(geo::km_to_miles(
-        anycast::nearest_pops(provider.pops(), task.located, 1).front().km));
+        anycast::nearest_pop(provider.pops(), task.located).km));
   }
   return st;
 }
@@ -916,16 +916,10 @@ int threads_from_env() {
 }  // namespace
 
 bool parse_count(std::string_view text, int* count) {
-  int n = 0;
-  // from_chars takes no '+' but does take '-'; a leading digit rules out
-  // both signs, and the whole text must be consumed.
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), n);
-  if (text.empty() || text.front() < '0' || text.front() > '9' ||
-      ec != std::errc() || end != text.data() + text.size() || n <= 0) {
-    return false;
-  }
-  *count = n;
+  // The number rule takes no '+'; a '-' can only give a value <= 0.
+  const std::optional<int> n = report::read_number<int>(text);
+  if (!n || *n <= 0) return false;
+  *count = *n;
   return true;
 }
 

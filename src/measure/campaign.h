@@ -144,9 +144,9 @@ struct CampaignTelemetry {
 };
 
 /// The count rule, shared by every count read from text (environment
-/// variables, flags, list entries): true when the whole of `text` is a
-/// positive decimal integer that fits in an int ("4", not "4x", "-1", "0",
-/// "+4" or ""), which is then stored in `*count`.
+/// variables, flags, list entries): true when `text` reads as an int by
+/// the number rule (report::read_number) and the value is > 0 ("4", not
+/// "4x", "-1", "0", "+4" or ""); the value is then stored in `*count`.
 [[nodiscard]] bool parse_count(std::string_view text, int* count);
 
 /// Reads a count (DOHPERF_THREADS, DOHPERF_SWEEP_PROCS) from environment

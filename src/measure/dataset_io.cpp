@@ -1,94 +1,22 @@
 #include "measure/dataset_io.h"
 
-#include <charconv>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
-#include <vector>
+
+#include "report/csv.h"
 
 namespace dohperf::measure {
 namespace {
 
 namespace fs = std::filesystem;
+using report::CsvReader;
+using report::NumText;
+using enum report::CsvType;
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-/// Splits a CSV line produced by this module (fields never contain commas
-/// or quotes by construction: ISO codes, provider names, numbers).
-std::vector<std::string> split(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t comma = line.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(line.substr(start));
-      return out;
-    }
-    out.push_back(line.substr(start, comma - start));
-    start = comma + 1;
-  }
-}
-
-double parse_double(const std::string& s, const char* context) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string("dataset_io: bad number in ") +
-                             context + ": \"" + s + "\"");
-  }
-}
-
-std::uint64_t parse_u64(const std::string& s, const char* context) {
-  std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || ptr != s.data() + s.size()) {
-    throw std::runtime_error(std::string("dataset_io: bad integer in ") +
-                             context + ": \"" + s + "\"");
-  }
-  return v;
-}
-
-std::ofstream open_out(const fs::path& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("dataset_io: cannot write " + path.string());
-  }
-  return out;
-}
-
-/// Closes `out`, then checks it: a failure in any write, the final
-/// flush included, throws.
-void close_out(std::ofstream& out, const fs::path& path) {
-  out.close();
-  if (!out) {
-    throw std::runtime_error("dataset_io: cannot write " + path.string());
-  }
-}
-
-std::ifstream open_in(const fs::path& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("dataset_io: cannot read " + path.string());
-  }
-  return in;
-}
-
-void expect_header(std::ifstream& in, const std::string& expected,
-                   const char* file) {
-  std::string line;
-  if (!std::getline(in, line) || line != expected) {
-    throw std::runtime_error(std::string("dataset_io: bad header in ") +
-                             file);
-  }
+/// A run index as the dataset stores it: an int, never negative.
+std::int32_t run_of(const CsvReader& t, std::size_t column) {
+  const int run = t.number<int>(column);
+  if (run < 0) t.fail(column, "a run index must be >= 0");
+  return run;
 }
 
 }  // namespace
@@ -97,134 +25,103 @@ void save_dataset(const Dataset& dataset, const std::string& directory) {
   fs::create_directories(directory);
   const fs::path dir(directory);
 
-  {
-    const fs::path path = dir / "clients.csv";
-    auto out = open_out(path);
-    out << "exit_id,iso2,lat,lon,ns_distance_miles\n";
-    for (const auto& [id, info] : dataset.clients()) {
-      out << id << ',' << info.iso2 << ',' << fmt_double(info.position.lat)
-          << ',' << fmt_double(info.position.lon) << ','
-          << fmt_double(info.nameserver_distance_miles) << '\n';
-    }
-    close_out(out, path);
+  report::CsvWriter clients(
+      {"exit_id", "iso2", "lat", "lon", "ns_distance_miles"});
+  for (const auto& [id, info] : dataset.clients()) {
+    clients.add_row({NumText(id), info.iso2, NumText::g17(info.position.lat),
+                     NumText::g17(info.position.lon),
+                     NumText::g17(info.nameserver_distance_miles)});
   }
-  {
-    const fs::path path = dir / "doh.csv";
-    auto out = open_out(path);
-    out << "exit_id,iso2,provider,run,pop_index,pop_distance_miles,"
-           "potential_improvement_miles,tdoh_ms,tdohr_ms\n";
-    for (const auto& rec : dataset.doh()) {
-      out << rec.exit_id << ',' << dataset.name(rec.iso2) << ','
-          << dataset.name(rec.provider) << ','
-          << rec.run << ',' << rec.pop_index << ','
-          << fmt_double(rec.pop_distance_miles) << ','
-          << fmt_double(rec.potential_improvement_miles) << ','
-          << fmt_double(rec.tdoh_ms) << ',' << fmt_double(rec.tdohr_ms)
-          << '\n';
-    }
-    close_out(out, path);
+  clients.write_file((dir / "clients.csv").string());
+
+  report::CsvWriter doh({"exit_id", "iso2", "provider", "run", "pop_index",
+                         "pop_distance_miles", "potential_improvement_miles",
+                         "tdoh_ms", "tdohr_ms"});
+  for (const auto& rec : dataset.doh()) {
+    doh.add_row({NumText(rec.exit_id), dataset.name(rec.iso2),
+                 dataset.name(rec.provider), NumText(rec.run),
+                 NumText(rec.pop_index), NumText::g17(rec.pop_distance_miles),
+                 NumText::g17(rec.potential_improvement_miles),
+                 NumText::g17(rec.tdoh_ms), NumText::g17(rec.tdohr_ms)});
   }
-  {
-    const fs::path path = dir / "do53.csv";
-    auto out = open_out(path);
-    out << "exit_id,iso2,run,via_atlas,do53_ms\n";
-    for (const auto& rec : dataset.do53()) {
-      out << rec.exit_id << ',' << dataset.name(rec.iso2) << ','
-          << rec.run << ','
-          << (rec.via_atlas ? 1 : 0) << ',' << fmt_double(rec.do53_ms)
-          << '\n';
-    }
-    close_out(out, path);
+  doh.write_file((dir / "doh.csv").string());
+
+  report::CsvWriter do53({"exit_id", "iso2", "run", "via_atlas", "do53_ms"});
+  for (const auto& rec : dataset.do53()) {
+    do53.add_row({NumText(rec.exit_id), dataset.name(rec.iso2),
+                  NumText(rec.run), rec.via_atlas ? "1" : "0",
+                  NumText::g17(rec.do53_ms)});
   }
-  {
-    const fs::path path = dir / "meta.csv";
-    auto out = open_out(path);
-    out << "discarded_mismatch,failed_measurements\n";
-    out << dataset.discarded_mismatch << ','
-        << dataset.failed_measurements << '\n';
-    close_out(out, path);
-  }
+  do53.write_file((dir / "do53.csv").string());
+
+  report::CsvWriter meta({"discarded_mismatch", "failed_measurements"});
+  meta.add_row({NumText(dataset.discarded_mismatch),
+                NumText(dataset.failed_measurements)});
+  meta.write_file((dir / "meta.csv").string());
 }
 
 Dataset load_dataset(const std::string& directory) {
   const fs::path dir(directory);
   Dataset dataset;
-  std::string line;
 
-  {
-    auto in = open_in(dir / "clients.csv");
-    expect_header(in, "exit_id,iso2,lat,lon,ns_distance_miles",
-                  "clients.csv");
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      const auto f = split(line);
-      if (f.size() != 5) {
-        throw std::runtime_error("dataset_io: bad row in clients.csv");
-      }
-      ClientInfo info;
-      info.exit_id = parse_u64(f[0], "clients.csv");
-      info.iso2 = f[1];
-      info.position.lat = parse_double(f[2], "clients.csv");
-      info.position.lon = parse_double(f[3], "clients.csv");
-      info.nameserver_distance_miles = parse_double(f[4], "clients.csv");
-      dataset.add_client(std::move(info));
-    }
+  CsvReader clients = CsvReader::open(
+      (dir / "clients.csv").string(),
+      {{"exit_id", kUint64}, {"iso2"}, {"lat", kDouble}, {"lon", kDouble},
+       {"ns_distance_miles", kDouble}});
+  while (clients.next()) {
+    ClientInfo info;
+    info.exit_id = clients.number<std::uint64_t>(0);
+    info.iso2 = clients.text(1);
+    info.position.lat = clients.number<double>(2);
+    info.position.lon = clients.number<double>(3);
+    info.nameserver_distance_miles = clients.number<double>(4);
+    dataset.add_client(std::move(info));
   }
-  {
-    auto in = open_in(dir / "doh.csv");
-    expect_header(in,
-                  "exit_id,iso2,provider,run,pop_index,pop_distance_miles,"
-                  "potential_improvement_miles,tdoh_ms,tdohr_ms",
-                  "doh.csv");
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      const auto f = split(line);
-      if (f.size() != 9) {
-        throw std::runtime_error("dataset_io: bad row in doh.csv");
-      }
-      DohRecord rec;
-      rec.exit_id = parse_u64(f[0], "doh.csv");
-      rec.iso2 = dataset.intern(f[1]);
-      rec.provider = dataset.intern(f[2]);
-      rec.run = static_cast<int>(parse_u64(f[3], "doh.csv"));
-      rec.pop_index =
-          static_cast<std::uint32_t>(parse_u64(f[4], "doh.csv"));
-      rec.pop_distance_miles = parse_double(f[5], "doh.csv");
-      rec.potential_improvement_miles = parse_double(f[6], "doh.csv");
-      rec.tdoh_ms = parse_double(f[7], "doh.csv");
-      rec.tdohr_ms = parse_double(f[8], "doh.csv");
-      dataset.add_doh(rec);
-    }
+
+  CsvReader doh = CsvReader::open(
+      (dir / "doh.csv").string(),
+      {{"exit_id", kUint64}, {"iso2"}, {"provider"}, {"run", kInt},
+       {"pop_index", kUint32}, {"pop_distance_miles", kDouble},
+       {"potential_improvement_miles", kDouble}, {"tdoh_ms", kDouble},
+       {"tdohr_ms", kDouble}});
+  while (doh.next()) {
+    DohRecord rec;
+    rec.exit_id = doh.number<std::uint64_t>(0);
+    rec.iso2 = dataset.intern(doh.text(1));
+    rec.provider = dataset.intern(doh.text(2));
+    rec.run = run_of(doh, 3);
+    rec.pop_index = doh.number<std::uint32_t>(4);
+    rec.pop_distance_miles = doh.number<double>(5);
+    rec.potential_improvement_miles = doh.number<double>(6);
+    rec.tdoh_ms = doh.number<double>(7);
+    rec.tdohr_ms = doh.number<double>(8);
+    dataset.add_doh(rec);
   }
-  {
-    auto in = open_in(dir / "do53.csv");
-    expect_header(in, "exit_id,iso2,run,via_atlas,do53_ms", "do53.csv");
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      const auto f = split(line);
-      if (f.size() != 5) {
-        throw std::runtime_error("dataset_io: bad row in do53.csv");
-      }
-      Do53Record rec;
-      rec.exit_id = parse_u64(f[0], "do53.csv");
-      rec.iso2 = dataset.intern(f[1]);
-      rec.run = static_cast<int>(parse_u64(f[2], "do53.csv"));
-      rec.via_atlas = f[3] == "1";
-      rec.do53_ms = parse_double(f[4], "do53.csv");
-      dataset.add_do53(rec);
+
+  CsvReader do53 = CsvReader::open(
+      (dir / "do53.csv").string(),
+      {{"exit_id", kUint64}, {"iso2"}, {"run", kInt}, {"via_atlas"},
+       {"do53_ms", kDouble}});
+  while (do53.next()) {
+    Do53Record rec;
+    rec.exit_id = do53.number<std::uint64_t>(0);
+    rec.iso2 = dataset.intern(do53.text(1));
+    rec.run = run_of(do53, 2);
+    const std::string_view via_atlas = do53.text(3);
+    if (via_atlas != "0" && via_atlas != "1") {
+      do53.fail(3, "expected 0 or 1, got \"" + std::string(via_atlas) + "\"");
     }
+    rec.via_atlas = via_atlas == "1";
+    rec.do53_ms = do53.number<double>(4);
+    dataset.add_do53(rec);
   }
-  {
-    auto in = open_in(dir / "meta.csv");
-    expect_header(in, "discarded_mismatch,failed_measurements", "meta.csv");
-    if (std::getline(in, line) && !line.empty()) {
-      const auto f = split(line);
-      if (f.size() != 2) {
-        throw std::runtime_error("dataset_io: bad row in meta.csv");
-      }
-      dataset.discarded_mismatch = parse_u64(f[0], "meta.csv");
-      dataset.failed_measurements = parse_u64(f[1], "meta.csv");
-    }
+
+  CsvReader meta = CsvReader::open(
+      (dir / "meta.csv").string(),
+      {{"discarded_mismatch", kUint64}, {"failed_measurements", kUint64}});
+  while (meta.next()) {
+    dataset.discarded_mismatch = meta.number<std::uint64_t>(0);
+    dataset.failed_measurements = meta.number<std::uint64_t>(1);
   }
   return dataset;
 }

@@ -45,17 +45,21 @@ Task<double> resolve_at(NetCtx& net, Site vantage,
   co_return result.ok() ? result.elapsed_ms : -1.0;
 }
 
-/// Client-side header extraction; false on malformed headers.
-bool extract_inputs(const transport::HttpResponse& resp,
-                    EstimatorInputs& out) {
-  const auto tun_text = resp.headers.get(proxy::kTunTimelineHeader);
-  const auto bd_text = resp.headers.get(proxy::kTimelineHeader);
+/// The client's read of the tunnel's 200 OK, shared by both proxied
+/// flows: parse the reply, then both x-luminati timelines. False, with
+/// nothing stored, on a malformed reply or header.
+bool read_timelines(std::string_view ok_wire, proxy::TunTimeline& tun,
+                    double& brightdata_ms) {
+  const auto parsed = transport::parse_response(ok_wire);
+  if (!parsed) return false;
+  const auto tun_text = parsed->headers.get(proxy::kTunTimelineHeader);
+  const auto bd_text = parsed->headers.get(proxy::kTimelineHeader);
   if (!tun_text || !bd_text) return false;
-  const auto tun = proxy::parse_tun_timeline(*tun_text);
-  const auto bd = proxy::parse_timeline(*bd_text);
-  if (!tun || !bd) return false;
-  out.tun = *tun;
-  out.brightdata_ms = bd->total_ms();
+  const auto tun_parsed = proxy::parse_tun_timeline(*tun_text);
+  const auto bd_parsed = proxy::parse_timeline(*bd_text);
+  if (!tun_parsed || !bd_parsed) return false;
+  tun = *tun_parsed;
+  brightdata_ms = bd_parsed->total_ms();
   return true;
 }
 
@@ -134,8 +138,9 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
   // session timeline); no-ops unless a series recorder is attached.
   net.series.latency("phase_tunnel_ms", net.labels, net.sim.now(),
                      ms_between(tunnel_start, net.sim.now()));
-  const auto parsed = transport::parse_response(ok_wire);
-  if (!parsed || !extract_inputs(*parsed, obs.inputs)) co_return obs;
+  if (!read_timelines(ok_wire, obs.inputs.tun, obs.inputs.brightdata_ms)) {
+    co_return obs;
+  }
 
   // ---- Steps 9-14: TLS handshake through the tunnel (phase
   // "handshake") -----------------------------------------------------
@@ -339,16 +344,7 @@ Task<Do53ProxyObservation> do53_via_proxy(NetCtx& net,
   tun.connect_ms = netsim::to_ms(tcp.handshake_time);
   const std::string ok_wire = co_await tunnel.send_established_reply(tun);
 
-  const auto parsed = transport::parse_response(ok_wire);
-  if (!parsed) co_return obs;
-  const auto tun_text = parsed->headers.get(proxy::kTunTimelineHeader);
-  const auto bd_text = parsed->headers.get(proxy::kTimelineHeader);
-  if (!tun_text || !bd_text) co_return obs;
-  const auto tun_parsed = proxy::parse_tun_timeline(*tun_text);
-  const auto bd_parsed = proxy::parse_timeline(*bd_text);
-  if (!tun_parsed || !bd_parsed) co_return obs;
-  obs.tun = *tun_parsed;
-  obs.brightdata_ms = bd_parsed->total_ms();
+  if (!read_timelines(ok_wire, obs.tun, obs.brightdata_ms)) co_return obs;
 
   // Complete the page fetch for realism (GET + 200), not timed.
   const auto fetch = net.step({"page_fetch"});

@@ -1,7 +1,6 @@
 #include "measure/stream_sink.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <limits>
 #include <set>
@@ -19,12 +18,6 @@ void set_bit(std::vector<std::uint8_t>& bits, std::uint32_t i) {
 
 bool test_bit(const std::vector<std::uint8_t>& bits, std::uint32_t i) {
   return (bits[i >> 3] >> (i & 7u)) & 1u;
-}
-
-std::size_t popcount(const std::vector<std::uint8_t>& bits) {
-  std::size_t n = 0;
-  for (const std::uint8_t b : bits) n += std::popcount(b);
-  return n;
 }
 
 const stats::QuantileSketch& empty_sketch() {
@@ -58,7 +51,6 @@ StreamSink::StreamSink(StreamSinkConfig cfg, int runs_per_client,
   tdohr_by_provider_.resize(n_providers);
   doh_client_bits_.assign(n_providers,
                           std::vector<std::uint8_t>((n_exits + 7) / 8, 0));
-  do53_client_bits_.assign((n_exits + 7) / 8, 0);
   if (cfg_.client_stats) {
     const std::size_t cells =
         n_exits * n_providers * static_cast<std::size_t>(run_cap_);
@@ -116,15 +108,13 @@ void StreamSink::fold(std::span<const DohRecord> doh,
 
   for (const Do53Record& r : do53) {
     do53_all_.record(r.do53_ms);
-    country_do53_[r.iso2].record(r.do53_ms);
     if (r.exit_id == kAtlasExitId) {
       ++atlas_rows_;
       continue;
     }
     ++do53_rows_;
-    const std::uint32_t e = exit_index_.at(r.exit_id);
-    set_bit(do53_client_bits_, e);
     if (cfg_.client_stats) {
+      const std::uint32_t e = exit_index_.at(r.exit_id);
       std::uint32_t& count = cs_do53_count_[e];
       if (count < run_cap_) {
         cs_do53_[static_cast<std::size_t>(e) *
@@ -157,17 +147,11 @@ void StreamSink::merge(const StreamSink& other) {
   for (const auto& [key, sketch] : other.country_doh1_) {
     country_doh1_[key].merge(sketch);
   }
-  for (const auto& [key, sketch] : other.country_do53_) {
-    country_do53_[key].merge(sketch);
-  }
 
   for (std::size_t p = 0; p < doh_client_bits_.size(); ++p) {
     for (std::size_t i = 0; i < doh_client_bits_[p].size(); ++i) {
       doh_client_bits_[p][i] |= other.doh_client_bits_[p][i];
     }
-  }
-  for (std::size_t i = 0; i < do53_client_bits_.size(); ++i) {
-    do53_client_bits_[i] |= other.do53_client_bits_[i];
   }
 
   if (cfg_.client_stats && other.cfg_.client_stats) {
@@ -223,46 +207,6 @@ const stats::QuantileSketch& StreamSink::tdohr_sketch(
   return s != nullptr ? *s : empty_sketch();
 }
 
-const stats::QuantileSketch& StreamSink::do53_sketch(
-    std::string_view iso2) const {
-  if (iso2.empty()) return do53_all_;
-  const StrId id = names_.find(iso2);
-  if (id == kNoStrId) return empty_sketch();
-  const auto it = country_do53_.find(id);
-  return it == country_do53_.end() ? empty_sketch() : it->second;
-}
-
-std::size_t StreamSink::unique_clients(std::string_view provider) const {
-  const StrId id = names_.find(provider);
-  if (id == kNoStrId) return 0;
-  for (std::size_t p = 0; p < provider_ids_.size(); ++p) {
-    if (provider_ids_[p] == id) return popcount(doh_client_bits_[p]);
-  }
-  return 0;
-}
-
-std::size_t StreamSink::unique_countries(std::string_view provider) const {
-  const StrId id = names_.find(provider);
-  if (id == kNoStrId) return 0;
-  for (std::size_t p = 0; p < provider_ids_.size(); ++p) {
-    if (provider_ids_[p] != id) continue;
-    std::size_t n = 0;
-    for (const auto& [key, sketch] : country_doh1_) {
-      n += key.second == p;
-    }
-    return n;
-  }
-  return 0;
-}
-
-std::size_t StreamSink::do53_clients() const {
-  return popcount(do53_client_bits_);
-}
-
-std::size_t StreamSink::do53_countries() const {
-  return country_do53_.size();
-}
-
 std::vector<std::string> StreamSink::analysis_countries(
     int min_clients) const {
   // Unique clients per (country, provider) from the merged bitsets.
@@ -299,31 +243,11 @@ std::vector<std::string> StreamSink::analysis_countries(
 std::map<std::string, double> StreamSink::country_doh1_medians(
     std::string_view provider) const {
   std::map<std::string, double> out;
-  if (provider.empty()) {
-    // All providers: merge the per-(country, provider) sketches per
-    // country before querying.
-    std::map<StrId, stats::QuantileSketch> merged;
-    for (const auto& [key, sketch] : country_doh1_) {
-      merged[key.first].merge(sketch);
-    }
-    for (const auto& [iso2, sketch] : merged) {
-      out[std::string(names_.name(iso2))] = sketch.quantile(0.5);
-    }
-    return out;
-  }
   const StrId id = names_.find(provider);
   if (id == kNoStrId) return out;
   for (const auto& [key, sketch] : country_doh1_) {
     if (provider_ids_[key.second] != id) continue;
     out[std::string(names_.name(key.first))] = sketch.quantile(0.5);
-  }
-  return out;
-}
-
-std::map<std::string, double> StreamSink::country_do53_medians() const {
-  std::map<std::string, double> out;
-  for (const auto& [iso2, sketch] : country_do53_) {
-    out[std::string(names_.name(iso2))] = sketch.quantile(0.5);
   }
   return out;
 }
@@ -384,9 +308,7 @@ bool StreamSink::operator==(const StreamSink& other) const {
          tdoh_by_provider_ == other.tdoh_by_provider_ &&
          tdohr_by_provider_ == other.tdohr_by_provider_ &&
          country_doh1_ == other.country_doh1_ &&
-         country_do53_ == other.country_do53_ &&
          doh_client_bits_ == other.doh_client_bits_ &&
-         do53_client_bits_ == other.do53_client_bits_ &&
          cs_tdoh_ == other.cs_tdoh_ && cs_tdohr_ == other.cs_tdohr_ &&
          cs_pop_dist_ == other.cs_pop_dist_ &&
          cs_pot_imp_ == other.cs_pot_imp_ &&

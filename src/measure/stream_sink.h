@@ -5,11 +5,12 @@
 // exactly wrong at a million sessions. A StreamSink instead absorbs each
 // session's rows the moment its coroutine completes and keeps only:
 //
-//   * mergeable quantile sketches (global, per-provider, per-country —
-//     the fig4/fig5 CDF and median paths), 48 bytes plus 16 per
-//     occupied bucket each (a per-country sketch holds tens of buckets);
+//   * mergeable quantile sketches (DoH1, DoHR and Do53 over all rows,
+//     DoH1 and DoHR per provider, DoH1 per (country, provider) — the
+//     fig4 CDF and fig5 median paths), 48 bytes plus 16 per occupied
+//     bucket each (a per-country sketch holds tens of buckets);
 //   * per-provider client bitsets over the canonical exit enumeration
-//     (unique-client / unique-country / analysis-country queries);
+//     (the analysis-country filter);
 //   * counters (sessions, rows, failures);
 //   * optionally, dense per-(client, provider) run values for exact
 //     client medians — O(clients x providers x runs) memory, intended
@@ -88,24 +89,17 @@ class StreamSink {
       std::string_view provider = {}) const;
   [[nodiscard]] const stats::QuantileSketch& tdohr_sketch(
       std::string_view provider = {}) const;
-  /// Empty iso2 selects all Do53 rows (Atlas included).
-  [[nodiscard]] const stats::QuantileSketch& do53_sketch(
-      std::string_view iso2 = {}) const;
+  /// Every Do53 row, Atlas included.
+  [[nodiscard]] const stats::QuantileSketch& do53_sketch() const {
+    return do53_all_;
+  }
 
-  // ---- Unique-count queries (Table 3, analysis filter) ----------------
-  [[nodiscard]] std::size_t unique_clients(std::string_view provider) const;
-  [[nodiscard]] std::size_t unique_countries(
-      std::string_view provider) const;
-  [[nodiscard]] std::size_t do53_clients() const;
-  [[nodiscard]] std::size_t do53_countries() const;
+  // ---- Analysis filter and median map (fig5) --------------------------
   [[nodiscard]] std::vector<std::string> analysis_countries(
       int min_clients = 10) const;
-
-  // ---- Median maps (fig5) ---------------------------------------------
-  /// Sketch-median DoH1 per country for one provider (empty = all).
+  /// Sketch-median DoH1 per country for one provider.
   [[nodiscard]] std::map<std::string, double> country_doh1_medians(
       std::string_view provider) const;
-  [[nodiscard]] std::map<std::string, double> country_do53_medians() const;
 
   /// Exact per-(client, provider) medians; empty unless
   /// StreamSinkConfig::client_stats was set.
@@ -146,11 +140,9 @@ class StreamSink {
   std::vector<stats::QuantileSketch> tdohr_by_provider_;
   std::map<std::pair<StrId, std::uint32_t>, stats::QuantileSketch>
       country_doh1_;
-  std::map<StrId, stats::QuantileSketch> country_do53_;
 
   /// One bit per canonical exit index, per provider.
   std::vector<std::vector<std::uint8_t>> doh_client_bits_;
-  std::vector<std::uint8_t> do53_client_bits_;
 
   /// Dense client-stat stores (allocated only when cfg_.client_stats):
   /// value index = (exit * P + provider) * run_cap_ + k.

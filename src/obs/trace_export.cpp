@@ -110,6 +110,14 @@ void write_text_file(const std::string& path,
   if (!out) throw std::runtime_error("write failed: " + path);
 }
 
+std::optional<std::string> read_text_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 void write_perfetto_trace(const SpanContext& spans, const std::string& path) {
   write_text_file(path, perfetto_trace_json(spans));
 }

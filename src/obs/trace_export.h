@@ -8,6 +8,7 @@
 #pragma once
 
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +36,11 @@ void write_text_file(const std::string& path, std::string_view content);
 /// stamp and a body, say) without concatenating them first.
 void write_text_file(const std::string& path,
                      std::initializer_list<std::string_view> parts);
+
+/// The whole of the file at `path`, or std::nullopt when it cannot be
+/// opened: the one way a file dohperf reads back is read into memory.
+[[nodiscard]] std::optional<std::string> read_text_file(
+    const std::string& path);
 
 /// perfetto_trace_json + write_text_file.
 void write_perfetto_trace(const SpanContext& spans, const std::string& path);

@@ -1,11 +1,10 @@
 #include "obs/trace_load.h"
 
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "obs/json.h"
+#include "obs/trace_export.h"
 
 namespace dohperf::obs {
 namespace {
@@ -169,11 +168,9 @@ TraceLoadResult parse_trace(const std::string& text,
 }
 
 TraceLoadResult load_trace_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return fail(path, "cannot open");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_trace(buffer.str(), path);
+  const std::optional<std::string> text = read_text_file(path);
+  if (!text) return fail(path, "cannot open");
+  return parse_trace(*text, path);
 }
 
 }  // namespace dohperf::obs

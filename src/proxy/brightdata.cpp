@@ -81,7 +81,7 @@ std::span<const std::uint64_t> BrightDataNetwork::exits_in(
 
 const SuperProxyLocation& BrightDataNetwork::nearest_super_proxy(
     const geo::LatLon& p) const {
-  return locations_[anycast::nearest_pops(pops_, p, 1).front().index];
+  return locations_[anycast::nearest_pop(pops_, p).index];
 }
 
 BrightDataNetwork::OverheadSample BrightDataNetwork::sample_overheads(

@@ -1,10 +1,10 @@
 #include "report/attribution.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -12,26 +12,6 @@
 
 namespace dohperf::report {
 namespace {
-
-bool parse_u64(const std::string& cell, std::uint64_t& out) {
-  if (cell.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(cell.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-/// Strips leading '#'-comment lines (spec provenance stamps).
-std::string_view skip_comments(std::string_view text) {
-  while (!text.empty() && text.front() == '#') {
-    const std::size_t nl = text.find('\n');
-    if (nl == std::string_view::npos) return {};
-    text.remove_prefix(nl + 1);
-  }
-  return text;
-}
 
 double mean_ms(std::uint64_t us, std::uint64_t flows) {
   return flows == 0 ? 0.0
@@ -75,46 +55,52 @@ CsvWriter attribution_csv(const obs::AttributionLedger& ledger) {
   return csv;
 }
 
-std::optional<AttributionTable> load_attribution_csv(std::string_view text) {
-  const auto rows = parse_csv(skip_comments(text));
-  if (!rows || rows->empty()) return std::nullopt;
-  const std::vector<std::string>& header = rows->front();
-  if (header.size() < 6 || header[0] != "provider" ||
-      header[1] != "country" || header[2] != "transport" ||
-      header[3] != "phase" || header[4] != "flows" || header[5] != "us") {
+std::optional<AttributionTable> load_attribution_csv(std::string_view text,
+                                                     const std::string& file,
+                                                     std::string* error) {
+  using enum CsvType;
+  enum { kProvider, kCountry, kTransport, kPhase, kFlows, kUs };
+  try {
+    CsvReader t(std::string(text), file,
+                {{"provider"}, {"country"}, {"transport"}, {"phase"},
+                 {"flows", kUint64}, {"us", kUint64}, {"p50_ms", kDouble},
+                 {"p90_ms", kDouble}, {"p99_ms", kDouble}});
+    AttributionTable table;
+    std::set<obs::AttributionKey> totals;  // cells with a "total" row
+    while (t.next()) {
+      obs::AttributionKey key{std::string(t.text(kProvider)),
+                              std::string(t.text(kCountry)),
+                              std::string(t.text(kTransport))};
+      AttributionCell& cell = table[key];
+      cell.flows = t.number<std::uint64_t>(kFlows);
+      const std::uint64_t us = t.number<std::uint64_t>(kUs);
+      obs::Phase phase;
+      if (t.text(kPhase) == "total") {
+        cell.total_us = us;
+        totals.insert(std::move(key));
+      } else if (obs::parse_phase(t.text(kPhase), phase)) {
+        cell.phase_us[static_cast<std::size_t>(phase)] = us;
+      } else {
+        t.fail(kPhase,
+               "unknown phase \"" + std::string(t.text(kPhase)) + "\"");
+      }
+    }
+    for (const auto& [key, cell] : table) {
+      const char* defect = !totals.contains(key) ? "has no total row"
+                           : !cell.consistent()
+                               ? "has phase rows that do not sum to its total"
+                               : nullptr;
+      if (defect != nullptr) {
+        throw std::runtime_error(file + ": cell " + key.provider + "/" +
+                                 key.country + "/" + key.transport + " " +
+                                 defect);
+      }
+    }
+    return table;
+  } catch (const std::runtime_error& e) {
+    if (error != nullptr) *error = e.what();
     return std::nullopt;
   }
-
-  AttributionTable table;
-  // Totals read from the "total" rows, checked against the phase sums.
-  std::map<obs::AttributionKey, std::uint64_t> declared_totals;
-  for (std::size_t r = 1; r < rows->size(); ++r) {
-    const std::vector<std::string>& row = (*rows)[r];
-    if (row.size() < 6) return std::nullopt;
-    obs::AttributionKey key{row[0], row[1], row[2]};
-    std::uint64_t flows = 0;
-    std::uint64_t us = 0;
-    if (!parse_u64(row[4], flows) || !parse_u64(row[5], us)) {
-      return std::nullopt;
-    }
-    AttributionCell& cell = table[key];
-    cell.flows = flows;
-    if (row[3] == "total") {
-      cell.total_us = us;
-      declared_totals[key] = us;
-      continue;
-    }
-    obs::Phase phase;
-    if (!obs::parse_phase(row[3], phase)) return std::nullopt;
-    cell.phase_us[static_cast<std::size_t>(phase)] = us;
-  }
-
-  for (const auto& [key, cell] : table) {
-    const auto total = declared_totals.find(key);
-    if (total == declared_totals.end()) return std::nullopt;
-    if (!cell.consistent()) return std::nullopt;
-  }
-  return table;
 }
 
 AttributionCell aggregate(const AttributionTable& table,

@@ -45,12 +45,15 @@ using AttributionTable = std::map<obs::AttributionKey, AttributionCell>;
 /// phase occurred; the total row's are over all flows.
 [[nodiscard]] CsvWriter attribution_csv(const obs::AttributionLedger& ledger);
 
-/// Parses an attribution CSV (leading '#' provenance lines skipped).
-/// Returns std::nullopt on malformed documents: wrong columns, unknown
-/// phase names, non-integer counts, or a cell whose phase rows do not
-/// sum to its total row.
+/// Reads an attribution CSV through CsvReader (leading '#' provenance
+/// lines set aside). Returns std::nullopt on a malformed document: a
+/// missing or duplicate column, a cell the number rule rejects, an
+/// unknown phase name, or a cell whose phase rows do not sum to its
+/// total row. `file` names the document in the diagnostic, which is
+/// stored in `*error` when one is given.
 [[nodiscard]] std::optional<AttributionTable> load_attribution_csv(
-    std::string_view text);
+    std::string_view text, const std::string& file = "attribution CSV",
+    std::string* error = nullptr);
 
 /// Sums the table's cells, optionally restricted to one transport
 /// (empty matches all). Integer-only, so order never matters.

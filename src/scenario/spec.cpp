@@ -1,15 +1,18 @@
 #include "scenario/spec.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <limits>
+#include <optional>
 #include <set>
-#include <sstream>
+#include <type_traits>
 #include <utility>
+
+#include "obs/trace_export.h"
+#include "report/format.h"
 
 namespace dohperf::scenario {
 namespace {
@@ -326,30 +329,15 @@ bool parse_bool(std::string_view token, bool* out, std::string* error) {
   return false;
 }
 
-bool integer_shaped(std::string_view token, bool allow_negative) {
-  if (!token.empty() && (token.front() == '+' ||
-                         (allow_negative && token.front() == '-'))) {
+/// Reads a spec number through the number rule (report::read_number).
+/// Specs have always taken one leading '+' on a number, so it is dropped
+/// first; "+-1" keeps its '+' and fails.
+template <typename T>
+std::optional<T> spec_number(std::string_view token) {
+  if (token.starts_with('+') && !token.starts_with("+-")) {
     token.remove_prefix(1);
   }
-  if (token.empty()) return false;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return false;
-  }
-  return true;
-}
-
-bool parse_double(std::string_view token, double* out, std::string* error) {
-  const std::string buf(token);
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size() || buf.empty() || errno == ERANGE ||
-      !std::isfinite(v)) {
-    *error = "expected a finite number";
-    return false;
-  }
-  *out = v;
-  return true;
+  return report::read_number<T>(token);
 }
 
 /// Splits a `[a, b, c]` list into element tokens, respecting quotes.
@@ -409,14 +397,6 @@ bool split_list(std::string_view text, std::vector<std::string>* out,
 // Typed set / get
 // ---------------------------------------------------------------------
 
-/// Millisecond <-> Duration conversions for spec fields. from_ms()
-/// truncates, which can drop one microsecond when the printed ms value
-/// re-parses a hair below the integer tick count; rounding makes
-/// print -> parse the exact identity the canonicalizer promises.
-netsim::Duration duration_from_ms_token(double ms) {
-  return netsim::Duration(static_cast<std::int64_t>(std::llround(ms * 1000.0)));
-}
-
 bool check_value(const FieldDef& f, double v, std::string* error) {
   if ((f.checks & kProbability) != 0 && (v < 0.0 || v > 1.0)) {
     *error = "value must be a probability in [0, 1]";
@@ -430,6 +410,28 @@ bool check_value(const FieldDef& f, double v, std::string* error) {
     *error = "value must be > 0";
     return false;
   }
+  return true;
+}
+
+/// Sets a number field of type T: the token must read as a T, and only
+/// then is the value range-checked.
+template <typename T>
+bool set_number(const FieldDef& f, std::string_view token, void* field,
+                std::string* error) {
+  const std::optional<T> v = spec_number<T>(token);
+  if (!v) {
+    if constexpr (std::is_same_v<T, double>) {
+      *error = "expected a finite number";
+    } else {
+      *error = "expected an integer from " +
+               std::to_string(std::numeric_limits<T>::min()) + " to " +
+               std::to_string(std::numeric_limits<T>::max());
+    }
+    *error += ", got " + std::string(token);
+    return false;
+  }
+  if (!check_value(f, static_cast<double>(*v), error)) return false;
+  *static_cast<T*>(field) = *v;
   return true;
 }
 
@@ -454,49 +456,32 @@ bool set_field(CampaignSpec& spec, const FieldDef& f,
     }
     case FieldType::kBool:
       return parse_bool(value_text, static_cast<bool*>(p), error);
-    case FieldType::kInt: {
-      if (!integer_shaped(value_text, true)) {
-        *error = "expected an integer";
-        return false;
-      }
-      const long long v = std::strtoll(std::string(value_text).c_str(),
-                                       nullptr, 10);
-      if (!check_value(f, static_cast<double>(v), error)) return false;
-      *static_cast<int*>(p) = static_cast<int>(v);
-      return true;
-    }
-    case FieldType::kSizeT: {
-      if (!integer_shaped(value_text, false)) {
-        *error = "expected a non-negative integer";
-        return false;
-      }
-      const unsigned long long v =
-          std::strtoull(std::string(value_text).c_str(), nullptr, 10);
-      if (!check_value(f, static_cast<double>(v), error)) return false;
-      *static_cast<std::size_t*>(p) = static_cast<std::size_t>(v);
-      return true;
-    }
-    case FieldType::kUint64: {
-      if (!integer_shaped(value_text, false)) {
-        *error = "expected a non-negative integer";
-        return false;
-      }
-      *static_cast<std::uint64_t*>(p) =
-          std::strtoull(std::string(value_text).c_str(), nullptr, 10);
-      return true;
-    }
-    case FieldType::kDouble: {
-      double v = 0.0;
-      if (!parse_double(value_text, &v, error)) return false;
-      if (!check_value(f, v, error)) return false;
-      *static_cast<double*>(p) = v;
-      return true;
-    }
+    case FieldType::kInt:
+      return set_number<int>(f, value_text, p, error);
+    case FieldType::kSizeT:
+      return set_number<std::size_t>(f, value_text, p, error);
+    case FieldType::kUint64:
+      return set_number<std::uint64_t>(f, value_text, p, error);
+    case FieldType::kDouble:
+      return set_number<double>(f, value_text, p, error);
     case FieldType::kDurationMs: {
-      double ms = 0.0;
-      if (!parse_double(value_text, &ms, error)) return false;
-      if (!check_value(f, ms, error)) return false;
-      *static_cast<netsim::Duration*>(p) = duration_from_ms_token(ms);
+      // Rounded, not truncated as netsim::from_ms() does, so that print ->
+      // parse is the exact identity the canonicalizer promises.
+      const std::optional<double> ms = spec_number<double>(value_text);
+      const auto duration = ms ? report::duration_from_ms(*ms) : std::nullopt;
+      if (!duration) {
+        *error = "expected a finite number of milliseconds below 2^63 "
+                 "microseconds, got " +
+                 std::string(value_text);
+        return false;
+      }
+      // The range check runs on the value as written and on the value as
+      // stored: 0.0001 is > 0, but it rounds to 0 microseconds.
+      if (!check_value(f, *ms, error) ||
+          !check_value(f, netsim::to_ms(*duration), error)) {
+        return false;
+      }
+      *static_cast<netsim::Duration*>(p) = *duration;
       return true;
     }
     case FieldType::kTls: {
@@ -610,14 +595,11 @@ std::string format_double(double v) {
   if (static_cast<double>(integral) == v && std::fabs(v) < 1e15) {
     return std::to_string(integral);
   }
-  for (int prec = 1; prec <= 17; ++prec) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) return buf;
+  for (int prec = 1; prec < 17; ++prec) {
+    const report::NumText text = report::NumText::general(v, prec);
+    if (report::read_number<double>(text) == v) return std::string(text);
   }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  return std::string(report::NumText::g17(v));
 }
 
 bool set_key(CampaignSpec& spec, const std::string& dotted_key,
@@ -799,15 +781,12 @@ SpecParseResult parse_spec(std::string_view text,
 }
 
 SpecParseResult load_spec_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    SpecParseResult result;
-    result.error = "spec: " + path + ": cannot open";
-    return result;
+  if (const std::optional<std::string> text = obs::read_text_file(path)) {
+    return parse_spec(*text, path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_spec(buffer.str(), path);
+  SpecParseResult result;
+  result.error = "spec: " + path + ": cannot open";
+  return result;
 }
 
 std::string canonical_text(const SpecDocument& doc) {

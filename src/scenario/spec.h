@@ -130,7 +130,9 @@ bool set_override(CampaignSpec& spec, std::string_view source,
                   const std::string& dotted_key, std::string_view value,
                   std::string* error);
 
-/// Shortest decimal form of `v` that strtod parses back bit-identically.
+/// Shortest decimal form of `v` that the number rule (report::read_number)
+/// reads back bit-identically: integral values as integers, others as
+/// printf's "%.*g" at the least precision that round-trips.
 [[nodiscard]] std::string format_double(double v);
 
 /// The paper-scale baseline scenario (world + campaign defaults,

@@ -10,10 +10,11 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
+#include <optional>
 
 #include "measure/campaign.h"
 #include "obs/json.h"
+#include "obs/trace_export.h"
 
 namespace dohperf::scenario {
 namespace {
@@ -29,15 +30,6 @@ bool write_file(const std::string& path, const std::string& content) {
   out << content;
   out.close();  // flushes: a failed final write shows only after this
   return static_cast<bool>(out);
-}
-
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
 }
 
 std::string self_exe() {
@@ -197,13 +189,14 @@ bool run_sweep(const SpecDocument& doc, const SweepOptions& options,
   }
   report += "  ],\n  \"cells\": [\n";
   for (const SweepCell& cell : cells) {
-    std::string summary;
-    if (!read_file(summary_paths[cell.index], &summary)) {
+    const std::optional<std::string> summary =
+        obs::read_text_file(summary_paths[cell.index]);
+    if (!summary) {
       *error = "sweep: cell " + std::to_string(cell.index) +
                " wrote no summary (" + summary_paths[cell.index] + ")";
       return false;
     }
-    const auto parsed = obs::json::parse(summary);
+    const auto parsed = obs::json::parse(*summary);
     if (!parsed.has_value() || !parsed->is_object() ||
         parsed->string_or("schema", "") != "dohperf-scenario-summary-v1") {
       *error = "sweep: cell " + std::to_string(cell.index) +
@@ -218,7 +211,7 @@ bool run_sweep(const SpecDocument& doc, const SweepOptions& options,
                 "\": " + cell.assignment[a].second;
     }
     report += "}, \"summary\": ";
-    report += trimmed(summary);
+    report += trimmed(*summary);
     report += "}";
     report += cell.index + 1 < cells.size() ? ",\n" : "\n";
   }

@@ -123,7 +123,8 @@ TEST(PopTest, CatalogPositionsAreDistinct) {
 
 // Exactness of the chord-pruned selection: for every catalog and query
 // point, the result is bit-for-bit the head of a full distance_km sort
-// (nearest first, ties to the lower index).
+// (nearest first, ties to the lower index), and the allocation-free
+// nearest_pop is its first element.
 TEST(PopTest, NearestPopsMatchesFullDistanceSort) {
   const auto catalogs = all_catalogs();
 
@@ -171,6 +172,8 @@ TEST(PopTest, NearestPopsMatchesFullDistanceSort) {
         ASSERT_EQ(nearest_pops(pops, p, n), want)
             << "catalog of " << pops.size() << " at " << p << " n=" << n;
       }
+      ASSERT_EQ(nearest_pop(pops, p), nearest_pops(pops, p, 1).front())
+          << "catalog of " << pops.size() << " at " << p;
     }
   }
 }

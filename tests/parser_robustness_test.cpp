@@ -1,17 +1,32 @@
 // Parser robustness sweeps: every decoder must survive arbitrary bytes —
 // either parse or reject cleanly (ParseError / nullopt), never crash,
-// hang, or read out of bounds.
+// hang, or read out of bounds. The CSV files dohperf reads back get
+// structured mutations as well, and each mutant must be rejected with a
+// diagnostic naming the file, the row and the column.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <map>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dns/errors.h"
 #include "dns/wire.h"
+#include "measure/dataset_io.h"
 #include "netsim/random.h"
 #include "obs/json.h"
+#include "obs/series.h"
+#include "obs/slo.h"
 #include "obs/trace_load.h"
 #include "proxy/headers.h"
+#include "report/attribution.h"
+#include "report/slo.h"
+#include "report/timeseries.h"
 #include "transport/base64.h"
 #include "transport/http.h"
 
@@ -188,6 +203,300 @@ TEST_P(FuzzSweep, TraceLoaderNeverCrashesAndNeverReturnsPartialSpans) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep, ::testing::Range(0, 8));
+
+// ---------------------------------------------------------------------
+// Structured mutations of the CSV files dohperf reads back: the saved
+// dataset (measure::load_dataset), the attribution CSV
+// (report::load_attribution_csv), and the series, availability and
+// alerts CSVs (tools/obs_report). Each valid file is mutated one defect
+// at a time: a column dropped, duplicated or renamed; one numeric cell
+// replaced by a value the number rule rejects; the file cut in the middle
+// of a row.
+
+namespace fs = std::filesystem;
+
+/// What a column holds. "-1" and 18446744073709551616 are finite doubles,
+/// so only integer cells get them; only int cells get 2147483648.
+enum class Col { kText, kUnsigned, kInt, kDouble };
+using ColumnTypes = std::map<std::string, Col>;
+
+/// A CSV file as its comment lines and comma-separated rows (none of the
+/// files mutated here quotes a cell).
+struct SplitCsv {
+  std::vector<std::string> comments;
+  std::vector<std::vector<std::string>> rows;  // header first
+
+  explicit SplitCsv(const std::string& text) {
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+      if (line.starts_with('#')) {
+        comments.push_back(line);
+        continue;
+      }
+      std::vector<std::string>& row = rows.emplace_back();
+      std::size_t start = 0;
+      for (std::size_t comma; (comma = line.find(',', start)) !=
+                              std::string::npos;
+           start = comma + 1) {
+        row.push_back(line.substr(start, comma - start));
+      }
+      row.push_back(line.substr(start));
+    }
+  }
+
+  [[nodiscard]] std::string str() const {
+    std::string out;
+    for (const std::string& comment : comments) out += comment + "\n";
+    for (const std::vector<std::string>& row : rows) {
+      for (std::size_t c = 0; c < row.size(); ++c) {
+        out += (c == 0 ? "" : ",") + row[c];
+      }
+      out += "\n";
+    }
+    return out;
+  }
+};
+
+/// Every single-defect mutant of `text`, whose columns are `types`.
+std::vector<std::string> csv_mutants(const std::string& text,
+                                     const ColumnTypes& types) {
+  const SplitCsv valid(text);
+  EXPECT_EQ(valid.str(), text) << "the split must be exact";
+  std::vector<std::string> out;
+  const std::vector<std::string>& header = valid.rows.front();
+  for (std::size_t c = 0; c < header.size(); ++c) {
+    SplitCsv dropped = valid, duplicated = valid, renamed = valid;
+    for (auto& row : dropped.rows) row.erase(row.begin() + c);
+    for (auto& row : duplicated.rows) row.push_back(row[c]);
+    renamed.rows.front()[c] += "_renamed";
+    out.insert(out.end(), {dropped.str(), duplicated.str(), renamed.str()});
+
+    const auto type = types.find(header[c]);
+    EXPECT_NE(type, types.end()) << "no type for column " << header[c];
+    if (type == types.end() || type->second == Col::kText) continue;
+    std::vector<std::string> values = {" 5", "0x10", "inf", "nan"};
+    if (type->second != Col::kDouble) {
+      values.insert(values.end(), {"-1", "18446744073709551616"});
+    }
+    if (type->second == Col::kInt) values.push_back("2147483648");
+    for (std::size_t r = 1; r < valid.rows.size(); ++r) {
+      for (const std::string& value : values) {
+        SplitCsv mutant = valid;
+        mutant.rows[r][c] = value;
+        out.push_back(mutant.str());
+      }
+    }
+  }
+  // Cut in the middle of each row, the header's included.
+  for (std::size_t start = 0; start < text.size();) {
+    const std::size_t end = text.find('\n', start);
+    if (text[start] != '#') {
+      out.push_back(text.substr(0, start + (end - start) / 2));
+    }
+    start = end + 1;
+  }
+  return out;
+}
+
+/// `diagnose` loads a document and returns its diagnostic, or "" when the
+/// document loads. `text` must load; every mutant must be rejected with a
+/// diagnostic naming `file`, the row and the column.
+void expect_every_mutant_rejected(
+    const std::string& file, const std::string& text,
+    const ColumnTypes& types,
+    const std::function<std::string(const std::string&)>& diagnose) {
+  ASSERT_EQ(diagnose(text), "") << file << " must load as written";
+  const std::vector<std::string> mutants = csv_mutants(text, types);
+  EXPECT_GT(mutants.size(), types.size() * 3);
+  for (const std::string& mutant : mutants) {
+    const std::string error = diagnose(mutant);
+    ASSERT_TRUE(error.find(file) != std::string::npos &&
+                error.find(": row ") != std::string::npos &&
+                error.find(", column ") != std::string::npos)
+        << "diagnostic: \"" << error << "\"\nmutant of " << file << ":\n"
+        << mutant;
+  }
+}
+
+std::string read_text(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void write_text(const fs::path& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary) << text;
+}
+
+TEST(CsvMutationTest, SavedDatasetRejectsEveryMutant) {
+  measure::Dataset data;
+  data.add_client({17, "SE", {59.33, 18.07}, 3912.5});
+  data.add_client({18, "BR", {-23.55, -46.63}, 4.25});
+  for (const std::uint64_t exit : {17, 18}) {
+    measure::DohRecord doh;
+    doh.exit_id = exit;
+    doh.iso2 = data.intern(exit == 17 ? "SE" : "BR");
+    doh.provider = data.intern("Cloudflare");
+    doh.run = 1;
+    doh.pop_index = 42;
+    doh.pop_distance_miles = 123.456789;
+    doh.potential_improvement_miles = 0.125;
+    doh.tdoh_ms = 338.0123456789;
+    doh.tdohr_ms = 257.5;
+    data.add_doh(doh);
+  }
+  data.add_do53({17, data.intern("SE"), 0, false, 234.25});
+  data.add_do53({measure::kAtlasExitId, data.intern("US"), 0, true, 48.75});
+  data.discarded_mismatch = 3;
+  data.failed_measurements = 9;
+
+  const fs::path dir = fs::path(::testing::TempDir()) / "dohperf_csv_mutants";
+  fs::remove_all(dir);
+  measure::save_dataset(data, dir.string());
+  using enum Col;
+  const std::map<std::string, ColumnTypes> files = {
+      {"clients.csv",
+       {{"exit_id", kUnsigned}, {"iso2", kText}, {"lat", kDouble},
+        {"lon", kDouble}, {"ns_distance_miles", kDouble}}},
+      {"doh.csv",
+       {{"exit_id", kUnsigned}, {"iso2", kText}, {"provider", kText},
+        {"run", kInt}, {"pop_index", kUnsigned},
+        {"pop_distance_miles", kDouble},
+        {"potential_improvement_miles", kDouble}, {"tdoh_ms", kDouble},
+        {"tdohr_ms", kDouble}}},
+      {"do53.csv",
+       {{"exit_id", kUnsigned}, {"iso2", kText}, {"run", kInt},
+        {"via_atlas", kInt}, {"do53_ms", kDouble}}},
+      {"meta.csv",
+       {{"discarded_mismatch", kUnsigned},
+        {"failed_measurements", kUnsigned}}},
+  };
+  for (const auto& [file, types] : files) {
+    const fs::path path = dir / file;
+    const std::string valid = read_text(path);
+    expect_every_mutant_rejected(
+        file, valid, types, [&](const std::string& text) {
+          write_text(path, text);
+          std::string error;
+          try {
+            (void)measure::load_dataset(dir.string());
+          } catch (const std::runtime_error& e) {
+            error = e.what();
+          }
+          write_text(path, valid);
+          return error;
+        });
+  }
+  fs::remove_all(dir);
+}
+
+/// A provenance stamp whose spec name holds a quote, as a valid spec can.
+constexpr const char* kQuotedStamp =
+    "# dohperf-spec name=a\"b hash=0123456789abcdef sink=retained\n";
+
+TEST(CsvMutationTest, AttributionCsvRejectsEveryMutant) {
+  obs::FlowAttribution flow;
+  flow.begin(netsim::SimTime(netsim::from_ms(0.0)));
+  const auto token = flow.push(obs::Phase::kTlsHandshake,
+                               netsim::SimTime(netsim::from_ms(0.0)));
+  flow.pop(token, netsim::SimTime(netsim::from_ms(20.0)));
+  flow.end(netsim::SimTime(netsim::from_ms(50.0)));
+  obs::AttributionLedger ledger;
+  ledger.record("Cloudflare", "SE", "doh", flow);
+
+  using enum Col;
+  expect_every_mutant_rejected(
+      "attribution.csv",
+      kQuotedStamp + report::attribution_csv(ledger).str(),
+      {{"provider", kText}, {"country", kText}, {"transport", kText},
+       {"phase", kText}, {"flows", kUnsigned}, {"us", kUnsigned},
+       {"p50_ms", kDouble}, {"p90_ms", kDouble}, {"p99_ms", kDouble}},
+      [](const std::string& text) {
+        std::string error;
+        return report::load_attribution_csv(text, "attribution.csv", &error)
+                   ? std::string()
+                   : error;
+      });
+}
+
+/// obs_report's output for `args` when it exits nonzero, "" when it
+/// renders.
+std::string obs_report_error(const std::string& args) {
+  const std::string command =
+      std::string(DOHPERF_OBS_REPORT) + " " + args + " 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return "popen failed";
+  std::string output;
+  char buf[512];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) output += buf;
+  return pclose(pipe) == 0 ? std::string() : output;
+}
+
+TEST(CsvMutationTest, ObsReportRejectsEveryMutantOfItsInputs) {
+  obs::MetricSeries series;
+  series.record_latency({"doh_ms", "Cloudflare", ""}, netsim::from_ms(10.0),
+                        41.5);
+  series.record_latency({"doh_ms", "Cloudflare", "SE"},
+                        netsim::from_ms(10.0), 41.5);
+  series.add_count({"fault_blackout", "", ""}, netsim::from_ms(300.0), 2);
+
+  obs::SloConfig config;
+  config.enabled = true;
+  obs::SloTracker tracker(config);
+  tracker.record("Cloudflare", "", netsim::from_ms(1000.0), obs::Outcome::kOk);
+  tracker.record("Cloudflare", "", netsim::from_ms(2000.0),
+                 obs::Outcome::kBlackout);
+  const std::vector<obs::SloAlert> alerts = {
+      {"Cloudflare", "page", 60000, 20.5, 15.25},
+      {"Cloudflare", "ticket", 120000, 7.0, 6.5}};
+
+  const fs::path dir = fs::path(::testing::TempDir()) / "dohperf_obs_mutants";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::map<std::string, std::string> valid = {
+      {"series.csv", kQuotedStamp + report::timeseries_csv(series).str()},
+      {"availability.csv",
+       kQuotedStamp + report::availability_csv(tracker).str()},
+      {"alerts.csv", kQuotedStamp + report::slo_alerts_csv(alerts).str()},
+  };
+  for (const auto& [file, text] : valid) write_text(dir / file, text);
+  const std::string args = (dir / "series.csv").string() + " - " +
+                           (dir / "out.html").string() + " " +
+                           (dir / "availability.csv").string() + " " +
+                           (dir / "alerts.csv").string();
+
+  using enum Col;
+  const std::map<std::string, ColumnTypes> files = {
+      {"series.csv",
+       {{"metric", kText}, {"provider", kText}, {"country", kText},
+        {"window_start_ms", kDouble}, {"count", kUnsigned},
+        {"p50_ms", kDouble}, {"p90_ms", kDouble}, {"p99_ms", kDouble}}},
+      {"availability.csv",
+       {{"provider", kText}, {"country", kText},
+        {"window_start_ms", kUnsigned}, {"objective", kDouble},
+        {"total", kUnsigned}, {"ok", kUnsigned}, {"fallback_ok", kUnsigned},
+        {"brownout_degraded", kUnsigned}, {"timeout_giveup", kUnsigned},
+        {"fallback_failed", kUnsigned}, {"provider_outage", kUnsigned},
+        {"blackout", kUnsigned}, {"unreachable", kUnsigned},
+        {"slow", kUnsigned}, {"availability", kDouble}}},
+      {"alerts.csv",
+       {{"provider", kText}, {"severity", kText},
+        {"window_start_ms", kUnsigned}, {"burn_short", kDouble},
+        {"burn_long", kDouble}}},
+  };
+  for (const auto& [file, types] : files) {
+    const fs::path path = dir / file;
+    expect_every_mutant_rejected(
+        file, valid.at(file), types, [&](const std::string& text) {
+          write_text(path, text);
+          const std::string error = obs_report_error(args);
+          write_text(path, valid.at(file));
+          return error;
+        });
+  }
+  fs::remove_all(dir);
+}
 
 }  // namespace
 }  // namespace dohperf

@@ -2,6 +2,7 @@
 // env overrides, and sweep-grid expansion.
 #include <cstdlib>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -156,6 +157,82 @@ TEST(ScenarioSpecTest, TypeAndRangeDefectsAreDiagnosed) {
             std::string::npos);
   EXPECT_NE(parse_error("sink = \"buffered\"\n").find("<memory>:1:"),
             std::string::npos);
+}
+
+// Every spec number is read by the number rule: the whole token must
+// read as the field's type, and only then is its range checked. Each
+// type's bound parses; one past it is one diagnostic naming the key.
+TEST(ScenarioSpecTest, NumbersMustFitTheirFieldsType) {
+  const auto value_error = [](const std::string& section,
+                              const std::string& key,
+                              const std::string& value) {
+    const std::string text = "[" + section + "]\n" + key + " = " + value +
+                             "\n";
+    const scenario::SpecParseResult result =
+        scenario::parse_spec(text, "<memory>");
+    return result.ok() ? std::string() : result.error;
+  };
+  struct Bound {
+    const char* section;
+    const char* key;
+    const char* at_bound;
+    const char* past_bound;
+  };
+  for (const Bound& b : {
+           // int
+           Bound{"campaign", "threads", "2147483647", "2147483648"},
+           // size_t
+           Bound{"anomalies", "ring_capacity", "18446744073709551615",
+                 "18446744073709551616"},
+           // uint64
+           Bound{"world", "seed", "18446744073709551615",
+                 "18446744073709551616"},
+           // duration: the microsecond count must stay below 2^63
+           Bound{"campaign", "session_spacing_ms", "9223372036854774",
+                 "9223372036854776"},
+       }) {
+    const std::string dotted = std::string(b.section) + "." + b.key;
+    EXPECT_EQ(value_error(b.section, b.key, b.at_bound), "") << dotted;
+    const std::string error = value_error(b.section, b.key, b.past_bound);
+    EXPECT_NE(error.find("<memory>:2: key \"" + dotted + "\": expected"),
+              std::string::npos)
+        << error;
+  }
+  // The int's lower bound reads as an int and then fails the range
+  // check; one below it does not read as an int at all.
+  EXPECT_NE(value_error("campaign", "threads", "-2147483648")
+                .find("value must be >= 0"),
+            std::string::npos);
+  EXPECT_NE(value_error("campaign", "threads", "-2147483649")
+                .find("expected an integer"),
+            std::string::npos);
+
+  // Values a narrowing or lax parse would take (wrapped, truncated, hex,
+  // inf, a doubled sign, a duration that rounds to 0): each is one
+  // diagnostic naming the key.
+  for (const auto& [section, key, value] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"campaign", "runs_per_client", "3000000000"},
+           {"campaign", "atlas_measurements_per_country", "4294967297"},
+           {"world", "seed", "99999999999999999999999"},
+           {"slo", "window_ms", "1e300"},
+           {"slo", "window_ms", "0.0001"},  // > 0, but stored as 0 us
+           {"campaign", "threads", "0x10"},
+           {"world", "client_scale", "0x1p-2"},
+           {"world", "client_scale", "inf"},
+           {"campaign", "threads", "+-5"},
+           {"campaign", "threads", "++5"},
+       }) {
+    EXPECT_NE(value_error(section, key, value)
+                  .find("key \"" + section + "." + key + "\""),
+              std::string::npos)
+        << section << "." << key << " = " << value;
+  }
+  // One leading '+' is still taken, as specs always have.
+  const scenario::SpecDocument plus =
+      parse_ok("[world]\nseed = +7\nclient_scale = +0.5\n");
+  EXPECT_EQ(plus.base.world.seed, 7u);
+  EXPECT_EQ(plus.base.world.client_scale, 0.5);
 }
 
 TEST(ScenarioSpecTest, HashExcludesThreadsAndOutputs) {

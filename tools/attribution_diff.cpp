@@ -18,9 +18,9 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 
+#include "obs/trace_export.h"
 #include "report/attribution.h"
 
 namespace {
@@ -30,14 +30,6 @@ namespace {
   std::exit(code);
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) die(2, "cannot read " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
   out << content;
@@ -45,9 +37,12 @@ void write_file(const std::string& path, const std::string& content) {
 }
 
 dohperf::report::AttributionTable load(const std::string& path) {
+  const std::optional<std::string> text = dohperf::obs::read_text_file(path);
+  if (!text) die(2, "cannot read " + path);
+  std::string error;
   const std::optional<dohperf::report::AttributionTable> table =
-      dohperf::report::load_attribution_csv(read_file(path));
-  if (!table.has_value()) die(2, "malformed attribution CSV: " + path);
+      dohperf::report::load_attribution_csv(*text, path, &error);
+  if (!table.has_value()) die(2, error);
   return *table;
 }
 

@@ -18,14 +18,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/json.h"
+#include "obs/trace_export.h"
 
 using dohperf::obs::json::Value;
 
@@ -391,14 +391,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: bench_schema_check <artifact.json>\n");
     return 2;
   }
-  std::ifstream in(argv[1]);
-  if (!in) {
+  const std::optional<std::string> text =
+      dohperf::obs::read_text_file(argv[1]);
+  if (!text) {
     fail(argv[1], "cannot open");
     return 1;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const auto doc = dohperf::obs::json::parse(buffer.str());
+  const auto doc = dohperf::obs::json::parse(*text);
   if (!doc.has_value() || !doc->is_object()) {
     fail(argv[1], "not a JSON object");
     return 1;

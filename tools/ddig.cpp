@@ -4,11 +4,13 @@
 //   ddig <name> [--country ISO2] [--via do53|doh|dot] [--provider NAME]
 //              [--seed N] [--trace 1]
 //
+// Every flag takes a value; an unknown flag, a flag without a value or a
+// seed the number rule rejects exits 2 with a diagnostic naming the flag.
+//
 // Examples:
 //   ddig probe-1.a.com --country BR --via do53 --trace 1
 //   ddig probe-2.a.com --country SE --via doh --provider Quad9
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
@@ -17,6 +19,7 @@
 #include "dns/wire.h"
 #include "measure/dot.h"
 #include "measure/flows.h"
+#include "report/format.h"
 #include "world/world_model.h"
 
 using namespace dohperf;
@@ -47,24 +50,36 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string name = argv[1];
-  std::map<std::string, std::string> flags;
-  for (int i = 2; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) != 0) {
-      std::fprintf(stderr, "expected flag, got %s\n", argv[i]);
+  std::map<std::string, std::string> flags = {{"--country", "SE"},
+                                               {"--via", "do53"},
+                                               {"--provider", "Cloudflare"},
+                                               {"--seed", "42"},
+                                               {"--trace", "0"}};
+  for (int i = 2; i < argc; i += 2) {
+    const auto flag = flags.find(argv[i]);
+    if (flag == flags.end() || i + 1 == argc) {
+      std::fprintf(stderr, "ddig: %s: %s\n", argv[i],
+                   flag == flags.end() ? "unknown flag" : "missing value");
       return 2;
     }
-    flags[argv[i] + 2] = argv[i + 1];
+    flag->second = argv[i + 1];
   }
-  const std::string iso2 = flags.count("country") ? flags["country"] : "SE";
-  const std::string via = flags.count("via") ? flags["via"] : "do53";
-  const std::string provider_name =
-      flags.count("provider") ? flags["provider"] : "Cloudflare";
-  const bool want_trace = flags.count("trace") && flags["trace"] == "1";
+  const std::string& iso2 = flags["--country"];
+  const std::string& via = flags["--via"];
+  const std::string& provider_name = flags["--provider"];
+  const bool want_trace = flags["--trace"] == "1";
 
   world::WorldConfig config;
-  config.seed = flags.count("seed")
-                    ? static_cast<std::uint64_t>(std::atoll(flags["seed"].c_str()))
-                    : 42;
+  const std::optional<std::uint64_t> seed =
+      report::read_number<std::uint64_t>(flags["--seed"]);
+  if (!seed) {
+    std::fprintf(stderr,
+                 "ddig: --seed: expected an integer from 0 to "
+                 "18446744073709551615, got \"%s\"\n",
+                 flags["--seed"].c_str());
+    return 2;
+  }
+  config.seed = *seed;
   config.only_countries = {iso2};
   world::WorldModel world(config);
 

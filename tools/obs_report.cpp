@@ -29,25 +29,32 @@
 // exactly to the end-to-end delta. Pass "-" for the availability /
 // alerts slots to supply attribution CSVs without an SLO section.
 //
-// Malformed input — CSV that does not parse, a dump trace_load
-// rejects — exits 1 with a one-line diagnostic; nothing partial is
-// written.
+// Every CSV is read through report::CsvReader, so malformed input — a
+// missing or duplicate column, a short row, a cell the number rule
+// rejects, a dump trace_load rejects — exits 1 with a one-line diagnostic
+// naming the file (and the row and column where they apply); nothing
+// partial is written.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "obs/trace_export.h"
 #include "obs/trace_load.h"
 #include "report/attribution.h"
 #include "report/csv.h"
+#include "report/format.h"
 
 namespace {
+
+using dohperf::report::CsvReader;
+using enum dohperf::report::CsvType;
 
 struct LatencyPoint {
   double window_start_ms = 0.0;
@@ -94,24 +101,6 @@ struct AnomalyRow {
   std::exit(1);
 }
 
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) return std::nullopt;
-  return text;
-}
-
-double parse_double(const std::string& cell, const std::string& where) {
-  char* end = nullptr;
-  const double value = std::strtod(cell.c_str(), &end);
-  if (end == cell.c_str() || *end != '\0') {
-    die(where + ": expected a number, got \"" + cell + "\"");
-  }
-  return value;
-}
-
 std::string html_escape(const std::string& text) {
   std::string out;
   out.reserve(text.size());
@@ -128,31 +117,18 @@ std::string html_escape(const std::string& text) {
 }
 
 std::string format_ms(double ms) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", ms);
-  return buf;
+  return std::string(dohperf::report::NumText::g6(ms));
 }
 
-std::size_t find_column(const std::vector<std::string>& header,
-                        const char* name, const std::string& path) {
-  const auto it = std::find(header.begin(), header.end(), name);
-  if (it == header.end()) {
-    die(path + ": missing column \"" + name + "\" in header");
+/// The window width of a set of window starts: the smallest gap between
+/// two of them, or `fallback` when there are fewer than two.
+double smallest_gap(const std::set<double>& starts, double fallback) {
+  if (starts.size() < 2) return fallback;
+  double gap = 1e300;
+  for (auto it = std::next(starts.begin()); it != starts.end(); ++it) {
+    gap = std::min(gap, *it - *std::prev(it));
   }
-  return static_cast<std::size_t>(it - header.begin());
-}
-
-/// First non-comment row index; artifacts open with `# dohperf-spec`
-/// provenance stamps that parse as single-cell comment rows.
-std::size_t skip_comments(const std::vector<std::vector<std::string>>& rows,
-                          const std::string& path) {
-  std::size_t r = 0;
-  while (r < rows.size() && !rows[r].empty() &&
-         rows[r].front().rfind("#", 0) == 0) {
-    ++r;
-  }
-  if (r == rows.size()) die(path + ": no header row (only comments)");
-  return r;
+  return gap;
 }
 
 /// Heat-table cell fill: green at/above the objective, shading to red
@@ -168,25 +144,6 @@ std::string heat_color(double availability, double objective) {
   std::snprintf(buf, sizeof buf, "#%02x%02x%02x", mix(0xd4, 0xf5),
                 mix(0xed, 0xb7), mix(0xda, 0xb1));
   return buf;
-}
-
-/// Columns of report::timeseries_csv, validated against the header row.
-struct SeriesColumns {
-  std::size_t metric, provider, country, window_start_ms, count, p50, p99;
-};
-
-SeriesColumns series_columns(const std::vector<std::string>& header,
-                             const std::string& path) {
-  const auto find = [&](const char* name) {
-    const auto it = std::find(header.begin(), header.end(), name);
-    if (it == header.end()) {
-      die(path + ": missing column \"" + name + "\" in header");
-    }
-    return static_cast<std::size_t>(it - header.begin());
-  };
-  return {find("metric"),          find("provider"), find("country"),
-          find("window_start_ms"), find("count"),    find("p50_ms"),
-          find("p99_ms")};
 }
 
 /// Per-phase breakdown of one anomaly dump: the direct non-hop children
@@ -223,6 +180,40 @@ std::string phase_breakdown(const std::string& path) {
   return out;
 }
 
+// Geometry of both SVG charts.
+constexpr double kWidth = 900.0, kHeight = 300.0;
+constexpr double kLeft = 60.0, kRight = 880.0;
+constexpr double kTop = 20.0, kBottom = 270.0;
+
+/// The opening tag of a chart.
+std::string svg_open() {
+  return "<svg viewBox=\"0 0 " + format_ms(kWidth) + " " +
+         format_ms(kHeight) + "\" xmlns=\"http://www.w3.org/2000/svg\">\n";
+}
+
+/// A chart's frame: both axes, then `guides`, then `y_label` at the top of
+/// the y axis, "0" at its foot and `x_label` at the end of the x axis.
+std::string svg_axes(const std::string& guides, const std::string& y_label,
+                     const std::string& x_label) {
+  const auto label = [](double x, double y, const std::string& text) {
+    return "<text x=\"" + format_ms(x) + "\" y=\"" + format_ms(y) +
+           "\" text-anchor=\"end\" font-size=\"10\">" + text + "</text>\n";
+  };
+  return "<line x1=\"" + format_ms(kLeft) + "\" y1=\"" + format_ms(kTop) +
+         "\" x2=\"" + format_ms(kLeft) + "\" y2=\"" + format_ms(kBottom) +
+         "\" stroke=\"#333\"/>\n<line x1=\"" + format_ms(kLeft) +
+         "\" y1=\"" + format_ms(kBottom) + "\" x2=\"" + format_ms(kRight) +
+         "\" y2=\"" + format_ms(kBottom) + "\" stroke=\"#333\"/>\n" + guides +
+         label(kLeft - 6, kTop + 4, y_label) + label(kLeft - 6, kBottom, "0") +
+         label(kRight, kBottom + 14, x_label);
+}
+
+/// The legend line under a chart, then its closing tag.
+std::string svg_close(const std::string& legend) {
+  return "<text y=\"" + format_ms(kHeight - 6) + "\" font-size=\"11\">" +
+         legend + "</text>\n</svg>\n";
+}
+
 std::string svg_polyline(const std::vector<std::pair<double, double>>& pts,
                          const std::string& color, bool dashed) {
   std::string out = "<polyline fill=\"none\" stroke=\"" + color +
@@ -236,9 +227,8 @@ std::string svg_polyline(const std::vector<std::pair<double, double>>& pts,
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// Renders the page; every CsvReader defect throws out of here.
+int run(int argc, char** argv) {
   if (argc < 4 || argc == 7 || argc > 8) {
     std::fprintf(stderr,
                  "usage: obs_report <timeseries.csv> <anomalies_dir | -> "
@@ -259,68 +249,46 @@ int main(int argc, char** argv) {
   const std::string attribution_b_path = argc > 7 ? argv[7] : "";
 
   // --- Load the metric series CSV. -------------------------------------
-  const std::optional<std::string> series_text = read_file(series_path);
-  if (!series_text) die(series_path + ": cannot read file");
-  const auto series_rows = dohperf::report::parse_csv(*series_text);
-  if (!series_rows || series_rows->empty()) {
-    die(series_path + ": malformed CSV");
-  }
-  const std::size_t header_row = skip_comments(*series_rows, series_path);
-  // The provenance stamp carries the spec hash; cite it in the title so
-  // the report is traceable to the scenario that produced it.
-  std::string spec_hash;
-  for (std::size_t r = 0; r < header_row; ++r) {
-    const std::string& comment = (*series_rows)[r].front();
-    const std::size_t pos = comment.find("hash=");
-    if (pos == std::string::npos) continue;
-    std::size_t end = pos + 5;
-    while (end < comment.size() && comment[end] != ' ') ++end;
-    spec_hash = comment.substr(pos + 5, end - (pos + 5));
-    break;
-  }
-  const std::vector<std::string>& series_header = (*series_rows)[header_row];
-  const SeriesColumns col = series_columns(series_header, series_path);
-
   // Latency series per provider (country=="" aggregate rows), plus the
   // set of windows each fault class occupies. Window width is inferred
   // from the smallest gap between distinct window starts.
+  std::string spec_hash;
   std::map<std::string, std::map<std::string, std::vector<LatencyPoint>>>
       by_metric;  // metric -> provider -> points
   std::vector<FaultWindow> faults;
   std::set<double> window_starts;
-  for (std::size_t r = header_row + 1; r < series_rows->size(); ++r) {
-    const std::vector<std::string>& row = (*series_rows)[r];
-    if (row.size() != series_header.size()) {
-      die(series_path + ": row " + std::to_string(r + 1) +
-          " has the wrong cell count");
+  {
+    enum { kMetric, kProvider, kCountry, kWindow, kCount, kP50, kP90, kP99 };
+    CsvReader series = CsvReader::open(
+        series_path, {{"metric"}, {"provider"}, {"country"},
+                      {"window_start_ms", kDouble}, {"count", kUint64},
+                      {"p50_ms", kDouble, true}, {"p90_ms", kDouble, true},
+                      {"p99_ms", kDouble, true}});
+    // The provenance stamp carries the spec hash; cite it in the title so
+    // the report is traceable to the scenario that produced it.
+    for (const std::string& comment : series.comments()) {
+      const std::size_t pos = comment.find("hash=");
+      if (pos == std::string::npos) continue;
+      spec_hash = comment.substr(pos + 5, comment.find(' ', pos) - (pos + 5));
+      break;
     }
-    const std::string& metric = row[col.metric];
-    const std::string where =
-        series_path + ": row " + std::to_string(r + 1);
-    const double start = parse_double(row[col.window_start_ms], where);
-    window_starts.insert(start);
-    if (metric.rfind("fault_", 0) == 0) {
-      if (parse_double(row[col.count], where) > 0) {
-        faults.push_back({metric, start});
+    while (series.next()) {
+      const std::string metric(series.text(kMetric));
+      const double start = series.number<double>(kWindow);
+      window_starts.insert(start);
+      if (metric.starts_with("fault_")) {
+        if (series.number<std::uint64_t>(kCount) > 0) {
+          faults.push_back({metric, start});
+        }
+        continue;
       }
-      continue;
-    }
-    if (row[col.p50].empty()) continue;  // counter row
-    if (!row[col.country].empty()) continue;  // per-country detail
-    by_metric[metric][row[col.provider]].push_back(
-        {start, parse_double(row[col.p50], where),
-         parse_double(row[col.p99], where)});
-  }
-  double window_ms = 250.0;
-  if (window_starts.size() >= 2) {
-    window_ms = 1e300;
-    double prev = *window_starts.begin();
-    for (auto it = std::next(window_starts.begin());
-         it != window_starts.end(); ++it) {
-      window_ms = std::min(window_ms, *it - prev);
-      prev = *it;
+      if (series.text(kP50).empty()) continue;  // counter row
+      if (!series.text(kCountry).empty()) continue;  // per-country detail
+      by_metric[metric][std::string(series.text(kProvider))].push_back(
+          {start, series.number<double>(kP50), series.number<double>(kP99)});
     }
   }
+  const double window_ms = smallest_gap(window_starts, 250.0);
 
   // The chart plots DoH resolution latency; Do53 rides along when the
   // series has it. Providers chart in map order (deterministic).
@@ -344,127 +312,70 @@ int main(int argc, char** argv) {
   std::vector<AnomalyRow> anomalies;
   if (anomalies_dir != "-") {
     const std::filesystem::path base(anomalies_dir);
-    const std::string index_path = (base / "anomalies.csv").string();
-    const std::optional<std::string> index_text = read_file(index_path);
-    if (!index_text) die(index_path + ": cannot read file");
-    const auto rows = dohperf::report::parse_csv(*index_text);
-    if (!rows || rows->empty()) die(index_path + ": malformed CSV");
-    const std::vector<std::string>& header = rows->front();
-    const auto find = [&](const char* name) {
-      const auto it = std::find(header.begin(), header.end(), name);
-      if (it == header.end()) {
-        die(index_path + ": missing column \"" + name + "\" in header");
-      }
-      return static_cast<std::size_t>(it - header.begin());
-    };
-    const std::size_t c_slot = find("slot");
-    const std::size_t c_session = find("session");
-    const std::size_t c_flow = find("flow");
-    const std::size_t c_reasons = find("reasons");
-    const std::size_t c_duration = find("duration_ms");
-    const std::size_t c_trace = find("trace_file");
-    for (std::size_t r = 1; r < rows->size(); ++r) {
-      const std::vector<std::string>& row = (*rows)[r];
-      if (row.size() != header.size()) {
-        die(index_path + ": row " + std::to_string(r + 1) +
-            " has the wrong cell count");
-      }
+    enum { kSlot, kFlowIndex, kSession, kFlow, kReasons, kDuration, kSpans,
+           kTrace };
+    CsvReader index = CsvReader::open(
+        (base / "anomalies.csv").string(),
+        {{"slot", kUint64}, {"flow_index", kUint64}, {"session"}, {"flow"},
+         {"reasons"}, {"duration_ms", kDouble}, {"spans", kUint64},
+         {"trace_file"}});
+    while (index.next()) {
+      const auto cell = [&](std::size_t column) {
+        return std::string(index.text(column));
+      };
       anomalies.push_back(
-          {row[c_slot], row[c_session], row[c_flow], row[c_reasons],
-           row[c_duration],
-           phase_breakdown((base / row[c_trace]).string())});
+          {cell(kSlot), cell(kSession), cell(kFlow), cell(kReasons),
+           cell(kDuration), phase_breakdown((base / cell(kTrace)).string())});
     }
   }
 
   // --- Load the SLO availability table + burn-rate alerts. -------------
   std::vector<AvailabilityRow> avail;
   if (!availability_path.empty()) {
-    const std::optional<std::string> text = read_file(availability_path);
-    if (!text) die(availability_path + ": cannot read file");
-    const auto rows = dohperf::report::parse_csv(*text);
-    if (!rows || rows->empty()) die(availability_path + ": malformed CSV");
-    const std::size_t hr = skip_comments(*rows, availability_path);
-    const std::vector<std::string>& header = (*rows)[hr];
-    const std::size_t c_provider =
-        find_column(header, "provider", availability_path);
-    const std::size_t c_country =
-        find_column(header, "country", availability_path);
-    const std::size_t c_window =
-        find_column(header, "window_start_ms", availability_path);
-    const std::size_t c_objective =
-        find_column(header, "objective", availability_path);
-    const std::size_t c_total = find_column(header, "total",
-                                            availability_path);
-    const std::size_t c_ok = find_column(header, "ok", availability_path);
-    const std::size_t c_fallback_ok =
-        find_column(header, "fallback_ok", availability_path);
-    const std::size_t c_brownout =
-        find_column(header, "brownout_degraded", availability_path);
-    const std::size_t c_outage =
-        find_column(header, "provider_outage", availability_path);
-    const std::size_t c_blackout =
-        find_column(header, "blackout", availability_path);
-    const std::size_t c_avail =
-        find_column(header, "availability", availability_path);
-    for (std::size_t r = hr + 1; r < rows->size(); ++r) {
-      const std::vector<std::string>& row = (*rows)[r];
-      if (row.size() != header.size()) {
-        die(availability_path + ": row " + std::to_string(r + 1) +
-            " has the wrong cell count");
-      }
-      const std::string where =
-          availability_path + ": row " + std::to_string(r + 1);
+    enum { kProvider, kCountry, kWindow, kObjective, kTotal, kOk, kFallbackOk,
+           kBrownout, kTimeout, kFallbackFailed, kOutage, kBlackout,
+           kUnreachable, kSlow, kAvailability };
+    CsvReader t = CsvReader::open(
+        availability_path,
+        {{"provider"}, {"country"}, {"window_start_ms", kUint64, true},
+         {"objective", kDouble}, {"total", kUint64}, {"ok", kUint64},
+         {"fallback_ok", kUint64}, {"brownout_degraded", kUint64},
+         {"timeout_giveup", kUint64}, {"fallback_failed", kUint64},
+         {"provider_outage", kUint64}, {"blackout", kUint64},
+         {"unreachable", kUint64}, {"slow", kUint64},
+         {"availability", kDouble}});
+    while (t.next()) {
+      const auto count = [&](std::size_t column) {
+        return static_cast<double>(t.number<std::uint64_t>(column));
+      };
       AvailabilityRow a;
-      a.provider = row[c_provider];
-      a.country = row[c_country];
-      a.has_window = !row[c_window].empty();
-      if (a.has_window) {
-        a.window_start_ms = parse_double(row[c_window], where);
-      }
-      a.objective = parse_double(row[c_objective], where);
-      a.total = parse_double(row[c_total], where);
-      a.errors = a.total - parse_double(row[c_ok], where) -
-                 parse_double(row[c_fallback_ok], where) -
-                 parse_double(row[c_brownout], where);
-      a.outage = parse_double(row[c_outage], where) +
-                 parse_double(row[c_blackout], where);
-      a.availability = parse_double(row[c_avail], where);
+      a.provider = t.text(kProvider);
+      a.country = t.text(kCountry);
+      a.has_window = !t.text(kWindow).empty();
+      if (a.has_window) a.window_start_ms = count(kWindow);
+      a.objective = t.number<double>(kObjective);
+      a.total = count(kTotal);
+      a.errors = a.total - count(kOk) - count(kFallbackOk) - count(kBrownout);
+      a.outage = count(kOutage) + count(kBlackout);
+      a.availability = t.number<double>(kAvailability);
       avail.push_back(a);
     }
   }
 
   std::vector<AlertMark> alert_marks;
   if (!alerts_path.empty()) {
-    const std::optional<std::string> text = read_file(alerts_path);
-    if (!text) die(alerts_path + ": cannot read file");
-    const auto rows = dohperf::report::parse_csv(*text);
-    if (!rows || rows->empty()) die(alerts_path + ": malformed CSV");
-    const std::size_t hr = skip_comments(*rows, alerts_path);
-    const std::vector<std::string>& header = (*rows)[hr];
-    const std::size_t c_provider = find_column(header, "provider",
-                                               alerts_path);
-    const std::size_t c_severity = find_column(header, "severity",
-                                               alerts_path);
-    const std::size_t c_window =
-        find_column(header, "window_start_ms", alerts_path);
-    for (std::size_t r = hr + 1; r < rows->size(); ++r) {
-      const std::vector<std::string>& row = (*rows)[r];
-      if (row.size() != header.size()) {
-        die(alerts_path + ": row " + std::to_string(r + 1) +
-            " has the wrong cell count");
-      }
+    CsvReader t = CsvReader::open(
+        alerts_path, {{"provider"}, {"severity"},
+                      {"window_start_ms", kUint64}, {"burn_short", kDouble},
+                      {"burn_long", kDouble}});
+    while (t.next()) {
       alert_marks.push_back(
-          {row[c_provider], row[c_severity],
-           parse_double(row[c_window],
-                        alerts_path + ": row " + std::to_string(r + 1))});
+          {std::string(t.text(0)), std::string(t.text(1)),
+           static_cast<double>(t.number<std::uint64_t>(2))});
     }
   }
 
   // --- Render the page. ------------------------------------------------
-  constexpr double kWidth = 900.0, kHeight = 300.0;
-  constexpr double kLeft = 60.0, kRight = 880.0;
-  constexpr double kTop = 20.0, kBottom = 270.0;
-
   double x_min = 0.0, x_max = 1.0, y_max = 1.0;
   if (!window_starts.empty()) {
     x_min = *window_starts.begin();
@@ -480,9 +391,7 @@ int main(int argc, char** argv) {
     return kBottom - ms / y_max * (kBottom - kTop);
   };
 
-  std::string svg = "<svg viewBox=\"0 0 " + format_ms(kWidth) + " " +
-                    format_ms(kHeight) +
-                    "\" xmlns=\"http://www.w3.org/2000/svg\">\n";
+  std::string svg = svg_open();
   // Fault-window shading first, behind the curves.
   const std::map<std::string, const char*> fault_fill = {
       {"fault_loss_spike", "#e8c468"},
@@ -500,23 +409,8 @@ int main(int argc, char** argv) {
            "\" fill-opacity=\"0.35\"><title>" + html_escape(fault.metric) +
            " @ " + format_ms(fault.start_ms) + "ms</title></rect>\n";
   }
-  // Axes.
-  svg += "<line x1=\"" + format_ms(kLeft) + "\" y1=\"" + format_ms(kTop) +
-         "\" x2=\"" + format_ms(kLeft) + "\" y2=\"" + format_ms(kBottom) +
-         "\" stroke=\"#333\"/>\n";
-  svg += "<line x1=\"" + format_ms(kLeft) + "\" y1=\"" + format_ms(kBottom) +
-         "\" x2=\"" + format_ms(kRight) + "\" y2=\"" + format_ms(kBottom) +
-         "\" stroke=\"#333\"/>\n";
-  svg += "<text x=\"" + format_ms(kLeft - 6) + "\" y=\"" +
-         format_ms(kTop + 4) +
-         "\" text-anchor=\"end\" font-size=\"10\">" + format_ms(y_max) +
-         "ms</text>\n";
-  svg += "<text x=\"" + format_ms(kLeft - 6) + "\" y=\"" + format_ms(kBottom) +
-         "\" text-anchor=\"end\" font-size=\"10\">0</text>\n";
-  svg += "<text x=\"" + format_ms(kRight) + "\" y=\"" +
-         format_ms(kBottom + 14) +
-         "\" text-anchor=\"end\" font-size=\"10\">" + format_ms(x_max) +
-         "ms (sim time)</text>\n";
+  svg += svg_axes("", format_ms(y_max) + "ms",
+                  format_ms(x_max) + "ms (sim time)");
 
   const std::vector<std::string> palette = {"#1f77b4", "#d62728", "#2ca02c",
                                             "#ff7f0e", "#9467bd", "#8c564b"};
@@ -538,9 +432,7 @@ int main(int argc, char** argv) {
               "\">" + html_escape(provider) + "</tspan>";
     legend_x += 140.0;
   }
-  svg += "<text y=\"" + format_ms(kHeight - 6) + "\" font-size=\"11\">" +
-         legend + "</text>\n";
-  svg += "</svg>\n";
+  svg += svg_close(legend);
 
   std::string title = "dohperf campaign health report";
   if (!spec_hash.empty()) title += " [spec " + spec_hash + "]";
@@ -622,16 +514,7 @@ int main(int argc, char** argv) {
       burn_max = std::max(burn_max, rate / budget);
       if (a.outage > 0) outage_windows.insert(a.window_start_ms);
     }
-    double slo_window_ms = 60000.0;
-    if (burn_windows.size() >= 2) {
-      slo_window_ms = 1e300;
-      double prev = *burn_windows.begin();
-      for (auto it = std::next(burn_windows.begin());
-           it != burn_windows.end(); ++it) {
-        slo_window_ms = std::min(slo_window_ms, *it - prev);
-        prev = *it;
-      }
-    }
+    const double slo_window_ms = smallest_gap(burn_windows, 60000.0);
     double bx_min = 0.0, bx_max = slo_window_ms;
     if (!burn_windows.empty()) {
       bx_min = *burn_windows.begin();
@@ -643,9 +526,7 @@ int main(int argc, char** argv) {
     const auto by = [&](double value) {
       return kBottom - value / burn_max * (kBottom - kTop);
     };
-    std::string burn_svg = "<svg viewBox=\"0 0 " + format_ms(kWidth) +
-                           " " + format_ms(kHeight) +
-                           "\" xmlns=\"http://www.w3.org/2000/svg\">\n";
+    std::string burn_svg = svg_open();
     for (const double start : outage_windows) {
       burn_svg += "<rect x=\"" + format_ms(bx(start)) + "\" y=\"" +
                   format_ms(kTop) + "\" width=\"" +
@@ -655,28 +536,14 @@ int main(int argc, char** argv) {
                   "outage/blackout window @ " +
                   format_ms(start) + "ms</title></rect>\n";
     }
-    burn_svg += "<line x1=\"" + format_ms(kLeft) + "\" y1=\"" +
-                format_ms(kTop) + "\" x2=\"" + format_ms(kLeft) +
-                "\" y2=\"" + format_ms(kBottom) + "\" stroke=\"#333\"/>\n";
-    burn_svg += "<line x1=\"" + format_ms(kLeft) + "\" y1=\"" +
-                format_ms(kBottom) + "\" x2=\"" + format_ms(kRight) +
-                "\" y2=\"" + format_ms(kBottom) + "\" stroke=\"#333\"/>\n";
     // Budget-neutral reference: burn rate 1 spends exactly the budget.
-    burn_svg += "<line x1=\"" + format_ms(kLeft) + "\" y1=\"" +
-                format_ms(by(1.0)) + "\" x2=\"" + format_ms(kRight) +
-                "\" y2=\"" + format_ms(by(1.0)) +
-                "\" stroke=\"#999\" stroke-dasharray=\"2,4\"/>\n";
-    burn_svg += "<text x=\"" + format_ms(kLeft - 6) + "\" y=\"" +
-                format_ms(kTop + 4) +
-                "\" text-anchor=\"end\" font-size=\"10\">" +
-                format_ms(burn_max) + "x</text>\n";
-    burn_svg += "<text x=\"" + format_ms(kLeft - 6) + "\" y=\"" +
-                format_ms(kBottom) +
-                "\" text-anchor=\"end\" font-size=\"10\">0</text>\n";
-    burn_svg += "<text x=\"" + format_ms(kRight) + "\" y=\"" +
-                format_ms(kBottom + 14) +
-                "\" text-anchor=\"end\" font-size=\"10\">" +
-                format_ms(bx_max) + "ms (campaign time)</text>\n";
+    burn_svg += svg_axes("<line x1=\"" + format_ms(kLeft) + "\" y1=\"" +
+                             format_ms(by(1.0)) + "\" x2=\"" +
+                             format_ms(kRight) + "\" y2=\"" +
+                             format_ms(by(1.0)) +
+                             "\" stroke=\"#999\" stroke-dasharray=\"2,4\"/>\n",
+                         format_ms(burn_max) + "x",
+                         format_ms(bx_max) + "ms (campaign time)");
     std::string burn_legend;
     std::size_t burn_color = 0;
     double burn_legend_x = kLeft;
@@ -705,9 +572,7 @@ int main(int argc, char** argv) {
                   html_escape(mark.provider) + " @ " +
                   format_ms(mark.window_start_ms) + "ms</title></line>\n";
     }
-    burn_svg += "<text y=\"" + format_ms(kHeight - 6) +
-                "\" font-size=\"11\">" + burn_legend + "</text>\n";
-    burn_svg += "</svg>\n";
+    burn_svg += svg_close(burn_legend);
     html += "<h2>Error-budget burn rate</h2>\n"
             "<p class=\"note\">Per-provider error-rate / budget ratio per "
             "SLO window (1x dashed line = budget-neutral). Red shading: "
@@ -722,11 +587,13 @@ int main(int argc, char** argv) {
   // --- Phase-attribution waterfall (optional CSV pair). ----------------
   if (!attribution_a_path.empty()) {
     const auto load_attribution = [](const std::string& path) {
-      const std::optional<std::string> text = read_file(path);
+      const std::optional<std::string> text =
+          dohperf::obs::read_text_file(path);
       if (!text) die(path + ": cannot read file");
+      std::string error;
       const std::optional<dohperf::report::AttributionTable> table =
-          dohperf::report::load_attribution_csv(*text);
-      if (!table) die(path + ": malformed attribution CSV");
+          dohperf::report::load_attribution_csv(*text, path, &error);
+      if (!table) die(error);
       return *table;
     };
     const dohperf::report::AttributionCell cell_a =
@@ -776,14 +643,21 @@ int main(int argc, char** argv) {
   }
   html += "</body>\n</html>\n";
 
-  std::ofstream out(out_path, std::ios::binary);
-  out.write(html.data(), static_cast<std::streamsize>(html.size()));
-  out.flush();
-  if (!out) die(out_path + ": cannot write file");
+  dohperf::obs::write_text_file(out_path, html);
   std::printf("obs_report: wrote %s (%zu provider series, %zu fault "
               "windows, %zu availability rows, %zu alerts, %zu "
               "anomalies)\n",
               out_path.c_str(), chart.size(), faults.size(), avail.size(),
               alert_marks.size(), anomalies.size());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    die(e.what());
+  }
 }
