@@ -20,13 +20,13 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "measure/flows.h"
 #include "measure/warm.h"
+#include "obs/trace_export.h"
 #include "report/attribution.h"
 #include "resolver/shared_cache.h"
 #include "resolver/stub.h"
@@ -170,9 +170,7 @@ int main() {
   const auto write_csv = [&](const std::string& name,
                              const obs::AttributionLedger& ledger) {
     const std::string path = benchsupport::out_path(name);
-    std::ofstream out(path);
-    out << stamp << report::attribution_csv(ledger).str();
-    out.close();
+    obs::write_text_file(path, {stamp, report::attribution_csv(ledger).str()});
     std::printf("attribution CSV: %s\n", path.c_str());
     return path;
   };
@@ -247,9 +245,7 @@ int main() {
 
   const std::string json_path =
       benchsupport::out_path("BENCH_attribution.json");
-  std::ofstream out(json_path);
-  out << json;
-  out.close();
+  obs::write_text_file(json_path, json);
   std::printf("\nSummary JSON: %s\n", json_path.c_str());
 
   // --- Acceptance contract ---------------------------------------------

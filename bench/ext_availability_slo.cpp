@@ -24,11 +24,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "client/policy.h"
+#include "obs/json.h"
+#include "obs/trace_export.h"
 #include "report/slo.h"
 #include "scenario/runner.h"
 #include "support.h"
@@ -61,15 +62,6 @@ availability_objective = 0.999
 p99_objective_ms = 2000
 )";
 
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
 std::string format_ratio(double value) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.6g", value);
@@ -89,9 +81,8 @@ void append_budget_json(std::string& out, const char* name_key,
     first = false;
     out += "{\"";
     out += name_key;
-    out += "\": ";
-    append_json_string(out, line.name);
-    out += ", \"total\": " + std::to_string(line.budget.total) +
+    out += "\": \"" + obs::json::escape(line.name) +
+           "\", \"total\": " + std::to_string(line.budget.total) +
            ", \"errors\": " + std::to_string(line.budget.errors) +
            ", \"availability\": " + format_ratio(line.budget.availability) +
            ", \"error_budget_consumed\": " +
@@ -230,9 +221,8 @@ int main() {
 
   // Summary JSON for bench_schema_check.
   std::string json = "{\n  \"schema\": \"dohperf-availability-v1\",\n";
-  json += "  \"spec_hash\": ";
-  append_json_string(json, result.hash);
-  json += ",\n  \"availability_objective\": " +
+  json += "  \"spec_hash\": \"" + obs::json::escape(result.hash) +
+          "\",\n  \"availability_objective\": " +
           format_ratio(spec.campaign.slo.availability_objective);
   json += ",\n  \"alerts\": " + std::to_string(result.slo_alerts.size());
   json += ",\n  \"windows\": " + std::to_string(last_window + 1);
@@ -243,10 +233,7 @@ int main() {
   json += "]\n}\n";
   const std::string json_path =
       benchsupport::out_path("ext_availability_slo.json");
-  {
-    std::ofstream file(json_path, std::ios::binary);
-    file << json;
-  }
+  obs::write_text_file(json_path, json);
   std::printf("\nwrote %s\nwrote %s\nwrote %s\n",
               spec.outputs.availability_csv.c_str(),
               spec.outputs.slo_alerts_csv.c_str(), json_path.c_str());

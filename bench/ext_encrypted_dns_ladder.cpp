@@ -18,7 +18,6 @@
 // monotone nondecreasing — the acceptance contract of the model.
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +25,7 @@
 #include "measure/dot.h"
 #include "measure/flows.h"
 #include "measure/warm.h"
+#include "obs/trace_export.h"
 #include "resolver/shared_cache.h"
 #include "resolver/stub.h"
 #include "support.h"
@@ -282,9 +282,7 @@ int main() {
 
   const std::string json_path =
       benchsupport::out_path("ext_warm_ladder.json");
-  std::ofstream out(json_path);
-  out << json;
-  out.close();
+  obs::write_text_file(json_path, json);
   std::printf("\nSummary JSON: %s\n", json_path.c_str());
 
   // ---- Acceptance contract ------------------------------------------

@@ -13,9 +13,10 @@
 // (NetCtx::await_datagram_delivery / handshake_gate), merged
 // bit-identically across shards.
 #include <cstdio>
-#include <fstream>
+#include <sstream>
 #include <vector>
 
+#include "obs/trace_export.h"
 #include "scenario/sweep.h"
 #include "support.h"
 
@@ -99,16 +100,15 @@ int main() {
   std::fputs(table.render().c_str(), stdout);
 
   const std::string csv = benchsupport::out_path("ext_fault_injection.csv");
-  {
-    std::ofstream file(csv);
-    file << "spike_probability,doh1_median_ms,do53_median_ms,retries,"
-            "retry_timeouts,failed_measurements,sessions\n";
-    for (const Outcome& o : outcomes) {
-      file << o.spike_probability << ',' << o.doh1_median << ','
-           << o.do53_median << ',' << o.retries << ',' << o.timeouts << ','
-           << o.failed << ',' << o.sessions << '\n';
-    }
+  std::ostringstream text;
+  text << "spike_probability,doh1_median_ms,do53_median_ms,retries,"
+          "retry_timeouts,failed_measurements,sessions\n";
+  for (const Outcome& o : outcomes) {
+    text << o.spike_probability << ',' << o.doh1_median << ','
+         << o.do53_median << ',' << o.retries << ',' << o.timeouts << ','
+         << o.failed << ',' << o.sessions << '\n';
   }
+  obs::write_text_file(csv, text.str());
   std::printf("\nwrote %s\n", csv.c_str());
 
   // Sanity contract: zero intensity exercises zero episode retries, and

@@ -24,14 +24,16 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "measure/campaign.h"
 #include "obs/proc_stats.h"
+#include "obs/trace_export.h"
 #include "proxy/brightdata.h"
+#include "report/format.h"
+#include "report/table.h"
 #include "scenario/runner.h"
 #include "support.h"
 #include "world/world_model.h"
@@ -83,60 +85,51 @@ struct Point {
 void write_json(const std::string& path, const scenario::CampaignSpec& spec,
                 const std::string& base_hash, std::size_t exits,
                 const std::vector<Point>& points) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (!parent.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(parent, ec);  // best-effort
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "scale_campaign: cannot open %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"schema\": \"dohperf-bench-scale-v1\",\n");
-  std::fprintf(f, "  \"spec_hash\": \"%s\",\n", base_hash.c_str());
-  std::fprintf(f,
-               "  \"world\": {\"scale\": %g, \"seed\": %" PRIu64
-               ", \"exits\": %zu},\n",
-               spec.world.client_scale, spec.world.seed, exits);
-  std::fprintf(f, "  \"points\": [\n");
+  const auto field = [](const char* key, const std::string& value) {
+    return std::string("      \"") + key + "\": " + value + ",\n";
+  };
+  std::string json = "{\n  \"schema\": \"dohperf-bench-scale-v1\",\n";
+  json += "  \"spec_hash\": \"" + base_hash + "\",\n";
+  json += "  \"world\": {\"scale\": " +
+          std::string(report::NumText::g6(spec.world.client_scale)) +
+          ", \"seed\": " + std::to_string(spec.world.seed) +
+          ", \"exits\": " + std::to_string(exits) + "},\n";
+  json += "  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"requested_sessions\": %" PRIu64 ",\n",
-                 p.requested);
-    std::fprintf(f, "      \"runs_per_client\": %d,\n", p.runs_per_client);
-    std::fprintf(f, "      \"spec_hash\": \"%s\",\n", p.spec_hash.c_str());
-    std::fprintf(f, "      \"sessions\": %" PRIu64 ",\n", p.stats.sessions);
-    std::fprintf(f, "      \"shards\": %d,\n", p.stats.shards);
-    std::fprintf(f, "      \"events\": %" PRIu64 ",\n",
-                 p.stats.events_processed);
-    std::fprintf(f, "      \"wall_seconds\": %.6f,\n", p.stats.wall_seconds);
-    std::fprintf(f, "      \"events_per_second\": %.1f,\n",
-                 p.stats.wall_seconds > 0.0
-                     ? static_cast<double>(p.stats.events_processed) /
-                           p.stats.wall_seconds
-                     : 0.0);
-    std::fprintf(f, "      \"doh_rows\": %" PRIu64 ",\n", p.doh_rows);
-    std::fprintf(f, "      \"do53_rows\": %" PRIu64 ",\n", p.do53_rows);
-    std::fprintf(f, "      \"atlas_rows\": %" PRIu64 ",\n", p.atlas_rows);
-    std::fprintf(f, "      \"failed_measurements\": %" PRIu64 ",\n", p.failed);
-    std::fprintf(f, "      \"doh_median_ms\": %.3f,\n", p.doh_median_ms);
-    std::fprintf(f, "      \"peak_rss_bytes\": %" PRIu64 ",\n", p.peak_rss);
-    std::fprintf(f, "      \"current_rss_bytes\": %" PRIu64 ",\n",
-                 p.current_rss);
-    std::fprintf(f,
-                 "      \"arena\": {\"allocations\": %" PRIu64
-                 ", \"reused\": %" PRIu64 ", \"fallbacks\": %" PRIu64
-                 ", \"slab_bytes\": %" PRIu64
-                 ", \"high_water_bytes\": %" PRIu64 "}\n",
-                 p.arena.allocations, p.arena.reused, p.arena.fallbacks,
-                 p.arena.slab_bytes, p.arena_high_water);
-    std::fprintf(f, "    }%s\n", i + 1 < points.size() ? "," : "");
+    json += "    {\n";
+    json += field("requested_sessions", std::to_string(p.requested));
+    json += field("runs_per_client", std::to_string(p.runs_per_client));
+    json += field("spec_hash", "\"" + p.spec_hash + "\"");
+    json += field("sessions", std::to_string(p.stats.sessions));
+    json += field("shards", std::to_string(p.stats.shards));
+    json += field("events", std::to_string(p.stats.events_processed));
+    json += field("wall_seconds", report::fmt(p.stats.wall_seconds, 6));
+    json += field("events_per_second",
+                  report::fmt(p.stats.wall_seconds > 0.0
+                                  ? static_cast<double>(
+                                        p.stats.events_processed) /
+                                        p.stats.wall_seconds
+                                  : 0.0,
+                              1));
+    json += field("doh_rows", std::to_string(p.doh_rows));
+    json += field("do53_rows", std::to_string(p.do53_rows));
+    json += field("atlas_rows", std::to_string(p.atlas_rows));
+    json += field("failed_measurements", std::to_string(p.failed));
+    json += field("doh_median_ms", report::fmt(p.doh_median_ms, 3));
+    json += field("peak_rss_bytes", std::to_string(p.peak_rss));
+    json += field("current_rss_bytes", std::to_string(p.current_rss));
+    json += "      \"arena\": {\"allocations\": " +
+            std::to_string(p.arena.allocations) +
+            ", \"reused\": " + std::to_string(p.arena.reused) +
+            ", \"fallbacks\": " + std::to_string(p.arena.fallbacks) +
+            ", \"slab_bytes\": " + std::to_string(p.arena.slab_bytes) +
+            ", \"high_water_bytes\": " +
+            std::to_string(p.arena_high_water) + "}\n";
+    json += i + 1 < points.size() ? "    },\n" : "    }\n";
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  json += "  ]\n}\n";
+  obs::write_text_file(path, json);
 }
 
 }  // namespace

@@ -29,17 +29,20 @@ const proxy::ExitNode* first_exit(world::WorldModel& world) {
   return nullptr;
 }
 
-/// Runs one fully-instrumented DoH-via-proxy flow (first enrolled exit,
-/// first provider) on the world's own simulator and writes a Perfetto
-/// trace JSON plus a JSONL span dump. Runs after the campaign with a
-/// private RNG substream, so the dataset is untouched.
-void capture_trace(world::WorldModel& world, const std::string& path) {
+/// Runs one fully-instrumented flow from the first enrolled exit to the
+/// first provider's routed PoP on the world's own simulator and writes
+/// its Perfetto trace to `path`. `launch(net, exit, provider, doh)`
+/// starts the flow. Runs after the campaign on the private RNG substream
+/// `rng_tag`, so the dataset is untouched.
+template <typename Launch>
+void capture_trace(world::WorldModel& world, const std::string& path,
+                   const char* rng_tag, Launch launch) {
   const proxy::ExitNode* exit = first_exit(world);
   if (exit == nullptr || world.providers().empty()) return;
 
   obs::SpanContext spans;
   obs::Metrics metrics;
-  netsim::Rng rng = world.rng().split("trace-capture");
+  netsim::Rng rng = world.rng().split(rng_tag);
   netsim::NetCtx net{world.sim(), world.latency(), rng};
   net.spans = &spans;
   net.metrics = &metrics;
@@ -48,73 +51,59 @@ void capture_trace(world::WorldModel& world, const std::string& path) {
   const geo::Country* country = geo::find_country(exit->true_iso2);
   const std::size_t pop_index =
       provider.route(exit->site.position, country->region, net.rng);
-
-  measure::DohProxyParams params;
-  params.client = world.measurement_client();
-  params.super_proxy =
-      world.brightdata().nearest_super_proxy(exit->site.position).site;
-  params.exit = exit;
-  params.doh = &world.doh_server(0, pop_index);
-  params.doh_hostname = provider.config().doh_hostname;
-  params.tls = world.config().tls_version;
-  params.origin = world.origin();
-
-  netsim::Task<measure::DohProxyObservation> flow =
-      measure::doh_via_proxy(net, std::move(params));
+  auto flow = launch(net, *exit, provider, world.doh_server(0, pop_index));
   world.sim().run();
   (void)flow.result();  // propagate exceptions
 
   obs::write_perfetto_trace(spans, path);
-  obs::write_span_jsonl(spans, path + ".jsonl");
-  std::fprintf(stderr, "trace: %zu spans -> %s (+ %s.jsonl)\n",
-               spans.spans().size(), path.c_str(), path.c_str());
+  std::fprintf(stderr, "trace: %zu spans -> %s\n", spans.spans().size(),
+               path.c_str());
 }
 
-/// Warm-path counterpart of capture_trace: one fully-instrumented warm
-/// DoH session (connection pool + shared cache enabled) so the trace
-/// exercises reuse/resumption spans and the per-iteration "warm_query"
-/// tiling that tools/trace_inspect's phase-sum check covers.
+/// One DoH-via-proxy measurement.
+void capture_proxy_trace(world::WorldModel& world, const std::string& path) {
+  const auto launch = [&world](netsim::NetCtx& net,
+                               const proxy::ExitNode& exit,
+                               anycast::Provider& provider,
+                               resolver::DohServer& doh) {
+    measure::DohProxyParams params;
+    params.client = world.measurement_client();
+    params.super_proxy =
+        world.brightdata().nearest_super_proxy(exit.site.position).site;
+    params.exit = &exit;
+    params.doh = &doh;
+    params.doh_hostname = provider.config().doh_hostname;
+    params.tls = world.config().tls_version;
+    params.origin = world.origin();
+    return measure::doh_via_proxy(net, std::move(params));
+  };
+  capture_trace(world, path, "trace-capture", launch);
+}
+
+/// One warm DoH session (connection pool + shared cache enabled), so the
+/// trace exercises reuse/resumption spans and the per-iteration
+/// "warm_query" tiling that tools/trace_inspect's phase-sum check covers.
 void capture_warm_trace(world::WorldModel& world, const std::string& path) {
-  const proxy::ExitNode* exit = first_exit(world);
-  if (exit == nullptr || world.providers().empty()) return;
-
-  obs::SpanContext spans;
-  obs::Metrics metrics;
-  netsim::Rng rng = world.rng().split("trace-capture-warm");
-  netsim::NetCtx net{world.sim(), world.latency(), rng};
-  net.spans = &spans;
-  net.metrics = &metrics;
-
-  anycast::Provider& provider = world.providers()[0];
-  const geo::Country* country = geo::find_country(exit->true_iso2);
-  const std::size_t pop_index =
-      provider.route(exit->site.position, country->region, net.rng);
-
   resolver::SharedCacheConfig cache_config;
   cache_config.enabled = true;
   const resolver::SharedCacheModel cache(cache_config);
-
-  measure::WarmDohParams params;
-  params.vantage = exit->site;
-  params.default_resolver = exit->default_resolver;
-  params.doh = &world.doh_server(0, pop_index);
-  params.doh_hostname = provider.config().doh_hostname;
-  params.tls = world.config().tls_version;
-  params.origin = world.origin();
-  params.cache = &cache;
-  params.population = cache_config.population;
-  params.reuse.enabled = true;
-  params.reuse.queries_per_session = 8;
-
-  netsim::Task<measure::WarmPathObservation> flow =
-      measure::doh_warm_path(net, std::move(params));
-  world.sim().run();
-  (void)flow.result();  // propagate exceptions
-
-  obs::write_perfetto_trace(spans, path);
-  obs::write_span_jsonl(spans, path + ".jsonl");
-  std::fprintf(stderr, "warm trace: %zu spans -> %s (+ %s.jsonl)\n",
-               spans.spans().size(), path.c_str(), path.c_str());
+  const auto launch = [&](netsim::NetCtx& net, const proxy::ExitNode& exit,
+                          anycast::Provider& provider,
+                          resolver::DohServer& doh) {
+    measure::WarmDohParams params;
+    params.vantage = exit.site;
+    params.default_resolver = exit.default_resolver;
+    params.doh = &doh;
+    params.doh_hostname = provider.config().doh_hostname;
+    params.tls = world.config().tls_version;
+    params.origin = world.origin();
+    params.cache = &cache;
+    params.population = cache_config.population;
+    params.reuse.enabled = true;
+    params.reuse.queries_per_session = 8;
+    return measure::doh_warm_path(net, std::move(params));
+  };
+  capture_trace(world, path, "trace-capture-warm", launch);
 }
 
 }  // namespace
@@ -182,7 +171,7 @@ Env::Env() {
   scenario::write_outputs(result_);
 
   if (const char* trace_path = std::getenv("DOHPERF_TRACE")) {
-    capture_trace(*world_, trace_path);
+    capture_proxy_trace(*world_, trace_path);
   }
   if (const char* trace_path = std::getenv("DOHPERF_TRACE_WARM")) {
     capture_warm_trace(*world_, trace_path);

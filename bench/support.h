@@ -17,9 +17,9 @@
 // DOHPERF_THREADS campaign worker shards (default: hardware concurrency).
 //                 The dataset is bit-identical for every value.
 // DOHPERF_TRACE   when set, captures one fully-instrumented DoH-via-proxy
-//                 flow after the campaign and writes a Chrome/Perfetto
-//                 trace JSON to the given path (plus a JSONL span dump at
-//                 <path>.jsonl). The campaign itself runs untraced, so
+//                 flow after the campaign and writes its Chrome/Perfetto
+//                 trace JSON to the given path (tools/trace_inspect reads
+//                 it back). The campaign itself runs untraced, so
 //                 datasets are unaffected.
 // DOHPERF_TRACE_WARM
 //                 like DOHPERF_TRACE but captures one warm-path DoH

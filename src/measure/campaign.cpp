@@ -87,9 +87,11 @@ struct ShardView {
   world::SimContext* replica = nullptr;  ///< nullptr = world's own stack.
   /// Shard-private sinks; sessions record into them without
   /// synchronisation and the campaign merges them in canonical shard
-  /// order after the join. The replay pass points this at scratch sinks
-  /// whose flight recorder captures spans.
+  /// order after the join. The replay pass points this at scratch sinks.
   CampaignTelemetry* telemetry = nullptr;
+  /// The merged recorder on the replay pass, nullptr on the shards:
+  /// flows it retains record their spans and attach them to it.
+  obs::FlightRecorder* replay = nullptr;
 
   resolver::DohServer& doh(std::size_t p, std::size_t i) {
     return replica ? replica->doh_server(p, i) : world.doh_server(p, i);
@@ -319,7 +321,7 @@ struct Session {
         campaign_base(shard.config.session_spacing *
                       static_cast<std::int64_t>(session_slot)),
         examine(shard.telemetry->anomalies.enabled() &&
-                !shard.telemetry->anomalies.capturing()) {
+                shard.replay == nullptr) {
     net.metrics = &metrics;
     net.series = {&view.telemetry->series, epoch};
     // Flow roots install their own FlowAttribution.
@@ -365,7 +367,8 @@ struct Session {
   void begin_flow(std::uint32_t index, std::string label) {
     flow = FlowStart{index, std::move(label), view.sim.now(),
                      metrics.counters,
-                     view.telemetry->anomalies.wants_spans(slot, index)};
+                     view.replay != nullptr &&
+                         view.replay->retained().contains({slot, index})};
     if (flow->capture) {
       flow_spans.clear();
       net.spans = &flow_spans;
@@ -373,7 +376,7 @@ struct Session {
   }
 
   /// The one flow exit, at the flow's completion instant: examines the
-  /// flow in flight (or captures its spans on the replay pass), accounts
+  /// flow in flight (or attaches its spans on the replay pass), accounts
   /// a failure, classifies and records the outcome against the labelled
   /// provider and country, and records a success's latency into the
   /// provider histogram and the `latency_series` track (no sample when
@@ -385,14 +388,16 @@ struct Session {
     const netsim::SimTime now = view.sim.now();
     const auto [provider, country] = net.labels;
     if (flow) {
-      obs::FlightRecorder& recorder = view.telemetry->anomalies;
       if (flow->capture) {
         net.spans = nullptr;
-        recorder.capture_flow(slot, flow->index, flow_spans, epoch);
+        view.replay->attach_spans(
+            {slot, flow->index},
+            obs::rebase_to_epoch(flow_spans.spans(), epoch));
       } else if (examine) {
-        recorder.examine_flow(slot, flow->index, key, flow->label,
-                              netsim::ms_between(flow->at, now),
-                              flow->before, metrics.counters);
+        view.telemetry->anomalies.examine_flow(
+            slot, flow->index, key, flow->label,
+            netsim::ms_between(flow->at, now), flow->before,
+            metrics.counters);
       }
       if (signals.ok) {
         signals.brownout_delays =
@@ -436,7 +441,7 @@ struct Session {
   const netsim::Duration campaign_base;
   /// Examination is span-free (sim-time duration + counter deltas); spans
   /// are only recorded during the replay pass, and only for the flows the
-  /// recorder asks for.
+  /// merged recorder retains.
   const bool examine;
   obs::SpanContext flow_spans;
   netsim::FaultPlan fault_plan;
@@ -774,35 +779,32 @@ CampaignTelemetry fresh_telemetry(const CampaignConfig& config) {
 }
 
 /// Replay pass: re-derives the span trees of the retained anomalies by
-/// re-running exactly their sessions on a fresh replica, recording into
-/// scratch sinks whose flight recorder captures spans. Sessions are keyed
-/// by what they measure and behave epoch-relatively (the serial-vs-
-/// sharded bit-identity rests on the same property), so a replayed flow
-/// records the identical tree it would have recorded the first time —
-/// which is what lets the hot path examine millions of flows without
-/// materializing a single span. Nothing else the replay records is kept.
+/// re-running exactly their sessions on a fresh replica. Each retained
+/// flow records its spans and attaches them to `recorder` at its exit;
+/// everything else the sessions record goes to scratch sinks and is
+/// dropped. Sessions are keyed by what they measure and behave
+/// epoch-relatively (the serial-vs-sharded bit-identity rests on the same
+/// property), so a replayed flow records the identical tree it would have
+/// recorded the first time — which is what lets the hot path examine
+/// millions of flows without materializing a single span.
 void replay_anomaly_spans(world::WorldModel& world,
                           const CampaignConfig& config,
                           const netsim::Rng& root, const CampaignPlan& plan,
                           obs::FlightRecorder& recorder) {
   if (recorder.retained().empty()) return;
 
-  std::vector<obs::FlowKey> keys;
-  keys.reserve(recorder.retained().size());
-  for (const auto& [key, rec] : recorder.retained()) keys.push_back(key);
-
   CampaignTelemetry scratch = fresh_telemetry(config);
-  scratch.anomalies.capture_spans_for(keys);
-
   const std::unique_ptr<world::SimContext> replica = world.make_replica();
-  ShardView view{world,          config,        plan, root,
-                 replica->sim(), replica.get(), &scratch};
+  ShardView view{world,         config,         plan,     root,
+                 replica->sim(), replica.get(), &scratch, &recorder};
 
   const std::size_t n_exit_sessions =
       static_cast<std::size_t>(config.runs_per_client) * plan.exits.size();
-  for (std::size_t k = 0; k < keys.size(); ++k) {
-    const std::uint64_t slot = keys[k].first;
-    if (k > 0 && keys[k - 1].first == slot) continue;  // session done
+  std::optional<std::uint64_t> done;
+  for (const auto& [key, rec] : recorder.retained()) {
+    const std::uint64_t slot = key.first;
+    if (slot == done) continue;  // session already replayed
+    done = slot;
     std::optional<ExitState> exit;
     if (slot < n_exit_sessions) {
       exit = make_exit_state(view, plan.exits[slot % plan.exits.size()]);
@@ -812,10 +814,6 @@ void replay_anomaly_spans(world::WorldModel& world,
         launch_session(view, slot, exit ? &*exit : nullptr, rows);
     view.sim.run();
     task.result();
-  }
-
-  for (const auto& [key, spans] : scratch.anomalies.captured()) {
-    recorder.attach_spans(key, spans);
   }
 }
 

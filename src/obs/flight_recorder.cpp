@@ -23,7 +23,7 @@ void FlightRecorder::examine_flow(std::uint64_t slot,
                                   double duration_ms,
                                   const MetricCounters& before,
                                   const MetricCounters& after) {
-  if (!policy_.enabled || capturing_) return;
+  if (!policy_.enabled) return;
   ++counts_.flows;
 
   std::uint32_t reasons = 0;
@@ -81,28 +81,6 @@ void FlightRecorder::finalize() {
   }
 }
 
-void FlightRecorder::capture_spans_for(std::vector<FlowKey> keys) {
-  capturing_ = true;
-  wanted_ = std::set<FlowKey>(keys.begin(), keys.end());
-  captured_.clear();
-}
-
-void FlightRecorder::capture_flow(std::uint64_t slot,
-                                  std::uint32_t flow_index,
-                                  const SpanContext& spans,
-                                  netsim::SimTime session_epoch) {
-  if (!wants_spans(slot, flow_index)) return;
-  std::vector<Span> rebased = spans.spans();
-  // Rebase span times to the session epoch: each simulator has its own
-  // absolute clock, so only epoch-relative times are comparable (and
-  // reproducible) across shard layouts and replays.
-  for (Span& span : rebased) {
-    span.start = netsim::SimTime{} + (span.start - session_epoch);
-    span.end = netsim::SimTime{} + (span.end - session_epoch);
-  }
-  captured_.insert_or_assign(FlowKey{slot, flow_index}, std::move(rebased));
-}
-
 void FlightRecorder::attach_spans(const FlowKey& key,
                                   std::vector<Span> spans) {
   const auto it = retained_.find(key);
@@ -112,9 +90,6 @@ void FlightRecorder::attach_spans(const FlowKey& key,
 void FlightRecorder::clear() {
   retained_.clear();
   counts_ = AnomalyCounts{};
-  capturing_ = false;
-  wanted_.clear();
-  captured_.clear();
 }
 
 }  // namespace dohperf::obs

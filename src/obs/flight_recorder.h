@@ -13,10 +13,9 @@
 // Examination is deliberately span-free: recording a span tree for
 // every flow costs more than the whole predicate, and virtually all
 // trees are discarded. Instead the campaign runs a *replay pass* after
-// the shards join: the recorder is switched into capture mode
-// (capture_spans_for) for exactly the retained keys, the owning
-// sessions are re-run on a fresh replica, and the trees those flows
-// record are attached to the retained records (attach_spans). Sessions
+// the shards join: it re-runs the sessions that own retained flows on a
+// fresh replica, each retained flow records its spans, and at its exit
+// attaches its epoch-rebased tree to its record (attach_spans). Sessions
 // are keyed by what they measure and are epoch-relative, so the
 // replayed tree is bit-identical to the one the flow would have
 // recorded the first time — the same determinism contract that makes
@@ -32,20 +31,18 @@
 // has fewer than K canonical successors globally, hence fewer than K in
 // its own shard, so no shard ring can have evicted it.
 //
-// Captured span times are rebased to the flow's session epoch before
-// storage, both so dumps are shard-layout-independent (each shard's
-// simulator has its own absolute clock) and so anomaly traces open in
-// Perfetto starting near ts=0.
+// Replayed span times are rebased to the flow's session epoch
+// (obs::rebase_to_epoch) before they are attached, both so dumps are
+// shard-layout-independent and so anomaly traces open in Perfetto
+// starting near ts=0.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "netsim/time.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -117,7 +114,7 @@ class FlightRecorder {
   /// available without recording any spans). A record with an empty
   /// span tree is retained when the predicate fires — the replay pass
   /// fills trees in afterwards — and the canonical-oldest record is
-  /// evicted over capacity. No-op in capture mode.
+  /// evicted over capacity.
   void examine_flow(std::uint64_t slot, std::uint32_t flow_index,
                     const std::string& session, const std::string& flow,
                     double duration_ms, const MetricCounters& before,
@@ -138,24 +135,6 @@ class FlightRecorder {
   /// the last merge.
   void finalize();
 
-  // --- Replay pass -----------------------------------------------------
-
-  /// Switches this recorder into span-capture mode for exactly `keys`:
-  /// examine_flow becomes a no-op and the owning sessions should be
-  /// re-run so capture_flow can collect the wanted trees.
-  void capture_spans_for(std::vector<FlowKey> keys);
-  [[nodiscard]] bool capturing() const { return capturing_; }
-  /// True when a replayed session should record spans for this flow.
-  [[nodiscard]] bool wants_spans(std::uint64_t slot,
-                                 std::uint32_t flow_index) const {
-    return capturing_ && wanted_.contains(FlowKey{slot, flow_index});
-  }
-  /// Stores the epoch-rebased tree of a wanted flow (no-op otherwise).
-  void capture_flow(std::uint64_t slot, std::uint32_t flow_index,
-                    const SpanContext& spans, netsim::SimTime session_epoch);
-  [[nodiscard]] const std::map<FlowKey, std::vector<Span>>& captured() const {
-    return captured_;
-  }
   /// Attaches a replayed span tree to a retained record (no-op for
   /// unknown keys).
   void attach_spans(const FlowKey& key, std::vector<Span> spans);
@@ -170,9 +149,6 @@ class FlightRecorder {
   AnomalyPolicy policy_;
   std::map<FlowKey, AnomalyRecord> retained_;
   AnomalyCounts counts_;
-  bool capturing_ = false;
-  std::set<FlowKey> wanted_;
-  std::map<FlowKey, std::vector<Span>> captured_;
 };
 
 }  // namespace dohperf::obs

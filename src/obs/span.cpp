@@ -58,4 +58,13 @@ void SpanContext::clear() {
   stack_.clear();
 }
 
+std::vector<Span> rebase_to_epoch(std::vector<Span> spans,
+                                  netsim::SimTime epoch) {
+  for (Span& span : spans) {
+    span.start = netsim::SimTime{} + (span.start - epoch);
+    span.end = netsim::SimTime{} + (span.end - epoch);
+  }
+  return spans;
+}
+
 }  // namespace dohperf::obs

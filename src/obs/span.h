@@ -89,4 +89,11 @@ class SpanContext {
   std::vector<SpanId> stack_;
 };
 
+/// `spans` with every start and end moved so that `epoch` becomes time
+/// zero. Each simulator has its own absolute clock, so only
+/// epoch-relative times are comparable, and reproducible, across shard
+/// layouts and replays.
+[[nodiscard]] std::vector<Span> rebase_to_epoch(std::vector<Span> spans,
+                                                netsim::SimTime epoch);
+
 }  // namespace dohperf::obs

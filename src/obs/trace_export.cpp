@@ -1,6 +1,5 @@
 #include "obs/trace_export.h"
 
-#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -16,23 +15,6 @@ std::int64_t us_since_epoch(netsim::SimTime t) {
   return t.time_since_epoch().count();
 }
 
-void append_common_args(std::ostringstream& os, const Span& span) {
-  os << "\"id\":" << span.id << ",\"parent\":";
-  if (span.parent == kNoSpan) {
-    os << "null";
-  } else {
-    os << span.parent;
-  }
-  if (span.hop) {
-    char buf[96];
-    std::snprintf(buf, sizeof buf,
-                  ",\"bytes\":%zu,\"from\":[%.4f,%.4f],\"to\":[%.4f,%.4f]",
-                  span.bytes, span.from.lat, span.from.lon, span.to.lat,
-                  span.to.lon);
-    os << buf;
-  }
-}
-
 }  // namespace
 
 std::string perfetto_trace_json(const std::vector<Span>& spans) {
@@ -46,31 +28,13 @@ std::string perfetto_trace_json(const std::vector<Span>& spans) {
        << "\",\"cat\":\"" << (span.hop ? "hop" : "span")
        << "\",\"ph\":\"X\",\"ts\":" << us_since_epoch(span.start)
        << ",\"dur\":" << us_since_epoch(span.end) - us_since_epoch(span.start)
-       << ",\"pid\":1,\"tid\":1,\"args\":{";
-    append_common_args(os, span);
-    os << "}}";
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::string perfetto_trace_json(const SpanContext& spans) {
-  return perfetto_trace_json(spans.spans());
-}
-
-std::string span_jsonl(const std::vector<Span>& spans) {
-  std::ostringstream os;
-  for (const Span& span : spans) {
-    os << "{\"id\":" << span.id << ",\"parent\":";
+       << ",\"pid\":1,\"tid\":1,\"args\":{\"id\":" << span.id
+       << ",\"parent\":";
     if (span.parent == kNoSpan) {
       os << "null";
     } else {
       os << span.parent;
     }
-    os << ",\"name\":\"" << json::escape(span.name)
-       << "\",\"start_us\":" << us_since_epoch(span.start)
-       << ",\"end_us\":" << us_since_epoch(span.end)
-       << ",\"hop\":" << (span.hop ? "true" : "false");
     if (span.hop) {
       char buf[96];
       std::snprintf(buf, sizeof buf,
@@ -79,13 +43,14 @@ std::string span_jsonl(const std::vector<Span>& spans) {
                     span.to.lon);
       os << buf;
     }
-    os << "}\n";
+    os << "}}";
   }
+  os << "]}";
   return os.str();
 }
 
-std::string span_jsonl(const SpanContext& spans) {
-  return span_jsonl(spans.spans());
+std::string perfetto_trace_json(const SpanContext& spans) {
+  return perfetto_trace_json(spans.spans());
 }
 
 void write_text_file(const std::string& path, std::string_view content) {
@@ -120,10 +85,6 @@ std::optional<std::string> read_text_file(const std::string& path) {
 
 void write_perfetto_trace(const SpanContext& spans, const std::string& path) {
   write_text_file(path, perfetto_trace_json(spans));
-}
-
-void write_span_jsonl(const SpanContext& spans, const std::string& path) {
-  write_text_file(path, span_jsonl(spans));
 }
 
 }  // namespace dohperf::obs

@@ -1,10 +1,12 @@
-// Trace export: Chrome/Perfetto trace_event JSON and a JSONL span dump.
+// Trace export: Chrome/Perfetto trace_event JSON, the one file format
+// for spans.
 //
 // The Perfetto writer emits complete ("ph":"X") events whose ts/dur are
 // the span's sim-time microseconds, so a captured flow opens directly in
-// ui.perfetto.dev / chrome://tracing with correct visual nesting. The
-// JSONL dump is the lossless form (one span object per line, parent ids
-// included) that tools/trace_inspect rebuilds the tree from.
+// ui.perfetto.dev / chrome://tracing with correct visual nesting. Each
+// event's cat ("span" or "hop") and args (id, parent, and a hop's bytes
+// and endpoints) carry the rest of the span, so obs::parse_trace
+// rebuilds the tree from the same file.
 #pragma once
 
 #include <initializer_list>
@@ -21,10 +23,6 @@ namespace dohperf::obs {
 /// thread; nesting comes from span containment on the shared track).
 [[nodiscard]] std::string perfetto_trace_json(const std::vector<Span>& spans);
 [[nodiscard]] std::string perfetto_trace_json(const SpanContext& spans);
-
-/// One JSON object per span, newline-delimited, in open order.
-[[nodiscard]] std::string span_jsonl(const std::vector<Span>& spans);
-[[nodiscard]] std::string span_jsonl(const SpanContext& spans);
 
 /// Writes `content` to `path`, creating missing parent directories (so
 /// "out/trace.json" works on a fresh checkout). The file is closed before
@@ -44,8 +42,5 @@ void write_text_file(const std::string& path,
 
 /// perfetto_trace_json + write_text_file.
 void write_perfetto_trace(const SpanContext& spans, const std::string& path);
-
-/// span_jsonl + write_text_file.
-void write_span_jsonl(const SpanContext& spans, const std::string& path);
 
 }  // namespace dohperf::obs

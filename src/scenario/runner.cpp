@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "anycast/catalog.h"
+#include "obs/json.h"
 #include "obs/proc_stats.h"
 #include "obs/trace_export.h"
 #include "report/anomalies.h"
@@ -19,15 +20,6 @@
 
 namespace dohperf::scenario {
 namespace {
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
 
 double median_of(std::vector<double> values) {
   return values.empty() ? 0.0 : stats::median_inplace(values);
@@ -151,13 +143,10 @@ report::CsvWriter fig5_csv(const measure::StreamSink& sink) {
 std::string summary_json(const RunResult& result) {
   const CampaignSpec& spec = result.spec;
   std::string out = "{\n  \"schema\": \"dohperf-scenario-summary-v1\",\n";
-  out += "  \"name\": ";
-  append_json_string(out, spec.name);
-  out += ",\n  \"spec_hash\": ";
-  append_json_string(out, result.hash);
-  out += ",\n  \"sink\": ";
-  append_json_string(out, to_string(spec.sink));
-  out += ",\n  \"world\": {\"seed\": " + std::to_string(spec.world.seed) +
+  out += "  \"name\": \"" + obs::json::escape(spec.name) +
+         "\",\n  \"spec_hash\": \"" + obs::json::escape(result.hash) +
+         "\",\n  \"sink\": \"" + obs::json::escape(to_string(spec.sink)) +
+         "\",\n  \"world\": {\"seed\": " + std::to_string(spec.world.seed) +
          ", \"client_scale\": " + format_double(spec.world.client_scale) +
          "},\n";
   out += "  \"campaign\": {\"runs_per_client\": " +
@@ -194,9 +183,8 @@ std::string summary_json(const RunResult& result) {
       if (!key.country.empty()) continue;  // Aggregates only.
       if (!first_provider) out += ", ";
       first_provider = false;
-      out += "{\"provider\": ";
-      append_json_string(out, key.provider);
-      out += ", \"total\": " + std::to_string(budget.total) +
+      out += "{\"provider\": \"" + obs::json::escape(key.provider) +
+             "\", \"total\": " + std::to_string(budget.total) +
              ", \"errors\": " + std::to_string(budget.errors) +
              ", \"availability\": " + format_double(budget.availability) +
              ", \"error_budget_consumed\": " +
@@ -209,7 +197,7 @@ std::string summary_json(const RunResult& result) {
   for (const std::string& path : result.written) {
     if (!first) out += ", ";
     first = false;
-    append_json_string(out, path);
+    out += "\"" + obs::json::escape(path) + "\"";
   }
   out += "]\n}\n";
   return out;

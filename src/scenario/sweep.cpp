@@ -8,9 +8,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <optional>
+#include <stdexcept>
 
 #include "measure/campaign.h"
 #include "obs/json.h"
@@ -25,11 +25,16 @@ std::string cell_stem(std::size_t index) {
   return buf;
 }
 
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  out << content;
-  out.close();  // flushes: a failed final write shows only after this
-  return static_cast<bool>(out);
+/// obs::write_text_file, with its failure reported through `error`.
+bool write_file(const std::string& path, const std::string& content,
+                std::string* error) {
+  try {
+    obs::write_text_file(path, content);
+    return true;
+  } catch (const std::runtime_error& e) {
+    *error = std::string("sweep: ") + e.what();
+    return false;
+  }
 }
 
 std::string self_exe() {
@@ -102,12 +107,9 @@ bool run_sweep(const SpecDocument& doc, const SweepOptions& options,
     return false;
   }
 
-  std::error_code ec;
-  std::filesystem::create_directories(options.work_dir, ec);
-
-  // Write every cell spec up front: the cell's summary path is its only
-  // declared output; everything else the base spec declared would
-  // collide across cells.
+  // Write every cell spec up front, creating the work directory: the
+  // cell's summary path is its only declared output; everything else the
+  // base spec declared would collide across cells.
   std::vector<std::string> spec_paths(cells.size());
   std::vector<std::string> summary_paths(cells.size());
   for (const SweepCell& cell : cells) {
@@ -119,8 +121,7 @@ bool run_sweep(const SpecDocument& doc, const SweepOptions& options,
     CampaignSpec spec = cell.spec;
     spec.outputs = OutputsSpec{};
     spec.outputs.summary_json = summary_paths[cell.index];
-    if (!write_file(spec_paths[cell.index], canonical_text(spec))) {
-      *error = "sweep: cannot write " + spec_paths[cell.index];
+    if (!write_file(spec_paths[cell.index], canonical_text(spec), error)) {
       return false;
     }
   }
@@ -217,14 +218,7 @@ bool run_sweep(const SpecDocument& doc, const SweepOptions& options,
   }
   report += "  ]\n}\n";
 
-  const std::filesystem::path parent =
-      std::filesystem::path(report_path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  if (!write_file(report_path, report)) {
-    *error = "sweep: cannot write " + report_path;
-    return false;
-  }
-  return true;
+  return write_file(report_path, report, error);
 }
 
 }  // namespace dohperf::scenario

@@ -29,6 +29,7 @@
 #include "proxy/tunnel.h"
 #include "transport/connection.h"
 #include "transport/tls.h"
+#include "world/world_model.h"
 
 namespace dohperf {
 namespace {
@@ -381,34 +382,50 @@ TEST_F(ObsFixture, PerfettoJsonParsesBackWithMatchingSpans) {
   }
 }
 
-TEST_F(ObsFixture, SpanJsonlEmitsOneValidObjectPerSpan) {
-  // Named so the closure outlives the coroutine frame that captures it.
-  auto flow_fn = [&]() -> netsim::Task<void> {
-    const auto root = net.step({"flow"});
-    netsim::Path path(net, client, exit);
-    co_await path.send(64);
-  };
-  auto flow = flow_fn();
-  sim.run();
-  flow.result();
+/// The span tree of one DoH-via-proxy measurement in a small world.
+SpanContext proxied_flow_spans() {
+  world::WorldConfig config;
+  config.seed = 1234;
+  config.client_scale = 0.2;
+  config.only_countries = {"SE", "US"};
+  world::WorldModel world(config);
+  netsim::Rng pick = world.rng().split("trace-round-trip");
+  const proxy::ExitNode* exit = world.brightdata().pick_exit("SE", pick);
 
-  const std::string text = obs::span_jsonl(spans);
-  std::size_t lines = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    ASSERT_NE(eol, std::string::npos);
-    const auto obj = obs::json::parse(text.substr(pos, eol - pos));
-    ASSERT_TRUE(obj.has_value());
-    ASSERT_TRUE(obj->is_object());
-    EXPECT_NE(obj->get("id"), nullptr);
-    EXPECT_NE(obj->get("name"), nullptr);
-    EXPECT_NE(obj->get("start_us"), nullptr);
-    EXPECT_NE(obj->get("end_us"), nullptr);
-    ++lines;
-    pos = eol + 1;
+  measure::DohProxyParams params;
+  params.client = world.measurement_client();
+  params.super_proxy =
+      world.brightdata().nearest_super_proxy(exit->site.position).site;
+  params.exit = exit;
+  params.doh = &world.doh_server(0, 0);
+  params.doh_hostname = world.providers()[0].config().doh_hostname;
+  params.tls = transport::TlsVersion::kTls13;
+  params.origin = world.origin();
+
+  SpanContext spans;
+  NetCtx net = world.ctx();
+  net.spans = &spans;
+  auto task = measure::doh_via_proxy(net, std::move(params));
+  world.sim().run();
+  (void)task.result();
+  return spans;
+}
+
+TEST(TraceLoadTest, PerfettoTraceOfAProxiedFlowLoadsBackFieldByField) {
+  const SpanContext flow = proxied_flow_spans();
+  ASSERT_FALSE(flow.hop_view().empty());
+  const obs::TraceLoadResult loaded =
+      obs::parse_trace(obs::perfetto_trace_json(flow), "<memory>");
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  ASSERT_EQ(loaded.spans.size(), flow.spans().size());
+  for (std::size_t i = 0; i < loaded.spans.size(); ++i) {
+    // Hop endpoints are exported for Perfetto but not read back.
+    Span expected = flow.spans()[i];
+    expected.from = {};
+    expected.to = {};
+    EXPECT_EQ(loaded.spans[i], expected) << "span " << i << " "
+                                         << expected.name;
   }
-  EXPECT_EQ(lines, spans.spans().size());
 }
 
 // ------------------------------------------------- histogram boundaries
@@ -718,32 +735,26 @@ TEST(FlightRecorderTest, CapturedSpansAreRebasedAndAttachToRetained) {
   ASSERT_EQ(recorder.retained().size(), 1u);
   EXPECT_TRUE(recorder.retained().begin()->second.spans.empty());
 
-  // The replay pass captures only the wanted keys and rebases times.
-  obs::FlightRecorder capturer(policy);
-  capturer.capture_spans_for({obs::FlowKey{0, 0}});
-  EXPECT_TRUE(capturer.capturing());
-  EXPECT_TRUE(capturer.wants_spans(0, 0));
-  EXPECT_FALSE(capturer.wants_spans(0, 1));
-
+  // The replay pass rebases a retained flow's tree to its session epoch
+  // and attaches it; trees for keys the recorder does not retain are
+  // dropped.
   const netsim::SimTime epoch = netsim::SimTime{} + netsim::from_ms(9999.0);
-  SpanContext flow = make_flow_spans(epoch, 5.0, 200.0);
-  capturer.capture_flow(0, 1, flow, epoch);  // not wanted: ignored
-  capturer.capture_flow(0, 0, flow, epoch);
-  // Examination is a no-op while capturing (replay must not re-count).
-  capturer.examine_flow(0, 0, "s", "f", 200.0, {}, {});
-  EXPECT_EQ(capturer.counts().flows, 0u);
-  ASSERT_EQ(capturer.captured().size(), 1u);
-
+  const SpanContext flow = make_flow_spans(epoch, 5.0, 200.0);
   recorder.attach_spans(obs::FlowKey{0, 0},
-                        capturer.captured().begin()->second);
-  recorder.attach_spans(obs::FlowKey{9, 9}, {});  // unknown key: no-op
+                        obs::rebase_to_epoch(flow.spans(), epoch));
+  recorder.attach_spans(obs::FlowKey{9, 9}, flow.spans());
+  ASSERT_EQ(recorder.retained().size(), 1u);
   const obs::AnomalyRecord& rec = recorder.retained().begin()->second;
   ASSERT_EQ(rec.spans.size(), 2u);
-  // The shard's absolute clock is gone: the root starts 5 ms after zero.
+  // The shard's absolute clock is gone: the root starts 5 ms after zero,
+  // and the tree itself is unchanged.
   EXPECT_EQ(rec.spans.front().start,
             netsim::SimTime{} + netsim::from_ms(5.0));
   EXPECT_EQ(rec.spans.front().end,
             netsim::SimTime{} + netsim::from_ms(205.0));
+  EXPECT_EQ(rec.spans.back().end, netsim::SimTime{} + netsim::from_ms(105.0));
+  EXPECT_EQ(rec.spans.back().parent, rec.spans.front().id);
+  EXPECT_EQ(rec.spans.back().name, "phase");
 }
 
 TEST(FlightRecorderTest, EvictsCanonicalOldestOverCapacity) {
@@ -797,21 +808,19 @@ TEST(FlightRecorderTest, AnomalyDumpRoundTripsThroughTraceLoad) {
   ASSERT_EQ(recorder.retained().size(), 1u);
 
   const netsim::SimTime epoch = netsim::SimTime{} + netsim::from_ms(123.0);
-  obs::FlightRecorder capturer(policy);
-  capturer.capture_spans_for({obs::FlowKey{4, 1}});
-  SpanContext flow = make_flow_spans(epoch, 0.0, 80.0);
-  capturer.capture_flow(4, 1, flow, epoch);
+  const SpanContext flow = make_flow_spans(epoch, 0.0, 80.0);
   recorder.attach_spans(obs::FlowKey{4, 1},
-                        capturer.captured().at(obs::FlowKey{4, 1}));
+                        obs::rebase_to_epoch(flow.spans(), epoch));
   const obs::AnomalyRecord& rec = recorder.retained().begin()->second;
 
   const std::string text = obs::perfetto_trace_json(rec.spans);
   const obs::TraceLoadResult loaded = obs::parse_trace(text, "<memory>");
   ASSERT_TRUE(loaded.ok()) << loaded.error;
-  ASSERT_EQ(loaded.spans.size(), rec.spans.size());
+  EXPECT_EQ(loaded.spans, rec.spans);
   EXPECT_EQ(loaded.spans.front().name, "flow");
-  EXPECT_EQ(loaded.spans.front().start_us, 0);
-  EXPECT_EQ(loaded.spans.front().end_us, 80000);
+  EXPECT_EQ(loaded.spans.front().start, netsim::SimTime{});
+  EXPECT_EQ(loaded.spans.front().end,
+            netsim::SimTime{} + netsim::from_ms(80.0));
 }
 
 // ------------------------------------------------------------- trace load
@@ -861,25 +870,64 @@ TEST(TraceLoadTest, MalformedEventsAndLinesAreDiagnosed) {
   EXPECT_FALSE(zero_spans.ok());
   EXPECT_NE(zero_spans.error.find("no spans"), std::string::npos);
 
-  // JSONL: the second line is garbage — report the line number.
-  const auto bad_line = obs::parse_trace(
-      "{\"id\":0,\"name\":\"flow\",\"start_us\":0,\"end_us\":5}\n"
-      "not json\n",
-      "s.jsonl");
-  EXPECT_FALSE(bad_line.ok());
-  EXPECT_NE(bad_line.error.find("line 2"), std::string::npos)
-      << bad_line.error;
-
-  const auto good_lines = obs::parse_trace(
+  // A span-per-line dump is not a trace document.
+  const auto lines = obs::parse_trace(
       "{\"id\":0,\"name\":\"flow\",\"start_us\":0,\"end_us\":5}\n"
       "{\"id\":1,\"parent\":0,\"name\":\"hop\",\"start_us\":1,"
       "\"end_us\":2,\"hop\":true,\"bytes\":64}\n",
       "s.jsonl");
-  ASSERT_TRUE(good_lines.ok()) << good_lines.error;
-  ASSERT_EQ(good_lines.spans.size(), 2u);
-  EXPECT_TRUE(good_lines.spans[1].hop);
-  EXPECT_EQ(good_lines.spans[1].bytes, 64u);
-  EXPECT_EQ(good_lines.spans[1].parent, 0);
+  EXPECT_FALSE(lines.ok());
+  EXPECT_NE(lines.error.find("invalid JSON"), std::string::npos)
+      << lines.error;
+
+  // Each number and reference an event carries is checked; the defect is
+  // named by event index and field. Event 1 is a hop under event 0.
+  const auto event = [](const std::string& first, const std::string& hop) {
+    return R"({"traceEvents":[{"name":"flow","cat":"span","ph":"X",)" +
+           first + R"(},{"name":"hop","cat":"hop","ph":"X",)" + hop + "}]}";
+  };
+  const std::string root =
+      R"("ts":0,"dur":5000,"args":{"id":0,"parent":null})";
+  const std::string hop =
+      R"("ts":10,"dur":2500,"args":{"id":1,"parent":0,"bytes":64})";
+  ASSERT_TRUE(obs::parse_trace(event(root, hop), "t.json").ok());
+  const struct {
+    std::string first;
+    std::string hop;
+    const char* where;
+  } defects[] = {
+      {R"("ts":0,"dur":5000,"args":{"id":0.5,"parent":null})", hop,
+       "traceEvents[0].args.id"},
+      {R"("ts":0,"dur":5000,"args":{"id":-7,"parent":null})", hop,
+       "traceEvents[0].args.id"},
+      {root, R"("ts":10,"dur":2500.7,"args":{"id":1,"parent":0})",
+       "traceEvents[1].dur"},
+      {root, R"("ts":10,"dur":2500,"args":{"id":1,"parent":0,"bytes":-1})",
+       "traceEvents[1].args.bytes"},
+      {R"("ts":1e300,"dur":5000,"args":{"id":0,"parent":null})", hop,
+       "traceEvents[0].ts"},
+      {root, R"("ts":10,"dur":2500,"args":{"id":1,"parent":99})",
+       "traceEvents[1].args.parent"},
+      {root, R"("ts":10,"dur":2500,"args":{"id":0,"parent":null})",
+       "traceEvents[1].args.id"},
+      {R"("ts":0,"dur":5000,"args":{"id":0,"parent":1})", hop,
+       "traceEvents[0].args.parent"},
+  };
+  for (const auto& defect : defects) {
+    const auto result =
+        obs::parse_trace(event(defect.first, defect.hop), "t.json");
+    EXPECT_FALSE(result.ok()) << defect.where;
+    EXPECT_TRUE(result.spans.empty());
+    EXPECT_NE(result.error.find(std::string("t.json: ") + defect.where + ":"),
+              std::string::npos)
+        << result.error;
+  }
+  std::string bogus = event(root, hop);
+  bogus.replace(bogus.find(R"("cat":"hop")"), 11, R"("cat":"bogus")");
+  const auto bogus_cat = obs::parse_trace(bogus, "t.json");
+  EXPECT_NE(bogus_cat.error.find("t.json: traceEvents[1].cat:"),
+            std::string::npos)
+      << bogus_cat.error;
 }
 
 TEST(JsonParserTest, RejectsMalformedDocuments) {

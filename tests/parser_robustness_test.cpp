@@ -2,7 +2,8 @@
 // either parse or reject cleanly (ParseError / nullopt), never crash,
 // hang, or read out of bounds. The CSV files dohperf reads back get
 // structured mutations as well, and each mutant must be rejected with a
-// diagnostic naming the file, the row and the column.
+// diagnostic naming the file, the row and the column; so does an exported
+// trace, whose mutants must be rejected naming the event and the field.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,17 +20,22 @@
 #include "dns/errors.h"
 #include "dns/wire.h"
 #include "measure/dataset_io.h"
+#include "measure/flows.h"
 #include "netsim/random.h"
+#include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/series.h"
 #include "obs/slo.h"
+#include "obs/trace_export.h"
 #include "obs/trace_load.h"
 #include "proxy/headers.h"
+#include "report/anomalies.h"
 #include "report/attribution.h"
 #include "report/slo.h"
 #include "report/timeseries.h"
 #include "transport/base64.h"
 #include "transport/http.h"
+#include "world/world_model.h"
 
 namespace dohperf {
 namespace {
@@ -205,13 +212,173 @@ TEST_P(FuzzSweep, TraceLoaderNeverCrashesAndNeverReturnsPartialSpans) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep, ::testing::Range(0, 8));
 
 // ---------------------------------------------------------------------
+// Structured mutations of an exported trace: each event of a real
+// DoH-via-proxy trace gets one defect at a time in the fields the trace
+// loader reads, and each mutant must be rejected with a diagnostic naming
+// the event index and the field.
+
+/// The Perfetto trace of one DoH-via-proxy measurement in a small world.
+std::string proxied_flow_trace() {
+  world::WorldConfig config;
+  config.seed = 1234;
+  config.client_scale = 0.2;
+  config.only_countries = {"SE", "US"};
+  world::WorldModel world(config);
+  netsim::Rng pick = world.rng().split("trace-mutants");
+  const proxy::ExitNode* exit = world.brightdata().pick_exit("SE", pick);
+
+  measure::DohProxyParams params;
+  params.client = world.measurement_client();
+  params.super_proxy =
+      world.brightdata().nearest_super_proxy(exit->site.position).site;
+  params.exit = exit;
+  params.doh = &world.doh_server(0, 0);
+  params.doh_hostname = world.providers()[0].config().doh_hostname;
+  params.tls = transport::TlsVersion::kTls13;
+  params.origin = world.origin();
+
+  obs::SpanContext spans;
+  netsim::NetCtx net = world.ctx();
+  net.spans = &spans;
+  auto task = measure::doh_via_proxy(net, std::move(params));
+  world.sim().run();
+  (void)task.result();
+  return obs::perfetto_trace_json(spans);
+}
+
+/// `v` as JSON text; numbers keep every digit a double holds.
+std::string to_json(const obs::json::Value& v) {
+  using Type = obs::json::Value::Type;
+  std::string out;
+  switch (v.type()) {
+    case Type::kNull: return "null";
+    case Type::kBool: return v.as_bool() ? "true" : "false";
+    case Type::kNumber: {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.17g", v.as_number());
+      return buf;
+    }
+    case Type::kString: return "\"" + obs::json::escape(v.as_string()) + "\"";
+    case Type::kArray:
+      for (const obs::json::Value& item : v.as_array()) {
+        out += (out.empty() ? "" : ",") + to_json(item);
+      }
+      return "[" + out + "]";
+    case Type::kObject:
+      for (const auto& [key, item] : v.as_object()) {
+        out += (out.empty() ? "\"" : ",\"") + obs::json::escape(key) +
+               "\":" + to_json(item);
+      }
+      return "{" + out + "}";
+  }
+  return out;
+}
+
+/// `trace` with `field` ("ts", "args.id", ...) of traceEvents[index] set
+/// to `value`, or dropped when `value` is std::nullopt.
+std::string with_field(const obs::json::Value& trace, std::size_t index,
+                       const std::string& field,
+                       const std::optional<obs::json::Value>& value) {
+  obs::json::Object doc = trace.as_object();
+  obs::json::Array events = doc.at("traceEvents").as_array();
+  obs::json::Object event = events.at(index).as_object();
+  const bool in_args = field.starts_with("args.");
+  obs::json::Object args =
+      in_args ? event.at("args").as_object() : obs::json::Object{};
+  obs::json::Object& target = in_args ? args : event;
+  const std::string key = in_args ? field.substr(5) : field;
+  if (value) {
+    target[key] = *value;
+  } else {
+    target.erase(key);
+  }
+  if (in_args) event["args"] = obs::json::Value(std::move(args));
+  events[index] = obs::json::Value(std::move(event));
+  doc["traceEvents"] = obs::json::Value(std::move(events));
+  return to_json(obs::json::Value(std::move(doc)));
+}
+
+TEST(TraceMutationTest, LoaderRejectsEveryMutantOfAProxiedFlowTrace) {
+  const std::string text = proxied_flow_trace();
+  const obs::TraceLoadResult valid = obs::parse_trace(text, "trace.json");
+  ASSERT_TRUE(valid.ok()) << valid.error;
+  const std::optional<obs::json::Value> doc = obs::json::parse(text);
+  ASSERT_TRUE(doc.has_value());
+  ASSERT_EQ(obs::parse_trace(to_json(*doc), "trace.json").spans, valid.spans)
+      << "the re-serialization must be exact";
+
+  std::size_t mutants = 0;
+  const auto expect_rejected = [&](const std::string& mutant,
+                                   std::size_t index,
+                                   const std::string& field) {
+    ++mutants;
+    const obs::TraceLoadResult result = obs::parse_trace(mutant, "trace.json");
+    const std::string where = "trace.json: traceEvents[" +
+                              std::to_string(index) + "]." + field + ":";
+    EXPECT_TRUE(result.spans.empty() &&
+                result.error.find(where) != std::string::npos)
+        << "want \"" << where << "\", got \"" << result.error << "\"";
+  };
+  using obs::json::Value;
+  const std::size_t n = valid.spans.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const std::string field :
+         {"ts", "dur", "args.id", "args.parent", "args.bytes"}) {
+      for (const double number :
+           {0.5, -1.0, 1e300, 4294967295.0, 4294967296.0}) {
+        const std::string mutant = with_field(*doc, i, field, Value(number));
+        const bool count = field == "ts" || field == "dur" ||
+                           field == "args.bytes";
+        const bool whole = number == 4294967295.0 || number == 4294967296.0;
+        if (!count || !whole) {
+          expect_rejected(mutant, i, field);
+          continue;
+        }
+        // Past 32 bits is still a valid count, and it must load whole.
+        const obs::TraceLoadResult loaded =
+            obs::parse_trace(mutant, "trace.json");
+        ASSERT_TRUE(loaded.ok()) << field << " " << loaded.error;
+        const obs::Span& span = loaded.spans[i];
+        const auto read = static_cast<double>(
+            field == "ts"    ? span.start.time_since_epoch().count()
+            : field == "dur" ? (span.end - span.start).count()
+                             : static_cast<std::int64_t>(span.bytes));
+        EXPECT_EQ(read, number) << "traceEvents[" << i << "]." << field;
+      }
+    }
+    for (const std::string field :
+         {"name", "cat", "ts", "dur", "args", "args.id", "args.parent"}) {
+      expect_rejected(with_field(*doc, i, field, std::nullopt), i, field);
+    }
+    expect_rejected(with_field(*doc, i, "cat", Value(std::string("bogus"))),
+                    i, "cat");
+    if (i + 1 < n) {
+      const double later = valid.spans[i + 1].id;
+      expect_rejected(with_field(*doc, i, "args.parent", Value(later)), i,
+                      "args.parent");
+    }
+    if (i > 0) {
+      const double taken = valid.spans[i - 1].id;
+      expect_rejected(with_field(*doc, i, "args.id", Value(taken)), i,
+                      "args.id");
+    }
+    // args.bytes is optional: a span without it carries zero bytes.
+    const obs::TraceLoadResult unbilled = obs::parse_trace(
+        with_field(*doc, i, "args.bytes", std::nullopt), "trace.json");
+    ASSERT_TRUE(unbilled.ok()) << unbilled.error;
+    EXPECT_EQ(unbilled.spans[i].bytes, 0u);
+  }
+  EXPECT_GT(mutants, n * 25);
+}
+
+// ---------------------------------------------------------------------
 // Structured mutations of the CSV files dohperf reads back: the saved
 // dataset (measure::load_dataset), the attribution CSV
-// (report::load_attribution_csv), and the series, availability and
-// alerts CSVs (tools/obs_report). Each valid file is mutated one defect
-// at a time: a column dropped, duplicated or renamed; one numeric cell
-// replaced by a value the number rule rejects; the file cut in the middle
-// of a row.
+// (report::load_attribution_csv), and the series, anomaly index,
+// availability and alerts CSVs (tools/obs_report). Each valid file is
+// mutated one defect at a time: a column dropped, duplicated or renamed;
+// one numeric cell replaced by a value the number rule rejects; the file
+// cut in the middle of a row.
 
 namespace fs = std::filesystem;
 
@@ -451,19 +618,41 @@ TEST(CsvMutationTest, ObsReportRejectsEveryMutantOfItsInputs) {
       {"Cloudflare", "page", 60000, 20.5, 15.25},
       {"Cloudflare", "ticket", 120000, 7.0, 6.5}};
 
+  // Two retained anomalies with replayed trees; the directory the index
+  // and the dumps go to is the one the CSVs go to.
+  obs::AnomalyPolicy policy;
+  policy.slow_flow_ms = 10.0;
+  obs::FlightRecorder recorder(policy);
+  obs::MetricCounters gave_up;
+  gave_up.retry_timeouts = 1;
+  recorder.examine_flow(7, 1, "shard-exit-7-run-0", "doh:Quad9", 120.5, {},
+                        {});
+  recorder.examine_flow(9, 4, "shard-exit-9-run-1", "do53", 3.0, {},
+                        gave_up);
+  for (const auto& [key, rec] : recorder.retained()) {
+    obs::SpanContext flow;
+    const auto root = flow.open("flow", netsim::SimTime{});
+    const auto phase = flow.open("tunnel", netsim::SimTime{});
+    flow.close(phase, netsim::SimTime{} + netsim::from_ms(1.0));
+    flow.close(root, netsim::SimTime{} + netsim::from_ms(rec.duration_ms));
+    recorder.attach_spans(key, flow.spans());
+  }
+
   const fs::path dir = fs::path(::testing::TempDir()) / "dohperf_obs_mutants";
   fs::remove_all(dir);
   fs::create_directories(dir);
+  ASSERT_EQ(report::write_anomaly_dumps(recorder, dir.string()), 2u);
   const std::map<std::string, std::string> valid = {
       {"series.csv", kQuotedStamp + report::timeseries_csv(series).str()},
+      {"anomalies.csv", report::anomaly_index_csv(recorder).str()},
       {"availability.csv",
        kQuotedStamp + report::availability_csv(tracker).str()},
       {"alerts.csv", kQuotedStamp + report::slo_alerts_csv(alerts).str()},
   };
   for (const auto& [file, text] : valid) write_text(dir / file, text);
-  const std::string args = (dir / "series.csv").string() + " - " +
-                           (dir / "out.html").string() + " " +
-                           (dir / "availability.csv").string() + " " +
+  const std::string args = (dir / "series.csv").string() + " " +
+                           dir.string() + " " + (dir / "out.html").string() +
+                           " " + (dir / "availability.csv").string() + " " +
                            (dir / "alerts.csv").string();
 
   using enum Col;
@@ -472,6 +661,10 @@ TEST(CsvMutationTest, ObsReportRejectsEveryMutantOfItsInputs) {
        {{"metric", kText}, {"provider", kText}, {"country", kText},
         {"window_start_ms", kDouble}, {"count", kUnsigned},
         {"p50_ms", kDouble}, {"p90_ms", kDouble}, {"p99_ms", kDouble}}},
+      {"anomalies.csv",
+       {{"slot", kUnsigned}, {"flow_index", kUnsigned}, {"session", kText},
+        {"flow", kText}, {"reasons", kText}, {"duration_ms", kDouble},
+        {"spans", kUnsigned}, {"trace_file", kText}}},
       {"availability.csv",
        {{"provider", kText}, {"country", kText},
         {"window_start_ms", kUnsigned}, {"objective", kDouble},

@@ -322,11 +322,8 @@ TEST(AnomalyReportTest, IndexCsvAndDumpsMatchRetainedRecords) {
   const netsim::SimTime epoch{};
   const auto root = flow.open("flow", epoch);
   flow.close(root, epoch + netsim::from_ms(120.0));
-  obs::FlightRecorder capturer(policy);
-  capturer.capture_spans_for({obs::FlowKey{7, 1}});
-  capturer.capture_flow(7, 1, flow, epoch);
   recorder.attach_spans(obs::FlowKey{7, 1},
-                        capturer.captured().at(obs::FlowKey{7, 1}));
+                        obs::rebase_to_epoch(flow.spans(), epoch));
 
   const auto parsed = parse_csv(anomaly_index_csv(recorder).str());
   ASSERT_TRUE(parsed.has_value());

@@ -16,8 +16,8 @@
 // violation (cells that are individually consistent can never trigger
 // this; it guards artifact corruption).
 #include <cstdio>
-#include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "obs/trace_export.h"
@@ -28,12 +28,6 @@ namespace {
 [[noreturn]] void die(int code, const std::string& message) {
   std::fprintf(stderr, "attribution_diff: %s\n", message.c_str());
   std::exit(code);
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  out << content;
-  if (!out) die(2, "cannot write " + path);
 }
 
 dohperf::report::AttributionTable load(const std::string& path) {
@@ -119,8 +113,13 @@ int main(int argc, char** argv) {
       stdout);
 
   if (!svg_path.empty()) {
-    write_file(svg_path,
-               dohperf::report::waterfall_svg(waterfall, label_a, label_b));
+    try {
+      dohperf::obs::write_text_file(
+          svg_path,
+          dohperf::report::waterfall_svg(waterfall, label_a, label_b));
+    } catch (const std::runtime_error& e) {
+      die(2, e.what());
+    }
     std::fprintf(stderr, "attribution_diff: waterfall SVG -> %s\n",
                  svg_path.c_str());
   }

@@ -11,12 +11,12 @@
 //   ddig probe-1.a.com --country BR --via do53 --trace 1
 //   ddig probe-2.a.com --country SE --via doh --provider Quad9
 #include <cstdio>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "dns/wire.h"
+#include "flags.h"
 #include "measure/dot.h"
 #include "measure/flows.h"
 #include "report/format.h"
@@ -50,33 +50,29 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string name = argv[1];
-  std::map<std::string, std::string> flags = {{"--country", "SE"},
-                                               {"--via", "do53"},
-                                               {"--provider", "Cloudflare"},
-                                               {"--seed", "42"},
-                                               {"--trace", "0"}};
-  for (int i = 2; i < argc; i += 2) {
-    const auto flag = flags.find(argv[i]);
-    if (flag == flags.end() || i + 1 == argc) {
-      std::fprintf(stderr, "ddig: %s: %s\n", argv[i],
-                   flag == flags.end() ? "unknown flag" : "missing value");
-      return 2;
-    }
-    flag->second = argv[i + 1];
+  tools::Flags flags = {{"--country", "SE"},
+                        {"--via", "do53"},
+                        {"--provider", "Cloudflare"},
+                        {"--seed", "42"},
+                        {"--trace", "0"}};
+  if (const std::string error = tools::read_flags(argc, argv, 2, flags);
+      !error.empty()) {
+    std::fprintf(stderr, "ddig: %s\n", error.c_str());
+    return 2;
   }
-  const std::string& iso2 = flags["--country"];
-  const std::string& via = flags["--via"];
-  const std::string& provider_name = flags["--provider"];
-  const bool want_trace = flags["--trace"] == "1";
+  const std::string& iso2 = *flags["--country"];
+  const std::string& via = *flags["--via"];
+  const std::string& provider_name = *flags["--provider"];
+  const bool want_trace = *flags["--trace"] == "1";
 
   world::WorldConfig config;
   const std::optional<std::uint64_t> seed =
-      report::read_number<std::uint64_t>(flags["--seed"]);
+      report::read_number<std::uint64_t>(*flags["--seed"]);
   if (!seed) {
     std::fprintf(stderr,
                  "ddig: --seed: expected an integer from 0 to "
                  "18446744073709551615, got \"%s\"\n",
-                 flags["--seed"].c_str());
+                 flags["--seed"]->c_str());
     return 2;
   }
   config.seed = *seed;

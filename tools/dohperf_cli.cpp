@@ -15,15 +15,15 @@
 //   dohperf_cli validate  [--country ISO2] [--seed N]
 //       Ground-truth validation (paper Section 4) for one country.
 //
-// Flag values are checked with the spec parser's rules; a bad value or a
-// flag without one exits 2 with a diagnostic naming the flag.
+// Each command reads only the flags listed for it. Flag values are checked
+// with the spec parser's rules; an unknown or misspelt flag, a bad value
+// or a flag without one exits 2 with a diagnostic naming the flag.
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
+#include "flags.h"
 #include "measure/dataset_io.h"
 #include "measure/flows.h"
 #include "measure/groundtruth.h"
@@ -42,41 +42,25 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Minimal "--key value" argument parser.
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) != 0) {
-        throw UsageError(std::string("expected flag, got ") + argv[i]);
-      }
-      if (i + 1 == argc) {
-        throw UsageError(std::string(argv[i]) + ": missing value");
-      }
-      values_[argv[i] + 2] = argv[i + 1];
-    }
+/// The flags of the command at argv[1]: `declared`, each flag the
+/// command reads with its default, updated from argv[2..].
+tools::Flags read_args(int argc, char** argv, tools::Flags declared) {
+  if (const std::string error = tools::read_flags(argc, argv, 2, declared);
+      !error.empty()) {
+    throw UsageError(error);
   }
+  return declared;
+}
 
-  [[nodiscard]] std::optional<std::string> get(const std::string& k) const {
-    const auto it = values_.find(k);
-    if (it == values_.end()) return std::nullopt;
-    return it->second;
+/// Applies `flag`'s value, when it has one, to the spec key `key`.
+void apply(const tools::Flags& args, scenario::CampaignSpec& spec,
+           const std::string& flag, const std::string& key) {
+  std::string error;
+  if (const std::optional<std::string>& value = args.at(flag);
+      value && !scenario::set_override(spec, flag, key, *value, &error)) {
+    throw UsageError(error);
   }
-
-  /// Applies `--flag VALUE`, when given, to the spec key `key`.
-  void apply(scenario::CampaignSpec& spec, const std::string& flag,
-             const std::string& key) const {
-    std::string error;
-    if (const auto value = get(flag);
-        value && !scenario::set_override(spec, "--" + flag, key, *value,
-                                         &error)) {
-      throw UsageError(error);
-    }
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+}
 
 void print_summary(const measure::Dataset& data) {
   report::Table table("Dataset summary");
@@ -109,10 +93,15 @@ void print_summary(const measure::Dataset& data) {
   std::fputs(table.render().c_str(), stdout);
 }
 
-int cmd_campaign(const Args& args) {
+int cmd_campaign(int argc, char** argv) {
+  const tools::Flags args =
+      read_args(argc, argv,
+                {{"--spec", std::nullopt}, {"--scale", std::nullopt},
+                 {"--seed", std::nullopt}, {"--countries", std::nullopt},
+                 {"--out", std::nullopt}});
   scenario::CampaignSpec spec = scenario::paper_baseline_spec();
   spec.world.client_scale = 0.2;
-  const auto spec_path = args.get("spec");
+  const std::optional<std::string>& spec_path = args.at("--spec");
   if (spec_path) {
     const scenario::SpecParseResult parsed =
         scenario::load_spec_file(*spec_path);
@@ -124,9 +113,9 @@ int cmd_campaign(const Args& args) {
     }
     spec = parsed.doc.base;
   }
-  args.apply(spec, "seed", "world.seed");
-  args.apply(spec, "scale", "world.client_scale");
-  args.apply(spec, "countries", "world.only_countries");
+  apply(args, spec, "--seed", "world.seed");
+  apply(args, spec, "--scale", "world.client_scale");
+  apply(args, spec, "--countries", "world.only_countries");
   if (!spec_path) scenario::scale_atlas_to_world(spec);
   spec.sink = scenario::SinkMode::kRetained;  // the summary reads the rows
 
@@ -140,7 +129,7 @@ int cmd_campaign(const Args& args) {
   scenario::write_outputs(result);
   print_summary(result.dataset);
 
-  if (const auto out = args.get("out")) {
+  if (const std::optional<std::string>& out = args.at("--out")) {
     measure::save_dataset(result.dataset, *out);
     std::printf("dataset saved to %s/{clients,doh,do53,meta}.csv\n",
                 out->c_str());
@@ -148,8 +137,9 @@ int cmd_campaign(const Args& args) {
   return 0;
 }
 
-int cmd_summary(const Args& args) {
-  const auto in = args.get("in");
+int cmd_summary(int argc, char** argv) {
+  const tools::Flags args = read_args(argc, argv, {{"--in", std::nullopt}});
+  const std::optional<std::string>& in = args.at("--in");
   if (!in) {
     std::fprintf(stderr, "summary requires --in DIR\n");
     return 2;
@@ -158,13 +148,16 @@ int cmd_summary(const Args& args) {
   return 0;
 }
 
-int cmd_query(const Args& args) {
-  const std::string iso2 = args.get("country").value_or("SE");
-  const std::string provider_name =
-      args.get("provider").value_or("Cloudflare");
+int cmd_query(int argc, char** argv) {
+  const tools::Flags args = read_args(
+      argc, argv,
+      {{"--country", "SE"}, {"--provider", "Cloudflare"},
+       {"--seed", std::nullopt}});
+  const std::string& iso2 = *args.at("--country");
+  const std::string& provider_name = *args.at("--provider");
 
   scenario::CampaignSpec spec;
-  args.apply(spec, "seed", "world.seed");
+  apply(args, spec, "--seed", "world.seed");
   spec.world.only_countries = {iso2};
   world::WorldModel world(spec.world);
 
@@ -215,10 +208,12 @@ int cmd_query(const Args& args) {
   return 0;
 }
 
-int cmd_validate(const Args& args) {
-  const std::string iso2 = args.get("country").value_or("SE");
+int cmd_validate(int argc, char** argv) {
+  const tools::Flags args =
+      read_args(argc, argv, {{"--country", "SE"}, {"--seed", std::nullopt}});
+  const std::string& iso2 = *args.at("--country");
   scenario::CampaignSpec spec;
-  args.apply(spec, "seed", "world.seed");
+  apply(args, spec, "--seed", "world.seed");
   spec.world.only_countries = {iso2};
   world::WorldModel world(spec.world);
   measure::GroundTruthLab lab(world);
@@ -259,12 +254,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    const Args args(argc, argv);
     const std::string command = argv[1];
-    if (command == "campaign") return cmd_campaign(args);
-    if (command == "summary") return cmd_summary(args);
-    if (command == "query") return cmd_query(args);
-    if (command == "validate") return cmd_validate(args);
+    if (command == "campaign") return cmd_campaign(argc, argv);
+    if (command == "summary") return cmd_summary(argc, argv);
+    if (command == "query") return cmd_query(argc, argv);
+    if (command == "validate") return cmd_validate(argc, argv);
     usage();
     return 2;
   } catch (const UsageError& e) {

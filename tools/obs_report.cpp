@@ -153,23 +153,13 @@ std::string phase_breakdown(const std::string& path) {
       dohperf::obs::load_trace_file(path);
   if (!loaded.ok()) die(loaded.error);
 
-  const dohperf::obs::SpanRec* root = nullptr;
-  for (const auto& span : loaded.spans) {
-    if (span.parent == dohperf::obs::SpanRec::kNoParent && !span.hop) {
-      root = &span;
-      break;
-    }
-  }
-  if (root == nullptr) return "(no flow span)";
+  const auto root = std::find_if(
+      loaded.spans.begin(), loaded.spans.end(), [](const auto& span) {
+        return span.parent == dohperf::obs::kNoSpan && !span.hop;
+      });
+  if (root == loaded.spans.end()) return "(no flow span)";
 
-  std::vector<const dohperf::obs::SpanRec*> phases;
-  for (const auto& span : loaded.spans) {
-    if (span.parent == root->id && !span.hop) phases.push_back(&span);
-  }
-  std::sort(phases.begin(), phases.end(),
-            [](const auto* a, const auto* b) {
-              return a->start_us < b->start_us;
-            });
+  const auto phases = dohperf::obs::flow_phases(loaded.spans, *root);
   if (phases.empty()) return "(no phases)";
 
   std::string out;

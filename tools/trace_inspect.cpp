@@ -1,13 +1,12 @@
 // Prints a per-phase latency breakdown of a captured span trace.
 //
-// Accepts either artifact the exporter produces:
-//   trace_inspect out/trace.json        (Chrome/Perfetto trace_event JSON)
-//   trace_inspect out/trace.json.jsonl  (one span object per line)
+//   trace_inspect out/trace.json   (Chrome/Perfetto trace_event JSON)
 //
 // Loading is strict (obs/trace_load.h): a truncated or malformed trace
-// — invalid JSON, a missing traceEvents array, an event or line that
-// does not describe a span — exits with status 1 after a one-line
-// diagnostic instead of printing a partial breakdown.
+// — invalid JSON, a missing traceEvents array, an event whose name,
+// cat, ts, dur, id, parent or bytes breaks the loader's rules — exits
+// with status 1 after a one-line diagnostic instead of printing a
+// partial breakdown.
 //
 // For every root span (a flow), the direct child phases are listed with
 // their share of the flow total, and contiguous phase decompositions
@@ -15,7 +14,6 @@
 // exactly to the flow duration — a nonzero gap exits with status 2, so
 // CI catches instrumentation that drifts out of alignment. A per-name
 // aggregate across the whole trace follows.
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -26,27 +24,20 @@
 
 namespace {
 
-using dohperf::obs::SpanRec;
+using dohperf::obs::Span;
 
 /// Prints one root flow's phase breakdown; returns false when a
 /// contiguous phase decomposition fails to sum to the flow total.
-bool print_flow(const SpanRec& root, const std::vector<SpanRec>& spans) {
+bool print_flow(const Span& root, const std::vector<Span>& spans) {
   std::printf("flow %-14s %10.3f ms total\n", root.name.c_str(),
               root.duration_ms());
 
-  std::vector<const SpanRec*> phases;
-  for (const SpanRec& span : spans) {
-    if (span.parent == root.id && !span.hop) phases.push_back(&span);
-  }
-  std::sort(phases.begin(), phases.end(),
-            [](const SpanRec* a, const SpanRec* b) {
-              return a->start_us < b->start_us;
-            });
-
+  const std::vector<const Span*> phases =
+      dohperf::obs::flow_phases(spans, root);
   std::int64_t covered_us = 0;
   const double total_ms = root.duration_ms();
-  for (const SpanRec* phase : phases) {
-    covered_us += phase->end_us - phase->start_us;
+  for (const Span* phase : phases) {
+    covered_us += (phase->end - phase->start).count();
     std::printf("  phase %-14s %10.3f ms  (%5.1f%%)\n", phase->name.c_str(),
                 phase->duration_ms(),
                 total_ms > 0.0 ? 100.0 * phase->duration_ms() / total_ms
@@ -56,14 +47,14 @@ bool print_flow(const SpanRec& root, const std::vector<SpanRec>& spans) {
 
   // A contiguous decomposition: phases abut each other and span the whole
   // flow. Only then must the phase times sum to the flow total.
-  bool contiguous = phases.front()->start_us == root.start_us &&
-                    phases.back()->end_us == root.end_us;
+  bool contiguous = phases.front()->start == root.start &&
+                    phases.back()->end == root.end;
   for (std::size_t i = 1; contiguous && i < phases.size(); ++i) {
-    contiguous = phases[i - 1]->end_us == phases[i]->start_us;
+    contiguous = phases[i - 1]->end == phases[i]->start;
   }
   if (!contiguous) return true;
 
-  const std::int64_t gap_us = (root.end_us - root.start_us) - covered_us;
+  const std::int64_t gap_us = (root.end - root.start).count() - covered_us;
   std::printf("  phases sum to %.3f ms of %.3f ms total (gap %.3f ms)\n",
               static_cast<double>(covered_us) / 1000.0, total_ms,
               static_cast<double>(gap_us) / 1000.0);
@@ -74,7 +65,7 @@ bool print_flow(const SpanRec& root, const std::vector<SpanRec>& spans) {
 
 int main(int argc, char** argv) {
   if (argc != 2) {
-    std::fprintf(stderr, "usage: trace_inspect <trace.json | spans.jsonl>\n");
+    std::fprintf(stderr, "usage: trace_inspect <trace.json>\n");
     return 1;
   }
   const dohperf::obs::TraceLoadResult loaded =
@@ -83,11 +74,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "trace_inspect: %s\n", loaded.error.c_str());
     return 1;
   }
-  const std::vector<SpanRec>& spans = loaded.spans;
+  const std::vector<Span>& spans = loaded.spans;
 
   std::uint64_t hops = 0;
   std::uint64_t bytes = 0;
-  for (const SpanRec& span : spans) {
+  for (const Span& span : spans) {
     if (!span.hop) continue;
     ++hops;
     bytes += span.bytes;
@@ -97,8 +88,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(bytes), argv[1]);
 
   bool phases_ok = true;
-  for (const SpanRec& span : spans) {
-    if (span.parent != SpanRec::kNoParent || span.hop) continue;
+  for (const Span& span : spans) {
+    if (span.parent != dohperf::obs::kNoSpan || span.hop) continue;
     if (!print_flow(span, spans)) phases_ok = false;
     std::printf("\n");
   }
@@ -109,10 +100,10 @@ int main(int argc, char** argv) {
     std::int64_t total_us = 0;
   };
   std::map<std::string, NameAgg> by_name;
-  for (const SpanRec& span : spans) {
+  for (const Span& span : spans) {
     NameAgg& agg = by_name[span.name];
     ++agg.count;
-    agg.total_us += span.end_us - span.start_us;
+    agg.total_us += (span.end - span.start).count();
   }
   std::printf("%-28s %8s %14s\n", "span name", "count", "total ms");
   for (const auto& [name, agg] : by_name) {
