@@ -224,9 +224,7 @@ world.tls_version = ["tls13", "tls12"]
      tls_numbers, tls_table},
 };
 
-}  // namespace
-
-int main() {
+int bench() {
   bool ok = true;
   for (const Ablation& ablation : kAblations) {
     const Cells cells =
@@ -239,4 +237,10 @@ int main() {
     ok = ablation.table(cells, numbers) && ok;
   }
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("ablations", bench);
 }

@@ -79,9 +79,7 @@ Comparison compare(const std::string& name,
   return c;
 }
 
-}  // namespace
-
-int main() {
+int bench() {
   std::printf("Extension: where the cold-vs-warm DoH milliseconds go\n\n");
   auto& world = benchsupport::Env::instance().world();
   auto& provider = world.providers()[0];
@@ -268,4 +266,10 @@ int main() {
     rc = 1;
   }
   return rc;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("ext_attribution", bench);
 }

@@ -139,9 +139,7 @@ BudgetLine run_strategy(world::WorldModel& world,
   return {name, it != budgets.end() ? it->second : obs::SloBudget{}};
 }
 
-}  // namespace
-
-int main() {
+int bench() {
   std::printf(
       "Extension: availability SLOs under recurring outages and regional "
       "blackouts\n(multi-day campaign axis; provider i dark every "
@@ -271,4 +269,10 @@ int main() {
     ok = false;
   }
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("ext_availability_slo", bench);
 }

@@ -99,9 +99,7 @@ CacheOutcome run_workload(world::WorldModel& world,
   return out;
 }
 
-}  // namespace
-
-int main() {
+int bench() {
   std::printf(
       "Extension: cache-hit behaviour, distributed ISP caches vs one "
       "centralised PoP cache\n\n");
@@ -132,4 +130,10 @@ int main() {
       "flags as future work.");
   std::fputs(table.render().c_str(), stdout);
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("ext_cache_hits", bench);
 }

@@ -18,7 +18,9 @@
 
 using namespace dohperf;
 
-int main() {
+namespace {
+
+int bench() {
   std::printf("Extension: DoT vs DoH vs Do53 on the same vantage points\n\n");
   auto& env = benchsupport::Env::instance();
   auto& world = env.world();
@@ -96,4 +98,10 @@ int main() {
       "(95%% bootstrap CI %.0f..%.0f)\n",
       ci.point, ci.lo, ci.hi);
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("ext_dot_comparison", bench);
 }

@@ -60,9 +60,7 @@ struct WarmSplit {
   }
 };
 
-}  // namespace
-
-int main() {
+int bench() {
   std::printf("Extension: the encrypted-DNS ladder (Cloudflare PoPs)\n\n");
   auto& world = benchsupport::Env::instance().world();
   auto& provider = world.providers()[0];
@@ -305,4 +303,10 @@ int main() {
     rc = 1;
   }
   return rc;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("ext_encrypted_dns_ladder", bench);
 }

@@ -60,9 +60,7 @@ ModeStats run_mode(world::WorldModel& world, const std::string& iso2,
           static_cast<double>(downgraded) / std::max(1, total)};
 }
 
-}  // namespace
-
-int main() {
+int bench() {
   std::printf(
       "Extension: browser DoH policies under resolver outages "
       "(Cloudflare, first-use cost)\n\n");
@@ -91,4 +89,10 @@ int main() {
     std::fputs(table.render().c_str(), stdout);
   }
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("ext_fallback_policy", bench);
 }

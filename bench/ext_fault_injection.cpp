@@ -62,9 +62,7 @@ Outcome run_cell(const scenario::SweepCell& cell) {
   return out;
 }
 
-}  // namespace
-
-int main() {
+int bench() {
   std::printf("Extension: episodic loss-spike injection sweep\n"
               "(quarter-scale campaigns; spike severity fixed at 0.5 "
               "extra loss,\n windowed per session)\n\n");
@@ -119,4 +117,10 @@ int main() {
     ok = ok && outcomes[i].failed >= outcomes[i - 1].failed;
   }
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("ext_fault_injection", bench);
 }

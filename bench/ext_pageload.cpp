@@ -51,9 +51,7 @@ double median_plt(world::WorldModel& world, const std::string& iso2,
   return stats::median(plt);
 }
 
-}  // namespace
-
-int main() {
+int bench() {
   std::printf("Extension: page-load time under Do53 vs DoH (Cloudflare)\n\n");
   auto& world = benchsupport::Env::instance().world();
 
@@ -94,4 +92,10 @@ int main() {
       "share of PLT shrinks as pages widen — the dynamic behind prior "
       "findings that DoH can be web-neutral on good networks.\n");
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("ext_pageload", bench);
 }

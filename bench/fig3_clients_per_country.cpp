@@ -9,7 +9,9 @@
 
 using namespace dohperf;
 
-int main() {
+namespace {
+
+int bench() {
   benchsupport::print_banner("Figure 3: clients per country");
   const auto& data = benchsupport::Env::instance().dataset();
 
@@ -41,4 +43,10 @@ int main() {
   }
   std::fputs(deciles.render().c_str(), stdout);
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("fig3_clients_per_country", bench);
 }

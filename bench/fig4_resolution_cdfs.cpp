@@ -12,7 +12,9 @@
 
 using namespace dohperf;
 
-int main() {
+namespace {
+
+int bench() {
   benchsupport::print_banner("Figure 4: resolution-time CDFs by resolver");
   const auto& data = benchsupport::Env::instance().dataset();
 
@@ -55,4 +57,10 @@ int main() {
       "\"DoHR closely tracks Do53\")\n",
       cf_dohr_gap);
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("fig4_resolution_cdfs", bench);
 }

@@ -10,7 +10,9 @@
 
 using namespace dohperf;
 
-int main() {
+namespace {
+
+int bench() {
   benchsupport::print_banner(
       "Figure 5: per-country DoH medians and points of presence");
   auto& env = benchsupport::Env::instance();
@@ -71,4 +73,10 @@ int main() {
                 "Senegal and beats Google there by >100 ms.");
   std::fputs(named.render().c_str(), stdout);
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("fig5_country_medians", bench);
 }

@@ -8,7 +8,9 @@
 
 using namespace dohperf;
 
-int main() {
+namespace {
+
+int bench() {
   benchsupport::print_banner("Figure 6: potential improvement to PoPs");
   const auto& data = benchsupport::Env::instance().dataset();
 
@@ -62,4 +64,10 @@ int main() {
   csv.write_file(csv_path);
   std::printf("CDF series written to %s\n", csv_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("fig6_potential_improvement", bench);
 }

@@ -6,7 +6,9 @@
 
 using namespace dohperf;
 
-int main() {
+namespace {
+
+int bench() {
   benchsupport::print_banner(
       "Figure 7: per-country Do53 -> DoH10 delta by resolver");
   const auto& data = benchsupport::Env::instance().dataset();
@@ -75,4 +77,10 @@ int main() {
   std::printf(
       "(paper: Brazil -33%% with DoH, Indonesia -179 ms, Sudan +264 ms)\n");
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("fig7_delta_by_resolver", bench);
 }

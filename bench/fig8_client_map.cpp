@@ -9,7 +9,9 @@
 
 using namespace dohperf;
 
-int main() {
+namespace {
+
+int bench() {
   benchsupport::print_banner("Figure 8: clients in the dataset");
   const auto& data = benchsupport::Env::instance().dataset();
 
@@ -39,4 +41,10 @@ int main() {
               "224)\n",
               data.clients().size(), data.clients_per_country().size());
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("fig8_client_map", bench);
 }

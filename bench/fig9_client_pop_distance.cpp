@@ -8,7 +8,9 @@
 
 using namespace dohperf;
 
-int main() {
+namespace {
+
+int bench() {
   benchsupport::print_banner(
       "Figure 9: per-client distance to the servicing PoP");
   const auto& data = benchsupport::Env::instance().dataset();
@@ -42,4 +44,10 @@ int main() {
   csv.write_file(csv_path);
   std::printf("CDF series written to %s\n", csv_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("fig9_client_pop_distance", bench);
 }

@@ -132,9 +132,7 @@ void write_json(const std::string& path, const scenario::CampaignSpec& spec,
   obs::write_text_file(path, json);
 }
 
-}  // namespace
-
-int main() {
+int bench() {
   const std::vector<std::uint64_t> targets = points_from_env();
   scenario::CampaignSpec spec = scenario::paper_baseline_spec();
   spec.name = "scale-campaign";
@@ -210,4 +208,10 @@ int main() {
   write_json(path, spec, base_hash, exits, results);
   std::printf("wrote %s\n", path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("scale_campaign", bench);
 }

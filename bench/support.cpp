@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <utility>
 
 #include "geo/country.h"
@@ -268,6 +269,15 @@ void print_banner(const std::string& title) {
       run.anomalies.retained().size(),
       static_cast<unsigned long long>(a.evicted));
   std::printf("\n");
+}
+
+int run_main(const char* program, int (*body)()) {
+  try {
+    return body();
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "%s: %s\n", program, e.what());
+    return 1;
+  }
 }
 
 std::string out_path(const std::string& name) {

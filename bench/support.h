@@ -84,6 +84,12 @@ class Env {
 /// runtime note).
 void print_banner(const std::string& title);
 
+/// Runs a bench's body and returns its exit code. A std::runtime_error
+/// escaping it (obs::write_text_file's `cannot open` or `write failed`
+/// on an output, say) becomes one line, `<program>: <what()>`, on stderr
+/// and exit code 1 instead of an abort.
+[[nodiscard]] int run_main(const char* program, int (*body)());
+
 /// Where generated artifacts (figure CSVs) belong: `out/<name>`, relative
 /// to the working directory. Creates the directory on first use so bench
 /// output never lands in (and dirties) the repository root.

@@ -10,7 +10,9 @@
 
 using namespace dohperf;
 
-int main() {
+namespace {
+
+int bench() {
   benchsupport::print_banner(
       "Table 1: ground-truth validation of the DoH/DoHR estimators");
 
@@ -54,4 +56,10 @@ int main() {
   std::printf("worst estimator error: DoH %.1f ms, DoHR %.1f ms\n",
               worst_doh, worst_dohr);
   return worst_doh < 30.0 && worst_dohr < 30.0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("table1_groundtruth_doh", bench);
 }

@@ -9,7 +9,9 @@
 
 using namespace dohperf;
 
-int main() {
+namespace {
+
+int bench() {
   benchsupport::print_banner(
       "Table 2: ground-truth validation of the Do53 header readout");
 
@@ -63,4 +65,10 @@ int main() {
   std::printf("average |difference|: %.1f ms (sd %.1f ms)\n", mean_diff,
               stats::stdev(diffs));
   return worst < 30.0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("table2_groundtruth_do53", bench);
 }

@@ -6,7 +6,9 @@
 
 using namespace dohperf;
 
-int main() {
+namespace {
+
+int bench() {
   benchsupport::print_banner("Table 3: dataset composition");
   const auto& data = benchsupport::Env::instance().dataset();
 
@@ -72,4 +74,10 @@ int main() {
               "(paper: 199 of 224)\n",
               analysis.size());
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("table3_dataset", bench);
 }

@@ -6,7 +6,9 @@
 
 using namespace dohperf;
 
-int main() {
+namespace {
+
+int bench() {
   benchsupport::print_banner("Table 4: logistic model of DoH slowdowns");
   const auto& data = benchsupport::Env::instance().dataset();
 
@@ -74,4 +76,10 @@ int main() {
       "speedup: %.1f%% (paper 28%%)\n",
       100.0 * speed1 / rows.size(), 100.0 * speed10 / rows.size());
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("table4_logistic", bench);
 }

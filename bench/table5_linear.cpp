@@ -22,9 +22,7 @@ constexpr PaperRow kPaper[] = {
     {measure::kTermResolverDistance, "Resolver Dist.", 93.4, 42.4, 37.3},
 };
 
-}  // namespace
-
-int main() {
+int bench() {
   benchsupport::print_banner("Table 5: linear model of Do53->DoH deltas");
   const auto& data = benchsupport::Env::instance().dataset();
   const auto rows = measure::regression_rows(data);
@@ -52,4 +50,10 @@ int main() {
     std::fputs(table.render().c_str(), stdout);
   }
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("table5_linear", bench);
 }

@@ -5,7 +5,9 @@
 
 using namespace dohperf;
 
-int main() {
+namespace {
+
+int bench() {
   benchsupport::print_banner("Table 6: per-resolver linear models");
   const auto& data = benchsupport::Env::instance().dataset();
   const auto rows = measure::regression_rows(data);
@@ -51,4 +53,10 @@ int main() {
     std::fputs(table.render().c_str(), stdout);
   }
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return benchsupport::run_main("table6_per_resolver", bench);
 }

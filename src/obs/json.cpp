@@ -1,6 +1,5 @@
 #include "obs/json.h"
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 
@@ -147,16 +146,28 @@ class Parser {
     return std::nullopt;  // unterminated
   }
 
-  std::optional<Value> parse_number() {
+  /// Skips a run of ASCII digits; false when there is none.
+  [[nodiscard]] bool digits() {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
       ++pos_;
     }
-    if (pos_ == start) return std::nullopt;
+    return pos_ > start;
+  }
+
+  /// RFC 8259's number, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+  /// scanned before strtod sees it: strtod also takes `+5`, `.5`, `1.`
+  /// and hex. A leading zero ends the integer part, so `007` leaves `07`
+  /// behind as trailing garbage.
+  std::optional<Value> parse_number() {
+    const std::size_t start = pos_;
+    (void)eat('-');
+    if (!eat('0') && !digits()) return std::nullopt;
+    if (eat('.') && !digits()) return std::nullopt;
+    if (eat('e') || eat('E')) {
+      if (!eat('+')) (void)eat('-');
+      if (!digits()) return std::nullopt;
+    }
     const std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
     const double n = std::strtod(token.c_str(), &end);

@@ -59,11 +59,21 @@ void write_text_file(const std::string& path, std::string_view content) {
 
 void write_text_file(const std::string& path,
                      std::initializer_list<std::string_view> parts) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (!parent.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(parent, ec);  // best-effort
+  const std::filesystem::path target(path);
+  std::error_code ec;
+  if (target.has_parent_path()) {
+    std::filesystem::create_directories(target.parent_path(), ec);
+  }
+  // Replace a previous regular file with a new inode rather than
+  // truncate it: ext4 (auto_da_alloc) pushes a truncated file's rewritten
+  // data to disk at close, so the next truncate blocks on that I/O, while
+  // an unlinked inode's dirty pages are dropped unwritten (DESIGN.md §5l).
+  // Only a regular file is unlinked, never a symlink or a device such as
+  // /dev/full. Both steps are best-effort: if the unlink fails, the open
+  // truncates in place, and the open reports any failure that matters.
+  if (std::filesystem::is_regular_file(
+          std::filesystem::symlink_status(target, ec))) {
+    std::filesystem::remove(target, ec);
   }
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("cannot open " + path);

@@ -25,9 +25,13 @@ namespace dohperf::obs {
 [[nodiscard]] std::string perfetto_trace_json(const SpanContext& spans);
 
 /// Writes `content` to `path`, creating missing parent directories (so
-/// "out/trace.json" works on a fresh checkout). The file is closed before
-/// the stream is checked, so a failure in the final flush (a full disk)
-/// throws std::runtime_error like any other I/O failure.
+/// "out/trace.json" works on a fresh checkout). A regular file already at
+/// `path` is replaced by a new one, never truncated: a reader or hard link
+/// of the previous file keeps its bytes, and the new file gets the default
+/// mode. Any other path (a symlink, a device, a FIFO) is opened and
+/// truncated as it is. The file is closed before the stream is checked,
+/// so a failure in the final flush (a full disk) throws std::runtime_error
+/// like any other I/O failure.
 void write_text_file(const std::string& path, std::string_view content);
 
 /// The same, for a document written as `parts` in order (a provenance

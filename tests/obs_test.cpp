@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "measure/flows.h"
@@ -936,6 +937,20 @@ TEST(JsonParserTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(obs::json::parse("{} trailing").has_value());
   EXPECT_FALSE(obs::json::parse("[1,]").has_value());
   EXPECT_FALSE(obs::json::parse("'single'").has_value());
+  // Numbers follow RFC 8259's grammar, not whatever strtod accepts.
+  for (const char* bad : {"+5", "007", "1.", "5.e3", ".5", "-", "1e+"}) {
+    EXPECT_FALSE(obs::json::parse(bad).has_value()) << bad;
+    EXPECT_FALSE(obs::json::parse(std::string("[") + bad + "]").has_value())
+        << bad;
+  }
+  const std::pair<const char*, double> good[] = {
+      {"0", 0.0},      {"-0", -0.0},  {"1.5e-3", 1.5e-3},
+      {"1E+2", 100.0}, {"9007199254740992", 9007199254740992.0}};
+  for (const auto& [text, value] : good) {
+    const auto number = obs::json::parse(text);
+    ASSERT_TRUE(number.has_value()) << text;
+    EXPECT_EQ(number->as_number(), value) << text;
+  }
   ASSERT_TRUE(obs::json::parse("{\"a\":[1,2,{\"b\":null}]}").has_value());
   const auto unicode = obs::json::parse("\"\\u00e9\"");
   ASSERT_TRUE(unicode.has_value());

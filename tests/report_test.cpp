@@ -8,6 +8,8 @@
 #include <fstream>
 #include <limits>
 #include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "netsim/time.h"
@@ -370,6 +372,61 @@ TEST(CsvTest, FailedFinalFlushThrows) {
                std::runtime_error);
   EXPECT_THROW(obs::write_text_file("/dev/full", {"# stamp\n", "body\n"}),
                std::runtime_error);
+}
+
+TEST(WriteTextFileTest, RewriteReplacesThePreviousFileUnderItsReaders) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "dohperf_writer_replace";
+  std::filesystem::remove_all(dir);
+  const std::filesystem::path path = dir / "out.csv";
+  obs::write_text_file(path.string(), "the previous, longer run\n");
+  std::filesystem::create_hard_link(path, dir / "kept.csv");
+  std::ifstream reader(path, std::ios::binary);
+  ASSERT_TRUE(reader);
+
+  // Truncating in place would hand the reader and the link the new bytes.
+  obs::write_text_file(path.string(), {"# stamp\n", "new\n"});
+  std::ostringstream seen;
+  seen << reader.rdbuf();
+  EXPECT_EQ(seen.str(), "the previous, longer run\n");
+  EXPECT_EQ(obs::read_text_file((dir / "kept.csv").string()),
+            "the previous, longer run\n");
+  EXPECT_EQ(obs::read_text_file(path.string()), "# stamp\nnew\n");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WriteTextFileTest, SymlinkStaysAndItsTargetGetsTheNewBytes) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "dohperf_writer_symlink";
+  std::filesystem::remove_all(dir);
+  const std::filesystem::path target = dir / "target.csv";
+  const std::filesystem::path link = dir / "link.csv";
+  obs::write_text_file(target.string(), "previous\n");
+  std::filesystem::create_symlink("target.csv", link);
+
+  obs::write_text_file(link.string(), "new\n");
+  EXPECT_TRUE(std::filesystem::is_symlink(link));
+  EXPECT_EQ(obs::read_text_file(target.string()), "new\n");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WriteTextFileTest, DevicesAreWrittenInPlaceNeverReplaced) {
+  // Tests may run as root, which can unlink a device node: the writer
+  // must check the file type before it replaces anything.
+  for (const char* device : {"/dev/null", "/dev/full"}) {
+    if (!std::filesystem::is_character_file(device)) {
+      GTEST_SKIP() << "no " << device << " on this system";
+    }
+  }
+  EXPECT_NO_THROW(obs::write_text_file("/dev/null", "discarded\n"));
+  try {
+    obs::write_text_file("/dev/full", "short\n");
+    ADD_FAILURE() << "writing /dev/full did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "write failed: /dev/full");
+  }
+  EXPECT_TRUE(std::filesystem::is_character_file("/dev/null"));
+  EXPECT_TRUE(std::filesystem::is_character_file("/dev/full"));
 }
 
 std::string printf_g6(double value) {

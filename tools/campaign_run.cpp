@@ -21,6 +21,7 @@
 // in the message).
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "measure/campaign.h"
@@ -121,7 +122,12 @@ int main(int argc, char** argv) {
 
   if (!out.empty()) doc.base.outputs.summary_json = out;
   scenario::RunResult result = scenario::run(doc.base);
-  scenario::write_outputs(result);
+  try {
+    scenario::write_outputs(result);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "campaign_run: %s\n", e.what());
+    return 1;
+  }
   std::printf(
       "run %s (hash %s, sink %s): %llu sessions | %d shard(s) | "
       "doh1 median %.3f ms | do53 median %.3f ms | %llu failed\n",
