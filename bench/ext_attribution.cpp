@@ -102,63 +102,51 @@ int bench() {
         provider.route(exit->site.position, country->region, rng);
     auto& server = world.doh_server(0, pop);
 
+    // Each flow records into `ledger` under (provider, country).
+    const auto recorded = [&](obs::AttributionLedger& ledger, auto launch) {
+      world.run_flow([&](netsim::NetCtx& net) {
+        net.attribution.ledger = &ledger;
+        net.labels = {provider.name(), iso2};
+        return launch(net);
+      });
+    };
+
     // --- Cold cells: the ladder's one-shot direct flows. ---------------
-    {
-      auto net = world.ctx();
-      net.attribution.ledger = &cold_ledger;
-      net.labels = {provider.name(), iso2};
-      auto task = measure::doh_direct(
-          net, exit->site, exit->default_resolver, server,
-          provider.config().doh_hostname, transport::TlsVersion::kTls13,
-          world.origin());
-      world.sim().run();
-      (void)task.result();
-    }
-    {
-      auto net = world.ctx();
-      net.attribution.ledger = &cold_ledger;
-      net.labels = {provider.name(), iso2};
-      auto task = measure::do53_direct(
+    recorded(cold_ledger, [&](netsim::NetCtx& net) {
+      return measure::doh_direct(net, exit->site, exit->default_resolver,
+                                 server, transport::TlsVersion::kTls13,
+                                 world.origin());
+    });
+    recorded(cold_ledger, [&](netsim::NetCtx& net) {
+      return measure::do53_direct(
           net, exit->site, exit->default_resolver,
           resolver::probe_name(net.rng, world.origin()));
-      world.sim().run();
-      (void)task.result();
-    }
+    });
 
     // --- Warm cells: pooled sessions against warmed caches. ------------
-    {
-      auto net = world.ctx();
-      net.attribution.ledger = &warm_ledger;
-      net.labels = {provider.name(), iso2};
-      measure::WarmDohParams params;
-      params.vantage = exit->site;
-      params.default_resolver = exit->default_resolver;
-      params.doh = &server;
-      params.doh_hostname = provider.config().doh_hostname;
-      params.tls = transport::TlsVersion::kTls13;
-      params.origin = world.origin();
-      params.cache = &model;
-      params.population = cache_config.population;
-      params.reuse = reuse;
-      auto task = measure::doh_warm_path(net, std::move(params));
-      world.sim().run();
-      (void)task.result();
-    }
-    {
-      auto net = world.ctx();
-      net.attribution.ledger = &warm_ledger;
-      net.labels = {provider.name(), iso2};
-      measure::WarmDo53Params params;
-      params.vantage = exit->site;
-      params.resolver = exit->default_resolver;
-      params.origin = world.origin();
-      params.cache = &model;
-      params.population = cache_config.population * cache_config.isp_share;
-      params.reuse = reuse;
-      auto task = measure::do53_warm_path(net, std::move(params));
-      world.sim().run();
-      (void)task.result();
-    }
+    measure::WarmDohParams doh_params;
+    doh_params.vantage = exit->site;
+    doh_params.default_resolver = exit->default_resolver;
+    doh_params.doh = &server;
+    doh_params.tls = transport::TlsVersion::kTls13;
+    doh_params.origin = world.origin();
+    doh_params.cache = &model;
+    doh_params.population = cache_config.population;
+    doh_params.reuse = reuse;
+    recorded(warm_ledger, [&](netsim::NetCtx& net) {
+      return measure::doh_warm_path(net, doh_params);
+    });
+    measure::WarmDo53Params do53_params;
+    do53_params.vantage = exit->site;
+    do53_params.resolver = exit->default_resolver;
+    do53_params.origin = world.origin();
+    do53_params.cache = &model;
+    do53_params.population =
+        cache_config.population * cache_config.isp_share;
+    do53_params.reuse = reuse;
+    recorded(warm_ledger, [&](netsim::NetCtx& net) {
+      return measure::do53_warm_path(net, do53_params);
+    });
   }
 
   // --- Attribution CSV artifacts (loader round-trip on the way). -------

@@ -123,14 +123,13 @@ BudgetLine run_strategy(world::WorldModel& world,
     ctx.client = exit->site;
     ctx.default_resolver = exit->default_resolver;
     ctx.doh = &world.doh_server(0, pop);
-    ctx.doh_hostname = provider.config().doh_hostname;
     ctx.origin = world.origin();
     ctx.doh_unreachable = provider0_outage_at(spec.campaign, campaign_t);
 
-    auto net = world.ctx();
-    auto task = client::resolve_with_policy(net, ctx, mode);
-    world.sim().run();
-    const client::PolicyOutcome outcome = task.result();
+    const client::PolicyOutcome outcome =
+        world.run_flow([&](netsim::NetCtx& net) {
+          return client::resolve_with_policy(net, ctx, mode);
+        });
     tracker.record(name, "", campaign_t, outcome.outcome,
                    outcome.elapsed_ms, outcome.resolved);
   }

@@ -65,19 +65,20 @@ CacheOutcome run_workload(world::WorldModel& world,
         "popular-" + std::to_string(zipf(rng)));
     const std::uint64_t before = resolver->stats().cache_hits;
 
-    auto net = world.ctx();
     const netsim::SimTime start = world.sim().now();
-    auto task = [](netsim::NetCtx net_ctx, netsim::Site vantage,
-                   resolver::RecursiveResolver* r,
-                   dns::Message query) -> netsim::Task<void> {
-      const std::size_t bytes = dns::wire_size(query) + 28;
-      co_await net_ctx.hop(vantage, r->site(), bytes);
-      const dns::Message resp = co_await r->resolve(net_ctx, std::move(query));
-      co_await net_ctx.hop(r->site(), vantage, dns::wire_size(resp) + 28);
-    }(net, client->site, resolver,
-      dns::Message::make_query(static_cast<std::uint16_t>(rng.next()), name));
-    world.sim().run();
-    task.result();
+    world.run_flow([&](netsim::NetCtx& net) {
+      return [](netsim::NetCtx& net_ctx, netsim::Site vantage,
+                resolver::RecursiveResolver* r,
+                dns::Message query) -> netsim::Task<void> {
+        const std::size_t bytes = dns::wire_size(query) + 28;
+        co_await net_ctx.hop(vantage, r->site(), bytes);
+        const dns::Message resp =
+            co_await r->resolve(net_ctx, std::move(query));
+        co_await net_ctx.hop(r->site(), vantage, dns::wire_size(resp) + 28);
+      }(net, client->site, resolver,
+        dns::Message::make_query(static_cast<std::uint16_t>(rng.next()),
+                                 name));
+    });
     latencies.push_back(netsim::ms_between(start, world.sim().now()));
 
     if (!centralised) {

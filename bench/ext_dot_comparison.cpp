@@ -42,39 +42,31 @@ int bench() {
       const std::size_t pop =
           provider.route(exit->site.position, country->region, rng);
 
-      {
-        auto net = world.ctx();
-        auto task = measure::dot_direct(
-            net, exit->site, exit->default_resolver,
-            world.doh_server(p, pop), provider.config().doh_hostname,
-            transport::TlsVersion::kTls13, world.origin());
-        world.sim().run();
-        const auto obs = task.result();
-        if (obs.ok) {
-          dot1.push_back(obs.tdot_ms());
-          dotr.push_back(obs.tdotr_ms());
-        }
+      auto& server = world.doh_server(p, pop);
+      const auto dot = world.run_flow([&](netsim::NetCtx& net) {
+        return measure::dot_direct(net, exit->site, exit->default_resolver,
+                                   server, transport::TlsVersion::kTls13,
+                                   world.origin());
+      });
+      if (dot.ok) {
+        dot1.push_back(dot.tdot_ms());
+        dotr.push_back(dot.tdotr_ms());
       }
-      {
-        auto net = world.ctx();
-        auto task = measure::doh_direct(
-            net, exit->site, exit->default_resolver,
-            world.doh_server(p, pop), provider.config().doh_hostname,
-            transport::TlsVersion::kTls13, world.origin());
-        world.sim().run();
-        const auto obs = task.result();
-        if (obs.ok) {
-          doh1.push_back(obs.tdoh_ms());
-          dohr.push_back(obs.tdohr_ms());
-        }
+      const auto doh = world.run_flow([&](netsim::NetCtx& net) {
+        return measure::doh_direct(net, exit->site, exit->default_resolver,
+                                   server, transport::TlsVersion::kTls13,
+                                   world.origin());
+      });
+      if (doh.ok) {
+        doh1.push_back(doh.tdoh_ms());
+        dohr.push_back(doh.tdohr_ms());
       }
       if (p == 0) {
-        auto net = world.ctx();
-        auto task = measure::do53_direct(
-            net, exit->site, exit->default_resolver,
-            resolver::probe_name(net.rng, world.origin()));
-        world.sim().run();
-        const double ms = task.result();
+        const double ms = world.run_flow([&](netsim::NetCtx& net) {
+          return measure::do53_direct(
+              net, exit->site, exit->default_resolver,
+              resolver::probe_name(net.rng, world.origin()));
+        });
         if (ms >= 0) do53.push_back(ms);
       }
     }

@@ -75,63 +75,43 @@ int bench() {
         provider.route(exit->site.position, country->region, rng);
     auto& server = world.doh_server(0, pop);
 
-    {
-      auto net = world.ctx();
-      auto task = measure::do53_direct(
+    const double do53_ms = world.run_flow([&](netsim::NetCtx& net) {
+      return measure::do53_direct(
           net, exit->site, exit->default_resolver,
           resolver::probe_name(net.rng, world.origin()));
-      world.sim().run();
-      if (task.result() >= 0) do53.push_back(task.result());
+    });
+    if (do53_ms >= 0) do53.push_back(do53_ms);
+    const auto dot = world.run_flow([&](netsim::NetCtx& net) {
+      return measure::dot_direct(net, exit->site, exit->default_resolver,
+                                 server, transport::TlsVersion::kTls13,
+                                 world.origin());
+    });
+    if (dot.ok) {
+      dot1.push_back(dot.tdot_ms());
+      dotr.push_back(dot.tdotr_ms());
     }
-    {
-      auto net = world.ctx();
-      auto task = measure::dot_direct(
-          net, exit->site, exit->default_resolver, server,
-          provider.config().doh_hostname, transport::TlsVersion::kTls13,
-          world.origin());
-      world.sim().run();
-      const auto obs = task.result();
-      if (obs.ok) {
-        dot1.push_back(obs.tdot_ms());
-        dotr.push_back(obs.tdotr_ms());
-      }
+    const auto doh = world.run_flow([&](netsim::NetCtx& net) {
+      return measure::doh_direct(net, exit->site, exit->default_resolver,
+                                 server, transport::TlsVersion::kTls13,
+                                 world.origin());
+    });
+    if (doh.ok) {
+      doh1.push_back(doh.tdoh_ms());
+      dohr.push_back(doh.tdohr_ms());
     }
-    {
-      auto net = world.ctx();
-      auto task = measure::doh_direct(
-          net, exit->site, exit->default_resolver, server,
-          provider.config().doh_hostname, transport::TlsVersion::kTls13,
-          world.origin());
-      world.sim().run();
-      const auto obs = task.result();
-      if (obs.ok) {
-        doh1.push_back(obs.tdoh_ms());
-        dohr.push_back(obs.tdohr_ms());
-      }
+    const auto doq = world.run_flow([&](netsim::NetCtx& net) {
+      return measure::doq_direct(net, exit->site, exit->default_resolver,
+                                 server, world.origin(), /*resumed=*/false);
+    });
+    if (doq.ok) {
+      doq1.push_back(doq.tdoq_ms());
+      doqr.push_back(doq.tdoqr_ms());
     }
-    {
-      auto net = world.ctx();
-      auto task = measure::doq_direct(net, exit->site,
-                                      exit->default_resolver, server,
-                                      provider.config().doh_hostname,
-                                      world.origin(), /*resumed=*/false);
-      world.sim().run();
-      const auto obs = task.result();
-      if (obs.ok) {
-        doq1.push_back(obs.tdoq_ms());
-        doqr.push_back(obs.tdoqr_ms());
-      }
-    }
-    {
-      auto net = world.ctx();
-      auto task = measure::doq_direct(net, exit->site,
-                                      exit->default_resolver, server,
-                                      provider.config().doh_hostname,
-                                      world.origin(), /*resumed=*/true);
-      world.sim().run();
-      const auto obs = task.result();
-      if (obs.ok) doq0.push_back(obs.tdoq_ms());
-    }
+    const auto doq_resumed = world.run_flow([&](netsim::NetCtx& net) {
+      return measure::doq_direct(net, exit->site, exit->default_resolver,
+                                 server, world.origin(), /*resumed=*/true);
+    });
+    if (doq_resumed.ok) doq0.push_back(doq_resumed.tdoq_ms());
   }
 
   report::Table table("Median resolution times (ms), one client sampled "
@@ -173,35 +153,29 @@ int bench() {
         provider.route(exit->site.position, country->region, warm_rng);
     auto& server = world.doh_server(0, pop);
 
-    {
-      auto net = world.ctx();
-      measure::WarmDohParams params;
-      params.vantage = exit->site;
-      params.default_resolver = exit->default_resolver;
-      params.doh = &server;
-      params.doh_hostname = provider.config().doh_hostname;
-      params.tls = transport::TlsVersion::kTls13;
-      params.origin = world.origin();
-      params.cache = &model;
-      params.population = cache_config.population;
-      params.reuse = reuse;
-      auto task = measure::doh_warm_path(net, std::move(params));
-      world.sim().run();
-      warm_doh.fold(task.result());
-    }
-    {
-      auto net = world.ctx();
-      measure::WarmDo53Params params;
-      params.vantage = exit->site;
-      params.resolver = exit->default_resolver;
-      params.origin = world.origin();
-      params.cache = &model;
-      params.population = cache_config.population * cache_config.isp_share;
-      params.reuse = reuse;
-      auto task = measure::do53_warm_path(net, std::move(params));
-      world.sim().run();
-      warm_do53.fold(task.result());
-    }
+    measure::WarmDohParams doh_params;
+    doh_params.vantage = exit->site;
+    doh_params.default_resolver = exit->default_resolver;
+    doh_params.doh = &server;
+    doh_params.tls = transport::TlsVersion::kTls13;
+    doh_params.origin = world.origin();
+    doh_params.cache = &model;
+    doh_params.population = cache_config.population;
+    doh_params.reuse = reuse;
+    warm_doh.fold(world.run_flow([&](netsim::NetCtx& net) {
+      return measure::doh_warm_path(net, doh_params);
+    }));
+    measure::WarmDo53Params do53_params;
+    do53_params.vantage = exit->site;
+    do53_params.resolver = exit->default_resolver;
+    do53_params.origin = world.origin();
+    do53_params.cache = &model;
+    do53_params.population =
+        cache_config.population * cache_config.isp_share;
+    do53_params.reuse = reuse;
+    warm_do53.fold(world.run_flow([&](netsim::NetCtx& net) {
+      return measure::do53_warm_path(net, do53_params);
+    }));
   }
 
   const double cold_doh = stats::median(doh1);

@@ -42,14 +42,13 @@ ModeStats run_mode(world::WorldModel& world, const std::string& iso2,
     ctx.client = exit->site;
     ctx.default_resolver = exit->default_resolver;
     ctx.doh = &world.doh_server(0, pop);
-    ctx.doh_hostname = provider.config().doh_hostname;
     ctx.origin = world.origin();
     ctx.doh_unreachable = rng.bernoulli(outage_probability);
 
-    auto net = world.ctx();
-    auto task = client::resolve_with_policy(net, ctx, mode);
-    world.sim().run();
-    const auto outcome = task.result();
+    const client::PolicyOutcome outcome =
+        world.run_flow([&](netsim::NetCtx& net) {
+          return client::resolve_with_policy(net, ctx, mode);
+        });
     ++total;
     resolved += outcome.resolved;
     downgraded += outcome.downgraded;

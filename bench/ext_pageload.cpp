@@ -35,17 +35,15 @@ double median_plt(world::WorldModel& world, const std::string& iso2,
     ctx.client = client->site;
     ctx.default_resolver = client->default_resolver;
     ctx.doh = &world.doh_server(0, pop);
-    ctx.doh_hostname = provider.config().doh_hostname;
     ctx.web_server = world.authority().site();
     ctx.origin = world.origin();
 
     web::PageSpec spec;
     spec.domains = domains;
 
-    auto net = world.ctx();
-    auto task = web::load_page(net, ctx, spec, mode);
-    world.sim().run();
-    const auto result = task.result();
+    const auto result = world.run_flow([&](netsim::NetCtx& net) {
+      return web::load_page(net, ctx, spec, mode);
+    });
     if (result.ok) plt.push_back(result.total_ms);
   }
   return stats::median(plt);

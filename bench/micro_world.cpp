@@ -56,12 +56,11 @@ void BM_GroundTruthFlow(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    auto net = world.ctx();
-    auto task = measure::do53_direct(
-        net, exit->site, exit->default_resolver,
-        resolver::probe_name(net.rng, world.origin()));
-    world.sim().run();
-    benchmark::DoNotOptimize(task.result());
+    benchmark::DoNotOptimize(world.run_flow([&](netsim::NetCtx& net) {
+      return measure::do53_direct(
+          net, exit->site, exit->default_resolver,
+          resolver::probe_name(net.rng, world.origin()));
+    }));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -32,9 +32,10 @@ const proxy::ExitNode* first_exit(world::WorldModel& world) {
 
 /// Runs one fully-instrumented flow from the first enrolled exit to the
 /// first provider's routed PoP on the world's own simulator and writes
-/// its Perfetto trace to `path`. `launch(net, exit, provider, doh)`
-/// starts the flow. Runs after the campaign on the private RNG substream
-/// `rng_tag`, so the dataset is untouched.
+/// its Perfetto trace to `path`. `launch(net, exit, doh)` starts the
+/// flow. Runs after the campaign on the private RNG substream `rng_tag`
+/// (which is why it builds its own context instead of calling
+/// WorldModel::run_flow), so the dataset is untouched.
 template <typename Launch>
 void capture_trace(world::WorldModel& world, const std::string& path,
                    const char* rng_tag, Launch launch) {
@@ -52,7 +53,7 @@ void capture_trace(world::WorldModel& world, const std::string& path,
   const geo::Country* country = geo::find_country(exit->true_iso2);
   const std::size_t pop_index =
       provider.route(exit->site.position, country->region, net.rng);
-  auto flow = launch(net, *exit, provider, world.doh_server(0, pop_index));
+  auto flow = launch(net, *exit, world.doh_server(0, pop_index));
   world.sim().run();
   (void)flow.result();  // propagate exceptions
 
@@ -65,7 +66,6 @@ void capture_trace(world::WorldModel& world, const std::string& path,
 void capture_proxy_trace(world::WorldModel& world, const std::string& path) {
   const auto launch = [&world](netsim::NetCtx& net,
                                const proxy::ExitNode& exit,
-                               anycast::Provider& provider,
                                resolver::DohServer& doh) {
     measure::DohProxyParams params;
     params.client = world.measurement_client();
@@ -73,7 +73,6 @@ void capture_proxy_trace(world::WorldModel& world, const std::string& path) {
         world.brightdata().nearest_super_proxy(exit.site.position).site;
     params.exit = &exit;
     params.doh = &doh;
-    params.doh_hostname = provider.config().doh_hostname;
     params.tls = world.config().tls_version;
     params.origin = world.origin();
     return measure::doh_via_proxy(net, std::move(params));
@@ -89,13 +88,11 @@ void capture_warm_trace(world::WorldModel& world, const std::string& path) {
   cache_config.enabled = true;
   const resolver::SharedCacheModel cache(cache_config);
   const auto launch = [&](netsim::NetCtx& net, const proxy::ExitNode& exit,
-                          anycast::Provider& provider,
                           resolver::DohServer& doh) {
     measure::WarmDohParams params;
     params.vantage = exit.site;
     params.default_resolver = exit.default_resolver;
     params.doh = &doh;
-    params.doh_hostname = provider.config().doh_hostname;
     params.tls = world.config().tls_version;
     params.origin = world.origin();
     params.cache = &cache;

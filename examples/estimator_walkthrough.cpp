@@ -39,13 +39,12 @@ int main(int argc, char** argv) {
       world.brightdata().nearest_super_proxy(exit->site.position).site;
   params.exit = exit;
   params.doh = &world.doh_server(0, pop);
-  params.doh_hostname = provider.config().doh_hostname;
   params.origin = world.origin();
 
-  auto net = world.ctx();
-  auto task = measure::doh_via_proxy(net, std::move(params));
-  world.sim().run();
-  const measure::DohProxyObservation obs = task.result();
+  const measure::DohProxyObservation obs =
+      world.run_flow([&](netsim::NetCtx& net) {
+        return measure::doh_via_proxy(net, params);
+      });
   if (!obs.ok) {
     std::fprintf(stderr, "measurement failed\n");
     return 1;

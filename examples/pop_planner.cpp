@@ -42,13 +42,11 @@ FleetResult measure_fleet(world::WorldModel& world, const std::string& iso2,
     if (client == nullptr) break;
     const std::size_t pop =
         provider.route(client->site.position, country->region, rng);
-    auto net = world.ctx();
-    auto task = measure::doh_direct(
-        net, client->site, client->default_resolver, servers[pop],
-        provider.config().doh_hostname, transport::TlsVersion::kTls13,
-        world.origin());
-    world.sim().run();
-    const auto obs = task.result();
+    const auto obs = world.run_flow([&](netsim::NetCtx& net) {
+      return measure::doh_direct(net, client->site, client->default_resolver,
+                                 servers[pop], transport::TlsVersion::kTls13,
+                                 world.origin());
+    });
     if (!obs.ok) continue;
     doh1.push_back(obs.tdoh_ms());
     dohr.push_back(obs.tdohr_ms());

@@ -34,15 +34,12 @@ int main(int argc, char** argv) {
 
   // 2. A Do53 measurement: the exit node resolves a fresh <UUID>.a.com
   //    with its default resolver (guaranteed cache miss).
-  {
-    auto net = world.ctx();
-    auto task = measure::do53_direct(
+  const double do53_ms = world.run_flow([&](netsim::NetCtx& net) {
+    return measure::do53_direct(
         net, client->site, client->default_resolver,
         world.origin().with_subdomain("quickstart-do53-probe"));
-    world.sim().run();
-    std::printf("Do53 (default resolver, cache miss): %7.1f ms\n",
-                task.result());
-  }
+  });
+  std::printf("Do53 (default resolver, cache miss): %7.1f ms\n", do53_ms);
 
   // 3. A DoH measurement against each provider: bootstrap + TCP + TLS 1.3
   //    + HTTPS query, plus a second query reusing the session (DoHR).
@@ -51,13 +48,12 @@ int main(int argc, char** argv) {
     const geo::Country* country = geo::find_country(iso2);
     const std::size_t pop = provider.route(client->site.position,
                                            country->region, world.rng());
-    auto net = world.ctx();
-    auto task = measure::doh_direct(
-        net, client->site, client->default_resolver, world.doh_server(p, pop),
-        provider.config().doh_hostname, transport::TlsVersion::kTls13,
-        world.origin());
-    world.sim().run();
-    const auto obs = task.result();
+    const auto obs = world.run_flow([&](netsim::NetCtx& net) {
+      return measure::doh_direct(net, client->site, client->default_resolver,
+                                 world.doh_server(p, pop),
+                                 transport::TlsVersion::kTls13,
+                                 world.origin());
+    });
     if (!obs.ok) {
       std::printf("%-10s measurement failed (HTTP %d)\n",
                   provider.name().c_str(), obs.http_status);

@@ -15,6 +15,10 @@ using netsim::NetCtx;
 using netsim::SimTime;
 using netsim::Task;
 
+/// kRace only: head start the DoH leg gets before the Do53 leg fires
+/// (the happy-eyeballs connection-attempt delay).
+constexpr netsim::Duration kRaceStagger = netsim::from_ms(250);
+
 /// Plain Do53 resolution of a fresh name; true on success.
 Task<bool> resolve_do53(NetCtx& net, const PolicyContext& ctx) {
   const resolver::StubResult result = co_await resolver::stub_resolve(
@@ -33,8 +37,8 @@ Task<bool> resolve_doh(NetCtx& net, const PolicyContext& ctx) {
     const auto id = static_cast<std::uint16_t>(net.rng.next() & 0xFFFF);
     const resolver::StubResult bootstrap = co_await resolver::stub_resolve(
         net, ctx.client, *ctx.default_resolver,
-        dns::Message::make_query(id,
-                                 dns::DomainName::parse(ctx.doh_hostname)));
+        dns::Message::make_query(
+            id, dns::DomainName::parse(ctx.doh->hostname())));
     if (!bootstrap.ok()) co_return false;
   }
 
@@ -49,7 +53,7 @@ Task<bool> resolve_doh(NetCtx& net, const PolicyContext& ctx) {
   transport::HttpRequest req;
   req.method = "GET";
   req.target = resolver::doh_get_target(query);
-  req.headers.add("host", ctx.doh_hostname);
+  req.headers.add("host", ctx.doh->hostname());
   co_await tls.send(req);
   const transport::HttpResponse resp =
       co_await ctx.doh->handle(net, std::move(req));
@@ -95,7 +99,7 @@ netsim::Task<PolicyOutcome> resolve_with_policy(netsim::NetCtx& net,
 
   if (mode == DohMode::kRace) {
     // Happy-eyeballs: the DoH leg fires immediately, the Do53 leg
-    // race_stagger later, and the first answer wins. The two legs share
+    // kRaceStagger later, and the first answer wins. The two legs share
     // no simulated resource, so each is timed on its own and the winner
     // is composed analytically — identical answer to interleaving them,
     // without nesting scheduler tasks.
@@ -110,7 +114,7 @@ netsim::Task<PolicyOutcome> resolve_with_policy(netsim::NetCtx& net,
     {
       const SimTime leg = net.sim.now();
       if (co_await resolve_do53(net, ctx)) {
-        do53_ms = netsim::to_ms(ctx.race_stagger) +
+        do53_ms = netsim::to_ms(kRaceStagger) +
                   netsim::ms_between(leg, net.sim.now());
       }
     }

@@ -36,8 +36,8 @@ enum class DohMode {
 struct PolicyContext {
   netsim::Site client;
   resolver::RecursiveResolver* default_resolver = nullptr;
+  /// The serving PoP; the client bootstraps and addresses its hostname.
   resolver::DohServer* doh = nullptr;
-  std::string doh_hostname;
   dns::DomainName origin;
   /// Fault injection: the DoH resolver is unreachable for this client
   /// (TCP SYNs vanish). The client only learns this via its timeout.
@@ -45,9 +45,6 @@ struct PolicyContext {
   /// How long the client waits before declaring DoH dead (browsers use a
   /// few seconds; Firefox's network.trr.request_timeout_ms is 1500).
   netsim::Duration doh_timeout = netsim::from_ms(1500);
-  /// kRace only: head start the DoH leg gets before the Do53 leg fires
-  /// (the happy-eyeballs connection-attempt delay).
-  netsim::Duration race_stagger = netsim::from_ms(250);
 };
 
 /// Outcome of one policy-driven resolution.

@@ -485,7 +485,6 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
     params.super_proxy = task.sp_site;
     params.exit = &exit;
     params.doh = &view.doh(p, pop_index);
-    params.doh_hostname = provider.config().doh_hostname;
     params.tls = view.world.config().tls_version;
     params.origin = view.world.origin();
 
@@ -550,7 +549,6 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
       wp.vantage = exit.site;
       wp.default_resolver = exit.default_resolver;
       wp.doh = &view.doh(p, pop_index);
-      wp.doh_hostname = provider.config().doh_hostname;
       wp.tls = view.world.config().tls_version;
       wp.origin = view.world.origin();
       wp.cache = model;
@@ -581,11 +579,8 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
   params.client = view.world.measurement_client();
   params.super_proxy = task.sp_site;
   params.exit = &exit;
-  params.web_server = view.authority().site();  // co-hosted with a.com NS
   params.origin = view.world.origin();
-  params.resolve_at_super_proxy =
-      proxy::resolves_dns_at_super_proxy(exit.advertised_iso2);
-  params.authority = &view.authority();
+  params.authority = &view.authority();  // a.com's NS and web host
 
   s.begin_flow(static_cast<std::uint32_t>(view.world.providers().size()),
                "do53");

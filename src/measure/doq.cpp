@@ -8,8 +8,7 @@ namespace dohperf::measure {
 netsim::Task<DirectDoqObservation> doq_direct(
     netsim::NetCtx& net, netsim::Site vantage,
     resolver::RecursiveResolver* default_resolver,
-    resolver::DohServer& doh, std::string hostname,
-    dns::DomainName origin, bool resumed) {
+    resolver::DohServer& doh, dns::DomainName origin, bool resumed) {
   const auto flow = net.flow({.span = "doq_query", .transport = "doq"});
   DirectDoqObservation obs;
   const netsim::Site pop = doh.site();
@@ -22,7 +21,8 @@ netsim::Task<DirectDoqObservation> doq_direct(
     const auto id = static_cast<std::uint16_t>(net.rng.next() & 0xFFFF);
     const resolver::StubResult bootstrap = co_await resolver::stub_resolve(
         net, vantage, *default_resolver,
-        dns::Message::make_query(id, dns::DomainName::parse(hostname)));
+        dns::Message::make_query(id,
+                                 dns::DomainName::parse(doh.hostname())));
     if (!bootstrap.ok()) co_return obs;
     obs.dns_ms = bootstrap.elapsed_ms;
   }

@@ -6,7 +6,6 @@
 
 #include <cmath>
 #include <limits>
-#include <string>
 
 #include "dns/name.h"
 #include "netsim/netctx.h"
@@ -38,7 +37,6 @@ struct DirectDoqObservation {
 [[nodiscard]] netsim::Task<DirectDoqObservation> doq_direct(
     netsim::NetCtx& net, netsim::Site vantage,
     resolver::RecursiveResolver* default_resolver,
-    resolver::DohServer& doh, std::string hostname,
-    dns::DomainName origin, bool resumed = false);
+    resolver::DohServer& doh, dns::DomainName origin, bool resumed = false);
 
 }  // namespace dohperf::measure

@@ -9,8 +9,8 @@ namespace dohperf::measure {
 netsim::Task<DirectDotObservation> dot_direct(
     netsim::NetCtx& net, netsim::Site vantage,
     resolver::RecursiveResolver* default_resolver,
-    resolver::DohServer& doh, std::string hostname,
-    transport::TlsVersion tls, dns::DomainName origin) {
+    resolver::DohServer& doh, transport::TlsVersion tls,
+    dns::DomainName origin) {
   const auto flow = net.flow({.span = "dot_query", .transport = "dot"});
   DirectDotObservation obs;
   const netsim::Site pop = doh.site();
@@ -23,7 +23,8 @@ netsim::Task<DirectDotObservation> dot_direct(
     const auto id = static_cast<std::uint16_t>(net.rng.next() & 0xFFFF);
     const resolver::StubResult bootstrap = co_await resolver::stub_resolve(
         net, vantage, *default_resolver,
-        dns::Message::make_query(id, dns::DomainName::parse(hostname)));
+        dns::Message::make_query(id,
+                                 dns::DomainName::parse(doh.hostname())));
     if (!bootstrap.ok()) co_return obs;
     obs.dns_ms = bootstrap.elapsed_ms;
   }

@@ -9,7 +9,6 @@
 
 #include <cmath>
 #include <limits>
-#include <string>
 
 #include "dns/name.h"
 #include "netsim/netctx.h"
@@ -37,12 +36,12 @@ struct DirectDotObservation {
 };
 
 /// Runs a DoT resolution (plus one reuse query) against the PoP behind
-/// `doh` — the same front-end terminates both protocols; DoT simply skips
-/// the HTTP encapsulation.
+/// `doh` — the same front-end terminates both protocols, under the same
+/// hostname; DoT simply skips the HTTP encapsulation.
 [[nodiscard]] netsim::Task<DirectDotObservation> dot_direct(
     netsim::NetCtx& net, netsim::Site vantage,
     resolver::RecursiveResolver* default_resolver,
-    resolver::DohServer& doh, std::string hostname,
-    transport::TlsVersion tls, dns::DomainName origin);
+    resolver::DohServer& doh, transport::TlsVersion tls,
+    dns::DomainName origin);
 
 }  // namespace dohperf::measure

@@ -71,6 +71,7 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
   const Site& sp = params.super_proxy;
   const Site& exit = params.exit->site;
   const Site pop = params.doh->site();
+  const std::string& doh_hostname = params.doh->hostname();
 
   // The client's timestamps are taken relative to the session's own
   // start rather than the simulation epoch: only the differences
@@ -96,7 +97,7 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
 
   transport::HttpRequest connect_req;
   connect_req.method = "CONNECT";
-  connect_req.target = params.doh_hostname + ":443";
+  connect_req.target = doh_hostname + ":443";
   connect_req.headers.add("host", connect_req.target);
   co_await tunnel.connect_to_super_proxy(connect_req);  // t1
   co_await tunnel.forward_connect(connect_req);         // t2
@@ -115,7 +116,7 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
     dns_ms = co_await resolve_at(
         net, exit, params.exit->default_resolver,
         dns::Message::make_query(
-            bootstrap_id, dns::DomainName::parse(params.doh_hostname)));
+            bootstrap_id, dns::DomainName::parse(doh_hostname)));
   }
   if (dns_ms < 0) co_return obs;
   obs.true_dns_ms = dns_ms;
@@ -191,7 +192,7 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
   transport::HttpRequest get_req;
   get_req.method = "GET";
   get_req.target = resolver::doh_get_target(query);
-  get_req.headers.add("host", params.doh_hostname);
+  get_req.headers.add("host", doh_hostname);
   get_req.headers.add("accept", "application/dns-message");
   // Client Finished piggybacks on the first record (TLS 1.3).
   const std::size_t get_payload =
@@ -219,11 +220,11 @@ Task<DirectDohObservation> doh_direct(NetCtx& net, Site vantage,
                                       resolver::RecursiveResolver*
                                           default_resolver,
                                       resolver::DohServer& doh,
-                                      std::string doh_hostname,
                                       transport::TlsVersion tls,
                                       dns::DomainName origin) {
   DirectDohObservation obs;
   const Site pop = doh.site();
+  const std::string& doh_hostname = doh.hostname();
 
   const auto flow = net.flow({"doh_direct", std::nullopt,
                               &MetricCounters::doh_queries, "doh_direct"});
@@ -300,7 +301,7 @@ Task<Do53ProxyObservation> do53_via_proxy(NetCtx& net,
   co_await tunnel.connect_to_super_proxy(connect_req);
 
   double dns_ms = 0.0;
-  if (params.resolve_at_super_proxy) {
+  if (proxy::resolves_dns_at_super_proxy(params.exit->advertised_iso2)) {
     // BrightData quirk in the 11 Super Proxy countries: the Super Proxy
     // resolves the name itself (datacenter-grade path to the
     // authoritative server), so the header value does NOT reflect the
@@ -336,7 +337,7 @@ Task<Do53ProxyObservation> do53_via_proxy(NetCtx& net,
 
   // TCP handshake exit <-> web server, then the tunnel reply (t7-t8).
   const transport::TcpConnection tcp =
-      co_await transport::tcp_connect(net, exit, params.web_server);
+      co_await transport::tcp_connect(net, exit, params.authority->site());
   if (!tcp.established) co_return obs;
 
   proxy::TunTimeline tun;

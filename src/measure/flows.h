@@ -36,8 +36,9 @@ struct DohProxyParams {
   netsim::Site client;       ///< The measurement client (paper: Illinois).
   netsim::Site super_proxy;  ///< Serving Super Proxy.
   const proxy::ExitNode* exit = nullptr;
-  resolver::DohServer* doh = nullptr;  ///< At the anycast-selected PoP.
-  std::string doh_hostname;            ///< Bootstrap name (e.g. dns.google).
+  /// At the anycast-selected PoP; its hostname (e.g. dns.google) is the
+  /// name the exit node bootstraps and the flow CONNECTs to.
+  resolver::DohServer* doh = nullptr;
   transport::TlsVersion tls = transport::TlsVersion::kTls13;
   dns::DomainName origin;              ///< Study zone ("a.com").
 };
@@ -86,21 +87,21 @@ struct DirectDohObservation {
 [[nodiscard]] netsim::Task<DirectDohObservation> doh_direct(
     netsim::NetCtx& net, netsim::Site vantage,
     resolver::RecursiveResolver* default_resolver,
-    resolver::DohServer& doh, std::string doh_hostname,
-    transport::TlsVersion tls, dns::DomainName origin);
+    resolver::DohServer& doh, transport::TlsVersion tls,
+    dns::DomainName origin);
 
 /// Parameters for a proxied Do53 measurement (HTTP GET to the study web
-/// server, forcing a default-resolver resolution at the exit node).
+/// server, forcing a default-resolver resolution at the exit node). In
+/// the 11 Super Proxy countries (proxy::resolves_dns_at_super_proxy of
+/// the exit's advertised country) the Super Proxy resolves instead, and
+/// the reported value is useless for the study.
 struct Do53ProxyParams {
   netsim::Site client;
   netsim::Site super_proxy;
   const proxy::ExitNode* exit = nullptr;
-  netsim::Site web_server;  ///< a.com's web host.
   dns::DomainName origin;
-  /// When true (the 11 Super Proxy countries), DNS resolution happens at
-  /// the Super Proxy and the reported value is useless for the study.
-  bool resolve_at_super_proxy = false;
-  /// Authoritative server the Super Proxy consults in that case.
+  /// a.com's authoritative server: the Super Proxy consults it in those
+  /// countries, and a.com's web host is co-located with it.
   resolver::AuthoritativeServer* authority = nullptr;
 };
 

@@ -9,6 +9,23 @@
 
 namespace dohperf::measure {
 
+namespace {
+
+/// A proxied Do53 measurement of `exit` from the study's client.
+Do53ProxyParams proxied_do53(world::WorldModel& world,
+                             const proxy::ExitNode& exit) {
+  Do53ProxyParams params;
+  params.client = world.measurement_client();
+  params.super_proxy =
+      world.brightdata().nearest_super_proxy(exit.site.position).site;
+  params.exit = &exit;
+  params.origin = world.origin();
+  params.authority = &world.authority();
+  return params;
+}
+
+}  // namespace
+
 GroundTruthLab::GroundTruthLab(world::WorldModel& world) : world_(world) {}
 
 proxy::ExitNode GroundTruthLab::make_ec2_node(const std::string& iso2) {
@@ -47,7 +64,7 @@ DohValidation GroundTruthLab::validate_doh(const std::string& iso2,
                                            std::size_t provider_index,
                                            int reps) {
   const proxy::ExitNode node = make_ec2_node(iso2);
-  anycast::Provider& provider = world_.providers()[provider_index];
+  const anycast::Provider& provider = world_.providers()[provider_index];
 
   // Datacenter vantage points ride clean BGP paths: anycast delivers
   // them to the nearest PoP, and the assignment is stable across the
@@ -55,41 +72,34 @@ DohValidation GroundTruthLab::validate_doh(const std::string& iso2,
   const std::size_t pop_index = provider.nearest(node.site.position);
   resolver::DohServer& doh = world_.doh_server(provider_index, pop_index);
 
+  DohProxyParams params;
+  params.client = world_.measurement_client();
+  params.super_proxy =
+      world_.brightdata().nearest_super_proxy(node.site.position).site;
+  params.exit = &node;
+  params.doh = &doh;
+  params.tls = world_.config().tls_version;
+  params.origin = world_.origin();
+
   std::vector<double> est_tdoh, est_tdohr, truth_tdoh, truth_tdohr;
 
   for (int i = 0; i < reps; ++i) {
     // Estimator path: full proxied measurement.
-    {
-      netsim::NetCtx net = world_.ctx();
-      DohProxyParams params;
-      params.client = world_.measurement_client();
-      params.super_proxy =
-          world_.brightdata().nearest_super_proxy(node.site.position).site;
-      params.exit = &node;
-      params.doh = &doh;
-      params.doh_hostname = provider.config().doh_hostname;
-      params.tls = world_.config().tls_version;
-      params.origin = world_.origin();
-      auto task = doh_via_proxy(net, std::move(params));
-      world_.sim().run();
-      const DohProxyObservation obs = task.result();
-      if (obs.ok) {
-        est_tdoh.push_back(estimate_tdoh_ms(obs.inputs));
-        est_tdohr.push_back(estimate_tdohr_ms(obs.inputs));
-      }
+    const DohProxyObservation proxied = world_.run_flow(
+        [&](netsim::NetCtx& net) { return doh_via_proxy(net, params); });
+    if (proxied.ok) {
+      est_tdoh.push_back(estimate_tdoh_ms(proxied.inputs));
+      est_tdohr.push_back(estimate_tdohr_ms(proxied.inputs));
     }
     // Ground truth: direct measurement at the controlled node.
-    {
-      netsim::NetCtx net = world_.ctx();
-      auto task = doh_direct(net, node.site, node.default_resolver, doh,
-                             provider.config().doh_hostname,
-                             world_.config().tls_version, world_.origin());
-      world_.sim().run();
-      const DirectDohObservation obs = task.result();
-      if (obs.ok) {
-        truth_tdoh.push_back(obs.tdoh_ms());
-        truth_tdohr.push_back(obs.tdohr_ms());
-      }
+    const DirectDohObservation direct =
+        world_.run_flow([&](netsim::NetCtx& net) {
+          return doh_direct(net, node.site, node.default_resolver, doh,
+                            world_.config().tls_version, world_.origin());
+        });
+    if (direct.ok) {
+      truth_tdoh.push_back(direct.tdoh_ms());
+      truth_tdohr.push_back(direct.tdohr_ms());
     }
   }
 
@@ -112,33 +122,18 @@ Do53Validation GroundTruthLab::validate_do53(const std::string& iso2,
 
   std::vector<double> estimated, truth;
   for (int i = 0; i < reps; ++i) {
-    {
-      netsim::NetCtx net = world_.ctx();
-      Do53ProxyParams params;
-      params.client = world_.measurement_client();
-      params.super_proxy =
-          world_.brightdata().nearest_super_proxy(node.site.position).site;
-      params.exit = &node;
-      params.web_server = world_.authority().site();
-      params.origin = world_.origin();
-      params.resolve_at_super_proxy = false;
-      params.authority = &world_.authority();
-      auto task = do53_via_proxy(net, std::move(params));
-      world_.sim().run();
-      const Do53ProxyObservation obs = task.result();
-      if (obs.ok) estimated.push_back(obs.tun.dns_ms);
-    }
-    {
-      netsim::NetCtx net = world_.ctx();
-      // Names must be fresh per repetition or the resolver cache would
-      // serve every repetition after the first.
-      auto task = do53_direct(
-          net, node.site, node.default_resolver,
-          resolver::probe_name(net.rng, world_.origin()));
-      world_.sim().run();
-      const double ms = task.result();
-      if (ms >= 0) truth.push_back(ms);
-    }
+    const Do53ProxyObservation proxied =
+        world_.run_flow([&](netsim::NetCtx& net) {
+          return do53_via_proxy(net, proxied_do53(world_, node));
+        });
+    if (proxied.ok) estimated.push_back(proxied.tun.dns_ms);
+    // Names must be fresh per repetition or the resolver cache would
+    // serve every repetition after the first.
+    const double ms = world_.run_flow([&](netsim::NetCtx& net) {
+      return do53_direct(net, node.site, node.default_resolver,
+                         resolver::probe_name(net.rng, world_.origin()));
+    });
+    if (ms >= 0) truth.push_back(ms);
   }
 
   Do53Validation v;
@@ -158,30 +153,19 @@ NetworkComparison GroundTruthLab::compare_networks(const std::string& iso2,
     const proxy::ExitNode* exit = world_.brightdata().pick_exit(iso2, rng);
     if (exit != nullptr &&
         !proxy::resolves_dns_at_super_proxy(iso2)) {
-      netsim::NetCtx net = world_.ctx();
-      Do53ProxyParams params;
-      params.client = world_.measurement_client();
-      params.super_proxy =
-          world_.brightdata().nearest_super_proxy(exit->site.position).site;
-      params.exit = exit;
-      params.web_server = world_.authority().site();
-      params.origin = world_.origin();
-      params.resolve_at_super_proxy = false;
-      params.authority = &world_.authority();
-      auto task = do53_via_proxy(net, std::move(params));
-      world_.sim().run();
-      const Do53ProxyObservation obs = task.result();
+      const Do53ProxyObservation obs =
+          world_.run_flow([&](netsim::NetCtx& net) {
+            return do53_via_proxy(net, proxied_do53(world_, *exit));
+          });
       if (obs.ok) brightdata.push_back(obs.tun.dns_ms);
     }
     // Atlas: a random probe in the country.
     const proxy::AtlasProbe* probe = world_.atlas().pick_probe(iso2, rng);
     if (probe != nullptr) {
-      netsim::NetCtx net = world_.ctx();
-      auto task = world_.atlas().measure_do53(
-          net, *probe,
-          resolver::probe_name(rng, world_.origin()));
-      world_.sim().run();
-      const double ms = task.result();
+      const double ms = world_.run_flow([&](netsim::NetCtx& net) {
+        return world_.atlas().measure_do53(
+            net, *probe, resolver::probe_name(rng, world_.origin()));
+      });
       if (ms >= 0) atlas.push_back(ms);
     }
   }

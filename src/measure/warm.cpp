@@ -54,6 +54,7 @@ std::uint32_t remaining_ttl(double ttl_s, double age_s) {
 Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
   WarmPathObservation obs;
   const Site pop = params.doh->site();
+  const std::string& doh_hostname = params.doh->hostname();
   // The root only spans and counts the session; each query below is its
   // own attributed flow.
   const auto root =
@@ -111,8 +112,7 @@ Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
     const SimTime start = net.sim.now();
     const auto flow =
         net.flow({.transport = i == 0 ? "doh_warm_first" : "doh_warm"});
-    const client::Acquire how =
-        pool.acquire(params.doh_hostname, net.sim.now());
+    const client::Acquire how = pool.acquire(doh_hostname, net.sim.now());
     if (how == client::Acquire::kReuse) {
       q.connection_reused = true;
     } else {
@@ -128,8 +128,7 @@ Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
         const auto id = static_cast<std::uint16_t>(net.rng.next() & 0xFFFF);
         const resolver::StubResult boot = co_await resolver::stub_resolve(
             net, params.vantage, *params.default_resolver,
-            dns::Message::make_query(
-                id, dns::DomainName::parse(params.doh_hostname)));
+            dns::Message::make_query(id, dns::DomainName::parse(doh_hostname)));
         if (!boot.ok()) {
           obs.queries.push_back(q);
           obs.pool = pool.stats();
@@ -153,7 +152,7 @@ Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
         obs.pool = pool.stats();
         co_return obs;
       }
-      pool.established(params.doh_hostname, net.sim.now());
+      pool.established(doh_hostname, net.sim.now());
     }
 
     const bool shared_hit = params.cache != nullptr && look.hit;
@@ -173,14 +172,14 @@ Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
       transport::HttpRequest req;
       req.method = "GET";
       req.target = resolver::doh_get_target(query);
-      req.headers.add("host", params.doh_hostname);
+      req.headers.add("host", doh_hostname);
       co_await tls->send(req);
       co_await net.process_at(pop, params.doh->resolver().cache_hit_cost());
       const dns::Message answer = cached_answer(
           std::move(query), name, remaining_ttl(ttl_s, look.age_s),
           look.rank);
       co_await tls->recv(
-          resolver::dns_message_response(answer, params.doh_hostname));
+          resolver::dns_message_response(answer, doh_hostname));
       q.shared_hit = true;
       net.note({&MetricCounters::shared_cache_hits});
       stub_cache.insert(net.sim.now(), name, dns::RecordType::kA,
@@ -194,7 +193,7 @@ Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
       transport::HttpRequest req;
       req.method = "GET";
       req.target = resolver::doh_get_target(query);
-      req.headers.add("host", params.doh_hostname);
+      req.headers.add("host", doh_hostname);
       co_await tls->send(req);
       const transport::HttpResponse resp =
           co_await params.doh->handle(net, std::move(req));
@@ -214,7 +213,7 @@ Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
                 .answers);
       }
     }
-    pool.touch(params.doh_hostname, net.sim.now());
+    pool.touch(doh_hostname, net.sim.now());
     q.ms = ms_between(start, net.sim.now());
     obs.queries.push_back(q);
   }

@@ -68,8 +68,8 @@ struct WarmDohParams {
   netsim::Site vantage;
   /// Bootstrap resolver for the DoH hostname (cold acquisitions only).
   resolver::RecursiveResolver* default_resolver = nullptr;
+  /// The serving PoP; the pool keys its connection by its hostname.
   resolver::DohServer* doh = nullptr;
-  std::string doh_hostname;
   transport::TlsVersion tls = transport::TlsVersion::kTls13;
   dns::DomainName origin;  ///< Study zone; popular names live under it.
   /// Shared-cache model; nullptr prices every query as a full recursion.

@@ -175,7 +175,6 @@ class AttributionLedger {
               std::string_view transport, const FlowAttribution& flow);
 
   void merge(const AttributionLedger& other);
-  void clear() { entries_.clear(); }
 
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] const std::map<AttributionKey, AttributionEntry>& entries()

@@ -87,9 +87,4 @@ void FlightRecorder::attach_spans(const FlowKey& key,
   if (it != retained_.end()) it->second.spans = std::move(spans);
 }
 
-void FlightRecorder::clear() {
-  retained_.clear();
-  counts_ = AnomalyCounts{};
-}
-
 }  // namespace dohperf::obs

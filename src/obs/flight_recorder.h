@@ -139,8 +139,6 @@ class FlightRecorder {
   /// unknown keys).
   void attach_spans(const FlowKey& key, std::vector<Span> spans);
 
-  void clear();
-
   friend bool operator==(const FlightRecorder& a, const FlightRecorder& b) {
     return a.retained_ == b.retained_ && a.counts_ == b.counts_;
   }

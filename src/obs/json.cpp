@@ -1,5 +1,6 @@
 #include "obs/json.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -158,7 +159,8 @@ class Parser {
   /// RFC 8259's number, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
   /// scanned before strtod sees it: strtod also takes `+5`, `.5`, `1.`
   /// and hex. A leading zero ends the integer part, so `007` leaves `07`
-  /// behind as trailing garbage.
+  /// behind as trailing garbage. A number past the double range (`1e999`)
+  /// is rejected, not read as an infinity.
   std::optional<Value> parse_number() {
     const std::size_t start = pos_;
     (void)eat('-');
@@ -171,7 +173,9 @@ class Parser {
     const std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
     const double n = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return std::nullopt;
+    if (end != token.c_str() + token.size() || !std::isfinite(n)) {
+      return std::nullopt;
+    }
     return Value(n);
   }
 

@@ -6,31 +6,19 @@
 namespace dohperf::obs {
 
 int LatencyHistogram::bucket_index(double ms) {
-  if (!(ms >= 1.0)) return 0;  // underflow (and NaN) bucket
-  // Compared before the int conversion, which +inf would overflow.
-  const double quarter_octaves = 4.0 * std::log2(ms);
-  if (!(quarter_octaves < kBucketCount - 1)) return kBucketCount - 1;
-  int i = 1 + static_cast<int>(quarter_octaves);
-  // log2 rounding can land an exact edge value one bucket off; nudge so
-  // the edges are exactly [lower, upper) as bucket_lower_ms advertises.
-  if (ms >= bucket_upper_ms(i)) {
-    ++i;
-  } else if (i > 1 && ms < bucket_lower_ms(i)) {
-    --i;
-  }
-  return i >= kBucketCount ? kBucketCount - 1 : i;
+  return static_cast<int>(kGeometry.index(ms));
 }
 
 double LatencyHistogram::bucket_lower_ms(int i) {
   if (i <= 0) return 0.0;
-  return std::exp2(static_cast<double>(i - 1) / 4.0);
+  return kGeometry.lower_edge(static_cast<std::size_t>(i));
 }
 
 double LatencyHistogram::bucket_upper_ms(int i) {
   if (i >= kBucketCount - 1) {
     return std::numeric_limits<double>::infinity();
   }
-  return std::exp2(static_cast<double>(i) / 4.0);
+  return bucket_lower_ms(i + 1);
 }
 
 double LatencyHistogram::quantile_ms(double q) const {
@@ -71,11 +59,6 @@ void Metrics::merge(const Metrics& other) {
   for (const auto& [name, hist] : other.histograms_) {
     histograms_[name].merge(hist);
   }
-}
-
-void Metrics::clear() {
-  counters = MetricCounters{};
-  histograms_.clear();
 }
 
 }  // namespace dohperf::obs

@@ -39,6 +39,7 @@ class LatencyHistogram {
   /// +1 underflow bucket [0, 1 ms), +1 overflow bucket [4096 ms, inf).
   static constexpr int kBucketCount = kLogBuckets + 2;
   static_assert(kBucketCount <= SparseBuckets::kMaxBuckets);
+  static constexpr LogBuckets kGeometry{4, 1.0, kLogBuckets};
 
   /// Bucket index for a latency (negative values land in bucket 0).
   [[nodiscard]] static int bucket_index(double ms);
@@ -172,8 +173,6 @@ class Metrics {
 
   /// Sums `other` into this registry (integer adds: order-independent).
   void merge(const Metrics& other);
-
-  void clear();
 
   friend bool operator==(const Metrics& a, const Metrics& b) {
     return a.counters == b.counters && a.histograms_ == b.histograms_;

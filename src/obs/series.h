@@ -107,11 +107,6 @@ class MetricSeries {
   /// constructs every shard's series from the same config.
   void merge(const MetricSeries& other);
 
-  void clear() {
-    counters_.clear();
-    latencies_.clear();
-  }
-
   friend bool operator==(const MetricSeries& a, const MetricSeries& b) {
     return a.window_ == b.window_ && a.counters_ == b.counters_ &&
            a.latencies_ == b.latencies_;

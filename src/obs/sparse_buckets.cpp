@@ -1,6 +1,7 @@
 #include "obs/sparse_buckets.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace dohperf::obs {
 namespace {
@@ -10,6 +11,29 @@ bool before(const SparseBuckets::Cell& cell, std::uint16_t bucket) {
 }
 
 }  // namespace
+
+double LogBuckets::lower_edge(std::size_t i) const {
+  return lowest * std::exp2(static_cast<double>(i - 1) /
+                            static_cast<double>(per_octave));
+}
+
+std::size_t LogBuckets::index(double value) const {
+  if (!(value >= lowest)) return 0;  // underflow (also NaN-safe)
+  const auto overflow = static_cast<std::size_t>(log_buckets) + 1;
+  const double scaled =
+      static_cast<double>(per_octave) * std::log2(value / lowest);
+  // Compared before the integer conversion, which +inf would overflow.
+  if (!(scaled < static_cast<double>(overflow))) return overflow;
+  std::size_t i = 1 + static_cast<std::size_t>(scaled);
+  // log2 rounding can land a value next to an edge one bucket off; nudge
+  // it so each bucket is exactly [lower_edge(i), lower_edge(i + 1)).
+  if (i < overflow && value >= lower_edge(i + 1)) {
+    ++i;
+  } else if (i > 1 && value < lower_edge(i)) {
+    --i;
+  }
+  return i;
+}
 
 void SparseBuckets::add(std::size_t bucket) {
   const auto b = static_cast<std::uint16_t>(bucket);

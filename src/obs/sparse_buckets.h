@@ -7,9 +7,10 @@
 // only the non-zero buckets, as (bucket index, count) cells sorted by
 // index: an empty store owns no heap, recording is a binary search plus
 // at most one insert, and merge is one linear merge-join of two sorted
-// runs. The bucket rule, the edges and the quantile rule stay with each
-// histogram class. Counts are integers, so merging stays commutative and
-// associative: merged stores are equal for every merge order.
+// runs. Both classes place values by one LogBuckets rule over their own
+// geometry; the quantile rule stays with each histogram class. Counts are
+// integers, so merging stays commutative and associative: merged stores
+// are equal for every merge order.
 #pragma once
 
 #include <cstddef>
@@ -18,6 +19,22 @@
 #include <vector>
 
 namespace dohperf::obs {
+
+/// Log-spaced bucket geometry: bucket 0 holds values below `lowest` (and
+/// NaN), buckets 1..log_buckets split [lowest, top) into `per_octave`
+/// buckets per doubling, and bucket log_buckets + 1 holds top and above.
+struct LogBuckets {
+  int per_octave;
+  double lowest;
+  int log_buckets;
+
+  /// Lower edge of bucket `i` (1 <= i <= log_buckets + 1):
+  /// lowest * 2^((i - 1) / per_octave). Edge log_buckets + 1 is the top.
+  [[nodiscard]] double lower_edge(std::size_t i) const;
+  /// The bucket holding `value`: every bucket i is exactly
+  /// [lower_edge(i), lower_edge(i + 1)), whatever log2 rounds to.
+  [[nodiscard]] std::size_t index(double value) const;
+};
 
 class SparseBuckets {
  public:

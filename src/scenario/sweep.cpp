@@ -100,8 +100,7 @@ bool run_sweep(const SpecDocument& doc, const SweepOptions& options,
     procs = std::max(procs, 1);
   }
   const std::vector<SweepCell> cells = expand(doc);
-  const std::string runner =
-      options.runner.empty() ? self_exe() : options.runner;
+  const std::string runner = self_exe();
   if (runner.empty()) {
     *error = "sweep: cannot resolve the worker binary (/proc/self/exe)";
     return false;

@@ -37,11 +37,10 @@ struct SweepCell {
 /// cannot fail.
 [[nodiscard]] std::vector<SweepCell> expand(const SpecDocument& doc);
 
+/// Each cell runs in a fork/exec of this executable (/proc/self/exe,
+/// invoked as `<exe> --no-env <cell.spec>`): campaign_run re-enters
+/// itself.
 struct SweepOptions {
-  /// Worker binary fork/exec'd per cell (invoked as
-  /// `<runner> --no-env <cell.spec>`). Empty = this executable
-  /// (/proc/self/exe), which is how campaign_run re-enters itself.
-  std::string runner;
   /// Directory for per-cell spec files and summaries (created on
   /// demand).
   std::string work_dir = "out/sweep";

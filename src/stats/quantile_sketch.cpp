@@ -27,21 +27,13 @@ double greater(double a, double b) {
 }  // namespace
 
 std::size_t QuantileSketch::bucket_index(double value) {
-  if (!(value >= kMinValue)) return 0;  // underflow (also NaN-safe)
-  const double octaves = std::log2(value / kMinValue);
-  const double scaled = octaves * static_cast<double>(kBucketsPerOctave);
-  // Compared before the integer conversion, which +inf would overflow.
-  if (!(scaled < kLogBuckets)) return kBuckets - 1;  // overflow
-  return static_cast<std::size_t>(scaled) + 1;
+  return kGeometry.index(value);
 }
 
 double QuantileSketch::lower_edge(std::size_t bucket) {
-  // bucket 0 is underflow (edge 0); log bucket i starts at kMinValue *
-  // 2^(i / kBucketsPerOctave); the overflow bucket starts at the range top.
-  if (bucket == 0) return 0.0;
-  return kMinValue *
-         std::exp2(static_cast<double>(bucket - 1) /
-                   static_cast<double>(kBucketsPerOctave));
+  // bucket 0 is underflow (edge 0); the overflow bucket starts at the
+  // range top.
+  return bucket == 0 ? 0.0 : kGeometry.lower_edge(bucket);
 }
 
 void QuantileSketch::record(double value) {

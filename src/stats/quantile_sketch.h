@@ -36,6 +36,8 @@ class QuantileSketch {
   static constexpr std::size_t kBuckets =
       static_cast<std::size_t>(kLogBuckets) + 2;  // + underflow + overflow
   static_assert(kBuckets <= obs::SparseBuckets::kMaxBuckets);
+  static constexpr obs::LogBuckets kGeometry{kBucketsPerOctave, kMinValue,
+                                             kLogBuckets};
 
   /// Bucket of `value`: 0 below kMinValue (and for NaN), kBuckets - 1
   /// from the range top (+inf included).

@@ -38,7 +38,7 @@ Task<double> resolve_name(NetCtx& net, const PageLoadContext& ctx,
   transport::HttpRequest req;
   req.method = "GET";
   req.target = resolver::doh_get_target(query);
-  req.headers.add("host", ctx.doh_hostname);
+  req.headers.add("host", ctx.doh->hostname());
   const transport::PathConnection doh_conn{
       netsim::Path(net, ctx.client, ctx.doh->site())};
   const transport::TlsSession tls(doh_conn);
@@ -114,7 +114,7 @@ netsim::Task<PageLoadResult> load_page(netsim::NetCtx& net,
     co_await resolver::stub_resolve(
         net, ctx.client, *ctx.default_resolver,
         dns::Message::make_query(
-            id, dns::DomainName::parse(ctx.doh_hostname)));
+            id, dns::DomainName::parse(ctx.doh->hostname())));
     const transport::TcpConnection tcp =
         co_await transport::tcp_connect(net, ctx.client, ctx.doh->site());
     co_await transport::tls_handshake(tcp);

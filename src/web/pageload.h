@@ -53,9 +53,9 @@ struct PageLoadContext {
   netsim::Site client;
   /// Default resolver (used by kDo53 and for the DoH bootstrap).
   resolver::RecursiveResolver* default_resolver = nullptr;
-  /// DoH front-end at the serving PoP (DoH modes only).
+  /// DoH front-end at the serving PoP, bootstrapped and addressed by its
+  /// hostname (DoH modes only).
   resolver::DohServer* doh = nullptr;
-  std::string doh_hostname;
   /// The content server hosting every object (the study's web host).
   netsim::Site web_server;
   /// Zone under which the page's fresh host names live.

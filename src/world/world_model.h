@@ -8,6 +8,7 @@
 #include <deque>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -121,9 +122,21 @@ class WorldModel {
   WorldModel(const WorldModel&) = delete;
   WorldModel& operator=(const WorldModel&) = delete;
 
-  /// Fresh execution context over this world's simulator/latency/rng.
-  [[nodiscard]] netsim::NetCtx ctx() {
-    return netsim::NetCtx{sim_, latency_, rng_};
+  /// Runs one flow to completion on this world's own simulator, latency
+  /// model and RNG, and returns its result (rethrowing what it threw).
+  /// `launch(net)` gets a fresh context, may attach spans, metrics or a
+  /// ledger to it, and returns the started Task. The simulator then runs
+  /// until no events are left, and only then does the Task die: this is
+  /// where one-off flows keep netsim::Task's lifetime contract.
+  template <typename Launch>
+  auto run_flow(Launch&& launch) {
+    netsim::NetCtx net{sim_, latency_, rng_};
+    auto task = std::forward<Launch>(launch)(net);
+    sim_.run();
+    if (!task.done()) {
+      throw std::logic_error("run_flow: the flow outlived its events");
+    }
+    return task.await_resume();
   }
 
   [[nodiscard]] netsim::Simulator& sim() { return sim_; }

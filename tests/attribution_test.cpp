@@ -314,12 +314,15 @@ struct AttributionFlowFixture : ::testing::Test {
     return world().brightdata().pick_exit(iso2, rng);
   }
 
-  /// A context wired to record into `ledger` under (Cloudflare, SE).
-  netsim::NetCtx recording_ctx(AttributionLedger& ledger) {
-    netsim::NetCtx net = world().ctx();
-    net.attribution.ledger = &ledger;
-    net.labels = {"Cloudflare", "SE"};
-    return net;
+  /// Runs the flow `launch` starts, recording into `ledger` under
+  /// (Cloudflare, SE).
+  template <typename Launch>
+  auto recorded(AttributionLedger& ledger, Launch launch) {
+    return world().run_flow([&](netsim::NetCtx& net) {
+      net.attribution.ledger = &ledger;
+      net.labels = {"Cloudflare", "SE"};
+      return launch(net);
+    });
   }
 
   /// Every recorded entry must be a closed partition with real time.
@@ -346,42 +349,30 @@ struct AttributionFlowFixture : ::testing::Test {
 TEST_F(AttributionFlowFixture, DirectFlowsSatisfyTheInvariant) {
   const auto* exit = exit_in("SE");
   ASSERT_NE(exit, nullptr);
-  auto& provider = world().providers()[0];
+  auto& server = world().doh_server(0, 0);
   AttributionLedger ledger;
-  {
-    auto net = recording_ctx(ledger);
-    auto task = measure::doh_direct(
-        net, exit->site, exit->default_resolver, world().doh_server(0, 0),
-        provider.config().doh_hostname, transport::TlsVersion::kTls13,
-        world().origin());
-    world().sim().run();
-    ASSERT_TRUE(task.result().ok);
-  }
-  {
-    auto net = recording_ctx(ledger);
-    auto task = measure::do53_direct(net, exit->site,
-                                     exit->default_resolver,
-                                     world().origin());
-    world().sim().run();
-    EXPECT_GT(task.result(), 0.0);
-  }
-  {
-    auto net = recording_ctx(ledger);
-    auto task = measure::dot_direct(
-        net, exit->site, exit->default_resolver, world().doh_server(0, 0),
-        provider.config().doh_hostname, transport::TlsVersion::kTls13,
-        world().origin());
-    world().sim().run();
-    ASSERT_TRUE(task.result().ok);
-  }
-  {
-    auto net = recording_ctx(ledger);
-    auto task = measure::doq_direct(
-        net, exit->site, exit->default_resolver, world().doh_server(0, 0),
-        provider.config().doh_hostname, world().origin());
-    world().sim().run();
-    ASSERT_TRUE(task.result().ok);
-  }
+  const auto doh_flow = recorded(ledger, [&](netsim::NetCtx& net) {
+    return measure::doh_direct(net, exit->site, exit->default_resolver,
+                               server, transport::TlsVersion::kTls13,
+                               world().origin());
+  });
+  ASSERT_TRUE(doh_flow.ok);
+  const double do53_ms = recorded(ledger, [&](netsim::NetCtx& net) {
+    return measure::do53_direct(net, exit->site, exit->default_resolver,
+                                world().origin());
+  });
+  EXPECT_GT(do53_ms, 0.0);
+  const auto dot_flow = recorded(ledger, [&](netsim::NetCtx& net) {
+    return measure::dot_direct(net, exit->site, exit->default_resolver,
+                               server, transport::TlsVersion::kTls13,
+                               world().origin());
+  });
+  ASSERT_TRUE(dot_flow.ok);
+  const auto doq_flow = recorded(ledger, [&](netsim::NetCtx& net) {
+    return measure::doq_direct(net, exit->site, exit->default_resolver,
+                               server, world().origin());
+  });
+  ASSERT_TRUE(doq_flow.ok);
 
   expect_consistent(ledger);
   for (const char* transport : {"doh_direct", "do53_direct", "dot", "doq"}) {
@@ -407,13 +398,11 @@ TEST_F(AttributionFlowFixture, ProxiedFlowsSatisfyTheInvariant) {
         world().brightdata().nearest_super_proxy(exit->site.position).site;
     params.exit = exit;
     params.doh = &world().doh_server(0, 0);
-    params.doh_hostname = world().providers()[0].config().doh_hostname;
     params.tls = transport::TlsVersion::kTls13;
     params.origin = world().origin();
-    auto net = recording_ctx(ledger);
-    auto task = measure::doh_via_proxy(net, params);
-    world().sim().run();
-    ASSERT_TRUE(task.result().ok);
+    ASSERT_TRUE(recorded(ledger, [&](netsim::NetCtx& net) {
+                  return measure::doh_via_proxy(net, params);
+                }).ok);
   }
   {
     measure::Do53ProxyParams params;
@@ -421,13 +410,11 @@ TEST_F(AttributionFlowFixture, ProxiedFlowsSatisfyTheInvariant) {
     params.super_proxy =
         world().brightdata().nearest_super_proxy(exit->site.position).site;
     params.exit = exit;
-    params.web_server = world().authority().site();
     params.origin = world().origin();
     params.authority = &world().authority();
-    auto net = recording_ctx(ledger);
-    auto task = measure::do53_via_proxy(net, params);
-    world().sim().run();
-    ASSERT_TRUE(task.result().ok);
+    ASSERT_TRUE(recorded(ledger, [&](netsim::NetCtx& net) {
+                  return measure::do53_via_proxy(net, params);
+                }).ok);
   }
 
   expect_consistent(ledger);
@@ -447,7 +434,6 @@ TEST_F(AttributionFlowFixture, PageLoadSatisfiesTheInvariant) {
   ctx.client = exit->site;
   ctx.default_resolver = exit->default_resolver;
   ctx.doh = &world().doh_server(0, 0);
-  ctx.doh_hostname = world().providers()[0].config().doh_hostname;
   ctx.web_server = world().authority().site();
   ctx.origin = world().origin();
   web::PageSpec spec;
@@ -456,10 +442,9 @@ TEST_F(AttributionFlowFixture, PageLoadSatisfiesTheInvariant) {
   AttributionLedger ledger;
   for (const web::DnsMode mode :
        {web::DnsMode::kDo53, web::DnsMode::kDohCold}) {
-    auto net = recording_ctx(ledger);
-    auto task = web::load_page(net, ctx, spec, mode);
-    world().sim().run();
-    ASSERT_TRUE(task.result().ok);
+    ASSERT_TRUE(recorded(ledger, [&](netsim::NetCtx& net) {
+                  return web::load_page(net, ctx, spec, mode);
+                }).ok);
   }
   expect_consistent(ledger);
   EXPECT_TRUE(has_transport(ledger, "pageload"));
@@ -478,16 +463,14 @@ TEST_F(AttributionFlowFixture, WarmPathsClassifyPoolOutcomesExactly) {
     params.vantage = exit->site;
     params.default_resolver = exit->default_resolver;
     params.doh = &world().doh_server(0, 0);
-    params.doh_hostname = world().providers()[0].config().doh_hostname;
     params.origin = world().origin();
     params.cache = &model;
     params.population = 1e6;
     params.reuse.enabled = true;
     params.reuse.queries_per_session = 8;
-    auto net = recording_ctx(ledger);
-    auto task = measure::doh_warm_path(net, params);
-    world().sim().run();
-    ASSERT_TRUE(task.result().ok);
+    ASSERT_TRUE(recorded(ledger, [&](netsim::NetCtx& net) {
+                  return measure::doh_warm_path(net, params);
+                }).ok);
   }
   {
     measure::WarmDo53Params params;
@@ -498,10 +481,9 @@ TEST_F(AttributionFlowFixture, WarmPathsClassifyPoolOutcomesExactly) {
     params.population = 5e4;
     params.reuse.enabled = true;
     params.reuse.queries_per_session = 8;
-    auto net = recording_ctx(ledger);
-    auto task = measure::do53_warm_path(net, params);
-    world().sim().run();
-    ASSERT_TRUE(task.result().ok);
+    ASSERT_TRUE(recorded(ledger, [&](netsim::NetCtx& net) {
+                  return measure::do53_warm_path(net, params);
+                }).ok);
   }
 
   expect_consistent(ledger);
@@ -538,15 +520,14 @@ TEST_F(AttributionFlowFixture, RetryHeavyFaultFlowsStayExact) {
   plan.add_blackout(episode);
 
   AttributionLedger ledger;
-  auto net = recording_ctx(ledger);
-  net.faults = &plan;
-  net.fault_epoch = net.sim.now();
-  auto task = measure::doh_direct(
-      net, exit->site, exit->default_resolver, world().doh_server(0, 0),
-      world().providers()[0].config().doh_hostname,
-      transport::TlsVersion::kTls13, world().origin());
-  world().sim().run();
-  EXPECT_FALSE(task.result().ok);
+  EXPECT_FALSE(recorded(ledger, [&](netsim::NetCtx& net) {
+                 net.faults = &plan;
+                 net.fault_epoch = net.sim.now();
+                 return measure::doh_direct(
+                     net, exit->site, exit->default_resolver,
+                     world().doh_server(0, 0), transport::TlsVersion::kTls13,
+                     world().origin());
+               }).ok);
 
   expect_consistent(ledger);
   const auto it = ledger.entries().find({"Cloudflare", "SE", "doh_direct"});

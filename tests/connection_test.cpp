@@ -340,17 +340,14 @@ TEST_P(DohViaProxyGolden, StepTimestampsAreUnchanged) {
       world.brightdata().nearest_super_proxy(exit->site.position).site;
   params.exit = exit;
   params.doh = &world.doh_server(0, 0);
-  params.doh_hostname = world.providers()[0].config().doh_hostname;
   params.tls = golden.tls;
   params.origin = world.origin();
 
   obs::SpanContext capture;
-  NetCtx net = world.ctx();
-  net.spans = &capture;
-  auto task = measure::doh_via_proxy(net, std::move(params));
-  world.sim().run();
-  ASSERT_TRUE(task.done());
-  const measure::DohProxyObservation obs = task.result();
+  const measure::DohProxyObservation obs = world.run_flow([&](NetCtx& net) {
+    net.spans = &capture;
+    return measure::doh_via_proxy(net, std::move(params));
+  });
 
   ASSERT_TRUE(obs.ok);
   EXPECT_EQ(obs.http_status, 200);

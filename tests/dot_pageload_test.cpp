@@ -26,19 +26,46 @@ struct ExtensionFixture : ::testing::Test {
     netsim::Rng rng = world().rng().split("ext-test-" + iso2);
     return world().brightdata().pick_exit(iso2, rng);
   }
+
+  static measure::DirectDotObservation dot(const proxy::ExitNode* exit,
+                                           std::size_t pop) {
+    return world().run_flow([&](netsim::NetCtx& net) {
+      return measure::dot_direct(net, exit->site, exit->default_resolver,
+                                 world().doh_server(0, pop),
+                                 transport::TlsVersion::kTls13,
+                                 world().origin());
+    });
+  }
+  static measure::DirectDohObservation doh(const proxy::ExitNode* exit,
+                                           std::size_t pop) {
+    return world().run_flow([&](netsim::NetCtx& net) {
+      return measure::doh_direct(net, exit->site, exit->default_resolver,
+                                 world().doh_server(0, pop),
+                                 transport::TlsVersion::kTls13,
+                                 world().origin());
+    });
+  }
+  static measure::DirectDoqObservation doq(const proxy::ExitNode* exit,
+                                           std::size_t pop, bool resumed) {
+    return world().run_flow([&](netsim::NetCtx& net) {
+      return measure::doq_direct(net, exit->site, exit->default_resolver,
+                                 world().doh_server(0, pop), world().origin(),
+                                 resumed);
+    });
+  }
+  static web::PageLoadResult load(const web::PageLoadContext& ctx,
+                                  const web::PageSpec& spec,
+                                  web::DnsMode mode) {
+    return world().run_flow([&](netsim::NetCtx& net) {
+      return web::load_page(net, ctx, spec, mode);
+    });
+  }
 };
 
 TEST_F(ExtensionFixture, DotFlowCompletes) {
   const auto* exit = client("SE");
   ASSERT_NE(exit, nullptr);
-  auto& provider = world().providers()[0];
-  auto net = world().ctx();
-  auto task = measure::dot_direct(
-      net, exit->site, exit->default_resolver, world().doh_server(0, 0),
-      provider.config().doh_hostname, transport::TlsVersion::kTls13,
-      world().origin());
-  world().sim().run();
-  const auto obs = task.result();
+  const auto obs = dot(exit, 0);
   ASSERT_TRUE(obs.ok);
   EXPECT_GT(obs.dns_ms, 0.0);
   EXPECT_GT(obs.connect_ms, 0.0);
@@ -52,31 +79,14 @@ TEST_F(ExtensionFixture, DotAndDohShareCostStructure) {
   // percent of each other (DoT only saves the HTTP framing bytes).
   const auto* exit = client("BR");
   ASSERT_NE(exit, nullptr);
-  auto& provider = world().providers()[0];
-  std::vector<double> dot, doh;
+  std::vector<double> dot_ms, doh_ms;
   for (int i = 0; i < 9; ++i) {
-    {
-      auto net = world().ctx();
-      auto task = measure::dot_direct(
-          net, exit->site, exit->default_resolver, world().doh_server(0, 1),
-          provider.config().doh_hostname, transport::TlsVersion::kTls13,
-          world().origin());
-      world().sim().run();
-      dot.push_back(task.result().tdot_ms());
-    }
-    {
-      auto net = world().ctx();
-      auto task = measure::doh_direct(
-          net, exit->site, exit->default_resolver, world().doh_server(0, 1),
-          provider.config().doh_hostname, transport::TlsVersion::kTls13,
-          world().origin());
-      world().sim().run();
-      doh.push_back(task.result().tdoh_ms());
-    }
+    dot_ms.push_back(dot(exit, 1).tdot_ms());
+    doh_ms.push_back(doh(exit, 1).tdoh_ms());
   }
-  std::nth_element(dot.begin(), dot.begin() + 4, dot.end());
-  std::nth_element(doh.begin(), doh.begin() + 4, doh.end());
-  EXPECT_NEAR(dot[4], doh[4], 0.15 * doh[4]);
+  std::nth_element(dot_ms.begin(), dot_ms.begin() + 4, dot_ms.end());
+  std::nth_element(doh_ms.begin(), doh_ms.begin() + 4, doh_ms.end());
+  EXPECT_NEAR(dot_ms[4], doh_ms[4], 0.15 * doh_ms[4]);
 }
 
 web::PageLoadContext make_ctx(world::WorldModel& world,
@@ -86,7 +96,6 @@ web::PageLoadContext make_ctx(world::WorldModel& world,
   ctx.client = exit->site;
   ctx.default_resolver = exit->default_resolver;
   ctx.doh = &world.doh_server(0, pop);
-  ctx.doh_hostname = world.providers()[0].config().doh_hostname;
   ctx.web_server = world.authority().site();
   ctx.origin = world.origin();
   return ctx;
@@ -98,10 +107,7 @@ TEST_F(ExtensionFixture, PageLoadCompletes) {
   const auto ctx = make_ctx(world(), exit, 0);
   web::PageSpec spec;
   spec.domains = 4;
-  auto net = world().ctx();
-  auto task = web::load_page(net, ctx, spec, web::DnsMode::kDo53);
-  world().sim().run();
-  const auto result = task.result();
+  const auto result = load(ctx, spec, web::DnsMode::kDo53);
   ASSERT_TRUE(result.ok);
   EXPECT_GT(result.total_ms, 0.0);
   EXPECT_GT(result.dns_critical_ms, 0.0);
@@ -115,10 +121,7 @@ TEST_F(ExtensionFixture, ColdDohPaysSessionSetup) {
   const auto ctx = make_ctx(world(), exit, 0);
   web::PageSpec spec;
   spec.domains = 3;
-  auto net = world().ctx();
-  auto task = web::load_page(net, ctx, spec, web::DnsMode::kDohCold);
-  world().sim().run();
-  const auto result = task.result();
+  const auto result = load(ctx, spec, web::DnsMode::kDohCold);
   ASSERT_TRUE(result.ok);
   EXPECT_GT(result.dns_setup_ms, 0.0);
 }
@@ -131,18 +134,8 @@ TEST_F(ExtensionFixture, WarmDohBeatsColdDoh) {
   spec.domains = 6;
   std::vector<double> cold, warm;
   for (int i = 0; i < 9; ++i) {
-    {
-      auto net = world().ctx();
-      auto task = web::load_page(net, ctx, spec, web::DnsMode::kDohCold);
-      world().sim().run();
-      cold.push_back(task.result().total_ms);
-    }
-    {
-      auto net = world().ctx();
-      auto task = web::load_page(net, ctx, spec, web::DnsMode::kDohWarm);
-      world().sim().run();
-      warm.push_back(task.result().total_ms);
-    }
+    cold.push_back(load(ctx, spec, web::DnsMode::kDohCold).total_ms);
+    warm.push_back(load(ctx, spec, web::DnsMode::kDohWarm).total_ms);
   }
   std::nth_element(cold.begin(), cold.begin() + 4, cold.end());
   std::nth_element(warm.begin(), warm.begin() + 4, warm.end());
@@ -157,19 +150,9 @@ TEST_F(ExtensionFixture, WiderPagesTakeAtLeastAsLong) {
   for (int i = 0; i < 7; ++i) {
     web::PageSpec spec;
     spec.domains = 2;
-    {
-      auto net = world().ctx();
-      auto task = web::load_page(net, ctx, spec, web::DnsMode::kDo53);
-      world().sim().run();
-      narrow.push_back(task.result().total_ms);
-    }
+    narrow.push_back(load(ctx, spec, web::DnsMode::kDo53).total_ms);
     spec.domains = 16;
-    {
-      auto net = world().ctx();
-      auto task = web::load_page(net, ctx, spec, web::DnsMode::kDo53);
-      world().sim().run();
-      wide.push_back(task.result().total_ms);
-    }
+    wide.push_back(load(ctx, spec, web::DnsMode::kDo53).total_ms);
   }
   std::nth_element(narrow.begin(), narrow.begin() + 3, narrow.end());
   std::nth_element(wide.begin(), wide.begin() + 3, wide.end());
@@ -180,42 +163,20 @@ TEST_F(ExtensionFixture, WiderPagesTakeAtLeastAsLong) {
 TEST_F(ExtensionFixture, DoqFreshCostsOneRoundTripLessThanDoh) {
   const auto* exit = client("SE");
   ASSERT_NE(exit, nullptr);
-  auto& provider = world().providers()[0];
-  std::vector<double> doh, doq;
+  std::vector<double> doh_ms, doq_ms;
   for (int i = 0; i < 9; ++i) {
-    {
-      auto net = world().ctx();
-      auto task = measure::doh_direct(
-          net, exit->site, exit->default_resolver, world().doh_server(0, 3),
-          provider.config().doh_hostname, transport::TlsVersion::kTls13,
-          world().origin());
-      world().sim().run();
-      doh.push_back(task.result().tdoh_ms());
-    }
-    {
-      auto net = world().ctx();
-      auto task = measure::doq_direct(
-          net, exit->site, exit->default_resolver, world().doh_server(0, 3),
-          provider.config().doh_hostname, world().origin());
-      world().sim().run();
-      doq.push_back(task.result().tdoq_ms());
-    }
+    doh_ms.push_back(doh(exit, 3).tdoh_ms());
+    doq_ms.push_back(doq(exit, 3, /*resumed=*/false).tdoq_ms());
   }
-  std::nth_element(doh.begin(), doh.begin() + 4, doh.end());
-  std::nth_element(doq.begin(), doq.begin() + 4, doq.end());
-  EXPECT_LT(doq[4], doh[4]);
+  std::nth_element(doh_ms.begin(), doh_ms.begin() + 4, doh_ms.end());
+  std::nth_element(doq_ms.begin(), doq_ms.begin() + 4, doq_ms.end());
+  EXPECT_LT(doq_ms[4], doh_ms[4]);
 }
 
 TEST_F(ExtensionFixture, ResumedDoqSkipsHandshakeAndBootstrap) {
   const auto* exit = client("BR");
   ASSERT_NE(exit, nullptr);
-  auto& provider = world().providers()[0];
-  auto net = world().ctx();
-  auto task = measure::doq_direct(
-      net, exit->site, exit->default_resolver, world().doh_server(0, 0),
-      provider.config().doh_hostname, world().origin(), /*resumed=*/true);
-  world().sim().run();
-  const auto obs = task.result();
+  const auto obs = doq(exit, 0, /*resumed=*/true);
   ASSERT_TRUE(obs.ok);
   EXPECT_DOUBLE_EQ(obs.dns_ms, 0.0);
   EXPECT_DOUBLE_EQ(obs.connect_ms, 0.0);

@@ -116,15 +116,13 @@ client::PolicyOutcome run_policy_under_plan(world::WorldModel& world,
   ctx.client = exit->site;
   ctx.default_resolver = exit->default_resolver;
   ctx.doh = &world.doh_server(0, 0);
-  ctx.doh_hostname = world.providers()[0].config().doh_hostname;
   ctx.origin = world.origin();
 
-  auto net = world.ctx();
-  net.faults = &plan;
-  net.fault_epoch = net.sim.now();
-  auto task = client::resolve_with_policy(net, ctx, mode);
-  world.sim().run();
-  return task.result();
+  return world.run_flow([&](netsim::NetCtx& net) {
+    net.faults = &plan;
+    net.fault_epoch = net.sim.now();
+    return client::resolve_with_policy(net, ctx, mode);
+  });
 }
 
 /// A blackout severing only the client <-> DoH-PoP link: the SYN

@@ -34,17 +34,49 @@ struct FlowsFixture : ::testing::Test {
   DohProxyParams doh_params(const proxy::ExitNode* exit,
                             std::size_t provider_index,
                             std::size_t pop_index) {
-    auto& provider = world().providers()[provider_index];
     DohProxyParams params;
     params.client = world().measurement_client();
     params.super_proxy =
         world().brightdata().nearest_super_proxy(exit->site.position).site;
     params.exit = exit;
     params.doh = &world().doh_server(provider_index, pop_index);
-    params.doh_hostname = provider.config().doh_hostname;
     params.tls = transport::TlsVersion::kTls13;
     params.origin = world().origin();
     return params;
+  }
+
+  Do53ProxyParams do53_params(const proxy::ExitNode* exit) {
+    Do53ProxyParams params;
+    params.client = world().measurement_client();
+    params.super_proxy =
+        world().brightdata().nearest_super_proxy(exit->site.position).site;
+    params.exit = exit;
+    params.origin = world().origin();
+    params.authority = &world().authority();
+    return params;
+  }
+
+  DohProxyObservation proxied(const DohProxyParams& params) {
+    return world().run_flow(
+        [&](netsim::NetCtx& net) { return doh_via_proxy(net, params); });
+  }
+  Do53ProxyObservation proxied(const Do53ProxyParams& params) {
+    return world().run_flow(
+        [&](netsim::NetCtx& net) { return do53_via_proxy(net, params); });
+  }
+  DirectDohObservation direct_doh(const proxy::ExitNode* exit,
+                                  std::size_t provider_index) {
+    return world().run_flow([&](netsim::NetCtx& net) {
+      return doh_direct(net, exit->site, exit->default_resolver,
+                        world().doh_server(provider_index, 0),
+                        transport::TlsVersion::kTls13, world().origin());
+    });
+  }
+  double direct_do53(const proxy::ExitNode* exit, const std::string& label) {
+    return world().run_flow([&](netsim::NetCtx& net) {
+      return do53_direct(net, exit->site, exit->default_resolver,
+                         world().origin().with_subdomain(label));
+    });
   }
 
   world::WorldModel world_{world_config()};
@@ -53,10 +85,7 @@ struct FlowsFixture : ::testing::Test {
 TEST_F(FlowsFixture, DohProxyFlowCompletes) {
   const auto* exit = exit_in("SE");
   ASSERT_NE(exit, nullptr);
-  auto net = world().ctx();
-  auto task = doh_via_proxy(net, doh_params(exit, 0, 0));
-  world().sim().run();
-  const DohProxyObservation obs = task.result();
+  const DohProxyObservation obs = proxied(doh_params(exit, 0, 0));
   ASSERT_TRUE(obs.ok);
   EXPECT_EQ(obs.http_status, 200);
   EXPECT_GT(obs.true_dns_ms, 0.0);
@@ -68,10 +97,7 @@ TEST_F(FlowsFixture, DohProxyFlowCompletes) {
 TEST_F(FlowsFixture, TimestampsAreOrdered) {
   const auto* exit = exit_in("BR");
   ASSERT_NE(exit, nullptr);
-  auto net = world().ctx();
-  auto task = doh_via_proxy(net, doh_params(exit, 1, 3));
-  world().sim().run();
-  const auto obs = task.result();
+  const auto obs = proxied(doh_params(exit, 1, 3));
   ASSERT_TRUE(obs.ok);
   EXPECT_LT(obs.inputs.stamps.t_a, obs.inputs.stamps.t_b);
   EXPECT_LE(obs.inputs.stamps.t_b, obs.inputs.stamps.t_c);
@@ -81,10 +107,7 @@ TEST_F(FlowsFixture, TimestampsAreOrdered) {
 TEST_F(FlowsFixture, HeadersCarryTunnelTimings) {
   const auto* exit = exit_in("ZA");
   ASSERT_NE(exit, nullptr);
-  auto net = world().ctx();
-  auto task = doh_via_proxy(net, doh_params(exit, 0, 5));
-  world().sim().run();
-  const auto obs = task.result();
+  const auto obs = proxied(doh_params(exit, 0, 5));
   ASSERT_TRUE(obs.ok);
   // The reported tun-timeline must match the simulator's internal truth
   // (the Super Proxy reports what the exit node measured).
@@ -101,10 +124,7 @@ TEST_F(FlowsFixture, EstimatorTracksTruthWithinJitterBudget) {
   ASSERT_NE(exit, nullptr);
   std::vector<double> est, truth;
   for (int i = 0; i < 15; ++i) {
-    auto net = world().ctx();
-    auto task = doh_via_proxy(net, doh_params(exit, 0, 2));
-    world().sim().run();
-    const auto obs = task.result();
+    const auto obs = proxied(doh_params(exit, 0, 2));
     ASSERT_TRUE(obs.ok);
     est.push_back(estimate_tdoh_ms(obs.inputs));
     truth.push_back(obs.true_tdoh_ms());
@@ -119,22 +139,12 @@ TEST_F(FlowsFixture, Tls12CostsAnExtraRoundTrip) {
   ASSERT_NE(exit, nullptr);
   std::vector<double> t13, t12;
   for (int i = 0; i < 9; ++i) {
-    {
-      auto net = world().ctx();
-      auto task = doh_via_proxy(net, doh_params(exit, 0, 1));
-      world().sim().run();
-      t13.push_back(task.result().inputs.stamps.t_d -
-                    task.result().inputs.stamps.t_a);
-    }
-    {
-      auto params = doh_params(exit, 0, 1);
-      params.tls = transport::TlsVersion::kTls12;
-      auto net = world().ctx();
-      auto task = doh_via_proxy(net, params);
-      world().sim().run();
-      t12.push_back(task.result().inputs.stamps.t_d -
-                    task.result().inputs.stamps.t_a);
-    }
+    const auto tls13 = proxied(doh_params(exit, 0, 1));
+    t13.push_back(tls13.inputs.stamps.t_d - tls13.inputs.stamps.t_a);
+    auto params = doh_params(exit, 0, 1);
+    params.tls = transport::TlsVersion::kTls12;
+    const auto tls12 = proxied(params);
+    t12.push_back(tls12.inputs.stamps.t_d - tls12.inputs.stamps.t_a);
   }
   std::nth_element(t13.begin(), t13.begin() + 4, t13.end());
   std::nth_element(t12.begin(), t12.begin() + 4, t12.end());
@@ -144,14 +154,7 @@ TEST_F(FlowsFixture, Tls12CostsAnExtraRoundTrip) {
 TEST_F(FlowsFixture, DirectDohMeasuresComponents) {
   const auto* exit = exit_in("BR");
   ASSERT_NE(exit, nullptr);
-  auto& provider = world().providers()[0];
-  auto net = world().ctx();
-  auto task = doh_direct(net, exit->site, exit->default_resolver,
-                         world().doh_server(0, 0),
-                         provider.config().doh_hostname,
-                         transport::TlsVersion::kTls13, world().origin());
-  world().sim().run();
-  const auto obs = task.result();
+  const auto obs = direct_doh(exit, 0);
   ASSERT_TRUE(obs.ok);
   EXPECT_GT(obs.dns_ms, 0.0);
   EXPECT_GT(obs.connect_ms, 0.0);
@@ -169,20 +172,7 @@ TEST_F(FlowsFixture, DirectDohMeasuresComponents) {
 TEST_F(FlowsFixture, Do53ProxyFlowReportsExitResolution) {
   const auto* exit = exit_in("SE");
   ASSERT_NE(exit, nullptr);
-  Do53ProxyParams params;
-  params.client = world().measurement_client();
-  params.super_proxy =
-      world().brightdata().nearest_super_proxy(exit->site.position).site;
-  params.exit = exit;
-  params.web_server = world().authority().site();
-  params.origin = world().origin();
-  params.resolve_at_super_proxy = false;
-  params.authority = &world().authority();
-
-  auto net = world().ctx();
-  auto task = do53_via_proxy(net, params);
-  world().sim().run();
-  const auto obs = task.result();
+  const auto obs = proxied(do53_params(exit));
   ASSERT_TRUE(obs.ok);
   EXPECT_FALSE(obs.resolved_at_super_proxy);
   EXPECT_GT(obs.tun.dns_ms, 0.0);
@@ -194,20 +184,8 @@ TEST_F(FlowsFixture, Do53AtSuperProxyIsFlaggedAndFast) {
   // Super Proxy's own (datacenter) resolution, not the exit node's.
   const auto* exit = exit_in("US");
   ASSERT_NE(exit, nullptr);
-  Do53ProxyParams params;
-  params.client = world().measurement_client();
-  params.super_proxy =
-      world().brightdata().nearest_super_proxy(exit->site.position).site;
-  params.exit = exit;
-  params.web_server = world().authority().site();
-  params.origin = world().origin();
-  params.resolve_at_super_proxy = true;
-  params.authority = &world().authority();
-
-  auto net = world().ctx();
-  auto task = do53_via_proxy(net, params);
-  world().sim().run();
-  const auto obs = task.result();
+  ASSERT_TRUE(proxy::resolves_dns_at_super_proxy(exit->advertised_iso2));
+  const auto obs = proxied(do53_params(exit));
   ASSERT_TRUE(obs.ok);
   EXPECT_TRUE(obs.resolved_at_super_proxy);
   EXPECT_TRUE(std::isnan(obs.true_do53_ms));
@@ -220,29 +198,10 @@ TEST_F(FlowsFixture, Do53DirectMatchesResolverPath) {
   ASSERT_NE(exit, nullptr);
   std::vector<double> direct, via_header;
   for (int i = 0; i < 15; ++i) {
-    {
-      auto net = world().ctx();
-      auto task = do53_direct(
-          net, exit->site, exit->default_resolver,
-          world().origin().with_subdomain("gt-" + std::to_string(i)));
-      world().sim().run();
-      direct.push_back(task.result());
-    }
-    {
-      Do53ProxyParams params;
-      params.client = world().measurement_client();
-      params.super_proxy =
-          world().brightdata().nearest_super_proxy(exit->site.position).site;
-      params.exit = exit;
-      params.web_server = world().authority().site();
-      params.origin = world().origin();
-      params.authority = &world().authority();
-      auto net = world().ctx();
-      auto task = do53_via_proxy(net, params);
-      world().sim().run();
-      ASSERT_TRUE(task.result().ok);
-      via_header.push_back(task.result().tun.dns_ms);
-    }
+    direct.push_back(direct_do53(exit, "gt-" + std::to_string(i)));
+    const auto obs = proxied(do53_params(exit));
+    ASSERT_TRUE(obs.ok);
+    via_header.push_back(obs.tun.dns_ms);
   }
   std::nth_element(direct.begin(), direct.begin() + 7, direct.end());
   std::nth_element(via_header.begin(), via_header.begin() + 7,
@@ -259,13 +218,12 @@ TEST_F(FlowsFixture, TraceConfirmsDefaultResolverIsUsed) {
   const auto* exit = exit_in("SE");
   ASSERT_NE(exit, nullptr);
   obs::SpanContext capture;
-  auto net = world().ctx();
-  net.spans = &capture;
-  auto task = do53_direct(
-      net, exit->site, exit->default_resolver,
-      world().origin().with_subdomain("wireshark-check"));
-  world().sim().run();
-  ASSERT_GE(task.result(), 0.0);
+  const double ms = world().run_flow([&](netsim::NetCtx& net) {
+    net.spans = &capture;
+    return do53_direct(net, exit->site, exit->default_resolver,
+                       world().origin().with_subdomain("wireshark-check"));
+  });
+  ASSERT_GE(ms, 0.0);
 
   const std::vector<const obs::Span*> packets = capture.hop_view();
   ASSERT_GE(packets.size(), 4u);  // stub->res, res->auth, auth->res, back
@@ -289,14 +247,8 @@ TEST_F(FlowsFixture, ReuseIsCheaperAcrossAllProviders) {
   const auto* exit = exit_in("BR");
   ASSERT_NE(exit, nullptr);
   for (std::size_t p = 0; p < world().providers().size(); ++p) {
-    auto& provider = world().providers()[p];
-    auto net = world().ctx();
-    auto task = doh_direct(net, exit->site, exit->default_resolver,
-                           world().doh_server(p, 0),
-                           provider.config().doh_hostname,
-                           transport::TlsVersion::kTls13, world().origin());
-    world().sim().run();
-    const auto obs = task.result();
+    const auto& provider = world().providers()[p];
+    const auto obs = direct_doh(exit, p);
     ASSERT_TRUE(obs.ok) << provider.name();
     EXPECT_LT(obs.tdohr_ms(), obs.tdoh_ms()) << provider.name();
   }

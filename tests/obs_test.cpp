@@ -399,16 +399,14 @@ SpanContext proxied_flow_spans() {
       world.brightdata().nearest_super_proxy(exit->site.position).site;
   params.exit = exit;
   params.doh = &world.doh_server(0, 0);
-  params.doh_hostname = world.providers()[0].config().doh_hostname;
   params.tls = transport::TlsVersion::kTls13;
   params.origin = world.origin();
 
   SpanContext spans;
-  NetCtx net = world.ctx();
-  net.spans = &spans;
-  auto task = measure::doh_via_proxy(net, std::move(params));
-  world.sim().run();
-  (void)task.result();
+  world.run_flow([&](NetCtx& net) {
+    net.spans = &spans;
+    return measure::doh_via_proxy(net, std::move(params));
+  });
   return spans;
 }
 
@@ -938,14 +936,17 @@ TEST(JsonParserTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(obs::json::parse("[1,]").has_value());
   EXPECT_FALSE(obs::json::parse("'single'").has_value());
   // Numbers follow RFC 8259's grammar, not whatever strtod accepts.
-  for (const char* bad : {"+5", "007", "1.", "5.e3", ".5", "-", "1e+"}) {
+  // A number past the double range is rejected, not read as infinity.
+  for (const char* bad : {"+5", "007", "1.", "5.e3", ".5", "-", "1e+",
+                          "1e999", "-1e999", "1e400"}) {
     EXPECT_FALSE(obs::json::parse(bad).has_value()) << bad;
     EXPECT_FALSE(obs::json::parse(std::string("[") + bad + "]").has_value())
         << bad;
   }
   const std::pair<const char*, double> good[] = {
       {"0", 0.0},      {"-0", -0.0},  {"1.5e-3", 1.5e-3},
-      {"1E+2", 100.0}, {"9007199254740992", 9007199254740992.0}};
+      {"1E+2", 100.0}, {"9007199254740992", 9007199254740992.0},
+      {"1e308", 1e308}};
   for (const auto& [text, value] : good) {
     const auto number = obs::json::parse(text);
     ASSERT_TRUE(number.has_value()) << text;

@@ -6,6 +6,8 @@
 // trace, whose mutants must be rejected naming the event and the field.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -33,6 +35,7 @@
 #include "report/attribution.h"
 #include "report/slo.h"
 #include "report/timeseries.h"
+#include "scenario/spec.h"
 #include "transport/base64.h"
 #include "transport/http.h"
 #include "world/world_model.h"
@@ -233,16 +236,14 @@ std::string proxied_flow_trace() {
       world.brightdata().nearest_super_proxy(exit->site.position).site;
   params.exit = exit;
   params.doh = &world.doh_server(0, 0);
-  params.doh_hostname = world.providers()[0].config().doh_hostname;
   params.tls = transport::TlsVersion::kTls13;
   params.origin = world.origin();
 
   obs::SpanContext spans;
-  netsim::NetCtx net = world.ctx();
-  net.spans = &spans;
-  auto task = measure::doh_via_proxy(net, std::move(params));
-  world.sim().run();
-  (void)task.result();
+  world.run_flow([&](netsim::NetCtx& net) {
+    net.spans = &spans;
+    return measure::doh_via_proxy(net, std::move(params));
+  });
   return obs::perfetto_trace_json(spans);
 }
 
@@ -689,6 +690,179 @@ TEST(CsvMutationTest, ObsReportRejectsEveryMutantOfItsInputs) {
         });
   }
   fs::remove_all(dir);
+}
+
+// ------------------------------------------------- Spec mutation sweep
+
+/// Where a spec line's `#` comment starts (its size when it has none); a
+/// '#' inside a quoted string is text, as the parser reads it.
+std::size_t comment_start(std::string_view line) {
+  bool in_string = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    if (in_string && line[i] == '\\') {
+      ++i;
+    } else if (line[i] == '"') {
+      in_string = !in_string;
+    } else if (!in_string && line[i] == '#') {
+      return i;
+    }
+  }
+  return line.size();
+}
+
+std::string trimmed(std::string_view s) {
+  const std::size_t first = s.find_first_not_of(" \t");
+  if (first == std::string_view::npos) return "";
+  return std::string(s.substr(first, s.find_last_not_of(" \t") - first + 1));
+}
+
+/// Every structural mutant of a valid spec: each `[section]` header and
+/// each `key = value` line dropped, duplicated and renamed; each value
+/// retyped as a quoted string, a bare word, a number, `true` and a list;
+/// each quoted string and each list left unterminated; each list given a
+/// trailing comma; and the file cut after every line.
+std::vector<std::string> spec_mutants(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const auto join = [](auto first, auto last) {
+    std::string out;
+    for (; first != last; ++first) out += *first + "\n";
+    return out;
+  };
+  EXPECT_EQ(join(lines.begin(), lines.end()), text) << "the split must be exact";
+
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    // Line i replaced by `replacement` (no lines: dropped).
+    const auto replace = [&](std::vector<std::string> replacement) {
+      std::vector<std::string> mutant(lines.begin(), lines.begin() + i);
+      mutant.insert(mutant.end(), replacement.begin(), replacement.end());
+      mutant.insert(mutant.end(), lines.begin() + i + 1, lines.end());
+      out.push_back(join(mutant.begin(), mutant.end()));
+    };
+    const std::string& line = lines[i];
+    const std::size_t cut = comment_start(line);
+    const std::string code = trimmed(line.substr(0, cut));
+    const std::string comment =
+        cut < line.size() ? " " + line.substr(cut) : "";
+    if (code.empty()) continue;
+    replace({});
+    replace({line, line});
+    if (code.front() == '[') {
+      replace({code.substr(0, code.size() - 1) + "_renamed]" + comment});
+      continue;
+    }
+    // A valid spec's other lines are all `key = value`.
+    const std::size_t eq = code.find('=');
+    const std::string key = trimmed(code.substr(0, eq));
+    const std::string value = trimmed(code.substr(eq + 1));
+    const auto set = [&](const std::string& k, const std::string& v) {
+      replace({k + " = " + v + comment});
+    };
+    set(key + "_renamed", value);
+    for (const char* retyped : {"\"retyped\"", "retyped", "7", "true",
+                                "[1, 2]"}) {
+      set(key, retyped);
+    }
+    // Each string's closing quote removed, one at a time.
+    bool in_string = false;
+    for (std::size_t c = 0; c < value.size(); ++c) {
+      if (in_string && value[c] == '\\') {
+        ++c;
+      } else if (value[c] == '"') {
+        if (in_string) set(key, value.substr(0, c) + value.substr(c + 1));
+        in_string = !in_string;
+      }
+    }
+    if (value.front() == '[') {
+      const std::string open = value.substr(0, value.size() - 1);
+      set(key, open);
+      set(key, open + ",]");
+    }
+  }
+  for (std::size_t n = 0; n < lines.size(); ++n) {
+    out.push_back(join(lines.begin(), lines.begin() + n));
+  }
+  return out;
+}
+
+/// Lines the parser numbers in `text`: a final newline ends the last
+/// line rather than starting another.
+int numbered_lines(const std::string& text) {
+  const auto newlines = std::count(text.begin(), text.end(), '\n');
+  return static_cast<int>(newlines) +
+         (text.empty() || text.back() == '\n' ? 0 : 1);
+}
+
+/// "" when `mutant` either parses, its canonical text re-parsing to the
+/// same canonical text, or fails with exactly one `spec: <origin>:<line>: `
+/// diagnostic whose line is inside the mutant; else what broke.
+std::string spec_oracle_failure(const std::string& mutant,
+                                const std::string& origin) {
+  const scenario::SpecParseResult parsed =
+      scenario::parse_spec(mutant, origin);
+  if (parsed.ok()) {
+    const std::string canonical = scenario::canonical_text(parsed.doc);
+    const scenario::SpecParseResult again =
+        scenario::parse_spec(canonical, "<canonical>");
+    if (!again.ok()) return "its canonical text fails: " + again.error;
+    if (scenario::canonical_text(again.doc) != canonical) {
+      return "its canonical text does not re-parse to itself";
+    }
+    return "";
+  }
+  const std::string& error = parsed.error;
+  const std::string prefix = "spec: " + origin + ":";
+  if (!error.starts_with(prefix)) return "no location prefix: " + error;
+  int line = 0;
+  const char* const last = error.data() + error.size();
+  const auto [rest, ec] =
+      std::from_chars(error.data() + prefix.size(), last, line);
+  if (ec != std::errc{} || !std::string_view(rest, last).starts_with(": ")) {
+    return "no line number: " + error;
+  }
+  if (line < 1 || line > numbered_lines(mutant)) {
+    return "line outside the mutant: " + error;
+  }
+  if (error.find('\n') != std::string::npos ||
+      error.find("spec: ", prefix.size()) != std::string::npos) {
+    return "more than one diagnostic: " + error;
+  }
+  return "";
+}
+
+TEST(SpecMutationTest, EveryMutantParsesCanonicallyOrNamesOneLine) {
+  const fs::path source = DOHPERF_SOURCE_DIR;
+  std::vector<fs::path> specs;
+  for (const char* dir : {"examples/specs", "tests/fixtures"}) {
+    for (const auto& entry : fs::directory_iterator(source / dir)) {
+      if (entry.path().extension() == ".spec") specs.push_back(entry.path());
+    }
+  }
+  std::sort(specs.begin(), specs.end());
+
+  std::size_t seeds = 0, parsed = 0, rejected = 0;
+  for (const fs::path& path : specs) {
+    const std::string text = read_text(path);
+    const std::string origin = path.filename().string();
+    // tests/fixtures also holds specs written to be rejected; only the
+    // valid ones seed mutants, and every example must be valid.
+    if (!scenario::parse_spec(text, origin).ok()) {
+      EXPECT_EQ(path.parent_path().filename(), "fixtures")
+          << origin << " must parse";
+      continue;
+    }
+    ++seeds;
+    for (const std::string& mutant : spec_mutants(text)) {
+      ASSERT_EQ(spec_oracle_failure(mutant, origin), "")
+          << "mutant of " << origin << ":\n" << mutant;
+      ++(scenario::parse_spec(mutant, origin).ok() ? parsed : rejected);
+    }
+  }
+  EXPECT_GE(seeds, 5u);
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, parsed);
 }
 
 }  // namespace

@@ -30,17 +30,15 @@ struct PolicyFixture : ::testing::Test {
     ctx.client = exit->site;
     ctx.default_resolver = exit->default_resolver;
     ctx.doh = &world().doh_server(0, 0);
-    ctx.doh_hostname = world().providers()[0].config().doh_hostname;
     ctx.origin = world().origin();
     ctx.doh_unreachable = doh_unreachable;
     return ctx;
   }
 
   static PolicyOutcome run(const PolicyContext& ctx, DohMode mode) {
-    auto net = world().ctx();
-    auto task = resolve_with_policy(net, ctx, mode);
-    world().sim().run();
-    return task.result();
+    return world().run_flow([&](netsim::NetCtx& net) {
+      return resolve_with_policy(net, ctx, mode);
+    });
   }
 
   /// Like run(), but with a metrics registry attached so the fallback
@@ -48,11 +46,10 @@ struct PolicyFixture : ::testing::Test {
   static PolicyOutcome run_with_metrics(const PolicyContext& ctx,
                                         DohMode mode,
                                         obs::Metrics& metrics) {
-    netsim::NetCtx net{world().sim(), world().latency(), world().rng(),
-                       nullptr, &metrics};
-    auto task = resolve_with_policy(net, ctx, mode);
-    world().sim().run();
-    return task.result();
+    return world().run_flow([&](netsim::NetCtx& net) {
+      net.metrics = &metrics;
+      return resolve_with_policy(net, ctx, mode);
+    });
   }
 };
 

@@ -241,9 +241,10 @@ const proxy::ExitNode* exit_in(world::WorldModel& world,
   return exit;
 }
 
-/// Runs one flow to completion on `net` (the world's context with every
-/// sink attached) and checks its result.
-using FlowRun = std::function<void(world::WorldModel&, netsim::NetCtx&)>;
+/// Runs one flow on `net` (the world's context with every sink attached)
+/// and checks its result.
+using FlowRun =
+    std::function<netsim::Task<void>(world::WorldModel&, netsim::NetCtx&)>;
 
 const resolver::SharedCacheModel& cache_model() {
   static const resolver::SharedCacheModel model = [] {
@@ -262,7 +263,6 @@ measure::DohProxyParams doh_proxy_params(world::WorldModel& world,
       world.brightdata().nearest_super_proxy(exit->site.position).site;
   params.exit = exit;
   params.doh = &world.doh_server(0, 0);
-  params.doh_hostname = world.providers()[0].config().doh_hostname;
   params.tls = transport::TlsVersion::kTls13;
   params.origin = world.origin();
   return params;
@@ -275,10 +275,7 @@ measure::Do53ProxyParams do53_proxy_params(world::WorldModel& world,
   params.super_proxy =
       world.brightdata().nearest_super_proxy(exit->site.position).site;
   params.exit = exit;
-  params.web_server = world.authority().site();
   params.origin = world.origin();
-  params.resolve_at_super_proxy =
-      proxy::resolves_dns_at_super_proxy(exit->advertised_iso2);
   params.authority = &world.authority();
   return params;
 }
@@ -289,7 +286,6 @@ web::PageLoadContext page_context(world::WorldModel& world,
   ctx.client = exit->site;
   ctx.default_resolver = exit->default_resolver;
   ctx.doh = &world.doh_server(0, 0);
-  ctx.doh_hostname = world.providers()[0].config().doh_hostname;
   ctx.web_server = world.authority().site();
   ctx.origin = world.origin();
   return ctx;
@@ -303,17 +299,18 @@ struct FlowDigests {
 
 /// Runs `launch` in a fresh world under (provider 0, `country`) labels
 /// and digests what the three sinks recorded.
-FlowDigests run_flow(const std::string& country, const FlowRun& launch) {
+FlowDigests digest_flow(const std::string& country, const FlowRun& launch) {
   const std::unique_ptr<world::WorldModel> world = flow_world();
   obs::SpanContext spans;
   obs::Metrics metrics;
   obs::AttributionLedger ledger;
-  netsim::NetCtx net = world->ctx();
-  net.spans = &spans;
-  net.metrics = &metrics;
-  net.attribution.ledger = &ledger;
-  net.labels = {world->providers()[0].name(), country};
-  launch(*world, net);
+  world->run_flow([&](netsim::NetCtx& net) {
+    net.spans = &spans;
+    net.metrics = &metrics;
+    net.attribution.ledger = &ledger;
+    net.labels = {world->providers()[0].name(), country};
+    return launch(*world, net);
+  });
   EXPECT_EQ(spans.open_count(), 0u) << "a span was left open";
   return {fnv1a_hex(obs::perfetto_trace_json(spans)),
           fnv1a_hex(report::metrics_csv(metrics).str()),
@@ -329,105 +326,91 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
   };
   const Case cases[] = {
       {"doh_via_proxy", "SE",
-       [](world::WorldModel& w, netsim::NetCtx& net) {
-         auto task = measure::doh_via_proxy(
+       [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
+         const auto result = co_await measure::doh_via_proxy(
              net, doh_proxy_params(w, exit_in(w, "SE")));
-         w.sim().run();
-         EXPECT_TRUE(task.result().ok);
+         EXPECT_TRUE(result.ok);
        },
        {"0d6c1c56d265e6b1", "f6f57a956092fff9", "939c4826bb53ce33"}},
       {"do53_via_proxy (exit resolves)", "SE",
-       [](world::WorldModel& w, netsim::NetCtx& net) {
-         auto task = measure::do53_via_proxy(
+       [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
+         const auto result = co_await measure::do53_via_proxy(
              net, do53_proxy_params(w, exit_in(w, "SE")));
-         w.sim().run();
-         EXPECT_TRUE(task.result().ok);
-         EXPECT_FALSE(task.result().resolved_at_super_proxy);
+         EXPECT_TRUE(result.ok);
+         EXPECT_FALSE(result.resolved_at_super_proxy);
        },
        {"931f9bda937a97ec", "4aa0b835f1001c94", "75e082b55b233e9d"}},
       {"do53_via_proxy (Super Proxy resolves)", "DE",
-       [](world::WorldModel& w, netsim::NetCtx& net) {
-         auto task = measure::do53_via_proxy(
+       [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
+         const auto result = co_await measure::do53_via_proxy(
              net, do53_proxy_params(w, exit_in(w, "DE")));
-         w.sim().run();
-         EXPECT_TRUE(task.result().ok);
-         EXPECT_TRUE(task.result().resolved_at_super_proxy);
+         EXPECT_TRUE(result.ok);
+         EXPECT_TRUE(result.resolved_at_super_proxy);
        },
        {"d5b6eeba2ec59802", "916f4267554ab27e", "6ead51e5fa7d8a5f"}},
       {"doh_direct", "SE",
-       [](world::WorldModel& w, netsim::NetCtx& net) {
+       [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          const proxy::ExitNode* exit = exit_in(w, "SE");
-         auto task = measure::doh_direct(
+         const auto result = co_await measure::doh_direct(
              net, exit->site, exit->default_resolver, w.doh_server(0, 0),
-             w.providers()[0].config().doh_hostname,
              transport::TlsVersion::kTls13, w.origin());
-         w.sim().run();
-         EXPECT_TRUE(task.result().ok);
+         EXPECT_TRUE(result.ok);
        },
        {"cfc610e9a7e8896d", "ebc40665b8e7e97c", "dd2a41f018fc024f"}},
       {"do53_direct", "SE",
-       [](world::WorldModel& w, netsim::NetCtx& net) {
+       [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          const proxy::ExitNode* exit = exit_in(w, "SE");
-         auto task = measure::do53_direct(net, exit->site,
-                                          exit->default_resolver,
-                                          w.origin().with_subdomain("pin"));
-         w.sim().run();
-         EXPECT_GT(task.result(), 0.0);
+         const double result = co_await measure::do53_direct(
+             net, exit->site, exit->default_resolver,
+             w.origin().with_subdomain("pin"));
+         EXPECT_GT(result, 0.0);
        },
        {"a2d1e31b443ff4f8", "f301190ef111dccb", "174d42f07a209d35"}},
       {"dot_direct", "SE",
-       [](world::WorldModel& w, netsim::NetCtx& net) {
+       [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          const proxy::ExitNode* exit = exit_in(w, "SE");
-         auto task = measure::dot_direct(
+         const auto result = co_await measure::dot_direct(
              net, exit->site, exit->default_resolver, w.doh_server(0, 0),
-             w.providers()[0].config().doh_hostname,
              transport::TlsVersion::kTls13, w.origin());
-         w.sim().run();
-         EXPECT_TRUE(task.result().ok);
+         EXPECT_TRUE(result.ok);
        },
        {"6548a671cc79684c", "b27434ba82b0b96d", "edbfaf0a00928dd3"}},
       {"doq_direct (fresh)", "SE",
-       [](world::WorldModel& w, netsim::NetCtx& net) {
+       [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          const proxy::ExitNode* exit = exit_in(w, "SE");
-         auto task = measure::doq_direct(
+         const auto result = co_await measure::doq_direct(
              net, exit->site, exit->default_resolver, w.doh_server(0, 0),
-             w.providers()[0].config().doh_hostname, w.origin(),
-             /*resumed=*/false);
-         w.sim().run();
-         EXPECT_TRUE(task.result().ok);
+             w.origin(), /*resumed=*/false);
+         EXPECT_TRUE(result.ok);
        },
        {"065e02de60a20605", "57617f71d02b3c12", "e2767541d2b865b7"}},
       {"doq_direct (resumed)", "SE",
-       [](world::WorldModel& w, netsim::NetCtx& net) {
+       [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          const proxy::ExitNode* exit = exit_in(w, "SE");
-         auto task = measure::doq_direct(
+         const auto result = co_await measure::doq_direct(
              net, exit->site, exit->default_resolver, w.doh_server(0, 0),
-             w.providers()[0].config().doh_hostname, w.origin(),
-             /*resumed=*/true);
-         w.sim().run();
-         EXPECT_TRUE(task.result().ok);
+             w.origin(), /*resumed=*/true);
+         EXPECT_TRUE(result.ok);
        },
        {"26d43686c439d0e5", "dae4fecabaefc43b", "96e37f1e8883a24d"}},
       {"doh_warm_path", "SE",
-       [](world::WorldModel& w, netsim::NetCtx& net) {
+       [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          const proxy::ExitNode* exit = exit_in(w, "SE");
          measure::WarmDohParams params;
          params.vantage = exit->site;
          params.default_resolver = exit->default_resolver;
          params.doh = &w.doh_server(0, 0);
-         params.doh_hostname = w.providers()[0].config().doh_hostname;
          params.origin = w.origin();
          params.cache = &cache_model();
          params.population = 1e6;
          params.reuse.enabled = true;
          params.reuse.queries_per_session = 6;
-         auto task = measure::doh_warm_path(net, params);
-         w.sim().run();
-         EXPECT_TRUE(task.result().ok);
+         const auto result = co_await measure::doh_warm_path(net, params);
+         EXPECT_TRUE(result.ok);
        },
        {"40546becfcfe6a44", "d9598c7a3a3e7593", "7a694c73bee0628c"}},
       {"do53_warm_path", "SE",
-       [](world::WorldModel& w, netsim::NetCtx& net) {
+       [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          const proxy::ExitNode* exit = exit_in(w, "SE");
          measure::WarmDo53Params params;
          params.vantage = exit->site;
@@ -437,62 +420,58 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
          params.population = 5e4;
          params.reuse.enabled = true;
          params.reuse.queries_per_session = 6;
-         auto task = measure::do53_warm_path(net, params);
-         w.sim().run();
-         EXPECT_TRUE(task.result().ok);
+         const auto result = co_await measure::do53_warm_path(net, params);
+         EXPECT_TRUE(result.ok);
        },
        {"64229297fc7e0dca", "a962240347ea834f", "d5a2d9a23aa45427"}},
       {"load_page (cold DoH)", "SE",
-       [](world::WorldModel& w, netsim::NetCtx& net) {
+       [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          web::PageSpec spec;
          spec.domains = 3;
-         auto task = web::load_page(net, page_context(w, exit_in(w, "SE")),
-                                    spec, web::DnsMode::kDohCold);
-         w.sim().run();
-         EXPECT_TRUE(task.result().ok);
+         const auto result = co_await web::load_page(
+             net, page_context(w, exit_in(w, "SE")), spec,
+             web::DnsMode::kDohCold);
+         EXPECT_TRUE(result.ok);
        },
        {"fdd0659128b76682", "cf736ce7273e3d3c", "c4a8d93c5b43c6c0"}},
       {"load_page (warm DoH)", "SE",
-       [](world::WorldModel& w, netsim::NetCtx& net) {
+       [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          web::PageSpec spec;
          spec.domains = 3;
-         auto task = web::load_page(net, page_context(w, exit_in(w, "SE")),
-                                    spec, web::DnsMode::kDohWarm);
-         w.sim().run();
-         EXPECT_TRUE(task.result().ok);
+         const auto result = co_await web::load_page(
+             net, page_context(w, exit_in(w, "SE")), spec,
+             web::DnsMode::kDohWarm);
+         EXPECT_TRUE(result.ok);
        },
        {"b73b726c12ad7930", "ac53e771e1b188b3", "e24af47da79a8ec6"}},
       {"RipeAtlas::measure_do53", "DE",
-       [](world::WorldModel& w, netsim::NetCtx& net) {
+       [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          netsim::Rng rng = w.rng().split("flow-pin-atlas");
          const proxy::AtlasProbe* probe = w.atlas().pick_probe("DE", rng);
-         ASSERT_NE(probe, nullptr);
-         auto task = w.atlas().measure_do53(
+         if (probe == nullptr) throw std::runtime_error("no probe in DE");
+         const double result = co_await w.atlas().measure_do53(
              net, proxy::AtlasProbe(*probe),
              w.origin().with_subdomain("atlas-pin"));
-         w.sim().run();
-         EXPECT_GT(task.result(), 0.0);
+         EXPECT_GT(result, 0.0);
        },
        {"975a601928acc193", "5d9f5b6d0c01692e", "666cf4f4650407c6"}},
       {"resolve_with_policy (DoH unreachable)", "SE",
-       [](world::WorldModel& w, netsim::NetCtx& net) {
+       [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          const proxy::ExitNode* exit = exit_in(w, "SE");
          client::PolicyContext ctx;
          ctx.client = exit->site;
          ctx.default_resolver = exit->default_resolver;
          ctx.doh = &w.doh_server(0, 0);
-         ctx.doh_hostname = w.providers()[0].config().doh_hostname;
          ctx.origin = w.origin();
          ctx.doh_unreachable = true;
-         auto task = client::resolve_with_policy(
+         const auto result = co_await client::resolve_with_policy(
              net, ctx, client::DohMode::kOpportunistic);
-         w.sim().run();
-         EXPECT_TRUE(task.result().downgraded);
+         EXPECT_TRUE(result.downgraded);
        },
        {"a086e55055a5e2ad", "398195ae1ec79e84", "dd97ee7ebe625a18"}},
   };
   for (const Case& c : cases) {
-    const FlowDigests got = run_flow(c.country, c.launch);
+    const FlowDigests got = digest_flow(c.country, c.launch);
     EXPECT_EQ(got.trace, c.pinned.trace) << c.flow << ": trace moved";
     EXPECT_EQ(got.metrics, c.pinned.metrics)
         << c.flow << ": metrics_csv moved";

@@ -80,6 +80,36 @@ TEST(QuantileSketchTest, ExtremesAndDegenerateCases) {
   }
 }
 
+TEST(QuantileSketchTest, BucketEdges) {
+  using stats::QuantileSketch;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Underflow bucket: below kMinValue, plus NaN, negatives and -inf.
+  for (const double v : {0.0, 0.0625 * 0.999, -5.0, kNaN, -kInf}) {
+    EXPECT_EQ(QuantileSketch::bucket_index(v), 0u) << v;
+  }
+  // The first log bucket starts exactly at kMinValue; 1/32-octave widths
+  // put one doubling 32 buckets up.
+  EXPECT_EQ(QuantileSketch::bucket_index(QuantileSketch::kMinValue), 1u);
+  EXPECT_EQ(QuantileSketch::bucket_index(2 * QuantileSketch::kMinValue),
+            33u);
+  // Overflow from the range top (2^20 ms) up, +inf included.
+  for (const double v : {1048576.0, 1e12, kInf}) {
+    EXPECT_EQ(QuantileSketch::bucket_index(v), QuantileSketch::kBuckets - 1)
+        << v;
+  }
+
+  // Every lower edge (the overflow bucket's included) lands in its own
+  // bucket, and the double just below it in the bucket below: each
+  // bucket is exactly [lower_edge(b), lower_edge(b + 1)).
+  for (std::size_t b = 1; b < QuantileSketch::kBuckets; ++b) {
+    const double edge = QuantileSketch::lower_edge(b);
+    EXPECT_EQ(QuantileSketch::bucket_index(edge), b) << b;
+    EXPECT_EQ(QuantileSketch::bucket_index(std::nextafter(edge, 0.0)), b - 1)
+        << b;
+  }
+}
+
 TEST(QuantileSketchTest, MergeIsBitIdenticalUnderPermutedOrder) {
   const std::vector<double> values = latency_sample(4096, 17);
 

@@ -228,7 +228,6 @@ struct WarmFlowFixture : ::testing::Test {
     params.vantage = exit->site;
     params.default_resolver = exit->default_resolver;
     params.doh = &w.doh_server(0, 0);
-    params.doh_hostname = w.providers()[0].config().doh_hostname;
     params.origin = w.origin();
     params.cache = model;
     params.population = 1e6;
@@ -243,12 +242,11 @@ struct WarmFlowFixture : ::testing::Test {
 TEST_F(WarmFlowFixture, DohWarmSessionRecordsIndicesAndReuse) {
   const resolver::SharedCacheModel model(model_config());
   obs::Metrics metrics;
-  netsim::NetCtx net = world().ctx();
-  net.metrics = &metrics;
-  auto task = measure::doh_warm_path(net, doh_params(&model));
-  world().sim().run();
-  ASSERT_TRUE(task.done());
-  const measure::WarmPathObservation obs = task.result();
+  const measure::WarmPathObservation obs =
+      world().run_flow([&](netsim::NetCtx& net) {
+        net.metrics = &metrics;
+        return measure::doh_warm_path(net, doh_params(&model));
+      });
 
   ASSERT_TRUE(obs.ok);
   ASSERT_EQ(obs.queries.size(), 8u);
@@ -285,16 +283,16 @@ TEST_F(WarmFlowFixture, DohWarmSessionRecordsIndicesAndReuse) {
 TEST_F(WarmFlowFixture, ThinkTimePastIdleTimeoutExercisesResumption) {
   const resolver::SharedCacheModel model(model_config());
   obs::Metrics metrics;
-  netsim::NetCtx net = world().ctx();
-  net.metrics = &metrics;
   measure::WarmDohParams params = doh_params(&model);
   // Gaps average 50 ms against a 1 ms idle timeout: every reconnect
   // finds the connection dead but holds a fresh ticket.
   params.reuse.think_time = netsim::from_ms(50.0);
   params.reuse.pool.idle_timeout = netsim::from_ms(1.0);
-  auto task = measure::doh_warm_path(net, std::move(params));
-  world().sim().run();
-  const measure::WarmPathObservation obs = task.result();
+  const measure::WarmPathObservation obs =
+      world().run_flow([&](netsim::NetCtx& net) {
+        net.metrics = &metrics;
+        return measure::doh_warm_path(net, std::move(params));
+      });
 
   ASSERT_TRUE(obs.ok);
   EXPECT_GT(obs.pool.resumed, 0u);
@@ -321,10 +319,10 @@ TEST_F(WarmFlowFixture, Do53WarmSessionHitsDistributedCache) {
   params.reuse.enabled = true;
   params.reuse.queries_per_session = 8;
 
-  netsim::NetCtx net = w.ctx();
-  auto task = measure::do53_warm_path(net, std::move(params));
-  w.sim().run();
-  const measure::WarmPathObservation obs = task.result();
+  const measure::WarmPathObservation obs = w.run_flow(
+      [&](netsim::NetCtx& net) {
+        return measure::do53_warm_path(net, std::move(params));
+      });
 
   ASSERT_TRUE(obs.ok);
   ASSERT_EQ(obs.queries.size(), 8u);
@@ -344,11 +342,12 @@ TEST_F(WarmFlowFixture, WarmFlowsAreDeterministic) {
   const resolver::SharedCacheModel model(model_config());
   const auto run = [&] {
     world_.reset();  // fresh world, same seed
-    netsim::NetCtx net = world().ctx();
-    auto task = measure::doh_warm_path(net, doh_params(&model));
-    world().sim().run();
+    const measure::WarmPathObservation obs =
+        world().run_flow([&](netsim::NetCtx& net) {
+          return measure::doh_warm_path(net, doh_params(&model));
+        });
     std::vector<double> ms;
-    for (const auto& q : task.result().queries) ms.push_back(q.ms);
+    for (const auto& q : obs.queries) ms.push_back(q.ms);
     return ms;
   };
   const std::vector<double> first = run();

@@ -163,13 +163,12 @@ int main(int argc, char** argv) {
       const auto* country = geo::find_country(exit->true_iso2);
       const auto pop = provider.route(exit->site.position, country->region,
                                       sample_rng);
-      auto net = world.ctx();
-      auto task = measure::doh_direct(
-          net, exit->site, exit->default_resolver, world.doh_server(p, pop),
-          provider.config().doh_hostname, world.config().tls_version,
-          world.origin());
-      world.sim().run();
-      const auto obs = task.result();
+      const auto obs = world.run_flow([&](netsim::NetCtx& net) {
+        return measure::doh_direct(net, exit->site, exit->default_resolver,
+                                   world.doh_server(p, pop),
+                                   world.config().tls_version,
+                                   world.origin());
+      });
       if (!obs.ok) continue;
       dns.push_back(obs.dns_ms);
       connect.push_back(obs.connect_ms);

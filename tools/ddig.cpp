@@ -101,14 +101,14 @@ int main(int argc, char** argv) {
   }
 
   obs::SpanContext capture;
-  auto net = world.ctx();
-  if (want_trace) net.spans = &capture;
+  obs::SpanContext* const spans = want_trace ? &capture : nullptr;
 
   if (via == "do53") {
-    auto task = measure::do53_direct(net, client->site,
-                                     client->default_resolver, target);
-    world.sim().run();
-    const double ms = task.result();
+    const double ms = world.run_flow([&](netsim::NetCtx& net) {
+      net.spans = spans;
+      return measure::do53_direct(net, client->site,
+                                  client->default_resolver, target);
+    });
     if (ms < 0) {
       std::printf(";; resolution FAILED (non-NOERROR rcode)\n");
     } else {
@@ -128,26 +128,27 @@ int main(int argc, char** argv) {
     const geo::Country* country = geo::find_country(iso2);
     const std::size_t pop =
         provider.route(client->site.position, country->region, world.rng());
+    auto& server = world.doh_server(provider_index, pop);
     if (via == "doh") {
-      auto task = measure::doh_direct(
-          net, client->site, client->default_resolver,
-          world.doh_server(provider_index, pop),
-          provider.config().doh_hostname, transport::TlsVersion::kTls13,
-          world.origin());
-      world.sim().run();
-      const auto obs = task.result();
+      const auto obs = world.run_flow([&](netsim::NetCtx& net) {
+        net.spans = spans;
+        return measure::doh_direct(net, client->site,
+                                   client->default_resolver, server,
+                                   transport::TlsVersion::kTls13,
+                                   world.origin());
+      });
       std::printf(";; %s via %s@%s (DoH): first %.1f ms, reuse %.1f ms\n",
                   name.c_str(), provider.name().c_str(),
                   provider.pops()[pop].city.c_str(), obs.tdoh_ms(),
                   obs.tdohr_ms());
     } else {
-      auto task = measure::dot_direct(
-          net, client->site, client->default_resolver,
-          world.doh_server(provider_index, pop),
-          provider.config().doh_hostname, transport::TlsVersion::kTls13,
-          world.origin());
-      world.sim().run();
-      const auto obs = task.result();
+      const auto obs = world.run_flow([&](netsim::NetCtx& net) {
+        net.spans = spans;
+        return measure::dot_direct(net, client->site,
+                                   client->default_resolver, server,
+                                   transport::TlsVersion::kTls13,
+                                   world.origin());
+      });
       std::printf(";; %s via %s@%s (DoT): first %.1f ms, reuse %.1f ms\n",
                   name.c_str(), provider.name().c_str(),
                   provider.pops()[pop].city.c_str(), obs.tdot_ms(),

@@ -181,30 +181,23 @@ int cmd_query(int argc, char** argv) {
   const geo::Country* country = geo::find_country(iso2);
   const std::size_t pop =
       provider.route(client->site.position, country->region, world.rng());
-  {
-    auto net = world.ctx();
-    auto task = measure::doh_direct(
-        net, client->site, client->default_resolver,
-        world.doh_server(provider_index, pop),
-        provider.config().doh_hostname, transport::TlsVersion::kTls13,
-        world.origin());
-    world.sim().run();
-    const auto obs = task.result();
-    std::printf("%s via %s: DoH1 %.1f ms (dns %.1f, tcp %.1f, tls %.1f, "
-                "query %.1f), DoHR %.1f ms\n",
-                provider.name().c_str(), provider.pops()[pop].city.c_str(),
-                obs.tdoh_ms(), obs.dns_ms, obs.connect_ms, obs.tls_ms,
-                obs.query_ms, obs.tdohr_ms());
-  }
-  {
-    auto net = world.ctx();
-    auto task = measure::do53_direct(
-        net, client->site, client->default_resolver,
-        world.origin().with_subdomain("cli-probe"));
-    world.sim().run();
-    std::printf("Do53 via %s: %.1f ms\n",
-                client->default_resolver->name().c_str(), task.result());
-  }
+  const auto obs = world.run_flow([&](netsim::NetCtx& net) {
+    return measure::doh_direct(net, client->site, client->default_resolver,
+                               world.doh_server(provider_index, pop),
+                               transport::TlsVersion::kTls13,
+                               world.origin());
+  });
+  std::printf("%s via %s: DoH1 %.1f ms (dns %.1f, tcp %.1f, tls %.1f, "
+              "query %.1f), DoHR %.1f ms\n",
+              provider.name().c_str(), provider.pops()[pop].city.c_str(),
+              obs.tdoh_ms(), obs.dns_ms, obs.connect_ms, obs.tls_ms,
+              obs.query_ms, obs.tdohr_ms());
+  const double do53_ms = world.run_flow([&](netsim::NetCtx& net) {
+    return measure::do53_direct(net, client->site, client->default_resolver,
+                                world.origin().with_subdomain("cli-probe"));
+  });
+  std::printf("Do53 via %s: %.1f ms\n",
+              client->default_resolver->name().c_str(), do53_ms);
   return 0;
 }
 
