@@ -133,9 +133,12 @@ BudgetLine run_strategy(world::WorldModel& world,
     tracker.record(name, "", campaign_t, outcome.outcome,
                    outcome.elapsed_ms, outcome.resolved);
   }
-  const auto budgets = tracker.budgets();
-  const auto it = budgets.find(obs::SloKey{name, ""});
-  return {name, it != budgets.end() ? it->second : obs::SloBudget{}};
+  for (const obs::SloBudget& budget : tracker.budgets()) {
+    if (budget.provider == name && budget.country.empty()) {
+      return {name, budget};
+    }
+  }
+  return {name, obs::SloBudget{}};
 }
 
 int bench() {
@@ -162,12 +165,14 @@ int bench() {
   // Per-provider aggregates out of the campaign's tracker.
   std::vector<BudgetLine> providers;
   std::int64_t last_window = 0;
-  for (const auto& [key, budget] : result.slo.budgets()) {
-    if (key.country.empty()) providers.push_back({key.provider, budget});
+  for (const obs::SloBudget& budget : result.slo.budgets()) {
+    if (budget.country.empty()) {
+      providers.push_back({budget.provider, budget});
+    }
   }
-  for (const auto& [key, windows] : result.slo.cells()) {
+  for (const auto& [ids, windows] : result.slo.cells()) {
     if (!windows.empty()) {
-      last_window = std::max(last_window, windows.rbegin()->first);
+      last_window = std::max(last_window, windows.back().first);
     }
   }
 

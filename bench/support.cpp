@@ -247,7 +247,10 @@ void print_banner(const std::string& title) {
       static_cast<unsigned long long>(c.fallbacks),
       static_cast<unsigned long long>(c.brownout_delays),
       static_cast<unsigned long long>(c.failures));
-  for (const auto& [name, hist] : run.metrics.histograms()) {
+  const obs::Metrics::Histograms& histograms = run.metrics.histograms();
+  for (const auto* track : histograms.sorted()) {
+    const std::string name(histograms.names(track->ids)[0]);
+    const obs::LatencyHistogram& hist = track->value;
     std::printf("  %-12s n=%-7llu p50=%.1f ms  p99=%.1f ms\n", name.c_str(),
                 static_cast<unsigned long long>(hist.count()),
                 hist.quantile_ms(0.5), hist.quantile_ms(0.99));

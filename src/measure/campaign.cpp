@@ -1,6 +1,7 @@
 #include "measure/campaign.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
@@ -33,13 +34,13 @@ struct ExitTask {
   netsim::Site sp_site;
   /// advertised_iso2 pre-interned on the main thread; records carry this
   /// id so the hot path never touches the string table.
-  StrId iso2_id = kNoStrId;
+  obs::StrId iso2_id = obs::kNoStrId;
 };
 
 /// One Atlas remedy country.
 struct AtlasTask {
   std::string iso2;
-  StrId iso2_id = kNoStrId;
+  obs::StrId iso2_id = obs::kNoStrId;
   int count = 0;
   std::size_t slot_base = 0;  ///< First session slot of this country.
 };
@@ -66,8 +67,8 @@ struct CampaignPlan {
   std::size_t n_sessions = 0;
   std::uint64_t discarded_mismatch = 0;
   std::vector<std::string> provider_names;  ///< Canonical catalog order.
-  std::vector<StrId> provider_ids;          ///< Parallel to the names.
-  StringTable names;
+  std::vector<obs::StrId> provider_ids;     ///< Parallel to the names.
+  obs::StringTable names;
   /// Stateless shared-cache model ([cache] enabled; nullptr otherwise).
   /// Built once on the main thread and shared read-only by every shard —
   /// hit probabilities are pure functions, so no shard ever mutates it.
@@ -131,6 +132,22 @@ constexpr netsim::Duration kFaultRecordHorizon = netsim::from_ms(30000.0);
 /// A failed measurement (cold flow or warm session), counted in the
 /// registry and in the `failure` series track.
 constexpr obs::Event kFailure{&obs::MetricCounters::failures, "failure"};
+
+/// What one warm path records under: its series track and its
+/// per-query-index latency histograms, the last of which the session's
+/// later queries share so the histogram count stays bounded.
+struct WarmNames {
+  std::string_view series;
+  std::array<std::string_view, 8> by_query;
+};
+constexpr WarmNames kDohWarm{
+    "doh_warm_ms",
+    {"doh_warm_q0", "doh_warm_q1", "doh_warm_q2", "doh_warm_q3",
+     "doh_warm_q4", "doh_warm_q5", "doh_warm_q6", "doh_warm_q7"}};
+constexpr WarmNames kDo53Warm{
+    "do53_warm_ms",
+    {"do53_warm_q0", "do53_warm_q1", "do53_warm_q2", "do53_warm_q3",
+     "do53_warm_q4", "do53_warm_q5", "do53_warm_q6", "do53_warm_q7"}};
 
 void record_fault_windows(obs::MetricSeries& series,
                           const netsim::FaultPlan& plan) {
@@ -519,18 +536,14 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
   if (config.cache.enabled || config.reuse.enabled) {
     const resolver::SharedCacheModel* model = view.plan.cache_model.get();
     const auto record_warm = [&](const WarmPathObservation& wobs,
-                                 const char* prefix) {
+                                 const WarmNames& names) {
       for (const WarmQueryObservation& q : wobs.queries) {
         if (!q.valid()) continue;
-        // Per-query-index latency histograms; the tail shares one bucket
-        // so the histogram count stays bounded for long sessions.
-        const int index_bucket = std::min(q.query_index, 7);
+        const auto last = static_cast<int>(names.by_query.size()) - 1;
         view.telemetry->metrics
-            .histogram(std::string(prefix) + "_warm_q" +
-                       std::to_string(index_bucket))
+            .histogram(names.by_query[std::min(q.query_index, last)])
             .record(q.ms);
-        net.series.latency(std::string(prefix) + "_warm_ms", net.labels,
-                           view.sim.now(), q.ms);
+        net.series.latency(names.series, net.labels, view.sim.now(), q.ms);
       }
       s.metrics.counters.pool_cold += wobs.pool.cold;
       s.metrics.counters.pool_reuses += wobs.pool.reused;
@@ -556,7 +569,7 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
       // configured population behind one cache.
       wp.population = config.cache.population;
       wp.reuse = config.reuse;
-      record_warm(co_await doh_warm_path(net, std::move(wp)), "doh");
+      record_warm(co_await doh_warm_path(net, std::move(wp)), kDohWarm);
     }
 
     // Do53 counterpart: same think-time/query schedule, but UDP (no
@@ -570,7 +583,7 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
     dp.cache = model;
     dp.population = config.cache.population * config.cache.isp_share;
     dp.reuse = config.reuse;
-    record_warm(co_await do53_warm_path(net, std::move(dp)), "do53");
+    record_warm(co_await do53_warm_path(net, std::move(dp)), kDo53Warm);
   }
 
   // --- Do53 via the default resolver ----------------------------------
@@ -970,7 +983,7 @@ void Campaign::execute(int shards, Dataset* dataset, StreamSink* stream) {
     outputs.resize(plan.n_sessions);
   } else {
     std::vector<std::uint64_t> exit_ids;
-    std::vector<StrId> exit_iso2;
+    std::vector<obs::StrId> exit_iso2;
     std::vector<double> exit_ns_distance;
     for (std::size_t e = 0; e < plan.exits.size(); ++e) {
       exit_ids.push_back(plan.exits[e].exit->id);

@@ -34,8 +34,8 @@ void Dataset::ensure_index() const {
   if (index_epoch_ == epoch_) return;
 
   doh_index_.clear();
-  std::map<StrId, std::unordered_set<std::uint64_t>> per_provider;
-  std::map<std::pair<StrId, StrId>, std::unordered_set<std::uint64_t>>
+  std::map<obs::StrId, std::unordered_set<std::uint64_t>> per_provider;
+  std::map<std::pair<obs::StrId, obs::StrId>, std::unordered_set<std::uint64_t>>
       per_provider_country;
   for (const auto& r : doh_) {
     per_provider[r.provider].insert(r.exit_id);
@@ -49,7 +49,7 @@ void Dataset::ensure_index() const {
   }
 
   std::unordered_set<std::uint64_t> do53_ids;
-  std::unordered_set<StrId> do53_countries;
+  std::unordered_set<obs::StrId> do53_countries;
   for (const auto& r : do53_) {
     if (r.exit_id != kAtlasExitId) do53_ids.insert(r.exit_id);
     do53_countries.insert(r.iso2);
@@ -61,16 +61,16 @@ void Dataset::ensure_index() const {
 }
 
 std::size_t Dataset::unique_clients(std::string_view provider) const {
-  const StrId id = names_.find(provider);
-  if (id == kNoStrId) return 0;
+  const obs::StrId id = names_.find(provider);
+  if (id == obs::kNoStrId) return 0;
   ensure_index();
   const auto it = doh_index_.find(id);
   return it == doh_index_.end() ? 0 : it->second.unique_clients;
 }
 
 std::size_t Dataset::unique_countries(std::string_view provider) const {
-  const StrId id = names_.find(provider);
-  if (id == kNoStrId) return 0;
+  const obs::StrId id = names_.find(provider);
+  if (id == obs::kNoStrId) return 0;
   ensure_index();
   const auto it = doh_index_.find(id);
   return it == doh_index_.end() ? 0 : it->second.clients_per_country.size();
@@ -88,14 +88,14 @@ std::size_t Dataset::do53_countries() const {
 
 std::vector<std::string> Dataset::analysis_countries(int min_clients) const {
   ensure_index();
-  std::set<StrId> countries;
+  std::set<obs::StrId> countries;
   for (const auto& [provider, index] : doh_index_) {
     for (const auto& [iso2, n] : index.clients_per_country) {
       countries.insert(iso2);
     }
   }
   std::vector<std::string> out;
-  for (const StrId iso2 : countries) {
+  for (const obs::StrId iso2 : countries) {
     const bool ok = std::all_of(
         doh_index_.begin(), doh_index_.end(), [&](const auto& entry) {
           const auto& per_country = entry.second.clients_per_country;
@@ -118,8 +118,8 @@ std::map<std::string, std::size_t> Dataset::clients_per_country() const {
 }
 
 std::vector<double> Dataset::tdoh_values(std::string_view provider) const {
-  const StrId id = provider.empty() ? kNoStrId : names_.find(provider);
-  if (!provider.empty() && id == kNoStrId) return {};
+  const obs::StrId id = provider.empty() ? obs::kNoStrId : names_.find(provider);
+  if (!provider.empty() && id == obs::kNoStrId) return {};
   std::vector<double> out;
   for (const auto& r : doh_) {
     if (provider.empty() || r.provider == id) out.push_back(r.tdoh_ms);
@@ -128,8 +128,8 @@ std::vector<double> Dataset::tdoh_values(std::string_view provider) const {
 }
 
 std::vector<double> Dataset::tdohr_values(std::string_view provider) const {
-  const StrId id = provider.empty() ? kNoStrId : names_.find(provider);
-  if (!provider.empty() && id == kNoStrId) return {};
+  const obs::StrId id = provider.empty() ? obs::kNoStrId : names_.find(provider);
+  if (!provider.empty() && id == obs::kNoStrId) return {};
   std::vector<double> out;
   for (const auto& r : doh_) {
     if (provider.empty() || r.provider == id) out.push_back(r.tdohr_ms);
@@ -138,8 +138,8 @@ std::vector<double> Dataset::tdohr_values(std::string_view provider) const {
 }
 
 std::vector<double> Dataset::do53_values(std::string_view iso2) const {
-  const StrId id = iso2.empty() ? kNoStrId : names_.find(iso2);
-  if (!iso2.empty() && id == kNoStrId) return {};
+  const obs::StrId id = iso2.empty() ? obs::kNoStrId : names_.find(iso2);
+  if (!iso2.empty() && id == obs::kNoStrId) return {};
   std::vector<double> out;
   for (const auto& r : do53_) {
     if (iso2.empty() || r.iso2 == id) out.push_back(r.do53_ms);
@@ -157,7 +157,7 @@ std::vector<ClientProviderStat> Dataset::client_provider_stats() const {
   struct Acc {
     std::vector<double> tdoh, tdohr, pop_dist, pot_imp;
   };
-  std::map<std::pair<std::uint64_t, StrId>, Acc> acc;
+  std::map<std::pair<std::uint64_t, obs::StrId>, Acc> acc;
   for (const auto& r : doh_) {
     Acc& a = acc[{r.exit_id, r.provider}];
     a.tdoh.push_back(r.tdoh_ms);
@@ -202,7 +202,7 @@ std::vector<ClientProviderStat> Dataset::client_provider_stats() const {
 }
 
 std::map<std::string, double> Dataset::country_do53_medians() const {
-  std::map<StrId, std::vector<double>> values;
+  std::map<obs::StrId, std::vector<double>> values;
   for (const auto& r : do53_) values[r.iso2].push_back(r.do53_ms);
   std::map<std::string, double> out;
   for (auto& [iso2, v] : values) {
@@ -213,9 +213,9 @@ std::map<std::string, double> Dataset::country_do53_medians() const {
 
 std::map<std::string, double> Dataset::country_doh_medians(
     std::string_view provider, int n) const {
-  const StrId id = provider.empty() ? kNoStrId : names_.find(provider);
-  if (!provider.empty() && id == kNoStrId) return {};
-  std::map<StrId, std::vector<double>> values;
+  const obs::StrId id = provider.empty() ? obs::kNoStrId : names_.find(provider);
+  if (!provider.empty() && id == obs::kNoStrId) return {};
+  std::map<obs::StrId, std::vector<double>> values;
   for (const auto& r : doh_) {
     if (provider.empty() || r.provider == id) {
       values[r.iso2].push_back(r.doh_n(n));

@@ -1,7 +1,7 @@
 // The campaign's collected measurements and aggregation helpers.
 //
 // Rows are PODs: country and provider names are interned into StrId
-// integers via the Dataset's StringTable (see string_table.h), which
+// integers via the Dataset's StringTable (see obs/string_table.h), which
 // cuts a DohRecord from ~120 heap-fragmented bytes to 56 flat bytes and
 // makes row vectors memcpy-friendly. Aggregations keep their string
 // interface — callers pass/receive names; the Dataset translates.
@@ -17,7 +17,7 @@
 
 #include "geo/coordinates.h"
 #include "measure/estimator.h"
-#include "measure/string_table.h"
+#include "obs/string_table.h"
 
 namespace dohperf::measure {
 
@@ -33,8 +33,8 @@ struct ClientInfo {
 /// are StringTable ids resolved via Dataset::name().
 struct DohRecord {
   std::uint64_t exit_id = 0;
-  StrId iso2 = kNoStrId;
-  StrId provider = kNoStrId;
+  obs::StrId iso2 = obs::kNoStrId;
+  obs::StrId provider = obs::kNoStrId;
   std::int32_t run = 0;
   std::uint32_t pop_index = 0;
   double pop_distance_miles = 0.0;  ///< Client -> PoP actually used.
@@ -52,7 +52,7 @@ static_assert(std::is_trivially_copyable_v<DohRecord>);
 /// One Do53 measurement. POD row.
 struct Do53Record {
   std::uint64_t exit_id = 0;  ///< kAtlasExitId for RIPE Atlas rows.
-  StrId iso2 = kNoStrId;
+  obs::StrId iso2 = obs::kNoStrId;
   std::int32_t run = 0;
   bool via_atlas = false;
   double do53_ms = 0.0;
@@ -90,13 +90,13 @@ class Dataset {
   void add_do53(Do53Record rec);
 
   /// Interns a name for use in a row about to be added.
-  StrId intern(std::string_view s) { return names_.intern(s); }
-  /// The name behind a row's id (empty for kNoStrId).
-  [[nodiscard]] std::string_view name(StrId id) const {
+  obs::StrId intern(std::string_view s) { return names_.intern(s); }
+  /// The name behind a row's id (empty for obs::kNoStrId).
+  [[nodiscard]] std::string_view name(obs::StrId id) const {
     return names_.name(id);
   }
-  [[nodiscard]] const StringTable& names() const { return names_; }
-  [[nodiscard]] StringTable& names() { return names_; }
+  [[nodiscard]] const obs::StringTable& names() const { return names_; }
+  [[nodiscard]] obs::StringTable& names() { return names_; }
 
   [[nodiscard]] std::span<const DohRecord> doh() const { return doh_; }
   [[nodiscard]] std::span<const Do53Record> do53() const { return do53_; }
@@ -156,7 +156,7 @@ class Dataset {
   struct ProviderIndex {
     std::size_t unique_clients = 0;
     /// Unique clients per country (key: iso2 id).
-    std::map<StrId, std::size_t> clients_per_country;
+    std::map<obs::StrId, std::size_t> clients_per_country;
   };
 
   void ensure_index() const;
@@ -164,11 +164,11 @@ class Dataset {
   std::map<std::uint64_t, ClientInfo> clients_;
   std::vector<DohRecord> doh_;
   std::vector<Do53Record> do53_;
-  StringTable names_;
+  obs::StringTable names_;
 
   std::uint64_t epoch_ = 1;               ///< Bumped on row mutation.
   mutable std::uint64_t index_epoch_ = 0;  ///< Epoch the index reflects.
-  mutable std::map<StrId, ProviderIndex> doh_index_;
+  mutable std::map<obs::StrId, ProviderIndex> doh_index_;
   mutable std::size_t do53_clients_ = 0;
   mutable std::size_t do53_countries_ = 0;
 };

@@ -29,9 +29,9 @@ const stats::QuantileSketch& empty_sketch() {
 
 StreamSink::StreamSink(StreamSinkConfig cfg, int runs_per_client,
                        std::vector<std::uint64_t> exit_ids,
-                       std::vector<StrId> exit_iso2,
+                       std::vector<obs::StrId> exit_iso2,
                        std::vector<double> exit_ns_distance,
-                       std::vector<StrId> provider_ids, StringTable names)
+                       std::vector<obs::StrId> provider_ids, obs::StringTable names)
     : cfg_(cfg),
       runs_per_client_(runs_per_client),
       run_cap_(static_cast<std::uint32_t>(std::max(
@@ -64,7 +64,7 @@ StreamSink::StreamSink(StreamSinkConfig cfg, int runs_per_client,
   }
 }
 
-std::uint32_t StreamSink::provider_index(StrId id) const {
+std::uint32_t StreamSink::provider_index(obs::StrId id) const {
   for (std::uint32_t p = 0; p < provider_ids_.size(); ++p) {
     if (provider_ids_[p] == id) return p;
   }
@@ -187,8 +187,8 @@ const stats::QuantileSketch* StreamSink::provider_sketch(
     const std::vector<stats::QuantileSketch>& sketches,
     const stats::QuantileSketch& all, std::string_view provider) const {
   if (provider.empty()) return &all;
-  const StrId id = names_.find(provider);
-  if (id == kNoStrId) return nullptr;
+  const obs::StrId id = names_.find(provider);
+  if (id == obs::kNoStrId) return nullptr;
   for (std::size_t p = 0; p < provider_ids_.size(); ++p) {
     if (provider_ids_[p] == id) return &sketches[p];
   }
@@ -210,7 +210,7 @@ const stats::QuantileSketch& StreamSink::tdohr_sketch(
 std::vector<std::string> StreamSink::analysis_countries(
     int min_clients) const {
   // Unique clients per (country, provider) from the merged bitsets.
-  std::map<std::pair<StrId, std::uint32_t>, std::size_t> counts;
+  std::map<std::pair<obs::StrId, std::uint32_t>, std::size_t> counts;
   std::vector<bool> provider_seen(provider_ids_.size(), false);
   for (std::uint32_t p = 0; p < doh_client_bits_.size(); ++p) {
     for (std::uint32_t e = 0; e < exit_ids_.size(); ++e) {
@@ -219,11 +219,11 @@ std::vector<std::string> StreamSink::analysis_countries(
       provider_seen[p] = true;
     }
   }
-  std::set<StrId> countries;
+  std::set<obs::StrId> countries;
   for (const auto& [key, n] : counts) countries.insert(key.first);
 
   std::vector<std::string> out;
-  for (const StrId iso2 : countries) {
+  for (const obs::StrId iso2 : countries) {
     bool ok = true;
     for (std::uint32_t p = 0; p < provider_ids_.size(); ++p) {
       if (!provider_seen[p]) continue;
@@ -243,8 +243,8 @@ std::vector<std::string> StreamSink::analysis_countries(
 std::map<std::string, double> StreamSink::country_doh1_medians(
     std::string_view provider) const {
   std::map<std::string, double> out;
-  const StrId id = names_.find(provider);
-  if (id == kNoStrId) return out;
+  const obs::StrId id = names_.find(provider);
+  if (id == obs::kNoStrId) return out;
   for (const auto& [key, sketch] : country_doh1_) {
     if (provider_ids_[key.second] != id) continue;
     out[std::string(names_.name(key.first))] = sketch.quantile(0.5);

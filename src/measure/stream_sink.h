@@ -33,7 +33,7 @@
 #include <vector>
 
 #include "measure/dataset.h"
-#include "measure/string_table.h"
+#include "obs/string_table.h"
 #include "stats/quantile_sketch.h"
 
 namespace dohperf::measure {
@@ -58,9 +58,9 @@ class StreamSink {
   /// name table — all produced on the main thread before sharding.
   StreamSink(StreamSinkConfig cfg, int runs_per_client,
              std::vector<std::uint64_t> exit_ids,
-             std::vector<StrId> exit_iso2,
+             std::vector<obs::StrId> exit_iso2,
              std::vector<double> exit_ns_distance,
-             std::vector<StrId> provider_ids, StringTable names);
+             std::vector<obs::StrId> provider_ids, obs::StringTable names);
 
   /// Folds one completed session's rows. Called by the owning shard in
   /// canonical slot order.
@@ -106,14 +106,14 @@ class StreamSink {
   [[nodiscard]] std::vector<ClientProviderStat> client_provider_stats()
       const;
 
-  [[nodiscard]] const StringTable& names() const { return names_; }
+  [[nodiscard]] const obs::StringTable& names() const { return names_; }
 
   /// Bit-identity comparison for the determinism tests: every aggregate,
   /// counter, and table must match.
   bool operator==(const StreamSink& other) const;
 
  private:
-  [[nodiscard]] std::uint32_t provider_index(StrId id) const;
+  [[nodiscard]] std::uint32_t provider_index(obs::StrId id) const;
   [[nodiscard]] const stats::QuantileSketch* provider_sketch(
       const std::vector<stats::QuantileSketch>& sketches,
       const stats::QuantileSketch& all, std::string_view provider) const;
@@ -122,10 +122,10 @@ class StreamSink {
   int runs_per_client_ = 0;
   std::uint32_t run_cap_ = 0;
 
-  StringTable names_;
-  std::vector<StrId> provider_ids_;
+  obs::StringTable names_;
+  std::vector<obs::StrId> provider_ids_;
   std::vector<std::uint64_t> exit_ids_;
-  std::vector<StrId> exit_iso2_;
+  std::vector<obs::StrId> exit_iso2_;
   std::vector<double> exit_ns_distance_;
   std::unordered_map<std::uint64_t, std::uint32_t> exit_index_;  // derived
 
@@ -138,7 +138,7 @@ class StreamSink {
   stats::QuantileSketch tdoh_all_, tdohr_all_, do53_all_;
   std::vector<stats::QuantileSketch> tdoh_by_provider_;
   std::vector<stats::QuantileSketch> tdohr_by_provider_;
-  std::map<std::pair<StrId, std::uint32_t>, stats::QuantileSketch>
+  std::map<std::pair<obs::StrId, std::uint32_t>, stats::QuantileSketch>
       country_doh1_;
 
   /// One bit per canonical exit index, per provider.

@@ -123,8 +123,7 @@ void AttributionLedger::record(std::string_view provider,
                                std::string_view country,
                                std::string_view transport,
                                const FlowAttribution& flow) {
-  AttributionEntry& entry = entries_[AttributionKey{
-      std::string(provider), std::string(country), std::string(transport)}];
+  AttributionEntry& entry = entries_[{provider, country, transport}];
   ++entry.flows;
   entry.total_us += flow.total_us();
   entry.total_sketch.record(static_cast<double>(flow.total_us()) / 1000.0);
@@ -138,9 +137,10 @@ void AttributionLedger::record(std::string_view provider,
 }
 
 void AttributionLedger::merge(const AttributionLedger& other) {
-  for (const auto& [key, entry] : other.entries_) {
-    entries_[key].merge(entry);
-  }
+  entries_.merge(other.entries_,
+                 [](AttributionEntry& mine, const AttributionEntry& theirs) {
+                   mine.merge(theirs);
+                 });
 }
 
 }  // namespace dohperf::obs

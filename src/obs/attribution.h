@@ -8,7 +8,7 @@
 // path: a small frame stack of microsecond counters per flow, folded into
 // per-(provider, country, transport) sums and log-bucket sketches. The
 // same contract as the FlightRecorder and the metric registry applies:
-// integer-only arithmetic and canonical-order merges keep the merged
+// integer-only arithmetic and merges matched by name keep the merged
 // ledger bit-identical for every DOHPERF_THREADS value.
 //
 // The frame model: a flow opens with one base frame (kTransfer). Layers
@@ -28,13 +28,12 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "netsim/time.h"
 #include "obs/metrics.h"
+#include "obs/tracks.h"
 
 namespace dohperf::obs {
 
@@ -129,15 +128,6 @@ class FlowAttribution {
   bool active_ = false;
 };
 
-/// Ledger key: one aggregation cell per (provider, country, transport).
-struct AttributionKey {
-  std::string provider;
-  std::string country;
-  std::string transport;
-
-  auto operator<=>(const AttributionKey&) const = default;
-};
-
 /// Per-phase aggregate within one cell: exact microsecond sum plus a
 /// mergeable log-bucket sketch over the flows where the phase occurred.
 struct PhaseAggregate {
@@ -163,11 +153,14 @@ struct AttributionEntry {
                          const AttributionEntry&) = default;
 };
 
-/// The campaign-wide attribution aggregate: one per shard, merged in
-/// canonical shard order (std::map keys make the iteration order, and
-/// hence the merged bits, independent of scheduling).
+/// The campaign-wide attribution aggregate: one per shard, merged by
+/// name into one. Cells are integer sums, so neither the shard order nor
+/// the order cells were created in changes the merged bits.
 class AttributionLedger {
  public:
+  /// One cell per (provider, country, transport).
+  using Entries = LabeledTracks<3, AttributionEntry>;
+
   /// Folds one finished flow into the (provider, country, transport)
   /// cell. Phase sketches record only occurrences (phase_us > 0), so a
   /// phase's quantiles read "among flows where it happened".
@@ -177,16 +170,13 @@ class AttributionLedger {
   void merge(const AttributionLedger& other);
 
   [[nodiscard]] bool empty() const { return entries_.empty(); }
-  [[nodiscard]] const std::map<AttributionKey, AttributionEntry>& entries()
-      const {
-    return entries_;
-  }
+  [[nodiscard]] const Entries& entries() const { return entries_; }
 
   friend bool operator==(const AttributionLedger&,
                          const AttributionLedger&) = default;
 
  private:
-  std::map<AttributionKey, AttributionEntry> entries_;
+  Entries entries_;
 };
 
 /// Value-type handle threaded through NetCtx (the SeriesRecorder

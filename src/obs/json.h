@@ -63,8 +63,10 @@ class Value {
 };
 
 /// Parses one JSON document; std::nullopt on any syntax error or
-/// trailing garbage.
-[[nodiscard]] std::optional<Value> parse(std::string_view text);
+/// trailing garbage. On failure, `*error` (when given) names the first
+/// defect as "line L, column C: <reason>", 1-based, columns in bytes.
+[[nodiscard]] std::optional<Value> parse(std::string_view text,
+                                         std::string* error = nullptr);
 
 /// Escapes `s` for embedding inside a JSON string literal (no quotes).
 [[nodiscard]] std::string escape(std::string_view s);

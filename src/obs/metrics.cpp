@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -22,43 +23,46 @@ double LatencyHistogram::bucket_upper_ms(int i) {
 }
 
 double LatencyHistogram::quantile_ms(double q) const {
+  int edge = 0;
+  quantile_edges({&q, 1}, {&edge, 1});
+  return bucket_lower_ms(edge);
+}
+
+void LatencyHistogram::quantile_edges(std::span<const double> qs,
+                                      std::span<int> edges) const {
   const std::uint64_t total = count();
-  if (total == 0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
+  std::size_t k = 0;
+  if (total == 0) {
+    for (; k < qs.size(); ++k) edges[k] = 0;
+    return;
+  }
   // Rank as an integer ceiling so the answer never depends on
   // floating-point accumulation order.
-  const auto rank = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total)));
-  const std::uint64_t target = rank == 0 ? 1 : rank;
+  const auto target = [total](double q) {
+    const auto rank = static_cast<std::uint64_t>(
+        std::ceil(std::clamp(q, 0.0, 1.0) * static_cast<double>(total)));
+    return rank == 0 ? std::uint64_t{1} : rank;
+  };
   std::uint64_t cumulative = 0;
   for (const SparseBuckets::Cell& cell : buckets_.cells()) {
     cumulative += cell.count;
-    if (cumulative >= target) {
-      const int i = cell.bucket;
-      // The last bucket's upper edge is infinite; report its lower edge.
-      return i == kBucketCount - 1 ? bucket_lower_ms(i) : bucket_upper_ms(i);
+    // The last bucket's upper edge is infinite; report its lower edge.
+    const int edge = std::min<int>(cell.bucket + 1, kBucketCount - 1);
+    for (; k < qs.size() && cumulative >= target(qs[k]); ++k) {
+      edges[k] = edge;
     }
   }
-  return bucket_lower_ms(kBucketCount - 1);
-}
-
-LatencyHistogram& Metrics::histogram(std::string_view name) {
-  return histograms_[std::string(name)];
-}
-
-const LatencyHistogram* Metrics::find_histogram(std::string_view name) const {
-  const auto it = histograms_.find(std::string(name));
-  return it == histograms_.end() ? nullptr : &it->second;
+  for (; k < qs.size(); ++k) edges[k] = kBucketCount - 1;
 }
 
 void Metrics::merge(const Metrics& other) {
   for (const auto& [name, member] : kCounterFields) {
     counters.*member += other.counters.*member;
   }
-  for (const auto& [name, hist] : other.histograms_) {
-    histograms_[name].merge(hist);
-  }
+  histograms_.merge(other.histograms_,
+                    [](LatencyHistogram& mine, const LatencyHistogram& theirs) {
+                      mine.merge(theirs);
+                    });
 }
 
 }  // namespace dohperf::obs

@@ -15,13 +15,12 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
-#include <string>
 #include <string_view>
 #include <utility>
 
 #include "obs/sparse_buckets.h"
+#include "obs/tracks.h"
 
 namespace dohperf::obs {
 
@@ -65,6 +64,13 @@ class LatencyHistogram {
   /// Deterministic quantile estimate: the upper edge of the first bucket
   /// whose cumulative count reaches q * total (0 on an empty histogram).
   [[nodiscard]] double quantile_ms(double q) const;
+
+  /// The quantile_ms() of each of `qs` (ascending), in one pass over the
+  /// buckets, as edge indices: quantile_ms(qs[i]) ==
+  /// bucket_lower_ms(edges[i]). The last bucket reports its lower edge
+  /// and an empty histogram edge 0, so every quantile is one of the
+  /// kBucketCount lower edges.
+  void quantile_edges(std::span<const double> qs, std::span<int> edges) const;
 
   friend bool operator==(const LatencyHistogram&,
                          const LatencyHistogram&) = default;
@@ -159,27 +165,29 @@ static_assert(counter_fields_complete(),
 /// shard that increments is the only writer until the merge.
 class Metrics {
  public:
+  /// The named histograms, one track per name.
+  using Histograms = LabeledTracks<1, LatencyHistogram>;
+
   MetricCounters counters;
 
   /// Histogram for `name`, created on first use.
-  [[nodiscard]] LatencyHistogram& histogram(std::string_view name);
+  [[nodiscard]] LatencyHistogram& histogram(std::string_view name) {
+    return histograms_[{name}];
+  }
   /// Histogram for `name`, or nullptr when never recorded.
   [[nodiscard]] const LatencyHistogram* find_histogram(
-      std::string_view name) const;
-  [[nodiscard]] const std::map<std::string, LatencyHistogram>& histograms()
-      const {
-    return histograms_;
+      std::string_view name) const {
+    return histograms_.find({name});
   }
+  [[nodiscard]] const Histograms& histograms() const { return histograms_; }
 
   /// Sums `other` into this registry (integer adds: order-independent).
   void merge(const Metrics& other);
 
-  friend bool operator==(const Metrics& a, const Metrics& b) {
-    return a.counters == b.counters && a.histograms_ == b.histograms_;
-  }
+  friend bool operator==(const Metrics&, const Metrics&) = default;
 
  private:
-  std::map<std::string, LatencyHistogram> histograms_;
+  Histograms histograms_;
 };
 
 }  // namespace dohperf::obs

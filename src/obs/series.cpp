@@ -3,14 +3,18 @@
 namespace dohperf::obs {
 
 void MetricSeries::merge(const MetricSeries& other) {
-  for (const auto& [key, track] : other.counters_) {
-    CounterTrack& mine = counters_[key];
-    for (const auto& [window, count] : track) mine[window] += count;
-  }
-  for (const auto& [key, track] : other.latencies_) {
-    LatencyTrack& mine = latencies_[key];
-    for (const auto& [window, hist] : track) mine[window].merge(hist);
-  }
+  counters_.merge(other.counters_,
+                  [](CounterTrack& mine, const CounterTrack& theirs) {
+                    mine.merge(theirs, [](std::uint64_t& count,
+                                          std::uint64_t add) { count += add; });
+                  });
+  latencies_.merge(other.latencies_,
+                   [](LatencyTrack& mine, const LatencyTrack& theirs) {
+                     mine.merge(theirs, [](LatencyHistogram& hist,
+                                           const LatencyHistogram& add) {
+                       hist.merge(add);
+                     });
+                   });
 }
 
 }  // namespace dohperf::obs

@@ -1,5 +1,5 @@
 // Sim-time metric series: fixed-width epoch windows of counters and
-// latency histograms, keyed by (metric, provider, country).
+// latency histograms, in tracks named by (metric, provider, country).
 //
 // A series answers "when inside a session did latency degrade, retries
 // spike, or faults bite?" — the longitudinal view the campaign-end
@@ -13,37 +13,33 @@
 // dataset and the metrics registry carry.
 #pragma once
 
-#include <compare>
 #include <cstdint>
-#include <map>
-#include <string>
+#include <ranges>
 #include <string_view>
 #include <utility>
 
 #include "netsim/time.h"
 #include "obs/metrics.h"
+#include "obs/tracks.h"
 
 namespace dohperf::obs {
 
-/// Dimensional label set of one track. Empty strings mean "dimension not
-/// applicable": counter events recorded below the measurement layer
-/// (retries, backoff) carry whatever labels the current measurement set,
-/// and latency tracks are additionally recorded with country == "" as the
-/// all-countries per-provider aggregate.
-struct SeriesKey {
-  std::string metric;
-  std::string provider;
-  std::string country;
-
-  friend auto operator<=>(const SeriesKey&, const SeriesKey&) = default;
-};
+/// The labels of one series track: (metric, provider, country). Empty
+/// strings mean "dimension not applicable": counter events recorded
+/// below the measurement layer (retries, backoff) carry whatever labels
+/// the current measurement set, and latency tracks are additionally
+/// recorded with country == "" as the all-countries per-provider
+/// aggregate.
+using SeriesNames = LabelNames<3>;
 
 class MetricSeries {
  public:
-  /// Sparse window index -> value maps. Indices are epoch-relative
+  /// Sparse window index -> value cells. Indices are epoch-relative
   /// window ordinals (offset / window width, integer division).
-  using CounterTrack = std::map<std::int64_t, std::uint64_t>;
-  using LatencyTrack = std::map<std::int64_t, LatencyHistogram>;
+  using CounterTrack = WindowCells<std::uint64_t>;
+  using LatencyTrack = WindowCells<LatencyHistogram>;
+  using Counters = LabeledTracks<3, CounterTrack>;
+  using Latencies = LabeledTracks<3, LatencyTrack>;
 
   explicit MetricSeries(netsim::Duration window = netsim::from_ms(250.0))
       : window_(window.count() > 0 ? window : netsim::from_ms(250.0)) {}
@@ -62,9 +58,9 @@ class MetricSeries {
     return netsim::to_ms(window_) * static_cast<double>(i);
   }
 
-  void add_count(const SeriesKey& key, netsim::Duration offset,
+  void add_count(const SeriesNames& names, netsim::Duration offset,
                  std::uint64_t n = 1) {
-    counters_[key][window_index(offset)] += n;
+    counters_[names][window_index(offset)] += n;
   }
 
   /// Hard ceiling on the windows one add_count_range call can touch. An
@@ -74,30 +70,29 @@ class MetricSeries {
   /// first, this is the deterministic backstop.
   static constexpr std::int64_t kMaxRangeWindows = 1 << 16;
 
-  /// Bumps `key` by `n` in every window overlapped by [from, to).
-  void add_count_range(const SeriesKey& key, netsim::Duration from,
+  /// Bumps track `names` by `n` in every window overlapped by [from, to).
+  void add_count_range(const SeriesNames& names, netsim::Duration from,
                        netsim::Duration to, std::uint64_t n = 1) {
     if (to <= from) return;
-    CounterTrack& track = counters_[key];
     const std::int64_t first = window_index(from);
     std::int64_t last = window_index(to - netsim::Duration{1});
     if (last - first >= kMaxRangeWindows) {
       last = first + kMaxRangeWindows - 1;
     }
-    for (std::int64_t i = first; i <= last; ++i) track[i] += n;
+    const auto bumps =
+        std::views::iota(first, last + 1) |
+        std::views::transform([n](std::int64_t w) { return std::pair(w, n); });
+    counters_[names].merge(
+        bumps, [](std::uint64_t& count, std::uint64_t add) { count += add; });
   }
 
-  void record_latency(const SeriesKey& key, netsim::Duration offset,
+  void record_latency(const SeriesNames& names, netsim::Duration offset,
                       double ms) {
-    latencies_[key][window_index(offset)].record(ms);
+    latencies_[names][window_index(offset)].record(ms);
   }
 
-  [[nodiscard]] const std::map<SeriesKey, CounterTrack>& counters() const {
-    return counters_;
-  }
-  [[nodiscard]] const std::map<SeriesKey, LatencyTrack>& latencies() const {
-    return latencies_;
-  }
+  [[nodiscard]] const Counters& counters() const { return counters_; }
+  [[nodiscard]] const Latencies& latencies() const { return latencies_; }
   [[nodiscard]] bool empty() const {
     return counters_.empty() && latencies_.empty();
   }
@@ -107,15 +102,12 @@ class MetricSeries {
   /// constructs every shard's series from the same config.
   void merge(const MetricSeries& other);
 
-  friend bool operator==(const MetricSeries& a, const MetricSeries& b) {
-    return a.window_ == b.window_ && a.counters_ == b.counters_ &&
-           a.latencies_ == b.latencies_;
-  }
+  friend bool operator==(const MetricSeries&, const MetricSeries&) = default;
 
  private:
   netsim::Duration window_;
-  std::map<SeriesKey, CounterTrack> counters_;
-  std::map<SeriesKey, LatencyTrack> latencies_;
+  Counters counters_;
+  Latencies latencies_;
 };
 
 /// The (provider, country) a measurement is filed under, in the series
@@ -139,7 +131,8 @@ struct SeriesRecorder {
   void count(std::string_view metric, const Labels& labels,
              netsim::SimTime at, std::uint64_t n = 1) const {
     if (series == nullptr) return;
-    series->add_count(key(metric, labels), at - epoch, n);
+    series->add_count({metric, labels.provider, labels.country}, at - epoch,
+                      n);
   }
 
   /// Records into the dimensional (provider, country) track and into the
@@ -147,18 +140,11 @@ struct SeriesRecorder {
   void latency(std::string_view metric, const Labels& labels,
                netsim::SimTime at, double ms) const {
     if (series == nullptr) return;
-    SeriesKey track = key(metric, labels);
-    series->record_latency(track, at - epoch, ms);
-    if (!track.country.empty()) {
-      track.country.clear();
-      series->record_latency(track, at - epoch, ms);
+    series->record_latency({metric, labels.provider, labels.country},
+                           at - epoch, ms);
+    if (!labels.country.empty()) {
+      series->record_latency({metric, labels.provider, {}}, at - epoch, ms);
     }
-  }
-
- private:
-  static SeriesKey key(std::string_view metric, const Labels& labels) {
-    return {std::string(metric), std::string(labels.provider),
-            std::string(labels.country)};
   }
 };
 

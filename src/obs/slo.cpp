@@ -50,21 +50,21 @@ void SloTracker::record(std::string_view provider, std::string_view country,
   const std::int64_t w = window_index(campaign_offset);
   const bool slow = has_latency && config_.p99_objective_ms > 0.0 &&
                     latency_ms > config_.p99_objective_ms;
-  const auto bump = [&](std::string country_key) {
-    SloCell& cell =
-        cells_[SloKey{std::string(provider), std::move(country_key)}][w];
+  const auto bump = [&](std::string_view country_key) {
+    SloCell& cell = cells_[{provider, country_key}][w];
     ++cell.outcomes[static_cast<int>(outcome)];
     if (slow) ++cell.slow;
   };
-  bump(std::string(country));
-  if (!country.empty()) bump(std::string());  // Provider aggregate.
+  bump(country);
+  if (!country.empty()) bump({});  // Provider aggregate.
 }
 
 void SloTracker::merge(const SloTracker& other) {
-  for (const auto& [key, windows] : other.cells_) {
-    auto& mine = cells_[key];
-    for (const auto& [w, cell] : windows) mine[w].merge(cell);
-  }
+  using Windows = WindowCells<SloCell>;
+  cells_.merge(other.cells_, [](Windows& mine, const Windows& theirs) {
+    mine.merge(theirs,
+               [](SloCell& cell, const SloCell& add) { cell.merge(add); });
+  });
 }
 
 std::vector<SloAlert> SloTracker::evaluate() const {
@@ -86,21 +86,25 @@ std::vector<SloAlert> SloTracker::evaluate() const {
        windows_of(config_.slow_long, config_.window), config_.slow_burn,
        "ticket"},
   };
-  for (const auto& [key, windows] : cells_) {
-    if (!key.country.empty() || windows.empty()) continue;
-    const std::int64_t first = windows.begin()->first;
-    const std::int64_t last = windows.rbegin()->first;
+  for (const Cells::Track* track : cells_.sorted()) {
+    const auto [provider, country] = cells_.names(track->ids);
+    const WindowCells<SloCell>& windows = track->value;
+    if (!country.empty() || windows.empty()) continue;
+    const std::int64_t first = windows.front().first;
+    const std::int64_t last = windows.back().first;
     const std::int64_t n = last - first + 1;
     // Dense prefix sums over [first, last]; windows outside the range
     // hold zero of both numerator and denominator, so clamping a
     // trailing range at `first` is exact.
     std::vector<std::uint64_t> err_prefix(n + 1, 0), tot_prefix(n + 1, 0);
+    auto cell = windows.begin();
     for (std::int64_t i = 0; i < n; ++i) {
       err_prefix[i + 1] = err_prefix[i];
       tot_prefix[i + 1] = tot_prefix[i];
-      if (const auto it = windows.find(first + i); it != windows.end()) {
-        err_prefix[i + 1] += it->second.errors();
-        tot_prefix[i + 1] += it->second.total();
+      if (cell->first == first + i) {
+        err_prefix[i + 1] += cell->second.errors();
+        tot_prefix[i + 1] += cell->second.total();
+        ++cell;
       }
     }
     const auto rate = [&](std::int64_t end, std::int64_t span) {
@@ -119,7 +123,7 @@ std::vector<SloAlert> SloTracker::evaluate() const {
         const bool firing = burn_short >= pairs[p].threshold &&
                             burn_long >= pairs[p].threshold;
         if (firing && !active[p]) {
-          alerts.push_back(SloAlert{key.provider, pairs[p].severity,
+          alerts.push_back(SloAlert{std::string(provider), pairs[p].severity,
                                     (first + i) * window_ms(), burn_short,
                                     burn_long});
         }
@@ -130,13 +134,16 @@ std::vector<SloAlert> SloTracker::evaluate() const {
   return alerts;
 }
 
-std::map<SloKey, SloBudget> SloTracker::budgets() const {
-  std::map<SloKey, SloBudget> out;
+std::vector<SloBudget> SloTracker::budgets() const {
+  std::vector<SloBudget> out;
   const double budget =
       std::max(1e-12, 1.0 - config_.availability_objective);
-  for (const auto& [key, windows] : cells_) {
-    SloBudget& b = out[key];
-    for (const auto& [w, cell] : windows) {
+  for (const Cells::Track* track : cells_.sorted()) {
+    const auto [provider, country] = cells_.names(track->ids);
+    SloBudget& b = out.emplace_back();
+    b.provider = provider;
+    b.country = country;
+    for (const auto& [w, cell] : track->value) {
       b.total += cell.total();
       b.errors += cell.errors();
       b.slow += cell.slow;
@@ -153,10 +160,6 @@ std::map<SloKey, SloBudget> SloTracker::budgets() const {
     }
   }
   return out;
-}
-
-bool operator==(const SloTracker& a, const SloTracker& b) {
-  return a.cells_ == b.cells_;
 }
 
 }  // namespace dohperf::obs

@@ -3,11 +3,11 @@
 // An SloTracker buckets session Outcomes into fixed campaign-time windows
 // per (provider, country) plus a per-provider aggregate, then evaluates
 // Google-SRE-style multi-window multi-burn-rate alerts against a declared
-// availability objective. Everything recorded is an integer count keyed by
+// availability objective. Everything recorded is an integer count filed by
 // (provider, country, window index), so per-shard trackers merge by plain
-// addition in canonical map order and every derived ratio is computed
-// *after* the merge from identical integers — the whole pipeline is
-// bit-identical at any shard count, which determinism_test enforces.
+// addition, matched by name, and every derived ratio is computed *after*
+// the merge from identical integers — the whole pipeline is bit-identical
+// at any shard count, which determinism_test enforces.
 //
 // "Campaign time" is the caller's business: the campaign maps each session
 // slot onto a virtual offset (slot × session_spacing + intra-session sim
@@ -17,13 +17,13 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "netsim/time.h"
 #include "obs/outcome.h"
+#include "obs/tracks.h"
 
 namespace dohperf::obs {
 
@@ -45,14 +45,6 @@ struct SloConfig {
   netsim::Duration slow_short = netsim::from_ms(6 * 3'600'000.0);
   netsim::Duration slow_long = netsim::from_ms(72 * 3'600'000.0);
   double slow_burn = 6.0;
-};
-
-/// Aggregation key. An empty country is the per-provider aggregate row —
-/// the series burn-rate alerts are evaluated on.
-struct SloKey {
-  std::string provider;
-  std::string country;
-  auto operator<=>(const SloKey&) const = default;
 };
 
 /// One window's worth of integer counts for one key.
@@ -80,8 +72,11 @@ struct SloAlert {
   friend bool operator==(const SloAlert&, const SloAlert&) = default;
 };
 
-/// Whole-campaign budget position for one key.
+/// Whole-campaign budget position for one (provider, country) key. An
+/// empty country is the per-provider aggregate.
 struct SloBudget {
+  std::string provider;
+  std::string country;
   std::uint64_t total = 0;
   std::uint64_t errors = 0;
   std::uint64_t slow = 0;
@@ -115,25 +110,28 @@ class SloTracker {
   [[nodiscard]] std::vector<SloAlert> evaluate() const;
 
   /// Whole-campaign budget accounting for every key (aggregates
-  /// included).
-  [[nodiscard]] std::map<SloKey, SloBudget> budgets() const;
+  /// included), in the byte-wise order of (provider, country).
+  [[nodiscard]] std::vector<SloBudget> budgets() const;
+
+  /// (provider, country) -> window index -> counts. Sparse; absent
+  /// windows are zero.
+  using Cells = LabeledTracks<2, WindowCells<SloCell>>;
 
   [[nodiscard]] const SloConfig& config() const { return config_; }
   [[nodiscard]] std::int64_t window_ms() const;
   [[nodiscard]] bool empty() const { return cells_.empty(); }
-  [[nodiscard]] const std::map<SloKey, std::map<std::int64_t, SloCell>>&
-  cells() const {
-    return cells_;
-  }
+  [[nodiscard]] const Cells& cells() const { return cells_; }
 
-  friend bool operator==(const SloTracker&, const SloTracker&);
+  /// Equal counts under equal names; the configs are not compared.
+  friend bool operator==(const SloTracker& a, const SloTracker& b) {
+    return a.cells_ == b.cells_;
+  }
 
  private:
   [[nodiscard]] std::int64_t window_index(netsim::Duration offset) const;
 
   SloConfig config_{};
-  /// key -> window index -> counts. Sparse; absent windows are zero.
-  std::map<SloKey, std::map<std::int64_t, SloCell>> cells_;
+  Cells cells_;
 };
 
 }  // namespace dohperf::obs

@@ -90,8 +90,11 @@ TraceLoadResult parse_trace(const std::string& text,
   if (text.find_first_not_of(" \t\r\n") == std::string::npos) {
     return fail(origin, "empty trace");
   }
-  const std::optional<Value> doc = json::parse(text);
-  if (!doc) return fail(origin, "invalid JSON (truncated or malformed)");
+  std::string error;
+  const std::optional<Value> doc = json::parse(text, &error);
+  if (!doc) {
+    return fail(origin, "invalid JSON (truncated or malformed) at " + error);
+  }
   const Value* events = doc->get("traceEvents");
   if (events == nullptr || !events->is_array()) {
     return fail(origin, "no traceEvents array");

@@ -36,14 +36,16 @@ bool AttributionCell::consistent() const {
 CsvWriter attribution_csv(const obs::AttributionLedger& ledger) {
   CsvWriter csv({"provider", "country", "transport", "phase", "flows", "us",
                  "p50_ms", "p90_ms", "p99_ms"});
-  for (const auto& [key, entry] : ledger.entries()) {
+  const obs::AttributionLedger::Entries& entries = ledger.entries();
+  for (const auto* track : entries.sorted()) {
+    const auto [provider, country, transport] = entries.names(track->ids);
+    const obs::AttributionEntry& entry = track->value;
     const NumText flows(entry.flows);
     const auto add = [&](std::string_view phase, std::uint64_t us,
                          const obs::LatencyHistogram& sketch) {
-      csv.add_row({key.provider, key.country, key.transport, phase, flows,
-                   NumText(us), NumText::g6(sketch.quantile_ms(0.5)),
-                   NumText::g6(sketch.quantile_ms(0.9)),
-                   NumText::g6(sketch.quantile_ms(0.99))});
+      const auto [p50, p90, p99] = quantile_texts(sketch);
+      csv.add_row({provider, country, transport, phase, flows, NumText(us),
+                   p50, p90, p99});
     };
     for (const obs::Phase phase : obs::kPhases) {
       const obs::PhaseAggregate& agg =
@@ -66,9 +68,9 @@ std::optional<AttributionTable> load_attribution_csv(std::string_view text,
                  {"flows", kUint64}, {"us", kUint64}, {"p50_ms", kDouble},
                  {"p90_ms", kDouble}, {"p99_ms", kDouble}});
     AttributionTable table;
-    std::set<obs::AttributionKey> totals;  // cells with a "total" row
+    std::set<AttributionKey> totals;  // cells with a "total" row
     while (t.next()) {
-      obs::AttributionKey key{std::string(t.text(kProvider)),
+      AttributionKey key{std::string(t.text(kProvider)),
                               std::string(t.text(kCountry)),
                               std::string(t.text(kTransport))};
       AttributionCell& cell = table[key];
@@ -253,13 +255,16 @@ std::string attribution_openmetrics_text(
   // once; the second block is appended after the first.
   std::string phases = "# TYPE dohperf_attribution_us_total gauge\n";
   out += "# TYPE dohperf_attribution_flows_total gauge\n";
-  for (const auto& [key, entry] : ledger.entries()) {
+  const obs::AttributionLedger::Entries& entries = ledger.entries();
+  for (const auto* track : entries.sorted()) {
+    const auto [provider, country, transport] = entries.names(track->ids);
+    const obs::AttributionEntry& entry = track->value;
     std::string labels = "{provider=\"";
-    append_label_value(labels, key.provider);
+    append_label_value(labels, provider);
     labels += "\",country=\"";
-    append_label_value(labels, key.country);
+    append_label_value(labels, country);
     labels += "\",transport=\"";
-    append_label_value(labels, key.transport);
+    append_label_value(labels, transport);
     out += "dohperf_attribution_flows_total";
     out += labels;
     out += "\"} ";

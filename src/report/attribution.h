@@ -34,8 +34,18 @@ struct AttributionCell {
   [[nodiscard]] bool consistent() const;
 };
 
-/// A parsed attribution artifact: cells keyed like the ledger.
-using AttributionTable = std::map<obs::AttributionKey, AttributionCell>;
+/// The (provider, country, transport) a loaded cell is filed under.
+struct AttributionKey {
+  std::string provider;
+  std::string country;
+  std::string transport;
+
+  auto operator<=>(const AttributionKey&) const = default;
+};
+
+/// A parsed attribution artifact: cells keyed like the ledger, in the
+/// byte-wise order of the key strings.
+using AttributionTable = std::map<AttributionKey, AttributionCell>;
 
 /// The attribution CSV ("dohperf-attribution" column contract):
 ///   provider,country,transport,phase,flows,us,p50_ms,p90_ms,p99_ms

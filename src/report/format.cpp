@@ -1,5 +1,7 @@
 #include "report/format.h"
 
+#include <vector>
+
 namespace dohperf::report {
 
 NumText NumText::general(double value, int precision) {
@@ -10,6 +12,24 @@ NumText NumText::general(double value, int precision) {
           .ptr -
       text.buf_);
   return text;
+}
+
+std::array<std::string_view, 3> quantile_texts(
+    const obs::LatencyHistogram& hist) {
+  using obs::LatencyHistogram;
+  static const std::vector<NumText> kEdgeTexts = [] {
+    std::vector<NumText> texts;
+    texts.reserve(LatencyHistogram::kBucketCount);
+    for (int i = 0; i < LatencyHistogram::kBucketCount; ++i) {
+      texts.push_back(NumText::g6(LatencyHistogram::bucket_lower_ms(i)));
+    }
+    return texts;
+  }();
+  static constexpr double kQuantiles[] = {0.5, 0.9, 0.99};
+  int edges[3];
+  hist.quantile_edges(kQuantiles, edges);
+  return {kEdgeTexts[edges[0]].view(), kEdgeTexts[edges[1]].view(),
+          kEdgeTexts[edges[2]].view()};
 }
 
 void append_label_value(std::string& out, std::string_view value) {

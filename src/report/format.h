@@ -5,6 +5,7 @@
 // way, and every number dohperf reads from text is read one way.
 #pragma once
 
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <concepts>
@@ -13,6 +14,7 @@
 #include <string_view>
 
 #include "netsim/time.h"
+#include "obs/metrics.h"
 
 namespace dohperf::report {
 
@@ -46,6 +48,12 @@ class NumText {
   char buf_[32];  // "-1.2345678901234567e-308" and any 64-bit integer fit
   unsigned char len_ = 0;
 };
+
+/// NumText::g6 of `hist`'s p50, p90 and p99, found in one pass. Each is
+/// a bucket edge (LatencyHistogram::quantile_edges), and the text of
+/// every edge is formatted once, on first use.
+[[nodiscard]] std::array<std::string_view, 3> quantile_texts(
+    const obs::LatencyHistogram& hist);
 
 /// Appends `value` as an OpenMetrics label value: backslash, double quote
 /// and newline are escaped, every other byte is copied verbatim.

@@ -10,24 +10,24 @@ namespace dohperf::report {
 namespace {
 
 /// `{provider="..",country=".."}` for one key.
-std::string key_labels(const obs::SloKey& key) {
+std::string key_labels(std::string_view provider, std::string_view country) {
   std::string out = "{provider=\"";
-  append_label_value(out, key.provider);
+  append_label_value(out, provider);
   out += "\",country=\"";
-  append_label_value(out, key.country);
+  append_label_value(out, country);
   out += "\"}";
   return out;
 }
 
 /// One availability row: the key, the window cell, the objective, the
 /// cell's outcome counts and its availability.
-void add_cell_row(CsvWriter& csv, const obs::SloKey& key,
+void add_cell_row(CsvWriter& csv, const obs::LabelNames<2>& key,
                   std::string_view window_cell, std::string_view objective,
                   const obs::SloCell& cell) {
   static_assert(obs::kOutcomeCount == 8, "one column per Outcome below");
   const std::uint64_t total = cell.total();
   const auto& n = cell.outcomes;
-  csv.add_row({key.provider, key.country, window_cell, objective,
+  csv.add_row({key[0], key[1], window_cell, objective,
                NumText(total), NumText(n[0]), NumText(n[1]), NumText(n[2]),
                NumText(n[3]), NumText(n[4]), NumText(n[5]), NumText(n[6]),
                NumText(n[7]), NumText(cell.slow),
@@ -53,9 +53,11 @@ CsvWriter availability_csv(const obs::SloTracker& tracker) {
   const NumText objective =
       NumText::g6(tracker.config().availability_objective);
   const std::int64_t window_ms = tracker.window_ms();
-  for (const auto& [key, windows] : tracker.cells()) {
+  const obs::SloTracker::Cells& cells = tracker.cells();
+  for (const auto* track : cells.sorted()) {
+    const obs::LabelNames<2> key = cells.names(track->ids);
     obs::SloCell total;
-    for (const auto& [window, cell] : windows) {
+    for (const auto& [window, cell] : track->value) {
       add_cell_row(csv, key, NumText(window * window_ms), objective, cell);
       total.merge(cell);
     }
@@ -84,8 +86,8 @@ std::string slo_openmetrics_text(const obs::SloTracker& tracker) {
   // once; the second block is appended after the first.
   std::string consumed = "# TYPE dohperf_error_budget_consumed gauge\n";
   out += "# TYPE dohperf_availability gauge\n";
-  for (const auto& [key, budget] : budgets) {
-    const std::string labels = key_labels(key);
+  for (const obs::SloBudget& budget : budgets) {
+    const std::string labels = key_labels(budget.provider, budget.country);
     out += "dohperf_availability";
     out += labels;
     out += ' ';

@@ -1,12 +1,16 @@
 #include "report/timeseries.h"
 
+#include <cstdint>
+#include <string_view>
+#include <vector>
+
 #include "report/format.h"
 
 namespace dohperf::report {
 namespace {
 
 /// OpenMetrics metric names: [a-zA-Z0-9_:], everything else folded to _.
-std::string sanitize_metric(const std::string& name) {
+std::string sanitize_metric(std::string_view name) {
   std::string out;
   out.reserve(name.size());
   for (const char c : name) {
@@ -21,11 +25,11 @@ std::string sanitize_metric(const std::string& name) {
 /// `{provider="..",country="..",window="`: the label text every sample of
 /// one track opens with, built once per track. Each sample appends its
 /// window and closes the set.
-std::string track_labels(const obs::SeriesKey& key) {
+std::string track_labels(std::string_view provider, std::string_view country) {
   std::string out = "{provider=\"";
-  append_label_value(out, key.provider);
+  append_label_value(out, provider);
   out += "\",country=\"";
-  append_label_value(out, key.country);
+  append_label_value(out, country);
   out += "\",window=\"";
   return out;
 }
@@ -35,42 +39,52 @@ std::string track_labels(const obs::SeriesKey& key) {
 CsvWriter timeseries_csv(const obs::MetricSeries& series) {
   CsvWriter csv({"metric", "provider", "country", "window_start_ms",
                  "count", "p50_ms", "p90_ms", "p99_ms"});
-  const auto start = [&series](std::int64_t window) {
-    return NumText::g6(series.window_start_ms(window));
+  // Every track renders from window 0, so window k's start text is
+  // formatted once, the first time a track reaches it.
+  std::vector<NumText> starts;
+  const auto start = [&](std::int64_t window) -> std::string_view {
+    while (static_cast<std::int64_t>(starts.size()) <= window) {
+      starts.push_back(NumText::g6(series.window_start_ms(
+          static_cast<std::int64_t>(starts.size()))));
+    }
+    return starts[static_cast<std::size_t>(window)];
   };
   // Tracks render densely from window 0 through their last live window:
   // a track whose first event lands in window k > 0 still emits k
   // explicit zero rows first, so downstream consumers can align tracks
   // by row position without re-deriving the window grid. One iterator
   // walks the sparse track alongside the dense window counter.
-  for (const auto& [key, track] : series.counters()) {
-    if (track.empty()) continue;
-    auto it = track.lower_bound(0);
-    for (std::int64_t window = 0; window <= track.rbegin()->first;
-         ++window) {
+  const auto& counters = series.counters();
+  for (const auto* track : counters.sorted()) {
+    const auto [metric, provider, country] = counters.names(track->ids);
+    const obs::MetricSeries::CounterTrack& cells = track->value;
+    if (cells.empty()) continue;
+    auto it = cells.begin();
+    for (std::int64_t window = 0; window <= cells.back().first; ++window) {
       std::uint64_t count = 0;
       if (it->first == window) count = (it++)->second;
-      csv.add_row({key.metric, key.provider, key.country, start(window),
-                   NumText(count), "", "", ""});
+      csv.add_row({metric, provider, country, start(window), NumText(count),
+                   "", "", ""});
     }
   }
-  for (const auto& [key, track] : series.latencies()) {
-    if (track.empty()) continue;
-    auto it = track.lower_bound(0);
-    for (std::int64_t window = 0; window <= track.rbegin()->first;
-         ++window) {
+  const auto& latencies = series.latencies();
+  for (const auto* track : latencies.sorted()) {
+    const auto [metric, provider, country] = latencies.names(track->ids);
+    const obs::MetricSeries::LatencyTrack& cells = track->value;
+    if (cells.empty()) continue;
+    auto it = cells.begin();
+    for (std::int64_t window = 0; window <= cells.back().first; ++window) {
       if (it->first != window) {
         // Empty quantile cells mark a zero window, same shape as the
         // counter rows.
-        csv.add_row({key.metric, key.provider, key.country, start(window),
-                     "0", "", "", ""});
+        csv.add_row({metric, provider, country, start(window), "0", "", "",
+                     ""});
         continue;
       }
       const obs::LatencyHistogram& hist = (it++)->second;
-      csv.add_row({key.metric, key.provider, key.country, start(window),
-                   NumText(hist.count()), NumText::g6(hist.quantile_ms(0.5)),
-                   NumText::g6(hist.quantile_ms(0.9)),
-                   NumText::g6(hist.quantile_ms(0.99))});
+      const auto [p50, p90, p99] = quantile_texts(hist);
+      csv.add_row({metric, provider, country, start(window),
+                   NumText(hist.count()), p50, p90, p99});
     }
   }
   return csv;
@@ -85,12 +99,13 @@ std::string openmetrics_text(const obs::MetricSeries& series) {
     out += "# TYPE " + name + " " + type + "\n";
   };
 
-  for (const auto& [key, track] : series.counters()) {
-    const std::string name =
-        "dohperf_" + sanitize_metric(key.metric) + "_total";
+  const auto& counters = series.counters();
+  for (const auto* track : counters.sorted()) {
+    const auto [metric, provider, country] = counters.names(track->ids);
+    const std::string name = "dohperf_" + sanitize_metric(metric) + "_total";
     header(name, "counter");
-    const std::string prefix = name + track_labels(key);
-    for (const auto& [window, count] : track) {
+    const std::string prefix = name + track_labels(provider, country);
+    for (const auto& [window, count] : track->value) {
       out += prefix;
       out += NumText(window);
       out += "\"} ";
@@ -98,29 +113,30 @@ std::string openmetrics_text(const obs::MetricSeries& series) {
       out += '\n';
     }
   }
-  for (const auto& [key, track] : series.latencies()) {
-    const std::string name = "dohperf_" + sanitize_metric(key.metric);
+  const auto& latencies = series.latencies();
+  for (const auto* track : latencies.sorted()) {
+    const auto [metric, provider, country] = latencies.names(track->ids);
+    const std::string name = "dohperf_" + sanitize_metric(metric);
     header(name, "summary");
-    const std::string labels = track_labels(key);
+    const std::string labels = track_labels(provider, country);
     const std::string count_prefix = name + "_count" + labels;
     const std::string quantile_prefix = name + labels;
-    for (const auto& [window, hist] : track) {
+    static constexpr const char* kQuantileLabels[] = {
+        "\",quantile=\"0.5\"} ", "\",quantile=\"0.9\"} ",
+        "\",quantile=\"0.99\"} "};
+    for (const auto& [window, hist] : track->value) {
       const NumText w(window);
       out += count_prefix;
       out += w;
       out += "\"} ";
       out += NumText(hist.count());
       out += '\n';
-      const std::pair<const char*, double> quantiles[] = {
-          {"\",quantile=\"0.5\"} ", 0.5},
-          {"\",quantile=\"0.9\"} ", 0.9},
-          {"\",quantile=\"0.99\"} ", 0.99},
-      };
-      for (const auto& [label, q] : quantiles) {
+      const auto texts = quantile_texts(hist);
+      for (std::size_t q = 0; q < texts.size(); ++q) {
         out += quantile_prefix;
         out += w;
-        out += label;
-        out += NumText::g6(hist.quantile_ms(q));
+        out += kQuantileLabels[q];
+        out += texts[q];
         out += '\n';
       }
     }

@@ -179,11 +179,11 @@ std::string summary_json(const RunResult& result) {
            ", \"alerts\": " + std::to_string(result.slo_alerts.size()) +
            ", \"providers\": [";
     bool first_provider = true;
-    for (const auto& [key, budget] : result.slo.budgets()) {
-      if (!key.country.empty()) continue;  // Aggregates only.
+    for (const obs::SloBudget& budget : result.slo.budgets()) {
+      if (!budget.country.empty()) continue;  // Aggregates only.
       if (!first_provider) out += ", ";
       first_provider = false;
-      out += "{\"provider\": \"" + obs::json::escape(key.provider) +
+      out += "{\"provider\": \"" + obs::json::escape(budget.provider) +
              "\", \"total\": " + std::to_string(budget.total) +
              ", \"errors\": " + std::to_string(budget.errors) +
              ", \"availability\": " + format_double(budget.availability) +

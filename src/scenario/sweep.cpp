@@ -196,8 +196,14 @@ bool run_sweep(const SpecDocument& doc, const SweepOptions& options,
                " wrote no summary (" + summary_paths[cell.index] + ")";
       return false;
     }
-    const auto parsed = obs::json::parse(*summary);
-    if (!parsed.has_value() || !parsed->is_object() ||
+    std::string json_error;
+    const auto parsed = obs::json::parse(*summary, &json_error);
+    if (!parsed.has_value()) {
+      *error = "sweep: cell " + std::to_string(cell.index) + " summary " +
+               summary_paths[cell.index] + ": " + json_error;
+      return false;
+    }
+    if (!parsed->is_object() ||
         parsed->string_or("schema", "") != "dohperf-scenario-summary-v1") {
       *error = "sweep: cell " + std::to_string(cell.index) +
                " summary is not a dohperf-scenario-summary-v1 document";

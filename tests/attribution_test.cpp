@@ -208,13 +208,14 @@ TEST(AttributionLedgerTest, MergeIsExactAndOrderIndependent) {
   EXPECT_TRUE(ab == ba);
 
   const auto it = ab.entries().find({"Cloudflare", "SE", "doh"});
-  ASSERT_NE(it, ab.entries().end());
-  EXPECT_EQ(it->second.flows, 3u);
-  EXPECT_EQ(it->second.total_us, 120'000u);
-  EXPECT_EQ(it->second.phases[static_cast<int>(Phase::kTlsHandshake)].us,
+  ASSERT_NE(it, nullptr);
+  EXPECT_EQ(it->flows, 3u);
+  EXPECT_EQ(it->total_us, 120'000u);
+  EXPECT_EQ(it->phases[static_cast<int>(Phase::kTlsHandshake)].us,
             35'000u);
-  for (const auto& [key, entry] : ab.entries()) {
-    EXPECT_EQ(entry_phase_sum(entry), entry.total_us) << key.transport;
+  for (const auto& [ids, entry] : ab.entries()) {
+    EXPECT_EQ(entry_phase_sum(entry), entry.total_us)
+        << ab.entries().names(ids)[2];
   }
 }
 
@@ -233,12 +234,13 @@ TEST(AttributionReportTest, CsvRoundTripPreservesExactCounts) {
   EXPECT_EQ(table->size(), 3u);
   for (const auto& [key, cell] : *table) {
     EXPECT_TRUE(cell.consistent()) << key.transport;
-    const auto it = ledger.entries().find(key);
-    ASSERT_NE(it, ledger.entries().end());
-    EXPECT_EQ(cell.flows, it->second.flows);
-    EXPECT_EQ(cell.total_us, it->second.total_us);
+    const auto it =
+        ledger.entries().find({key.provider, key.country, key.transport});
+    ASSERT_NE(it, nullptr);
+    EXPECT_EQ(cell.flows, it->flows);
+    EXPECT_EQ(cell.total_us, it->total_us);
     for (int p = 0; p < kPhaseCount; ++p) {
-      EXPECT_EQ(cell.phase_us[p], it->second.phases[p].us);
+      EXPECT_EQ(cell.phase_us[p], it->phases[p].us);
     }
   }
 
@@ -328,17 +330,18 @@ struct AttributionFlowFixture : ::testing::Test {
   /// Every recorded entry must be a closed partition with real time.
   static void expect_consistent(const AttributionLedger& ledger) {
     ASSERT_FALSE(ledger.empty());
-    for (const auto& [key, entry] : ledger.entries()) {
-      EXPECT_GT(entry.flows, 0u) << key.transport;
-      EXPECT_GT(entry.total_us, 0u) << key.transport;
-      EXPECT_EQ(entry_phase_sum(entry), entry.total_us) << key.transport;
+    for (const auto& [ids, entry] : ledger.entries()) {
+      const std::string_view transport = ledger.entries().names(ids)[2];
+      EXPECT_GT(entry.flows, 0u) << transport;
+      EXPECT_GT(entry.total_us, 0u) << transport;
+      EXPECT_EQ(entry_phase_sum(entry), entry.total_us) << transport;
     }
   }
 
   static bool has_transport(const AttributionLedger& ledger,
                             const std::string& transport) {
-    for (const auto& [key, entry] : ledger.entries()) {
-      if (key.transport == transport) return true;
+    for (const auto& [ids, entry] : ledger.entries()) {
+      if (ledger.entries().names(ids)[2] == transport) return true;
     }
     return false;
   }
@@ -380,11 +383,11 @@ TEST_F(AttributionFlowFixture, DirectFlowsSatisfyTheInvariant) {
   }
   // The bootstrap redirect left real handshake time in each cold flow.
   const auto doh = ledger.entries().find({"Cloudflare", "SE", "doh_direct"});
-  ASSERT_NE(doh, ledger.entries().end());
+  ASSERT_NE(doh, nullptr);
   EXPECT_GT(
-      doh->second.phases[static_cast<int>(Phase::kTcpHandshake)].us, 0u);
+      doh->phases[static_cast<int>(Phase::kTcpHandshake)].us, 0u);
   EXPECT_GT(
-      doh->second.phases[static_cast<int>(Phase::kTlsHandshake)].us, 0u);
+      doh->phases[static_cast<int>(Phase::kTlsHandshake)].us, 0u);
 }
 
 TEST_F(AttributionFlowFixture, ProxiedFlowsSatisfyTheInvariant) {
@@ -422,9 +425,9 @@ TEST_F(AttributionFlowFixture, ProxiedFlowsSatisfyTheInvariant) {
   EXPECT_TRUE(has_transport(ledger, "do53"));
   // The proxied DoH flow routes its bootstrap into the tunnel phase.
   const auto doh = ledger.entries().find({"Cloudflare", "SE", "doh"});
-  ASSERT_NE(doh, ledger.entries().end());
+  ASSERT_NE(doh, nullptr);
   EXPECT_GT(
-      doh->second.phases[static_cast<int>(Phase::kTunnelConnect)].us, 0u);
+      doh->phases[static_cast<int>(Phase::kTunnelConnect)].us, 0u);
 }
 
 TEST_F(AttributionFlowFixture, PageLoadSatisfiesTheInvariant) {
@@ -491,16 +494,16 @@ TEST_F(AttributionFlowFixture, WarmPathsClassifyPoolOutcomesExactly) {
   // steady-state cell; the Do53 path has no connections to warm.
   const auto first =
       ledger.entries().find({"Cloudflare", "SE", "doh_warm_first"});
-  ASSERT_NE(first, ledger.entries().end());
-  EXPECT_EQ(first->second.flows, 1u);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->flows, 1u);
   EXPECT_GT(
-      first->second.phases[static_cast<int>(Phase::kTlsHandshake)].us, 0u);
+      first->phases[static_cast<int>(Phase::kTlsHandshake)].us, 0u);
   const auto rest = ledger.entries().find({"Cloudflare", "SE", "doh_warm"});
-  ASSERT_NE(rest, ledger.entries().end());
-  EXPECT_GT(rest->second.flows, 1u);
+  ASSERT_NE(rest, nullptr);
+  EXPECT_GT(rest->flows, 1u);
   // Pooled reuse: no full TLS handshake in the steady state.
   EXPECT_EQ(
-      rest->second.phases[static_cast<int>(Phase::kTlsHandshake)].us, 0u);
+      rest->phases[static_cast<int>(Phase::kTlsHandshake)].us, 0u);
   EXPECT_TRUE(has_transport(ledger, "do53_warm_first"));
 }
 
@@ -531,9 +534,9 @@ TEST_F(AttributionFlowFixture, RetryHeavyFaultFlowsStayExact) {
 
   expect_consistent(ledger);
   const auto it = ledger.entries().find({"Cloudflare", "SE", "doh_direct"});
-  ASSERT_NE(it, ledger.entries().end());
+  ASSERT_NE(it, nullptr);
   EXPECT_GT(
-      it->second.phases[static_cast<int>(Phase::kRetryBackoff)].us, 0u);
+      it->phases[static_cast<int>(Phase::kRetryBackoff)].us, 0u);
 }
 
 TEST_F(AttributionFlowFixture, CampaignLedgerClosesUnderFaults) {
@@ -560,9 +563,10 @@ TEST_F(AttributionFlowFixture, CampaignLedgerClosesUnderFaults) {
   const AttributionLedger& ledger = campaign.telemetry().attribution;
   ASSERT_FALSE(ledger.empty());
   std::uint64_t brownout_us = 0, retry_us = 0;
-  for (const auto& [key, entry] : ledger.entries()) {
+  for (const auto& [ids, entry] : ledger.entries()) {
+    const auto [provider, country, transport] = ledger.entries().names(ids);
     EXPECT_EQ(entry_phase_sum(entry), entry.total_us)
-        << key.provider << "/" << key.country << "/" << key.transport;
+        << provider << "/" << country << "/" << transport;
     brownout_us += entry.phases[static_cast<int>(Phase::kBrownout)].us;
     retry_us += entry.phases[static_cast<int>(Phase::kRetryBackoff)].us;
   }

@@ -86,8 +86,8 @@ TEST_P(FlowConservationTest, EveryFlowIsCountedOnce) {
   std::uint64_t aggregate_total = 0;
   std::uint64_t country_total = 0;
   std::uint64_t aggregate_errors = 0;
-  for (const auto& [key, budget] : campaign.telemetry().slo.budgets()) {
-    if (key.country.empty()) {
+  for (const obs::SloBudget& budget : campaign.telemetry().slo.budgets()) {
+    if (budget.country.empty()) {
       aggregate_total += budget.total;
       aggregate_errors += budget.errors;
     } else {
@@ -102,9 +102,10 @@ TEST_P(FlowConservationTest, EveryFlowIsCountedOnce) {
   const auto ledger_flows =
       [&](std::initializer_list<std::string_view> transports) {
         std::uint64_t n = 0;
-        for (const auto& [key, entry] : telemetry.attribution.entries()) {
+        const auto& entries = telemetry.attribution.entries();
+        for (const auto& [ids, entry] : entries) {
           for (const std::string_view transport : transports) {
-            if (key.transport == transport) n += entry.flows;
+            if (entries.names(ids)[2] == transport) n += entry.flows;
           }
         }
         return n;
@@ -122,14 +123,14 @@ TEST_P(FlowConservationTest, EveryFlowIsCountedOnce) {
     std::uint64_t series_count = 0;
     const auto track =
         telemetry.series.latencies().find({"doh_ms", provider.name(), ""});
-    if (track != telemetry.series.latencies().end()) {
-      for (const auto& [window, cell] : track->second) {
+    if (track != nullptr) {
+      for (const auto& [window, cell] : *track) {
         series_count += cell.count();
       }
     }
     std::uint64_t successes = 0;
-    for (const auto& [key, budget] : telemetry.slo.budgets()) {
-      if (key.provider == provider.name() && key.country.empty()) {
+    for (const obs::SloBudget& budget : telemetry.slo.budgets()) {
+      if (budget.provider == provider.name() && budget.country.empty()) {
         successes += budget.total - budget.errors;
       }
     }

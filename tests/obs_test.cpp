@@ -40,7 +40,7 @@ using netsim::Site;
 using obs::LatencyHistogram;
 using obs::kNoSpan;
 using obs::MetricSeries;
-using obs::SeriesKey;
+using obs::SeriesNames;
 using obs::SeriesRecorder;
 using obs::Span;
 using obs::SpanContext;
@@ -587,7 +587,7 @@ TEST(MetricSeriesTest, WindowIndexingIsEpochRelative) {
 
 TEST(MetricSeriesTest, AddCountRangeBumpsEveryOverlappedWindow) {
   MetricSeries series(netsim::from_ms(100.0));
-  const SeriesKey key{"fault_loss_spike", "", ""};
+  const SeriesNames key{"fault_loss_spike", "", ""};
   // [150, 320) overlaps windows 1, 2, 3; the half-open end at a window
   // edge must not bump the next window.
   series.add_count_range(key, netsim::from_ms(150.0), netsim::from_ms(320.0));
@@ -609,15 +609,15 @@ TEST(MetricSeriesTest, UnboundedRangeHitsTheWindowBackstop) {
   // overlapped windows must stay bounded instead of looping for ~2^63
   // microseconds' worth of windows.
   MetricSeries series(netsim::from_ms(250.0));
-  const SeriesKey key{"fault_provider_outage", "Quad9", ""};
+  const SeriesNames key{"fault_provider_outage", "Quad9", ""};
   series.add_count_range(key, netsim::Duration{}, netsim::Duration::max());
   EXPECT_EQ(series.counters().at(key).size(),
             static_cast<std::size_t>(MetricSeries::kMaxRangeWindows));
 }
 
 TEST(MetricSeriesTest, MergeIsOrderIndependent) {
-  const SeriesKey cf{"doh_ms", "Cloudflare", "DE"};
-  const SeriesKey retries{"loss_retry", "", ""};
+  const SeriesNames cf{"doh_ms", "Cloudflare", "DE"};
+  const SeriesNames retries{"loss_retry", "", ""};
   MetricSeries a(netsim::from_ms(250.0));
   a.record_latency(cf, netsim::from_ms(10.0), 42.0);
   a.add_count(retries, netsim::from_ms(10.0), 2);
@@ -878,6 +878,11 @@ TEST(TraceLoadTest, MalformedEventsAndLinesAreDiagnosed) {
   EXPECT_FALSE(lines.ok());
   EXPECT_NE(lines.error.find("invalid JSON"), std::string::npos)
       << lines.error;
+  // The second line's object is where the document goes wrong.
+  EXPECT_NE(lines.error.find(
+                "line 2, column 1: unexpected text after the document"),
+            std::string::npos)
+      << lines.error;
 
   // Each number and reference an event carries is checked; the defect is
   // named by event index and field. Event 1 is a hop under event 0.
@@ -956,6 +961,33 @@ TEST(JsonParserTest, RejectsMalformedDocuments) {
   const auto unicode = obs::json::parse("\"\\u00e9\"");
   ASSERT_TRUE(unicode.has_value());
   EXPECT_EQ(unicode->as_string(), "\xc3\xa9");
+}
+
+TEST(JsonParserTest, NamesTheLineAndColumnOfTheFirstDefect) {
+  const auto error_of = [](std::string_view text) {
+    std::string error;
+    EXPECT_FALSE(obs::json::parse(text, &error).has_value()) << text;
+    return error;
+  };
+  EXPECT_EQ(error_of(R"({"a":1,})"),
+            "line 1, column 8: expected a string key");
+  EXPECT_EQ(error_of("[1,"), "line 1, column 4: unexpected end of input");
+  EXPECT_EQ(error_of("{} x"),
+            "line 1, column 4: unexpected text after the document");
+  EXPECT_EQ(error_of("{\n  \"a\": [\n    1, 1e999]}"),
+            "line 3, column 8: number out of range");
+  EXPECT_EQ(error_of("\"abc"), "line 1, column 1: unterminated string");
+  EXPECT_EQ(error_of("[\"\\q\"]"), "line 1, column 3: invalid escape");
+  EXPECT_EQ(error_of("{\"a\" 1}"), "line 1, column 6: expected ':'");
+  EXPECT_EQ(error_of("[1 2]"), "line 1, column 4: expected ',' or ']'");
+  EXPECT_EQ(error_of("nul"),
+            "line 1, column 1: invalid literal (expected null)");
+  EXPECT_EQ(error_of(""), "line 1, column 1: unexpected end of input");
+
+  // A document that parses leaves the error text alone.
+  std::string untouched = "unchanged";
+  EXPECT_TRUE(obs::json::parse("[1]", &untouched).has_value());
+  EXPECT_EQ(untouched, "unchanged");
 }
 
 TEST(JsonParserTest, EnforcesNestingDepthLimit) {
@@ -1077,8 +1109,14 @@ TEST(SloTrackerTest, RecordsAggregateAndCountryCells) {
                 obs::Outcome::kBlackout)],
             1u);
 
-  const auto budgets = tracker.budgets();
-  const obs::SloBudget& budget = budgets.at({"Quad9", ""});
+  // One budget per key, in name order: the aggregate sorts first.
+  const std::vector<obs::SloBudget> budgets = tracker.budgets();
+  ASSERT_EQ(budgets.size(), 3u);
+  EXPECT_EQ(budgets[1].country, "DE");
+  EXPECT_EQ(budgets[2].country, "SE");
+  const obs::SloBudget& budget = budgets[0];
+  EXPECT_EQ(budget.provider, "Quad9");
+  EXPECT_EQ(budget.country, "");
   EXPECT_EQ(budget.total, 4u);
   EXPECT_EQ(budget.errors, 2u);
   EXPECT_EQ(budget.slow, 1u);

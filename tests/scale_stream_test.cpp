@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "measure/stream_sink.h"
-#include "measure/string_table.h"
+#include "obs/string_table.h"
 #include "netsim/arena.h"
 #include "netsim/random.h"
 #include "netsim/task.h"
@@ -283,10 +283,10 @@ TEST(QuantileSketchTest, SparseStoreMatchesDenseReference) {
   for (const Sketch& s : orders) EXPECT_TRUE(s == orders.front());
 }
 
-// ------------------------------------------------------------ StringTable
+// ------------------------------------------------------------ obs::StringTable
 
 TEST(StringTableTest, IdsAreDenseAndFirstInternOrdered) {
-  measure::StringTable table;
+  obs::StringTable table;
   EXPECT_EQ(table.intern("Cloudflare"), 0u);
   EXPECT_EQ(table.intern("Google"), 1u);
   EXPECT_EQ(table.intern("Cloudflare"), 0u);  // idempotent
@@ -294,9 +294,9 @@ TEST(StringTableTest, IdsAreDenseAndFirstInternOrdered) {
   EXPECT_EQ(table.size(), 3u);
 
   EXPECT_EQ(table.find("Google"), 1u);
-  EXPECT_EQ(table.find("absent"), measure::kNoStrId);
+  EXPECT_EQ(table.find("absent"), obs::kNoStrId);
   EXPECT_EQ(table.name(2), "SE");
-  EXPECT_EQ(table.name(measure::kNoStrId), "");
+  EXPECT_EQ(table.name(obs::kNoStrId), "");
 }
 
 TEST(StringTableTest, SameInternSequenceYieldsIdenticalTables) {
@@ -304,7 +304,7 @@ TEST(StringTableTest, SameInternSequenceYieldsIdenticalTables) {
   // on every run; two runs of the same sequence must agree bit-for-bit —
   // this is what makes StrIds comparable across shard counts.
   const auto build = [] {
-    measure::StringTable t;
+    obs::StringTable t;
     for (const char* s :
          {"Cloudflare", "Google", "NextDNS", "Quad9", "US", "SE", "BR"}) {
       t.intern(s);
@@ -313,24 +313,24 @@ TEST(StringTableTest, SameInternSequenceYieldsIdenticalTables) {
   };
   EXPECT_TRUE(build() == build());
 
-  measure::StringTable other;
+  obs::StringTable other;
   other.intern("Google");  // different order -> different ids
   other.intern("Cloudflare");
   EXPECT_FALSE(build() == other);
 }
 
 TEST(StringTableTest, CopiesAreIndependentAndEqual) {
-  measure::StringTable original;
+  obs::StringTable original;
   original.intern("Cloudflare");
   original.intern("SE");
 
-  measure::StringTable copy = original;
+  obs::StringTable copy = original;
   EXPECT_TRUE(copy == original);
   EXPECT_EQ(copy.find("SE"), 1u);  // lookup map rebuilt onto own storage
 
   original.intern("BR");  // diverge the source
   EXPECT_EQ(copy.size(), 2u);
-  EXPECT_EQ(copy.find("BR"), measure::kNoStrId);
+  EXPECT_EQ(copy.find("BR"), obs::kNoStrId);
   EXPECT_EQ(copy.name(0), "Cloudflare");
 }
 
@@ -445,9 +445,9 @@ TEST(QuantileFastPathTest, MatchesSortBasedQuantileBitForBit) {
 // sinks (as two shards would), must both yield the median of all 300.
 TEST(StreamSinkTest, ClientMediansKeepEveryRunPast255) {
   constexpr int kRuns = 300;
-  measure::StringTable names;
-  const measure::StrId provider = names.intern("Cloudflare");
-  const measure::StrId iso2 = names.intern("US");
+  obs::StringTable names;
+  const obs::StrId provider = names.intern("Cloudflare");
+  const obs::StrId iso2 = names.intern("US");
   measure::StreamSinkConfig cfg;
   cfg.client_stats = true;
   cfg.run_capacity = kRuns;

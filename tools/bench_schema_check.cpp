@@ -397,8 +397,13 @@ int main(int argc, char** argv) {
     fail(argv[1], "cannot open");
     return 1;
   }
-  const auto doc = dohperf::obs::json::parse(*text);
-  if (!doc.has_value() || !doc->is_object()) {
+  std::string error;
+  const auto doc = dohperf::obs::json::parse(*text, &error);
+  if (!doc.has_value()) {
+    fail(argv[1], error);
+    return 1;
+  }
+  if (!doc->is_object()) {
     fail(argv[1], "not a JSON object");
     return 1;
   }
