@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "measure/flows.h"
+#include "netsim/random.h"
 #include "report/format.h"
 #include "resolver/stub.h"
 
@@ -171,17 +172,6 @@ void record_fault_windows(obs::MetricSeries& series,
     series.add_count_range({"fault_provider_outage", ep.provider, {}},
                             ep.window.start, clamp(ep.window.end));
   }
-}
-
-/// FNV-1a over a short string; used only to derive a stable campaign-time
-/// phase per country for the recurring regional-blackout schedule.
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 /// Fault signals for classifying a failed flow: did a declared window of
@@ -363,8 +353,9 @@ struct Session {
       fault_plan.append_recurring_episodes(
           faults, campaign_base, kFaultRecordHorizon, providers,
           focal.front(),
-          netsim::Duration{
-              static_cast<std::int64_t>(fnv1a64(session_country) >> 1)});
+          netsim::Duration{static_cast<std::int64_t>(
+              netsim::fnv1a64(session_country, netsim::kShortFnvBasis) >>
+              1)});
     }
     net.faults = &fault_plan;
     net.fault_epoch = epoch;

@@ -61,4 +61,17 @@ class Rng {
   std::uint64_t seed_;  ///< Original seed, kept for split().
 };
 
+/// The FNV-1a 64 offset basis, 14695981039346656037.
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+
+/// 1469598103934665603: the offset basis with its last decimal digit
+/// missing. Spec hashes (stamped into every output) and the
+/// regional-blackout phase were computed from it, so they keep it.
+inline constexpr std::uint64_t kShortFnvBasis = 1469598103934665603ULL;
+
+/// FNV-1a 64 of `s` from `basis`: the string hash behind
+/// Rng::split(tag), spec hashes and every other stable per-string value.
+[[nodiscard]] std::uint64_t fnv1a64(std::string_view s,
+                                    std::uint64_t basis = kFnvOffsetBasis);
+
 }  // namespace dohperf::netsim

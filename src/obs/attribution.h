@@ -219,16 +219,17 @@ struct AttributionRecorder {
 };
 
 /// RAII: while alive, DNS-phase frames pushed through `recorder` record
-/// as `to` and DNS-phase relabels are suppressed. Wraps bootstrap
-/// lookups: the stub resolution of the resolver's own hostname exists
-/// only to establish the connection, so its time belongs to the
-/// handshake (or tunnel) phase it gates, and the cold-vs-warm waterfall
-/// charges the whole connection bootstrap to connection phases. Nests;
-/// the previous redirect state is restored on finish.
+/// as `to` and DNS-phase relabels are suppressed. resolver::bootstrap
+/// wraps every bootstrap lookup in one: the stub resolution of the
+/// resolver's own hostname exists only to establish the connection, so
+/// its time belongs to the handshake (or tunnel) phase it gates, and the
+/// cold-vs-warm waterfall charges the whole connection bootstrap to
+/// connection phases. Nests; the previous redirect state is restored at
+/// scope exit.
 class ScopedDnsRedirect {
  public:
   ScopedDnsRedirect(AttributionRecorder& recorder, Phase to)
-      : recorder_(&recorder),
+      : recorder_(recorder),
         prev_active_(recorder.dns_redirect_active),
         prev_(recorder.dns_redirect) {
     recorder.dns_redirect_active = true;
@@ -236,18 +237,13 @@ class ScopedDnsRedirect {
   }
   ScopedDnsRedirect(const ScopedDnsRedirect&) = delete;
   ScopedDnsRedirect& operator=(const ScopedDnsRedirect&) = delete;
-  ~ScopedDnsRedirect() { finish(); }
-
-  /// Restores the previous redirect state now instead of at scope exit.
-  void finish() {
-    if (recorder_ == nullptr) return;
-    recorder_->dns_redirect_active = prev_active_;
-    recorder_->dns_redirect = prev_;
-    recorder_ = nullptr;
+  ~ScopedDnsRedirect() {
+    recorder_.dns_redirect_active = prev_active_;
+    recorder_.dns_redirect = prev_;
   }
 
  private:
-  AttributionRecorder* recorder_ = nullptr;
+  AttributionRecorder& recorder_;
   bool prev_active_ = false;
   Phase prev_ = Phase::kTcpHandshake;
 };

@@ -187,6 +187,9 @@ class Parser {
           default:
             return fail(pos_ - 2, "invalid escape");
         }
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        // RFC 8259 §7: U+0000 through U+001F must be escaped.
+        return fail(pos_ - 1, "unescaped control character in a string");
       } else {
         out.push_back(c);
       }

@@ -31,10 +31,9 @@ netsim::Task<double> RipeAtlas::measure_do53(netsim::NetCtx& net,
                                              dns::DomainName name) const {
   const auto flow =
       net.flow({.span = "atlas_do53", .transport = "do53_atlas"});
-  const auto id = static_cast<std::uint16_t>(net.rng.next() & 0xFFFF);
   const resolver::StubResult result = co_await resolver::stub_resolve(
       net, probe.site, *probe.default_resolver,
-      dns::Message::make_query(id, std::move(name)));
+      resolver::make_query(net.rng, std::move(name)));
   co_return result.ok() ? result.elapsed_ms : -1.0;
 }
 

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dns/wire.h"
@@ -48,6 +49,11 @@ netsim::Task<StubResult> stub_resolve(netsim::NetCtx& net,
 
 namespace {
 
+/// The message id of a client query: 16 random bits.
+std::uint16_t query_id(netsim::Rng& rng) {
+  return static_cast<std::uint16_t>(rng.next() & 0xFFFF);
+}
+
 constexpr std::size_t kUuidChars = 36;
 
 /// Writes `v`'s low `digits` hex digits, lowercase, zero-padded (printf's
@@ -93,11 +99,14 @@ dns::DomainName probe_name(netsim::Rng& rng,
   return origin.with_subdomain(format_uuid(rng, buf));
 }
 
+dns::Message make_query(netsim::Rng& rng, dns::DomainName name) {
+  return dns::Message::make_query(query_id(rng), std::move(name));
+}
+
 dns::Message make_probe_query(netsim::Rng& rng,
                               const dns::DomainName& origin) {
-  const auto id = static_cast<std::uint16_t>(rng.next() & 0xFFFF);
-  return dns::Message::make_query(id, probe_name(rng, origin),
-                                  dns::RecordType::kA);
+  const std::uint16_t id = query_id(rng);
+  return dns::Message::make_query(id, probe_name(rng, origin));
 }
 
 std::string doh_get_target(const dns::Message& query) {
@@ -110,6 +119,49 @@ std::string doh_get_target(const dns::Message& query) {
   target += kPrefix;
   transport::base64url_append(wire, target);
   return target;
+}
+
+transport::HttpRequest doh_get(const dns::Message& query,
+                               const std::string& host) {
+  transport::HttpRequest request;
+  request.method = "GET";
+  request.target = doh_get_target(query);
+  request.headers.add("host", host);
+  return request;
+}
+
+netsim::Task<StubResult> bootstrap(netsim::NetCtx& net,
+                                   const netsim::Site& vantage,
+                                   RecursiveResolver& resolver,
+                                   const DohServer& doh, obs::Phase gates) {
+  dns::Message query =
+      make_query(net.rng, dns::DomainName::parse(doh.hostname()));
+  const obs::ScopedDnsRedirect redirect(net.attribution, gates);
+  co_return co_await stub_resolve(net, vantage, resolver, std::move(query));
+}
+
+netsim::Task<transport::HttpResponse> doh_exchange(
+    netsim::NetCtx& net, const transport::Connection& session,
+    DohServer& doh, transport::HttpRequest request) {
+  co_await session.send(request);
+  transport::HttpResponse response =
+      co_await doh.handle(net, std::move(request));
+  co_await session.recv(response);
+  co_return response;
+}
+
+netsim::Task<StubResult> stream_exchange(netsim::NetCtx& net,
+                                         const transport::Connection& stream,
+                                         RecursiveResolver& resolver,
+                                         dns::Message query) {
+  StubResult result;
+  const netsim::SimTime start = net.sim.now();
+  co_await stream.send(dns::wire_size(query));
+  const dns::Message answer = co_await resolver.resolve(net, std::move(query));
+  co_await stream.recv(dns::wire_size(answer));
+  result.rcode = answer.header.rcode;
+  result.elapsed_ms = netsim::ms_between(start, net.sim.now());
+  co_return result;
 }
 
 }  // namespace dohperf::resolver

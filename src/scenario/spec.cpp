@@ -11,6 +11,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "netsim/random.h"
 #include "obs/trace_export.h"
 #include "report/format.h"
 
@@ -566,16 +567,10 @@ bool result_neutral(std::string_view key) {
   return key == "campaign.threads" || key.substr(0, 8) == "outputs.";
 }
 
-std::uint64_t fnv1a64(std::string_view text) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string hex64(std::uint64_t v) {
+/// The content hash of a canonical text, as 16 hex digits: FNV-1a 64
+/// from the short basis every stamped hash was computed with.
+std::string content_hash(std::string_view canonical) {
+  const std::uint64_t v = netsim::fnv1a64(canonical, netsim::kShortFnvBasis);
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(v));
@@ -830,14 +825,14 @@ std::string spec_hash(const CampaignSpec& spec) {
   CampaignSpec neutral = spec;
   neutral.campaign.threads = 0;
   neutral.outputs = OutputsSpec{};
-  return hex64(fnv1a64(canonical_text(neutral)));
+  return content_hash(canonical_text(neutral));
 }
 
 std::string document_hash(const SpecDocument& doc) {
   SpecDocument neutral = doc;
   neutral.base.campaign.threads = 0;
   neutral.base.outputs = OutputsSpec{};
-  return hex64(fnv1a64(canonical_text(neutral)));
+  return content_hash(canonical_text(neutral));
 }
 
 CampaignSpec paper_baseline_spec() {

@@ -10,11 +10,7 @@ namespace {
 /// Deterministic unit-interval value from a country code (FNV-1a based);
 /// used for stable cross-run heterogeneity like ISP transit quality.
 double unit_hash(std::string_view iso2) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : iso2) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
+  std::uint64_t h = netsim::fnv1a64(iso2);
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdULL;
   h ^= h >> 33;

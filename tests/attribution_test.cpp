@@ -5,6 +5,7 @@
 // for every instrumented flow type, including retry-heavy fault runs.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -17,6 +18,7 @@
 #include "obs/attribution.h"
 #include "report/attribution.h"
 #include "resolver/shared_cache.h"
+#include "resolver/stub.h"
 #include "web/pageload.h"
 #include "world/world_model.h"
 
@@ -451,6 +453,40 @@ TEST_F(AttributionFlowFixture, PageLoadSatisfiesTheInvariant) {
   }
   expect_consistent(ledger);
   EXPECT_TRUE(has_transport(ledger, "pageload"));
+}
+
+TEST_F(AttributionFlowFixture, BootstrapIsChargedToThePhaseItGates) {
+  // The bootstrap step alone inside a flow root: the lookup is all the
+  // flow does, so its elapsed time is the flow's total. The DNS time goes
+  // to `gates`; only the resolver's own processing keeps its phase.
+  const auto* exit = exit_in("SE");
+  ASSERT_NE(exit, nullptr);
+  for (const Phase gates : {Phase::kTcpHandshake, Phase::kQuicHandshake,
+                            Phase::kTunnelConnect}) {
+    AttributionLedger ledger;
+    const resolver::StubResult boot = recorded(
+        ledger, [&](netsim::NetCtx& net) -> netsim::Task<resolver::StubResult> {
+          const auto flow = net.flow({.transport = "bootstrap"});
+          co_return co_await resolver::bootstrap(
+              net, exit->site, *exit->default_resolver,
+              world().doh_server(0, 0), gates);
+        });
+    ASSERT_TRUE(boot.ok()) << obs::phase_name(gates);
+    expect_consistent(ledger);
+    const AttributionEntry& entry =
+        ledger.entries().at({"Cloudflare", "SE", "bootstrap"});
+    const auto us = [&](Phase phase) {
+      return entry.phases[static_cast<std::size_t>(phase)].us;
+    };
+    EXPECT_EQ(entry.total_us,
+              static_cast<std::uint64_t>(std::llround(boot.elapsed_ms * 1e3)))
+        << obs::phase_name(gates);
+    EXPECT_GT(us(gates), 0u) << obs::phase_name(gates);
+    EXPECT_EQ(us(gates) + us(Phase::kServerProcessing), entry.total_us)
+        << obs::phase_name(gates);
+    EXPECT_EQ(us(Phase::kDnsCacheHit), 0u) << obs::phase_name(gates);
+    EXPECT_EQ(us(Phase::kDnsCacheMiss), 0u) << obs::phase_name(gates);
+  }
 }
 
 TEST_F(AttributionFlowFixture, WarmPathsClassifyPoolOutcomesExactly) {

@@ -7,6 +7,7 @@
 #include "measure/regression.h"
 #include "netsim/faultplan.h"
 #include "stats/summary.h"
+#include "web/pageload.h"
 #include "world/world_model.h"
 
 namespace dohperf::measure {
@@ -171,6 +172,39 @@ TEST(FailureInjectionTest, BlackoutStrictFailsClosed) {
   EXPECT_FALSE(outcome.used_doh);
   EXPECT_FALSE(outcome.downgraded);
   EXPECT_LT(outcome.elapsed_ms, 60000.0);
+}
+
+TEST(FailureInjectionTest, BlackoutFailsEveryPageLoadMode) {
+  // A client whose every link is dead for ten minutes: the cold DoH
+  // session cannot bootstrap or connect, and no domain's connection to
+  // the content host comes up, so no mode may report a loaded page.
+  world::WorldModel world(small_config(6));
+  netsim::Rng rng = world.rng().split("fault-pageload-test");
+  const proxy::ExitNode* exit = world.brightdata().pick_exit("SE", rng);
+  ASSERT_NE(exit, nullptr);
+  netsim::FaultPlan plan;
+  netsim::BlackoutEpisode episode;
+  episode.window = {netsim::Duration::zero(), netsim::from_ms(600000.0)};
+  episode.a = exit->site.position;
+  episode.a_radius_miles = 1.0;
+  plan.add_blackout(episode);
+
+  web::PageLoadContext ctx;
+  ctx.client = exit->site;
+  ctx.default_resolver = exit->default_resolver;
+  ctx.doh = &world.doh_server(0, 0);
+  ctx.web_server = world.authority().site();
+  ctx.origin = world.origin();
+  for (const web::DnsMode mode : {web::DnsMode::kDo53, web::DnsMode::kDohCold,
+                                  web::DnsMode::kDohWarm}) {
+    const web::PageLoadResult result =
+        world.run_flow([&](netsim::NetCtx& net) {
+          net.faults = &plan;
+          net.fault_epoch = net.sim.now();
+          return web::load_page(net, ctx, web::PageSpec{}, mode);
+        });
+    EXPECT_FALSE(result.ok) << web::to_string(mode);
+  }
 }
 
 TEST(FailureInjectionTest, BrownoutCampaignCompletes) {

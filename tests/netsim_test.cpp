@@ -144,6 +144,14 @@ TEST(RngTest, StringSplitStable) {
   EXPECT_NE(a2.next(), c.next());
 }
 
+TEST(Fnv1aTest, StandardVectors) {
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+  // The basis is where the hash starts: the empty string hashes to it.
+  EXPECT_EQ(fnv1a64("", kShortFnvBasis), kShortFnvBasis);
+}
+
 // Every simulator event resumes a coroutine, so the queue and simulator
 // tests schedule tiny ones: each runs its body once when resumed. The
 // pool owns the frames and frees them whether or not they ever ran.

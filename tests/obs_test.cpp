@@ -1029,6 +1029,37 @@ TEST(JsonParserTest, UnicodeEscapeValidation) {
   EXPECT_EQ(bmp->as_string(), "\xe2\x82\xac");  // U+20AC euro sign
 }
 
+TEST(JsonParserTest, RejectsRawControlCharactersInStrings) {
+  // RFC 8259 §7: U+0000 through U+001F appear in a string only escaped.
+  for (const char raw : {'\n', '\t', '\x01', '\x1f'}) {
+    const std::string in_value = std::string("{\"k\": \"a") + raw + "b\"}";
+    const std::string in_key = std::string("{\"k") + raw + "\": 1}";
+    std::string error;
+    EXPECT_FALSE(obs::json::parse(in_value, &error).has_value())
+        << static_cast<int>(raw);
+    EXPECT_EQ(error,
+              "line 1, column 9: unescaped control character in a string");
+    error.clear();
+    EXPECT_FALSE(obs::json::parse(in_key, &error).has_value())
+        << static_cast<int>(raw);
+    EXPECT_EQ(error,
+              "line 1, column 4: unescaped control character in a string");
+  }
+
+  // The escaped form still loads, and escape() round-trips every
+  // control character.
+  const auto escaped = obs::json::parse("\"\\u0001\"");
+  ASSERT_TRUE(escaped.has_value());
+  EXPECT_EQ(escaped->as_string(), std::string(1, '\x01'));
+  for (int c = 0x00; c <= 0x1f; ++c) {
+    const std::string text(1, static_cast<char>(c));
+    const auto back =
+        obs::json::parse("\"" + obs::json::escape(text) + "\"");
+    ASSERT_TRUE(back.has_value()) << c;
+    EXPECT_EQ(back->as_string(), text) << c;
+  }
+}
+
 // -------------------------------------------------- outcome taxonomy
 
 TEST(OutcomeTest, ClassificationPrecedence) {
