@@ -103,9 +103,10 @@ struct SpecParseResult {
 [[nodiscard]] std::string canonical_text(const SpecDocument& doc);
 [[nodiscard]] std::string canonical_text(const CampaignSpec& spec);
 
-/// Content hash of the spec: FNV-1a 64 over the canonical text with
-/// `campaign.threads` zeroed and [outputs] cleared (neither can change
-/// results), printed as 16 lowercase hex digits.
+/// Content hash of the spec: FNV-1a 64 (from netsim::kShortFnvBasis)
+/// over the canonical text with `campaign.threads` zeroed and [outputs]
+/// cleared (neither can change results), printed as 16 lowercase hex
+/// digits.
 [[nodiscard]] std::string spec_hash(const CampaignSpec& spec);
 
 /// Content hash of a whole document (sweep axes included; same
