@@ -77,16 +77,14 @@ struct CampaignPlan {
 };
 
 /// A shard's window onto the campaign: the immutable config, plan, world
-/// model and root RNG every shard shares, the mutable server stack it
-/// must use — either a private replica or (serial reference path) the
-/// world's own servers — and the telemetry its sessions record into.
+/// model and root RNG every shard shares, the shard's own replica of the
+/// world's servers, and the telemetry its sessions record into.
 struct ShardView {
   world::WorldModel& world;
   const CampaignConfig& config;
   const CampaignPlan& plan;
   const netsim::Rng& root;
-  netsim::Simulator& sim;
-  world::SimContext* replica = nullptr;  ///< nullptr = world's own stack.
+  world::SimContext& stack;
   /// Shard-private sinks; sessions record into them without
   /// synchronisation and the campaign merges them in canonical shard
   /// order after the join. The replay pass points this at scratch sinks.
@@ -94,16 +92,6 @@ struct ShardView {
   /// The merged recorder on the replay pass, nullptr on the shards:
   /// flows it retains record their spans and attach them to it.
   obs::FlightRecorder* replay = nullptr;
-
-  resolver::DohServer& doh(std::size_t p, std::size_t i) {
-    return replica ? replica->doh_server(p, i) : world.doh_server(p, i);
-  }
-  resolver::AuthoritativeServer& authority() {
-    return replica ? replica->authority() : world.authority();
-  }
-  resolver::RecursiveResolver* local(resolver::RecursiveResolver* r) {
-    return replica ? replica->local(r) : r;
-  }
 };
 
 /// Per-shard, per-exit state persisting across the client's runs: the
@@ -268,7 +256,8 @@ ExitState make_exit_state(ShardView& view, const ExitTask& task) {
   ExitState st;
   st.task = &task;
   st.local_exit = *task.exit;
-  st.local_exit.default_resolver = view.local(task.exit->default_resolver);
+  st.local_exit.default_resolver =
+      view.stack.local(task.exit->default_resolver);
 
   const auto providers = view.world.providers();
   st.provider_failed.reserve(providers.size());
@@ -323,8 +312,8 @@ struct Session {
         slot(session_slot),
         key(session_key),
         out(rows),
-        net{shard.sim, shard.world.latency(), rng},
-        epoch(shard.sim.now()),
+        net{shard.stack.sim(), shard.world.latency(), rng},
+        epoch(shard.stack.sim().now()),
         campaign_base(shard.config.session_spacing *
                       static_cast<std::int64_t>(session_slot)),
         examine(shard.telemetry->anomalies.enabled() &&
@@ -373,7 +362,7 @@ struct Session {
 
   /// Opens flow `index`; call it just before the flow is awaited.
   void begin_flow(std::uint32_t index, std::string label) {
-    flow = FlowStart{index, std::move(label), view.sim.now(),
+    flow = FlowStart{index, std::move(label), view.stack.sim().now(),
                      metrics.counters,
                      view.replay != nullptr &&
                          view.replay->retained().contains({slot, index})};
@@ -393,7 +382,7 @@ struct Session {
   void end_flow(obs::FlowSignals signals,
                 const char* latency_series = nullptr,
                 double latency_ms = 0.0) {
-    const netsim::SimTime now = view.sim.now();
+    const netsim::SimTime now = view.stack.sim().now();
     const auto [provider, country] = net.labels;
     if (flow) {
       if (flow->capture) {
@@ -492,7 +481,7 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
     params.client = view.world.measurement_client();
     params.super_proxy = task.sp_site;
     params.exit = &exit;
-    params.doh = &view.doh(p, pop_index);
+    params.doh = &view.stack.doh_server(p, pop_index);
     params.tls = view.world.config().tls_version;
     params.origin = view.world.origin();
 
@@ -534,7 +523,8 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
         view.telemetry->metrics
             .histogram(names.by_query[std::min(q.query_index, last)])
             .record(q.ms);
-        net.series.latency(names.series, net.labels, view.sim.now(), q.ms);
+        net.series.latency(names.series, net.labels, view.stack.sim().now(),
+                           q.ms);
       }
       s.metrics.counters.pool_cold += wobs.pool.cold;
       s.metrics.counters.pool_reuses += wobs.pool.reused;
@@ -552,7 +542,7 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
       WarmDohParams wp;
       wp.vantage = exit.site;
       wp.default_resolver = exit.default_resolver;
-      wp.doh = &view.doh(p, pop_index);
+      wp.doh = &view.stack.doh_server(p, pop_index);
       wp.tls = view.world.config().tls_version;
       wp.origin = view.world.origin();
       wp.cache = model;
@@ -584,7 +574,7 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
   params.super_proxy = task.sp_site;
   params.exit = &exit;
   params.origin = view.world.origin();
-  params.authority = &view.authority();  // a.com's NS and web host
+  params.authority = &view.stack.authority();  // a.com's NS and web host
 
   s.begin_flow(static_cast<std::uint32_t>(view.world.providers().size()),
                "do53");
@@ -617,7 +607,7 @@ netsim::Task<void> atlas_session(ShardView& view, const AtlasTask& task,
       view.world.atlas().pick_probe(task.iso2, session_rng);
   if (probe == nullptr) co_return;
   proxy::AtlasProbe local_probe = *probe;
-  local_probe.default_resolver = view.local(probe->default_resolver);
+  local_probe.default_resolver = view.stack.local(probe->default_resolver);
 
   // Atlas probes see the same weather as the proxy clients: episodes
   // centred near the probe itself (no Super Proxy leg, no DoH provider).
@@ -720,7 +710,7 @@ ShardProfile run_shard(ShardView view, int shard_index, int shard_count,
     std::vector<netsim::Task<void>> batch;
     batch.reserve(batch_cap);
     auto drain = [&] {
-      profile.events += view.sim.run();
+      profile.events += view.stack.sim().run();
       for (auto& task : batch) task.result();  // propagate exceptions
       if (stream != nullptr) {
         for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -759,7 +749,7 @@ ShardProfile run_shard(ShardView view, int shard_index, int shard_count,
     drain();
   }
   profile.arena = arena.stats();
-  profile.queue_high_water = view.sim.queue_high_water();
+  profile.queue_high_water = view.stack.sim().queue_high_water();
   profile.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
@@ -782,8 +772,8 @@ CampaignTelemetry fresh_telemetry(const CampaignConfig& config) {
 /// flow records its spans and attaches them to `recorder` at its exit;
 /// everything else the sessions record goes to scratch sinks and is
 /// dropped. Sessions are keyed by what they measure and behave
-/// epoch-relatively (the serial-vs-sharded bit-identity rests on the same
-/// property), so a replayed flow records the identical tree it would have
+/// epoch-relatively (the bit-identity across shard counts rests on the
+/// same property), so a replayed flow records the identical tree it would have
 /// recorded the first time — which is what lets the hot path examine
 /// millions of flows without materializing a single span.
 void replay_anomaly_spans(world::WorldModel& world,
@@ -794,8 +784,7 @@ void replay_anomaly_spans(world::WorldModel& world,
 
   CampaignTelemetry scratch = fresh_telemetry(config);
   const std::unique_ptr<world::SimContext> replica = world.make_replica();
-  ShardView view{world,         config,         plan,     root,
-                 replica->sim(), replica.get(), &scratch, &recorder};
+  ShardView view{world, config, plan, root, *replica, &scratch, &recorder};
 
   const std::size_t n_exit_sessions =
       static_cast<std::size_t>(config.runs_per_client) * plan.exits.size();
@@ -811,7 +800,7 @@ void replay_anomaly_spans(world::WorldModel& world,
     SessionOutput rows;  // replay output is never published
     netsim::Task<void> task =
         launch_session(view, slot, exit ? &*exit : nullptr, rows);
-    view.sim.run();
+    view.stack.sim().run();
     task.result();
   }
 }
@@ -827,57 +816,43 @@ void merge_into(CampaignTelemetry& into, const CampaignTelemetry& from) {
   into.attribution.merge(from.attribution);
 }
 
-/// Spins up the shard workers (or the serial reference path when
-/// `shards` == 0), routes each shard's rows into either the retained
-/// per-slot outputs or its private StreamSink, merges the shards'
-/// telemetry into `telemetry` in canonical shard order, runs the anomaly
-/// replay pass, and returns the shard profiles.
+/// Spins up one worker per shard, each on its own replica of the world's
+/// servers, routes each shard's rows into either the retained per-slot
+/// outputs or its private StreamSink, merges the shards' telemetry into
+/// `telemetry` in canonical shard order, runs the anomaly replay pass,
+/// and returns the shard profiles.
 std::vector<ShardProfile> execute_campaign(
     world::WorldModel& world, const CampaignConfig& config,
-    const netsim::Rng& root, const CampaignPlan& plan, int shards,
+    const netsim::Rng& root, const CampaignPlan& plan, std::size_t n_shards,
     std::vector<SessionOutput>* retained, std::vector<StreamSink>* sinks,
     CampaignTelemetry& telemetry) {
   // One set of telemetry sinks per shard; sessions record without
   // contention and everything merges below in canonical shard order.
-  const std::size_t n_shards = static_cast<std::size_t>(std::max(shards, 1));
   std::vector<CampaignTelemetry> shard_telemetry(n_shards);
   for (CampaignTelemetry& t : shard_telemetry) t = fresh_telemetry(config);
-  const auto shard = [&](int s, netsim::Simulator& sim,
-                         world::SimContext* replica) {
-    const auto si = static_cast<std::size_t>(s);
-    return run_shard(
-        ShardView{world, config, plan, root, sim, replica,
-                  &shard_telemetry[si]},
-        s, static_cast<int>(n_shards), retained,
-        sinks != nullptr ? &(*sinks)[si] : nullptr);
-  };
   std::vector<ShardProfile> profiles(n_shards);
-
-  if (shards == 0) {
-    // Serial reference path: the world's own simulator and servers.
-    profiles[0] = shard(0, world.sim(), nullptr);
-  } else {
-    std::vector<std::thread> workers;
-    std::vector<std::exception_ptr> errors(n_shards);
-    workers.reserve(n_shards);
-    for (int s = 0; s < shards; ++s) {
-      workers.emplace_back([&, s] {
-        try {
-          // Each worker builds (and owns) its replica so even the server
-          // stack replication runs in parallel.
-          const std::unique_ptr<world::SimContext> replica =
-              world.make_replica();
-          profiles[static_cast<std::size_t>(s)] =
-              shard(s, replica->sim(), replica.get());
-        } catch (...) {
-          errors[static_cast<std::size_t>(s)] = std::current_exception();
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    for (const auto& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
+  std::vector<std::exception_ptr> errors(n_shards);
+  std::vector<std::thread> workers;
+  workers.reserve(n_shards);
+  for (std::size_t s = 0; s < n_shards; ++s) {
+    workers.emplace_back([&, s] {
+      try {
+        // Each worker builds (and owns) its replica so even the server
+        // stack replication runs in parallel.
+        const std::unique_ptr<world::SimContext> replica =
+            world.make_replica();
+        profiles[s] = run_shard(
+            ShardView{world, config, plan, root, *replica, &shard_telemetry[s]},
+            static_cast<int>(s), static_cast<int>(n_shards), retained,
+            sinks != nullptr ? &(*sinks)[s] : nullptr);
+      } catch (...) {
+        errors[s] = std::current_exception();
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
 
   // Shard 0's sinks become the merged sinks by move; every later shard is
@@ -990,7 +965,7 @@ void Campaign::execute(int shards, Dataset* dataset, StreamSink* stream) {
   }
 
   stats_.shard_profiles = execute_campaign(
-      world_, config_, root, plan, shards,
+      world_, config_, root, plan, n_shards,
       dataset != nullptr ? &outputs : nullptr,
       stream != nullptr ? &sinks : nullptr, telemetry_);
 

@@ -9,13 +9,13 @@
 //
 // Execution is sharded: the retained exit nodes (and the Atlas countries)
 // are partitioned across worker threads, each with its own simulator,
-// event queue, replicated server stack (world::SimContext), and slab
-// arena for coroutine frames (netsim::Arena). Every session draws its
-// randomness from a private substream keyed by a stable identifier
-// ("shard-exit-<id>-run-<n>" / "shard-atlas-<iso2>-<i>"), never by shard
-// index or scheduling order, and the per-shard results are merged in
-// canonical order — so the output is bit-identical for every thread
-// count, including the serial reference path.
+// event queue and servers (a world::SimContext replica of the world's),
+// and slab arena for coroutine frames (netsim::Arena). Every session
+// draws its randomness from a private substream keyed by a stable
+// identifier ("shard-exit-<id>-run-<n>" / "shard-atlas-<iso2>-<i>"),
+// never by shard index or scheduling order, and the per-shard results
+// are merged in canonical order — so the output is bit-identical for
+// every shard count. No campaign runs on the world's own servers.
 //
 // One engine serves both sink modes, with one entry point per sink:
 //   * run()           -> retained-rows Dataset (paper-scale analyses;
@@ -23,7 +23,7 @@
 //   * run_streaming() -> StreamSink (million-session scale; rows folded
 //     into sketches/bitsets/counters as sessions complete, O(world)
 //     memory instead of O(sessions)).
-// Both take a shard count; 0 selects the serial reference path.
+// Both take a shard count; 0 runs as 1.
 #pragma once
 
 #include <cstdint>
@@ -128,7 +128,7 @@ struct CampaignStats {
   std::uint64_t sessions = 0;
   std::uint64_t events_processed = 0;
   double wall_seconds = 0.0;
-  /// One entry per shard (the serial reference path reports one).
+  /// One entry per shard.
   std::vector<ShardProfile> shard_profiles;
 };
 
@@ -166,10 +166,9 @@ class Campaign {
 
   explicit Campaign(world::WorldModel& world, CampaignConfig config = {});
 
-  /// Executes every session across `shards` worker threads and returns
-  /// the merged dataset. 0 shards is the serial reference path: every
-  /// session on the world's own simulator and server stack, no replicas,
-  /// no threads. Every shard count is bit-identical to it.
+  /// Executes every session across `shards` worker threads, each on its
+  /// own replica of the world's servers, and returns the merged dataset.
+  /// 0 shards runs as 1. Every shard count is bit-identical.
   [[nodiscard]] Dataset run(int shards = kConfiguredShards);
 
   /// Streaming-sink mode of run(): rows are folded into the per-shard

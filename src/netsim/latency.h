@@ -31,6 +31,8 @@ struct Site {
   /// Probability that a datagram crossing this endpoint is lost and must
   /// be retried by the application (UDP DNS has no transport recovery).
   double loss_rate = 0.0;
+
+  friend bool operator==(const Site&, const Site&) = default;
 };
 
 /// Tunables for the delay computation.

@@ -5,6 +5,7 @@
 // DNS probing but not HTTPS to arbitrary hosts, hence no DoH).
 #pragma once
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -26,7 +27,7 @@ class RipeAtlas {
  public:
   void register_probe(AtlasProbe probe);
 
-  [[nodiscard]] std::size_t probe_count() const { return probes_.size(); }
+  [[nodiscard]] std::span<const AtlasProbe> probes() const { return probes_; }
   [[nodiscard]] bool has_probes_in(const std::string& iso2) const;
 
   /// Picks a random probe in `iso2`; nullptr if none.

@@ -60,6 +60,9 @@ class RecursiveResolver {
   [[nodiscard]] const netsim::Site& site() const { return site_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::uint32_t address() const { return address_; }
+  [[nodiscard]] netsim::Duration processing_delay() const {
+    return processing_;
+  }
   [[nodiscard]] const ResolverStats& stats() const { return stats_; }
   [[nodiscard]] dns::Cache& cache() { return cache_; }
 

@@ -11,6 +11,8 @@
 #include <type_traits>
 #include <utility>
 
+#include "geo/cities.h"
+#include "geo/country.h"
 #include "netsim/random.h"
 #include "obs/trace_export.h"
 #include "report/format.h"
@@ -38,12 +40,14 @@ enum class FieldType {
   kSink,        ///< "retained" | "streaming".
 };
 
-/// Extra validation on numeric fields.
+/// Extra validation on a field's value.
 enum : unsigned {
   kNoCheck = 0,
   kProbability = 1,  ///< double in [0, 1].
   kNonNegative = 2,  ///< double >= 0.
   kPositive = 4,     ///< double > 0 / int >= 1.
+  kCountry = 8,      ///< Every string is an ISO code of geo::world_table().
+  kCity = 16,        ///< The string names a city of geo::city_table().
 };
 
 struct FieldDef {
@@ -67,7 +71,7 @@ const FieldDef kFields[] = {
     DOHPERF_SPEC_FIELD("world", "seed", kUint64, kNoCheck, world.seed),
     DOHPERF_SPEC_FIELD("world", "client_scale", kDouble, kPositive,
                        world.client_scale),
-    DOHPERF_SPEC_FIELD("world", "only_countries", kStringList, kNoCheck,
+    DOHPERF_SPEC_FIELD("world", "only_countries", kStringList, kCountry,
                        world.only_countries),
     DOHPERF_SPEC_FIELD("world", "couple_infra", kBool, kNoCheck,
                        world.couple_infra),
@@ -75,7 +79,7 @@ const FieldDef kFields[] = {
                        world.tls_version),
     DOHPERF_SPEC_FIELD("world", "perfect_anycast", kBool, kNoCheck,
                        world.perfect_anycast),
-    DOHPERF_SPEC_FIELD("world", "authority_city", kString, kNoCheck,
+    DOHPERF_SPEC_FIELD("world", "authority_city", kString, kCity,
                        world.authority_city),
     DOHPERF_SPEC_FIELD("world", "mislabel_rate", kDouble, kProbability,
                        world.mislabel_rate),
@@ -414,6 +418,21 @@ bool check_value(const FieldDef& f, double v, std::string* error) {
   return true;
 }
 
+/// A string of a kCountry or kCity field must name a row of its geo
+/// table, so the world build never meets an unknown one.
+bool check_name(const FieldDef& f, const std::string& s, std::string* error) {
+  if ((f.checks & kCountry) != 0 && geo::find_country(s) == nullptr) {
+    *error = "unknown country \"" + s +
+             "\" (not an ISO code of the world table)";
+    return false;
+  }
+  if ((f.checks & kCity) != 0 && geo::find_city(s) == nullptr) {
+    *error = "unknown city \"" + s + "\" (not in the city table)";
+    return false;
+  }
+  return true;
+}
+
 /// Sets a number field of type T: the token must read as a T, and only
 /// then is the value range-checked.
 template <typename T>
@@ -441,18 +460,25 @@ bool set_field(CampaignSpec& spec, const FieldDef& f,
   void* p = f.access(spec);
   switch (f.type) {
     case FieldType::kString: {
-      return parse_quoted(value_text, static_cast<std::string*>(p), error);
+      std::string s;
+      if (!parse_quoted(value_text, &s, error) || !check_name(f, s, error)) {
+        return false;
+      }
+      *static_cast<std::string*>(p) = std::move(s);
+      return true;
     }
     case FieldType::kStringList: {
       std::vector<std::string> tokens;
       if (!split_list(value_text, &tokens, error)) return false;
-      auto* list = static_cast<std::vector<std::string>*>(p);
-      list->clear();
+      std::vector<std::string> list;
       for (const std::string& t : tokens) {
         std::string s;
-        if (!parse_quoted(t, &s, error)) return false;
-        list->push_back(std::move(s));
+        if (!parse_quoted(t, &s, error) || !check_name(f, s, error)) {
+          return false;
+        }
+        list.push_back(std::move(s));
       }
+      *static_cast<std::vector<std::string>*>(p) = std::move(list);
       return true;
     }
     case FieldType::kBool:

@@ -29,22 +29,15 @@ resolver::RecursiveResolver resolver_from_spec(
   return r;
 }
 
-/// Instantiates a DoH server (front-end + co-located backend) from specs.
-std::unique_ptr<resolver::DohServer> doh_from_spec(
-    const DohServerSpec& spec, resolver::AuthoritativeServer* authority) {
-  return std::make_unique<resolver::DohServer>(
-      spec.hostname, spec.frontend,
-      resolver_from_spec(spec.backend, authority));
-}
-
 }  // namespace
 
 WorldModel::WorldModel(WorldConfig config)
     : config_(std::move(config)),
       rng_(config_.seed),
       origin_(dns::DomainName::parse("a.com")) {
-  build_authority();
+  locate_hosts();
   build_providers();
+  build_servers(stack_);
 
   for (const geo::Country& country : geo::world_table()) {
     if (!config_.only_countries.empty()) {
@@ -58,7 +51,7 @@ WorldModel::WorldModel(WorldConfig config)
   }
 }
 
-void WorldModel::build_authority() {
+void WorldModel::locate_hosts() {
   // Paper: the web server and BIND9 authoritative name server live in the
   // USA (we default to Ashburn, the densest US hosting metro). The city
   // is configurable because the paper flags varying the name-server
@@ -68,15 +61,10 @@ void WorldModel::build_authority() {
     throw std::invalid_argument("unknown authority city: " +
                                 config_.authority_city);
   }
-
-  netsim::Site auth_site;
-  auth_site.position = host->position;
-  auth_site.lastmile_ms = 0.5;
-  auth_site.route_inflation = 1.08;
-  auth_site.jitter_sigma = 0.04;
-
-  authority_ = std::make_unique<resolver::AuthoritativeServer>(
-      dns::Zone::make_study_zone(origin_, kWebServerAddress), auth_site);
+  authority_site_.position = host->position;
+  authority_site_.lastmile_ms = 0.5;
+  authority_site_.route_inflation = 1.08;
+  authority_site_.jitter_sigma = 0.04;
 
   // Measurement client: a university network in Illinois.
   const geo::City* chicago = geo::find_city("Chicago");
@@ -104,7 +92,6 @@ void WorldModel::build_providers() {
   } else {
     providers_ = anycast::studied_providers();
   }
-  doh_servers_.resize(providers_.size());
   doh_specs_.resize(providers_.size());
 
   bootstrap_names_.reserve(providers_.size());
@@ -116,7 +103,6 @@ void WorldModel::build_providers() {
 
   for (std::size_t p = 0; p < providers_.size(); ++p) {
     const anycast::Provider& provider = providers_[p];
-    doh_servers_[p].reserve(provider.pops().size());
     doh_specs_[p].reserve(provider.pops().size());
     for (std::size_t i = 0; i < provider.pops().size(); ++i) {
       // The PoP's long-haul legs ride its host country's transit,
@@ -125,59 +111,55 @@ void WorldModel::build_providers() {
           geo::find_country(provider.pops()[i].country_iso2);
       const CountryNetProfile host_profile =
           profile_for(*host, config_.couple_infra);
-      DohServerSpec spec;
-      spec.hostname = provider.config().doh_hostname;
-      spec.frontend =
-          provider.frontend_site(i, host_profile.route_inflation);
-      spec.backend = ResolverSpec{
-          provider.name() + "@" + provider.pops()[i].city,
-          provider.backend_site(i, host_profile.route_inflation),
-          next_address_++,
-          netsim::from_ms(provider.config().processing_ms),
-          provider.config().sends_ecs ? resolver::EcsPolicy::kForwardSlash24
-                                      : resolver::EcsPolicy::kNever};
-      doh_servers_[p].push_back(doh_from_spec(spec, authority_.get()));
-      doh_specs_[p].push_back(std::move(spec));
+      doh_specs_[p].push_back(DohServerSpec{
+          provider.config().doh_hostname,
+          provider.frontend_site(i, host_profile.route_inflation),
+          ResolverSpec{
+              provider.name() + "@" + provider.pops()[i].city,
+              provider.backend_site(i, host_profile.route_inflation),
+              next_address_++,
+              netsim::from_ms(provider.config().processing_ms),
+              provider.config().sends_ecs
+                  ? resolver::EcsPolicy::kForwardSlash24
+                  : resolver::EcsPolicy::kNever}});
     }
   }
 }
 
-void WorldModel::prewarm_bootstrap_names(resolver::RecursiveResolver& r,
-                                         netsim::SimTime now) const {
+void WorldModel::build_servers(SimContext& ctx) const {
+  ctx.authority_ = std::make_unique<resolver::AuthoritativeServer>(
+      dns::Zone::make_study_zone(origin_, kWebServerAddress),
+      authority_site_);
+  ctx.doh_.resize(doh_specs_.size());
+  for (std::size_t p = 0; p < doh_specs_.size(); ++p) {
+    ctx.doh_[p].reserve(doh_specs_[p].size());
+    for (const DohServerSpec& spec : doh_specs_[p]) {
+      ctx.doh_[p].push_back(std::make_unique<resolver::DohServer>(
+          spec.hostname, spec.frontend,
+          resolver_from_spec(spec.backend, ctx.authority_.get())));
+    }
+  }
+}
+
+resolver::RecursiveResolver& WorldModel::add_isp_resolver(
+    SimContext& ctx, const ResolverSpec& spec) const {
+  resolver::RecursiveResolver& r = ctx.resolvers_.emplace_back(
+      resolver_from_spec(spec, ctx.authority_.get()));
   for (const auto& [host, vip] : bootstrap_names_) {
     dns::ResourceRecord a;
     a.name = host;
     a.ttl = 1000000000;  // never expires within a campaign
     a.rdata = dns::ARecord{vip};
-    r.cache().insert(now, host, dns::RecordType::kA, {a});
+    r.cache().insert(ctx.sim_.now(), host, dns::RecordType::kA, {a});
   }
+  return r;
 }
 
 std::unique_ptr<SimContext> WorldModel::make_replica() const {
-  auto ctx = std::unique_ptr<SimContext>(new SimContext);
-  ctx->authority_ = std::make_unique<resolver::AuthoritativeServer>(
-      authority_->zone(), authority_->site(), authority_->processing_delay());
-
-  ctx->doh_.resize(doh_specs_.size());
-  for (std::size_t p = 0; p < doh_specs_.size(); ++p) {
-    ctx->doh_[p].reserve(doh_specs_[p].size());
-    for (const DohServerSpec& spec : doh_specs_[p]) {
-      ctx->doh_[p].push_back(doh_from_spec(spec, ctx->authority_.get()));
-    }
-  }
-
-  for (std::size_t i = 0; i < isp_specs_.size(); ++i) {
-    ctx->resolvers_.push_back(
-        resolver_from_spec(isp_specs_[i], ctx->authority_.get()));
-    prewarm_bootstrap_names(ctx->resolvers_.back(), ctx->sim_.now());
-    ctx->remap_[&isp_resolvers_[i]] = &ctx->resolvers_.back();
-  }
+  auto ctx = std::unique_ptr<SimContext>(new SimContext(&resolver_index_));
+  build_servers(*ctx);
+  for (const ResolverSpec& spec : isp_specs_) add_isp_resolver(*ctx, spec);
   return ctx;
-}
-
-resolver::DohServer& WorldModel::doh_server(std::size_t provider_index,
-                                            std::size_t pop_index) {
-  return *doh_servers_.at(provider_index).at(pop_index);
 }
 
 std::span<resolver::RecursiveResolver* const> WorldModel::isp_resolvers(
@@ -214,20 +196,15 @@ void WorldModel::build_country(const geo::Country& country) {
       site.route_inflation *= 2.5;
     }
     // ISP resolvers commonly forward ECS so CDNs can localise answers.
-    ResolverSpec spec{iso2 + "-isp" + std::to_string(i), site,
-                      next_address_++, netsim::from_ms(processing_ms),
-                      resolver::EcsPolicy::kForwardSlash24};
-    isp_resolvers_.push_back(resolver_from_spec(spec, authority_.get()));
-    isp_specs_.push_back(std::move(spec));
-    resolvers.push_back(&isp_resolvers_.back());
-    all_resolvers_.push_back(&isp_resolvers_.back());
-  }
-
-  // Pre-warm each resolver's cache with the provider DoH hostnames; these
-  // are among the hottest names on the Internet and never miss in
-  // practice.
-  for (resolver::RecursiveResolver* r : resolvers) {
-    prewarm_bootstrap_names(*r, sim_.now());
+    // Their caches start with the provider DoH hostnames, among the
+    // hottest names on the Internet, which never miss in practice.
+    isp_specs_.push_back(ResolverSpec{
+        iso2 + "-isp" + std::to_string(i), site, next_address_++,
+        netsim::from_ms(processing_ms), resolver::EcsPolicy::kForwardSlash24});
+    resolver::RecursiveResolver& r =
+        add_isp_resolver(stack_, isp_specs_.back());
+    resolver_index_.emplace(&r, isp_specs_.size() - 1);
+    resolvers.push_back(&r);
   }
 
   isp_by_country_[iso2] = resolvers;
@@ -278,12 +255,13 @@ void WorldModel::build_country(const geo::Country& country) {
       const double remote_rate =
           config_.remote_dns_rate *
           (0.4 + 0.6 * std::min(1.0, country.bandwidth_mbps / 40.0));
+      std::deque<resolver::RecursiveResolver>& all = stack_.resolvers_;
       if (country_rng.bernoulli(remote_rate) &&
-          all_resolvers_.size() > static_cast<std::size_t>(n_resolvers)) {
+          all.size() > static_cast<std::size_t>(n_resolvers)) {
         // DNS backhauled to a resolver somewhere else entirely.
-        node.default_resolver = all_resolvers_[static_cast<std::size_t>(
+        node.default_resolver = &all[static_cast<std::size_t>(
             country_rng.uniform_int(
-                0, static_cast<std::int64_t>(all_resolvers_.size()) - 1))];
+                0, static_cast<std::int64_t>(all.size()) - 1))];
       } else {
         node.default_resolver = resolvers[static_cast<std::size_t>(
             country_rng.uniform_int(0, n_resolvers - 1))];

@@ -45,13 +45,15 @@ struct DohServerSpec {
   ResolverSpec backend;
 };
 
-/// Per-shard mutable simulation state: a private clock + event queue and a
-/// private copy of every server whose internal state evolves while a
-/// campaign runs (the authoritative server, the DoH fleets, and the ISP
-/// resolvers with their caches). The immutable world — geo tables, PoP
-/// catalogs, provider configs, the exit-node population, the geolocation
-/// database — stays inside WorldModel and is shared read-only across any
-/// number of concurrently-running SimContexts.
+/// The mutable half of the world: a private clock + event queue and every
+/// server whose internal state evolves while flows run (the authoritative
+/// server, the DoH fleets, and the ISP resolvers with their caches). The
+/// world owns one, on which its one-off flows run; every campaign shard
+/// and the anomaly replay run on a fresh one from make_replica(). The
+/// immutable world — geo tables, PoP catalogs, provider configs, the
+/// exit-node population, the geolocation database — stays inside
+/// WorldModel and is shared read-only across any number of
+/// concurrently-running SimContexts.
 class SimContext {
  public:
   SimContext(const SimContext&) = delete;
@@ -65,25 +67,28 @@ class SimContext {
                                                 std::size_t pop_index) {
     return *doh_.at(provider_index).at(pop_index);
   }
-  /// This shard's clone of a world-owned ISP resolver (exit nodes and
-  /// Atlas probes point at the world's instances; measurements must run
-  /// against the shard-local copies).
+  /// This context's copy of one of the world's ISP resolvers (exit nodes
+  /// and Atlas probes point at the world's own; a replica's measurements
+  /// must run against its copies).
   [[nodiscard]] resolver::RecursiveResolver* local(
-      const resolver::RecursiveResolver* world_resolver) const {
-    return remap_.at(world_resolver);
+      const resolver::RecursiveResolver* world_resolver) {
+    return &resolvers_[world_index_->at(world_resolver)];
   }
 
  private:
   friend class WorldModel;
-  SimContext() = default;
+  /// World resolver -> its position in every context's `resolvers_`.
+  using ResolverIndex =
+      std::unordered_map<const resolver::RecursiveResolver*, std::size_t>;
+  explicit SimContext(const ResolverIndex* world_index)
+      : world_index_(world_index) {}
 
   netsim::Simulator sim_;
   std::unique_ptr<resolver::AuthoritativeServer> authority_;
   std::vector<std::vector<std::unique_ptr<resolver::DohServer>>> doh_;
   std::deque<resolver::RecursiveResolver> resolvers_;
-  std::unordered_map<const resolver::RecursiveResolver*,
-                     resolver::RecursiveResolver*>
-      remap_;
+  /// Owned by the world, which outlives every context it builds.
+  const ResolverIndex* world_index_;
 };
 
 /// World construction parameters.
@@ -122,7 +127,7 @@ class WorldModel {
   WorldModel(const WorldModel&) = delete;
   WorldModel& operator=(const WorldModel&) = delete;
 
-  /// Runs one flow to completion on this world's own simulator, latency
+  /// Runs one flow to completion on this world's own SimContext, latency
   /// model and RNG, and returns its result (rethrowing what it threw).
   /// `launch(net)` gets a fresh context, may attach spans, metrics or a
   /// ledger to it, and returns the started Task. The simulator then runs
@@ -130,16 +135,16 @@ class WorldModel {
   /// where one-off flows keep netsim::Task's lifetime contract.
   template <typename Launch>
   auto run_flow(Launch&& launch) {
-    netsim::NetCtx net{sim_, latency_, rng_};
+    netsim::NetCtx net{stack_.sim(), latency_, rng_};
     auto task = std::forward<Launch>(launch)(net);
-    sim_.run();
+    stack_.sim().run();
     if (!task.done()) {
       throw std::logic_error("run_flow: the flow outlived its events");
     }
     return task.await_resume();
   }
 
-  [[nodiscard]] netsim::Simulator& sim() { return sim_; }
+  [[nodiscard]] netsim::Simulator& sim() { return stack_.sim(); }
   [[nodiscard]] netsim::Rng& rng() { return rng_; }
   [[nodiscard]] const netsim::LatencyModel& latency() const {
     return latency_;
@@ -147,7 +152,7 @@ class WorldModel {
   [[nodiscard]] const WorldConfig& config() const { return config_; }
 
   [[nodiscard]] resolver::AuthoritativeServer& authority() {
-    return *authority_;
+    return stack_.authority();
   }
   /// Where the study's measurement client runs (paper: Illinois, USA).
   [[nodiscard]] const netsim::Site& measurement_client() const {
@@ -161,7 +166,9 @@ class WorldModel {
   }
   /// DoH front-end serving PoP `pop_index` of provider `provider_index`.
   [[nodiscard]] resolver::DohServer& doh_server(std::size_t provider_index,
-                                                std::size_t pop_index);
+                                                std::size_t pop_index) {
+    return stack_.doh_server(provider_index, pop_index);
+  }
 
   [[nodiscard]] proxy::BrightDataNetwork& brightdata() {
     return brightdata_;
@@ -182,46 +189,46 @@ class WorldModel {
     return brightdata_.exit_count();
   }
 
-  /// Builds a fresh per-shard simulation context whose servers replicate
-  /// this world's at campaign start — same sites, addresses, processing
-  /// delays, zone data, and pre-warmed caches — but whose mutable state
-  /// (clock, event queue, caches, counters) is private. Thread-safe:
-  /// only reads the recorded build specs.
+  /// Builds a fresh simulation context whose servers replicate this
+  /// world's as built — same sites, addresses, processing delays, zone
+  /// data, and pre-warmed caches — but whose mutable state (clock, event
+  /// queue, caches, counters) is private. Thread-safe: only reads the
+  /// recorded build specs.
   [[nodiscard]] std::unique_ptr<SimContext> make_replica() const;
 
  private:
-  void build_authority();
+  void locate_hosts();
   void build_providers();
   void build_country(const geo::Country& country);
-  /// Inserts the never-expiring provider-hostname A records (the
-  /// ultra-hot bootstrap names) into `r`'s cache.
-  void prewarm_bootstrap_names(resolver::RecursiveResolver& r,
-                               netsim::SimTime now) const;
+  /// Builds `ctx`'s authority and DoH fleets from the recorded specs.
+  /// With add_isp_resolver(), the one place servers are built, for the
+  /// world's own context and every replica alike.
+  void build_servers(SimContext& ctx) const;
+  /// Adds the ISP resolver `spec` records to `ctx`, with the
+  /// never-expiring provider-hostname A records (the ultra-hot bootstrap
+  /// names) in its cache.
+  resolver::RecursiveResolver& add_isp_resolver(SimContext& ctx,
+                                                const ResolverSpec& spec) const;
 
   WorldConfig config_;
-  netsim::Simulator sim_;
   netsim::LatencyModel latency_;
   netsim::Rng rng_;
 
   dns::DomainName origin_;
   netsim::Site measurement_client_;
-  std::unique_ptr<resolver::AuthoritativeServer> authority_;
+  netsim::Site authority_site_;
 
   std::vector<anycast::Provider> providers_;
-  /// doh_servers_[provider][pop].
-  std::vector<std::vector<std::unique_ptr<resolver::DohServer>>> doh_servers_;
-  /// Build-time records mirroring doh_servers_ / isp_resolvers_, consumed
-  /// by make_replica().
+  /// Recorded build parameters of every server: doh_specs_[provider][pop],
+  /// and the ISP resolvers in build order.
   std::vector<std::vector<DohServerSpec>> doh_specs_;
   std::vector<ResolverSpec> isp_specs_;
   /// (hostname, anycast VIP) pairs pre-warmed into every ISP resolver.
   std::vector<std::pair<dns::DomainName, std::uint32_t>> bootstrap_names_;
+  SimContext::ResolverIndex resolver_index_;
+  /// The world's own servers; exit nodes and probes point into them.
+  SimContext stack_{&resolver_index_};
 
-  /// Stable-address storage for ISP resolvers.
-  std::deque<resolver::RecursiveResolver> isp_resolvers_;
-  /// Flat view of every ISP resolver built so far (for clients whose ISP
-  /// backhauls DNS to a remote resolver).
-  std::vector<resolver::RecursiveResolver*> all_resolvers_;
   std::unordered_map<std::string, std::vector<resolver::RecursiveResolver*>>
       isp_by_country_;
   std::vector<std::string> country_codes_;

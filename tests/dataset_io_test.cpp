@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "measure/dataset_io.h"
+#include "scratch_path.h"
 
 namespace dohperf::measure {
 namespace {
@@ -53,9 +54,7 @@ Dataset sample_dataset() {
 }
 
 std::string temp_dir(const char* name) {
-  const auto dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
-  return dir.string();
+  return tests::scratch_path(name).string();
 }
 
 TEST(DatasetIoTest, RoundTripsExactly) {

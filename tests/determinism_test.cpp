@@ -1,12 +1,13 @@
 // Sharding determinism regression tests.
 //
 // The campaign's contract: the merged dataset is BIT-identical for every
-// shard count, and identical to the serial reference path
-// (Campaign::run with 0 shards). Every field is compared exactly — doubles
-// included — because sharding must not perturb a single bit of output.
-// A small world (client_scale = 0.05) keeps each campaign around a
-// second; each run builds a fresh world from the same seed since a
-// campaign warms the world's mutable server state.
+// shard count. Every shard runs on its own replica of the world's servers
+// (world::WorldModel::make_replica), and Campaign::run with 0 shards runs
+// as one shard; the "serial" golden runs below are those 0-shard runs.
+// Every field is compared exactly — doubles included — because sharding
+// must not perturb a single bit of output. A small world
+// (client_scale = 0.05) keeps each campaign around a second; each run
+// builds a fresh world from the same seed.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -100,9 +101,9 @@ void expect_identical(const Dataset& a, const Dataset& b) {
   }
 }
 
-// Golden reference: the serial path on the world's own simulator, shared
-// by every comparison below (campaigns are deterministic, so one run
-// serves as the fixture).
+// Golden reference: one 0-shard run (one shard on one replica), shared by
+// every comparison below (campaigns are deterministic, so one run serves
+// as the fixture).
 const Dataset& golden_serial() {
   static const Dataset data = [] {
     auto world = fresh_world();
@@ -149,7 +150,7 @@ obs::Metrics metrics_with_shards(int threads) {
 
 // The merged metrics registry carries the same contract as the dataset:
 // integer-only arithmetic, canonical-order merge, hence bit-identical
-// for every DOHPERF_THREADS value and for the serial reference path.
+// for every DOHPERF_THREADS value and for a 0-shard run.
 TEST(DeterminismTest, MergedMetricsIdenticalAcrossShardCounts) {
   const obs::Metrics serial = metrics_with_shards(0);
   EXPECT_GT(serial.counters.doh_queries, 0u);
@@ -235,7 +236,7 @@ TEST(DeterminismTest, FaultMetricsIdenticalAcrossShardCounts) {
 // connection pool, and records per-query-index histograms — all from the
 // session's private substream, with the model built once on the main
 // thread and shared read-only. Dataset, metrics, and series must stay
-// bit-identical at serial/1/2/4 shards with the whole feature on.
+// bit-identical at 0/1/2/4 shards with the whole feature on.
 CampaignConfig warm_config(int threads) {
   CampaignConfig config = campaign_config(threads);
   config.cache.enabled = true;
@@ -366,7 +367,7 @@ TEST(DeterminismTest, ObservabilityOutputsBitIdenticalAcrossShardCounts) {
 // virtual campaign-time axis (session_spacing), recurring provider
 // outage + regional blackout schedules windowed on that axis, outcome
 // classification at flow completion, and burn-rate evaluation over the
-// merged integer cells. All of it must be bit-identical at serial/1/2/4
+// merged integer cells. All of it must be bit-identical at 0/1/2/4
 // shards — tracker cells, the rendered availability CSV, and the alert
 // event stream.
 CampaignConfig slo_fault_config(int threads) {
@@ -450,7 +451,7 @@ TEST(DeterminismTest, ShardProfilesCoverAllSessionsAndEvents) {
 // --- Streaming sink ---------------------------------------------------
 // The streaming campaign folds rows into sketches/bitsets/counters as
 // sessions complete instead of retaining them. Its determinism contract
-// is the same: every aggregate bit-identical at serial/1/2/4 shards, and
+// is the same: every aggregate bit-identical at 0/1/2/4 shards, and
 // the fig4/fig5 CSVs built from the sink must be stable strings.
 
 CampaignConfig stream_config(int threads) {

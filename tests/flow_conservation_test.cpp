@@ -49,7 +49,7 @@ CampaignConfig make_config(Config which) {
   return config;
 }
 
-/// (config, sink mode, shards); 0 shards is the serial reference path.
+/// (config, sink mode, shards); 0 shards runs as one shard ("Serial").
 using Case = std::tuple<Config, Sink, int>;
 
 class FlowConservationTest : public ::testing::TestWithParam<Case> {};

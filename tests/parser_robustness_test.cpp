@@ -39,6 +39,7 @@
 #include "transport/base64.h"
 #include "transport/http.h"
 #include "world/world_model.h"
+#include "scratch_path.h"
 
 namespace dohperf {
 namespace {
@@ -519,8 +520,7 @@ TEST(CsvMutationTest, SavedDatasetRejectsEveryMutant) {
   data.discarded_mismatch = 3;
   data.failed_measurements = 9;
 
-  const fs::path dir = fs::path(::testing::TempDir()) / "dohperf_csv_mutants";
-  fs::remove_all(dir);
+  const fs::path dir = tests::scratch_path("dohperf_csv_mutants");
   measure::save_dataset(data, dir.string());
   using enum Col;
   const std::map<std::string, ColumnTypes> files = {
@@ -639,8 +639,7 @@ TEST(CsvMutationTest, ObsReportRejectsEveryMutantOfItsInputs) {
     recorder.attach_spans(key, flow.spans());
   }
 
-  const fs::path dir = fs::path(::testing::TempDir()) / "dohperf_obs_mutants";
-  fs::remove_all(dir);
+  const fs::path dir = tests::scratch_path("dohperf_obs_mutants");
   fs::create_directories(dir);
   ASSERT_EQ(report::write_anomaly_dumps(recorder, dir.string()), 2u);
   const std::map<std::string, std::string> valid = {

@@ -171,7 +171,7 @@ TEST(AtlasTest, RegisterAndPick) {
   atlas.register_probe(probe);
 
   EXPECT_TRUE(atlas.has_probes_in("DE"));
-  EXPECT_EQ(atlas.probe_count(), 1u);
+  EXPECT_EQ(atlas.probes().size(), 1u);
   ASSERT_NE(atlas.pick_probe("DE", rng), nullptr);
 }
 

@@ -43,6 +43,7 @@
 #include "scenario/spec.h"
 #include "web/pageload.h"
 #include "world/world_model.h"
+#include "scratch_path.h"
 
 namespace dohperf {
 namespace {
@@ -193,8 +194,7 @@ std::string read_file(const std::filesystem::path& path) {
 TEST(RenderDigestTest, WrittenFilesAreTheStampedRenderings) {
   scenario::RunResult r = result();
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "dohperf_render_digest";
-  std::filesystem::remove_all(dir);
+      tests::scratch_path("dohperf_render_digest");
   scenario::OutputsSpec& out = r.spec.outputs;
   out.series_csv = (dir / "series.csv").string();
   out.openmetrics = (dir / "series.om").string();

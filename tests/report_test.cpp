@@ -26,6 +26,7 @@
 #include "report/slo.h"
 #include "report/table.h"
 #include "report/timeseries.h"
+#include "scratch_path.h"
 
 namespace dohperf::report {
 namespace {
@@ -89,7 +90,7 @@ TEST(CsvTest, QuotesSpecialCharacters) {
 }
 
 TEST(CsvTest, WritesFile) {
-  const std::string path = ::testing::TempDir() + "/dohperf_csv_test.csv";
+  const std::string path = tests::scratch_path("dohperf_csv_test.csv");
   CsvWriter csv({"x"});
   csv.add_row({"42"});
   csv.write_file(path);
@@ -105,9 +106,7 @@ TEST(CsvTest, WritesFile) {
 TEST(CsvTest, WriteFileCreatesMissingParentDirectories) {
   CsvWriter csv({"x"});
   csv.add_row({"1"});
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "dohperf_csv_test_dir";
-  std::filesystem::remove_all(dir);
+  const std::filesystem::path dir = tests::scratch_path("dohperf_csv_test_dir");
   const std::filesystem::path path = dir / "nested" / "out.csv";
   csv.write_file(path.string());  // must not throw: parents are created
   EXPECT_TRUE(std::filesystem::exists(path));
@@ -337,9 +336,7 @@ TEST(AnomalyReportTest, IndexCsvAndDumpsMatchRetainedRecords) {
   EXPECT_EQ((*parsed)[1][4], "slow_flow");
   EXPECT_EQ((*parsed)[1][7], "anomaly-7-1.json");
 
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "dohperf_anomaly_test";
-  std::filesystem::remove_all(dir);
+  const std::filesystem::path dir = tests::scratch_path("dohperf_anomaly_test");
   std::filesystem::create_directories(dir);
   EXPECT_EQ(write_anomaly_dumps(recorder, dir.string()), 1u);
   EXPECT_TRUE(std::filesystem::exists(dir / "anomalies.csv"));
@@ -352,7 +349,7 @@ TEST(CsvTest, WriteFileFailureThrows) {
   // A regular file in the parent chain defeats both the directory
   // creation and the open, so the failure still surfaces as a throw.
   const std::filesystem::path blocker =
-      std::filesystem::temp_directory_path() / "dohperf_csv_blocker";
+      tests::scratch_path("dohperf_csv_blocker");
   { std::ofstream(blocker.string()) << "x"; }
   EXPECT_THROW(csv.write_file((blocker / "nested.csv").string()),
                std::runtime_error);
@@ -376,8 +373,7 @@ TEST(CsvTest, FailedFinalFlushThrows) {
 
 TEST(WriteTextFileTest, RewriteReplacesThePreviousFileUnderItsReaders) {
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "dohperf_writer_replace";
-  std::filesystem::remove_all(dir);
+      tests::scratch_path("dohperf_writer_replace");
   const std::filesystem::path path = dir / "out.csv";
   obs::write_text_file(path.string(), "the previous, longer run\n");
   std::filesystem::create_hard_link(path, dir / "kept.csv");
@@ -397,8 +393,7 @@ TEST(WriteTextFileTest, RewriteReplacesThePreviousFileUnderItsReaders) {
 
 TEST(WriteTextFileTest, SymlinkStaysAndItsTargetGetsTheNewBytes) {
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "dohperf_writer_symlink";
-  std::filesystem::remove_all(dir);
+      tests::scratch_path("dohperf_writer_symlink");
   const std::filesystem::path target = dir / "target.csv";
   const std::filesystem::path link = dir / "link.csv";
   obs::write_text_file(target.string(), "previous\n");

@@ -159,6 +159,51 @@ TEST(ScenarioSpecTest, TypeAndRangeDefectsAreDiagnosed) {
             std::string::npos);
 }
 
+// A country list entry must be an ISO code of the world table, and the
+// authority city a city of the city table: the parser, the overrides and
+// the sweep validator all say so in one line naming the key and the name,
+// where the world build would drop a country or abort on a city.
+TEST(ScenarioSpecTest, UnknownCountriesAndCitiesAreRejected) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"[world]\nonly_countries = [\"XX\"]\n",
+       "<memory>:2: key \"world.only_countries\": unknown country \"XX\""},
+      {"[world]\nonly_countries = [\"SE\", \"se\"]\n",
+       "<memory>:2: key \"world.only_countries\": unknown country \"se\""},
+      {"[world]\nauthority_city = \"Nowhere\"\n",
+       "<memory>:2: key \"world.authority_city\": unknown city \"Nowhere\""},
+      {"[sweep]\nworld.authority_city = [\"Ashburn\", \"Nowhere\"]\n",
+       "<memory>:2: key \"world.authority_city\": unknown city \"Nowhere\""},
+  };
+  for (const auto& [text, diagnostic] : cases) {
+    const std::string error = parse_error(text);
+    EXPECT_NE(error.find(diagnostic), std::string::npos) << error;
+    EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+  }
+
+  const scenario::SpecDocument valid = parse_ok(
+      "[world]\nonly_countries = [\"SE\", \"BR\"]\n"
+      "authority_city = \"Frankfurt\"\n");
+  EXPECT_EQ(valid.base.world.only_countries,
+            (std::vector<std::string>{"SE", "BR"}));
+  EXPECT_EQ(valid.base.world.authority_city, "Frankfurt");
+  EXPECT_EQ(parse_ok(scenario::canonical_text(valid)).base.world.only_countries,
+            valid.base.world.only_countries);
+
+  // A rejected override leaves the field as it was.
+  scenario::CampaignSpec spec = valid.base;
+  std::string error;
+  EXPECT_FALSE(scenario::set_override(spec, "--countries",
+                                      "world.only_countries", "SE,XX", &error));
+  EXPECT_EQ(error, "--countries: key \"world.only_countries\": unknown "
+                   "country \"XX\" (not an ISO code of the world table)");
+  EXPECT_FALSE(scenario::set_override(spec, "--city", "world.authority_city",
+                                      "Atlantis", &error));
+  EXPECT_EQ(error.rfind("--city: key \"world.authority_city\": ", 0), 0u)
+      << error;
+  EXPECT_EQ(spec.world.only_countries, valid.base.world.only_countries);
+  EXPECT_EQ(spec.world.authority_city, "Frankfurt");
+}
+
 // Every spec number is read by the number rule: the whole token must
 // read as the field's type, and only then is its range checked. Each
 // type's bound parses; one past it is one diagnostic naming the key.

@@ -2,9 +2,11 @@
 // assembled ecosystem.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 
+#include "measure/flows.h"
 #include "scenario/spec.h"
 #include "world/sites.h"
 #include "world/world_model.h"
@@ -156,6 +158,150 @@ TEST_F(WorldFixture, BootstrapNamesArePrewarmed) {
       EXPECT_TRUE(hit.has_value()) << provider.name();
     }
   }
+}
+
+// --- Replicas -----------------------------------------------------------
+// Every campaign shard and the anomaly replay run on make_replica(): the
+// world's servers rebuilt from their recorded specs.
+
+void expect_same_resolver(const resolver::RecursiveResolver& copy,
+                          const resolver::RecursiveResolver& original) {
+  EXPECT_NE(&copy, &original) << original.name();
+  EXPECT_EQ(copy.name(), original.name());
+  EXPECT_EQ(copy.address(), original.address()) << original.name();
+  EXPECT_EQ(copy.site(), original.site()) << original.name();
+  EXPECT_EQ(copy.processing_delay(), original.processing_delay())
+      << original.name();
+  EXPECT_EQ(copy.ecs_policy(), original.ecs_policy()) << original.name();
+}
+
+TEST_F(WorldFixture, ReplicaServersEqualTheWorlds) {
+  WorldModel& w = world();
+  const std::unique_ptr<SimContext> replica = w.make_replica();
+
+  resolver::AuthoritativeServer& authority = w.authority();
+  resolver::AuthoritativeServer& authority_copy = replica->authority();
+  EXPECT_NE(&authority_copy, &authority);
+  EXPECT_EQ(authority_copy.zone().origin(), authority.zone().origin());
+  EXPECT_EQ(authority_copy.zone().soa(), authority.zone().soa());
+  EXPECT_EQ(authority_copy.zone().record_count(),
+            authority.zone().record_count());
+  for (const dns::DomainName& name :
+       {w.origin(), w.origin().with_subdomain("ns1"),
+        w.origin().with_subdomain("probe")}) {
+    EXPECT_EQ(authority_copy.zone().lookup(name, dns::RecordType::kA).answers,
+              authority.zone().lookup(name, dns::RecordType::kA).answers)
+        << name.to_string();
+  }
+  EXPECT_EQ(authority_copy.site(), authority.site());
+  EXPECT_EQ(authority_copy.processing_delay(), authority.processing_delay());
+
+  for (std::size_t p = 0; p < w.providers().size(); ++p) {
+    for (std::size_t i = 0; i < w.providers()[p].pops().size(); ++i) {
+      resolver::DohServer& doh = w.doh_server(p, i);
+      resolver::DohServer& doh_copy = replica->doh_server(p, i);
+      EXPECT_NE(&doh_copy, &doh);
+      EXPECT_EQ(doh_copy.hostname(), doh.hostname());
+      EXPECT_EQ(doh_copy.site(), doh.site()) << doh.resolver().name();
+      expect_same_resolver(doh_copy.resolver(), doh.resolver());
+    }
+  }
+
+  std::size_t resolvers = 0;
+  for (const std::string& iso2 : w.countries()) {
+    for (resolver::RecursiveResolver* r : w.isp_resolvers(iso2)) {
+      ++resolvers;
+      resolver::RecursiveResolver* copy = replica->local(r);
+      expect_same_resolver(*copy, *r);
+      for (const anycast::Provider& provider : w.providers()) {
+        const auto host =
+            dns::DomainName::parse(provider.config().doh_hostname);
+        const auto warm =
+            r->cache().lookup(w.sim().now(), host, dns::RecordType::kA);
+        ASSERT_TRUE(warm.has_value()) << r->name() << " " << provider.name();
+        EXPECT_EQ(copy->cache().lookup(replica->sim().now(), host,
+                                       dns::RecordType::kA),
+                  warm)
+            << r->name() << " " << provider.name();
+      }
+    }
+  }
+  EXPECT_GT(resolvers, w.countries().size());
+}
+
+TEST_F(WorldFixture, ReplicaLocalMapsEveryDefaultResolver) {
+  WorldModel& w = world();
+  const std::unique_ptr<SimContext> replica = w.make_replica();
+  const auto expect_mapped = [&](resolver::RecursiveResolver* original) {
+    ASSERT_NE(original, nullptr);
+    const resolver::RecursiveResolver* copy = replica->local(original);
+    EXPECT_NE(copy, original) << original->name();
+    EXPECT_EQ(copy->name(), original->name());
+  };
+  std::size_t exits = 0;
+  for (const std::string& iso2 : w.countries()) {
+    for (const std::uint64_t id : w.brightdata().exits_in(iso2)) {
+      expect_mapped(w.brightdata().find(id)->default_resolver);
+      ++exits;
+    }
+  }
+  EXPECT_EQ(exits, w.exit_count());
+  ASSERT_FALSE(w.atlas().probes().empty());
+  for (const proxy::AtlasProbe& probe : w.atlas().probes()) {
+    expect_mapped(probe.default_resolver);
+  }
+}
+
+TEST(ReplicaTest, FlowsOnAFreshReplicaMatchTheWorld) {
+  WorldConfig config;
+  config.seed = 5;
+  config.client_scale = 0.1;
+  config.only_countries = {"SE", "BR"};
+  WorldModel w(config);
+  const std::unique_ptr<SimContext> replica = w.make_replica();
+  const proxy::ExitNode* exit =
+      w.brightdata().find(w.brightdata().exits_in("BR").front());
+  const dns::DomainName probe = w.origin().with_subdomain("replica-probe");
+
+  // The world's flows draw from its RNG; the replica's from a copy taken
+  // before them, so both runs start from equal seeds.
+  netsim::Rng rng = w.rng();
+  const double do53 = w.run_flow([&](netsim::NetCtx& net) {
+    return measure::do53_direct(net, exit->site, exit->default_resolver,
+                                probe);
+  });
+  const measure::DirectDohObservation doh =
+      w.run_flow([&](netsim::NetCtx& net) {
+        return measure::doh_direct(net, exit->site, exit->default_resolver,
+                                   w.doh_server(0, 0),
+                                   transport::TlsVersion::kTls13, w.origin());
+      });
+
+  netsim::NetCtx net{replica->sim(), w.latency(), rng};
+  resolver::RecursiveResolver* local = replica->local(exit->default_resolver);
+  netsim::Task<double> do53_task =
+      measure::do53_direct(net, exit->site, local, probe);
+  replica->sim().run();
+  netsim::Task<measure::DirectDohObservation> doh_task = measure::doh_direct(
+      net, exit->site, local, replica->doh_server(0, 0),
+      transport::TlsVersion::kTls13, w.origin());
+  replica->sim().run();
+
+  ASSERT_TRUE(doh.ok);
+  EXPECT_GT(do53, 0.0);
+  EXPECT_EQ(do53_task.result(), do53);
+  const measure::DirectDohObservation& copy = doh_task.result();
+  EXPECT_EQ(copy.ok, doh.ok);
+  EXPECT_EQ(copy.http_status, doh.http_status);
+  EXPECT_EQ(copy.dns_ms, doh.dns_ms);
+  EXPECT_EQ(copy.connect_ms, doh.connect_ms);
+  EXPECT_EQ(copy.tls_ms, doh.tls_ms);
+  EXPECT_EQ(copy.query_ms, doh.query_ms);
+  ASSERT_EQ(copy.has_reuse(), doh.has_reuse());
+  if (doh.has_reuse()) {
+    EXPECT_EQ(copy.reuse_ms, doh.reuse_ms);
+  }
+  EXPECT_EQ(replica->sim().now(), w.sim().now());
 }
 
 TEST_F(WorldFixture, ExitNodesAreRegisteredWithMaxmind) {
