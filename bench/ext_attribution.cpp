@@ -97,9 +97,8 @@ int bench() {
   for (const auto& iso2 : world.countries()) {
     const proxy::ExitNode* exit = world.brightdata().pick_exit(iso2, rng);
     if (exit == nullptr) continue;
-    const geo::Country* country = geo::find_country(exit->true_iso2);
     const std::size_t pop =
-        provider.route(exit->site.position, country->region, rng);
+        provider.route(exit->site.position, exit->anycast_region, rng);
     auto& server = world.doh_server(0, pop);
 
     // Each flow records into `ledger` under (provider, country).

@@ -109,13 +109,12 @@ BudgetLine run_strategy(world::WorldModel& world,
                         int samples) {
   obs::SloTracker tracker(spec.campaign.slo);
   netsim::Rng rng = world.rng().split("slo-strategy-" + name);
-  const geo::Country* country = geo::find_country("SE");
   auto& provider = world.providers()[0];
   for (int i = 0; i < samples; ++i) {
     const proxy::ExitNode* exit = world.brightdata().pick_exit("SE", rng);
     if (exit == nullptr) break;
     const std::size_t pop =
-        provider.route(exit->site.position, country->region, rng);
+        provider.route(exit->site.position, exit->anycast_region, rng);
     const netsim::Duration campaign_t =
         spec.campaign.session_spacing * static_cast<std::int64_t>(i);
 

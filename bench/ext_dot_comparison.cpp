@@ -10,9 +10,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "measure/dot.h"
-#include "resolver/stub.h"
 #include "measure/flows.h"
+#include "resolver/stub.h"
 #include "stats/bootstrap.h"
 #include "support.h"
 
@@ -38,9 +37,8 @@ int bench() {
     for (const auto& iso2 : world.countries()) {
       const proxy::ExitNode* exit = world.brightdata().pick_exit(iso2, rng);
       if (exit == nullptr) continue;
-      const geo::Country* country = geo::find_country(exit->true_iso2);
       const std::size_t pop =
-          provider.route(exit->site.position, country->region, rng);
+          provider.route(exit->site.position, exit->anycast_region, rng);
 
       auto& server = world.doh_server(p, pop);
       const auto dot = world.run_flow([&](netsim::NetCtx& net) {
@@ -49,8 +47,8 @@ int bench() {
                                    world.origin());
       });
       if (dot.ok) {
-        dot1.push_back(dot.tdot_ms());
-        dotr.push_back(dot.tdotr_ms());
+        dot1.push_back(dot.first_ms());
+        dotr.push_back(dot.reuse_ms);
       }
       const auto doh = world.run_flow([&](netsim::NetCtx& net) {
         return measure::doh_direct(net, exit->site, exit->default_resolver,
@@ -58,8 +56,8 @@ int bench() {
                                    world.origin());
       });
       if (doh.ok) {
-        doh1.push_back(doh.tdoh_ms());
-        dohr.push_back(doh.tdohr_ms());
+        doh1.push_back(doh.first_ms());
+        dohr.push_back(doh.reuse_ms);
       }
       if (p == 0) {
         const double ms = world.run_flow([&](netsim::NetCtx& net) {

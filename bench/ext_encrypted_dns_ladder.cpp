@@ -21,8 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "measure/doq.h"
-#include "measure/dot.h"
 #include "measure/flows.h"
 #include "measure/warm.h"
 #include "obs/trace_export.h"
@@ -60,6 +58,14 @@ struct WarmSplit {
   }
 };
 
+/// A direct flow's first-query and reuse times, when it succeeded.
+void take(const measure::DirectObservation& obs, std::vector<double>& first,
+          std::vector<double>& reuse) {
+  if (!obs.ok) return;
+  first.push_back(obs.first_ms());
+  reuse.push_back(obs.reuse_ms);
+}
+
 int bench() {
   std::printf("Extension: the encrypted-DNS ladder (Cloudflare PoPs)\n\n");
   auto& world = benchsupport::Env::instance().world();
@@ -70,9 +76,8 @@ int bench() {
   for (const auto& iso2 : world.countries()) {
     const proxy::ExitNode* exit = world.brightdata().pick_exit(iso2, rng);
     if (exit == nullptr) continue;
-    const geo::Country* country = geo::find_country(exit->true_iso2);
     const std::size_t pop =
-        provider.route(exit->site.position, country->region, rng);
+        provider.route(exit->site.position, exit->anycast_region, rng);
     auto& server = world.doh_server(0, pop);
 
     const double do53_ms = world.run_flow([&](netsim::NetCtx& net) {
@@ -81,37 +86,29 @@ int bench() {
           resolver::probe_name(net.rng, world.origin()));
     });
     if (do53_ms >= 0) do53.push_back(do53_ms);
-    const auto dot = world.run_flow([&](netsim::NetCtx& net) {
-      return measure::dot_direct(net, exit->site, exit->default_resolver,
-                                 server, transport::TlsVersion::kTls13,
-                                 world.origin());
-    });
-    if (dot.ok) {
-      dot1.push_back(dot.tdot_ms());
-      dotr.push_back(dot.tdotr_ms());
-    }
-    const auto doh = world.run_flow([&](netsim::NetCtx& net) {
-      return measure::doh_direct(net, exit->site, exit->default_resolver,
-                                 server, transport::TlsVersion::kTls13,
-                                 world.origin());
-    });
-    if (doh.ok) {
-      doh1.push_back(doh.tdoh_ms());
-      dohr.push_back(doh.tdohr_ms());
-    }
-    const auto doq = world.run_flow([&](netsim::NetCtx& net) {
-      return measure::doq_direct(net, exit->site, exit->default_resolver,
-                                 server, world.origin(), /*resumed=*/false);
-    });
-    if (doq.ok) {
-      doq1.push_back(doq.tdoq_ms());
-      doqr.push_back(doq.tdoqr_ms());
-    }
+    take(world.run_flow([&](netsim::NetCtx& net) {
+           return measure::dot_direct(net, exit->site, exit->default_resolver,
+                                      server, transport::TlsVersion::kTls13,
+                                      world.origin());
+         }),
+         dot1, dotr);
+    take(world.run_flow([&](netsim::NetCtx& net) {
+           return measure::doh_direct(net, exit->site, exit->default_resolver,
+                                      server, transport::TlsVersion::kTls13,
+                                      world.origin());
+         }),
+         doh1, dohr);
+    take(world.run_flow([&](netsim::NetCtx& net) {
+           return measure::doq_direct(net, exit->site, exit->default_resolver,
+                                      server, world.origin(),
+                                      /*resumed=*/false);
+         }),
+         doq1, doqr);
     const auto doq_resumed = world.run_flow([&](netsim::NetCtx& net) {
       return measure::doq_direct(net, exit->site, exit->default_resolver,
                                  server, world.origin(), /*resumed=*/true);
     });
-    if (doq_resumed.ok) doq0.push_back(doq_resumed.tdoq_ms());
+    if (doq_resumed.ok) doq0.push_back(doq_resumed.first_ms());
   }
 
   report::Table table("Median resolution times (ms), one client sampled "
@@ -148,9 +145,8 @@ int bench() {
     const proxy::ExitNode* exit =
         world.brightdata().pick_exit(iso2, warm_rng);
     if (exit == nullptr) continue;
-    const geo::Country* country = geo::find_country(exit->true_iso2);
-    const std::size_t pop =
-        provider.route(exit->site.position, country->region, warm_rng);
+    const std::size_t pop = provider.route(
+        exit->site.position, exit->anycast_region, warm_rng);
     auto& server = world.doh_server(0, pop);
 
     measure::WarmDohParams doh_params;

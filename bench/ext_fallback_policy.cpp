@@ -30,13 +30,12 @@ ModeStats run_mode(world::WorldModel& world, const std::string& iso2,
   netsim::Rng rng = world.rng().split(
       "fallback-" + iso2 + std::to_string(static_cast<int>(mode)) +
       std::to_string(outage_probability));
-  const geo::Country* country = geo::find_country(iso2);
   auto& provider = world.providers()[0];
   for (int i = 0; i < samples; ++i) {
     const proxy::ExitNode* exit = world.brightdata().pick_exit(iso2, rng);
     if (exit == nullptr) break;
     const std::size_t pop =
-        provider.route(exit->site.position, country->region, rng);
+        provider.route(exit->site.position, exit->anycast_region, rng);
 
     client::PolicyContext ctx;
     ctx.client = exit->site;

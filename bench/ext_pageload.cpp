@@ -23,13 +23,12 @@ double median_plt(world::WorldModel& world, const std::string& iso2,
   netsim::Rng rng = world.rng().split("ext-pageload-" + iso2 +
                                       std::to_string(static_cast<int>(mode)) +
                                       std::to_string(domains));
-  const geo::Country* country = geo::find_country(iso2);
   for (int i = 0; i < samples; ++i) {
     const proxy::ExitNode* client = world.brightdata().pick_exit(iso2, rng);
     if (client == nullptr) break;
     auto& provider = world.providers()[0];  // Cloudflare
     const std::size_t pop =
-        provider.route(client->site.position, country->region, rng);
+        provider.route(client->site.position, client->anycast_region, rng);
 
     web::PageLoadContext ctx;
     ctx.client = client->site;

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "geo/country.h"
 #include "measure/flows.h"
 #include "measure/warm.h"
 #include "obs/proc_stats.h"
@@ -33,9 +32,8 @@ const proxy::ExitNode* first_exit(world::WorldModel& world) {
 /// Runs one fully-instrumented flow from the first enrolled exit to the
 /// first provider's routed PoP on the world's own simulator and writes
 /// its Perfetto trace to `path`. `launch(net, exit, doh)` starts the
-/// flow. Runs after the campaign on the private RNG substream `rng_tag`
-/// (which is why it builds its own context instead of calling
-/// WorldModel::run_flow), so the dataset is untouched.
+/// flow. Runs after the campaign on the private RNG substream `rng_tag`,
+/// so the dataset is untouched.
 template <typename Launch>
 void capture_trace(world::WorldModel& world, const std::string& path,
                    const char* rng_tag, Launch launch) {
@@ -45,17 +43,15 @@ void capture_trace(world::WorldModel& world, const std::string& path,
   obs::SpanContext spans;
   obs::Metrics metrics;
   netsim::Rng rng = world.rng().split(rng_tag);
-  netsim::NetCtx net{world.sim(), world.latency(), rng};
-  net.spans = &spans;
-  net.metrics = &metrics;
-
-  anycast::Provider& provider = world.providers()[0];
-  const geo::Country* country = geo::find_country(exit->true_iso2);
-  const std::size_t pop_index =
-      provider.route(exit->site.position, country->region, net.rng);
-  auto flow = launch(net, *exit, world.doh_server(0, pop_index));
-  world.sim().run();
-  (void)flow.result();  // propagate exceptions
+  const std::size_t pop_index = world.providers()[0].route(
+      exit->site.position, exit->anycast_region, rng);
+  world.run_flow(
+      [&](netsim::NetCtx& net) {
+        net.spans = &spans;
+        net.metrics = &metrics;
+        return launch(net, *exit, world.doh_server(0, pop_index));
+      },
+      rng);
 
   obs::write_perfetto_trace(spans, path);
   std::fprintf(stderr, "trace: %zu spans -> %s\n", spans.spans().size(),

@@ -9,6 +9,7 @@
 
 #include "measure/estimator.h"
 #include "measure/flows.h"
+#include "scenario/spec.h"
 #include "world/world_model.h"
 
 using namespace dohperf;
@@ -16,10 +17,15 @@ using namespace dohperf;
 int main(int argc, char** argv) {
   const std::string iso2 = argc > 1 ? argv[1] : "BR";
 
-  world::WorldConfig config;
-  config.seed = 4;
-  config.only_countries = {iso2};
-  world::WorldModel world(config);
+  scenario::CampaignSpec spec;
+  spec.world.seed = 4;
+  std::string error;
+  if (!scenario::set_override(spec, "ISO2", "world.only_countries", iso2,
+                              &error)) {
+    std::fprintf(stderr, "estimator_walkthrough: %s\n", error.c_str());
+    return 2;
+  }
+  world::WorldModel world(spec.world);
 
   const proxy::ExitNode* exit =
       world.brightdata().pick_exit(iso2, world.rng());
@@ -29,9 +35,8 @@ int main(int argc, char** argv) {
   }
 
   auto& provider = world.providers()[0];  // Cloudflare
-  const geo::Country* country = geo::find_country(iso2);
   const std::size_t pop =
-      provider.route(exit->site.position, country->region, world.rng());
+      provider.route(exit->site.position, exit->anycast_region, world.rng());
 
   measure::DohProxyParams params;
   params.client = world.measurement_client();

@@ -14,6 +14,7 @@
 #include "anycast/provider.h"
 #include "measure/flows.h"
 #include "report/table.h"
+#include "scenario/spec.h"
 #include "stats/summary.h"
 #include "world/sites.h"
 #include "world/world_model.h"
@@ -36,20 +37,19 @@ FleetResult measure_fleet(world::WorldModel& world, const std::string& iso2,
                           int n_clients) {
   std::vector<double> doh1, dohr, distance;
   netsim::Rng rng = world.rng().split("pop-planner-" + iso2);
-  const geo::Country* country = geo::find_country(iso2);
   for (int i = 0; i < n_clients; ++i) {
     const proxy::ExitNode* client = world.brightdata().pick_exit(iso2, rng);
     if (client == nullptr) break;
     const std::size_t pop =
-        provider.route(client->site.position, country->region, rng);
+        provider.route(client->site.position, client->anycast_region, rng);
     const auto obs = world.run_flow([&](netsim::NetCtx& net) {
       return measure::doh_direct(net, client->site, client->default_resolver,
                                  servers[pop], transport::TlsVersion::kTls13,
                                  world.origin());
     });
     if (!obs.ok) continue;
-    doh1.push_back(obs.tdoh_ms());
-    dohr.push_back(obs.tdohr_ms());
+    doh1.push_back(obs.first_ms());
+    dohr.push_back(obs.reuse_ms);
     distance.push_back(geo::distance_miles(
         client->site.position, provider.pops()[pop].position));
   }
@@ -92,11 +92,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  world::WorldConfig config;
-  config.seed = 3;
-  config.only_countries = {iso2};
-  config.client_scale = 1.0;
-  world::WorldModel world(config);
+  scenario::CampaignSpec spec;
+  spec.world.seed = 3;
+  spec.world.client_scale = 1.0;
+  std::string error;
+  if (!scenario::set_override(spec, "ISO2", "world.only_countries", iso2,
+                              &error)) {
+    std::fprintf(stderr, "pop_planner: %s\n", error.c_str());
+    return 2;
+  }
+  world::WorldModel world(spec.world);
 
   constexpr int kClients = 60;
 

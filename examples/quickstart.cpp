@@ -7,6 +7,7 @@
 
 #include "measure/estimator.h"
 #include "measure/flows.h"
+#include "scenario/spec.h"
 #include "world/world_model.h"
 
 using namespace dohperf;
@@ -17,10 +18,15 @@ int main(int argc, char** argv) {
   // 1. Assemble a world: the a.com authoritative server in Ashburn, the
   //    four DoH providers with their PoP fleets, ISP resolvers and a
   //    client pool for the chosen country, and the proxy overlay.
-  world::WorldConfig config;
-  config.seed = 1;
-  config.only_countries = {iso2};
-  world::WorldModel world(config);
+  scenario::CampaignSpec spec;
+  spec.world.seed = 1;
+  std::string error;
+  if (!scenario::set_override(spec, "ISO2", "world.only_countries", iso2,
+                              &error)) {
+    std::fprintf(stderr, "quickstart: %s\n", error.c_str());
+    return 2;
+  }
+  world::WorldModel world(spec.world);
 
   const proxy::ExitNode* client =
       world.brightdata().pick_exit(iso2, world.rng());
@@ -45,9 +51,8 @@ int main(int argc, char** argv) {
   //    + HTTPS query, plus a second query reusing the session (DoHR).
   for (std::size_t p = 0; p < world.providers().size(); ++p) {
     auto& provider = world.providers()[p];
-    const geo::Country* country = geo::find_country(iso2);
-    const std::size_t pop = provider.route(client->site.position,
-                                           country->region, world.rng());
+    const std::size_t pop = provider.route(
+        client->site.position, client->anycast_region, world.rng());
     const auto obs = world.run_flow([&](netsim::NetCtx& net) {
       return measure::doh_direct(net, client->site, client->default_resolver,
                                  world.doh_server(p, pop),
@@ -63,8 +68,8 @@ int main(int argc, char** argv) {
         "%-10s via %-16s DoH1 %7.1f ms (dns %.1f + tcp %.1f + tls %.1f + "
         "query %.1f) | DoHR %7.1f ms\n",
         provider.name().c_str(), provider.pops()[pop].city.c_str(),
-        obs.tdoh_ms(), obs.dns_ms, obs.connect_ms, obs.tls_ms, obs.query_ms,
-        obs.tdohr_ms());
+        obs.first_ms(), obs.dns_ms, obs.connect_ms, obs.tls_ms, obs.query_ms,
+        obs.reuse_ms);
   }
 
   std::printf(

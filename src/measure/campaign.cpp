@@ -28,7 +28,6 @@ namespace {
 /// database or the Super Proxy catalog.
 struct ExitTask {
   const proxy::ExitNode* exit = nullptr;
-  const geo::Country* true_country = nullptr;
   /// Geolocated (/24) position — distances in the dataset use this, as
   /// the paper does, not ground truth.
   geo::LatLon located;
@@ -212,7 +211,6 @@ CampaignPlan build_plan(world::WorldModel& world,
       }
       ExitTask task;
       task.exit = exit;
-      task.true_country = geo::find_country(exit->true_iso2);
       task.located = geo_record->position;
       task.sp_site =
           world.brightdata().nearest_super_proxy(exit->site.position).site;
@@ -474,8 +472,8 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
       continue;
     }
 
-    const std::size_t pop_index = provider.route(
-        exit.site.position, task.true_country->region, net.rng);
+    const std::size_t pop_index =
+        provider.route(exit.site.position, exit.anycast_region, net.rng);
 
     DohProxyParams params;
     params.client = view.world.measurement_client();
@@ -537,8 +535,8 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
       anycast::Provider& provider = view.world.providers()[p];
       if (st.provider_failed[p]) continue;
       s.label(provider.name());
-      const std::size_t pop_index = provider.route(
-          exit.site.position, task.true_country->region, net.rng);
+      const std::size_t pop_index =
+          provider.route(exit.site.position, exit.anycast_region, net.rng);
       WarmDohParams wp;
       wp.vantage = exit.site;
       wp.default_resolver = exit.default_resolver;

@@ -1,15 +1,18 @@
-#include "measure/doq.h"
+// DNS-over-QUIC (RFC 9250): an extension beyond the paper, whose
+// background lists DoQ among the encrypted-DNS protocols.
+#include "measure/flows.h"
 
 #include "resolver/stub.h"
+#include "transport/quic.h"
 
 namespace dohperf::measure {
 
-netsim::Task<DirectDoqObservation> doq_direct(
+netsim::Task<DirectObservation> doq_direct(
     netsim::NetCtx& net, netsim::Site vantage,
     resolver::RecursiveResolver* default_resolver,
     resolver::DohServer& doh, dns::DomainName origin, bool resumed) {
   const auto flow = net.flow({.span = "doq_query", .transport = "doq"});
-  DirectDoqObservation obs;
+  DirectObservation obs;
   const netsim::Site pop = doh.site();
 
   if (!resumed) {

@@ -1,17 +1,19 @@
-#include "measure/dot.h"
+// DNS-over-TLS (RFC 7858): an extension beyond the paper, which focused
+// on DoH but compares against the DoT literature in its related work.
+#include "measure/flows.h"
 
 #include "resolver/stub.h"
 #include "transport/tcp.h"
 
 namespace dohperf::measure {
 
-netsim::Task<DirectDotObservation> dot_direct(
+netsim::Task<DirectObservation> dot_direct(
     netsim::NetCtx& net, netsim::Site vantage,
     resolver::RecursiveResolver* default_resolver,
     resolver::DohServer& doh, transport::TlsVersion tls,
     dns::DomainName origin) {
   const auto flow = net.flow({.span = "dot_query", .transport = "dot"});
-  DirectDotObservation obs;
+  DirectObservation obs;
 
   // Bootstrap the DoT hostname via the default resolver (cache hit).
   // Connection bootstrap: attributed to the TCP handshake it gates.

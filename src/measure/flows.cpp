@@ -105,13 +105,9 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
   // resolver (a cache hit for these ultra-hot names). They are part of
   // tunnel establishment: the lookup exists only to learn where to
   // CONNECT, so it counts as tunnel time.
-  resolver::StubResult boot;
-  {
-    const auto bootstrap_dns = net.step({"bootstrap_dns"});
-    boot = co_await resolver::bootstrap(net, exit,
-                                        *params.exit->default_resolver,
-                                        *params.doh, Phase::kTunnelConnect);
-  }
+  const resolver::StubResult boot = co_await resolver::bootstrap(
+      net, exit, *params.exit->default_resolver, *params.doh,
+      Phase::kTunnelConnect);
   if (!boot.ok()) co_return obs;
   const double dns_ms = boot.elapsed_ms;
   obs.true_dns_ms = dns_ms;
@@ -207,24 +203,20 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
   co_return obs;
 }
 
-Task<DirectDohObservation> doh_direct(NetCtx& net, Site vantage,
-                                      resolver::RecursiveResolver*
-                                          default_resolver,
-                                      resolver::DohServer& doh,
-                                      transport::TlsVersion tls,
-                                      dns::DomainName origin) {
-  DirectDohObservation obs;
+Task<DirectObservation> doh_direct(NetCtx& net, Site vantage,
+                                   resolver::RecursiveResolver*
+                                       default_resolver,
+                                   resolver::DohServer& doh,
+                                   transport::TlsVersion tls,
+                                   dns::DomainName origin) {
+  DirectObservation obs;
   const auto flow = net.flow({"doh_direct", std::nullopt,
                               &MetricCounters::doh_queries, "doh_direct"});
 
   // Bootstrap (t3+t4). Connection bootstrap, so the lookup's time lands
   // in the TCP handshake phase it gates.
-  resolver::StubResult boot;
-  {
-    const auto bootstrap_dns = net.step({"bootstrap_dns"});
-    boot = co_await resolver::bootstrap(net, vantage, *default_resolver, doh,
-                                        Phase::kTcpHandshake);
-  }
+  const resolver::StubResult boot = co_await resolver::bootstrap(
+      net, vantage, *default_resolver, doh, Phase::kTcpHandshake);
   if (!boot.ok()) co_return obs;
   obs.dns_ms = boot.elapsed_ms;
 

@@ -8,7 +8,10 @@
 // the Equation-7/8 estimators) and the simulator-internal ground truth.
 //
 // doh_direct() and do53_direct() are the ground-truth variants run "at
-// the exit node" for the validation experiments (paper Section 4).
+// the exit node" for the validation experiments (paper Section 4);
+// dot_direct() and doq_direct() measure the same PoPs over DoT and DoQ,
+// extensions beyond the paper. The three encrypted flows report one
+// DirectObservation.
 #pragma once
 
 #include <cmath>
@@ -64,31 +67,55 @@ struct DohProxyObservation {
 [[nodiscard]] netsim::Task<DohProxyObservation> doh_via_proxy(
     netsim::NetCtx& net, DohProxyParams params);
 
-/// Direct DoH measurement at a controlled vantage (ground truth).
-struct DirectDohObservation {
+/// What a direct DoH, DoT or DoQ measurement at a controlled vantage
+/// observed: the bootstrap, the handshakes, a first query, and a second
+/// query reusing the session.
+struct DirectObservation {
   bool ok = false;
-  int http_status = 0;
-  double dns_ms = 0.0;
-  double connect_ms = 0.0;
-  double tls_ms = 0.0;
-  double query_ms = 0.0;
-  /// A second query on the same session. NaN until that query actually
-  /// completes — a flow that fails mid-way must not contribute a bogus
-  /// 0 ms warm sample to the reuse CDF.
+  int http_status = 0;      ///< DoH only: the last response's status.
+  double dns_ms = 0.0;      ///< Bootstrap lookup of the resolver's name.
+  double connect_ms = 0.0;  ///< TCP handshake; for DoQ the combined QUIC
+                            ///< transport+TLS handshake (0 with 0-RTT).
+  double tls_ms = 0.0;      ///< TLS handshake (none for DoQ).
+  double query_ms = 0.0;    ///< First query on the session.
+  /// The second query. NaN until that query actually completes — a flow
+  /// that fails mid-way must not contribute a bogus 0 ms warm sample to
+  /// the reuse CDF.
   double reuse_ms = std::numeric_limits<double>::quiet_NaN();
 
-  [[nodiscard]] double tdoh_ms() const {
+  /// The first query's resolution time, bootstrap and handshakes
+  /// included (DoH1, DoT1, DoQ1; Equation 1's t_DoH for DoH).
+  [[nodiscard]] double first_ms() const {
     return dns_ms + connect_ms + tls_ms + query_ms;
   }
-  [[nodiscard]] double tdohr_ms() const { return reuse_ms; }
   [[nodiscard]] bool has_reuse() const { return !std::isnan(reuse_ms); }
 };
 
-[[nodiscard]] netsim::Task<DirectDohObservation> doh_direct(
+/// Direct DoH measurement at a controlled vantage (ground truth).
+[[nodiscard]] netsim::Task<DirectObservation> doh_direct(
     netsim::NetCtx& net, netsim::Site vantage,
     resolver::RecursiveResolver* default_resolver,
     resolver::DohServer& doh, transport::TlsVersion tls,
     dns::DomainName origin);
+
+/// DNS-over-TLS (RFC 7858) against the PoP behind `doh`: Cloudflare,
+/// Google and Quad9 terminate DoH and DoT on the same anycast front-ends,
+/// under the same hostname. DoT skips the HTTP layer; DNS messages travel
+/// length-prefixed over the TLS session (the DoT literature the paper
+/// cites: Doan et al., PAM 2021).
+[[nodiscard]] netsim::Task<DirectObservation> dot_direct(
+    netsim::NetCtx& net, netsim::Site vantage,
+    resolver::RecursiveResolver* default_resolver,
+    resolver::DohServer& doh, transport::TlsVersion tls,
+    dns::DomainName origin);
+
+/// DNS-over-QUIC (RFC 9250) against the PoP behind `doh`. With `resumed`
+/// the client holds a ticket from a prior session: no bootstrap (the
+/// address is cached too) and 0-RTT.
+[[nodiscard]] netsim::Task<DirectObservation> doq_direct(
+    netsim::NetCtx& net, netsim::Site vantage,
+    resolver::RecursiveResolver* default_resolver,
+    resolver::DohServer& doh, dns::DomainName origin, bool resumed = false);
 
 /// Parameters for a proxied Do53 measurement (HTTP GET to the study web
 /// server, forcing a default-resolver resolution at the exit node). In

@@ -47,6 +47,7 @@ proxy::ExitNode GroundTruthLab::make_ec2_node(const std::string& iso2) {
   proxy::ExitNode node;
   node.advertised_iso2 = iso2;
   node.true_iso2 = iso2;
+  node.anycast_region = country->region;
   node.site.position = geo::destination(country->centroid,
                                         rng.uniform(0.0, 360.0),
                                         rng.uniform(0.0, 60.0));
@@ -92,14 +93,14 @@ DohValidation GroundTruthLab::validate_doh(const std::string& iso2,
       est_tdohr.push_back(estimate_tdohr_ms(proxied.inputs));
     }
     // Ground truth: direct measurement at the controlled node.
-    const DirectDohObservation direct =
+    const DirectObservation direct =
         world_.run_flow([&](netsim::NetCtx& net) {
           return doh_direct(net, node.site, node.default_resolver, doh,
                             world_.config().tls_version, world_.origin());
         });
     if (direct.ok) {
-      truth_tdoh.push_back(direct.tdoh_ms());
-      truth_tdohr.push_back(direct.tdohr_ms());
+      truth_tdoh.push_back(direct.first_ms());
+      truth_tdohr.push_back(direct.reuse_ms);
     }
   }
 

@@ -71,10 +71,11 @@ class GroundTruthLab {
   [[nodiscard]] NetworkComparison compare_networks(const std::string& iso2,
                                                    int reps = 250);
 
- private:
-  /// Builds the controlled EC2-like exit node for a country.
+  /// Builds the controlled EC2-like exit node the validations plant in a
+  /// country.
   [[nodiscard]] proxy::ExitNode make_ec2_node(const std::string& iso2);
 
+ private:
   world::WorldModel& world_;
 };
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "geo/country.h"
 #include "geo/geolocation.h"
 #include "netsim/latency.h"
 #include "resolver/recursive.h"
@@ -21,6 +22,10 @@ struct ExitNode {
   std::uint64_t id = 0;
   std::string advertised_iso2;
   std::string true_iso2;
+  /// The region anycast routes the node by: its true country's, set once
+  /// when the node is enrolled. Providers route by where a client is, not
+  /// by what the proxy operator believes.
+  geo::Region anycast_region = geo::Region::kNorthAmerica;
   netsim::Site site;
   geo::NetPrefix prefix = 0;
   /// The node's OS-default Do53 resolver (validated in paper Section 4.3).

@@ -134,6 +134,7 @@ netsim::Task<StubResult> bootstrap(netsim::NetCtx& net,
                                    const netsim::Site& vantage,
                                    RecursiveResolver& resolver,
                                    const DohServer& doh, obs::Phase gates) {
+  const auto step = net.step({"bootstrap_dns"});
   dns::Message query =
       make_query(net.rng, dns::DomainName::parse(doh.hostname()));
   const obs::ScopedDnsRedirect redirect(net.attribution, gates);

@@ -74,12 +74,13 @@ inline constexpr netsim::RetryPolicy kStubRetryPolicy{
                                              const std::string& host);
 
 /// The bootstrap of an encrypted-DNS connection: looks up `doh`'s hostname
-/// from `vantage` through `resolver` with a fresh query. The lookup exists
-/// only to set up the connection, so the attribution ledger charges its
-/// DNS time to `gates`, the phase of the connection it gates (tcp or quic
-/// handshake, or tunnel_connect), never to dns_cache_hit or
-/// dns_cache_miss; the resolver's own processing stays server_processing
-/// (DESIGN.md §3d). Opens no span of its own.
+/// from `vantage` through `resolver` with a fresh query, under a
+/// `bootstrap_dns` span whose one child is the lookup's `stub_resolve`.
+/// The lookup exists only to set up the connection, so the attribution
+/// ledger charges its DNS time to `gates`, the phase of the connection it
+/// gates (tcp or quic handshake, or tunnel_connect), never to
+/// dns_cache_hit or dns_cache_miss; the resolver's own processing stays
+/// server_processing (DESIGN.md §3d).
 [[nodiscard]] netsim::Task<StubResult> bootstrap(
     netsim::NetCtx& net, const netsim::Site& vantage,
     RecursiveResolver& resolver, const DohServer& doh, obs::Phase gates);

@@ -244,6 +244,7 @@ void WorldModel::build_country(const geo::Country& country) {
               0, static_cast<std::int64_t>(country_codes_.size()) - 2))];
       const geo::Country* other = geo::find_country(other_iso);
       node.true_iso2 = other_iso;
+      node.anycast_region = other->region;
       node.site = client_site(*other, country_rng, config_.couple_infra);
       const auto other_resolvers = isp_resolvers(other_iso);
       node.default_resolver = other_resolvers[static_cast<std::size_t>(
@@ -251,6 +252,7 @@ void WorldModel::build_country(const geo::Country& country) {
               0, static_cast<std::int64_t>(other_resolvers.size()) - 1))];
     } else {
       node.true_iso2 = iso2;
+      node.anycast_region = country.region;
       node.site = client_site(country, country_rng, config_.couple_infra);
       const double remote_rate =
           config_.remote_dns_rate *

@@ -127,15 +127,20 @@ class WorldModel {
   WorldModel(const WorldModel&) = delete;
   WorldModel& operator=(const WorldModel&) = delete;
 
-  /// Runs one flow to completion on this world's own SimContext, latency
-  /// model and RNG, and returns its result (rethrowing what it threw).
-  /// `launch(net)` gets a fresh context, may attach spans, metrics or a
-  /// ledger to it, and returns the started Task. The simulator then runs
-  /// until no events are left, and only then does the Task die: this is
-  /// where one-off flows keep netsim::Task's lifetime contract.
+  /// Runs one flow to completion on this world's own SimContext and
+  /// latency model, drawing from `rng` (the world's own by default), and
+  /// returns its result (rethrowing what it threw). `launch(net)` gets a
+  /// fresh context, may attach spans, metrics or a ledger to it, and
+  /// returns the started Task. The simulator then runs until no events
+  /// are left, and only then does the Task die: this is where one-off
+  /// flows keep netsim::Task's lifetime contract.
   template <typename Launch>
   auto run_flow(Launch&& launch) {
-    netsim::NetCtx net{stack_.sim(), latency_, rng_};
+    return run_flow(std::forward<Launch>(launch), rng_);
+  }
+  template <typename Launch>
+  auto run_flow(Launch&& launch, netsim::Rng& rng) {
+    netsim::NetCtx net{stack_.sim(), latency_, rng};
     auto task = std::forward<Launch>(launch)(net);
     stack_.sim().run();
     if (!task.done()) {

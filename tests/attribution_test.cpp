@@ -10,8 +10,6 @@
 #include <string>
 
 #include "measure/campaign.h"
-#include "measure/doq.h"
-#include "measure/dot.h"
 #include "measure/flows.h"
 #include "measure/warm.h"
 #include "netsim/faultplan.h"

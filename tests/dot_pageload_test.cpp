@@ -1,9 +1,8 @@
 // Tests for the extensions: DNS-over-TLS flows and the page-load model.
 #include <gtest/gtest.h>
 
-#include "measure/doq.h"
-#include "measure/dot.h"
 #include "measure/flows.h"
+#include "transport/quic.h"
 #include "web/pageload.h"
 #include "world/world_model.h"
 
@@ -27,8 +26,8 @@ struct ExtensionFixture : ::testing::Test {
     return world().brightdata().pick_exit(iso2, rng);
   }
 
-  static measure::DirectDotObservation dot(const proxy::ExitNode* exit,
-                                           std::size_t pop) {
+  static measure::DirectObservation dot(const proxy::ExitNode* exit,
+                                        std::size_t pop) {
     return world().run_flow([&](netsim::NetCtx& net) {
       return measure::dot_direct(net, exit->site, exit->default_resolver,
                                  world().doh_server(0, pop),
@@ -36,8 +35,8 @@ struct ExtensionFixture : ::testing::Test {
                                  world().origin());
     });
   }
-  static measure::DirectDohObservation doh(const proxy::ExitNode* exit,
-                                           std::size_t pop) {
+  static measure::DirectObservation doh(const proxy::ExitNode* exit,
+                                        std::size_t pop) {
     return world().run_flow([&](netsim::NetCtx& net) {
       return measure::doh_direct(net, exit->site, exit->default_resolver,
                                  world().doh_server(0, pop),
@@ -45,8 +44,8 @@ struct ExtensionFixture : ::testing::Test {
                                  world().origin());
     });
   }
-  static measure::DirectDoqObservation doq(const proxy::ExitNode* exit,
-                                           std::size_t pop, bool resumed) {
+  static measure::DirectObservation doq(const proxy::ExitNode* exit,
+                                        std::size_t pop, bool resumed) {
     return world().run_flow([&](netsim::NetCtx& net) {
       return measure::doq_direct(net, exit->site, exit->default_resolver,
                                  world().doh_server(0, pop), world().origin(),
@@ -71,7 +70,7 @@ TEST_F(ExtensionFixture, DotFlowCompletes) {
   EXPECT_GT(obs.connect_ms, 0.0);
   EXPECT_GT(obs.tls_ms, 0.0);
   EXPECT_GT(obs.query_ms, 0.0);
-  EXPECT_LT(obs.tdotr_ms(), obs.tdot_ms());
+  EXPECT_LT(obs.reuse_ms, obs.first_ms());
 }
 
 TEST_F(ExtensionFixture, DotAndDohShareCostStructure) {
@@ -81,8 +80,8 @@ TEST_F(ExtensionFixture, DotAndDohShareCostStructure) {
   ASSERT_NE(exit, nullptr);
   std::vector<double> dot_ms, doh_ms;
   for (int i = 0; i < 9; ++i) {
-    dot_ms.push_back(dot(exit, 1).tdot_ms());
-    doh_ms.push_back(doh(exit, 1).tdoh_ms());
+    dot_ms.push_back(dot(exit, 1).first_ms());
+    doh_ms.push_back(doh(exit, 1).first_ms());
   }
   std::nth_element(dot_ms.begin(), dot_ms.begin() + 4, dot_ms.end());
   std::nth_element(doh_ms.begin(), doh_ms.begin() + 4, doh_ms.end());
@@ -165,8 +164,8 @@ TEST_F(ExtensionFixture, DoqFreshCostsOneRoundTripLessThanDoh) {
   ASSERT_NE(exit, nullptr);
   std::vector<double> doh_ms, doq_ms;
   for (int i = 0; i < 9; ++i) {
-    doh_ms.push_back(doh(exit, 3).tdoh_ms());
-    doq_ms.push_back(doq(exit, 3, /*resumed=*/false).tdoq_ms());
+    doh_ms.push_back(doh(exit, 3).first_ms());
+    doq_ms.push_back(doq(exit, 3, /*resumed=*/false).first_ms());
   }
   std::nth_element(doh_ms.begin(), doh_ms.begin() + 4, doh_ms.end());
   std::nth_element(doq_ms.begin(), doq_ms.begin() + 4, doq_ms.end());
@@ -182,7 +181,7 @@ TEST_F(ExtensionFixture, ResumedDoqSkipsHandshakeAndBootstrap) {
   EXPECT_DOUBLE_EQ(obs.connect_ms, 0.0);
   EXPECT_GT(obs.query_ms, 0.0);
   // With 0-RTT, the first query costs the same as a reuse query.
-  EXPECT_NEAR(obs.tdoq_ms(), obs.tdoqr_ms(), 0.5 * obs.tdoqr_ms());
+  EXPECT_NEAR(obs.first_ms(), obs.reuse_ms, 0.5 * obs.reuse_ms);
 }
 
 TEST_F(ExtensionFixture, QuicConnectTakesOneRoundTrip) {

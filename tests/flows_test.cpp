@@ -2,11 +2,16 @@
 // (the 22-step timeline) and the direct ground-truth variants.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "client/policy.h"
 #include "measure/estimator.h"
 #include "measure/flows.h"
+#include "measure/warm.h"
+#include "resolver/shared_cache.h"
+#include "web/pageload.h"
 #include "world/world_model.h"
 
 namespace dohperf::measure {
@@ -64,8 +69,8 @@ struct FlowsFixture : ::testing::Test {
     return world().run_flow(
         [&](netsim::NetCtx& net) { return do53_via_proxy(net, params); });
   }
-  DirectDohObservation direct_doh(const proxy::ExitNode* exit,
-                                  std::size_t provider_index) {
+  DirectObservation direct_doh(const proxy::ExitNode* exit,
+                               std::size_t provider_index) {
     return world().run_flow([&](netsim::NetCtx& net) {
       return doh_direct(net, exit->site, exit->default_resolver,
                         world().doh_server(provider_index, 0),
@@ -163,8 +168,8 @@ TEST_F(FlowsFixture, DirectDohMeasuresComponents) {
   EXPECT_GT(obs.reuse_ms, 0.0);
   // Reuse skips the handshakes: it must be well below the full first
   // query.
-  EXPECT_LT(obs.tdohr_ms(), obs.tdoh_ms());
-  EXPECT_NEAR(obs.tdoh_ms(),
+  EXPECT_LT(obs.reuse_ms, obs.first_ms());
+  EXPECT_NEAR(obs.first_ms(),
               obs.dns_ms + obs.connect_ms + obs.tls_ms + obs.query_ms,
               1e-9);
 }
@@ -250,7 +255,108 @@ TEST_F(FlowsFixture, ReuseIsCheaperAcrossAllProviders) {
     const auto& provider = world().providers()[p];
     const auto obs = direct_doh(exit, p);
     ASSERT_TRUE(obs.ok) << provider.name();
-    EXPECT_LT(obs.tdohr_ms(), obs.tdoh_ms()) << provider.name();
+    EXPECT_LT(obs.reuse_ms, obs.first_ms()) << provider.name();
+  }
+}
+
+// resolver::bootstrap traces itself: every flow that looks up its
+// resolver's name before connecting shows one `bootstrap_dns` span whose
+// only child is the lookup's `stub_resolve`.
+TEST_F(FlowsFixture, EveryBootstrapTracesOneSpanAroundItsLookup) {
+  const auto* exit = exit_in("SE");
+  ASSERT_NE(exit, nullptr);
+  resolver::DohServer& doh = world().doh_server(0, 0);
+  const DohProxyParams proxy_params = doh_params(exit, 0, 0);
+  resolver::SharedCacheConfig cache_config;
+  cache_config.enabled = true;
+  const resolver::SharedCacheModel cache(cache_config);
+  WarmDohParams warm;
+  warm.vantage = exit->site;
+  warm.default_resolver = exit->default_resolver;
+  warm.doh = &doh;
+  warm.origin = world().origin();
+  warm.cache = &cache;
+  warm.population = 1e6;
+  warm.reuse.enabled = true;
+  warm.reuse.queries_per_session = 4;
+  web::PageLoadContext page;
+  page.client = exit->site;
+  page.default_resolver = exit->default_resolver;
+  page.doh = &doh;
+  page.web_server = world().authority().site();
+  page.origin = world().origin();
+  client::PolicyContext policy;
+  policy.client = exit->site;
+  policy.default_resolver = exit->default_resolver;
+  policy.doh = &doh;
+  policy.origin = world().origin();
+  const auto tls = transport::TlsVersion::kTls13;
+
+  using Launch = std::function<netsim::Task<void>(netsim::NetCtx&)>;
+  const std::pair<const char*, Launch> entry_points[] = {
+      {"doh_via_proxy",
+       [&](netsim::NetCtx& net) -> netsim::Task<void> {
+         EXPECT_TRUE((co_await doh_via_proxy(net, proxy_params)).ok);
+       }},
+      {"doh_direct",
+       [&](netsim::NetCtx& net) -> netsim::Task<void> {
+         EXPECT_TRUE((co_await doh_direct(net, exit->site,
+                                          exit->default_resolver, doh, tls,
+                                          world().origin()))
+                         .ok);
+       }},
+      {"dot_direct",
+       [&](netsim::NetCtx& net) -> netsim::Task<void> {
+         EXPECT_TRUE((co_await dot_direct(net, exit->site,
+                                          exit->default_resolver, doh, tls,
+                                          world().origin()))
+                         .ok);
+       }},
+      {"doq_direct",
+       [&](netsim::NetCtx& net) -> netsim::Task<void> {
+         EXPECT_TRUE((co_await doq_direct(net, exit->site,
+                                          exit->default_resolver, doh,
+                                          world().origin()))
+                         .ok);
+       }},
+      {"doh_warm_path",
+       [&](netsim::NetCtx& net) -> netsim::Task<void> {
+         EXPECT_TRUE((co_await doh_warm_path(net, warm)).ok);
+       }},
+      {"load_page",
+       [&](netsim::NetCtx& net) -> netsim::Task<void> {
+         web::PageSpec spec;
+         spec.domains = 2;
+         EXPECT_TRUE(
+             (co_await web::load_page(net, page, spec, web::DnsMode::kDohCold))
+                 .ok);
+       }},
+      {"resolve_with_policy",
+       [&](netsim::NetCtx& net) -> netsim::Task<void> {
+         EXPECT_TRUE((co_await client::resolve_with_policy(
+                          net, policy, client::DohMode::kStrict))
+                         .used_doh);
+       }},
+  };
+  for (const auto& [name, launch] : entry_points) {
+    obs::SpanContext spans;
+    world().run_flow([&](netsim::NetCtx& net) {
+      net.spans = &spans;
+      return launch(net);
+    });
+    std::vector<const obs::Span*> bootstraps;
+    for (const obs::Span& span : spans.spans()) {
+      if (span.name == "bootstrap_dns") bootstraps.push_back(&span);
+    }
+    EXPECT_EQ(bootstraps.size(), 1u) << name;
+    if (bootstraps.size() != 1) continue;
+    std::vector<std::string> children;
+    for (const obs::Span& span : spans.spans()) {
+      if (span.parent == bootstraps.front()->id) {
+        children.push_back(span.name);
+      }
+    }
+    EXPECT_EQ(children, std::vector<std::string>{"stub_resolve"}) << name;
   }
 }
 

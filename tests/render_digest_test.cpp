@@ -28,8 +28,6 @@
 #include <string_view>
 
 #include "client/policy.h"
-#include "measure/doq.h"
-#include "measure/dot.h"
 #include "measure/flows.h"
 #include "measure/warm.h"
 #include "obs/trace_export.h"
@@ -384,7 +382,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
              transport::TlsVersion::kTls13, w.origin());
          EXPECT_TRUE(result.ok);
        },
-       {"6548a671cc79684c", "b27434ba82b0b96d", "edbfaf0a00928dd3"}},
+       {"e5281e5a077bcebd", "b27434ba82b0b96d", "edbfaf0a00928dd3"}},
       {"doq_direct (fresh)", "SE",
        [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          const proxy::ExitNode* exit = exit_in(w, "SE");
@@ -393,7 +391,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
              w.origin(), /*resumed=*/false);
          EXPECT_TRUE(result.ok);
        },
-       {"065e02de60a20605", "57617f71d02b3c12", "e2767541d2b865b7"}},
+       {"ddcb2961543dd261", "57617f71d02b3c12", "e2767541d2b865b7"}},
       {"doq_direct (resumed)", "SE",
        [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          const proxy::ExitNode* exit = exit_in(w, "SE");
@@ -418,7 +416,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
          const auto result = co_await measure::doh_warm_path(net, params);
          EXPECT_TRUE(result.ok);
        },
-       {"40546becfcfe6a44", "d9598c7a3a3e7593", "7a694c73bee0628c"}},
+       {"369705079819d4b0", "d9598c7a3a3e7593", "7a694c73bee0628c"}},
       {"do53_warm_path", "SE",
        [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          const proxy::ExitNode* exit = exit_in(w, "SE");
@@ -445,7 +443,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
              web::DnsMode::kDohCold);
          EXPECT_TRUE(result.ok);
        },
-       {"fdd0659128b76682", "cf736ce7273e3d3c", "7965b39b6d5e4cc4"}},
+       {"d9f426f4319d0fbd", "cf736ce7273e3d3c", "7965b39b6d5e4cc4"}},
       {"load_page (warm DoH)", "SE",
        [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          web::PageSpec spec;
@@ -495,7 +493,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
              client::DohMode::kOpportunistic);
          EXPECT_TRUE(result.used_doh);
        },
-       {"aadd258c769979e4", "c782e1790aba2bbe", "dd97ee7ebe625a18"}},
+       {"7e4e92e0b3ac54ad", "c782e1790aba2bbe", "dd97ee7ebe625a18"}},
       {"resolve_with_policy (race)", "SE",
        [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          const auto result = co_await client::resolve_with_policy(
@@ -503,7 +501,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
              client::DohMode::kRace);
          EXPECT_TRUE(result.resolved);
        },
-       {"ecf7c373c2cfff98", "44b3e08210e5466b", "dd97ee7ebe625a18"}},
+       {"ded900e1b670c07b", "44b3e08210e5466b", "dd97ee7ebe625a18"}},
   };
   for (const Case& c : cases) {
     const FlowDigests got = digest_flow(c.country, c.launch);

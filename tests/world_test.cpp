@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "measure/flows.h"
+#include "measure/groundtruth.h"
 #include "scenario/spec.h"
 #include "world/sites.h"
 #include "world/world_model.h"
@@ -270,7 +271,7 @@ TEST(ReplicaTest, FlowsOnAFreshReplicaMatchTheWorld) {
     return measure::do53_direct(net, exit->site, exit->default_resolver,
                                 probe);
   });
-  const measure::DirectDohObservation doh =
+  const measure::DirectObservation doh =
       w.run_flow([&](netsim::NetCtx& net) {
         return measure::doh_direct(net, exit->site, exit->default_resolver,
                                    w.doh_server(0, 0),
@@ -282,7 +283,7 @@ TEST(ReplicaTest, FlowsOnAFreshReplicaMatchTheWorld) {
   netsim::Task<double> do53_task =
       measure::do53_direct(net, exit->site, local, probe);
   replica->sim().run();
-  netsim::Task<measure::DirectDohObservation> doh_task = measure::doh_direct(
+  netsim::Task<measure::DirectObservation> doh_task = measure::doh_direct(
       net, exit->site, local, replica->doh_server(0, 0),
       transport::TlsVersion::kTls13, w.origin());
   replica->sim().run();
@@ -290,7 +291,7 @@ TEST(ReplicaTest, FlowsOnAFreshReplicaMatchTheWorld) {
   ASSERT_TRUE(doh.ok);
   EXPECT_GT(do53, 0.0);
   EXPECT_EQ(do53_task.result(), do53);
-  const measure::DirectDohObservation& copy = doh_task.result();
+  const measure::DirectObservation& copy = doh_task.result();
   EXPECT_EQ(copy.ok, doh.ok);
   EXPECT_EQ(copy.http_status, doh.http_status);
   EXPECT_EQ(copy.dns_ms, doh.dns_ms);
@@ -331,6 +332,35 @@ TEST_F(WorldFixture, MislabeledNodesExistAtConfiguredRate) {
   }
   ASSERT_GT(total, 1000u);
   EXPECT_NEAR(static_cast<double>(mismatched) / total, 0.20, 0.05);
+}
+
+// Anycast routes a client by where it really is, decided once at
+// enrollment: every exit, the mislabelled ones included, and the ground-
+// truth lab's planted node carry their true country's region.
+TEST(RoutingRegionTest, ExitsCarryTheirTrueCountrysRegion) {
+  WorldConfig config;
+  config.seed = 11;
+  config.client_scale = 0.3;
+  config.mislabel_rate = 0.20;  // exaggerated so that mislabels are common
+  config.only_countries = {"SE", "DE", "BR", "US", "JP", "ZA", "IN", "AU"};
+  WorldModel w(config);
+  std::size_t cross_region = 0;
+  for (const std::string& iso2 : w.countries()) {
+    for (const std::uint64_t id : w.brightdata().exits_in(iso2)) {
+      const proxy::ExitNode* exit = w.brightdata().find(id);
+      const geo::Region truth = country(exit->true_iso2.c_str()).region;
+      EXPECT_EQ(exit->anycast_region, truth) << "exit " << id;
+      cross_region += country(exit->advertised_iso2.c_str()).region != truth;
+    }
+  }
+  EXPECT_GT(cross_region, 0u) << "no mislabel crosses a region";
+
+  measure::GroundTruthLab lab(w);
+  for (const std::string& iso2 : w.countries()) {
+    EXPECT_EQ(lab.make_ec2_node(iso2).anycast_region,
+              country(iso2.c_str()).region)
+        << iso2;
+  }
 }
 
 TEST_F(WorldFixture, AtlasCoversSuperProxyCountries) {

@@ -160,9 +160,8 @@ int main(int argc, char** argv) {
       if (taken > 400) break;
       const auto* exit = world.brightdata().pick_exit(iso2, sample_rng);
       if (exit == nullptr) continue;
-      const auto* country = geo::find_country(exit->true_iso2);
-      const auto pop = provider.route(exit->site.position, country->region,
-                                      sample_rng);
+      const auto pop = provider.route(exit->site.position,
+                                      exit->anycast_region, sample_rng);
       const auto obs = world.run_flow([&](netsim::NetCtx& net) {
         return measure::doh_direct(net, exit->site, exit->default_resolver,
                                    world.doh_server(p, pop),

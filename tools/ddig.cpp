@@ -17,9 +17,9 @@
 
 #include "dns/wire.h"
 #include "flags.h"
-#include "measure/dot.h"
 #include "measure/flows.h"
 #include "report/format.h"
+#include "scenario/spec.h"
 #include "world/world_model.h"
 
 using namespace dohperf;
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   const std::string& provider_name = *flags["--provider"];
   const bool want_trace = *flags["--trace"] == "1";
 
-  world::WorldConfig config;
+  scenario::CampaignSpec spec;
   const std::optional<std::uint64_t> seed =
       report::read_number<std::uint64_t>(*flags["--seed"]);
   if (!seed) {
@@ -75,9 +75,14 @@ int main(int argc, char** argv) {
                  flags["--seed"]->c_str());
     return 2;
   }
-  config.seed = *seed;
-  config.only_countries = {iso2};
-  world::WorldModel world(config);
+  spec.world.seed = *seed;
+  std::string error;
+  if (!scenario::set_override(spec, "--country", "world.only_countries", iso2,
+                              &error)) {
+    std::fprintf(stderr, "ddig: %s\n", error.c_str());
+    return 2;
+  }
+  world::WorldModel world(spec.world);
 
   const proxy::ExitNode* client =
       world.brightdata().pick_exit(iso2, world.rng());
@@ -125,35 +130,20 @@ int main(int argc, char** argv) {
       return 2;
     }
     auto& provider = world.providers()[provider_index];
-    const geo::Country* country = geo::find_country(iso2);
-    const std::size_t pop =
-        provider.route(client->site.position, country->region, world.rng());
+    const std::size_t pop = provider.route(
+        client->site.position, client->anycast_region, world.rng());
     auto& server = world.doh_server(provider_index, pop);
-    if (via == "doh") {
-      const auto obs = world.run_flow([&](netsim::NetCtx& net) {
-        net.spans = spans;
-        return measure::doh_direct(net, client->site,
-                                   client->default_resolver, server,
-                                   transport::TlsVersion::kTls13,
-                                   world.origin());
-      });
-      std::printf(";; %s via %s@%s (DoH): first %.1f ms, reuse %.1f ms\n",
-                  name.c_str(), provider.name().c_str(),
-                  provider.pops()[pop].city.c_str(), obs.tdoh_ms(),
-                  obs.tdohr_ms());
-    } else {
-      const auto obs = world.run_flow([&](netsim::NetCtx& net) {
-        net.spans = spans;
-        return measure::dot_direct(net, client->site,
-                                   client->default_resolver, server,
-                                   transport::TlsVersion::kTls13,
-                                   world.origin());
-      });
-      std::printf(";; %s via %s@%s (DoT): first %.1f ms, reuse %.1f ms\n",
-                  name.c_str(), provider.name().c_str(),
-                  provider.pops()[pop].city.c_str(), obs.tdot_ms(),
-                  obs.tdotr_ms());
-    }
+    const bool doh = via == "doh";
+    const auto flow = doh ? &measure::doh_direct : &measure::dot_direct;
+    const auto obs = world.run_flow([&](netsim::NetCtx& net) {
+      net.spans = spans;
+      return flow(net, client->site, client->default_resolver, server,
+                  transport::TlsVersion::kTls13, world.origin());
+    });
+    std::printf(";; %s via %s@%s (%s): first %.1f ms, reuse %.1f ms\n",
+                name.c_str(), provider.name().c_str(),
+                provider.pops()[pop].city.c_str(), doh ? "DoH" : "DoT",
+                obs.first_ms(), obs.reuse_ms);
   } else {
     std::fprintf(stderr, "unknown transport %s\n", via.c_str());
     return 2;

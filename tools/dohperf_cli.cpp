@@ -158,7 +158,7 @@ int cmd_query(int argc, char** argv) {
 
   scenario::CampaignSpec spec;
   apply(args, spec, "--seed", "world.seed");
-  spec.world.only_countries = {iso2};
+  apply(args, spec, "--country", "world.only_countries");
   world::WorldModel world(spec.world);
 
   const proxy::ExitNode* client =
@@ -178,9 +178,8 @@ int cmd_query(int argc, char** argv) {
   }
 
   auto& provider = world.providers()[provider_index];
-  const geo::Country* country = geo::find_country(iso2);
-  const std::size_t pop =
-      provider.route(client->site.position, country->region, world.rng());
+  const std::size_t pop = provider.route(
+      client->site.position, client->anycast_region, world.rng());
   const auto obs = world.run_flow([&](netsim::NetCtx& net) {
     return measure::doh_direct(net, client->site, client->default_resolver,
                                world.doh_server(provider_index, pop),
@@ -190,8 +189,8 @@ int cmd_query(int argc, char** argv) {
   std::printf("%s via %s: DoH1 %.1f ms (dns %.1f, tcp %.1f, tls %.1f, "
               "query %.1f), DoHR %.1f ms\n",
               provider.name().c_str(), provider.pops()[pop].city.c_str(),
-              obs.tdoh_ms(), obs.dns_ms, obs.connect_ms, obs.tls_ms,
-              obs.query_ms, obs.tdohr_ms());
+              obs.first_ms(), obs.dns_ms, obs.connect_ms, obs.tls_ms,
+              obs.query_ms, obs.reuse_ms);
   const double do53_ms = world.run_flow([&](netsim::NetCtx& net) {
     return measure::do53_direct(net, client->site, client->default_resolver,
                                 world.origin().with_subdomain("cli-probe"));
@@ -207,7 +206,7 @@ int cmd_validate(int argc, char** argv) {
   const std::string& iso2 = *args.at("--country");
   scenario::CampaignSpec spec;
   apply(args, spec, "--seed", "world.seed");
-  spec.world.only_countries = {iso2};
+  apply(args, spec, "--country", "world.only_countries");
   world::WorldModel world(spec.world);
   measure::GroundTruthLab lab(world);
 
