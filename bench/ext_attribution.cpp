@@ -113,8 +113,7 @@ int bench() {
     // --- Cold cells: the ladder's one-shot direct flows. ---------------
     recorded(cold_ledger, [&](netsim::NetCtx& net) {
       return measure::doh_direct(net, exit->site, exit->default_resolver,
-                                 server, transport::TlsVersion::kTls13,
-                                 world.origin());
+                                 server, world.origin());
     });
     recorded(cold_ledger, [&](netsim::NetCtx& net) {
       return measure::do53_direct(
@@ -127,10 +126,8 @@ int bench() {
     doh_params.vantage = exit->site;
     doh_params.default_resolver = exit->default_resolver;
     doh_params.doh = &server;
-    doh_params.tls = transport::TlsVersion::kTls13;
     doh_params.origin = world.origin();
     doh_params.cache = &model;
-    doh_params.population = cache_config.population;
     doh_params.reuse = reuse;
     recorded(warm_ledger, [&](netsim::NetCtx& net) {
       return measure::doh_warm_path(net, doh_params);
@@ -140,8 +137,6 @@ int bench() {
     do53_params.resolver = exit->default_resolver;
     do53_params.origin = world.origin();
     do53_params.cache = &model;
-    do53_params.population =
-        cache_config.population * cache_config.isp_share;
     do53_params.reuse = reuse;
     recorded(warm_ledger, [&](netsim::NetCtx& net) {
       return measure::do53_warm_path(net, do53_params);

@@ -43,8 +43,7 @@ int bench() {
       auto& server = world.doh_server(p, pop);
       const auto dot = world.run_flow([&](netsim::NetCtx& net) {
         return measure::dot_direct(net, exit->site, exit->default_resolver,
-                                   server, transport::TlsVersion::kTls13,
-                                   world.origin());
+                                   server, world.origin());
       });
       if (dot.ok) {
         dot1.push_back(dot.first_ms());
@@ -52,8 +51,7 @@ int bench() {
       }
       const auto doh = world.run_flow([&](netsim::NetCtx& net) {
         return measure::doh_direct(net, exit->site, exit->default_resolver,
-                                   server, transport::TlsVersion::kTls13,
-                                   world.origin());
+                                   server, world.origin());
       });
       if (doh.ok) {
         doh1.push_back(doh.first_ms());

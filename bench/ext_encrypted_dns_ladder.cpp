@@ -88,14 +88,12 @@ int bench() {
     if (do53_ms >= 0) do53.push_back(do53_ms);
     take(world.run_flow([&](netsim::NetCtx& net) {
            return measure::dot_direct(net, exit->site, exit->default_resolver,
-                                      server, transport::TlsVersion::kTls13,
-                                      world.origin());
+                                      server, world.origin());
          }),
          dot1, dotr);
     take(world.run_flow([&](netsim::NetCtx& net) {
            return measure::doh_direct(net, exit->site, exit->default_resolver,
-                                      server, transport::TlsVersion::kTls13,
-                                      world.origin());
+                                      server, world.origin());
          }),
          doh1, dohr);
     take(world.run_flow([&](netsim::NetCtx& net) {
@@ -153,10 +151,8 @@ int bench() {
     doh_params.vantage = exit->site;
     doh_params.default_resolver = exit->default_resolver;
     doh_params.doh = &server;
-    doh_params.tls = transport::TlsVersion::kTls13;
     doh_params.origin = world.origin();
     doh_params.cache = &model;
-    doh_params.population = cache_config.population;
     doh_params.reuse = reuse;
     warm_doh.fold(world.run_flow([&](netsim::NetCtx& net) {
       return measure::doh_warm_path(net, doh_params);
@@ -166,8 +162,6 @@ int bench() {
     do53_params.resolver = exit->default_resolver;
     do53_params.origin = world.origin();
     do53_params.cache = &model;
-    do53_params.population =
-        cache_config.population * cache_config.isp_share;
     do53_params.reuse = reuse;
     warm_do53.fold(world.run_flow([&](netsim::NetCtx& net) {
       return measure::do53_warm_path(net, do53_params);

@@ -37,11 +37,8 @@ double median_plt(world::WorldModel& world, const std::string& iso2,
     ctx.web_server = world.authority().site();
     ctx.origin = world.origin();
 
-    web::PageSpec spec;
-    spec.domains = domains;
-
     const auto result = world.run_flow([&](netsim::NetCtx& net) {
-      return web::load_page(net, ctx, spec, mode);
+      return web::load_page(net, ctx, domains, mode);
     });
     if (result.ok) plt.push_back(result.total_ms);
   }

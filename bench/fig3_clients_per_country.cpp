@@ -15,7 +15,7 @@ int bench() {
   benchsupport::print_banner("Figure 3: clients per country");
   const auto& data = benchsupport::Env::instance().dataset();
 
-  const auto analysis = data.analysis_countries(10);
+  const auto analysis = data.analysis_countries();
   const auto counts = data.clients_per_country();
   std::vector<double> analysed;
   for (const auto& iso2 : analysis) {

@@ -40,7 +40,7 @@ int bench() {
               csv.row_count());
 
   // Named observations from the paper's Section 5.3.
-  const auto analysis = data.analysis_countries(10);
+  const auto analysis = data.analysis_countries();
   const auto all_doh = data.country_doh_medians("", 1);
   const auto all_do53 = data.country_do53_medians();
   std::vector<double> doh_medians, do53_medians;

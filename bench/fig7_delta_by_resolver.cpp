@@ -23,7 +23,7 @@ int bench() {
                             {"Google", -1, 0.39},
                             {"NextDNS", 159.62, 0.47}};
 
-  const auto analysis = data.analysis_countries(10);
+  const auto analysis = data.analysis_countries();
   const auto do53 = data.country_do53_medians();
 
   report::Table table("Country-level delta (DoH10 - Do53, ms)");

@@ -65,13 +65,12 @@ BENCHMARK(BM_CoroutineHops)->Arg(10)->Arg(100);
 // The per-message delay sample once a Path has computed its direction's
 // term.
 void BM_LatencySample(benchmark::State& state) {
-  LatencyModel model;
   Rng rng(5);
   const Site a{{40.7, -74.0}, 5.0, 1.5, 0.1};
   const Site b{{51.5, -0.1}, 2.0, 1.2, 0.1};
-  const OneWayTerm term = model.term(a, b);
+  const OneWayTerm term = one_way_term(a, b);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.one_way(term, 256, rng));
+    benchmark::DoNotOptimize(one_way(term, 256, rng));
   }
 }
 BENCHMARK(BM_LatencySample);

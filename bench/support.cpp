@@ -69,7 +69,6 @@ void capture_proxy_trace(world::WorldModel& world, const std::string& path) {
         world.brightdata().nearest_super_proxy(exit.site.position).site;
     params.exit = &exit;
     params.doh = &doh;
-    params.tls = world.config().tls_version;
     params.origin = world.origin();
     return measure::doh_via_proxy(net, std::move(params));
   };
@@ -89,10 +88,8 @@ void capture_warm_trace(world::WorldModel& world, const std::string& path) {
     params.vantage = exit.site;
     params.default_resolver = exit.default_resolver;
     params.doh = &doh;
-    params.tls = world.config().tls_version;
     params.origin = world.origin();
     params.cache = &cache;
-    params.population = cache_config.population;
     params.reuse.enabled = true;
     params.reuse.queries_per_session = 8;
     return measure::doh_warm_path(net, std::move(params));

@@ -34,8 +34,7 @@ int bench() {
                 "DoHR truth", "|err|", "paper DoH err", "paper DoHR err"});
   double worst_doh = 0, worst_dohr = 0;
   for (const PaperRow& row : paper) {
-    const auto v = lab.validate_doh(row.iso2, /*provider_index=*/0,
-                                    /*reps=*/10);
+    const auto v = lab.validate_doh(row.iso2);
     worst_doh = std::max(worst_doh, std::abs(v.tdoh_error_ms()));
     worst_dohr = std::max(worst_dohr, std::abs(v.tdohr_error_ms()));
     table.row({row.iso2, report::fmt(v.estimated_tdoh_ms, 0),

@@ -30,7 +30,7 @@ int bench() {
       {"Country", "header est", "direct truth", "|err|", "paper |err|"});
   double worst = 0;
   for (const PaperRow& row : paper) {
-    const auto v = lab.validate_do53(row.iso2, /*reps=*/10);
+    const auto v = lab.validate_do53(row.iso2);
     worst = std::max(worst, std::abs(v.error_ms()));
     table.row({row.iso2, report::fmt(v.estimated_ms, 0),
                report::fmt(v.truth_ms, 0),
@@ -49,7 +49,7 @@ int bench() {
   report::Table cmp("BrightData vs RIPE Atlas Do53 (Section 4.4)");
   cmp.header({"Country", "BrightData med", "Atlas med", "diff"});
   for (const char* iso2 : overlap) {
-    const auto c = lab.compare_networks(iso2, /*reps=*/100);
+    const auto c = lab.compare_networks(iso2);
     if (std::isnan(c.brightdata_median_ms) || std::isnan(c.atlas_median_ms)) {
       continue;
     }

@@ -69,7 +69,7 @@ int bench() {
   }
   std::fputs(headline.render().c_str(), stdout);
 
-  const auto analysis = data.analysis_countries(10);
+  const auto analysis = data.analysis_countries();
   std::printf("countries passing the >=10-clients-per-provider filter: %zu "
               "(paper: 199 of 224)\n",
               analysis.size());

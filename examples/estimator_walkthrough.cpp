@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
   scenario::CampaignSpec spec;
   spec.world.seed = 4;
   std::string error;
-  if (!scenario::set_override(spec, "ISO2", "world.only_countries", iso2,
-                              &error)) {
+  if (!scenario::set_country(spec, "ISO2", iso2, &error)) {
     std::fprintf(stderr, "estimator_walkthrough: %s\n", error.c_str());
     return 2;
   }

@@ -44,8 +44,7 @@ FleetResult measure_fleet(world::WorldModel& world, const std::string& iso2,
         provider.route(client->site.position, client->anycast_region, rng);
     const auto obs = world.run_flow([&](netsim::NetCtx& net) {
       return measure::doh_direct(net, client->site, client->default_resolver,
-                                 servers[pop], transport::TlsVersion::kTls13,
-                                 world.origin());
+                                 servers[pop], world.origin());
     });
     if (!obs.ok) continue;
     doh1.push_back(obs.first_ms());
@@ -75,7 +74,7 @@ std::vector<resolver::DohServer> build_fleet(
         netsim::from_ms(provider.config().processing_ms));
     servers.emplace_back(provider.config().doh_hostname,
                          provider.frontend_site(i, profile.route_inflation),
-                         std::move(backend));
+                         world.config().tls_version, std::move(backend));
   }
   return servers;
 }
@@ -96,8 +95,7 @@ int main(int argc, char** argv) {
   spec.world.seed = 3;
   spec.world.client_scale = 1.0;
   std::string error;
-  if (!scenario::set_override(spec, "ISO2", "world.only_countries", iso2,
-                              &error)) {
+  if (!scenario::set_country(spec, "ISO2", iso2, &error)) {
     std::fprintf(stderr, "pop_planner: %s\n", error.c_str());
     return 2;
   }

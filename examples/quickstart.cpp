@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
   scenario::CampaignSpec spec;
   spec.world.seed = 1;
   std::string error;
-  if (!scenario::set_override(spec, "ISO2", "world.only_countries", iso2,
-                              &error)) {
+  if (!scenario::set_country(spec, "ISO2", iso2, &error)) {
     std::fprintf(stderr, "quickstart: %s\n", error.c_str());
     return 2;
   }
@@ -55,9 +54,7 @@ int main(int argc, char** argv) {
         client->site.position, client->anycast_region, world.rng());
     const auto obs = world.run_flow([&](netsim::NetCtx& net) {
       return measure::doh_direct(net, client->site, client->default_resolver,
-                                 world.doh_server(p, pop),
-                                 transport::TlsVersion::kTls13,
-                                 world.origin());
+                                 world.doh_server(p, pop), world.origin());
     });
     if (!obs.ok) {
       std::printf("%-10s measurement failed (HTTP %d)\n",

@@ -13,10 +13,6 @@ using netsim::NetCtx;
 using netsim::SimTime;
 using netsim::Task;
 
-/// kRace only: head start the DoH leg gets before the Do53 leg fires
-/// (the happy-eyeballs connection-attempt delay).
-constexpr netsim::Duration kRaceStagger = netsim::from_ms(250);
-
 /// Plain Do53 resolution of a fresh name; true on success.
 Task<bool> resolve_do53(NetCtx& net, const PolicyContext& ctx) {
   const resolver::StubResult result = co_await resolver::stub_resolve(
@@ -38,7 +34,8 @@ Task<bool> resolve_doh(NetCtx& net, const PolicyContext& ctx) {
   const transport::TcpConnection tcp =
       co_await transport::tcp_connect(net, ctx.client, ctx.doh->site());
   if (!tcp.established) co_return false;
-  const transport::TlsSession tls = co_await transport::tls_handshake(tcp);
+  const transport::TlsSession tls =
+      co_await transport::tls_handshake(tcp, ctx.doh->tls_version());
   if (!tls.established) co_return false;
 
   const transport::HttpResponse resp = co_await resolver::doh_exchange(
@@ -127,7 +124,7 @@ netsim::Task<PolicyOutcome> resolve_with_policy(netsim::NetCtx& net,
   // pre-charged penalty — until its own deadline cuts the attempt off.
   // Each wait is the same retry step and event as NetCtx's machines.
   if (ctx.doh_unreachable) {
-    netsim::Duration remaining = ctx.doh_timeout;
+    netsim::Duration remaining = kDohTimeout;
     netsim::Duration timer = transport::kSynRetryPolicy.initial_timeout;
     while (remaining > netsim::Duration::zero()) {
       const netsim::Duration wait = std::min(timer, remaining);

@@ -32,19 +32,24 @@ enum class DohMode {
 
 [[nodiscard]] std::string_view to_string(DohMode mode);
 
+/// How long the client waits before declaring DoH dead (browsers use a
+/// few seconds; Firefox's network.trr.request_timeout_ms is 1500).
+inline constexpr netsim::Duration kDohTimeout = netsim::from_ms(1500);
+/// kRace only: head start the DoH leg gets before the Do53 leg fires
+/// (the happy-eyeballs connection-attempt delay).
+inline constexpr netsim::Duration kRaceStagger = netsim::from_ms(250);
+
 /// Everything a policy resolution needs.
 struct PolicyContext {
   netsim::Site client;
   resolver::RecursiveResolver* default_resolver = nullptr;
-  /// The serving PoP; the client bootstraps and addresses its hostname.
+  /// The serving PoP; the client bootstraps and addresses its hostname
+  /// and handshakes at its TLS version.
   resolver::DohServer* doh = nullptr;
   dns::DomainName origin;
   /// Fault injection: the DoH resolver is unreachable for this client
-  /// (TCP SYNs vanish). The client only learns this via its timeout.
+  /// (TCP SYNs vanish). The client only learns this via kDohTimeout.
   bool doh_unreachable = false;
-  /// How long the client waits before declaring DoH dead (browsers use a
-  /// few seconds; Firefox's network.trr.request_timeout_ms is 1500).
-  netsim::Duration doh_timeout = netsim::from_ms(1500);
 };
 
 /// Outcome of one policy-driven resolution.

@@ -310,7 +310,7 @@ struct Session {
         slot(session_slot),
         key(session_key),
         out(rows),
-        net{shard.stack.sim(), shard.world.latency(), rng},
+        net{shard.stack.sim(), rng},
         epoch(shard.stack.sim().now()),
         campaign_base(shard.config.session_spacing *
                       static_cast<std::int64_t>(session_slot)),
@@ -480,7 +480,6 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
     params.super_proxy = task.sp_site;
     params.exit = &exit;
     params.doh = &view.stack.doh_server(p, pop_index);
-    params.tls = view.world.config().tls_version;
     params.origin = view.world.origin();
 
     s.begin_flow(static_cast<std::uint32_t>(p), "doh:" + provider.name());
@@ -541,26 +540,20 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
       wp.vantage = exit.site;
       wp.default_resolver = exit.default_resolver;
       wp.doh = &view.stack.doh_server(p, pop_index);
-      wp.tls = view.world.config().tls_version;
       wp.origin = view.world.origin();
       wp.cache = model;
-      // Centralized deployment: the provider PoP aggregates the whole
-      // configured population behind one cache.
-      wp.population = config.cache.population;
       wp.reuse = config.reuse;
       record_warm(co_await doh_warm_path(net, std::move(wp)), kDohWarm);
     }
 
     // Do53 counterpart: same think-time/query schedule, but UDP (no
-    // pool) and a *distributed* cache — only this ISP's share of the
-    // population warms the default resolver.
+    // pool) and a *distributed* cache.
     s.label("Do53");
     WarmDo53Params dp;
     dp.vantage = exit.site;
     dp.resolver = exit.default_resolver;
     dp.origin = view.world.origin();
     dp.cache = model;
-    dp.population = config.cache.population * config.cache.isp_share;
     dp.reuse = config.reuse;
     record_warm(co_await do53_warm_path(net, std::move(dp)), kDo53Warm);
   }

@@ -86,7 +86,7 @@ std::size_t Dataset::do53_countries() const {
   return do53_countries_;
 }
 
-std::vector<std::string> Dataset::analysis_countries(int min_clients) const {
+std::vector<std::string> Dataset::analysis_countries() const {
   ensure_index();
   std::set<obs::StrId> countries;
   for (const auto& [provider, index] : doh_index_) {
@@ -101,7 +101,7 @@ std::vector<std::string> Dataset::analysis_countries(int min_clients) const {
           const auto& per_country = entry.second.clients_per_country;
           const auto it = per_country.find(iso2);
           return it != per_country.end() &&
-                 it->second >= static_cast<std::size_t>(min_clients);
+                 it->second >= kMinAnalysisClients;
         });
     if (ok) out.emplace_back(names_.name(iso2));
   }

@@ -21,6 +21,11 @@
 
 namespace dohperf::measure {
 
+/// The paper's per-country analysis filter: a country is analysed only
+/// when at least this many unique clients were measured for every
+/// studied provider.
+inline constexpr std::size_t kMinAnalysisClients = 10;
+
 /// One measured client (exit node) retained after the Maxmind check.
 struct ClientInfo {
   std::uint64_t exit_id = 0;
@@ -122,10 +127,9 @@ class Dataset {
   [[nodiscard]] std::size_t do53_clients() const;
   [[nodiscard]] std::size_t do53_countries() const;
 
-  /// Countries with at least `min_clients` unique clients measured for
-  /// EVERY studied provider (the paper's per-country analysis filter).
-  [[nodiscard]] std::vector<std::string> analysis_countries(
-      int min_clients = 10) const;
+  /// Countries with at least kMinAnalysisClients unique clients measured
+  /// for EVERY studied provider (the paper's per-country analysis filter).
+  [[nodiscard]] std::vector<std::string> analysis_countries() const;
 
   /// Clients measured per country (for Figure 3).
   [[nodiscard]] std::map<std::string, std::size_t> clients_per_country()

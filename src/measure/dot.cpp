@@ -4,14 +4,14 @@
 
 #include "resolver/stub.h"
 #include "transport/tcp.h"
+#include "transport/tls.h"
 
 namespace dohperf::measure {
 
 netsim::Task<DirectObservation> dot_direct(
     netsim::NetCtx& net, netsim::Site vantage,
     resolver::RecursiveResolver* default_resolver,
-    resolver::DohServer& doh, transport::TlsVersion tls,
-    dns::DomainName origin) {
+    resolver::DohServer& doh, dns::DomainName origin) {
   const auto flow = net.flow({.span = "dot_query", .transport = "dot"});
   DirectObservation obs;
 
@@ -28,7 +28,7 @@ netsim::Task<DirectObservation> dot_direct(
   if (!tcp.established) co_return obs;
   obs.connect_ms = netsim::to_ms(tcp.handshake_time);
   const transport::TlsSession session =
-      co_await transport::tls_handshake(tcp, tls);
+      co_await transport::tls_handshake(tcp, doh.tls_version());
   if (!session.established) co_return obs;
   obs.tls_ms = netsim::to_ms(session.handshake_time);
 

@@ -10,6 +10,7 @@
 #include "resolver/stub.h"
 #include "transport/http.h"
 #include "transport/tcp.h"
+#include "transport/tls.h"
 
 namespace dohperf::measure {
 namespace {
@@ -71,6 +72,7 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
   const Site& exit = params.exit->site;
   const Site pop = params.doh->site();
   const std::string& doh_hostname = params.doh->hostname();
+  const transport::TlsVersion tls = params.doh->tls_version();
 
   // The client's timestamps are taken relative to the session's own
   // start rather than the simulation epoch: only the differences
@@ -161,10 +163,10 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
 
   // Record layers of the single end-to-end TLS session, one per segment
   // it crosses: client<->PoP through the tunnel, exit<->PoP on the leg.
-  const transport::TlsSession tls_tunnel(tunnel, params.tls);
-  const transport::TlsSession tls_leg(tcp, params.tls);
+  const transport::TlsSession tls_tunnel(tunnel, tls);
+  const transport::TlsSession tls_leg(tcp, tls);
 
-  if (params.tls == transport::TlsVersion::kTls12) {
+  if (tls == transport::TlsVersion::kTls12) {
     // Legacy second round trip: client Finished -> server Finished.
     co_await tunnel.send_framed(transport::kClientFinishedBytes);
     co_await tcp.send_framed(transport::kClientFinishedBytes);
@@ -207,7 +209,6 @@ Task<DirectObservation> doh_direct(NetCtx& net, Site vantage,
                                    resolver::RecursiveResolver*
                                        default_resolver,
                                    resolver::DohServer& doh,
-                                   transport::TlsVersion tls,
                                    dns::DomainName origin) {
   DirectObservation obs;
   const auto flow = net.flow({"doh_direct", std::nullopt,
@@ -226,7 +227,7 @@ Task<DirectObservation> doh_direct(NetCtx& net, Site vantage,
   if (!tcp.established) co_return obs;
   obs.connect_ms = netsim::to_ms(tcp.handshake_time);
   const transport::TlsSession session =
-      co_await transport::tls_handshake(tcp, tls);
+      co_await transport::tls_handshake(tcp, doh.tls_version());
   if (!session.established) co_return obs;
   obs.tls_ms = netsim::to_ms(session.handshake_time);
 

@@ -26,7 +26,6 @@
 #include "proxy/tunnel.h"
 #include "resolver/doh_server.h"
 #include "resolver/recursive.h"
-#include "transport/tls.h"
 
 namespace dohperf::measure {
 
@@ -40,9 +39,9 @@ struct DohProxyParams {
   netsim::Site super_proxy;  ///< Serving Super Proxy.
   const proxy::ExitNode* exit = nullptr;
   /// At the anycast-selected PoP; its hostname (e.g. dns.google) is the
-  /// name the exit node bootstraps and the flow CONNECTs to.
+  /// name the exit node bootstraps and the flow CONNECTs to, and its TLS
+  /// version the one the tunnelled handshake runs.
   resolver::DohServer* doh = nullptr;
-  transport::TlsVersion tls = transport::TlsVersion::kTls13;
   dns::DomainName origin;              ///< Study zone ("a.com").
 };
 
@@ -91,23 +90,22 @@ struct DirectObservation {
   [[nodiscard]] bool has_reuse() const { return !std::isnan(reuse_ms); }
 };
 
-/// Direct DoH measurement at a controlled vantage (ground truth).
+/// Direct DoH measurement at a controlled vantage (ground truth); the
+/// handshake runs at `doh`'s TLS version.
 [[nodiscard]] netsim::Task<DirectObservation> doh_direct(
     netsim::NetCtx& net, netsim::Site vantage,
     resolver::RecursiveResolver* default_resolver,
-    resolver::DohServer& doh, transport::TlsVersion tls,
-    dns::DomainName origin);
+    resolver::DohServer& doh, dns::DomainName origin);
 
 /// DNS-over-TLS (RFC 7858) against the PoP behind `doh`: Cloudflare,
 /// Google and Quad9 terminate DoH and DoT on the same anycast front-ends,
 /// under the same hostname. DoT skips the HTTP layer; DNS messages travel
-/// length-prefixed over the TLS session (the DoT literature the paper
-/// cites: Doan et al., PAM 2021).
+/// length-prefixed over the TLS session, at `doh`'s TLS version (the DoT
+/// literature the paper cites: Doan et al., PAM 2021).
 [[nodiscard]] netsim::Task<DirectObservation> dot_direct(
     netsim::NetCtx& net, netsim::Site vantage,
     resolver::RecursiveResolver* default_resolver,
-    resolver::DohServer& doh, transport::TlsVersion tls,
-    dns::DomainName origin);
+    resolver::DohServer& doh, dns::DomainName origin);
 
 /// DNS-over-QUIC (RFC 9250) against the PoP behind `doh`. With `resumed`
 /// the client holds a ticket from a prior session: no bootstrap (the

@@ -61,17 +61,16 @@ proxy::ExitNode GroundTruthLab::make_ec2_node(const std::string& iso2) {
   return node;
 }
 
-DohValidation GroundTruthLab::validate_doh(const std::string& iso2,
-                                           std::size_t provider_index,
-                                           int reps) {
+DohValidation GroundTruthLab::validate_doh(const std::string& iso2) {
   const proxy::ExitNode node = make_ec2_node(iso2);
-  const anycast::Provider& provider = world_.providers()[provider_index];
+  constexpr std::size_t kCloudflare = 0;
+  const anycast::Provider& provider = world_.providers()[kCloudflare];
 
   // Datacenter vantage points ride clean BGP paths: anycast delivers
   // them to the nearest PoP, and the assignment is stable across the
   // repetitions of both methods.
   const std::size_t pop_index = provider.nearest(node.site.position);
-  resolver::DohServer& doh = world_.doh_server(provider_index, pop_index);
+  resolver::DohServer& doh = world_.doh_server(kCloudflare, pop_index);
 
   DohProxyParams params;
   params.client = world_.measurement_client();
@@ -79,12 +78,11 @@ DohValidation GroundTruthLab::validate_doh(const std::string& iso2,
       world_.brightdata().nearest_super_proxy(node.site.position).site;
   params.exit = &node;
   params.doh = &doh;
-  params.tls = world_.config().tls_version;
   params.origin = world_.origin();
 
   std::vector<double> est_tdoh, est_tdohr, truth_tdoh, truth_tdohr;
 
-  for (int i = 0; i < reps; ++i) {
+  for (int i = 0; i < kValidationReps; ++i) {
     // Estimator path: full proxied measurement.
     const DohProxyObservation proxied = world_.run_flow(
         [&](netsim::NetCtx& net) { return doh_via_proxy(net, params); });
@@ -96,7 +94,7 @@ DohValidation GroundTruthLab::validate_doh(const std::string& iso2,
     const DirectObservation direct =
         world_.run_flow([&](netsim::NetCtx& net) {
           return doh_direct(net, node.site, node.default_resolver, doh,
-                            world_.config().tls_version, world_.origin());
+                            world_.origin());
         });
     if (direct.ok) {
       truth_tdoh.push_back(direct.first_ms());
@@ -113,8 +111,7 @@ DohValidation GroundTruthLab::validate_doh(const std::string& iso2,
   return v;
 }
 
-Do53Validation GroundTruthLab::validate_do53(const std::string& iso2,
-                                             int reps) {
+Do53Validation GroundTruthLab::validate_do53(const std::string& iso2) {
   if (proxy::resolves_dns_at_super_proxy(iso2)) {
     throw std::invalid_argument(
         "Do53 validation not applicable in Super Proxy country " + iso2);
@@ -122,7 +119,7 @@ Do53Validation GroundTruthLab::validate_do53(const std::string& iso2,
   const proxy::ExitNode node = make_ec2_node(iso2);
 
   std::vector<double> estimated, truth;
-  for (int i = 0; i < reps; ++i) {
+  for (int i = 0; i < kValidationReps; ++i) {
     const Do53ProxyObservation proxied =
         world_.run_flow([&](netsim::NetCtx& net) {
           return do53_via_proxy(net, proxied_do53(world_, node));
@@ -144,12 +141,11 @@ Do53Validation GroundTruthLab::validate_do53(const std::string& iso2,
   return v;
 }
 
-NetworkComparison GroundTruthLab::compare_networks(const std::string& iso2,
-                                                   int reps) {
+NetworkComparison GroundTruthLab::compare_networks(const std::string& iso2) {
   netsim::Rng rng = world_.rng().split("netcmp-" + iso2);
   std::vector<double> brightdata, atlas;
 
-  for (int i = 0; i < reps; ++i) {
+  for (int i = 0; i < kComparisonReps; ++i) {
     // BrightData: a random real exit node in the country.
     const proxy::ExitNode* exit = world_.brightdata().pick_exit(iso2, rng);
     if (exit != nullptr &&

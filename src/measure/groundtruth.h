@@ -50,26 +50,29 @@ struct NetworkComparison {
   }
 };
 
+/// Repetitions per method at a controlled node (paper Section 4: 10).
+inline constexpr int kValidationReps = 10;
+/// BrightData and Atlas draws per network comparison (Section 4.4).
+inline constexpr int kComparisonReps = 100;
+
 /// Runs the validation experiments against a world.
 class GroundTruthLab {
  public:
   explicit GroundTruthLab(world::WorldModel& world);
 
   /// Validates the Equation-7/8 estimators from a controlled EC2-like
-  /// node in `iso2` against `provider_index` (default: Cloudflare), with
-  /// `reps` repetitions per method (paper: 10).
-  [[nodiscard]] DohValidation validate_doh(const std::string& iso2,
-                                           std::size_t provider_index = 0,
-                                           int reps = 10);
+  /// node in `iso2` against Cloudflare, with kValidationReps repetitions
+  /// per method.
+  [[nodiscard]] DohValidation validate_doh(const std::string& iso2);
 
-  /// Validates the Do53 header readout (not applicable in Super Proxy
-  /// countries; throws std::invalid_argument for them, as in the paper).
-  [[nodiscard]] Do53Validation validate_do53(const std::string& iso2,
-                                             int reps = 10);
+  /// Validates the Do53 header readout with kValidationReps repetitions
+  /// per method (not applicable in Super Proxy countries; throws
+  /// std::invalid_argument for them, as in the paper).
+  [[nodiscard]] Do53Validation validate_do53(const std::string& iso2);
 
-  /// Compares BrightData and Atlas Do53 medians in an overlap country.
-  [[nodiscard]] NetworkComparison compare_networks(const std::string& iso2,
-                                                   int reps = 250);
+  /// Compares BrightData and Atlas Do53 medians in an overlap country
+  /// over kComparisonReps draws of each.
+  [[nodiscard]] NetworkComparison compare_networks(const std::string& iso2);
 
   /// Builds the controlled EC2-like exit node the validations plant in a
   /// country.

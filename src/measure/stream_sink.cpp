@@ -207,8 +207,7 @@ const stats::QuantileSketch& StreamSink::tdohr_sketch(
   return s != nullptr ? *s : empty_sketch();
 }
 
-std::vector<std::string> StreamSink::analysis_countries(
-    int min_clients) const {
+std::vector<std::string> StreamSink::analysis_countries() const {
   // Unique clients per (country, provider) from the merged bitsets.
   std::map<std::pair<obs::StrId, std::uint32_t>, std::size_t> counts;
   std::vector<bool> provider_seen(provider_ids_.size(), false);
@@ -228,8 +227,7 @@ std::vector<std::string> StreamSink::analysis_countries(
     for (std::uint32_t p = 0; p < provider_ids_.size(); ++p) {
       if (!provider_seen[p]) continue;
       const auto it = counts.find({iso2, p});
-      if (it == counts.end() ||
-          it->second < static_cast<std::size_t>(min_clients)) {
+      if (it == counts.end() || it->second < kMinAnalysisClients) {
         ok = false;
         break;
       }

@@ -95,8 +95,8 @@ class StreamSink {
   }
 
   // ---- Analysis filter and median map (fig5) --------------------------
-  [[nodiscard]] std::vector<std::string> analysis_countries(
-      int min_clients = 10) const;
+  /// Dataset::analysis_countries over the merged client bitsets.
+  [[nodiscard]] std::vector<std::string> analysis_countries() const;
   /// Sketch-median DoH1 per country for one provider.
   [[nodiscard]] std::map<std::string, double> country_doh1_medians(
       std::string_view provider) const;

@@ -11,6 +11,7 @@
 #include "dns/wire.h"
 #include "resolver/stub.h"
 #include "transport/tcp.h"
+#include "transport/tls.h"
 
 namespace dohperf::measure {
 namespace {
@@ -71,6 +72,18 @@ struct WarmQuery {
   }
 };
 
+/// The population warming the cache a DoH query reaches: the model's
+/// whole population behind one centralized PoP cache.
+double cache_population(const WarmDohParams& params) {
+  return params.cache->config().population;
+}
+
+/// A Do53 query's: the share of it behind one ISP resolver.
+double cache_population(const WarmDo53Params& params) {
+  const resolver::SharedCacheConfig& config = params.cache->config();
+  return config.population * config.isp_share;
+}
+
 /// The root step and the flow transports one warm path files under.
 struct WarmNames {
   dohperf::obs::Step root;
@@ -121,7 +134,7 @@ Task<WarmPathObservation> run_session(NetCtx& net, const Params& params,
     // Popularity draw; without a model every query is a full recursion.
     resolver::SharedCacheLookup look;
     if (params.cache != nullptr) {
-      look = params.cache->sample(net.rng, params.population);
+      look = params.cache->sample(net.rng, cache_population(params));
     }
     const dns::DomainName name = params.origin.with_subdomain(
         "popular-" + std::to_string(look.rank));
@@ -210,9 +223,11 @@ Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
           if (!tcp->established) co_return false;
           if (how == client::Acquire::kResume) {
             query.observation.session_resumed = true;
-            tls.emplace(co_await transport::tls_resume(*tcp, params.tls));
+            tls.emplace(co_await transport::tls_resume(
+                *tcp, params.doh->tls_version()));
           } else {
-            tls.emplace(co_await transport::tls_handshake(*tcp, params.tls));
+            tls.emplace(co_await transport::tls_handshake(
+                *tcp, params.doh->tls_version()));
           }
           if (!tls->established) co_return false;
           pool.established(doh_hostname, net.sim.now());

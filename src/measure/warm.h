@@ -26,7 +26,6 @@
 #include "resolver/doh_server.h"
 #include "resolver/recursive.h"
 #include "resolver/shared_cache.h"
-#include "transport/tls.h"
 
 namespace dohperf::measure {
 
@@ -68,32 +67,29 @@ struct WarmDohParams {
   netsim::Site vantage;
   /// Bootstrap resolver for the DoH hostname (cold acquisitions only).
   resolver::RecursiveResolver* default_resolver = nullptr;
-  /// The serving PoP; the pool keys its connection by its hostname.
+  /// The serving PoP; the pool keys its connection by its hostname, and
+  /// handshakes and resumptions run at its TLS version.
   resolver::DohServer* doh = nullptr;
-  transport::TlsVersion tls = transport::TlsVersion::kTls13;
   dns::DomainName origin;  ///< Study zone; popular names live under it.
   /// Shared-cache model; nullptr prices every query as a full recursion.
   const resolver::SharedCacheModel* cache = nullptr;
-  /// Background population warming this resolver's cache (centralized:
-  /// the whole country is behind one provider PoP).
-  double population = 0.0;
   ReuseConfig reuse;
 };
 
 /// Runs one warm DoH session: queries_per_session Zipf-popular queries
-/// through a fresh ConnectionPool (query 0 is always cold).
+/// through a fresh ConnectionPool (query 0 is always cold). The PoP cache
+/// is centralized: the model's whole population warms it.
 [[nodiscard]] netsim::Task<WarmPathObservation> doh_warm_path(
     netsim::NetCtx& net, WarmDohParams params);
 
 /// Parameters for the Do53 counterpart: no connections to warm (UDP),
-/// but the same stub cache and a *distributed* shared cache — the caller
-/// passes the per-ISP population share, not the whole country.
+/// but the same stub cache and a *distributed* shared cache — only one
+/// ISP's share of the model's population (`isp_share`) warms it.
 struct WarmDo53Params {
   netsim::Site vantage;
   resolver::RecursiveResolver* resolver = nullptr;
   dns::DomainName origin;
   const resolver::SharedCacheModel* cache = nullptr;
-  double population = 0.0;  ///< Population behind *this* ISP resolver.
   ReuseConfig reuse;
 };
 

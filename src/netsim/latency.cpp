@@ -4,8 +4,18 @@
 #include <cmath>
 
 namespace dohperf::netsim {
+namespace {
 
-OneWayTerm LatencyModel::term(const Site& a, const Site& b) const {
+/// Jitter-free delay of `bytes` over the direction's term.
+double expected_ms(const OneWayTerm& t, std::size_t bytes) {
+  const double serialization_ms =
+      static_cast<double>(bytes) / 1024.0 * kPerKbMs;
+  return std::max(kMinOneWayMs, t.fixed_ms + serialization_ms);
+}
+
+}  // namespace
+
+OneWayTerm one_way_term(const Site& a, const Site& b) {
   const double dist_km = geo::distance_km(a.position, b.position);
   // Paths inherit the worse indirectness of their two endpoints, softened
   // geometrically: a well-connected cloud PoP partially compensates for a
@@ -13,29 +23,20 @@ OneWayTerm LatencyModel::term(const Site& a, const Site& b) const {
   const double inflation =
       std::sqrt(std::max(1.0, a.route_inflation) *
                 std::max(1.0, b.route_inflation));
-  const double propagation_ms = dist_km / cfg_.km_per_ms * inflation;
+  const double propagation_ms = dist_km / kKmPerMs * inflation;
   // Summed in the order of the full delay expression in expected_ms, so
   // adding the serialisation cost later rounds exactly as one sum would.
   return {propagation_ms + a.lastmile_ms + b.lastmile_ms,
           std::hypot(a.jitter_sigma, b.jitter_sigma)};
 }
 
-double LatencyModel::expected_ms(const OneWayTerm& t,
-                                 std::size_t bytes) const {
-  const double serialization_ms =
-      static_cast<double>(bytes) / 1024.0 * cfg_.per_kb_ms;
-  return std::max(cfg_.min_one_way_ms, t.fixed_ms + serialization_ms);
+double expected_one_way_ms(const Site& a, const Site& b, std::size_t bytes) {
+  return expected_ms(one_way_term(a, b), bytes);
 }
 
-Duration LatencyModel::one_way(const OneWayTerm& t, std::size_t bytes,
-                               Rng& rng) const {
+Duration one_way(const OneWayTerm& t, std::size_t bytes, Rng& rng) {
   const double jittered = rng.lognormal_median(expected_ms(t, bytes), t.sigma);
-  return from_ms(std::max(cfg_.min_one_way_ms, jittered));
-}
-
-double LatencyModel::expected_rtt_ms(const Site& a, const Site& b,
-                                     std::size_t bytes) const {
-  return 2.0 * expected_one_way_ms(a, b, bytes);
+  return from_ms(std::max(kMinOneWayMs, jittered));
 }
 
 }  // namespace dohperf::netsim

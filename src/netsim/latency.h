@@ -35,15 +35,12 @@ struct Site {
   friend bool operator==(const Site&, const Site&) = default;
 };
 
-/// Tunables for the delay computation.
-struct LatencyConfig {
-  /// Effective signal speed in fibre, km per ms (~2/3 c).
-  double km_per_ms = 200.0;
-  /// Serialisation/queuing cost per kilobyte of payload (ms).
-  double per_kb_ms = 0.05;
-  /// Floor for any one-way delay (ms).
-  double min_one_way_ms = 0.15;
-};
+/// Effective signal speed in fibre, km per ms (~2/3 c).
+inline constexpr double kKmPerMs = 200.0;
+/// Serialisation/queuing cost per kilobyte of payload (ms).
+inline constexpr double kPerKbMs = 0.05;
+/// Floor for any one-way delay (ms).
+inline constexpr double kMinOneWayMs = 0.15;
 
 /// The size-independent part of one direction's delay: propagation plus
 /// both endpoints' last-mile delay, and the jitter sigma. A routed path
@@ -53,37 +50,15 @@ struct OneWayTerm {
   double sigma = 0.0;
 };
 
-/// Computes one-way delays between sites.
-class LatencyModel {
- public:
-  LatencyModel() = default;
-  explicit LatencyModel(LatencyConfig cfg) : cfg_(cfg) {}
+/// The a -> b term every delay below is computed from.
+[[nodiscard]] OneWayTerm one_way_term(const Site& a, const Site& b);
 
-  /// The a -> b term every delay below is computed from.
-  [[nodiscard]] OneWayTerm term(const Site& a, const Site& b) const;
+/// Deterministic (jitter-free) one-way delay in ms.
+[[nodiscard]] double expected_one_way_ms(const Site& a, const Site& b,
+                                         std::size_t bytes);
 
-  /// Deterministic (jitter-free) one-way delay in ms.
-  [[nodiscard]] double expected_one_way_ms(const Site& a, const Site& b,
-                                           std::size_t bytes) const {
-    return expected_ms(term(a, b), bytes);
-  }
-
-  /// Samples a one-way delay with jitter from the direction's term.
-  [[nodiscard]] Duration one_way(const OneWayTerm& t, std::size_t bytes,
-                                 Rng& rng) const;
-
-  /// Deterministic round-trip estimate (2x expected one-way, same bytes
-  /// each direction).
-  [[nodiscard]] double expected_rtt_ms(const Site& a, const Site& b,
-                                       std::size_t bytes = 64) const;
-
-  [[nodiscard]] const LatencyConfig& config() const { return cfg_; }
-
- private:
-  [[nodiscard]] double expected_ms(const OneWayTerm& t,
-                                   std::size_t bytes) const;
-
-  LatencyConfig cfg_{};
-};
+/// Samples a one-way delay with jitter from the direction's term.
+[[nodiscard]] Duration one_way(const OneWayTerm& t, std::size_t bytes,
+                               Rng& rng);
 
 }  // namespace dohperf::netsim

@@ -1,4 +1,4 @@
-// Bundles the pieces a protocol flow needs: simulator, latency model, RNG.
+// Bundles the pieces a protocol flow needs: simulator and RNG.
 #pragma once
 
 #include <cassert>
@@ -47,7 +47,6 @@ struct RetryOutcome {
 /// clock, so attaching them cannot change a flow's timing or output.
 struct NetCtx {
   Simulator& sim;
-  const LatencyModel& latency;
   Rng& rng;
   /// Optional span tree; when set, instrumented layers open nested spans
   /// and every hop is recorded as a leaf under the innermost open span —
@@ -182,7 +181,7 @@ struct NetCtx {
 
   /// Simulates one message travelling a -> b; completes at arrival time.
   Task<void> hop(const Site& a, const Site& b, std::size_t bytes) {
-    return hop(a, b, latency.term(a, b), bytes);
+    return hop(a, b, one_way_term(a, b), bytes);
   }
 
   /// hop() with the a -> b delay term already computed (Path keeps one
@@ -190,7 +189,7 @@ struct NetCtx {
   Task<void> hop(const Site& a, const Site& b, OneWayTerm term,
                  std::size_t bytes) {
     const SimTime sent = sim.now();
-    co_await sim.sleep(latency.one_way(term, bytes, rng));
+    co_await sim.sleep(one_way(term, bytes, rng));
     if (metrics != nullptr) {
       ++metrics->counters.messages;
       metrics->counters.bytes_on_wire += bytes;

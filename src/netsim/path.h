@@ -19,8 +19,8 @@ class Path {
       : net_(&net),
         a_(std::move(a)),
         b_(std::move(b)),
-        forward_(net.latency.term(a_, b_)),
-        backward_(net.latency.term(b_, a_)) {}
+        forward_(one_way_term(a_, b_)),
+        backward_(one_way_term(b_, a_)) {}
 
   /// Per-message framing bytes added in each direction (default none).
   void set_framing(std::size_t forward_bytes, std::size_t backward_bytes) {

@@ -65,9 +65,10 @@ std::optional<transport::HttpResponse> read_query(
 }  // namespace
 
 DohServer::DohServer(std::string hostname, netsim::Site frontend_site,
-                     RecursiveResolver resolver)
+                     transport::TlsVersion tls, RecursiveResolver resolver)
     : hostname_(std::move(hostname)),
       frontend_site_(frontend_site),
+      tls_(tls),
       resolver_(std::move(resolver)) {}
 
 netsim::Task<transport::HttpResponse> DohServer::handle(

@@ -11,20 +11,21 @@
 #include "netsim/netctx.h"
 #include "resolver/recursive.h"
 #include "transport/http.h"
+#include "transport/tls.h"
 
 namespace dohperf::resolver {
 
 /// Handles "GET /dns-query?dns=<base64url>" requests.
 ///
 /// The HTTPS front-end (`frontend_site`) is where clients terminate TCP
-/// and TLS — providers onboard clients near the edge, so its route
-/// inflation is low. The backend recursive resolver keeps its own site
-/// whose inflation reflects the long-haul transit its upstream queries
-/// actually ride.
+/// and TLS, at version `tls` — providers onboard clients near the edge,
+/// so its route inflation is low. The backend recursive resolver keeps
+/// its own site whose inflation reflects the long-haul transit its
+/// upstream queries actually ride.
 class DohServer {
  public:
   DohServer(std::string hostname, netsim::Site frontend_site,
-            RecursiveResolver resolver);
+            transport::TlsVersion tls, RecursiveResolver resolver);
 
   /// Parses the HTTP request (RFC 8484 GET ?dns= or POST body), resolves
   /// the carried DNS query, and returns an HTTP response with an
@@ -38,12 +39,15 @@ class DohServer {
   [[nodiscard]] const std::string& hostname() const { return hostname_; }
   /// The TLS-terminating front-end clients talk to.
   [[nodiscard]] const netsim::Site& site() const { return frontend_site_; }
+  /// The TLS version every DoH and DoT handshake with this front-end runs.
+  [[nodiscard]] transport::TlsVersion tls_version() const { return tls_; }
   [[nodiscard]] RecursiveResolver& resolver() { return resolver_; }
   [[nodiscard]] std::uint64_t requests_served() const { return served_; }
 
  private:
   std::string hostname_;
   netsim::Site frontend_site_;
+  transport::TlsVersion tls_;
   RecursiveResolver resolver_;
   std::uint64_t served_ = 0;
 };

@@ -127,14 +127,14 @@ report::CsvWriter fig4_csv(const measure::StreamSink& sink) {
 }
 
 report::CsvWriter fig5_csv(const measure::Dataset& data) {
-  return render_fig5(data.analysis_countries(10),
+  return render_fig5(data.analysis_countries(),
                      [&data](const char* provider) {
                        return data.country_doh_medians(provider, 1);
                      });
 }
 
 report::CsvWriter fig5_csv(const measure::StreamSink& sink) {
-  return render_fig5(sink.analysis_countries(10),
+  return render_fig5(sink.analysis_countries(),
                      [&sink](const char* provider) {
                        return sink.country_doh1_medians(provider);
                      });

@@ -897,6 +897,16 @@ bool set_override(CampaignSpec& spec, std::string_view source,
   return false;
 }
 
+bool set_country(CampaignSpec& spec, std::string_view source,
+                 std::string_view iso2, std::string* error) {
+  if (iso2.empty() || iso2.find(',') != std::string_view::npos) {
+    *error = std::string(source) + ": expected one country, got \"" +
+             std::string(iso2) + "\"";
+    return false;
+  }
+  return set_override(spec, source, "world.only_countries", iso2, error);
+}
+
 bool apply_env_overrides(CampaignSpec& spec, std::string* error) {
   static constexpr std::pair<const char*, const char*> kEnvKeys[] = {
       {"DOHPERF_SEED", "world.seed"},

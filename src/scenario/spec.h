@@ -131,6 +131,12 @@ bool set_override(CampaignSpec& spec, std::string_view source,
                   const std::string& dotted_key, std::string_view value,
                   std::string* error);
 
+/// set_override() of `world.only_countries` from a flag or argument that
+/// names one country ("SE"): an empty value or a list ("SE,BR") fails
+/// too, with a diagnostic naming `source`.
+bool set_country(CampaignSpec& spec, std::string_view source,
+                 std::string_view iso2, std::string* error);
+
 /// Shortest decimal form of `v` that the number rule (report::read_number)
 /// reads back bit-identically: integral values as integers, others as
 /// printf's "%.*g" at the least precision that round-trips.

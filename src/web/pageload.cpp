@@ -52,8 +52,7 @@ struct DomainOutcome {
 };
 
 Task<DomainOutcome> load_domain(NetCtx& net, const PageLoadContext& ctx,
-                                const PageSpec& spec, DnsMode mode,
-                                SimTime page_start) {
+                                DnsMode mode, SimTime page_start) {
   DomainOutcome out;
   const dns::Message query =
       resolver::make_probe_query(net.rng, ctx.origin);
@@ -65,20 +64,16 @@ Task<DomainOutcome> load_domain(NetCtx& net, const PageLoadContext& ctx,
   const transport::TcpConnection tcp =
       co_await transport::tcp_connect(net, ctx.client, ctx.web_server);
   if (!tcp.established) co_return out;
-  if (spec.https) {
-    const transport::TlsSession tls = co_await transport::tls_handshake(tcp);
-    if (!tls.established) co_return out;
-  }
-  // Response records are priced with the TLS record overhead regardless
-  // of scheme — the byte model treats object sizes as on-session sizes.
-  const transport::TlsSession session(tcp);
-  for (int i = 0; i < spec.objects_per_domain; ++i) {
+  const transport::TlsSession session =
+      co_await transport::tls_handshake(tcp);
+  if (!session.established) co_return out;
+  for (int i = 0; i < kObjectsPerDomain; ++i) {
     transport::HttpRequest req;
     req.method = "GET";
     req.target = "/obj" + std::to_string(i);
     co_await tcp.send(req.wire_size() + kRequestHeaderPadBytes);
     co_await net.process(from_ms(kStaticContentMs));
-    co_await session.recv(spec.object_bytes);
+    co_await session.recv(kObjectBytes);
   }
   out.done_ms = ms_between(page_start, net.sim.now());
   out.ok = true;
@@ -100,7 +95,7 @@ std::string_view to_string(DnsMode mode) {
 }
 
 netsim::Task<PageLoadResult> load_page(netsim::NetCtx& net,
-                                       PageLoadContext ctx, PageSpec spec,
+                                       PageLoadContext ctx, int domains,
                                        DnsMode mode) {
   const auto flow = net.flow({.span = "pageload", .transport = "pageload"});
   PageLoadResult result;
@@ -116,16 +111,17 @@ netsim::Task<PageLoadResult> load_page(netsim::NetCtx& net,
     const transport::TcpConnection tcp =
         co_await transport::tcp_connect(net, ctx.client, ctx.doh->site());
     if (!tcp.established) co_return result;
-    const transport::TlsSession tls = co_await transport::tls_handshake(tcp);
+    const transport::TlsSession tls =
+        co_await transport::tls_handshake(tcp, ctx.doh->tls_version());
     if (!tls.established) co_return result;
     result.dns_setup_ms = ms_between(page_start, net.sim.now());
   }
 
   // All domains proceed in parallel (tasks start eagerly).
   std::vector<netsim::Task<DomainOutcome>> tasks;
-  tasks.reserve(static_cast<std::size_t>(spec.domains));
-  for (int d = 0; d < spec.domains; ++d) {
-    tasks.push_back(load_domain(net, ctx, spec, mode, page_start));
+  tasks.reserve(static_cast<std::size_t>(domains));
+  for (int d = 0; d < domains; ++d) {
+    tasks.push_back(load_domain(net, ctx, mode, page_start));
   }
 
   result.ok = true;

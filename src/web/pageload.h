@@ -4,8 +4,9 @@
 //
 // A page references `domains` unique third-party hosts; each is resolved
 // (all resolutions proceed in parallel, as browsers do), then fetched over
-// its own HTTPS connection carrying `objects_per_domain` objects. Page
-// load time is the completion of the slowest domain.
+// its own HTTPS connection carrying kObjectsPerDomain objects of
+// kObjectBytes each. Page load time is the completion of the slowest
+// domain.
 #pragma once
 
 #include <cstddef>
@@ -19,19 +20,17 @@
 
 namespace dohperf::web {
 
-/// Shape of a synthetic page.
-struct PageSpec {
-  int domains = 8;
-  int objects_per_domain = 3;
-  std::size_t object_bytes = 20 * 1024;
-  bool https = true;  ///< TLS 1.3 handshake per fetched domain.
-};
+/// Objects fetched from each of a page's domains.
+inline constexpr int kObjectsPerDomain = 3;
+/// Size of each fetched object (octets).
+inline constexpr std::size_t kObjectBytes = 20 * 1024;
 
 /// How the page's names are resolved.
 enum class DnsMode {
   kDo53,      ///< Default resolver, one UDP exchange per name.
-  kDohCold,   ///< DoH: TCP+TLS handshake to the PoP first, then all
-              ///< queries multiplexed on the session.
+  kDohCold,   ///< DoH: TCP+TLS handshake to the PoP (at its TLS
+              ///< version) first, then all queries multiplexed on the
+              ///< session.
   kDohWarm,   ///< DoH with an already-established session (kept warm by
               ///< the browser between pages).
 };
@@ -62,11 +61,12 @@ struct PageLoadContext {
   dns::DomainName origin;
 };
 
-/// Loads one synthetic page; every domain is a fresh (cache-missing)
-/// subdomain of `origin`, matching the study's worst-case framing. `ctx`
-/// is taken by value: the coroutine reads it after suspending, when a
-/// caller's temporary would be gone.
+/// Loads one synthetic page of `domains` domains, each fetched over
+/// HTTPS with a TLS 1.3 handshake; every domain is a fresh
+/// (cache-missing) subdomain of `origin`, matching the study's
+/// worst-case framing. `ctx` is taken by value: the coroutine reads it
+/// after suspending, when a caller's temporary would be gone.
 [[nodiscard]] netsim::Task<PageLoadResult> load_page(
-    netsim::NetCtx& net, PageLoadContext ctx, PageSpec spec, DnsMode mode);
+    netsim::NetCtx& net, PageLoadContext ctx, int domains, DnsMode mode);
 
 }  // namespace dohperf::web

@@ -135,7 +135,7 @@ void WorldModel::build_servers(SimContext& ctx) const {
     ctx.doh_[p].reserve(doh_specs_[p].size());
     for (const DohServerSpec& spec : doh_specs_[p]) {
       ctx.doh_[p].push_back(std::make_unique<resolver::DohServer>(
-          spec.hostname, spec.frontend,
+          spec.hostname, spec.frontend, config_.tls_version,
           resolver_from_spec(spec.backend, ctx.authority_.get())));
     }
   }

@@ -100,7 +100,8 @@ struct WorldConfig {
   std::vector<std::string> only_countries;
   /// Couple network parameters to country covariates (ablation switch).
   bool couple_infra = true;
-  /// TLS version used by DoH measurements (paper headline: 1.3).
+  /// TLS version of every DoH front-end, so of every DoH and DoT
+  /// handshake (paper headline: 1.3).
   transport::TlsVersion tls_version = transport::TlsVersion::kTls13;
   /// Ablation: route every client to its geographically nearest PoP,
   /// overriding the calibrated anycast-inefficiency mixtures.
@@ -127,8 +128,8 @@ class WorldModel {
   WorldModel(const WorldModel&) = delete;
   WorldModel& operator=(const WorldModel&) = delete;
 
-  /// Runs one flow to completion on this world's own SimContext and
-  /// latency model, drawing from `rng` (the world's own by default), and
+  /// Runs one flow to completion on this world's own SimContext,
+  /// drawing from `rng` (the world's own by default), and
   /// returns its result (rethrowing what it threw). `launch(net)` gets a
   /// fresh context, may attach spans, metrics or a ledger to it, and
   /// returns the started Task. The simulator then runs until no events
@@ -140,7 +141,7 @@ class WorldModel {
   }
   template <typename Launch>
   auto run_flow(Launch&& launch, netsim::Rng& rng) {
-    netsim::NetCtx net{stack_.sim(), latency_, rng};
+    netsim::NetCtx net{stack_.sim(), rng};
     auto task = std::forward<Launch>(launch)(net);
     stack_.sim().run();
     if (!task.done()) {
@@ -151,9 +152,6 @@ class WorldModel {
 
   [[nodiscard]] netsim::Simulator& sim() { return stack_.sim(); }
   [[nodiscard]] netsim::Rng& rng() { return rng_; }
-  [[nodiscard]] const netsim::LatencyModel& latency() const {
-    return latency_;
-  }
   [[nodiscard]] const WorldConfig& config() const { return config_; }
 
   [[nodiscard]] resolver::AuthoritativeServer& authority() {
@@ -205,9 +203,10 @@ class WorldModel {
   void locate_hosts();
   void build_providers();
   void build_country(const geo::Country& country);
-  /// Builds `ctx`'s authority and DoH fleets from the recorded specs.
-  /// With add_isp_resolver(), the one place servers are built, for the
-  /// world's own context and every replica alike.
+  /// Builds `ctx`'s authority and DoH fleets from the recorded specs,
+  /// every DoH front-end at the world's TLS version. With
+  /// add_isp_resolver(), the one place servers are built, for the world's
+  /// own context and every replica alike.
   void build_servers(SimContext& ctx) const;
   /// Adds the ISP resolver `spec` records to `ctx`, with the
   /// never-expiring provider-hostname A records (the ultra-hot bootstrap
@@ -216,7 +215,6 @@ class WorldModel {
                                                 const ResolverSpec& spec) const;
 
   WorldConfig config_;
-  netsim::LatencyModel latency_;
   netsim::Rng rng_;
 
   dns::DomainName origin_;

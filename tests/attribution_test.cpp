@@ -356,8 +356,7 @@ TEST_F(AttributionFlowFixture, DirectFlowsSatisfyTheInvariant) {
   AttributionLedger ledger;
   const auto doh_flow = recorded(ledger, [&](netsim::NetCtx& net) {
     return measure::doh_direct(net, exit->site, exit->default_resolver,
-                               server, transport::TlsVersion::kTls13,
-                               world().origin());
+                               server, world().origin());
   });
   ASSERT_TRUE(doh_flow.ok);
   const double do53_ms = recorded(ledger, [&](netsim::NetCtx& net) {
@@ -367,8 +366,7 @@ TEST_F(AttributionFlowFixture, DirectFlowsSatisfyTheInvariant) {
   EXPECT_GT(do53_ms, 0.0);
   const auto dot_flow = recorded(ledger, [&](netsim::NetCtx& net) {
     return measure::dot_direct(net, exit->site, exit->default_resolver,
-                               server, transport::TlsVersion::kTls13,
-                               world().origin());
+                               server, world().origin());
   });
   ASSERT_TRUE(dot_flow.ok);
   const auto doq_flow = recorded(ledger, [&](netsim::NetCtx& net) {
@@ -401,7 +399,6 @@ TEST_F(AttributionFlowFixture, ProxiedFlowsSatisfyTheInvariant) {
         world().brightdata().nearest_super_proxy(exit->site.position).site;
     params.exit = exit;
     params.doh = &world().doh_server(0, 0);
-    params.tls = transport::TlsVersion::kTls13;
     params.origin = world().origin();
     ASSERT_TRUE(recorded(ledger, [&](netsim::NetCtx& net) {
                   return measure::doh_via_proxy(net, params);
@@ -439,14 +436,14 @@ TEST_F(AttributionFlowFixture, PageLoadSatisfiesTheInvariant) {
   ctx.doh = &world().doh_server(0, 0);
   ctx.web_server = world().authority().site();
   ctx.origin = world().origin();
-  web::PageSpec spec;
-  spec.domains = 6;  // concurrent subflows pop frames out of order
+  // Six concurrent subflows pop frames out of order.
+  constexpr int kDomains = 6;
 
   AttributionLedger ledger;
   for (const web::DnsMode mode :
        {web::DnsMode::kDo53, web::DnsMode::kDohCold}) {
     ASSERT_TRUE(recorded(ledger, [&](netsim::NetCtx& net) {
-                  return web::load_page(net, ctx, spec, mode);
+                  return web::load_page(net, ctx, kDomains, mode);
                 }).ok);
   }
   expect_consistent(ledger);
@@ -502,7 +499,6 @@ TEST_F(AttributionFlowFixture, WarmPathsClassifyPoolOutcomesExactly) {
     params.doh = &world().doh_server(0, 0);
     params.origin = world().origin();
     params.cache = &model;
-    params.population = 1e6;
     params.reuse.enabled = true;
     params.reuse.queries_per_session = 8;
     ASSERT_TRUE(recorded(ledger, [&](netsim::NetCtx& net) {
@@ -515,7 +511,6 @@ TEST_F(AttributionFlowFixture, WarmPathsClassifyPoolOutcomesExactly) {
     params.resolver = exit->default_resolver;
     params.origin = world().origin();
     params.cache = &model;
-    params.population = 5e4;
     params.reuse.enabled = true;
     params.reuse.queries_per_session = 8;
     ASSERT_TRUE(recorded(ledger, [&](netsim::NetCtx& net) {
@@ -562,8 +557,7 @@ TEST_F(AttributionFlowFixture, RetryHeavyFaultFlowsStayExact) {
                  net.fault_epoch = net.sim.now();
                  return measure::doh_direct(
                      net, exit->site, exit->default_resolver,
-                     world().doh_server(0, 0), transport::TlsVersion::kTls13,
-                     world().origin());
+                     world().doh_server(0, 0), world().origin());
                }).ok);
 
   expect_consistent(ledger);

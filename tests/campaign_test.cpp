@@ -111,9 +111,9 @@ TEST(DatasetTest, AnalysisCountriesRequireAllProviders) {
   }
   // SE has 12 clients for Cloudflare and Google but none for a third
   // provider -> once NextDNS rows appear anywhere, SE must be excluded.
-  EXPECT_EQ(data.analysis_countries(10).size(), 1u);
+  EXPECT_EQ(data.analysis_countries().size(), 1u);
   data.add_doh(doh_record(data, 500, "BR", "NextDNS", 0, 300, 200));
-  EXPECT_TRUE(data.analysis_countries(10).empty());
+  EXPECT_TRUE(data.analysis_countries().empty());
 }
 
 TEST(DatasetTest, ClientsPerCountry) {

@@ -25,10 +25,9 @@ using netsim::Site;
 
 struct StackFixture : ::testing::Test {
   netsim::Simulator sim;
-  netsim::LatencyModel latency;
   netsim::Rng rng{7};
   obs::SpanContext trace;
-  NetCtx net{sim, latency, rng, &trace};
+  NetCtx net{sim, rng, &trace};
   /// The messages captured so far: the span tree's hop leaves.
   [[nodiscard]] std::vector<const obs::Span*> hops() const {
     return trace.hop_view();
@@ -72,7 +71,7 @@ TEST_F(StackFixture, PathTraceRecordsTiming) {
   sim.run();
   ASSERT_EQ(hops().size(), 1u);
   const obs::Span& event = *hops()[0];
-  const double expected = latency.expected_one_way_ms(a, b, 64);
+  const double expected = netsim::expected_one_way_ms(a, b, 64);
   // SimTime has microsecond ticks, so the delivered delay is the
   // expectation truncated to 1 us.
   EXPECT_NEAR(netsim::ms_between(event.start, event.end), expected, 1e-3);
@@ -188,8 +187,8 @@ TEST_F(StackFixture, TlsSessionResumptionIsOneRoundTrip) {
   // truncated to the simulator's 1 us tick), with no fault episode the
   // handshake gate is free.
   const double expected =
-      latency.expected_one_way_ms(a, b, transport::kResumeClientHelloBytes) +
-      latency.expected_one_way_ms(b, a, transport::kResumeServerHelloBytes);
+      netsim::expected_one_way_ms(a, b, transport::kResumeClientHelloBytes) +
+      netsim::expected_one_way_ms(b, a, transport::kResumeServerHelloBytes);
   EXPECT_NEAR(netsim::ms_between(start, sim.now()), expected, 2e-3);
   EXPECT_NEAR(netsim::to_ms(tls.handshake_time), expected, 2e-3);
   EXPECT_EQ(tls.established_at, sim.now());
@@ -242,8 +241,8 @@ TEST_F(TunnelFixture, EstablishedDeliveryCrossesBothLegs) {
 
   // Delivery pays both intermediaries' forwarding delays on top of the
   // two legs' propagation.
-  const double legs = latency.expected_one_way_ms(a, b, 500) +
-                      latency.expected_one_way_ms(b, exit, 500);
+  const double legs = netsim::expected_one_way_ms(a, b, 500) +
+                      netsim::expected_one_way_ms(b, exit, 500);
   const double expected = legs + proxy::kSuperProxyForwardMs +
                           proxy::kExitForwardingMs;
   // Four scheduled delays (two hops, two process calls), each truncated
@@ -307,7 +306,8 @@ TEST_F(TunnelFixture, TlsSessionStacksOnTunnel) {
 // ------------------------------------------- doh_via_proxy golden check
 
 // Step-timestamp goldens recorded from the pre-refactor flow (after the
-// t7 byte-size fix), world seed 1234, scale 0.2, countries {SE, US}.
+// t7 byte-size fix), world seed 1234, scale 0.2, countries {SE, US}, in a
+// world built at each TLS version.
 // The refactor contract is timing transparency: same sleeps, same order,
 // same RNG draws — so every observable must match bit-for-bit.
 struct FlowGolden {
@@ -328,6 +328,7 @@ TEST_P(DohViaProxyGolden, StepTimestampsAreUnchanged) {
   config.seed = 1234;
   config.client_scale = 0.2;
   config.only_countries = {"SE", "US"};
+  config.tls_version = golden.tls;
   world::WorldModel world(config);
 
   netsim::Rng pick = world.rng().split("golden-pick");
@@ -340,7 +341,6 @@ TEST_P(DohViaProxyGolden, StepTimestampsAreUnchanged) {
       world.brightdata().nearest_super_proxy(exit->site.position).site;
   params.exit = exit;
   params.doh = &world.doh_server(0, 0);
-  params.tls = golden.tls;
   params.origin = world.origin();
 
   obs::SpanContext capture;

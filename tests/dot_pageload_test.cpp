@@ -30,18 +30,14 @@ struct ExtensionFixture : ::testing::Test {
                                         std::size_t pop) {
     return world().run_flow([&](netsim::NetCtx& net) {
       return measure::dot_direct(net, exit->site, exit->default_resolver,
-                                 world().doh_server(0, pop),
-                                 transport::TlsVersion::kTls13,
-                                 world().origin());
+                                 world().doh_server(0, pop), world().origin());
     });
   }
   static measure::DirectObservation doh(const proxy::ExitNode* exit,
                                         std::size_t pop) {
     return world().run_flow([&](netsim::NetCtx& net) {
       return measure::doh_direct(net, exit->site, exit->default_resolver,
-                                 world().doh_server(0, pop),
-                                 transport::TlsVersion::kTls13,
-                                 world().origin());
+                                 world().doh_server(0, pop), world().origin());
     });
   }
   static measure::DirectObservation doq(const proxy::ExitNode* exit,
@@ -53,10 +49,9 @@ struct ExtensionFixture : ::testing::Test {
     });
   }
   static web::PageLoadResult load(const web::PageLoadContext& ctx,
-                                  const web::PageSpec& spec,
-                                  web::DnsMode mode) {
+                                  int domains, web::DnsMode mode) {
     return world().run_flow([&](netsim::NetCtx& net) {
-      return web::load_page(net, ctx, spec, mode);
+      return web::load_page(net, ctx, domains, mode);
     });
   }
 };
@@ -104,9 +99,7 @@ TEST_F(ExtensionFixture, PageLoadCompletes) {
   const auto* exit = client("SE");
   ASSERT_NE(exit, nullptr);
   const auto ctx = make_ctx(world(), exit, 0);
-  web::PageSpec spec;
-  spec.domains = 4;
-  const auto result = load(ctx, spec, web::DnsMode::kDo53);
+  const auto result = load(ctx, /*domains=*/4, web::DnsMode::kDo53);
   ASSERT_TRUE(result.ok);
   EXPECT_GT(result.total_ms, 0.0);
   EXPECT_GT(result.dns_critical_ms, 0.0);
@@ -118,9 +111,7 @@ TEST_F(ExtensionFixture, ColdDohPaysSessionSetup) {
   const auto* exit = client("SE");
   ASSERT_NE(exit, nullptr);
   const auto ctx = make_ctx(world(), exit, 0);
-  web::PageSpec spec;
-  spec.domains = 3;
-  const auto result = load(ctx, spec, web::DnsMode::kDohCold);
+  const auto result = load(ctx, /*domains=*/3, web::DnsMode::kDohCold);
   ASSERT_TRUE(result.ok);
   EXPECT_GT(result.dns_setup_ms, 0.0);
 }
@@ -129,12 +120,10 @@ TEST_F(ExtensionFixture, WarmDohBeatsColdDoh) {
   const auto* exit = client("TZ");
   ASSERT_NE(exit, nullptr);
   const auto ctx = make_ctx(world(), exit, 2);
-  web::PageSpec spec;
-  spec.domains = 6;
   std::vector<double> cold, warm;
   for (int i = 0; i < 9; ++i) {
-    cold.push_back(load(ctx, spec, web::DnsMode::kDohCold).total_ms);
-    warm.push_back(load(ctx, spec, web::DnsMode::kDohWarm).total_ms);
+    cold.push_back(load(ctx, /*domains=*/6, web::DnsMode::kDohCold).total_ms);
+    warm.push_back(load(ctx, /*domains=*/6, web::DnsMode::kDohWarm).total_ms);
   }
   std::nth_element(cold.begin(), cold.begin() + 4, cold.end());
   std::nth_element(warm.begin(), warm.begin() + 4, warm.end());
@@ -147,11 +136,8 @@ TEST_F(ExtensionFixture, WiderPagesTakeAtLeastAsLong) {
   const auto ctx = make_ctx(world(), exit, 0);
   std::vector<double> narrow, wide;
   for (int i = 0; i < 7; ++i) {
-    web::PageSpec spec;
-    spec.domains = 2;
-    narrow.push_back(load(ctx, spec, web::DnsMode::kDo53).total_ms);
-    spec.domains = 16;
-    wide.push_back(load(ctx, spec, web::DnsMode::kDo53).total_ms);
+    narrow.push_back(load(ctx, /*domains=*/2, web::DnsMode::kDo53).total_ms);
+    wide.push_back(load(ctx, /*domains=*/16, web::DnsMode::kDo53).total_ms);
   }
   std::nth_element(narrow.begin(), narrow.begin() + 3, narrow.end());
   std::nth_element(wide.begin(), wide.begin() + 3, wide.end());
@@ -186,9 +172,8 @@ TEST_F(ExtensionFixture, ResumedDoqSkipsHandshakeAndBootstrap) {
 
 TEST_F(ExtensionFixture, QuicConnectTakesOneRoundTrip) {
   netsim::Simulator sim;
-  netsim::LatencyModel latency;
   netsim::Rng rng(1);
-  netsim::NetCtx net{sim, latency, rng};
+  netsim::NetCtx net{sim, rng};
   const netsim::Site a{{0, 0}, 1.0, 1.0, 0.0};
   const netsim::Site b{{0, 20}, 1.0, 1.0, 0.0};
   auto task = transport::quic_connect(net, a, b);
@@ -196,8 +181,8 @@ TEST_F(ExtensionFixture, QuicConnectTakesOneRoundTrip) {
   const auto conn = task.result();
   EXPECT_FALSE(conn.zero_rtt);
   const double expected =
-      latency.expected_one_way_ms(a, b, transport::kQuicClientInitialBytes) +
-      latency.expected_one_way_ms(a, b, transport::kQuicServerHandshakeBytes);
+      netsim::expected_one_way_ms(a, b, transport::kQuicClientInitialBytes) +
+      netsim::expected_one_way_ms(a, b, transport::kQuicServerHandshakeBytes);
   EXPECT_NEAR(netsim::to_ms(conn.handshake_time), expected, 0.01);
 
   auto resumed = transport::quic_resume(net, a, b);

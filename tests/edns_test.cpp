@@ -116,9 +116,8 @@ TEST(EcsTest, AttachReusesExistingOpt) {
 
 struct EdnsStackFixture : ::testing::Test {
   netsim::Simulator sim;
-  netsim::LatencyModel latency;
   netsim::Rng rng{12};
-  netsim::NetCtx net{sim, latency, rng};
+  netsim::NetCtx net{sim, rng};
   dns::DomainName origin = dns::DomainName::parse("a.com");
   resolver::AuthoritativeServer authority{
       dns::Zone::make_study_zone(origin, 1),
@@ -222,6 +221,7 @@ TEST_F(EdnsStackFixture, NodataIsNegativelyCachedWithNoErrorRcode) {
 
 TEST_F(EdnsStackFixture, DohPostBindingResolves) {
   resolver::DohServer doh("doh.test", netsim::Site{{0, 20}, 0.5, 1.0, 0.0},
+                          transport::TlsVersion::kTls13,
                           make_resolver(resolver::EcsPolicy::kNever));
   const auto query =
       dns::Message::make_query(9, origin.with_subdomain("via-post"));
@@ -243,6 +243,7 @@ TEST_F(EdnsStackFixture, DohPostBindingResolves) {
 
 TEST_F(EdnsStackFixture, DohPostRequiresDnsContentType) {
   resolver::DohServer doh("doh.test", netsim::Site{{0, 20}, 0.5, 1.0, 0.0},
+                          transport::TlsVersion::kTls13,
                           make_resolver(resolver::EcsPolicy::kNever));
   transport::HttpRequest req;
   req.method = "POST";
@@ -256,6 +257,7 @@ TEST_F(EdnsStackFixture, DohPostRequiresDnsContentType) {
 
 TEST_F(EdnsStackFixture, DohForwardsClientAddressToEcsPolicy) {
   resolver::DohServer doh("doh.test", netsim::Site{{0, 20}, 0.5, 1.0, 0.0},
+                          transport::TlsVersion::kTls13,
                           make_resolver(resolver::EcsPolicy::kForwardSlash24));
   const auto query =
       dns::Message::make_query(3, origin.with_subdomain("doh-ecs"));

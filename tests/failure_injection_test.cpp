@@ -33,9 +33,12 @@ TEST(FailureInjectionTest, TotalProviderFailureYieldsEmptyDohData) {
   EXPECT_GT(data.failed_measurements, 0u);
   // Do53 is unaffected by DoH failures.
   EXPECT_FALSE(data.do53().empty());
-  // Aggregations over the empty side behave sanely.
-  EXPECT_EQ(data.unique_clients("Cloudflare"), 0u);
-  EXPECT_TRUE(data.analysis_countries(1).empty());
+  // Aggregations over the empty side behave sanely: no provider has a
+  // single client, so no country passes the analysis filter.
+  for (const char* provider : {"Cloudflare", "Google", "NextDNS", "Quad9"}) {
+    EXPECT_EQ(data.unique_clients(provider), 0u) << provider;
+  }
+  EXPECT_TRUE(data.analysis_countries().empty());
   EXPECT_TRUE(std::isnan(stats::median(data.tdoh_values())));
   EXPECT_TRUE(regression_rows(data).empty());
 }
@@ -96,7 +99,7 @@ TEST(FailureInjectionTest, TinyWorldSurvivesAnalysis) {
   Campaign campaign(world, config);
   const Dataset data = campaign.run();
   // Below the 10-client threshold: excluded from analysis but intact.
-  EXPECT_TRUE(data.analysis_countries(10).empty());
+  EXPECT_TRUE(data.analysis_countries().empty());
   const auto rows = regression_rows(data);
   for (const auto& row : rows) {
     EXPECT_GT(row.multiplier_1, 0.0);
@@ -201,7 +204,7 @@ TEST(FailureInjectionTest, BlackoutFailsEveryPageLoadMode) {
         world.run_flow([&](netsim::NetCtx& net) {
           net.faults = &plan;
           net.fault_epoch = net.sim.now();
-          return web::load_page(net, ctx, web::PageSpec{}, mode);
+          return web::load_page(net, ctx, /*domains=*/8, mode);
         });
     EXPECT_FALSE(result.ok) << web::to_string(mode);
   }

@@ -4,6 +4,9 @@
 
 #include <functional>
 #include <memory>
+#include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "client/policy.h"
@@ -17,17 +20,22 @@
 namespace dohperf::measure {
 namespace {
 
-// Every test gets a world of its own: flows advance the world's clock and
-// warm its resolvers, so a shared world would make each test's numbers
-// depend on which tests ran before it in the same process.
-struct FlowsFixture : ::testing::Test {
-  static world::WorldConfig world_config() {
+// A small world and the flows run on it. Every test gets a world of its
+// own: flows advance the world's clock and warm its resolvers, so a shared
+// world would make each test's numbers depend on which tests ran before it
+// in the same process. Worlds built at different TLS versions differ only
+// in their DoH servers' version: equal seeds give equal exits and PoPs.
+struct FlowsWorld {
+  static world::WorldConfig world_config(transport::TlsVersion tls) {
     world::WorldConfig config;
     config.seed = 21;
     config.client_scale = 0.3;
     config.only_countries = {"SE", "BR", "ZA", "US", "JP"};
+    config.tls_version = tls;
     return config;
   }
+
+  explicit FlowsWorld(transport::TlsVersion tls) : world_(world_config(tls)) {}
 
   world::WorldModel& world() { return world_; }
 
@@ -45,7 +53,6 @@ struct FlowsFixture : ::testing::Test {
         world().brightdata().nearest_super_proxy(exit->site.position).site;
     params.exit = exit;
     params.doh = &world().doh_server(provider_index, pop_index);
-    params.tls = transport::TlsVersion::kTls13;
     params.origin = world().origin();
     return params;
   }
@@ -74,7 +81,7 @@ struct FlowsFixture : ::testing::Test {
     return world().run_flow([&](netsim::NetCtx& net) {
       return doh_direct(net, exit->site, exit->default_resolver,
                         world().doh_server(provider_index, 0),
-                        transport::TlsVersion::kTls13, world().origin());
+                        world().origin());
     });
   }
   double direct_do53(const proxy::ExitNode* exit, const std::string& label) {
@@ -84,7 +91,98 @@ struct FlowsFixture : ::testing::Test {
     });
   }
 
-  world::WorldModel world_{world_config()};
+  /// Runs once, traced, each client flow that bootstraps a DoH server's
+  /// name and connects to it (by its entry point's name).
+  std::vector<std::pair<std::string, obs::SpanContext>> traced_client_flows() {
+    const auto* exit = exit_in("SE");
+    EXPECT_NE(exit, nullptr);
+    if (exit == nullptr) return {};
+    resolver::DohServer& doh = world().doh_server(0, 0);
+    const DohProxyParams proxy_params = doh_params(exit, 0, 0);
+    resolver::SharedCacheConfig cache_config;
+    cache_config.enabled = true;
+    const resolver::SharedCacheModel cache(cache_config);
+    WarmDohParams warm;
+    warm.vantage = exit->site;
+    warm.default_resolver = exit->default_resolver;
+    warm.doh = &doh;
+    warm.origin = world().origin();
+    warm.cache = &cache;
+    warm.reuse.enabled = true;
+    warm.reuse.queries_per_session = 4;
+    web::PageLoadContext page;
+    page.client = exit->site;
+    page.default_resolver = exit->default_resolver;
+    page.doh = &doh;
+    page.web_server = world().authority().site();
+    page.origin = world().origin();
+    client::PolicyContext policy;
+    policy.client = exit->site;
+    policy.default_resolver = exit->default_resolver;
+    policy.doh = &doh;
+    policy.origin = world().origin();
+
+    using Launch = std::function<netsim::Task<void>(netsim::NetCtx&)>;
+    const std::pair<const char*, Launch> entry_points[] = {
+        {"doh_via_proxy",
+         [&](netsim::NetCtx& net) -> netsim::Task<void> {
+           EXPECT_TRUE((co_await doh_via_proxy(net, proxy_params)).ok);
+         }},
+        {"doh_direct",
+         [&](netsim::NetCtx& net) -> netsim::Task<void> {
+           EXPECT_TRUE((co_await doh_direct(net, exit->site,
+                                            exit->default_resolver, doh,
+                                            world().origin()))
+                           .ok);
+         }},
+        {"dot_direct",
+         [&](netsim::NetCtx& net) -> netsim::Task<void> {
+           EXPECT_TRUE((co_await dot_direct(net, exit->site,
+                                            exit->default_resolver, doh,
+                                            world().origin()))
+                           .ok);
+         }},
+        {"doq_direct",
+         [&](netsim::NetCtx& net) -> netsim::Task<void> {
+           EXPECT_TRUE((co_await doq_direct(net, exit->site,
+                                            exit->default_resolver, doh,
+                                            world().origin()))
+                           .ok);
+         }},
+        {"doh_warm_path",
+         [&](netsim::NetCtx& net) -> netsim::Task<void> {
+           EXPECT_TRUE((co_await doh_warm_path(net, warm)).ok);
+         }},
+        {"load_page",
+         [&](netsim::NetCtx& net) -> netsim::Task<void> {
+           EXPECT_TRUE((co_await web::load_page(net, page, /*domains=*/2,
+                                                web::DnsMode::kDohCold))
+                           .ok);
+         }},
+        {"resolve_with_policy",
+         [&](netsim::NetCtx& net) -> netsim::Task<void> {
+           EXPECT_TRUE((co_await client::resolve_with_policy(
+                            net, policy, client::DohMode::kStrict))
+                           .used_doh);
+         }},
+    };
+    std::vector<std::pair<std::string, obs::SpanContext>> traced;
+    for (const auto& [name, launch] : entry_points) {
+      obs::SpanContext& spans = traced.emplace_back(name, obs::SpanContext{})
+                                    .second;
+      world().run_flow([&](netsim::NetCtx& net) {
+        net.spans = &spans;
+        return launch(net);
+      });
+    }
+    return traced;
+  }
+
+  world::WorldModel world_;
+};
+
+struct FlowsFixture : ::testing::Test, FlowsWorld {
+  FlowsFixture() : FlowsWorld(transport::TlsVersion::kTls13) {}
 };
 
 TEST_F(FlowsFixture, DohProxyFlowCompletes) {
@@ -140,15 +238,17 @@ TEST_F(FlowsFixture, EstimatorTracksTruthWithinJitterBudget) {
 }
 
 TEST_F(FlowsFixture, Tls12CostsAnExtraRoundTrip) {
+  FlowsWorld tls12_world(transport::TlsVersion::kTls12);
   const auto* exit = exit_in("JP");
+  const auto* exit12 = tls12_world.exit_in("JP");
   ASSERT_NE(exit, nullptr);
+  ASSERT_NE(exit12, nullptr);
   std::vector<double> t13, t12;
   for (int i = 0; i < 9; ++i) {
     const auto tls13 = proxied(doh_params(exit, 0, 1));
     t13.push_back(tls13.inputs.stamps.t_d - tls13.inputs.stamps.t_a);
-    auto params = doh_params(exit, 0, 1);
-    params.tls = transport::TlsVersion::kTls12;
-    const auto tls12 = proxied(params);
+    const auto tls12 =
+        tls12_world.proxied(tls12_world.doh_params(exit12, 0, 1));
     t12.push_back(tls12.inputs.stamps.t_d - tls12.inputs.stamps.t_a);
   }
   std::nth_element(t13.begin(), t13.begin() + 4, t13.end());
@@ -263,87 +363,7 @@ TEST_F(FlowsFixture, ReuseIsCheaperAcrossAllProviders) {
 // resolver's name before connecting shows one `bootstrap_dns` span whose
 // only child is the lookup's `stub_resolve`.
 TEST_F(FlowsFixture, EveryBootstrapTracesOneSpanAroundItsLookup) {
-  const auto* exit = exit_in("SE");
-  ASSERT_NE(exit, nullptr);
-  resolver::DohServer& doh = world().doh_server(0, 0);
-  const DohProxyParams proxy_params = doh_params(exit, 0, 0);
-  resolver::SharedCacheConfig cache_config;
-  cache_config.enabled = true;
-  const resolver::SharedCacheModel cache(cache_config);
-  WarmDohParams warm;
-  warm.vantage = exit->site;
-  warm.default_resolver = exit->default_resolver;
-  warm.doh = &doh;
-  warm.origin = world().origin();
-  warm.cache = &cache;
-  warm.population = 1e6;
-  warm.reuse.enabled = true;
-  warm.reuse.queries_per_session = 4;
-  web::PageLoadContext page;
-  page.client = exit->site;
-  page.default_resolver = exit->default_resolver;
-  page.doh = &doh;
-  page.web_server = world().authority().site();
-  page.origin = world().origin();
-  client::PolicyContext policy;
-  policy.client = exit->site;
-  policy.default_resolver = exit->default_resolver;
-  policy.doh = &doh;
-  policy.origin = world().origin();
-  const auto tls = transport::TlsVersion::kTls13;
-
-  using Launch = std::function<netsim::Task<void>(netsim::NetCtx&)>;
-  const std::pair<const char*, Launch> entry_points[] = {
-      {"doh_via_proxy",
-       [&](netsim::NetCtx& net) -> netsim::Task<void> {
-         EXPECT_TRUE((co_await doh_via_proxy(net, proxy_params)).ok);
-       }},
-      {"doh_direct",
-       [&](netsim::NetCtx& net) -> netsim::Task<void> {
-         EXPECT_TRUE((co_await doh_direct(net, exit->site,
-                                          exit->default_resolver, doh, tls,
-                                          world().origin()))
-                         .ok);
-       }},
-      {"dot_direct",
-       [&](netsim::NetCtx& net) -> netsim::Task<void> {
-         EXPECT_TRUE((co_await dot_direct(net, exit->site,
-                                          exit->default_resolver, doh, tls,
-                                          world().origin()))
-                         .ok);
-       }},
-      {"doq_direct",
-       [&](netsim::NetCtx& net) -> netsim::Task<void> {
-         EXPECT_TRUE((co_await doq_direct(net, exit->site,
-                                          exit->default_resolver, doh,
-                                          world().origin()))
-                         .ok);
-       }},
-      {"doh_warm_path",
-       [&](netsim::NetCtx& net) -> netsim::Task<void> {
-         EXPECT_TRUE((co_await doh_warm_path(net, warm)).ok);
-       }},
-      {"load_page",
-       [&](netsim::NetCtx& net) -> netsim::Task<void> {
-         web::PageSpec spec;
-         spec.domains = 2;
-         EXPECT_TRUE(
-             (co_await web::load_page(net, page, spec, web::DnsMode::kDohCold))
-                 .ok);
-       }},
-      {"resolve_with_policy",
-       [&](netsim::NetCtx& net) -> netsim::Task<void> {
-         EXPECT_TRUE((co_await client::resolve_with_policy(
-                          net, policy, client::DohMode::kStrict))
-                         .used_doh);
-       }},
-  };
-  for (const auto& [name, launch] : entry_points) {
-    obs::SpanContext spans;
-    world().run_flow([&](netsim::NetCtx& net) {
-      net.spans = &spans;
-      return launch(net);
-    });
+  for (const auto& [name, spans] : traced_client_flows()) {
     std::vector<const obs::Span*> bootstraps;
     for (const obs::Span& span : spans.spans()) {
       if (span.name == "bootstrap_dns") bootstraps.push_back(&span);
@@ -358,6 +378,72 @@ TEST_F(FlowsFixture, EveryBootstrapTracesOneSpanAroundItsLookup) {
     }
     EXPECT_EQ(children, std::vector<std::string>{"stub_resolve"}) << name;
   }
+}
+
+/// The hops under each TLS handshake a traced flow ran, in the order the
+/// handshakes began: its `tls_handshake` steps, and the proxied flow's
+/// tunnelled `handshake` phase.
+std::vector<std::size_t> handshake_flights(const obs::SpanContext& capture) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> flights;
+  // Parents open before their children, so a span's handshake (if any)
+  // is known by the time the span is visited.
+  std::vector<std::size_t> flight_of(capture.spans().size(), kNone);
+  for (const obs::Span& span : capture.spans()) {
+    std::size_t flight = kNone;
+    if (span.name == "tls_handshake" || span.name == "handshake") {
+      flight = flights.size();
+      flights.push_back(0);
+    } else if (span.parent != obs::kNoSpan) {
+      flight = flight_of[span.parent];
+    }
+    flight_of[span.id] = flight;
+    if (span.hop && flight != kNone) ++flights[flight];
+  }
+  return flights;
+}
+
+// Every DoH and DoT handshake runs at the TLS version of the server it
+// reaches, which the world builds at world.tls_version: in a TLS 1.2 world
+// each carries the second round trip, twice the flights of the TLS 1.3
+// world's. The page load's content-host handshakes stay TLS 1.3, and DoQ
+// has no TLS-over-TCP handshake at all.
+TEST_F(FlowsFixture, EveryDohHandshakeRunsAtTheWorldsTlsVersion) {
+  FlowsWorld tls12_world(transport::TlsVersion::kTls12);
+  const auto tls13 = traced_client_flows();
+  const auto tls12 = tls12_world.traced_client_flows();
+  ASSERT_EQ(tls13.size(), tls12.size());
+  for (std::size_t i = 0; i < tls13.size(); ++i) {
+    const std::string& name = tls13[i].first;
+    const std::vector<std::size_t> flights13 =
+        handshake_flights(tls13[i].second);
+    const std::vector<std::size_t> flights12 =
+        handshake_flights(tls12[i].second);
+    ASSERT_EQ(flights12.size(), flights13.size()) << name;
+    if (name == "doq_direct") {
+      EXPECT_TRUE(flights13.empty());
+      continue;
+    }
+    ASSERT_FALSE(flights13.empty()) << name;
+    // The first handshake is the one with the DoH or DoT server.
+    EXPECT_EQ(flights12[0], 2 * flights13[0]) << name;
+    // Only the page load runs more: one per content host, at TLS 1.3 in
+    // both worlds. Those run concurrently, and a hop is filed under the
+    // innermost open span, so their hops are only counted together.
+    if (name != "load_page") {
+      EXPECT_EQ(flights13.size(), 1u) << name;
+    }
+    const auto content_hosts = [](const std::vector<std::size_t>& flights) {
+      return std::accumulate(flights.begin() + 1, flights.end(),
+                             std::size_t{0});
+    };
+    EXPECT_EQ(content_hosts(flights13), 2 * (flights13.size() - 1)) << name;
+    EXPECT_EQ(content_hosts(flights12), content_hosts(flights13)) << name;
+  }
+  // Campaign flows run on replicas, whose servers take the version too.
+  EXPECT_EQ(
+      tls12_world.world().make_replica()->doh_server(0, 0).tls_version(),
+      transport::TlsVersion::kTls12);
 }
 
 }  // namespace

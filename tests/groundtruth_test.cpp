@@ -26,7 +26,7 @@ TEST_F(GroundTruthFixture, DohEstimatorMatchesDirectMeasurement) {
   // The paper validates in Ireland/Brazil/Sweden/Italy/India/USA with
   // errors within ~10 ms; EC2-grade jitter keeps ours in the same band.
   for (const char* iso2 : {"IE", "SE"}) {
-    const auto v = lab.validate_doh(iso2, /*provider_index=*/0, /*reps=*/10);
+    const auto v = lab.validate_doh(iso2);
     EXPECT_EQ(v.iso2, iso2);
     EXPECT_GT(v.truth_tdoh_ms, 0.0);
     EXPECT_LT(std::abs(v.tdoh_error_ms()), 25.0) << iso2;
@@ -40,7 +40,7 @@ TEST_F(GroundTruthFixture, DohEstimatorMatchesDirectMeasurement) {
 TEST_F(GroundTruthFixture, Do53HeaderMatchesDirectMeasurement) {
   GroundTruthLab lab(world());
   for (const char* iso2 : {"BR", "IT"}) {
-    const auto v = lab.validate_do53(iso2, /*reps=*/10);
+    const auto v = lab.validate_do53(iso2);
     EXPECT_GT(v.truth_ms, 0.0);
     // Paper Table 2: within 2 ms on EC2 nodes; jitter allows a bit more.
     EXPECT_LT(std::abs(v.error_ms()), 15.0) << iso2;
@@ -66,7 +66,7 @@ TEST_F(GroundTruthFixture, NetworksAgreeOnOverlapCountry) {
   GroundTruthLab lab(world());
   // Section 4.4: BrightData and Atlas Do53 medians agree within ~8 ms on
   // average in overlap countries; allow a wider single-country band.
-  const auto cmp = lab.compare_networks("SE", /*reps=*/60);
+  const auto cmp = lab.compare_networks("SE");
   EXPECT_GT(cmp.brightdata_median_ms, 0.0);
   EXPECT_GT(cmp.atlas_median_ms, 0.0);
   EXPECT_LT(std::abs(cmp.difference_ms()),

@@ -117,7 +117,7 @@ TEST_F(IntegrationFixture, BrazilBenefitsFromDoh) {
 
 TEST_F(IntegrationFixture, GroundTruthValidationHoldsInWorld) {
   GroundTruthLab lab(world());
-  const auto v = lab.validate_doh("SE", 0, 10);
+  const auto v = lab.validate_doh("SE");
   EXPECT_LT(std::abs(v.tdoh_error_ms()), 25.0);
 }
 

@@ -425,82 +425,72 @@ TEST(TaskTest, ConcurrentTasksInterleaveDeterministically) {
 }
 
 TEST(LatencyTest, ExpectedOneWayComposition) {
-  LatencyModel model;
   Site a{{0, 0}, 5.0, 1.5, 0.0};
   Site b{{0, 10}, 2.0, 1.5, 0.0};
   // 10 degrees of longitude at the equator ~ 1113 km.
   const double dist_km = geo::distance_km(a.position, b.position);
   const double expected =
       dist_km / 200.0 * 1.5 + 5.0 + 2.0;  // + ~0 serialisation
-  EXPECT_NEAR(model.expected_one_way_ms(a, b, 0), expected, 0.01);
+  EXPECT_NEAR(expected_one_way_ms(a, b, 0), expected, 0.01);
 }
 
 TEST(LatencyTest, InflationBlendsGeometrically) {
-  LatencyModel model;
   Site a{{0, 0}, 0.0, 4.0, 0.0};
   Site b{{0, 10}, 0.0, 1.0, 0.0};
   const double dist_km = geo::distance_km(a.position, b.position);
-  EXPECT_NEAR(model.expected_one_way_ms(a, b, 0),
+  EXPECT_NEAR(expected_one_way_ms(a, b, 0),
               dist_km / 200.0 * 2.0, 0.01);
 }
 
 TEST(LatencyTest, MinimumFloor) {
-  LatencyModel model;
   Site a{{0, 0}, 0.0, 1.0, 0.0};
-  EXPECT_GE(model.expected_one_way_ms(a, a, 0),
-            model.config().min_one_way_ms);
+  EXPECT_GE(expected_one_way_ms(a, a, 0),
+            kMinOneWayMs);
 }
 
 TEST(LatencyTest, BytesAddSerialisationDelay) {
-  LatencyModel model;
   Site a{{0, 0}, 1.0, 1.0, 0.0};
   Site b{{0, 1}, 1.0, 1.0, 0.0};
-  EXPECT_GT(model.expected_one_way_ms(a, b, 100000),
-            model.expected_one_way_ms(a, b, 0));
+  EXPECT_GT(expected_one_way_ms(a, b, 100000),
+            expected_one_way_ms(a, b, 0));
 }
 
 TEST(LatencyTest, JitterMedianTracksExpectedValue) {
-  LatencyModel model;
   Site a{{0, 0}, 3.0, 1.4, 0.1};
   Site b{{10, 10}, 3.0, 1.4, 0.1};
-  const double base = model.expected_one_way_ms(a, b, 64);
+  const double base = expected_one_way_ms(a, b, 64);
   Rng rng(3);
   std::vector<double> samples(4001);
-  const OneWayTerm term = model.term(a, b);
-  for (auto& s : samples) s = to_ms(model.one_way(term, 64, rng));
+  const OneWayTerm term = one_way_term(a, b);
+  for (auto& s : samples) s = to_ms(one_way(term, 64, rng));
   std::nth_element(samples.begin(), samples.begin() + 2000, samples.end());
   EXPECT_NEAR(samples[2000], base, base * 0.03);
 }
 
 TEST(LatencyTest, SymmetricExpectedDelay) {
-  LatencyModel model;
   Site a{{5, 5}, 2.0, 1.3, 0.0};
   Site b{{-5, 40}, 7.0, 2.0, 0.0};
-  EXPECT_DOUBLE_EQ(model.expected_one_way_ms(a, b, 64),
-                   model.expected_one_way_ms(b, a, 64));
-  EXPECT_DOUBLE_EQ(model.expected_rtt_ms(a, b),
-                   2.0 * model.expected_one_way_ms(a, b, 64));
+  EXPECT_DOUBLE_EQ(expected_one_way_ms(a, b, 64),
+                   expected_one_way_ms(b, a, 64));
 }
 
 TEST(NetCtxTest, RoundTripMeasuresBothHops) {
   Simulator sim;
-  LatencyModel model;
   Rng rng(1);
-  NetCtx net{sim, model, rng};
+  NetCtx net{sim, rng};
   Site a{{0, 0}, 1.0, 1.2, 0.0};
   Site b{{0, 20}, 1.0, 1.2, 0.0};
   auto task = net.round_trip(a, b, 64, 64);
   sim.run();
   ASSERT_TRUE(task.done());
   const double rtt_ms = to_ms(task.result());
-  EXPECT_NEAR(rtt_ms, 2.0 * model.expected_one_way_ms(a, b, 64), 0.5);
+  EXPECT_NEAR(rtt_ms, 2.0 * expected_one_way_ms(a, b, 64), 0.5);
 }
 
 TEST(NetCtxTest, DatagramDeliveryCleanWhenLossFree) {
   Simulator sim;
-  LatencyModel model;
   Rng rng(1);
-  NetCtx net{sim, model, rng};
+  NetCtx net{sim, rng};
   Site a{{0, 0}, 1.0, 1.2, 0.0, 0.0};
   for (int i = 0; i < 100; ++i) {
     auto task = net.await_datagram_delivery(a, a, RetryPolicy{});
@@ -517,9 +507,8 @@ TEST(NetCtxTest, DatagramDeliveryCleanWhenLossFree) {
 
 TEST(NetCtxTest, DatagramDeliveryChargesOneTimerOnCertainLoss) {
   Simulator sim;
-  LatencyModel model;
   Rng rng(1);
-  NetCtx net{sim, model, rng};
+  NetCtx net{sim, rng};
   Site a{{0, 0}, 1.0, 1.2, 0.0, 1.0};
   Site b{{0, 0}, 1.0, 1.2, 0.0, 0.0};
   const SimTime start = sim.now();
@@ -633,9 +622,8 @@ TEST(FaultPlanTest, DisabledConfigSamplesEmptyPlan) {
 
 TEST(FaultPlanTest, RetryMachineGivesUpUnderBlackout) {
   Simulator sim;
-  LatencyModel model;
   Rng rng(1);
-  NetCtx net{sim, model, rng};
+  NetCtx net{sim, rng};
   Site a{{0, 0}, 1.0, 1.2, 0.0, 0.0};
   Site b{{0, 20}, 1.0, 1.2, 0.0, 0.0};
 
@@ -665,9 +653,8 @@ TEST(FaultPlanTest, RetryMachineGivesUpUnderBlackout) {
 
 TEST(FaultPlanTest, RetryMachineRecoversWhenWindowCloses) {
   Simulator sim;
-  LatencyModel model;
   Rng rng(1);
-  NetCtx net{sim, model, rng};
+  NetCtx net{sim, rng};
   Site a{{0, 0}, 1.0, 1.2, 0.0, 0.0};
   Site b{{0, 20}, 1.0, 1.2, 0.0, 0.0};
 
@@ -696,9 +683,8 @@ TEST(FaultPlanTest, RetryMachineRecoversWhenWindowCloses) {
 
 TEST(FaultPlanTest, HandshakeGateIsFreeWithoutActiveEpisode) {
   Simulator sim;
-  LatencyModel model;
   Rng rng(42);
-  NetCtx net{sim, model, rng};
+  NetCtx net{sim, rng};
   Site a{{0, 0}, 1.0, 1.2, 0.0, 0.0};
   Site b{{0, 20}, 1.0, 1.2, 0.0, 0.0};
   Rng probe(42);

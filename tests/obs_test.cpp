@@ -48,11 +48,10 @@ using obs::anomaly_reasons;
 
 struct ObsFixture : ::testing::Test {
   netsim::Simulator sim;
-  netsim::LatencyModel latency;
   netsim::Rng rng{7};
   SpanContext spans;
   obs::Metrics metrics;
-  NetCtx net{sim, latency, rng, &spans, &metrics};
+  NetCtx net{sim, rng, &spans, &metrics};
   // Jitter-free sites for exact assertions.
   Site client{{0, 0}, 2.0, 1.0, 0.0};
   Site super_proxy{{0, 20}, 1.0, 1.0, 0.0};
@@ -132,10 +131,9 @@ TEST(ScopedSpanTest, DefaultConstructedIsNoop) {
 
 TEST(ScopedSpanTest, NullContextNetCtxSpanIsNoop) {
   netsim::Simulator sim;
-  netsim::LatencyModel latency;
   netsim::Rng rng{1};
   obs::Metrics metrics;
-  NetCtx net{sim, latency, rng};
+  NetCtx net{sim, rng};
   net.metrics = &metrics;
   {
     // No span context and no attribution flow: no span, no phase frame.
@@ -399,7 +397,6 @@ SpanContext proxied_flow_spans() {
       world.brightdata().nearest_super_proxy(exit->site.position).site;
   params.exit = exit;
   params.doh = &world.doh_server(0, 0);
-  params.tls = transport::TlsVersion::kTls13;
   params.origin = world.origin();
 
   SpanContext spans;

@@ -237,7 +237,6 @@ std::string proxied_flow_trace() {
       world.brightdata().nearest_super_proxy(exit->site.position).site;
   params.exit = exit;
   params.doh = &world.doh_server(0, 0);
-  params.tls = transport::TlsVersion::kTls13;
   params.origin = world.origin();
 
   obs::SpanContext spans;

@@ -177,9 +177,8 @@ TEST(AtlasTest, RegisterAndPick) {
 
 TEST(AtlasTest, MeasureDo53ReturnsPlausibleTime) {
   netsim::Simulator sim;
-  netsim::LatencyModel latency;
   netsim::Rng rng(4);
-  netsim::NetCtx net{sim, latency, rng};
+  netsim::NetCtx net{sim, rng};
 
   const auto origin = dns::DomainName::parse("a.com");
   resolver::AuthoritativeServer authority(

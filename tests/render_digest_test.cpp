@@ -261,7 +261,6 @@ measure::DohProxyParams doh_proxy_params(world::WorldModel& world,
       world.brightdata().nearest_super_proxy(exit->site.position).site;
   params.exit = exit;
   params.doh = &world.doh_server(0, 0);
-  params.tls = transport::TlsVersion::kTls13;
   params.origin = world.origin();
   return params;
 }
@@ -361,7 +360,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
          const proxy::ExitNode* exit = exit_in(w, "SE");
          const auto result = co_await measure::doh_direct(
              net, exit->site, exit->default_resolver, w.doh_server(0, 0),
-             transport::TlsVersion::kTls13, w.origin());
+             w.origin());
          EXPECT_TRUE(result.ok);
        },
        {"cfc610e9a7e8896d", "ebc40665b8e7e97c", "dd2a41f018fc024f"}},
@@ -379,7 +378,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
          const proxy::ExitNode* exit = exit_in(w, "SE");
          const auto result = co_await measure::dot_direct(
              net, exit->site, exit->default_resolver, w.doh_server(0, 0),
-             transport::TlsVersion::kTls13, w.origin());
+             w.origin());
          EXPECT_TRUE(result.ok);
        },
        {"e5281e5a077bcebd", "b27434ba82b0b96d", "edbfaf0a00928dd3"}},
@@ -410,7 +409,6 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
          params.doh = &w.doh_server(0, 0);
          params.origin = w.origin();
          params.cache = &cache_model();
-         params.population = 1e6;
          params.reuse.enabled = true;
          params.reuse.queries_per_session = 6;
          const auto result = co_await measure::doh_warm_path(net, params);
@@ -425,7 +423,6 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
          params.resolver = exit->default_resolver;
          params.origin = w.origin();
          params.cache = &cache_model();
-         params.population = 5e4;
          params.reuse.enabled = true;
          params.reuse.queries_per_session = 6;
          const auto result = co_await measure::do53_warm_path(net, params);
@@ -436,30 +433,24 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
       // the phase it gates, like every bootstrap (DESIGN.md §3d).
       {"load_page (cold DoH)", "SE",
        [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
-         web::PageSpec spec;
-         spec.domains = 3;
          const auto result = co_await web::load_page(
-             net, page_context(w, exit_in(w, "SE")), spec,
+             net, page_context(w, exit_in(w, "SE")), /*domains=*/3,
              web::DnsMode::kDohCold);
          EXPECT_TRUE(result.ok);
        },
        {"d9f426f4319d0fbd", "cf736ce7273e3d3c", "7965b39b6d5e4cc4"}},
       {"load_page (warm DoH)", "SE",
        [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
-         web::PageSpec spec;
-         spec.domains = 3;
          const auto result = co_await web::load_page(
-             net, page_context(w, exit_in(w, "SE")), spec,
+             net, page_context(w, exit_in(w, "SE")), /*domains=*/3,
              web::DnsMode::kDohWarm);
          EXPECT_TRUE(result.ok);
        },
        {"b73b726c12ad7930", "ac53e771e1b188b3", "e24af47da79a8ec6"}},
       {"load_page (Do53)", "SE",
        [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
-         web::PageSpec spec;
-         spec.domains = 3;
          const auto result = co_await web::load_page(
-             net, page_context(w, exit_in(w, "SE")), spec,
+             net, page_context(w, exit_in(w, "SE")), /*domains=*/3,
              web::DnsMode::kDo53);
          EXPECT_TRUE(result.ok);
        },

@@ -23,9 +23,8 @@ netsim::Site test_site(double lon, double lastmile = 1.0) {
 
 struct ResolverFixture : ::testing::Test {
   netsim::Simulator sim;
-  netsim::LatencyModel latency;
   netsim::Rng rng{7};
-  netsim::NetCtx net{sim, latency, rng};
+  netsim::NetCtx net{sim, rng};
   dns::DomainName origin = dns::DomainName::parse("a.com");
   AuthoritativeServer authority{
       dns::Zone::make_study_zone(origin, 0xCF000001), test_site(0.0),
@@ -116,7 +115,8 @@ TEST_F(ResolverFixture, RecursivePropagatesRefused) {
 
 TEST_F(ResolverFixture, DohServerResolvesValidGet) {
   RecursiveResolver backend("pop", test_site(20.0), 600, &authority);
-  DohServer doh("doh.test", test_site(20.0), std::move(backend));
+  DohServer doh("doh.test", test_site(20.0), transport::TlsVersion::kTls13,
+                std::move(backend));
 
   const auto query =
       dns::Message::make_query(42, origin.with_subdomain("via-doh"));
@@ -139,7 +139,8 @@ TEST_F(ResolverFixture, DohServerResolvesValidGet) {
 
 TEST_F(ResolverFixture, DohServerRejectsUnsupportedMethod) {
   RecursiveResolver backend("pop", test_site(20.0), 601, &authority);
-  DohServer doh("doh.test", test_site(20.0), std::move(backend));
+  DohServer doh("doh.test", test_site(20.0), transport::TlsVersion::kTls13,
+                std::move(backend));
   transport::HttpRequest req;
   req.method = "PUT";  // GET and POST are the RFC 8484 bindings
   req.target = "/dns-query";
@@ -150,7 +151,8 @@ TEST_F(ResolverFixture, DohServerRejectsUnsupportedMethod) {
 
 TEST_F(ResolverFixture, DohServerRejectsBadPath) {
   RecursiveResolver backend("pop", test_site(20.0), 602, &authority);
-  DohServer doh("doh.test", test_site(20.0), std::move(backend));
+  DohServer doh("doh.test", test_site(20.0), transport::TlsVersion::kTls13,
+                std::move(backend));
   transport::HttpRequest req;
   req.target = "/resolve?dns=AAAA";
   auto task = doh.handle(net, req);
@@ -160,7 +162,8 @@ TEST_F(ResolverFixture, DohServerRejectsBadPath) {
 
 TEST_F(ResolverFixture, DohServerRejectsMissingParam) {
   RecursiveResolver backend("pop", test_site(20.0), 603, &authority);
-  DohServer doh("doh.test", test_site(20.0), std::move(backend));
+  DohServer doh("doh.test", test_site(20.0), transport::TlsVersion::kTls13,
+                std::move(backend));
   transport::HttpRequest req;
   req.target = "/dns-query?other=x";
   auto task = doh.handle(net, req);
@@ -170,7 +173,8 @@ TEST_F(ResolverFixture, DohServerRejectsMissingParam) {
 
 TEST_F(ResolverFixture, DohServerRejectsBadBase64) {
   RecursiveResolver backend("pop", test_site(20.0), 604, &authority);
-  DohServer doh("doh.test", test_site(20.0), std::move(backend));
+  DohServer doh("doh.test", test_site(20.0), transport::TlsVersion::kTls13,
+                std::move(backend));
   transport::HttpRequest req;
   req.target = "/dns-query?dns=!!!!";
   auto task = doh.handle(net, req);
@@ -180,7 +184,8 @@ TEST_F(ResolverFixture, DohServerRejectsBadBase64) {
 
 TEST_F(ResolverFixture, DohServerRejectsTruncatedDnsPayload) {
   RecursiveResolver backend("pop", test_site(20.0), 605, &authority);
-  DohServer doh("doh.test", test_site(20.0), std::move(backend));
+  DohServer doh("doh.test", test_site(20.0), transport::TlsVersion::kTls13,
+                std::move(backend));
   transport::HttpRequest req;
   // Valid base64url of a 3-byte buffer: far too short for a DNS header.
   req.target = "/dns-query?dns=" +

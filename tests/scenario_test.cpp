@@ -501,6 +501,22 @@ TEST(ScenarioSpecTest, OverridesSpellValuesAsTheShellDoes) {
             (std::vector<std::string>{"SE", "BR"}));
 }
 
+// A flag or argument that names one country takes exactly one: no list
+// and no empty value, and the world keeps the country it had.
+TEST(ScenarioSpecTest, OneCountryOverridesTakeExactlyOne) {
+  scenario::CampaignSpec spec;
+  std::string error;
+  ASSERT_TRUE(scenario::set_country(spec, "--country", "SE", &error))
+      << error;
+  EXPECT_EQ(spec.world.only_countries, std::vector<std::string>{"SE"});
+  for (const char* value : {"SE,BR", "", "SE,", "XX"}) {
+    EXPECT_FALSE(scenario::set_country(spec, "--country", value, &error))
+        << value;
+    EXPECT_EQ(error.rfind("--country: ", 0), 0u) << error;
+  }
+  EXPECT_EQ(spec.world.only_countries, std::vector<std::string>{"SE"});
+}
+
 TEST(ScenarioSweepTest, ExpansionIsRowMajorWithFirstAxisSlowest) {
   const scenario::SpecDocument doc = parse_ok(
       "[sweep]\n"

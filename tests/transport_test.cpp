@@ -224,15 +224,14 @@ TEST(HttpTest, QueryParamExtraction) {
 
 struct FlowFixture : ::testing::Test {
   netsim::Simulator sim;
-  netsim::LatencyModel latency;
   netsim::Rng rng{42};
-  netsim::NetCtx net{sim, latency, rng};
+  netsim::NetCtx net{sim, rng};
   // Jitter-free sites for exact timing assertions.
   netsim::Site client{{0, 0}, 2.0, 1.0, 0.0};
   netsim::Site server{{0, 20}, 1.0, 1.0, 0.0};
 
   double one_way(std::size_t bytes) const {
-    return latency.expected_one_way_ms(client, server, bytes);
+    return netsim::expected_one_way_ms(client, server, bytes);
   }
 };
 

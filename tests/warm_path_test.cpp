@@ -230,7 +230,6 @@ struct WarmFlowFixture : ::testing::Test {
     params.doh = &w.doh_server(0, 0);
     params.origin = w.origin();
     params.cache = model;
-    params.population = 1e6;
     params.reuse.enabled = true;
     params.reuse.queries_per_session = 8;
     return params;
@@ -315,7 +314,6 @@ TEST_F(WarmFlowFixture, Do53WarmSessionHitsDistributedCache) {
   params.resolver = exit->default_resolver;
   params.origin = w.origin();
   params.cache = &model;
-  params.population = 1e6 * model.config().isp_share;
   params.reuse.enabled = true;
   params.reuse.queries_per_session = 8;
 

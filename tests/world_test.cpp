@@ -204,6 +204,8 @@ TEST_F(WorldFixture, ReplicaServersEqualTheWorlds) {
       EXPECT_NE(&doh_copy, &doh);
       EXPECT_EQ(doh_copy.hostname(), doh.hostname());
       EXPECT_EQ(doh_copy.site(), doh.site()) << doh.resolver().name();
+      EXPECT_EQ(doh.tls_version(), w.config().tls_version);
+      EXPECT_EQ(doh_copy.tls_version(), doh.tls_version());
       expect_same_resolver(doh_copy.resolver(), doh.resolver());
     }
   }
@@ -274,18 +276,16 @@ TEST(ReplicaTest, FlowsOnAFreshReplicaMatchTheWorld) {
   const measure::DirectObservation doh =
       w.run_flow([&](netsim::NetCtx& net) {
         return measure::doh_direct(net, exit->site, exit->default_resolver,
-                                   w.doh_server(0, 0),
-                                   transport::TlsVersion::kTls13, w.origin());
+                                   w.doh_server(0, 0), w.origin());
       });
 
-  netsim::NetCtx net{replica->sim(), w.latency(), rng};
+  netsim::NetCtx net{replica->sim(), rng};
   resolver::RecursiveResolver* local = replica->local(exit->default_resolver);
   netsim::Task<double> do53_task =
       measure::do53_direct(net, exit->site, local, probe);
   replica->sim().run();
   netsim::Task<measure::DirectObservation> doh_task = measure::doh_direct(
-      net, exit->site, local, replica->doh_server(0, 0),
-      transport::TlsVersion::kTls13, w.origin());
+      net, exit->site, local, replica->doh_server(0, 0), w.origin());
   replica->sim().run();
 
   ASSERT_TRUE(doh.ok);

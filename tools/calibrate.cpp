@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
 
   // Country-level deltas (paper: 8.8%% of countries benefit; per-country
   // medians DoH1 564.7 / Do53 332.9).
-  const auto countries = data.analysis_countries(10);
+  const auto countries = data.analysis_countries();
   const auto do53_by_country = data.country_do53_medians();
   const auto doh1_by_country = data.country_doh_medians("", 1);
   std::vector<double> country_doh1, country_do53;
@@ -164,9 +164,7 @@ int main(int argc, char** argv) {
                                       exit->anycast_region, sample_rng);
       const auto obs = world.run_flow([&](netsim::NetCtx& net) {
         return measure::doh_direct(net, exit->site, exit->default_resolver,
-                                   world.doh_server(p, pop),
-                                   world.config().tls_version,
-                                   world.origin());
+                                   world.doh_server(p, pop), world.origin());
       });
       if (!obs.ok) continue;
       dns.push_back(obs.dns_ms);

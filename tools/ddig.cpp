@@ -77,8 +77,7 @@ int main(int argc, char** argv) {
   }
   spec.world.seed = *seed;
   std::string error;
-  if (!scenario::set_override(spec, "--country", "world.only_countries", iso2,
-                              &error)) {
+  if (!scenario::set_country(spec, "--country", iso2, &error)) {
     std::fprintf(stderr, "ddig: %s\n", error.c_str());
     return 2;
   }
@@ -138,7 +137,7 @@ int main(int argc, char** argv) {
     const auto obs = world.run_flow([&](netsim::NetCtx& net) {
       net.spans = spans;
       return flow(net, client->site, client->default_resolver, server,
-                  transport::TlsVersion::kTls13, world.origin());
+                  world.origin());
     });
     std::printf(";; %s via %s@%s (%s): first %.1f ms, reuse %.1f ms\n",
                 name.c_str(), provider.name().c_str(),

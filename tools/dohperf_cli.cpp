@@ -62,13 +62,22 @@ void apply(const tools::Flags& args, scenario::CampaignSpec& spec,
   }
 }
 
+/// Builds the world of the one country `--country` names.
+void apply_country(const tools::Flags& args, scenario::CampaignSpec& spec) {
+  std::string error;
+  if (!scenario::set_country(spec, "--country", *args.at("--country"),
+                             &error)) {
+    throw UsageError(error);
+  }
+}
+
 void print_summary(const measure::Dataset& data) {
   report::Table table("Dataset summary");
   table.header({"Metric", "Value"});
   table.row({"clients", std::to_string(data.clients().size())});
   table.row({"countries", std::to_string(data.clients_per_country().size())});
   table.row({"analysis countries (>=10 clients/provider)",
-             std::to_string(data.analysis_countries(10).size())});
+             std::to_string(data.analysis_countries().size())});
   table.row({"DoH measurements", std::to_string(data.doh().size())});
   table.row({"Do53 measurements", std::to_string(data.do53().size())});
   table.row({"median DoH1 (ms)",
@@ -158,7 +167,7 @@ int cmd_query(int argc, char** argv) {
 
   scenario::CampaignSpec spec;
   apply(args, spec, "--seed", "world.seed");
-  apply(args, spec, "--country", "world.only_countries");
+  apply_country(args, spec);
   world::WorldModel world(spec.world);
 
   const proxy::ExitNode* client =
@@ -183,7 +192,6 @@ int cmd_query(int argc, char** argv) {
   const auto obs = world.run_flow([&](netsim::NetCtx& net) {
     return measure::doh_direct(net, client->site, client->default_resolver,
                                world.doh_server(provider_index, pop),
-                               transport::TlsVersion::kTls13,
                                world.origin());
   });
   std::printf("%s via %s: DoH1 %.1f ms (dns %.1f, tcp %.1f, tls %.1f, "
@@ -206,11 +214,11 @@ int cmd_validate(int argc, char** argv) {
   const std::string& iso2 = *args.at("--country");
   scenario::CampaignSpec spec;
   apply(args, spec, "--seed", "world.seed");
-  apply(args, spec, "--country", "world.only_countries");
+  apply_country(args, spec);
   world::WorldModel world(spec.world);
   measure::GroundTruthLab lab(world);
 
-  const auto doh = lab.validate_doh(iso2, 0, 10);
+  const auto doh = lab.validate_doh(iso2);
   std::printf("DoH:  estimated %.1f ms vs truth %.1f ms (err %+.1f)\n",
               doh.estimated_tdoh_ms, doh.truth_tdoh_ms,
               doh.tdoh_error_ms());
@@ -218,7 +226,7 @@ int cmd_validate(int argc, char** argv) {
               doh.estimated_tdohr_ms, doh.truth_tdohr_ms,
               doh.tdohr_error_ms());
   if (!proxy::resolves_dns_at_super_proxy(iso2)) {
-    const auto do53 = lab.validate_do53(iso2, 10);
+    const auto do53 = lab.validate_do53(iso2);
     std::printf("Do53: estimated %.1f ms vs truth %.1f ms (err %+.1f)\n",
                 do53.estimated_ms, do53.truth_ms, do53.error_ms());
   } else {
