@@ -113,12 +113,11 @@ int bench() {
     // --- Cold cells: the ladder's one-shot direct flows. ---------------
     recorded(cold_ledger, [&](netsim::NetCtx& net) {
       return measure::doh_direct(net, exit->site, exit->default_resolver,
-                                 server, world.origin());
+                                 server);
     });
     recorded(cold_ledger, [&](netsim::NetCtx& net) {
-      return measure::do53_direct(
-          net, exit->site, exit->default_resolver,
-          resolver::probe_name(net.rng, world.origin()));
+      return measure::do53_direct(net, exit->site, exit->default_resolver,
+                                  resolver::probe_name(net.rng));
     });
 
     // --- Warm cells: pooled sessions against warmed caches. ------------
@@ -126,7 +125,6 @@ int bench() {
     doh_params.vantage = exit->site;
     doh_params.default_resolver = exit->default_resolver;
     doh_params.doh = &server;
-    doh_params.origin = world.origin();
     doh_params.cache = &model;
     doh_params.reuse = reuse;
     recorded(warm_ledger, [&](netsim::NetCtx& net) {
@@ -135,7 +133,6 @@ int bench() {
     measure::WarmDo53Params do53_params;
     do53_params.vantage = exit->site;
     do53_params.resolver = exit->default_resolver;
-    do53_params.origin = world.origin();
     do53_params.cache = &model;
     do53_params.reuse = reuse;
     recorded(warm_ledger, [&](netsim::NetCtx& net) {

@@ -122,7 +122,6 @@ BudgetLine run_strategy(world::WorldModel& world,
     ctx.client = exit->site;
     ctx.default_resolver = exit->default_resolver;
     ctx.doh = &world.doh_server(0, pop);
-    ctx.origin = world.origin();
     ctx.doh_unreachable = provider0_outage_at(spec.campaign, campaign_t);
 
     const client::PolicyOutcome outcome =

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "dns/wire.h"
+#include "dns/zone.h"
 #include "stats/summary.h"
 #include "stats/zipf.h"
 #include "support.h"
@@ -61,7 +62,7 @@ CacheOutcome run_workload(world::WorldModel& world,
     resolver::RecursiveResolver* resolver =
         centralised ? central : client->default_resolver;
 
-    const auto name = world.origin().with_subdomain(
+    const auto name = dns::study_origin().with_subdomain(
         "popular-" + std::to_string(zipf(rng)));
     const std::uint64_t before = resolver->stats().cache_hits;
 

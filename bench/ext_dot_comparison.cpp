@@ -43,7 +43,7 @@ int bench() {
       auto& server = world.doh_server(p, pop);
       const auto dot = world.run_flow([&](netsim::NetCtx& net) {
         return measure::dot_direct(net, exit->site, exit->default_resolver,
-                                   server, world.origin());
+                                   server);
       });
       if (dot.ok) {
         dot1.push_back(dot.first_ms());
@@ -51,7 +51,7 @@ int bench() {
       }
       const auto doh = world.run_flow([&](netsim::NetCtx& net) {
         return measure::doh_direct(net, exit->site, exit->default_resolver,
-                                   server, world.origin());
+                                   server);
       });
       if (doh.ok) {
         doh1.push_back(doh.first_ms());
@@ -59,9 +59,9 @@ int bench() {
       }
       if (p == 0) {
         const double ms = world.run_flow([&](netsim::NetCtx& net) {
-          return measure::do53_direct(
-              net, exit->site, exit->default_resolver,
-              resolver::probe_name(net.rng, world.origin()));
+          return measure::do53_direct(net, exit->site,
+                                      exit->default_resolver,
+                                      resolver::probe_name(net.rng));
         });
         if (ms >= 0) do53.push_back(ms);
       }

@@ -81,30 +81,28 @@ int bench() {
     auto& server = world.doh_server(0, pop);
 
     const double do53_ms = world.run_flow([&](netsim::NetCtx& net) {
-      return measure::do53_direct(
-          net, exit->site, exit->default_resolver,
-          resolver::probe_name(net.rng, world.origin()));
+      return measure::do53_direct(net, exit->site, exit->default_resolver,
+                                  resolver::probe_name(net.rng));
     });
     if (do53_ms >= 0) do53.push_back(do53_ms);
     take(world.run_flow([&](netsim::NetCtx& net) {
            return measure::dot_direct(net, exit->site, exit->default_resolver,
-                                      server, world.origin());
+                                      server);
          }),
          dot1, dotr);
     take(world.run_flow([&](netsim::NetCtx& net) {
            return measure::doh_direct(net, exit->site, exit->default_resolver,
-                                      server, world.origin());
+                                      server);
          }),
          doh1, dohr);
     take(world.run_flow([&](netsim::NetCtx& net) {
            return measure::doq_direct(net, exit->site, exit->default_resolver,
-                                      server, world.origin(),
-                                      /*resumed=*/false);
+                                      server, /*resumed=*/false);
          }),
          doq1, doqr);
     const auto doq_resumed = world.run_flow([&](netsim::NetCtx& net) {
       return measure::doq_direct(net, exit->site, exit->default_resolver,
-                                 server, world.origin(), /*resumed=*/true);
+                                 server, /*resumed=*/true);
     });
     if (doq_resumed.ok) doq0.push_back(doq_resumed.first_ms());
   }
@@ -151,7 +149,6 @@ int bench() {
     doh_params.vantage = exit->site;
     doh_params.default_resolver = exit->default_resolver;
     doh_params.doh = &server;
-    doh_params.origin = world.origin();
     doh_params.cache = &model;
     doh_params.reuse = reuse;
     warm_doh.fold(world.run_flow([&](netsim::NetCtx& net) {
@@ -160,7 +157,6 @@ int bench() {
     measure::WarmDo53Params do53_params;
     do53_params.vantage = exit->site;
     do53_params.resolver = exit->default_resolver;
-    do53_params.origin = world.origin();
     do53_params.cache = &model;
     do53_params.reuse = reuse;
     warm_do53.fold(world.run_flow([&](netsim::NetCtx& net) {

@@ -41,7 +41,6 @@ ModeStats run_mode(world::WorldModel& world, const std::string& iso2,
     ctx.client = exit->site;
     ctx.default_resolver = exit->default_resolver;
     ctx.doh = &world.doh_server(0, pop);
-    ctx.origin = world.origin();
     ctx.doh_unreachable = rng.bernoulli(outage_probability);
 
     const client::PolicyOutcome outcome =

@@ -35,7 +35,6 @@ double median_plt(world::WorldModel& world, const std::string& iso2,
     ctx.default_resolver = client->default_resolver;
     ctx.doh = &world.doh_server(0, pop);
     ctx.web_server = world.authority().site();
-    ctx.origin = world.origin();
 
     const auto result = world.run_flow([&](netsim::NetCtx& net) {
       return web::load_page(net, ctx, domains, mode);

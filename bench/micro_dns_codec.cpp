@@ -144,9 +144,8 @@ BENCHMARK(BM_Base64UrlDecode)->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_DohGetTarget(benchmark::State& state) {
   netsim::Rng rng(2);
-  const auto origin = dns::DomainName::parse("a.com");
   for (auto _ : state) {
-    const auto query = resolver::make_probe_query(rng, origin);
+    const auto query = resolver::make_probe_query(rng);
     benchmark::DoNotOptimize(resolver::doh_get_target(query));
   }
 }
@@ -156,10 +155,9 @@ BENCHMARK(BM_DohGetTarget);
 // query, its GET request with the flow's headers, and the request's size.
 void BM_ProbeQuery(benchmark::State& state) {
   netsim::Rng rng(2);
-  const auto origin = dns::DomainName::parse("a.com");
   const std::string hostname = "cloudflare-dns.com";
   for (auto _ : state) {
-    const auto query = resolver::make_probe_query(rng, origin);
+    const auto query = resolver::make_probe_query(rng);
     transport::HttpRequest req;
     req.method = "GET";
     req.target = resolver::doh_get_target(query);

@@ -59,7 +59,7 @@ void BM_GroundTruthFlow(benchmark::State& state) {
     benchmark::DoNotOptimize(world.run_flow([&](netsim::NetCtx& net) {
       return measure::do53_direct(
           net, exit->site, exit->default_resolver,
-          resolver::probe_name(net.rng, world.origin()));
+          resolver::probe_name(net.rng));
     }));
   }
   state.SetItemsProcessed(state.iterations());

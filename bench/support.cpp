@@ -63,14 +63,9 @@ void capture_proxy_trace(world::WorldModel& world, const std::string& path) {
   const auto launch = [&world](netsim::NetCtx& net,
                                const proxy::ExitNode& exit,
                                resolver::DohServer& doh) {
-    measure::DohProxyParams params;
-    params.client = world.measurement_client();
-    params.super_proxy =
-        world.brightdata().nearest_super_proxy(exit.site.position).site;
-    params.exit = &exit;
-    params.doh = &doh;
-    params.origin = world.origin();
-    return measure::doh_via_proxy(net, std::move(params));
+    return measure::doh_via_proxy(
+        net, exit,
+        world.brightdata().nearest_super_proxy(exit.site.position).site, doh);
   };
   capture_trace(world, path, "trace-capture", launch);
 }
@@ -88,7 +83,6 @@ void capture_warm_trace(world::WorldModel& world, const std::string& path) {
     params.vantage = exit.site;
     params.default_resolver = exit.default_resolver;
     params.doh = &doh;
-    params.origin = world.origin();
     params.cache = &cache;
     params.reuse.enabled = true;
     params.reuse.queries_per_session = 8;

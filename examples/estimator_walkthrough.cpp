@@ -37,17 +37,12 @@ int main(int argc, char** argv) {
   const std::size_t pop =
       provider.route(exit->site.position, exit->anycast_region, world.rng());
 
-  measure::DohProxyParams params;
-  params.client = world.measurement_client();
-  params.super_proxy =
+  const netsim::Site& super_proxy =
       world.brightdata().nearest_super_proxy(exit->site.position).site;
-  params.exit = exit;
-  params.doh = &world.doh_server(0, pop);
-  params.origin = world.origin();
-
   const measure::DohProxyObservation obs =
       world.run_flow([&](netsim::NetCtx& net) {
-        return measure::doh_via_proxy(net, params);
+        return measure::doh_via_proxy(net, *exit, super_proxy,
+                                      world.doh_server(0, pop));
       });
   if (!obs.ok) {
     std::fprintf(stderr, "measurement failed\n");

@@ -44,7 +44,7 @@ FleetResult measure_fleet(world::WorldModel& world, const std::string& iso2,
         provider.route(client->site.position, client->anycast_region, rng);
     const auto obs = world.run_flow([&](netsim::NetCtx& net) {
       return measure::doh_direct(net, client->site, client->default_resolver,
-                                 servers[pop], world.origin());
+                                 servers[pop]);
     });
     if (!obs.ok) continue;
     doh1.push_back(obs.first_ms());

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "anycast/catalog.h"
 #include "report/table.h"
 #include "scenario/runner.h"
 #include "stats/summary.h"
@@ -41,8 +42,7 @@ int main(int argc, char** argv) {
                   "vs Do53"});
     const double base =
         do53.count(iso2) ? do53.at(iso2) : stats::median(data.do53_values());
-    for (const char* provider :
-         {"Cloudflare", "Google", "NextDNS", "Quad9"}) {
+    for (const char* provider : anycast::kProviderNames) {
       const auto doh1 = data.country_doh_medians(provider, 1);
       const auto dohr_values = [&] {
         std::vector<double> out;

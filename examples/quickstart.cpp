@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <string>
 
+#include "dns/zone.h"
 #include "measure/estimator.h"
 #include "measure/flows.h"
 #include "scenario/spec.h"
@@ -42,7 +43,7 @@ int main(int argc, char** argv) {
   const double do53_ms = world.run_flow([&](netsim::NetCtx& net) {
     return measure::do53_direct(
         net, client->site, client->default_resolver,
-        world.origin().with_subdomain("quickstart-do53-probe"));
+        dns::study_origin().with_subdomain("quickstart-do53-probe"));
   });
   std::printf("Do53 (default resolver, cache miss): %7.1f ms\n", do53_ms);
 
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
         client->site.position, client->anycast_region, world.rng());
     const auto obs = world.run_flow([&](netsim::NetCtx& net) {
       return measure::doh_direct(net, client->site, client->default_resolver,
-                                 world.doh_server(p, pop), world.origin());
+                                 world.doh_server(p, pop));
     });
     if (!obs.ok) {
       std::printf("%-10s measurement failed (HTTP %d)\n",

@@ -17,7 +17,7 @@ using netsim::Task;
 Task<bool> resolve_do53(NetCtx& net, const PolicyContext& ctx) {
   const resolver::StubResult result = co_await resolver::stub_resolve(
       net, ctx.client, *ctx.default_resolver,
-      resolver::make_probe_query(net.rng, ctx.origin));
+      resolver::make_probe_query(net.rng));
   co_return result.ok();
 }
 
@@ -40,7 +40,7 @@ Task<bool> resolve_doh(NetCtx& net, const PolicyContext& ctx) {
 
   const transport::HttpResponse resp = co_await resolver::doh_exchange(
       net, tls, *ctx.doh,
-      resolver::doh_get(resolver::make_probe_query(net.rng, ctx.origin),
+      resolver::doh_get(resolver::make_probe_query(net.rng),
                         ctx.doh->hostname()));
   co_return resp.status == 200;
 }

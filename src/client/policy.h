@@ -11,7 +11,6 @@
 
 #include <string>
 
-#include "dns/name.h"
 #include "netsim/netctx.h"
 #include "obs/outcome.h"
 #include "resolver/doh_server.h"
@@ -46,7 +45,6 @@ struct PolicyContext {
   /// The serving PoP; the client bootstraps and addresses its hostname
   /// and handshakes at its TLS version.
   resolver::DohServer* doh = nullptr;
-  dns::DomainName origin;
   /// Fault injection: the DoH resolver is unreachable for this client
   /// (TCP SYNs vanish). The client only learns this via kDohTimeout.
   bool doh_unreachable = false;

@@ -77,8 +77,13 @@ std::size_t Zone::record_count() const {
   return n;
 }
 
-Zone Zone::make_study_zone(const DomainName& origin,
-                           std::uint32_t web_address, std::uint32_t ttl) {
+const DomainName& study_origin() {
+  static const DomainName origin = DomainName::parse("a.com");
+  return origin;
+}
+
+Zone Zone::make_study_zone(std::uint32_t web_address, std::uint32_t ttl) {
+  const DomainName& origin = study_origin();
   SoaRecord soa;
   soa.mname = origin.with_subdomain("ns1");
   soa.rname = origin.with_subdomain("hostmaster");

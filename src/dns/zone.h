@@ -36,10 +36,9 @@ class Zone {
   [[nodiscard]] const SoaRecord& soa() const { return soa_; }
   [[nodiscard]] std::size_t record_count() const;
 
-  /// Builds the measurement-study zone: SOA + NS + wildcard A answering
-  /// any <label>.<origin> with `web_address`, TTL `ttl`.
-  static Zone make_study_zone(const DomainName& origin,
-                              std::uint32_t web_address,
+  /// Builds the measurement-study zone at study_origin(): SOA + NS +
+  /// wildcard A answering any <label>.a.com with `web_address`, TTL `ttl`.
+  static Zone make_study_zone(std::uint32_t web_address,
                               std::uint32_t ttl = 60);
 
  private:
@@ -57,5 +56,10 @@ class Zone {
   std::map<Key, std::vector<ResourceRecord>> records_;
   std::map<RecordType, std::vector<ResourceRecord>> wildcard_;
 };
+
+/// The study zone "a.com" (paper Section 3.2): every measured name is a
+/// fresh <UUID> label under it, and the warm paths' popular names live
+/// under it too.
+[[nodiscard]] const DomainName& study_origin();
 
 }  // namespace dohperf::dns

@@ -475,16 +475,9 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
     const std::size_t pop_index =
         provider.route(exit.site.position, exit.anycast_region, net.rng);
 
-    DohProxyParams params;
-    params.client = view.world.measurement_client();
-    params.super_proxy = task.sp_site;
-    params.exit = &exit;
-    params.doh = &view.stack.doh_server(p, pop_index);
-    params.origin = view.world.origin();
-
     s.begin_flow(static_cast<std::uint32_t>(p), "doh:" + provider.name());
-    const DohProxyObservation obs =
-        co_await doh_via_proxy(net, std::move(params));
+    const DohProxyObservation obs = co_await doh_via_proxy(
+        net, exit, task.sp_site, view.stack.doh_server(p, pop_index));
     const double tdoh_ms = obs.ok ? estimate_tdoh_ms(obs.inputs) : 0.0;
     s.end_flow({.ok = obs.ok}, "doh_ms", tdoh_ms);
     if (!obs.ok) continue;
@@ -540,7 +533,6 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
       wp.vantage = exit.site;
       wp.default_resolver = exit.default_resolver;
       wp.doh = &view.stack.doh_server(p, pop_index);
-      wp.origin = view.world.origin();
       wp.cache = model;
       wp.reuse = config.reuse;
       record_warm(co_await doh_warm_path(net, std::move(wp)), kDohWarm);
@@ -552,7 +544,6 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
     WarmDo53Params dp;
     dp.vantage = exit.site;
     dp.resolver = exit.default_resolver;
-    dp.origin = view.world.origin();
     dp.cache = model;
     dp.reuse = config.reuse;
     record_warm(co_await do53_warm_path(net, std::move(dp)), kDo53Warm);
@@ -560,17 +551,11 @@ netsim::Task<void> measure_session(ShardView& view, const ExitState& st,
 
   // --- Do53 via the default resolver ----------------------------------
   s.label("Do53");
-  Do53ProxyParams params;
-  params.client = view.world.measurement_client();
-  params.super_proxy = task.sp_site;
-  params.exit = &exit;
-  params.origin = view.world.origin();
-  params.authority = &view.stack.authority();  // a.com's NS and web host
-
   s.begin_flow(static_cast<std::uint32_t>(view.world.providers().size()),
                "do53");
-  const Do53ProxyObservation obs =
-      co_await do53_via_proxy(net, std::move(params));
+  // a.com's authority is also its web host.
+  const Do53ProxyObservation obs = co_await do53_via_proxy(
+      net, exit, task.sp_site, view.stack.authority());
   // In Super Proxy countries the header value reflects the Super Proxy's
   // own resolution and is discarded; Atlas fills the gap.
   const bool measured = obs.ok && !obs.resolved_at_super_proxy;
@@ -610,7 +595,7 @@ netsim::Task<void> atlas_session(ShardView& view, const AtlasTask& task,
   // Fresh UUID per measurement (cache-miss by construction).
   const double ms = co_await view.world.atlas().measure_do53(
       s.net, std::move(local_probe),
-      resolver::probe_name(s.net.rng, view.world.origin()));
+      resolver::probe_name(s.net.rng));
   s.end_flow({.ok = ms >= 0}, "do53_ms", ms);
   if (ms < 0) co_return;
   Do53Record rec;

@@ -10,7 +10,7 @@ namespace dohperf::measure {
 netsim::Task<DirectObservation> doq_direct(
     netsim::NetCtx& net, netsim::Site vantage,
     resolver::RecursiveResolver* default_resolver,
-    resolver::DohServer& doh, dns::DomainName origin, bool resumed) {
+    resolver::DohServer& doh, bool resumed) {
   const auto flow = net.flow({.span = "doq_query", .transport = "doq"});
   DirectObservation obs;
   const netsim::Site pop = doh.site();
@@ -37,7 +37,7 @@ netsim::Task<DirectObservation> doq_direct(
   double* const samples[] = {&obs.query_ms, &obs.reuse_ms};
   for (double* out_ms : samples) {
     const resolver::StubResult answer = co_await resolver::stream_exchange(
-        net, conn, doh.resolver(), resolver::make_probe_query(net.rng, origin));
+        net, conn, doh.resolver(), resolver::make_probe_query(net.rng));
     obs.ok = answer.ok();
     *out_ms = answer.elapsed_ms;
     if (!obs.ok) break;

@@ -11,7 +11,7 @@ namespace dohperf::measure {
 netsim::Task<DirectObservation> dot_direct(
     netsim::NetCtx& net, netsim::Site vantage,
     resolver::RecursiveResolver* default_resolver,
-    resolver::DohServer& doh, dns::DomainName origin) {
+    resolver::DohServer& doh) {
   const auto flow = net.flow({.span = "dot_query", .transport = "dot"});
   DirectObservation obs;
 
@@ -39,8 +39,7 @@ netsim::Task<DirectObservation> dot_direct(
   double* const samples[] = {&obs.query_ms, &obs.reuse_ms};
   for (double* out_ms : samples) {
     const resolver::StubResult answer = co_await resolver::stream_exchange(
-        net, channel, doh.resolver(),
-        resolver::make_probe_query(net.rng, origin));
+        net, channel, doh.resolver(), resolver::make_probe_query(net.rng));
     obs.ok = answer.ok();
     *out_ms = answer.elapsed_ms;
     if (!obs.ok) break;

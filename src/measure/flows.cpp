@@ -2,9 +2,11 @@
 
 #include <chrono>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "dns/wire.h"
+#include "geo/cities.h"
 #include "proxy/headers.h"
 #include "proxy/tunnel.h"
 #include "resolver/stub.h"
@@ -33,6 +35,20 @@ constexpr double kResolverKeyScheduleMs = 0.3;
 /// Study web server: static-page service time and response body size.
 constexpr double kStaticPageMs = 0.4;
 constexpr std::size_t kPageBodyBytes = 2048;
+
+/// The study's measurement client, the one vantage both proxied flows
+/// measure from: a university network in Illinois (paper Section 3.2).
+const Site& study_client() {
+  static const Site client = [] {
+    const geo::City* chicago = geo::find_city("Chicago");
+    if (chicago == nullptr) throw std::logic_error("no Chicago in city table");
+    return Site{.position = chicago->position,
+                .lastmile_ms = 1.0,
+                .route_inflation = 1.10,
+                .jitter_sigma = 0.05};
+  }();
+  return client;
+}
 
 /// A stub resolution at `vantage` against `resolver`; returns elapsed ms
 /// (negative on failure). Thin adapter over resolver::stub_resolve.
@@ -65,14 +81,16 @@ bool read_timelines(std::string_view ok_wire, proxy::TunTimeline& tun,
 
 }  // namespace
 
-Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
+Task<DohProxyObservation> doh_via_proxy(NetCtx& net,
+                                        const proxy::ExitNode& exit_node,
+                                        const Site& sp,
+                                        resolver::DohServer& doh) {
   DohProxyObservation obs;
-  const Site& client = params.client;
-  const Site& sp = params.super_proxy;
-  const Site& exit = params.exit->site;
-  const Site pop = params.doh->site();
-  const std::string& doh_hostname = params.doh->hostname();
-  const transport::TlsVersion tls = params.doh->tls_version();
+  const Site& client = study_client();
+  const Site& exit = exit_node.site;
+  const Site pop = doh.site();
+  const std::string& doh_hostname = doh.hostname();
+  const transport::TlsVersion tls = doh.tls_version();
 
   // The client's timestamps are taken relative to the session's own
   // start rather than the simulation epoch: only the differences
@@ -108,8 +126,7 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
   // tunnel establishment: the lookup exists only to learn where to
   // CONNECT, so it counts as tunnel time.
   const resolver::StubResult boot = co_await resolver::bootstrap(
-      net, exit, *params.exit->default_resolver, *params.doh,
-      Phase::kTunnelConnect);
+      net, exit, *exit_node.default_resolver, doh, Phase::kTunnelConnect);
   if (!boot.ok()) co_return obs;
   const double dns_ms = boot.elapsed_ms;
   obs.true_dns_ms = dns_ms;
@@ -180,8 +197,8 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
   // ---- Steps 15-22: the DoH query (phase "resolution") --------------
   auto resolution_phase = net.step({"resolution"});
   const SimTime resolution_start = net.sim.now();
-  transport::HttpRequest get_req = resolver::doh_get(
-      resolver::make_probe_query(net.rng, params.origin), doh_hostname);
+  transport::HttpRequest get_req =
+      resolver::doh_get(resolver::make_probe_query(net.rng), doh_hostname);
   get_req.headers.add("accept", "application/dns-message");
   // Client Finished piggybacks on the first record (TLS 1.3).
   const std::size_t get_payload =
@@ -190,8 +207,8 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
   co_await tls_tunnel.send(get_payload);  // t15, t16
   leg_start = net.sim.now();
   co_await tls_leg.send(get_payload);  // t17
-  const transport::HttpResponse doh_resp = co_await params.doh->handle(
-      net, std::move(get_req), params.exit->prefix);  // t18, t19 inside
+  const transport::HttpResponse doh_resp = co_await doh.handle(
+      net, std::move(get_req), exit_node.prefix);  // t18, t19 inside
   co_await tls_leg.recv(doh_resp);  // t20
   obs.true_query_ms = ms_between(leg_start, net.sim.now());
   co_await tls_tunnel.recv(doh_resp);  // t21, t22
@@ -208,8 +225,7 @@ Task<DohProxyObservation> doh_via_proxy(NetCtx& net, DohProxyParams params) {
 Task<DirectObservation> doh_direct(NetCtx& net, Site vantage,
                                    resolver::RecursiveResolver*
                                        default_resolver,
-                                   resolver::DohServer& doh,
-                                   dns::DomainName origin) {
+                                   resolver::DohServer& doh) {
   DirectObservation obs;
   const auto flow = net.flow({"doh_direct", std::nullopt,
                               &MetricCounters::doh_queries, "doh_direct"});
@@ -239,7 +255,7 @@ Task<DirectObservation> doh_direct(NetCtx& net, Site vantage,
     const SimTime start = net.sim.now();
     const transport::HttpResponse resp = co_await resolver::doh_exchange(
         net, session, doh,
-        resolver::doh_get(resolver::make_probe_query(net.rng, origin),
+        resolver::doh_get(resolver::make_probe_query(net.rng),
                           doh.hostname()));
     *out_ms = ms_between(start, net.sim.now());
     obs.http_status = resp.status;
@@ -249,15 +265,14 @@ Task<DirectObservation> doh_direct(NetCtx& net, Site vantage,
   co_return obs;
 }
 
-Task<Do53ProxyObservation> do53_via_proxy(NetCtx& net,
-                                          Do53ProxyParams params) {
+Task<Do53ProxyObservation> do53_via_proxy(
+    NetCtx& net, const proxy::ExitNode& exit_node, const Site& sp,
+    resolver::AuthoritativeServer& authority) {
   Do53ProxyObservation obs;
-  const Site& client = params.client;
-  const Site& sp = params.super_proxy;
-  const Site& exit = params.exit->site;
+  const Site& client = study_client();
+  const Site& exit = exit_node.site;
 
-  const dns::Message query =
-      resolver::make_probe_query(net.rng, params.origin);
+  const dns::Message query = resolver::make_probe_query(net.rng);
   const dns::DomainName target_name = query.questions.front().name;
 
   const auto flow = net.flow({"do53_query", std::nullopt,
@@ -272,7 +287,7 @@ Task<Do53ProxyObservation> do53_via_proxy(NetCtx& net,
   co_await tunnel.connect_to_super_proxy(connect_req);
 
   double dns_ms = 0.0;
-  if (proxy::resolves_dns_at_super_proxy(params.exit->advertised_iso2)) {
+  if (proxy::resolves_dns_at_super_proxy(exit_node.advertised_iso2)) {
     // BrightData quirk in the 11 Super Proxy countries: the Super Proxy
     // resolves the name itself (datacenter-grade path to the
     // authoritative server), so the header value does NOT reflect the
@@ -282,16 +297,16 @@ Task<Do53ProxyObservation> do53_via_proxy(NetCtx& net,
     // fresh probe name — a cache miss by construction.
     const auto resolve =
         net.step({"super_proxy_resolve", Phase::kDnsCacheMiss});
-    netsim::Path authority_path(net, sp, params.authority->site());
+    netsim::Path authority_path(net, sp, authority.site());
     authority_path.set_framing(transport::kUdpOverheadBytes,
                                transport::kUdpOverheadBytes);
     const SimTime start = net.sim.now();
     co_await authority_path.send(dns::wire_size(query));
     {
       const auto processing = net.step({.phase = Phase::kServerProcessing});
-      co_await net.process(params.authority->processing_delay());
+      co_await net.process(authority.processing_delay());
     }
-    const dns::Message auth_resp = params.authority->handle(query, 0xFFFF);
+    const dns::Message auth_resp = authority.handle(query, 0xFFFF);
     co_await authority_path.recv(dns::wire_size(auth_resp));
     dns_ms = ms_between(start, net.sim.now());
     obs.true_do53_ms = std::numeric_limits<double>::quiet_NaN();
@@ -300,15 +315,15 @@ Task<Do53ProxyObservation> do53_via_proxy(NetCtx& net,
     co_await tunnel.forward_connect(connect_req);
     // The exit node resolves the fresh name with its default resolver —
     // a guaranteed cache miss recursing to the authoritative server.
-    dns_ms = co_await resolve_at(net, exit, params.exit->default_resolver,
-                                 query, params.exit->prefix);
+    dns_ms = co_await resolve_at(net, exit, exit_node.default_resolver,
+                                 query, exit_node.prefix);
     if (dns_ms < 0) co_return obs;
     obs.true_do53_ms = dns_ms;
   }
 
   // TCP handshake exit <-> web server, then the tunnel reply (t7-t8).
   const transport::TcpConnection tcp =
-      co_await transport::tcp_connect(net, exit, params.authority->site());
+      co_await transport::tcp_connect(net, exit, authority.site());
   if (!tcp.established) co_return obs;
 
   proxy::TunTimeline tun;

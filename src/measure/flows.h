@@ -33,18 +33,6 @@ namespace dohperf::measure {
 /// Tunnel abstraction now.
 using proxy::kSuperProxyForwardMs;
 
-/// Parameters for a proxied DoH measurement.
-struct DohProxyParams {
-  netsim::Site client;       ///< The measurement client (paper: Illinois).
-  netsim::Site super_proxy;  ///< Serving Super Proxy.
-  const proxy::ExitNode* exit = nullptr;
-  /// At the anycast-selected PoP; its hostname (e.g. dns.google) is the
-  /// name the exit node bootstraps and the flow CONNECTs to, and its TLS
-  /// version the one the tunnelled handshake runs.
-  resolver::DohServer* doh = nullptr;
-  dns::DomainName origin;              ///< Study zone ("a.com").
-};
-
 /// Output of a proxied DoH measurement.
 struct DohProxyObservation {
   bool ok = false;
@@ -63,8 +51,15 @@ struct DohProxyObservation {
   }
 };
 
+/// One proxied DoH measurement of `exit` from the study's measurement
+/// client (paper: Illinois) through `super_proxy`, against `doh`, the
+/// anycast-selected PoP: the exit node bootstraps and CONNECTs to its
+/// hostname, and the tunnelled handshake runs at its TLS version. The
+/// probe name is a fresh <UUID>.a.com. Every argument must outlive the
+/// flow.
 [[nodiscard]] netsim::Task<DohProxyObservation> doh_via_proxy(
-    netsim::NetCtx& net, DohProxyParams params);
+    netsim::NetCtx& net, const proxy::ExitNode& exit,
+    const netsim::Site& super_proxy, resolver::DohServer& doh);
 
 /// What a direct DoH, DoT or DoQ measurement at a controlled vantage
 /// observed: the bootstrap, the handshakes, a first query, and a second
@@ -95,7 +90,7 @@ struct DirectObservation {
 [[nodiscard]] netsim::Task<DirectObservation> doh_direct(
     netsim::NetCtx& net, netsim::Site vantage,
     resolver::RecursiveResolver* default_resolver,
-    resolver::DohServer& doh, dns::DomainName origin);
+    resolver::DohServer& doh);
 
 /// DNS-over-TLS (RFC 7858) against the PoP behind `doh`: Cloudflare,
 /// Google and Quad9 terminate DoH and DoT on the same anycast front-ends,
@@ -105,7 +100,7 @@ struct DirectObservation {
 [[nodiscard]] netsim::Task<DirectObservation> dot_direct(
     netsim::NetCtx& net, netsim::Site vantage,
     resolver::RecursiveResolver* default_resolver,
-    resolver::DohServer& doh, dns::DomainName origin);
+    resolver::DohServer& doh);
 
 /// DNS-over-QUIC (RFC 9250) against the PoP behind `doh`. With `resumed`
 /// the client holds a ticket from a prior session: no bootstrap (the
@@ -113,22 +108,7 @@ struct DirectObservation {
 [[nodiscard]] netsim::Task<DirectObservation> doq_direct(
     netsim::NetCtx& net, netsim::Site vantage,
     resolver::RecursiveResolver* default_resolver,
-    resolver::DohServer& doh, dns::DomainName origin, bool resumed = false);
-
-/// Parameters for a proxied Do53 measurement (HTTP GET to the study web
-/// server, forcing a default-resolver resolution at the exit node). In
-/// the 11 Super Proxy countries (proxy::resolves_dns_at_super_proxy of
-/// the exit's advertised country) the Super Proxy resolves instead, and
-/// the reported value is useless for the study.
-struct Do53ProxyParams {
-  netsim::Site client;
-  netsim::Site super_proxy;
-  const proxy::ExitNode* exit = nullptr;
-  dns::DomainName origin;
-  /// a.com's authoritative server: the Super Proxy consults it in those
-  /// countries, and a.com's web host is co-located with it.
-  resolver::AuthoritativeServer* authority = nullptr;
-};
+    resolver::DohServer& doh, bool resumed = false);
 
 /// Output of a proxied Do53 measurement.
 struct Do53ProxyObservation {
@@ -141,8 +121,17 @@ struct Do53ProxyObservation {
   double true_do53_ms = 0.0;
 };
 
+/// One proxied Do53 measurement of `exit` from the measurement client
+/// through `super_proxy`: an HTTP GET to the study web server at a fresh
+/// <UUID>.a.com, forcing a default-resolver resolution at the exit node.
+/// In the 11 Super Proxy countries (proxy::resolves_dns_at_super_proxy of
+/// the exit's advertised country) the Super Proxy resolves instead, at
+/// a.com's `authority`, and the reported value is useless for the study.
+/// a.com's web host is co-located with `authority`. Every argument must
+/// outlive the flow.
 [[nodiscard]] netsim::Task<Do53ProxyObservation> do53_via_proxy(
-    netsim::NetCtx& net, Do53ProxyParams params);
+    netsim::NetCtx& net, const proxy::ExitNode& exit,
+    const netsim::Site& super_proxy, resolver::AuthoritativeServer& authority);
 
 /// One direct Do53 resolution at a controlled vantage; returns ms.
 [[nodiscard]] netsim::Task<double> do53_direct(

@@ -11,17 +11,15 @@ namespace dohperf::measure {
 
 namespace {
 
-/// A proxied Do53 measurement of `exit` from the study's client.
-Do53ProxyParams proxied_do53(world::WorldModel& world,
-                             const proxy::ExitNode& exit) {
-  Do53ProxyParams params;
-  params.client = world.measurement_client();
-  params.super_proxy =
+/// A proxied Do53 measurement of `exit` from the study's client, through
+/// its nearest Super Proxy.
+Do53ProxyObservation proxied_do53(world::WorldModel& world,
+                                  const proxy::ExitNode& exit) {
+  const netsim::Site& super_proxy =
       world.brightdata().nearest_super_proxy(exit.site.position).site;
-  params.exit = &exit;
-  params.origin = world.origin();
-  params.authority = &world.authority();
-  return params;
+  return world.run_flow([&](netsim::NetCtx& net) {
+    return do53_via_proxy(net, exit, super_proxy, world.authority());
+  });
 }
 
 }  // namespace
@@ -72,20 +70,17 @@ DohValidation GroundTruthLab::validate_doh(const std::string& iso2) {
   const std::size_t pop_index = provider.nearest(node.site.position);
   resolver::DohServer& doh = world_.doh_server(kCloudflare, pop_index);
 
-  DohProxyParams params;
-  params.client = world_.measurement_client();
-  params.super_proxy =
+  const netsim::Site& super_proxy =
       world_.brightdata().nearest_super_proxy(node.site.position).site;
-  params.exit = &node;
-  params.doh = &doh;
-  params.origin = world_.origin();
 
   std::vector<double> est_tdoh, est_tdohr, truth_tdoh, truth_tdohr;
 
   for (int i = 0; i < kValidationReps; ++i) {
     // Estimator path: full proxied measurement.
-    const DohProxyObservation proxied = world_.run_flow(
-        [&](netsim::NetCtx& net) { return doh_via_proxy(net, params); });
+    const DohProxyObservation proxied =
+        world_.run_flow([&](netsim::NetCtx& net) {
+          return doh_via_proxy(net, node, super_proxy, doh);
+        });
     if (proxied.ok) {
       est_tdoh.push_back(estimate_tdoh_ms(proxied.inputs));
       est_tdohr.push_back(estimate_tdohr_ms(proxied.inputs));
@@ -93,8 +88,7 @@ DohValidation GroundTruthLab::validate_doh(const std::string& iso2) {
     // Ground truth: direct measurement at the controlled node.
     const DirectObservation direct =
         world_.run_flow([&](netsim::NetCtx& net) {
-          return doh_direct(net, node.site, node.default_resolver, doh,
-                            world_.origin());
+          return doh_direct(net, node.site, node.default_resolver, doh);
         });
     if (direct.ok) {
       truth_tdoh.push_back(direct.first_ms());
@@ -120,16 +114,13 @@ Do53Validation GroundTruthLab::validate_do53(const std::string& iso2) {
 
   std::vector<double> estimated, truth;
   for (int i = 0; i < kValidationReps; ++i) {
-    const Do53ProxyObservation proxied =
-        world_.run_flow([&](netsim::NetCtx& net) {
-          return do53_via_proxy(net, proxied_do53(world_, node));
-        });
+    const Do53ProxyObservation proxied = proxied_do53(world_, node);
     if (proxied.ok) estimated.push_back(proxied.tun.dns_ms);
     // Names must be fresh per repetition or the resolver cache would
     // serve every repetition after the first.
     const double ms = world_.run_flow([&](netsim::NetCtx& net) {
       return do53_direct(net, node.site, node.default_resolver,
-                         resolver::probe_name(net.rng, world_.origin()));
+                         resolver::probe_name(net.rng));
     });
     if (ms >= 0) truth.push_back(ms);
   }
@@ -150,10 +141,7 @@ NetworkComparison GroundTruthLab::compare_networks(const std::string& iso2) {
     const proxy::ExitNode* exit = world_.brightdata().pick_exit(iso2, rng);
     if (exit != nullptr &&
         !proxy::resolves_dns_at_super_proxy(iso2)) {
-      const Do53ProxyObservation obs =
-          world_.run_flow([&](netsim::NetCtx& net) {
-            return do53_via_proxy(net, proxied_do53(world_, *exit));
-          });
+      const Do53ProxyObservation obs = proxied_do53(world_, *exit);
       if (obs.ok) brightdata.push_back(obs.tun.dns_ms);
     }
     // Atlas: a random probe in the country.
@@ -161,7 +149,7 @@ NetworkComparison GroundTruthLab::compare_networks(const std::string& iso2) {
     if (probe != nullptr) {
       const double ms = world_.run_flow([&](netsim::NetCtx& net) {
         return world_.atlas().measure_do53(
-            net, *probe, resolver::probe_name(rng, world_.origin()));
+            net, *probe, resolver::probe_name(rng));
       });
       if (ms >= 0) atlas.push_back(ms);
     }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "dns/wire.h"
+#include "dns/zone.h"
 #include "resolver/stub.h"
 #include "transport/tcp.h"
 #include "transport/tls.h"
@@ -136,7 +137,7 @@ Task<WarmPathObservation> run_session(NetCtx& net, const Params& params,
     if (params.cache != nullptr) {
       look = params.cache->sample(net.rng, cache_population(params));
     }
-    const dns::DomainName name = params.origin.with_subdomain(
+    const dns::DomainName name = dns::study_origin().with_subdomain(
         "popular-" + std::to_string(look.rank));
 
     // Client-local cache first: a hit never touches the network (and
@@ -256,9 +257,8 @@ Task<WarmPathObservation> doh_warm_path(NetCtx& net, WarmDohParams params) {
           const transport::HttpResponse resp =
               co_await resolver::doh_exchange(
                   net, *tls, *params.doh,
-                  resolver::doh_get(
-                      resolver::make_probe_query(net.rng, params.origin),
-                      doh_hostname));
+                  resolver::doh_get(resolver::make_probe_query(net.rng),
+                                    doh_hostname));
           if (resp.status != 200) co_return false;
         }
         pool.touch(doh_hostname, net.sim.now());
@@ -275,7 +275,7 @@ Task<WarmPathObservation> do53_warm_path(NetCtx& net,
         if (!query.shared_hit) {
           const resolver::StubResult result = co_await resolver::stub_resolve(
               net, params.vantage, *params.resolver,
-              resolver::make_probe_query(net.rng, params.origin));
+              resolver::make_probe_query(net.rng));
           co_return result.ok();
         }
         // ISP-cache hit: one UDP round trip plus the frontend hit cost —

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "client/connection_pool.h"
-#include "dns/name.h"
 #include "netsim/netctx.h"
 #include "resolver/doh_server.h"
 #include "resolver/recursive.h"
@@ -70,7 +69,6 @@ struct WarmDohParams {
   /// The serving PoP; the pool keys its connection by its hostname, and
   /// handshakes and resumptions run at its TLS version.
   resolver::DohServer* doh = nullptr;
-  dns::DomainName origin;  ///< Study zone; popular names live under it.
   /// Shared-cache model; nullptr prices every query as a full recursion.
   const resolver::SharedCacheModel* cache = nullptr;
   ReuseConfig reuse;
@@ -88,7 +86,6 @@ struct WarmDohParams {
 struct WarmDo53Params {
   netsim::Site vantage;
   resolver::RecursiveResolver* resolver = nullptr;
-  dns::DomainName origin;
   const resolver::SharedCacheModel* cache = nullptr;
   ReuseConfig reuse;
 };

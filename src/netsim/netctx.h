@@ -49,10 +49,10 @@ struct NetCtx {
   Simulator& sim;
   Rng& rng;
   /// Optional span tree; when set, instrumented layers open nested spans
-  /// and every hop is recorded as a leaf under the innermost open span —
-  /// the simulator's "Wireshark" (the paper validated its assumptions by
-  /// capturing exit-node traffic, Section 4.3): hop_view() lists every
-  /// captured message in order.
+  /// and every hop is recorded as a leaf under `span` — the simulator's
+  /// "Wireshark" (the paper validated its assumptions by capturing
+  /// exit-node traffic, Section 4.3): hop_view() lists every captured
+  /// message in order.
   obs::SpanContext* spans = nullptr;
   /// Optional per-shard metrics registry (messages, bytes, handshakes,
   /// retries, ...). Owned by whoever runs the flows; single-writer.
@@ -77,6 +77,12 @@ struct NetCtx {
   /// The (provider, country) the flows that follow are filed under; the
   /// owner sets them before each flow.
   obs::Labels labels{};
+  /// The innermost span this context's task has open, the parent of the
+  /// spans and hops it records next (kNoSpan: none). Each step sets it
+  /// while it lives. A task that runs concurrently with others of the
+  /// same flow runs on its own copy of the context, so each keeps its own
+  /// branch of the tree.
+  obs::SpanId span = obs::kNoSpan;
 
   /// Guard of one step (see step()): ends the step's span and phase
   /// frame together, at the simulator's then-current time, on finish()
@@ -92,7 +98,10 @@ struct NetCtx {
     void finish() {
       if (net_ == nullptr) return;
       net_->attribution.pop(token_, net_->sim.now());
-      if (spans_ != nullptr) spans_->close(span_, net_->sim.now());
+      if (spans_ != nullptr) {
+        spans_->close(span_, net_->sim.now());
+        net_->span = parent_;
+      }
       net_ = nullptr;
     }
 
@@ -106,7 +115,9 @@ struct NetCtx {
       // The span name becomes a string only on the traced path.
       if (net.spans != nullptr && !s.span.empty()) {
         spans_ = net.spans;
-        span_ = spans_->open(std::string(s.span), net.sim.now());
+        parent_ = net.span;
+        span_ = spans_->open(std::string(s.span), parent_, net.sim.now());
+        net.span = span_;
       }
       if (s.phase) token_ = net.attribution.push(*s.phase, net.sim.now());
     }
@@ -114,6 +125,7 @@ struct NetCtx {
     NetCtx* net_ = nullptr;
     obs::SpanContext* spans_ = nullptr;  ///< Where the span was opened.
     obs::SpanId span_ = obs::kNoSpan;
+    obs::SpanId parent_ = obs::kNoSpan;  ///< `net_->span` before this step.
     std::uint64_t token_ = 0;
   };
 
@@ -195,7 +207,7 @@ struct NetCtx {
       metrics->counters.bytes_on_wire += bytes;
     }
     if (spans != nullptr) {
-      spans->record_hop(sent, sim.now(), a.position, b.position, bytes);
+      spans->record_hop(span, sent, sim.now(), a.position, b.position, bytes);
     }
   }
 

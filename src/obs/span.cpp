@@ -2,39 +2,34 @@
 
 namespace dohperf::obs {
 
-SpanId SpanContext::open(std::string name, netsim::SimTime now) {
+SpanId SpanContext::open(std::string name, SpanId parent,
+                         netsim::SimTime now) {
   const auto id = static_cast<SpanId>(spans_.size());
   Span span;
   span.id = id;
-  span.parent = current();
+  span.parent = parent;
   span.name = std::move(name);
   span.start = now;
   span.end = now;
   spans_.push_back(std::move(span));
-  stack_.push_back(id);
+  ++open_;
   return id;
 }
 
 void SpanContext::close(SpanId id, netsim::SimTime now) {
   if (id >= spans_.size()) return;
   spans_[id].end = now;
-  // Strict nesting: the closed span should be the stack top. Tolerate
-  // (and unwind past) mismatches so a malformed flow still exports.
-  while (!stack_.empty()) {
-    const SpanId top = stack_.back();
-    stack_.pop_back();
-    if (top == id) break;
-    spans_[top].end = now;
-  }
+  --open_;
+  if (id == innermost_) innermost_ = spans_[id].parent;
 }
 
-void SpanContext::record_hop(netsim::SimTime sent, netsim::SimTime delivered,
-                             geo::LatLon from, geo::LatLon to,
-                             std::size_t bytes) {
+void SpanContext::record_hop(SpanId parent, netsim::SimTime sent,
+                             netsim::SimTime delivered, geo::LatLon from,
+                             geo::LatLon to, std::size_t bytes) {
   const auto id = static_cast<SpanId>(spans_.size());
   Span span;
   span.id = id;
-  span.parent = current();
+  span.parent = parent;
   span.name = "hop";
   span.start = sent;
   span.end = delivered;
@@ -55,7 +50,8 @@ std::vector<const Span*> SpanContext::hop_view() const {
 
 void SpanContext::clear() {
   spans_.clear();
-  stack_.clear();
+  open_ = 0;
+  innermost_ = kNoSpan;
 }
 
 std::vector<Span> rebase_to_epoch(std::vector<Span> spans,

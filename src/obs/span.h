@@ -5,10 +5,12 @@
 // layer — NetCtx::hop at the bottom, the Connection stack, the proxy
 // Tunnel, and the measurement flows on top — opens a named span whose
 // start/end are *sim-time* points, so a trace explains where simulated
-// time goes, not where host CPU went. Spans strictly nest: a span opened
-// while another is open becomes its child, and the innermost open span
-// labels every hop captured beneath it (the "which layer sent this?"
-// question a flat packet capture cannot answer).
+// time goes, not where host CPU went. Every span and hop names its parent
+// when it is recorded: the innermost open step of the task that made it
+// (netsim::NetCtx::span), so concurrent tasks of one flow, such as a page
+// load's domains, each build their own branch, and a hop's parent names
+// the layer that sent it (the "which layer sent this?" question a flat
+// packet capture cannot answer).
 //
 // Recording is pure observation: it never consumes RNG draws, schedules
 // events, or advances the clock, so enabling tracing cannot perturb a
@@ -18,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geo/coordinates.h"
@@ -56,26 +59,29 @@ struct Span {
 /// stable indices into spans().
 class SpanContext {
  public:
-  /// Opens a span as a child of the innermost open span (or a root).
-  SpanId open(std::string name, netsim::SimTime now);
+  /// Opens a span as a child of `parent` (kNoSpan: a root).
+  SpanId open(std::string name, SpanId parent, netsim::SimTime now);
 
-  /// Closes `id`, which must be the innermost open span (spans strictly
-  /// nest; out-of-order closes indicate a broken flow and are ignored
-  /// after recording, so a trace of a buggy flow is still inspectable).
+  /// Opens a span as a child of the innermost span this overload opened
+  /// that is still open (none: a root), for the nested scopes of one
+  /// task, such as a host-clock tracer's call boundaries. Spans opened
+  /// this way close innermost first.
+  SpanId open(std::string name, netsim::SimTime now) {
+    innermost_ = open(std::move(name), innermost_, now);
+    return innermost_;
+  }
+
+  /// Closes `id`, which was opened and not yet closed.
   void close(SpanId id, netsim::SimTime now);
 
-  /// Records an already-delimited hop leaf under the innermost open span.
-  void record_hop(netsim::SimTime sent, netsim::SimTime delivered,
-                  geo::LatLon from, geo::LatLon to, std::size_t bytes);
-
-  /// Innermost open span id, or kNoSpan.
-  [[nodiscard]] SpanId current() const {
-    return stack_.empty() ? kNoSpan : stack_.back();
-  }
+  /// Records an already-delimited hop leaf under `parent`.
+  void record_hop(SpanId parent, netsim::SimTime sent,
+                  netsim::SimTime delivered, geo::LatLon from,
+                  geo::LatLon to, std::size_t bytes);
 
   [[nodiscard]] const std::vector<Span>& spans() const { return spans_; }
   /// Number of spans opened but not yet closed.
-  [[nodiscard]] std::size_t open_count() const { return stack_.size(); }
+  [[nodiscard]] std::size_t open_count() const { return open_; }
   [[nodiscard]] bool empty() const { return spans_.empty(); }
 
   /// The flat packet capture: every hop leaf, in capture order (its
@@ -86,7 +92,9 @@ class SpanContext {
 
  private:
   std::vector<Span> spans_;
-  std::vector<SpanId> stack_;
+  std::size_t open_ = 0;
+  /// The two-argument open()'s parent for the next span.
+  SpanId innermost_ = kNoSpan;
 };
 
 /// `spans` with every start and end moved so that `epoch` becomes time

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "dns/wire.h"
+#include "dns/zone.h"
 #include "netsim/path.h"
 #include "transport/base64.h"
 #include "transport/connection.h"
@@ -93,20 +94,18 @@ std::string uuid_label(netsim::Rng& rng) {
   return std::string(format_uuid(rng, buf));
 }
 
-dns::DomainName probe_name(netsim::Rng& rng,
-                           const dns::DomainName& origin) {
+dns::DomainName probe_name(netsim::Rng& rng) {
   char buf[kUuidChars];
-  return origin.with_subdomain(format_uuid(rng, buf));
+  return dns::study_origin().with_subdomain(format_uuid(rng, buf));
 }
 
 dns::Message make_query(netsim::Rng& rng, dns::DomainName name) {
   return dns::Message::make_query(query_id(rng), std::move(name));
 }
 
-dns::Message make_probe_query(netsim::Rng& rng,
-                              const dns::DomainName& origin) {
+dns::Message make_probe_query(netsim::Rng& rng) {
   const std::uint16_t id = query_id(rng);
-  return dns::Message::make_query(id, probe_name(rng, origin));
+  return dns::Message::make_query(id, probe_name(rng));
 }
 
 std::string doh_get_target(const dns::Message& query) {

@@ -51,19 +51,17 @@ inline constexpr netsim::RetryPolicy kStubRetryPolicy{
 /// used to defeat caching, as in the paper ("<UUID>.a.com").
 [[nodiscard]] std::string uuid_label(netsim::Rng& rng);
 
-/// The fresh probe name `<uuid>.<origin>`; the label is formatted on the
-/// stack.
-[[nodiscard]] dns::DomainName probe_name(netsim::Rng& rng,
-                                         const dns::DomainName& origin);
+/// The fresh probe name `<uuid>.a.com` under dns::study_origin(); the
+/// label is formatted on the stack.
+[[nodiscard]] dns::DomainName probe_name(netsim::Rng& rng);
 
 /// Builds an A query for `name` with a random message id. This and
 /// make_probe_query are the only places a client draws a message id.
 [[nodiscard]] dns::Message make_query(netsim::Rng& rng, dns::DomainName name);
 
-/// Builds an A query for `<uuid>.<origin>` with a random message id (the
-/// id is drawn before the UUID).
-[[nodiscard]] dns::Message make_probe_query(netsim::Rng& rng,
-                                            const dns::DomainName& origin);
+/// Builds an A query for probe_name() with a random message id (the id
+/// is drawn before the UUID).
+[[nodiscard]] dns::Message make_probe_query(netsim::Rng& rng);
 
 /// Builds the RFC 8484 GET target "/dns-query?dns=<base64url(query)>".
 [[nodiscard]] std::string doh_get_target(const dns::Message& query);

@@ -880,6 +880,13 @@ bool set_override(CampaignSpec& spec, std::string_view source,
   const FieldDef* f = find_field(dotted_key);
   if (f != nullptr && f->type == FieldType::kString) token = quote(value);
   if (f != nullptr && f->type == FieldType::kStringList) {
+    // A spec file spells an empty list "[]"; from the shell an empty
+    // value is a missing one (an empty country list means every country).
+    if (value.empty()) {
+      *error = std::string(source) + ": key \"" + dotted_key +
+               "\": expected at least one item, got an empty value";
+      return false;
+    }
     token = "[";
     for (std::size_t start = 0; start <= value.size();) {
       const std::size_t comma = std::min(value.find(',', start), value.size());

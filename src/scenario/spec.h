@@ -125,8 +125,9 @@ bool set_key(CampaignSpec& spec, const std::string& dotted_key,
 /// Sets one key from a command-line flag or environment variable: the
 /// value is raw shell text (strings unquoted, string lists
 /// comma-separated, "SE,BR"), checked exactly as set_key() checks a spec
-/// file's value. On failure returns false and stores one diagnostic that
-/// names `source` (the flag or variable) in `*error`.
+/// file's value; an empty value for a list fails too (only a spec file
+/// can spell the empty list, "[]"). On failure returns false and stores
+/// one diagnostic that names `source` (the flag or variable) in `*error`.
 bool set_override(CampaignSpec& spec, std::string_view source,
                   const std::string& dotted_key, std::string_view value,
                   std::string* error);

@@ -51,11 +51,12 @@ struct DomainOutcome {
   double done_ms = 0.0;
 };
 
-Task<DomainOutcome> load_domain(NetCtx& net, const PageLoadContext& ctx,
+/// `net` is the domain's own copy of the page's context: the domains run
+/// concurrently, and each files its spans and hops under its own steps.
+Task<DomainOutcome> load_domain(NetCtx net, const PageLoadContext& ctx,
                                 DnsMode mode, SimTime page_start) {
   DomainOutcome out;
-  const dns::Message query =
-      resolver::make_probe_query(net.rng, ctx.origin);
+  const dns::Message query = resolver::make_probe_query(net.rng);
 
   out.dns_ms = co_await resolve_name(net, ctx, mode, query);
   if (out.dns_ms < 0) co_return out;

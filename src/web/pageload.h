@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <string>
 
-#include "dns/name.h"
 #include "netsim/netctx.h"
 #include "resolver/doh_server.h"
 #include "resolver/recursive.h"
@@ -57,14 +56,12 @@ struct PageLoadContext {
   resolver::DohServer* doh = nullptr;
   /// The content server hosting every object (the study's web host).
   netsim::Site web_server;
-  /// Zone under which the page's fresh host names live.
-  dns::DomainName origin;
 };
 
 /// Loads one synthetic page of `domains` domains, each fetched over
 /// HTTPS with a TLS 1.3 handshake; every domain is a fresh
-/// (cache-missing) subdomain of `origin`, matching the study's
-/// worst-case framing. `ctx` is taken by value: the coroutine reads it
+/// (cache-missing) <UUID>.a.com, matching the study's worst-case
+/// framing. `ctx` is taken by value: the coroutine reads it
 /// after suspending, when a caller's temporary would be gone.
 [[nodiscard]] netsim::Task<PageLoadResult> load_page(
     netsim::NetCtx& net, PageLoadContext ctx, int domains, DnsMode mode);

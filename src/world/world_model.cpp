@@ -32,9 +32,7 @@ resolver::RecursiveResolver resolver_from_spec(
 }  // namespace
 
 WorldModel::WorldModel(WorldConfig config)
-    : config_(std::move(config)),
-      rng_(config_.seed),
-      origin_(dns::DomainName::parse("a.com")) {
+    : config_(std::move(config)), rng_(config_.seed) {
   locate_hosts();
   build_providers();
   build_servers(stack_);
@@ -65,14 +63,6 @@ void WorldModel::locate_hosts() {
   authority_site_.lastmile_ms = 0.5;
   authority_site_.route_inflation = 1.08;
   authority_site_.jitter_sigma = 0.04;
-
-  // Measurement client: a university network in Illinois.
-  const geo::City* chicago = geo::find_city("Chicago");
-  if (chicago == nullptr) throw std::logic_error("city table lacks Chicago");
-  measurement_client_.position = chicago->position;
-  measurement_client_.lastmile_ms = 1.0;
-  measurement_client_.route_inflation = 1.10;
-  measurement_client_.jitter_sigma = 0.05;
 }
 
 void WorldModel::build_providers() {
@@ -128,7 +118,7 @@ void WorldModel::build_providers() {
 
 void WorldModel::build_servers(SimContext& ctx) const {
   ctx.authority_ = std::make_unique<resolver::AuthoritativeServer>(
-      dns::Zone::make_study_zone(origin_, kWebServerAddress),
+      dns::Zone::make_study_zone(kWebServerAddress),
       authority_site_);
   ctx.doh_.resize(doh_specs_.size());
   for (std::size_t p = 0; p < doh_specs_.size(); ++p) {

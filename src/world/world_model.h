@@ -157,13 +157,6 @@ class WorldModel {
   [[nodiscard]] resolver::AuthoritativeServer& authority() {
     return stack_.authority();
   }
-  /// Where the study's measurement client runs (paper: Illinois, USA).
-  [[nodiscard]] const netsim::Site& measurement_client() const {
-    return measurement_client_;
-  }
-  /// The study zone origin ("a.com").
-  [[nodiscard]] const dns::DomainName& origin() const { return origin_; }
-
   [[nodiscard]] std::span<anycast::Provider> providers() {
     return providers_;
   }
@@ -217,8 +210,6 @@ class WorldModel {
   WorldConfig config_;
   netsim::Rng rng_;
 
-  dns::DomainName origin_;
-  netsim::Site measurement_client_;
   netsim::Site authority_site_;
 
   std::vector<anycast::Provider> providers_;

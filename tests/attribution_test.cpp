@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 
+#include "dns/zone.h"
 #include "measure/campaign.h"
 #include "measure/flows.h"
 #include "measure/warm.h"
@@ -356,22 +357,22 @@ TEST_F(AttributionFlowFixture, DirectFlowsSatisfyTheInvariant) {
   AttributionLedger ledger;
   const auto doh_flow = recorded(ledger, [&](netsim::NetCtx& net) {
     return measure::doh_direct(net, exit->site, exit->default_resolver,
-                               server, world().origin());
+                               server);
   });
   ASSERT_TRUE(doh_flow.ok);
   const double do53_ms = recorded(ledger, [&](netsim::NetCtx& net) {
     return measure::do53_direct(net, exit->site, exit->default_resolver,
-                                world().origin());
+                                dns::study_origin());
   });
   EXPECT_GT(do53_ms, 0.0);
   const auto dot_flow = recorded(ledger, [&](netsim::NetCtx& net) {
     return measure::dot_direct(net, exit->site, exit->default_resolver,
-                               server, world().origin());
+                               server);
   });
   ASSERT_TRUE(dot_flow.ok);
   const auto doq_flow = recorded(ledger, [&](netsim::NetCtx& net) {
     return measure::doq_direct(net, exit->site, exit->default_resolver,
-                               server, world().origin());
+                               server);
   });
   ASSERT_TRUE(doq_flow.ok);
 
@@ -392,30 +393,16 @@ TEST_F(AttributionFlowFixture, ProxiedFlowsSatisfyTheInvariant) {
   const auto* exit = exit_in("BR");
   ASSERT_NE(exit, nullptr);
   AttributionLedger ledger;
-  {
-    measure::DohProxyParams params;
-    params.client = world().measurement_client();
-    params.super_proxy =
-        world().brightdata().nearest_super_proxy(exit->site.position).site;
-    params.exit = exit;
-    params.doh = &world().doh_server(0, 0);
-    params.origin = world().origin();
-    ASSERT_TRUE(recorded(ledger, [&](netsim::NetCtx& net) {
-                  return measure::doh_via_proxy(net, params);
-                }).ok);
-  }
-  {
-    measure::Do53ProxyParams params;
-    params.client = world().measurement_client();
-    params.super_proxy =
-        world().brightdata().nearest_super_proxy(exit->site.position).site;
-    params.exit = exit;
-    params.origin = world().origin();
-    params.authority = &world().authority();
-    ASSERT_TRUE(recorded(ledger, [&](netsim::NetCtx& net) {
-                  return measure::do53_via_proxy(net, params);
-                }).ok);
-  }
+  const netsim::Site& super_proxy =
+      world().brightdata().nearest_super_proxy(exit->site.position).site;
+  ASSERT_TRUE(recorded(ledger, [&](netsim::NetCtx& net) {
+                return measure::doh_via_proxy(net, *exit, super_proxy,
+                                              world().doh_server(0, 0));
+              }).ok);
+  ASSERT_TRUE(recorded(ledger, [&](netsim::NetCtx& net) {
+                return measure::do53_via_proxy(net, *exit, super_proxy,
+                                               world().authority());
+              }).ok);
 
   expect_consistent(ledger);
   EXPECT_TRUE(has_transport(ledger, "doh"));
@@ -435,7 +422,6 @@ TEST_F(AttributionFlowFixture, PageLoadSatisfiesTheInvariant) {
   ctx.default_resolver = exit->default_resolver;
   ctx.doh = &world().doh_server(0, 0);
   ctx.web_server = world().authority().site();
-  ctx.origin = world().origin();
   // Six concurrent subflows pop frames out of order.
   constexpr int kDomains = 6;
 
@@ -497,7 +483,6 @@ TEST_F(AttributionFlowFixture, WarmPathsClassifyPoolOutcomesExactly) {
     params.vantage = exit->site;
     params.default_resolver = exit->default_resolver;
     params.doh = &world().doh_server(0, 0);
-    params.origin = world().origin();
     params.cache = &model;
     params.reuse.enabled = true;
     params.reuse.queries_per_session = 8;
@@ -509,7 +494,6 @@ TEST_F(AttributionFlowFixture, WarmPathsClassifyPoolOutcomesExactly) {
     measure::WarmDo53Params params;
     params.vantage = exit->site;
     params.resolver = exit->default_resolver;
-    params.origin = world().origin();
     params.cache = &model;
     params.reuse.enabled = true;
     params.reuse.queries_per_session = 8;
@@ -557,7 +541,7 @@ TEST_F(AttributionFlowFixture, RetryHeavyFaultFlowsStayExact) {
                  net.fault_epoch = net.sim.now();
                  return measure::doh_direct(
                      net, exit->site, exit->default_resolver,
-                     world().doh_server(0, 0), world().origin());
+                     world().doh_server(0, 0));
                }).ok);
 
   expect_consistent(ledger);

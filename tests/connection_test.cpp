@@ -335,18 +335,14 @@ TEST_P(DohViaProxyGolden, StepTimestampsAreUnchanged) {
   const proxy::ExitNode* exit = world.brightdata().pick_exit("SE", pick);
   ASSERT_NE(exit, nullptr);
 
-  measure::DohProxyParams params;
-  params.client = world.measurement_client();
-  params.super_proxy =
+  const netsim::Site& super_proxy =
       world.brightdata().nearest_super_proxy(exit->site.position).site;
-  params.exit = exit;
-  params.doh = &world.doh_server(0, 0);
-  params.origin = world.origin();
 
   obs::SpanContext capture;
   const measure::DohProxyObservation obs = world.run_flow([&](NetCtx& net) {
     net.spans = &capture;
-    return measure::doh_via_proxy(net, std::move(params));
+    return measure::doh_via_proxy(net, *exit, super_proxy,
+                                  world.doh_server(0, 0));
   });
 
   ASSERT_TRUE(obs.ok);

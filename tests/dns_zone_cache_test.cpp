@@ -15,7 +15,7 @@ namespace {
 using netsim::SimTime;
 
 Zone study_zone() {
-  return Zone::make_study_zone(DomainName::parse("a.com"), 0xCF000001, 60);
+  return Zone::make_study_zone(0xCF000001, 60);
 }
 
 TEST(ZoneTest, StudyZoneAnswersWildcardQueries) {

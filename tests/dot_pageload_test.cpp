@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "measure/flows.h"
+#include "obs/span.h"
 #include "transport/quic.h"
 #include "web/pageload.h"
 #include "world/world_model.h"
@@ -30,21 +31,21 @@ struct ExtensionFixture : ::testing::Test {
                                         std::size_t pop) {
     return world().run_flow([&](netsim::NetCtx& net) {
       return measure::dot_direct(net, exit->site, exit->default_resolver,
-                                 world().doh_server(0, pop), world().origin());
+                                 world().doh_server(0, pop));
     });
   }
   static measure::DirectObservation doh(const proxy::ExitNode* exit,
                                         std::size_t pop) {
     return world().run_flow([&](netsim::NetCtx& net) {
       return measure::doh_direct(net, exit->site, exit->default_resolver,
-                                 world().doh_server(0, pop), world().origin());
+                                 world().doh_server(0, pop));
     });
   }
   static measure::DirectObservation doq(const proxy::ExitNode* exit,
                                         std::size_t pop, bool resumed) {
     return world().run_flow([&](netsim::NetCtx& net) {
       return measure::doq_direct(net, exit->site, exit->default_resolver,
-                                 world().doh_server(0, pop), world().origin(),
+                                 world().doh_server(0, pop),
                                  resumed);
     });
   }
@@ -91,7 +92,6 @@ web::PageLoadContext make_ctx(world::WorldModel& world,
   ctx.default_resolver = exit->default_resolver;
   ctx.doh = &world.doh_server(0, pop);
   ctx.web_server = world.authority().site();
-  ctx.origin = world.origin();
   return ctx;
 }
 
@@ -143,6 +143,55 @@ TEST_F(ExtensionFixture, WiderPagesTakeAtLeastAsLong) {
   std::nth_element(wide.begin(), wide.begin() + 3, wide.end());
   // The slowest of 16 parallel domains dominates the slowest of 2.
   EXPECT_GE(wide[3], narrow[3]);
+}
+
+// A page's domains load concurrently, each on its own copy of the page's
+// context, so each content host's TCP and TLS handshake spans hold exactly
+// their own connection's two flights (SYN and SYN/ACK; ClientHello and
+// ServerHello), between the client and the web host, inside the span.
+TEST_F(ExtensionFixture, EachContentHostHandshakeHoldsItsOwnHops) {
+  const auto* exit = client("SE");
+  ASSERT_NE(exit, nullptr);
+  const auto ctx = make_ctx(world(), exit, 0);
+  constexpr std::size_t kDomains = 3;
+  for (const web::DnsMode mode : {web::DnsMode::kDo53, web::DnsMode::kDohCold,
+                                  web::DnsMode::kDohWarm}) {
+    const std::string label(web::to_string(mode));
+    obs::SpanContext spans;
+    const auto result = world().run_flow([&](netsim::NetCtx& net) {
+      net.spans = &spans;
+      return web::load_page(net, ctx, static_cast<int>(kDomains), mode);
+    });
+    ASSERT_TRUE(result.ok) << label;
+    EXPECT_EQ(spans.open_count(), 0u) << label;
+    for (const char* name : {"tcp_handshake", "tls_handshake"}) {
+      std::vector<const obs::Span*> handshakes;
+      for (const obs::Span& span : spans.spans()) {
+        if (span.name == name) handshakes.push_back(&span);
+      }
+      // A cold DoH page first handshakes with the PoP for its session.
+      if (mode == web::DnsMode::kDohCold && !handshakes.empty()) {
+        handshakes.erase(handshakes.begin());
+      }
+      ASSERT_EQ(handshakes.size(), kDomains) << label << " " << name;
+      for (const obs::Span* handshake : handshakes) {
+        std::size_t hops = 0;
+        for (const obs::Span* hop : spans.hop_view()) {
+          if (hop->parent != handshake->id) continue;
+          ++hops;
+          const bool outbound = hop->from == ctx.client.position &&
+                                hop->to == ctx.web_server.position;
+          const bool inbound = hop->from == ctx.web_server.position &&
+                               hop->to == ctx.client.position;
+          EXPECT_TRUE(outbound || inbound) << label << " " << name;
+          EXPECT_GE(hop->start, handshake->start) << label << " " << name;
+          EXPECT_LE(hop->end, handshake->end) << label << " " << name;
+        }
+        EXPECT_EQ(hops, 2u) << label << " " << name << " #"
+                            << handshake->id;
+      }
+    }
+  }
 }
 
 TEST_F(ExtensionFixture, DoqFreshCostsOneRoundTripLessThanDoh) {

@@ -120,7 +120,7 @@ struct EdnsStackFixture : ::testing::Test {
   netsim::NetCtx net{sim, rng};
   dns::DomainName origin = dns::DomainName::parse("a.com");
   resolver::AuthoritativeServer authority{
-      dns::Zone::make_study_zone(origin, 1),
+      dns::Zone::make_study_zone(1),
       netsim::Site{{0, 0}, 0.5, 1.0, 0.0}};
 
   resolver::RecursiveResolver make_resolver(resolver::EcsPolicy policy) {
@@ -165,7 +165,7 @@ TEST_F(EdnsStackFixture, NegativeCacheServesRepeatNxdomain) {
   // The study zone wildcards A answers but has no wildcard for TXT, so a
   // TXT query below the origin is NODATA; out-of-zone is Refused. Use a
   // zone without a wildcard to provoke NXDOMAIN.
-  dns::Zone bare(origin, dns::Zone::make_study_zone(origin, 1).soa());
+  dns::Zone bare(origin, dns::Zone::make_study_zone(1).soa());
   resolver::AuthoritativeServer nx_authority(
       std::move(bare), netsim::Site{{0, 0}, 0.5, 1.0, 0.0});
   resolver::RecursiveResolver resolver(

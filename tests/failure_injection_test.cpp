@@ -120,7 +120,6 @@ client::PolicyOutcome run_policy_under_plan(world::WorldModel& world,
   ctx.client = exit->site;
   ctx.default_resolver = exit->default_resolver;
   ctx.doh = &world.doh_server(0, 0);
-  ctx.origin = world.origin();
 
   return world.run_flow([&](netsim::NetCtx& net) {
     net.faults = &plan;
@@ -197,7 +196,6 @@ TEST(FailureInjectionTest, BlackoutFailsEveryPageLoadMode) {
   ctx.default_resolver = exit->default_resolver;
   ctx.doh = &world.doh_server(0, 0);
   ctx.web_server = world.authority().site();
-  ctx.origin = world.origin();
   for (const web::DnsMode mode : {web::DnsMode::kDo53, web::DnsMode::kDohCold,
                                   web::DnsMode::kDohWarm}) {
     const web::PageLoadResult result =

@@ -4,12 +4,12 @@
 
 #include <functional>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "client/policy.h"
+#include "dns/zone.h"
 #include "measure/estimator.h"
 #include "measure/flows.h"
 #include "measure/warm.h"
@@ -44,50 +44,34 @@ struct FlowsWorld {
     return world().brightdata().pick_exit(iso2, rng);
   }
 
-  DohProxyParams doh_params(const proxy::ExitNode* exit,
-                            std::size_t provider_index,
-                            std::size_t pop_index) {
-    DohProxyParams params;
-    params.client = world().measurement_client();
-    params.super_proxy =
-        world().brightdata().nearest_super_proxy(exit->site.position).site;
-    params.exit = exit;
-    params.doh = &world().doh_server(provider_index, pop_index);
-    params.origin = world().origin();
-    return params;
+  const netsim::Site& super_proxy(const proxy::ExitNode* exit) {
+    return world().brightdata().nearest_super_proxy(exit->site.position).site;
   }
-
-  Do53ProxyParams do53_params(const proxy::ExitNode* exit) {
-    Do53ProxyParams params;
-    params.client = world().measurement_client();
-    params.super_proxy =
-        world().brightdata().nearest_super_proxy(exit->site.position).site;
-    params.exit = exit;
-    params.origin = world().origin();
-    params.authority = &world().authority();
-    return params;
+  DohProxyObservation proxied_doh(const proxy::ExitNode* exit,
+                                  std::size_t provider_index,
+                                  std::size_t pop_index) {
+    return world().run_flow([&](netsim::NetCtx& net) {
+      return doh_via_proxy(net, *exit, super_proxy(exit),
+                           world().doh_server(provider_index, pop_index));
+    });
   }
-
-  DohProxyObservation proxied(const DohProxyParams& params) {
-    return world().run_flow(
-        [&](netsim::NetCtx& net) { return doh_via_proxy(net, params); });
-  }
-  Do53ProxyObservation proxied(const Do53ProxyParams& params) {
-    return world().run_flow(
-        [&](netsim::NetCtx& net) { return do53_via_proxy(net, params); });
+  Do53ProxyObservation proxied_do53(const proxy::ExitNode* exit) {
+    return world().run_flow([&](netsim::NetCtx& net) {
+      return do53_via_proxy(net, *exit, super_proxy(exit),
+                            world().authority());
+    });
   }
   DirectObservation direct_doh(const proxy::ExitNode* exit,
                                std::size_t provider_index) {
     return world().run_flow([&](netsim::NetCtx& net) {
       return doh_direct(net, exit->site, exit->default_resolver,
-                        world().doh_server(provider_index, 0),
-                        world().origin());
+                        world().doh_server(provider_index, 0));
     });
   }
   double direct_do53(const proxy::ExitNode* exit, const std::string& label) {
     return world().run_flow([&](netsim::NetCtx& net) {
       return do53_direct(net, exit->site, exit->default_resolver,
-                         world().origin().with_subdomain(label));
+                         dns::study_origin().with_subdomain(label));
     });
   }
 
@@ -98,7 +82,6 @@ struct FlowsWorld {
     EXPECT_NE(exit, nullptr);
     if (exit == nullptr) return {};
     resolver::DohServer& doh = world().doh_server(0, 0);
-    const DohProxyParams proxy_params = doh_params(exit, 0, 0);
     resolver::SharedCacheConfig cache_config;
     cache_config.enabled = true;
     const resolver::SharedCacheModel cache(cache_config);
@@ -106,7 +89,6 @@ struct FlowsWorld {
     warm.vantage = exit->site;
     warm.default_resolver = exit->default_resolver;
     warm.doh = &doh;
-    warm.origin = world().origin();
     warm.cache = &cache;
     warm.reuse.enabled = true;
     warm.reuse.queries_per_session = 4;
@@ -115,38 +97,34 @@ struct FlowsWorld {
     page.default_resolver = exit->default_resolver;
     page.doh = &doh;
     page.web_server = world().authority().site();
-    page.origin = world().origin();
     client::PolicyContext policy;
     policy.client = exit->site;
     policy.default_resolver = exit->default_resolver;
     policy.doh = &doh;
-    policy.origin = world().origin();
 
     using Launch = std::function<netsim::Task<void>(netsim::NetCtx&)>;
     const std::pair<const char*, Launch> entry_points[] = {
         {"doh_via_proxy",
          [&](netsim::NetCtx& net) -> netsim::Task<void> {
-           EXPECT_TRUE((co_await doh_via_proxy(net, proxy_params)).ok);
+           EXPECT_TRUE(
+               (co_await doh_via_proxy(net, *exit, super_proxy(exit), doh)).ok);
          }},
         {"doh_direct",
          [&](netsim::NetCtx& net) -> netsim::Task<void> {
            EXPECT_TRUE((co_await doh_direct(net, exit->site,
-                                            exit->default_resolver, doh,
-                                            world().origin()))
+                                            exit->default_resolver, doh))
                            .ok);
          }},
         {"dot_direct",
          [&](netsim::NetCtx& net) -> netsim::Task<void> {
            EXPECT_TRUE((co_await dot_direct(net, exit->site,
-                                            exit->default_resolver, doh,
-                                            world().origin()))
+                                            exit->default_resolver, doh))
                            .ok);
          }},
         {"doq_direct",
          [&](netsim::NetCtx& net) -> netsim::Task<void> {
            EXPECT_TRUE((co_await doq_direct(net, exit->site,
-                                            exit->default_resolver, doh,
-                                            world().origin()))
+                                            exit->default_resolver, doh))
                            .ok);
          }},
         {"doh_warm_path",
@@ -188,7 +166,7 @@ struct FlowsFixture : ::testing::Test, FlowsWorld {
 TEST_F(FlowsFixture, DohProxyFlowCompletes) {
   const auto* exit = exit_in("SE");
   ASSERT_NE(exit, nullptr);
-  const DohProxyObservation obs = proxied(doh_params(exit, 0, 0));
+  const DohProxyObservation obs = proxied_doh(exit, 0, 0);
   ASSERT_TRUE(obs.ok);
   EXPECT_EQ(obs.http_status, 200);
   EXPECT_GT(obs.true_dns_ms, 0.0);
@@ -200,7 +178,7 @@ TEST_F(FlowsFixture, DohProxyFlowCompletes) {
 TEST_F(FlowsFixture, TimestampsAreOrdered) {
   const auto* exit = exit_in("BR");
   ASSERT_NE(exit, nullptr);
-  const auto obs = proxied(doh_params(exit, 1, 3));
+  const auto obs = proxied_doh(exit, 1, 3);
   ASSERT_TRUE(obs.ok);
   EXPECT_LT(obs.inputs.stamps.t_a, obs.inputs.stamps.t_b);
   EXPECT_LE(obs.inputs.stamps.t_b, obs.inputs.stamps.t_c);
@@ -210,7 +188,7 @@ TEST_F(FlowsFixture, TimestampsAreOrdered) {
 TEST_F(FlowsFixture, HeadersCarryTunnelTimings) {
   const auto* exit = exit_in("ZA");
   ASSERT_NE(exit, nullptr);
-  const auto obs = proxied(doh_params(exit, 0, 5));
+  const auto obs = proxied_doh(exit, 0, 5);
   ASSERT_TRUE(obs.ok);
   // The reported tun-timeline must match the simulator's internal truth
   // (the Super Proxy reports what the exit node measured).
@@ -227,7 +205,7 @@ TEST_F(FlowsFixture, EstimatorTracksTruthWithinJitterBudget) {
   ASSERT_NE(exit, nullptr);
   std::vector<double> est, truth;
   for (int i = 0; i < 15; ++i) {
-    const auto obs = proxied(doh_params(exit, 0, 2));
+    const auto obs = proxied_doh(exit, 0, 2);
     ASSERT_TRUE(obs.ok);
     est.push_back(estimate_tdoh_ms(obs.inputs));
     truth.push_back(obs.true_tdoh_ms());
@@ -245,10 +223,10 @@ TEST_F(FlowsFixture, Tls12CostsAnExtraRoundTrip) {
   ASSERT_NE(exit12, nullptr);
   std::vector<double> t13, t12;
   for (int i = 0; i < 9; ++i) {
-    const auto tls13 = proxied(doh_params(exit, 0, 1));
+    const auto tls13 = proxied_doh(exit, 0, 1);
     t13.push_back(tls13.inputs.stamps.t_d - tls13.inputs.stamps.t_a);
     const auto tls12 =
-        tls12_world.proxied(tls12_world.doh_params(exit12, 0, 1));
+        tls12_world.proxied_doh(exit12, 0, 1);
     t12.push_back(tls12.inputs.stamps.t_d - tls12.inputs.stamps.t_a);
   }
   std::nth_element(t13.begin(), t13.begin() + 4, t13.end());
@@ -277,7 +255,7 @@ TEST_F(FlowsFixture, DirectDohMeasuresComponents) {
 TEST_F(FlowsFixture, Do53ProxyFlowReportsExitResolution) {
   const auto* exit = exit_in("SE");
   ASSERT_NE(exit, nullptr);
-  const auto obs = proxied(do53_params(exit));
+  const auto obs = proxied_do53(exit);
   ASSERT_TRUE(obs.ok);
   EXPECT_FALSE(obs.resolved_at_super_proxy);
   EXPECT_GT(obs.tun.dns_ms, 0.0);
@@ -290,7 +268,7 @@ TEST_F(FlowsFixture, Do53AtSuperProxyIsFlaggedAndFast) {
   const auto* exit = exit_in("US");
   ASSERT_NE(exit, nullptr);
   ASSERT_TRUE(proxy::resolves_dns_at_super_proxy(exit->advertised_iso2));
-  const auto obs = proxied(do53_params(exit));
+  const auto obs = proxied_do53(exit);
   ASSERT_TRUE(obs.ok);
   EXPECT_TRUE(obs.resolved_at_super_proxy);
   EXPECT_TRUE(std::isnan(obs.true_do53_ms));
@@ -304,7 +282,7 @@ TEST_F(FlowsFixture, Do53DirectMatchesResolverPath) {
   std::vector<double> direct, via_header;
   for (int i = 0; i < 15; ++i) {
     direct.push_back(direct_do53(exit, "gt-" + std::to_string(i)));
-    const auto obs = proxied(do53_params(exit));
+    const auto obs = proxied_do53(exit);
     ASSERT_TRUE(obs.ok);
     via_header.push_back(obs.tun.dns_ms);
   }
@@ -326,7 +304,7 @@ TEST_F(FlowsFixture, TraceConfirmsDefaultResolverIsUsed) {
   const double ms = world().run_flow([&](netsim::NetCtx& net) {
     net.spans = &capture;
     return do53_direct(net, exit->site, exit->default_resolver,
-                       world().origin().with_subdomain("wireshark-check"));
+                       dns::study_origin().with_subdomain("wireshark-check"));
   });
   ASSERT_GE(ms, 0.0);
 
@@ -428,17 +406,14 @@ TEST_F(FlowsFixture, EveryDohHandshakeRunsAtTheWorldsTlsVersion) {
     // The first handshake is the one with the DoH or DoT server.
     EXPECT_EQ(flights12[0], 2 * flights13[0]) << name;
     // Only the page load runs more: one per content host, at TLS 1.3 in
-    // both worlds. Those run concurrently, and a hop is filed under the
-    // innermost open span, so their hops are only counted together.
+    // both worlds, each holding its own ClientHello and ServerHello.
     if (name != "load_page") {
       EXPECT_EQ(flights13.size(), 1u) << name;
     }
-    const auto content_hosts = [](const std::vector<std::size_t>& flights) {
-      return std::accumulate(flights.begin() + 1, flights.end(),
-                             std::size_t{0});
-    };
-    EXPECT_EQ(content_hosts(flights13), 2 * (flights13.size() - 1)) << name;
-    EXPECT_EQ(content_hosts(flights12), content_hosts(flights13)) << name;
+    for (std::size_t host = 1; host < flights13.size(); ++host) {
+      EXPECT_EQ(flights13[host], 2u) << name << " content host " << host;
+      EXPECT_EQ(flights12[host], 2u) << name << " content host " << host;
+    }
   }
   // Campaign flows run on replicas, whose servers take the version too.
   EXPECT_EQ(

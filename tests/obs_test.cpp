@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -83,27 +84,34 @@ TEST(SpanContextTest, OpenCloseBuildsParentChain) {
   SpanContext ctx;
   const auto root = ctx.open("root", sim.now());
   const auto child = ctx.open("child", sim.now());
-  EXPECT_EQ(ctx.current(), child);
-  EXPECT_EQ(ctx.spans()[ctx.current()].name, "child");
+  EXPECT_EQ(ctx.open_count(), 2u);
   ctx.close(child, sim.now());
-  EXPECT_EQ(ctx.current(), root);
+  // Closing the innermost span makes its parent innermost again.
+  const auto sibling = ctx.open("sibling", sim.now());
+  ctx.close(sibling, sim.now());
   ctx.close(root, sim.now());
-  EXPECT_EQ(ctx.current(), kNoSpan);
+  // A span with an explicit parent nests wherever it is told to.
+  const auto late = ctx.open("late", child, sim.now());
+  ctx.close(late, sim.now());
 
-  ASSERT_EQ(ctx.spans().size(), 2u);
+  ASSERT_EQ(ctx.spans().size(), 4u);
   EXPECT_EQ(ctx.spans()[root].parent, kNoSpan);
   EXPECT_EQ(ctx.spans()[child].parent, root);
+  EXPECT_EQ(ctx.spans()[sibling].parent, root);
+  EXPECT_EQ(ctx.spans()[late].parent, child);
+  EXPECT_EQ(ctx.spans()[child].name, "child");
   expect_well_nested(ctx);
 }
 
-TEST(SpanContextTest, OutOfOrderCloseUnwindsTolerantly) {
+TEST(SpanContextTest, OpenCountNamesASpanLeftOpen) {
   netsim::Simulator sim;
   SpanContext ctx;
   const auto root = ctx.open("root", sim.now());
-  ctx.open("leaked", sim.now());
-  // Closing the root while "leaked" is still open must not wedge the
-  // stack: a buggy flow still yields an inspectable trace.
+  const auto leaked = ctx.open("leaked", sim.now());
+  // Closing the root leaves its child open, and the count says so.
   ctx.close(root, sim.now());
+  EXPECT_EQ(ctx.open_count(), 1u);
+  ctx.close(leaked, sim.now());
   EXPECT_EQ(ctx.open_count(), 0u);
 }
 
@@ -111,7 +119,7 @@ TEST(SpanContextTest, HopsAreLeavesUnderTheInnermostSpan) {
   netsim::Simulator sim;
   SpanContext ctx;
   const auto root = ctx.open("root", sim.now());
-  ctx.record_hop(sim.now(), sim.now(), {1, 2}, {3, 4}, 128);
+  ctx.record_hop(root, sim.now(), sim.now(), {1, 2}, {3, 4}, 128);
   ctx.close(root, sim.now());
 
   const auto hops = ctx.hop_view();
@@ -232,6 +240,47 @@ TEST_F(ObsFixture, InterleavedPathSendsUnderOneSpanStayLabeled) {
   }
   EXPECT_EQ(metrics.counters.messages, 2u);
   EXPECT_EQ(metrics.counters.bytes_on_wire, 400u);
+}
+
+TEST_F(ObsFixture, ConcurrentTasksOnContextCopiesKeepTheirOwnBranches) {
+  // Two tasks of one flow run at once, each on its own copy of the
+  // flow's context (as a page load's domains do). Each opens a step and
+  // sends while the other's step is open too: every hop must land under
+  // the step of the task that sent it, and both steps under the root.
+  const auto task_fn = [](NetCtx net, const Site& from, const Site& to,
+                          const char* name,
+                          std::size_t bytes) -> netsim::Task<void> {
+    const auto step = net.step({name});
+    const netsim::Path path(net, from, to);
+    co_await path.send(bytes);
+    co_await path.recv(bytes);
+  };
+  auto flow_fn = [&]() -> netsim::Task<void> {
+    const auto root = net.step({"flow"});
+    auto near = task_fn(net, client, super_proxy, "near", 100);
+    auto far = task_fn(net, client, exit, "far", 300);
+    co_await near;
+    co_await far;
+  };
+  auto flow = flow_fn();
+  sim.run();
+  flow.result();
+
+  expect_well_nested(spans);
+  std::map<std::string, obs::SpanId> step_of;
+  for (const Span& span : spans.spans()) {
+    if (!span.hop) step_of[span.name] = span.id;
+  }
+  ASSERT_EQ(step_of.size(), 3u);
+  EXPECT_EQ(spans.spans()[step_of["near"]].parent, step_of["flow"]);
+  EXPECT_EQ(spans.spans()[step_of["far"]].parent, step_of["flow"]);
+  const std::vector<const Span*> hops = spans.hop_view();
+  ASSERT_EQ(hops.size(), 4u);
+  for (const Span* hop : hops) {
+    EXPECT_EQ(hop->parent, hop->bytes == 100 ? step_of["near"]
+                                             : step_of["far"])
+        << hop->bytes << "-byte hop";
+  }
 }
 
 // ------------------------------------------------------------- histogram
@@ -391,18 +440,14 @@ SpanContext proxied_flow_spans() {
   netsim::Rng pick = world.rng().split("trace-round-trip");
   const proxy::ExitNode* exit = world.brightdata().pick_exit("SE", pick);
 
-  measure::DohProxyParams params;
-  params.client = world.measurement_client();
-  params.super_proxy =
+  const netsim::Site& super_proxy =
       world.brightdata().nearest_super_proxy(exit->site.position).site;
-  params.exit = exit;
-  params.doh = &world.doh_server(0, 0);
-  params.origin = world.origin();
 
   SpanContext spans;
   world.run_flow([&](NetCtx& net) {
     net.spans = &spans;
-    return measure::doh_via_proxy(net, std::move(params));
+    return measure::doh_via_proxy(net, *exit, super_proxy,
+                                  world.doh_server(0, 0));
   });
   return spans;
 }

@@ -231,18 +231,14 @@ std::string proxied_flow_trace() {
   netsim::Rng pick = world.rng().split("trace-mutants");
   const proxy::ExitNode* exit = world.brightdata().pick_exit("SE", pick);
 
-  measure::DohProxyParams params;
-  params.client = world.measurement_client();
-  params.super_proxy =
+  const netsim::Site& super_proxy =
       world.brightdata().nearest_super_proxy(exit->site.position).site;
-  params.exit = exit;
-  params.doh = &world.doh_server(0, 0);
-  params.origin = world.origin();
 
   obs::SpanContext spans;
   world.run_flow([&](netsim::NetCtx& net) {
     net.spans = &spans;
-    return measure::doh_via_proxy(net, std::move(params));
+    return measure::doh_via_proxy(net, *exit, super_proxy,
+                                  world.doh_server(0, 0));
   });
   return obs::perfetto_trace_json(spans);
 }

@@ -30,7 +30,6 @@ struct PolicyFixture : ::testing::Test {
     ctx.client = exit->site;
     ctx.default_resolver = exit->default_resolver;
     ctx.doh = &world().doh_server(0, 0);
-    ctx.origin = world().origin();
     ctx.doh_unreachable = doh_unreachable;
     return ctx;
   }

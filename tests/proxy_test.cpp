@@ -182,8 +182,7 @@ TEST(AtlasTest, MeasureDo53ReturnsPlausibleTime) {
 
   const auto origin = dns::DomainName::parse("a.com");
   resolver::AuthoritativeServer authority(
-      dns::Zone::make_study_zone(origin, 1), netsim::Site{{0, 0}, 0.5, 1.0,
-                                                          0.0});
+      dns::Zone::make_study_zone(1), netsim::Site{{0, 0}, 0.5, 1.0, 0.0});
   resolver::RecursiveResolver resolver("isp", netsim::Site{{0, 30}, 1.0,
                                                            1.0, 0.0},
                                        9, &authority);

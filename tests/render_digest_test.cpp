@@ -28,6 +28,7 @@
 #include <string_view>
 
 #include "client/policy.h"
+#include "dns/zone.h"
 #include "measure/flows.h"
 #include "measure/warm.h"
 #include "obs/trace_export.h"
@@ -253,28 +254,9 @@ const resolver::SharedCacheModel& cache_model() {
   return model;
 }
 
-measure::DohProxyParams doh_proxy_params(world::WorldModel& world,
-                                         const proxy::ExitNode* exit) {
-  measure::DohProxyParams params;
-  params.client = world.measurement_client();
-  params.super_proxy =
-      world.brightdata().nearest_super_proxy(exit->site.position).site;
-  params.exit = exit;
-  params.doh = &world.doh_server(0, 0);
-  params.origin = world.origin();
-  return params;
-}
-
-measure::Do53ProxyParams do53_proxy_params(world::WorldModel& world,
-                                           const proxy::ExitNode* exit) {
-  measure::Do53ProxyParams params;
-  params.client = world.measurement_client();
-  params.super_proxy =
-      world.brightdata().nearest_super_proxy(exit->site.position).site;
-  params.exit = exit;
-  params.origin = world.origin();
-  params.authority = &world.authority();
-  return params;
+const netsim::Site& super_proxy_of(world::WorldModel& world,
+                                   const proxy::ExitNode* exit) {
+  return world.brightdata().nearest_super_proxy(exit->site.position).site;
 }
 
 web::PageLoadContext page_context(world::WorldModel& world,
@@ -284,7 +266,6 @@ web::PageLoadContext page_context(world::WorldModel& world,
   ctx.default_resolver = exit->default_resolver;
   ctx.doh = &world.doh_server(0, 0);
   ctx.web_server = world.authority().site();
-  ctx.origin = world.origin();
   return ctx;
 }
 
@@ -294,7 +275,6 @@ client::PolicyContext policy_context(world::WorldModel& world,
   ctx.client = exit->site;
   ctx.default_resolver = exit->default_resolver;
   ctx.doh = &world.doh_server(0, 0);
-  ctx.origin = world.origin();
   return ctx;
 }
 
@@ -334,23 +314,26 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
   const Case cases[] = {
       {"doh_via_proxy", "SE",
        [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
+         const proxy::ExitNode* exit = exit_in(w, "SE");
          const auto result = co_await measure::doh_via_proxy(
-             net, doh_proxy_params(w, exit_in(w, "SE")));
+             net, *exit, super_proxy_of(w, exit), w.doh_server(0, 0));
          EXPECT_TRUE(result.ok);
        },
        {"0d6c1c56d265e6b1", "f6f57a956092fff9", "939c4826bb53ce33"}},
       {"do53_via_proxy (exit resolves)", "SE",
        [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
+         const proxy::ExitNode* exit = exit_in(w, "SE");
          const auto result = co_await measure::do53_via_proxy(
-             net, do53_proxy_params(w, exit_in(w, "SE")));
+             net, *exit, super_proxy_of(w, exit), w.authority());
          EXPECT_TRUE(result.ok);
          EXPECT_FALSE(result.resolved_at_super_proxy);
        },
        {"931f9bda937a97ec", "4aa0b835f1001c94", "75e082b55b233e9d"}},
       {"do53_via_proxy (Super Proxy resolves)", "DE",
        [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
+         const proxy::ExitNode* exit = exit_in(w, "DE");
          const auto result = co_await measure::do53_via_proxy(
-             net, do53_proxy_params(w, exit_in(w, "DE")));
+             net, *exit, super_proxy_of(w, exit), w.authority());
          EXPECT_TRUE(result.ok);
          EXPECT_TRUE(result.resolved_at_super_proxy);
        },
@@ -359,8 +342,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
        [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          const proxy::ExitNode* exit = exit_in(w, "SE");
          const auto result = co_await measure::doh_direct(
-             net, exit->site, exit->default_resolver, w.doh_server(0, 0),
-             w.origin());
+             net, exit->site, exit->default_resolver, w.doh_server(0, 0));
          EXPECT_TRUE(result.ok);
        },
        {"cfc610e9a7e8896d", "ebc40665b8e7e97c", "dd2a41f018fc024f"}},
@@ -369,7 +351,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
          const proxy::ExitNode* exit = exit_in(w, "SE");
          const double result = co_await measure::do53_direct(
              net, exit->site, exit->default_resolver,
-             w.origin().with_subdomain("pin"));
+             dns::study_origin().with_subdomain("pin"));
          EXPECT_GT(result, 0.0);
        },
        {"a2d1e31b443ff4f8", "f301190ef111dccb", "174d42f07a209d35"}},
@@ -377,8 +359,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
        [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          const proxy::ExitNode* exit = exit_in(w, "SE");
          const auto result = co_await measure::dot_direct(
-             net, exit->site, exit->default_resolver, w.doh_server(0, 0),
-             w.origin());
+             net, exit->site, exit->default_resolver, w.doh_server(0, 0));
          EXPECT_TRUE(result.ok);
        },
        {"e5281e5a077bcebd", "b27434ba82b0b96d", "edbfaf0a00928dd3"}},
@@ -387,7 +368,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
          const proxy::ExitNode* exit = exit_in(w, "SE");
          const auto result = co_await measure::doq_direct(
              net, exit->site, exit->default_resolver, w.doh_server(0, 0),
-             w.origin(), /*resumed=*/false);
+             /*resumed=*/false);
          EXPECT_TRUE(result.ok);
        },
        {"ddcb2961543dd261", "57617f71d02b3c12", "e2767541d2b865b7"}},
@@ -396,7 +377,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
          const proxy::ExitNode* exit = exit_in(w, "SE");
          const auto result = co_await measure::doq_direct(
              net, exit->site, exit->default_resolver, w.doh_server(0, 0),
-             w.origin(), /*resumed=*/true);
+             /*resumed=*/true);
          EXPECT_TRUE(result.ok);
        },
        {"26d43686c439d0e5", "dae4fecabaefc43b", "96e37f1e8883a24d"}},
@@ -407,7 +388,6 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
          params.vantage = exit->site;
          params.default_resolver = exit->default_resolver;
          params.doh = &w.doh_server(0, 0);
-         params.origin = w.origin();
          params.cache = &cache_model();
          params.reuse.enabled = true;
          params.reuse.queries_per_session = 6;
@@ -421,7 +401,6 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
          measure::WarmDo53Params params;
          params.vantage = exit->site;
          params.resolver = exit->default_resolver;
-         params.origin = w.origin();
          params.cache = &cache_model();
          params.reuse.enabled = true;
          params.reuse.queries_per_session = 6;
@@ -438,7 +417,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
              web::DnsMode::kDohCold);
          EXPECT_TRUE(result.ok);
        },
-       {"d9f426f4319d0fbd", "cf736ce7273e3d3c", "7965b39b6d5e4cc4"}},
+       {"2b2e74140f81e554", "cf736ce7273e3d3c", "7965b39b6d5e4cc4"}},
       {"load_page (warm DoH)", "SE",
        [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          const auto result = co_await web::load_page(
@@ -446,7 +425,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
              web::DnsMode::kDohWarm);
          EXPECT_TRUE(result.ok);
        },
-       {"b73b726c12ad7930", "ac53e771e1b188b3", "e24af47da79a8ec6"}},
+       {"4db0074409032557", "ac53e771e1b188b3", "e24af47da79a8ec6"}},
       {"load_page (Do53)", "SE",
        [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          const auto result = co_await web::load_page(
@@ -454,7 +433,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
              web::DnsMode::kDo53);
          EXPECT_TRUE(result.ok);
        },
-       {"4e9fb21471f88b99", "91660ed992adc475", "d3ac712ad64ccc45"}},
+       {"ee3358877d115d5b", "91660ed992adc475", "d3ac712ad64ccc45"}},
       {"RipeAtlas::measure_do53", "DE",
        [](world::WorldModel& w, netsim::NetCtx& net) -> netsim::Task<void> {
          netsim::Rng rng = w.rng().split("flow-pin-atlas");
@@ -462,7 +441,7 @@ TEST(RenderDigestTest, FlowEntryPointsMatchPinnedDigests) {
          if (probe == nullptr) throw std::runtime_error("no probe in DE");
          const double result = co_await w.atlas().measure_do53(
              net, proxy::AtlasProbe(*probe),
-             w.origin().with_subdomain("atlas-pin"));
+             dns::study_origin().with_subdomain("atlas-pin"));
          EXPECT_GT(result, 0.0);
        },
        {"975a601928acc193", "5d9f5b6d0c01692e", "666cf4f4650407c6"}},

@@ -27,7 +27,7 @@ struct ResolverFixture : ::testing::Test {
   netsim::NetCtx net{sim, rng};
   dns::DomainName origin = dns::DomainName::parse("a.com");
   AuthoritativeServer authority{
-      dns::Zone::make_study_zone(origin, 0xCF000001), test_site(0.0),
+      dns::Zone::make_study_zone(0xCF000001), test_site(0.0),
       netsim::from_ms(0.3)};
 };
 
@@ -214,11 +214,10 @@ TEST(StubTest, UuidLabelsAreValidAndUnique) {
 TEST(StubTest, UuidLabelsMatchThePrintfFormat) {
   // The label is formatted by hand on the stack; it must be the string
   // "%08x-%04x-4%03x-%04x-%012llx" makes of the same two draws, and
-  // probe_name must put that label under the origin.
+  // probe_name must put that label under the study zone.
   netsim::Rng rng(5);
   netsim::Rng replay(5);
   netsim::Rng names(5);
-  const auto origin = dns::DomainName::parse("a.com");
   for (int i = 0; i < 2000; ++i) {
     const std::uint64_t hi = replay.next();
     const std::uint64_t lo = replay.next();
@@ -230,7 +229,7 @@ TEST(StubTest, UuidLabelsMatchThePrintfFormat) {
                   static_cast<unsigned>(0x8000 | ((lo >> 48) & 0x3FFF)),
                   static_cast<unsigned long long>(lo & 0xFFFFFFFFFFFFULL));
     EXPECT_EQ(uuid_label(rng), want);
-    EXPECT_EQ(probe_name(names, origin).to_string(),
+    EXPECT_EQ(probe_name(names).to_string(),
               std::string(want) + ".a.com");
   }
 }
@@ -238,8 +237,8 @@ TEST(StubTest, UuidLabelsMatchThePrintfFormat) {
 TEST(StubTest, ProbeQueriesAreFresh) {
   netsim::Rng rng(2);
   const auto origin = dns::DomainName::parse("a.com");
-  const auto q1 = make_probe_query(rng, origin);
-  const auto q2 = make_probe_query(rng, origin);
+  const auto q1 = make_probe_query(rng);
+  const auto q2 = make_probe_query(rng);
   EXPECT_FALSE(q1.questions.front().name == q2.questions.front().name);
   EXPECT_TRUE(q1.questions.front().name.is_subdomain_of(origin));
   EXPECT_EQ(q1.questions.front().type, dns::RecordType::kA);
@@ -247,7 +246,7 @@ TEST(StubTest, ProbeQueriesAreFresh) {
 
 TEST(StubTest, DohGetTargetRoundTrips) {
   netsim::Rng rng(3);
-  const auto query = make_probe_query(rng, dns::DomainName::parse("a.com"));
+  const auto query = make_probe_query(rng);
   const std::string target = doh_get_target(query);
   ASSERT_TRUE(target.starts_with("/dns-query?dns="));
   const auto param = transport::query_param(target, "dns");

@@ -517,6 +517,23 @@ TEST(ScenarioSpecTest, OneCountryOverridesTakeExactlyOne) {
   EXPECT_EQ(spec.world.only_countries, std::vector<std::string>{"SE"});
 }
 
+// An empty list means every country, which a spec file spells "[]". From
+// a flag, an argument or an environment variable an empty value is a
+// missing one: it fails naming its source and leaves the list as it was.
+TEST(ScenarioSpecTest, EmptyListOverrideIsRejected) {
+  EXPECT_TRUE(parse_ok("[world]\nonly_countries = []\n")
+                  .base.world.only_countries.empty());
+  scenario::CampaignSpec spec;
+  spec.world.only_countries = {"SE"};
+  std::string error;
+  EXPECT_FALSE(scenario::set_override(spec, "--countries",
+                                      "world.only_countries", "", &error));
+  EXPECT_EQ(error,
+            "--countries: key \"world.only_countries\": expected at least "
+            "one item, got an empty value");
+  EXPECT_EQ(spec.world.only_countries, std::vector<std::string>{"SE"});
+}
+
 TEST(ScenarioSweepTest, ExpansionIsRowMajorWithFirstAxisSlowest) {
   const scenario::SpecDocument doc = parse_ok(
       "[sweep]\n"

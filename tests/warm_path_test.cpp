@@ -228,7 +228,6 @@ struct WarmFlowFixture : ::testing::Test {
     params.vantage = exit->site;
     params.default_resolver = exit->default_resolver;
     params.doh = &w.doh_server(0, 0);
-    params.origin = w.origin();
     params.cache = model;
     params.reuse.enabled = true;
     params.reuse.queries_per_session = 8;
@@ -312,7 +311,6 @@ TEST_F(WarmFlowFixture, Do53WarmSessionHitsDistributedCache) {
   measure::WarmDo53Params params;
   params.vantage = exit->site;
   params.resolver = exit->default_resolver;
-  params.origin = w.origin();
   params.cache = &model;
   params.reuse.enabled = true;
   params.reuse.queries_per_session = 8;

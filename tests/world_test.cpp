@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "dns/zone.h"
 #include "measure/flows.h"
 #include "measure/groundtruth.h"
 #include "scenario/spec.h"
@@ -188,8 +189,8 @@ TEST_F(WorldFixture, ReplicaServersEqualTheWorlds) {
   EXPECT_EQ(authority_copy.zone().record_count(),
             authority.zone().record_count());
   for (const dns::DomainName& name :
-       {w.origin(), w.origin().with_subdomain("ns1"),
-        w.origin().with_subdomain("probe")}) {
+       {dns::study_origin(), dns::study_origin().with_subdomain("ns1"),
+        dns::study_origin().with_subdomain("probe")}) {
     EXPECT_EQ(authority_copy.zone().lookup(name, dns::RecordType::kA).answers,
               authority.zone().lookup(name, dns::RecordType::kA).answers)
         << name.to_string();
@@ -264,7 +265,8 @@ TEST(ReplicaTest, FlowsOnAFreshReplicaMatchTheWorld) {
   const std::unique_ptr<SimContext> replica = w.make_replica();
   const proxy::ExitNode* exit =
       w.brightdata().find(w.brightdata().exits_in("BR").front());
-  const dns::DomainName probe = w.origin().with_subdomain("replica-probe");
+  const dns::DomainName probe =
+      dns::study_origin().with_subdomain("replica-probe");
 
   // The world's flows draw from its RNG; the replica's from a copy taken
   // before them, so both runs start from equal seeds.
@@ -276,7 +278,7 @@ TEST(ReplicaTest, FlowsOnAFreshReplicaMatchTheWorld) {
   const measure::DirectObservation doh =
       w.run_flow([&](netsim::NetCtx& net) {
         return measure::doh_direct(net, exit->site, exit->default_resolver,
-                                   w.doh_server(0, 0), w.origin());
+                                   w.doh_server(0, 0));
       });
 
   netsim::NetCtx net{replica->sim(), rng};
@@ -285,7 +287,7 @@ TEST(ReplicaTest, FlowsOnAFreshReplicaMatchTheWorld) {
       measure::do53_direct(net, exit->site, local, probe);
   replica->sim().run();
   netsim::Task<measure::DirectObservation> doh_task = measure::doh_direct(
-      net, exit->site, local, replica->doh_server(0, 0), w.origin());
+      net, exit->site, local, replica->doh_server(0, 0));
   replica->sim().run();
 
   ASSERT_TRUE(doh.ok);
@@ -371,7 +373,7 @@ TEST_F(WorldFixture, AtlasCoversSuperProxyCountries) {
 
 TEST_F(WorldFixture, AuthorityServesStudyZone) {
   const auto query = dns::Message::make_query(
-      1, world().origin().with_subdomain("probe"));
+      1, dns::study_origin().with_subdomain("probe"));
   const auto resp = world().authority().handle(query, 42);
   EXPECT_EQ(resp.header.rcode, dns::Rcode::kNoError);
   EXPECT_EQ(resp.answers.size(), 1u);

@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
                                       exit->anycast_region, sample_rng);
       const auto obs = world.run_flow([&](netsim::NetCtx& net) {
         return measure::doh_direct(net, exit->site, exit->default_resolver,
-                                   world.doh_server(p, pop), world.origin());
+                                   world.doh_server(p, pop));
       });
       if (!obs.ok) continue;
       dns.push_back(obs.dns_ms);

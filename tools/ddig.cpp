@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "dns/wire.h"
+#include "dns/zone.h"
 #include "flags.h"
 #include "measure/flows.h"
 #include "report/format.h"
@@ -97,11 +98,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad name: %s\n", e.what());
     return 2;
   }
-  if (!target.is_subdomain_of(world.origin())) {
+  if (!target.is_subdomain_of(dns::study_origin())) {
     std::fprintf(stderr,
                  "note: %s is outside the simulated zone %s — expect "
                  "REFUSED\n",
-                 name.c_str(), world.origin().to_string().c_str());
+                 name.c_str(), dns::study_origin().to_string().c_str());
   }
 
   obs::SpanContext capture;
@@ -136,8 +137,7 @@ int main(int argc, char** argv) {
     const auto flow = doh ? &measure::doh_direct : &measure::dot_direct;
     const auto obs = world.run_flow([&](netsim::NetCtx& net) {
       net.spans = spans;
-      return flow(net, client->site, client->default_resolver, server,
-                  world.origin());
+      return flow(net, client->site, client->default_resolver, server);
     });
     std::printf(";; %s via %s@%s (%s): first %.1f ms, reuse %.1f ms\n",
                 name.c_str(), provider.name().c_str(),

@@ -23,6 +23,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "dns/zone.h"
 #include "flags.h"
 #include "measure/dataset_io.h"
 #include "measure/flows.h"
@@ -177,11 +178,11 @@ int cmd_query(int argc, char** argv) {
     return 1;
   }
 
-  std::size_t provider_index = 4;
+  std::size_t provider_index = world.providers().size();
   for (std::size_t p = 0; p < world.providers().size(); ++p) {
     if (world.providers()[p].name() == provider_name) provider_index = p;
   }
-  if (provider_index == 4) {
+  if (provider_index == world.providers().size()) {
     std::fprintf(stderr, "unknown provider %s\n", provider_name.c_str());
     return 2;
   }
@@ -191,8 +192,7 @@ int cmd_query(int argc, char** argv) {
       client->site.position, client->anycast_region, world.rng());
   const auto obs = world.run_flow([&](netsim::NetCtx& net) {
     return measure::doh_direct(net, client->site, client->default_resolver,
-                               world.doh_server(provider_index, pop),
-                               world.origin());
+                               world.doh_server(provider_index, pop));
   });
   std::printf("%s via %s: DoH1 %.1f ms (dns %.1f, tcp %.1f, tls %.1f, "
               "query %.1f), DoHR %.1f ms\n",
@@ -200,8 +200,9 @@ int cmd_query(int argc, char** argv) {
               obs.first_ms(), obs.dns_ms, obs.connect_ms, obs.tls_ms,
               obs.query_ms, obs.reuse_ms);
   const double do53_ms = world.run_flow([&](netsim::NetCtx& net) {
-    return measure::do53_direct(net, client->site, client->default_resolver,
-                                world.origin().with_subdomain("cli-probe"));
+    return measure::do53_direct(
+        net, client->site, client->default_resolver,
+        dns::study_origin().with_subdomain("cli-probe"));
   });
   std::printf("Do53 via %s: %.1f ms\n",
               client->default_resolver->name().c_str(), do53_ms);
